@@ -5,7 +5,9 @@
     kecss bench --dir DIR --out CSV
 
 Exit codes: 0 success, 1 infeasible instance, 2 parse error,
-3 certification/verification failure.
+3 certification/verification failure, 4 size limit of a requested
+exhaustive routine (`--exact-sep` above n=20, `--certify` above the
+certification limits).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 from . import bench as benchmod
 from . import certify as certmod
 from . import rounding
-from .graphs import edge_connectivity
+from .graphs import CapacityError, edge_connectivity
 from .instances import GENERATOR_KINDS, Instance, ParseError, emit_instance, gen, parse_instance
 from .lp import LpInfeasible
 
@@ -27,16 +29,13 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_PARSE = 2
 EXIT_CERTIFY = 3
+EXIT_CAPACITY = 4
 
 RUN_MODES = ("ecss", "ecss15", "ecsm", "md-ecss", "md-ecsm", "oracle", "certify")
 
 
 def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def solution_json(sol: rounding.Solution) -> str:
@@ -123,6 +122,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except certmod.CertificationError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFY
+    except CapacityError as exc:
+        print(f"size limit: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
     except RuntimeError as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -144,14 +146,14 @@ def _cmd_oracle(inst: Instance) -> int:
         out["lp"] = frac_str(lp_opt.value)
     except LpInfeasible:
         out["lp"] = "infeasible"
-    except certmod.CapacityError as exc:
+    except CapacityError as exc:
         out["lp"] = f"skipped ({exc})"
     try:
         value, _ = certmod.brute_force_opt(gr, inst.k, "ecss")
         out["opt"] = frac_str(value)
     except LpInfeasible:
         out["opt"] = "infeasible"
-    except certmod.CapacityError as exc:
+    except CapacityError as exc:
         out["opt"] = f"skipped ({exc})"
     print(json.dumps(out))
     return EXIT_OK
@@ -166,8 +168,8 @@ def _cmd_certify(inst: Instance, args: argparse.Namespace) -> int:
         payload = json.loads(Path(args.solution).read_text())
         mode = payload["mode"]
         k = int(payload["k"])
-        cost = parse_frac(payload["cost"])
-        lp_value = parse_frac(payload["lp"])
+        cost = Fraction(payload["cost"])
+        lp_value = Fraction(payload["lp"])
         claimed_conn = int(payload["connectivity"])
         mult = {int(rec["id"]): int(rec["mult"]) for rec in payload["edges"]}
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:

@@ -3,18 +3,17 @@
 Vertices are 1..n.  Edge ids are dense 0..m-1 and parallel edges are kept
 as distinct ids; self-loops are rejected.  All cut values are exact
 rationals: capacity vectors are scaled to a common integer denominator
-internally, so every comparison is integer arithmetic.
+internally, so every comparison is integer arithmetic.  `min_cut` is
+Stoer-Wagner; `cuts_below` enumerates every cut under a bound by s-t
+max-flow branch and bound, exactly and with polynomial delay at any n.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
-
-EXHAUSTIVE_CUT_LIMIT = 20  # above this, cut enumeration needs probabilistic mode
+from typing import Iterable, Mapping
 
 
 class CapacityError(ValueError):
@@ -131,14 +130,6 @@ def scale_capacities(graph: Multigraph,
     return [int(f * denom) for f in fracs], denom
 
 
-def _cut_weight(graph: Multigraph, weights: Sequence[int], mask: int) -> int:
-    total = 0
-    for e in graph.edges:
-        if (mask >> (e.u - 1) & 1) != (mask >> (e.v - 1) & 1):
-            total += weights[e.id]
-    return total
-
-
 def min_cut(graph: Multigraph,
             caps: Mapping[int, Fraction | int]) -> tuple[Fraction, frozenset[int]]:
     """Exact global minimum cut (value, canonical side) for rational capacities.
@@ -194,21 +185,25 @@ def min_cut(graph: Multigraph,
         del w[t]
         nodes.remove(t)
 
-    assert best_value is not None and best_side is not None
+    if best_value is None or best_side is None:
+        raise RuntimeError("maximum-adjacency contraction found no phase cut")
     side = canonical_side(frozenset(best_side), graph.n)
     return Fraction(best_value, denom), side
 
 
 def cuts_below(graph: Multigraph, caps: Mapping[int, Fraction | int],
-               bound: Fraction | int, probabilistic: bool = False,
-               rng: random.Random | None = None,
-               trials: int | None = None) -> list[frozenset[int]]:
+               bound: Fraction | int) -> list[frozenset[int]]:
     """All canonical cut sides with capacity strictly below `bound`.
 
-    Exhaustive over the 2^(n-1)-1 partitions for n <= 20.  Larger graphs
-    require probabilistic=True: repeated randomized edge contraction with
-    ceil(2 n^4 ln n) trials by default, which may miss cuts with small
-    probability.  Output is sorted lexicographically by canonical side.
+    Exact at any n, with polynomial delay (Vazirani-Yannakakis branching):
+    vertex 1 is fixed outside the side, vertices 2..n are assigned in order,
+    and a partial assignment is pruned as soon as the max flow from its
+    assigned side to its assigned complement reaches `bound`, since no
+    completion can then be cheaper.  Each child warm-starts from its
+    parent's flow, which stays feasible when a vertex joins either end.
+    Every branch that survives ends in a returned cut, so each cut costs
+    at most 2n flow computations.  Output is sorted lexicographically by
+    canonical side.
     """
     bound = Fraction(bound)
     if bound <= 0:
@@ -216,69 +211,67 @@ def cuts_below(graph: Multigraph, caps: Mapping[int, Fraction | int],
     if graph.n < 2:
         raise ValueError("cut enumeration needs at least 2 vertices")
     weights, denom = scale_capacities(graph, caps)
-    scaled_bound = bound * denom
-
-    if graph.n <= EXHAUSTIVE_CUT_LIMIT:
-        found = []
-        for mask_rest in range(1, 1 << (graph.n - 1)):
-            mask = mask_rest << 1  # vertex 1 always excluded: canonical side
-            if _cut_weight(graph, weights, mask) < scaled_bound:
-                found.append(mask_vertices(mask, graph.n))
-        return sorted(found, key=lambda s: tuple(sorted(s)))
-
-    if not probabilistic:
-        raise CapacityError(
-            f"n={graph.n} exceeds exhaustive limit {EXHAUSTIVE_CUT_LIMIT}; "
-            "pass probabilistic=True to enable randomized contraction")
-    return _cuts_below_contraction(graph, weights, scaled_bound, rng, trials)
-
-
-def _cuts_below_contraction(graph: Multigraph, weights: Sequence[int],
-                            scaled_bound: Fraction, rng: random.Random | None,
-                            trials: int | None) -> list[frozenset[int]]:
-    rng = rng if rng is not None else random.Random(0)
+    limit = math.ceil(bound * denom)  # integer cuts: below bound <=> below limit
     n = graph.n
-    if trials is None:
-        trials = math.ceil(2 * n ** 4 * math.log(n))
-    seen: set[int] = set()
-    for _ in range(trials):
-        parent = list(range(n + 1))
+    # residual capacity of edge j from v towards u: weights[j] - sign * flow[j]
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
+    for e in graph.edges:
+        if weights[e.id]:
+            adj[e.u].append((e.v, e.id, 1))
+            adj[e.v].append((e.u, e.id, -1))
+    # side[v]: 1 in the cut side S, -1 in the complement T, 0 unassigned
+    side = [0] * (n + 1)
+    found: list[frozenset[int]] = []
 
-        def find(v: int) -> int:
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
+    def max_flow(flow: list[int], value: int) -> int:
+        """Augment `flow` (net flow u->v per edge, a valid S-T flow of
+        `value`) by shortest paths; stop once the value reaches `limit`."""
+        sources = [v for v in range(1, n + 1) if side[v] == 1]
+        while value < limit:
+            prev: dict[int, tuple[int, int, int] | None] = dict.fromkeys(sources)
+            queue = list(sources)
+            sink = 0
+            for v in queue:
+                for u, j, sign in adj[v]:
+                    if u not in prev and weights[j] - sign * flow[j] > 0:
+                        prev[u] = (v, j, sign)
+                        if side[u] == -1:
+                            sink = u
+                            break
+                        queue.append(u)
+                if sink:
+                    break
+            if not sink:
+                return value
+            path = []
+            while side[sink] != 1:
+                sink, j, sign = prev[sink]
+                path.append((j, sign))
+            push = min([limit - value] + [weights[j] - sign * flow[j] for j, sign in path])
+            for j, sign in path:
+                flow[j] += sign * push
+            value += push
+        return value
 
-        alive = [(e.u, e.v, weights[e.id]) for e in graph.edges]
-        components = n
-        while components > 2:
-            live = [(u, v, wt) for (u, v, wt) in alive if find(u) != find(v)]
-            if not live:
-                break  # disconnected remainder; any merge order gives a 0-cut
-            total = sum(wt for (_, _, wt) in live)
-            if total == 0:
-                u, v, _ = live[rng.randrange(len(live))]
-            else:
-                pick = rng.randrange(total)
-                acc = 0
-                u = v = 0
-                for (a, b, wt) in live:
-                    acc += wt
-                    if pick < acc:
-                        u, v = a, b
-                        break
-            parent[find(u)] = find(v)
-            components -= 1
-            alive = live
-        root1 = find(1)
-        mask = 0
-        for v in range(2, n + 1):
-            if find(v) != root1:
-                mask |= 1 << (v - 1)
-        if mask and mask not in seen and _cut_weight(graph, weights, mask) < scaled_bound:
-            seen.add(mask)
-    return sorted((mask_vertices(m, n) for m in seen), key=lambda s: tuple(sorted(s)))
+    def branch(v: int, flow: list[int], value: int) -> None:
+        # `flow` is a max S-T flow of the current assignment, below `limit`;
+        # while S is empty it stays the zero flow
+        if v > n:
+            cut = frozenset(u for u in range(2, n + 1) if side[u] == 1)
+            if cut:
+                found.append(cut)
+            return
+        for choice in (1, -1):
+            side[v] = choice
+            child = flow[:]
+            child_value = max_flow(child, value)
+            if child_value < limit:
+                branch(v + 1, child, child_value)
+        side[v] = 0
+
+    side[1] = -1
+    branch(2, [0] * graph.m, 0)
+    return sorted(found, key=lambda s: tuple(sorted(s)))
 
 
 def edge_connectivity(graph: Multigraph,
@@ -292,5 +285,6 @@ def edge_connectivity(graph: Multigraph,
         if c < 0 or c.denominator != 1:
             raise ValueError(f"multiplicity of edge {e} must be a nonnegative integer")
     value, _ = min_cut(graph, caps)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise RuntimeError(f"integer multiplicities gave a fractional cut {value}")
     return int(value)

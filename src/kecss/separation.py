@@ -2,15 +2,17 @@
 
 Feasibility of a point x over the working edge set E' is equivalent to
 every active cut having mixed capacity at least k, where the mixed
-capacity charges x_e on working edges and the picked multiplicity on
+capacity charges x_e on working edges plus the picked multiplicity on
 picked edges.  Inactive (dropped) sets always have mixed capacity at
 least k - (threshold - 1), so a global min cut below that window is
 automatically an active violated cut; otherwise every violated cut lies
 among the cuts of capacity below k, which are enumerated and filtered by
-activity.
+activity.  In that window the min cut is at least k/2, so the cuts below
+k are 2-approximate min cuts: polynomially many, and `cuts_below`
+lists them with polynomial delay at any n.
 
 `separate_fast` is the production oracle; `separate_exact` scans every
-partition and is the reference it is tested against.
+partition (n <= 20) and is the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .graphs import (CapacityError, cuts_below, mask_vertices, min_cut,
-                     scale_capacities, vertex_mask)
+from .graphs import (CapacityError, boundary, cuts_below, mask_vertices, min_cut,
+                     scale_capacities)
 from .requirements import Requirement
 
 EXACT_VERTEX_LIMIT = 20
@@ -40,26 +42,28 @@ class Violated:
 
     def __post_init__(self):
         # mixed capacity below k exactly when the x-mass is below the residual
-        assert self.lhs < self.requirement
+        if self.lhs >= self.requirement:
+            raise ValueError(f"cut {sorted(self.side)} is not violated: x-mass "
+                             f"{self.lhs} >= residual {self.requirement}")
 
 
 SeparationVerdict = Feasible | Violated
 
 
 def mixed_capacities(x: Mapping[int, Fraction], req: Requirement) -> dict[int, Fraction]:
-    """x_e on working edges, picked multiplicity on picked edges, 0 elsewhere."""
-    caps = {e: Fraction(0) for e in range(req.graph.m)}
+    """x_e on working edges plus the picked multiplicity, 0 elsewhere.
+
+    An edge may carry both: floor extraction picks the integer part of a
+    multigraph LP value and keeps its fractional remainder working.
+    """
+    caps = {e: Fraction(req.picked.get(e, 0)) for e in range(req.graph.m)}
     for e, val in x.items():
         if not 0 <= e < req.graph.m:
             raise ValueError(f"edge id {e} out of range")
         val = Fraction(val)
         if not 0 <= val <= 1:
             raise ValueError(f"x[{e}]={val} outside [0, 1]")
-        if e in req.picked:
-            raise ValueError(f"edge {e} is both picked and in the working set")
-        caps[e] = val
-    for e, mult in req.picked.items():
-        caps[e] = Fraction(mult)
+        caps[e] += val
     return caps
 
 
@@ -95,25 +99,22 @@ def separate_fast(x: Mapping[int, Fraction], req: Requirement) -> SeparationVerd
     value, side = min_cut(req.graph, caps)
     if value < window:
         # a dropped set has capacity >= window, so this side is active
-        assert req.in_active_family(side)
+        if not req.in_active_family(side):
+            raise RuntimeError(f"min cut {sorted(side)} of capacity {value} below "
+                               f"{window} is not active")
         return _violated(req, side, value)
     if value >= k:
         return Feasible()
-    candidates = cuts_below(req.graph, caps, k)
-    best: tuple[Fraction, tuple[int, ...], frozenset[int]] | None = None
-    weights, denom = scale_capacities(req.graph, caps)
-    for s in candidates:
-        if not req.in_active_family(s):
-            continue
-        mask = vertex_mask(s)
-        w = sum(weights[e.id] for e in req.graph.edges
-                if (mask >> (e.u - 1) & 1) != (mask >> (e.v - 1) & 1))
-        key = (Fraction(w, denom), tuple(sorted(s)), s)
-        if best is None or key[:2] < best[:2]:
-            best = key
-    if best is None:
+    # candidates come sorted by side, so the first cheapest one wins ties
+    active = [s for s in cuts_below(req.graph, caps, k) if req.in_active_family(s)]
+    if not active:
         return Feasible()
-    return _violated(req, best[2], best[0])
+
+    def capacity(s: frozenset[int]) -> Fraction:
+        return sum((caps[e] for e in boundary(req.graph, s)), Fraction(0))
+
+    best = min(active, key=capacity)
+    return _violated(req, best, capacity(best))
 
 
 def separate_exact(x: Mapping[int, Fraction], req: Requirement) -> SeparationVerdict:

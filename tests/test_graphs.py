@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from kecss.graphs import (CapacityError, Multigraph, boundary, canonical_side,
+from kecss.graphs import (Multigraph, boundary, canonical_side,
                           complete_graph, cuts_below, cycle_graph,
                           edge_connectivity, make_graph, min_cut)
 from kecss.instances import gen
@@ -150,16 +150,45 @@ def test_cuts_below_matches_exhaustive_filter():
         assert got == sorted(expected, key=lambda s: tuple(sorted(s)))
 
 
-def test_cuts_below_large_needs_probabilistic_flag():
-    big = make_graph(21, [(v, v % 21 + 1, 1) for v in range(1, 22)])
-    caps = {e: 1 for e in range(big.m)}
-    with pytest.raises(CapacityError):
-        cuts_below(big, caps, 3)
-    found = cuts_below(big, caps, 3, probabilistic=True,
-                       rng=random.Random(5), trials=500)
-    assert found
-    for side in found:
-        assert len(boundary(big, side)) == 2
+def test_cuts_below_cycle_above_old_limit():
+    # n=21 was past the old exhaustive-scan limit; the result is exact
+    big = cycle_graph(21)
+    found = cuts_below(big, {e: 1 for e in range(big.m)}, 3)
+    arcs = [frozenset(range(a, b + 1)) for a in range(2, 22) for b in range(a, 22)]
+    assert len(found) == 210
+    assert found == sorted(arcs, key=lambda s: tuple(sorted(s)))
+    assert all(len(boundary(big, side)) == 2 for side in found)
+
+
+def mask_scan_below(graph, caps, bound):
+    """Reference: every canonical side of capacity below `bound`, by mask."""
+    found = []
+    for mask_rest in range(1, 1 << (graph.n - 1)):
+        mask = mask_rest << 1
+        w = sum((caps[e.id] for e in graph.edges
+                 if (mask >> (e.u - 1) & 1) != (mask >> (e.v - 1) & 1)),
+                Fraction(0))
+        if w < bound:
+            found.append(frozenset(v for v in range(2, graph.n + 1)
+                                   if mask >> (v - 1) & 1))
+    return sorted(found, key=lambda s: tuple(sorted(s)))
+
+
+def test_cuts_below_hub_n16_matches_mask_scan():
+    # hub vertex 1 joined to five gadgets (u, v, t), rings through u and v
+    rng = random.Random(16)
+    edges = []
+    for i in range(5):
+        u, v, t = 2 + 3 * i, 3 + 3 * i, 4 + 3 * i
+        edges += [(1, u, 0), (1, v, 0), (1, t, 0), (u, t, 0), (v, t, 0), (u, v, 0)]
+        edges += [(u, 2 + 3 * ((i + 1) % 5), 0), (v, 3 + 3 * ((i + 1) % 5), 0)]
+    g = make_graph(16, edges)
+    caps = {e: Fraction(rng.randint(1, 8), rng.choice([2, 3, 4]))
+            for e in range(g.m)}
+    bound = 3 * min_cut(g, caps)[0] + Fraction(1, 3)
+    got = cuts_below(g, caps, bound)
+    assert got == mask_scan_below(g, caps, bound)
+    assert len(got) > 16
 
 
 def test_cut_submodularity_spot_check():

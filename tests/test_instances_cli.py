@@ -177,6 +177,19 @@ def test_cli_exact_sep_flag(tmp_path: Path):
     assert json.loads(a.read_text())["cost"] == json.loads(b.read_text())["cost"]
 
 
+def test_cli_exact_sep_size_limit_exit_code(tmp_path: Path):
+    inst_path = tmp_path / "c22.txt"
+    main(["gen", "--kind", "cycle", "--n", "22", "--k", "2",
+          "--out", str(inst_path)])
+    code, out, err = run_cli("run", "--mode", "ecss15", "--input", str(inst_path),
+                             "--exact-sep")
+    assert code == 4
+    assert out == ""
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    code, out, _ = run_cli("run", "--mode", "ecss15", "--input", str(inst_path))
+    assert code == 0 and json.loads(out)["connectivity"] == 2
+
+
 def test_cli_max_iters_abort(tmp_path: Path):
     inst_path = tmp_path / "k5.txt"
     main(["gen", "--kind", "complete", "--n", "5", "--k", "4",

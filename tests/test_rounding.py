@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from kecss.certify import full_cut_lp
-from kecss.graphs import complete_graph, cycle_graph, make_graph
+from kecss.graphs import complete_graph, cycle_graph, edge_connectivity, make_graph
 from kecss.instances import gen
 from kecss.rounding import (InfeasibleInstance, approximation_factor,
                             bicriteria, kecsm, kecsm_core, kecss, kecss_even,
@@ -273,3 +273,57 @@ def test_fractional_costs_through_api():
     sol, trace = kecsm_core(g, 4)
     assert sol.cost == 2 * (Fraction(1, 3) + Fraction(1, 2) + Fraction(5, 7))
     assert sol.connectivity == 4
+
+
+# ecsm at k=2 on a random graph (n=10, m=22): the first multigraph LP sets
+# edges 11, 16 and 20 to 4/3, so floor extraction picks each once and keeps
+# its remainder 1/3 in the working set of the residual LP
+SPLIT_EDGE_GRAPH = (
+    (4, 7, 4), (7, 9, 10), (9, 10, 6), (2, 10, 7), (1, 2, 6), (1, 6, 6), (5, 6, 4),
+    (3, 5, 1), (3, 8, 10), (4, 8, 4), (1, 7, 5), (4, 9, 7), (1, 4, 9), (8, 10, 5),
+    (6, 7, 3), (2, 5, 6), (6, 10, 2), (2, 8, 6), (6, 9, 10), (4, 6, 4), (2, 3, 6),
+    (2, 6, 3))
+
+
+@pytest.mark.parametrize("certify", [True, False])
+def test_kecsm_split_edge_picked_and_working(certify):
+    g = make_graph(10, SPLIT_EDGE_GRAPH)
+    sol, trace = kecsm(g, 2, certify=certify)
+    first = trace.iterations[0].point
+    assert [e for e, v in sorted(first.items()) if v.denominator != 1 and v > 1] \
+        == [11, 16, 20]
+    assert len(trace.iterations) > 1  # a residual LP ran over the remainders
+    assert edge_connectivity(g, sol.multiplicity) == sol.connectivity >= 2
+    assert g.cost_of(sol.multiplicity) == sol.cost <= 2 * sol.lp_value
+    assert (sol.cost, sol.lp_value, sol.connectivity) == (87, Fraction(146, 3), 3)
+
+
+def prism_hub_edges(g, dashed, solid):
+    """Hub 1 and gadgets (u_i, v_i, t_i): zero-cost rays and tripled rungs
+    u_i-t_i, v_i-t_i, a `dashed` edge u_i-v_i, and odd `solid` rings
+    through the u_i and through the v_i."""
+    u = [2 + 3 * i for i in range(g)]
+    v = [3 + 3 * i for i in range(g)]
+    t = [4 + 3 * i for i in range(g)]
+    edges = []
+    for i in range(g):
+        edges += [(1, u[i], 0), (1, v[i], 0), (1, t[i], 0)]
+        edges += [(u[i], t[i], 0)] * 3 + [(v[i], t[i], 0)] * 3
+    edges += [(u[i], v[i], dashed) for i in range(g)]
+    for ring in (u, v):
+        edges += [(ring[i], ring[(i + 1) % g], solid) for i in range(g)]
+    return edges
+
+
+def test_prism_hub_g7_end_to_end():
+    # n=22 lies above the old 20-vertex limit of the separation cut scan
+    dashed, solid = 2, 3
+    g = make_graph(22, prism_hub_edges(7, dashed, solid))
+    assert (g.n, g.m) == (22, 84)
+    lp = 7 * (Fraction(dashed, 2) + Fraction(3 * solid, 2))
+    for solver, target, factor in ((kecss, 4, 1), (bicriteria, 5, Fraction(3, 2))):
+        sol, trace = solver(g, 6)
+        assert trace.lp0 == sol.lp_value == lp
+        assert all(m == 1 for m in sol.multiplicity.values())
+        assert edge_connectivity(g, sol.multiplicity) == sol.connectivity >= target
+        assert g.cost_of(sol.multiplicity) == sol.cost <= factor * lp

@@ -56,7 +56,18 @@ def test_mixed_capacities_domain_errors():
     with pytest.raises(ValueError):
         mixed_capacities({1: Fraction(3, 2)}, req)  # out of [0,1]
     with pytest.raises(ValueError):
-        mixed_capacities({0: Fraction(1, 2)}, req)  # overlaps picked support
+        mixed_capacities({5: Fraction(1, 2)}, req)  # edge id out of range
+    # a floor-extracted edge: picked once, fractional remainder still working
+    caps = mixed_capacities({0: Fraction(1, 3)}, req)
+    assert caps == {0: Fraction(4, 3), 1: Fraction(0), 2: Fraction(0)}
+
+
+def test_violated_rejects_satisfied_cut():
+    with pytest.raises(ValueError):
+        Violated(frozenset({2}), Fraction(4), 3, Fraction(3))
+    with pytest.raises(ValueError):
+        Violated(frozenset({2}), Fraction(5), 3, Fraction(7, 2))
+    assert Violated(frozenset({2}), Fraction(2), 3, Fraction(5, 2)).lhs == Fraction(5, 2)
 
 
 def test_feasible_on_saturated_k5():
