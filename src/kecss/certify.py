@@ -612,7 +612,8 @@ def _brute_ecsm(graph: Multigraph, k: int) -> tuple[Fraction, dict[int, int]]:
     dfs(0, Fraction(0))
     if best_cost[0] is None:
         raise LpInfeasible(f"no {k}-edge-connected multigraph exists")
-    assert best_mult[0] is not None
+    if best_mult[0] is None:
+        raise RuntimeError("brute force recorded a cost without a multigraph")
     return best_cost[0], best_mult[0]
 
 

@@ -112,7 +112,8 @@ def emit_instance(inst: Instance) -> str:
     lines = [f"p kecss {inst.graph.n} {inst.graph.m} {inst.k}"]
     for e in inst.graph.edges:
         cost = e.cost
-        assert cost.denominator == 1
+        if cost.denominator != 1:
+            raise ValueError(f"edge {e.id} has non-integral cost {cost}")
         lines.append(f"e {e.u} {e.v} {cost.numerator}")
     for v in sorted(inst.bounds or {}):
         lo, hi = inst.bounds[v]

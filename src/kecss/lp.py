@@ -5,6 +5,10 @@ returned optimum is a vertex of the feasible region, certified by an
 explicit full-rank set of tight rows and bounds.  A lazy-constraint loop
 drives the solver from a separation callback.
 
+The basic values, the objective and the reduced costs are computed from
+the tableau once per phase and then updated at each pivot or bound flip.
+A pivot touches only the nonzero columns of the pivot row.
+
 Pivoting uses a largest-reduced-cost rule that switches to Bland's rule
 whenever the objective stalls, which guarantees termination.
 """
@@ -105,6 +109,9 @@ class BasicOptimum:
     tight_rows: list[int]
     tight_bounds: list[tuple[int, str]]  # (variable, "lower" | "upper")
     certificate: list[tuple]  # ("row", i) / ("bound", j, side), full column rank
+    pivots: int = 0  # basis exchanges, phase one and artificial eviction included
+    bound_flips: int = 0
+    artificials: int = 0  # phase-one artificial columns
 
     def point_dict(self) -> dict[int, Fraction]:
         return {j: v for j, v in enumerate(self.point) if v != 0}
@@ -149,11 +156,13 @@ class _Simplex:
             self.status.append("U" if self.upper[j] is not None else "L")
         self.basis: list[int] = []
         self.banned: set[int] = set()
+        self.pivots = self.bound_flips = self.artificials = 0
 
     def _bound_value(self, j: int) -> Fraction:
         if self.status[j] == "U":
             up = self.upper[j]
-            assert up is not None
+            if up is None:
+                raise RuntimeError(f"column {j} sits at an infinite upper bound")
             return up
         return self.lower[j]
 
@@ -163,7 +172,11 @@ class _Simplex:
         for j in range(self.ns):
             cost[j] = self.lp.objective[j]
         self._optimize(cost, phase_one=False)
-        return self._values()
+        vals = [ZERO if st == "B" else self._bound_value(j)
+                for j, st in enumerate(self.status)]
+        for col, v in zip(self.basis, self.beta):
+            vals[col] = v
+        return vals
 
     # -- setup -----------------------------------------------------------
 
@@ -202,6 +215,7 @@ class _Simplex:
             self.total += 1
             artificial_cost[art] = ONE
             self.banned.add(art)
+            self.artificials += 1
         for i in range(self.m):
             self._normalize_row(i)
         if not artificial_cost:
@@ -220,7 +234,7 @@ class _Simplex:
         piv = self.matrix[i][self.basis[i]]
         if piv != ONE:
             inv = ONE / piv
-            self.matrix[i] = [c * inv for c in self.matrix[i]]
+            self.matrix[i] = [c * inv if c else c for c in self.matrix[i]]
 
     def _evict_artificials(self) -> None:
         drop_rows = []
@@ -249,102 +263,103 @@ class _Simplex:
     # -- core ------------------------------------------------------------
 
     def _values(self) -> list[Fraction]:
-        vals = [ZERO] * self.total
-        for j in range(self.total):
-            if self.status[j] != "B":
-                vals[j] = self._bound_value(j)
+        vals = [ZERO if st == "B" else self._bound_value(j)
+                for j, st in enumerate(self.status)]
+        at_bound = [(j, bv) for j, bv in enumerate(vals) if bv]
         for i, col in enumerate(self.basis):
-            v = self.matrix[i][-1]
             vec = self.matrix[i]
-            for j in range(self.total):
-                if j != col and self.status[j] != "B" and vec[j] != 0:
-                    bv = self._bound_value(j)
-                    if bv != 0:
-                        v -= vec[j] * bv
+            v = vec[-1]
+            for j, bv in at_bound:
+                if vec[j]:
+                    v -= vec[j] * bv
             vals[col] = v
         return vals
 
-    def _objective_value(self, cost: list[Fraction], vals: list[Fraction]) -> Fraction:
-        return sum((cost[j] * vals[j] for j in range(self.total) if cost[j] != 0),
-                   ZERO)
-
     def _reduced_costs(self, cost: list[Fraction]) -> list[Fraction]:
-        cb = [cost[c] for c in self.basis]
+        # basic columns are unit vectors, so their reduced cost comes out 0
         red = list(cost)
-        for i, cbi in enumerate(cb):
+        for i, col in enumerate(self.basis):
+            cbi = cost[col]
             if cbi == 0:
                 continue
-            vec = self.matrix[i]
-            for j in range(self.total):
-                if vec[j] != 0 and self.status[j] != "B":
-                    red[j] -= cbi * vec[j]
+            for j, a in enumerate(self.matrix[i][:-1]):
+                if a:
+                    red[j] -= cbi * a
         return red
 
-    def _pivot(self, i: int, j: int, leaving_status: str) -> None:
+    def _pivot(self, i: int, j: int, leaving_status: str) -> list[tuple[int, Fraction]]:
+        """Make column j basic in row i; returns the pivot row's nonzeros."""
         old = self.basis[i]
         vec = self.matrix[i]
+        nz = [(c, a) for c, a in enumerate(vec) if a]
         piv = vec[j]
-        inv = ONE / piv
-        self.matrix[i] = vec = [c * inv for c in vec]
-        for r2 in range(self.m):
-            if r2 == i:
-                continue
-            f = self.matrix[r2][j]
-            if f != 0:
-                row2 = self.matrix[r2]
-                self.matrix[r2] = [a - f * b for a, b in zip(row2, vec)]
+        if piv != ONE:
+            inv = ONE / piv
+            nz = [(c, a * inv) for c, a in nz]
+            for c, a in nz:
+                vec[c] = a
+        for r2, row2 in enumerate(self.matrix):
+            f = row2[j]
+            if f and r2 != i:
+                for c, a in nz:
+                    row2[c] -= f * a
         self.basis[i] = j
         self.status[j] = "B"
         self.status[old] = leaving_status
+        self.pivots += 1
+        return nz
+
+    def _entering(self, red: list[Fraction], bland: bool) -> int:
+        entering = -1
+        best_score = ZERO
+        for j in range(self.total):
+            st = self.status[j]
+            if st == "B" or j in self.banned:
+                continue  # an artificial never re-enters once nonbasic
+            lo, up = self.lower[j], self.upper[j]
+            if up is not None and lo == up:
+                continue  # fixed variable never enters
+            rj = red[j]
+            if st == "L" and rj < 0:
+                score = -rj
+            elif st == "U" and rj > 0:
+                score = rj
+            else:
+                continue
+            if bland:
+                return j
+            if score > best_score:
+                best_score = score
+                entering = j
+        return entering
 
     def _optimize(self, cost: list[Fraction], phase_one: bool) -> Fraction:
-        cost = cost + [ZERO] * (self.total - len(cost))
+        # phase state, updated at each step: beta[i] is the value of
+        # basis[i], red the reduced costs (0 on basic columns), obj the cost
+        self.cost = cost = cost + [ZERO] * (self.total - len(cost))
+        vals = self._values()
+        self.beta = beta = [vals[col] for col in self.basis]
+        self.red = red = self._reduced_costs(cost)
+        self.obj = sum((cost[j] * vals[j] for j in range(self.total)
+                        if cost[j] != 0), ZERO)
         stall = 0
         bland = False
-        vals = self._values()
-        obj = self._objective_value(cost, vals)
         for _ in range(_MAX_PIVOTS):
-            red = self._reduced_costs(cost)
-            entering = -1
-            best_score = ZERO
-            for j in range(self.total):
-                st = self.status[j]
-                if st == "B" or j in self.banned:
-                    continue  # an artificial never re-enters once nonbasic
-                lo, up = self.lower[j], self.upper[j]
-                if up is not None and lo == up:
-                    continue  # fixed variable never enters
-                rj = red[j]
-                if st == "L" and rj < 0:
-                    score = -rj
-                elif st == "U" and rj > 0:
-                    score = rj
-                else:
-                    continue
-                if bland:
-                    entering = j
-                    break
-                if score > best_score:
-                    best_score = score
-                    entering = j
-            if entering < 0:
-                return self._objective_value(cost, self._values())
-            j = entering
+            j = self._entering(red, bland)
+            if j < 0:
+                return self.obj
             direction = 1 if self.status[j] == "L" else -1
+            column = [(i, row[j]) for i, row in enumerate(self.matrix) if row[j]]
             # ratio test
-            vals = self._values()
             t_best: Fraction | None = None
             leave_row = -1
             leave_status = "L"
             if self.upper[j] is not None:
                 t_best = self.upper[j] - self.lower[j]
-            for i in range(self.m):
-                a = self.matrix[i][j]
-                if a == 0:
-                    continue
+            for i, a in column:
                 rate = -a * direction
                 col = self.basis[i]
-                cur = vals[col]
+                cur = beta[i]
                 if rate > 0:
                     if self.upper[col] is None:
                         continue
@@ -361,21 +376,29 @@ class _Simplex:
                     leave_status = hit
             if t_best is None:
                 raise LpUnbounded("improving direction with no blocking bound")
+            step = t_best if direction > 0 else -t_best
+            if step != 0:
+                for i, a in column:
+                    beta[i] -= a * step
+            old_obj = self.obj
+            self.obj += red[j] * step
             if leave_row < 0:
                 # bound flip of the entering variable
                 self.status[j] = "U" if self.status[j] == "L" else "L"
+                self.bound_flips += 1
             else:
-                self._pivot(leave_row, j, leave_status)
-            new_vals = self._values()
-            new_obj = self._objective_value(cost, new_vals)
-            if new_obj < obj:
+                beta[leave_row] = self._bound_value(j) + step
+                rj = red[j]
+                for c, a in self._pivot(leave_row, j, leave_status):
+                    if c < self.total:  # the last column holds the rhs
+                        red[c] -= rj * a
+            if self.obj < old_obj:
                 stall = 0
                 bland = False
             else:
                 stall += 1
                 if stall > _STALL_LIMIT:
                     bland = True
-            obj = new_obj
         raise RuntimeError("simplex pivot limit exceeded")
 
 
@@ -423,7 +446,8 @@ def solve(lp: LpInstance) -> BasicOptimum:
     for j in range(lp.num_vars):
         if lp.upper[j] is not None and lp.lower[j] > lp.upper[j]:
             raise LpInfeasible(f"variable {j} has empty bound interval")
-    vals = _Simplex(lp).solve()
+    simplex = _Simplex(lp)
+    vals = simplex.solve()
     point = vals[:lp.num_vars]
     for i, r in enumerate(lp.rows):
         if not r.satisfied(point):
@@ -437,7 +461,8 @@ def solve(lp: LpInstance) -> BasicOptimum:
         if lp.upper[j] is not None and point[j] == lp.upper[j]:
             tight_bounds.append((j, "upper"))
     cert = _rank_certificate(lp, point, tight_rows, tight_bounds)
-    return BasicOptimum(value, point, tight_rows, tight_bounds, cert)
+    return BasicOptimum(value, point, tight_rows, tight_bounds, cert,
+                        simplex.pivots, simplex.bound_flips, simplex.artificials)
 
 
 SeparationCallback = Callable[[list[Fraction]], list[LpRow]]

@@ -139,7 +139,8 @@ def _solve_residual(graph: Multigraph, req: Requirement, working: list[int],
         verdict = separate(x, req)
         if isinstance(verdict, Feasible):
             return []
-        assert isinstance(verdict, Violated)
+        if not isinstance(verdict, Violated):
+            raise RuntimeError(f"separation returned {verdict!r}")
         carry.add(verdict.side)
         return [_cut_row(graph, verdict.side, working, var_of,
                          verdict.requirement)]
@@ -505,11 +506,12 @@ def kecsm(graph: Multigraph, k: int, **kwargs) -> tuple[Solution, RoundingTrace]
         raise ValueError("need at least 2 vertices")
     if edge_connectivity(graph) < 1:
         raise InfeasibleInstance("graph is disconnected")
-    reference = _solve_unbounded_cut_lp(graph, k)
     run_k = k + 2 if k % 2 == 0 else k + 3
     sol, trace = kecsm_core(graph, run_k, **kwargs)
-    bound = approximation_factor(k) * reference.value
-    out = _finish(graph, "ecsm", k, sol.multiplicity, reference.value, k, bound)
+    # the cut LP x >= 0, x(delta(S)) >= k is homogeneous in k
+    reference = Fraction(k, run_k) * trace.lp0
+    bound = approximation_factor(k) * reference
+    out = _finish(graph, "ecsm", k, sol.multiplicity, reference, k, bound)
     return out, trace
 
 

@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from kecss.cli import main
+from kecss.graphs import make_graph
 from kecss.instances import (Instance, ParseError, emit_instance, gen,
                              parse_instance)
 
@@ -56,6 +58,12 @@ def test_roundtrip_byte_identity():
     with_bounds = Instance(inst.graph, inst.k, {1: (0, 3), 4: (1, 5)})
     text = emit_instance(with_bounds)
     assert emit_instance(parse_instance(text)) == text
+
+
+def test_emit_rejects_fractional_cost():
+    inst = Instance(make_graph(2, [(1, 2, Fraction(3, 2))]), 2)
+    with pytest.raises(ValueError):
+        emit_instance(inst)
 
 
 def test_gen_determinism():

@@ -16,6 +16,8 @@ def test_simplex_face_vertex():
     opt = lp.solve(inst)
     assert opt.value == 1
     assert sorted(opt.point) == [Fraction(0), Fraction(1)]
+    # x0 flips from its upper bound to 0, then x1 replaces the slack
+    assert (opt.pivots, opt.bound_flips, opt.artificials) == (1, 1, 0)
 
 
 def test_infeasible_and_unbounded_signaled_distinctly():
@@ -31,6 +33,8 @@ def test_equality_system_unique_point():
                                [lp.row({0: 1, 1: 1}, lp.EQ, 3),
                                 lp.row({0: 1, 1: -1}, lp.EQ, 1)]))
     assert opt.point == [Fraction(2), Fraction(1)]
+    # both rows start infeasible, so each gets an artificial
+    assert (opt.pivots, opt.bound_flips, opt.artificials) == (2, 0, 2)
 
 
 def test_prism_equality_system_halves_and_quarters():
@@ -256,3 +260,76 @@ def test_solve_matches_vertex_enumeration():
         assert got.value == expected
         solved += 1
     assert solved > 40 and infeasible > 10
+
+
+def _state_from_tableau(simplex):
+    """Basic values, objective and nonbasic reduced costs of the current
+    basis, computed from the tableau alone."""
+    s = simplex
+    nonbasic = [j for j in range(s.total) if s.status[j] != "B"]
+    vals = {j: s.upper[j] if s.status[j] == "U" else s.lower[j]
+            for j in nonbasic}
+    beta = []
+    for i, col in enumerate(s.basis):
+        vec = s.matrix[i]
+        assert [vec[c] for c in s.basis] == [int(r == i) for r in range(s.m)]
+        beta.append(vec[-1] - sum((vec[j] * vals[j] for j in nonbasic),
+                                  Fraction(0)))
+        vals[col] = beta[-1]
+    obj = sum((s.cost[j] * vals[j] for j in range(s.total)), Fraction(0))
+    red = {j: s.cost[j] - sum((s.cost[col] * s.matrix[i][j]
+                               for i, col in enumerate(s.basis)), Fraction(0))
+           for j in nonbasic}
+    return beta, obj, red
+
+
+def test_incremental_state_matches_tableau(monkeypatch):
+    # the entering choice runs once after every pivot and bound flip, so a
+    # check there sees every incremental update of beta, obj and red
+    seen = {"checks": 0, "bland": 0, "flips": 0, "artificials": 0, "eq": 0}
+    entering = lp._Simplex._entering
+
+    def checked(self, red, bland):
+        beta, obj, scratch_red = _state_from_tableau(self)
+        assert self.beta == beta
+        assert self.obj == obj
+        assert self.red is red
+        assert {j: red[j] for j in scratch_red} == scratch_red
+        seen["checks"] += 1
+        seen["bland"] += bland
+        return entering(self, red, bland)
+
+    monkeypatch.setattr(lp._Simplex, "_entering", checked)
+    beale = lp.instance(
+        [Fraction(-3, 4), 150, Fraction(-1, 50), 6], [0] * 4, [None] * 4,
+        [lp.row({0: Fraction(1, 4), 1: -60, 2: Fraction(-1, 25), 3: 9},
+                lp.LE, 0),
+         lp.row({0: Fraction(1, 2), 1: -90, 2: Fraction(-1, 50), 3: 3},
+                lp.LE, 0),
+         lp.row({2: 1}, lp.LE, 1)])
+    instances = [beale]  # cycles under the largest-coefficient rule
+    rng = random.Random(31)
+    for trial in range(60):
+        nv = rng.randint(2, 6) if trial < 50 else 10
+        senses = [lp.GE, lp.LE, lp.EQ] if trial < 50 else [lp.GE, lp.LE]
+        rows = []
+        for _ in range(rng.randint(1, 2 * nv)):
+            coeffs = {j: rng.randint(-3, 3) for j in range(nv)}
+            coeffs = {j: c for j, c in coeffs.items() if c}
+            if coeffs:
+                rows.append(lp.row(coeffs, rng.choice(senses),
+                                   rng.randint(-4, 6) if trial < 50 else 0))
+        instances.append(lp.instance(
+            [rng.randint(-3, 3) for _ in range(nv)],
+            [rng.randint(-1, 0) for _ in range(nv)],
+            [rng.choice([1, 3, None]) for _ in range(nv)], rows))
+    for inst in instances:
+        seen["eq"] += any(r.sense == lp.EQ for r in inst.rows)
+        try:
+            opt = lp.solve(inst)
+        except (lp.LpInfeasible, lp.LpUnbounded):
+            continue
+        seen["flips"] += opt.bound_flips
+        seen["artificials"] += opt.artificials
+    assert seen["checks"] > 300
+    assert all(seen[key] > 0 for key in ("bland", "flips", "artificials", "eq"))

@@ -6,9 +6,9 @@ import pytest
 from kecss.certify import full_cut_lp
 from kecss.graphs import complete_graph, cycle_graph, edge_connectivity, make_graph
 from kecss.instances import gen
-from kecss.rounding import (InfeasibleInstance, approximation_factor,
-                            bicriteria, kecsm, kecsm_core, kecss, kecss_even,
-                            md_kecsm, md_kecss)
+from kecss.rounding import (InfeasibleInstance, _solve_unbounded_cut_lp,
+                            approximation_factor, bicriteria, kecsm,
+                            kecsm_core, kecss, kecss_even, md_kecsm, md_kecss)
 
 from conftest import hub_cost_variant, random_feasible
 
@@ -144,6 +144,15 @@ def test_kecsm_wrapper_factors():
     sol, _ = kecsm(tri, 2)
     assert sol.lp_value == 3 and sol.cost == 6
     assert sol.connectivity >= 2
+
+
+def test_kecsm_reference_scales_from_run_k():
+    # kecsm derives LP(k) as k/k' * LP(k') from its run at k' = k+2 or k+3
+    for seed in range(4):
+        g = random_feasible(seed, 7, 1).graph
+        for k in range(1, 6):
+            sol, _ = kecsm(g, k)
+            assert sol.lp_value == _solve_unbounded_cut_lp(g, k).value
 
 
 def test_kecsm_disconnected():
