@@ -7,7 +7,8 @@
 Exit codes: 0 success, 1 infeasible instance, 2 parse error,
 3 certification/verification failure, 4 size limit of a requested
 exhaustive routine (`--exact-sep` above n=20, `--certify` above the
-certification limits).
+certification limits), 5 internal fault or abort (simplex pivot limit,
+lazy-loop row cap, rounding iteration cap such as `--max-iters`).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ EXIT_INFEASIBLE = 1
 EXIT_PARSE = 2
 EXIT_CERTIFY = 3
 EXIT_CAPACITY = 4
+EXIT_INTERNAL = 5
 
 RUN_MODES = ("ecss", "ecss15", "ecsm", "md-ecss", "md-ecsm", "oracle", "certify")
 
@@ -127,7 +129,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return EXIT_CAPACITY
     except RuntimeError as exc:
         print(f"aborted: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        return EXIT_INTERNAL
     if args.solution:
         Path(args.solution).write_text(solution_json(sol))
     else:

@@ -1,13 +1,26 @@
 """Exact rational linear programming with basic (extreme point) optima.
 
-Two-phase bounded-variable primal simplex over fractions.Fraction.  Every
-returned optimum is a vertex of the feasible region, certified by an
-explicit full-rank set of tight rows and bounds.  A lazy-constraint loop
-drives the solver from a separation callback.
+Two-phase bounded-variable primal simplex with exact rational results.
+Every returned optimum is a vertex of the feasible region, certified by
+an explicit full-rank set of tight rows and bounds.  A lazy-constraint
+loop drives the solver from a separation callback.
 
-The basic values, the objective and the reduced costs are computed from
-the tableau once per phase and then updated at each pivot or bound flip.
-A pivot touches only the nonzero columns of the pivot row.
+The tableau is fraction-free (Edmonds 1967, Bareiss 1968): row i is a
+list of Python ints with its own positive denominator den[i], so entry c
+stands for matrix[i][c] / den[i], and the basic column of row i holds
+den[i].  Each LpRow is scaled by the lcm of its coefficient and rhs
+denominators when the tableau is built.  A pivot on (i, j) with
+p = |matrix[i][j]| sets den[i] = p (flipping the row's sign if needed);
+every other row r with f = matrix[r][j] != 0 becomes
+matrix[r] * p - f * matrix[i] over den[r] * p, and is then divided by
+gcd(den[r], *matrix[r]) so that every row stays in lowest terms.  The
+reduced costs are one more integer row over a positive denominator,
+updated by the same row operation, so comparing them compares ints.
+
+The bounds, the basic values, the objective and the ratio test stay
+exact Fractions.  The basic values, the objective and the reduced costs
+are computed from the tableau once per phase and then updated at each
+pivot or bound flip.
 
 Pivoting uses a largest-reduced-cost rule that switches to Bland's rule
 whenever the objective stalls, which guarantees termination.
@@ -17,6 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Callable, Sequence
 
 ZERO = Fraction(0)
@@ -118,7 +133,7 @@ class BasicOptimum:
 
 
 class _Simplex:
-    """Bounded-variable two-phase tableau simplex."""
+    """Bounded-variable two-phase tableau simplex over integer rows."""
 
     def __init__(self, lp: LpInstance):
         self.lp = lp
@@ -126,30 +141,26 @@ class _Simplex:
         self.ns = ns
         m = len(lp.rows)
         self.m = m
-        # columns: structurals 0..ns-1, slack of row i at ns+i
+        # columns: structurals 0..ns-1, slack of row i at ns+i; row i holds
+        # integers whose values are entry / den[i]
         self.lower: list[Fraction] = list(lp.lower)
         self.upper: list[Fraction | None] = list(lp.upper)
         self.total = ns + m
         cols = self.total
-        self.matrix: list[list[Fraction]] = []
+        self.matrix: list[list[int]] = []
+        self.den: list[int] = []
         for i, r in enumerate(lp.rows):
-            vec = [ZERO] * (cols + 1)
+            scale = lcm(r.rhs.denominator,
+                        *(c.denominator for c in r.coeffs.values()))
+            vec = [0] * (cols + 1)
             for j, c in r.coeffs.items():
-                vec[j] = c
-            if r.sense == LE:
-                vec[ns + i] = ONE
-                self.lower.append(ZERO)
-                self.upper.append(None)
-            elif r.sense == GE:
-                vec[ns + i] = -ONE
-                self.lower.append(ZERO)
-                self.upper.append(None)
-            else:
-                vec[ns + i] = ONE
-                self.lower.append(ZERO)
-                self.upper.append(ZERO)
-            vec[cols] = r.rhs
+                vec[j] = c.numerator * (scale // c.denominator)
+            vec[ns + i] = -scale if r.sense == GE else scale
+            self.lower.append(ZERO)
+            self.upper.append(ZERO if r.sense == EQ else None)
+            vec[cols] = r.rhs.numerator * (scale // r.rhs.denominator)
             self.matrix.append(vec)
+            self.den.append(scale)
         # nonbasic start: finite upper preferred (covering LPs start feasible)
         self.status: list[str] = []
         for j in range(self.total):
@@ -171,7 +182,7 @@ class _Simplex:
         cost = [ZERO] * len(self.lower)
         for j in range(self.ns):
             cost[j] = self.lp.objective[j]
-        self._optimize(cost, phase_one=False)
+        self._optimize(cost)
         vals = [ZERO if st == "B" else self._bound_value(j)
                 for j, st in enumerate(self.status)]
         for col, v in zip(self.basis, self.beta):
@@ -182,59 +193,50 @@ class _Simplex:
 
     def _phase_one(self) -> None:
         # choose slack basic when its implied value fits its bounds,
-        # otherwise add an artificial column
-        artificial_cost: dict[int, Fraction] = {}
+        # otherwise add an artificial column.  Every structural starts
+        # nonbasic; every slack lies in [0, inf) or [0, 0], so only the
+        # sign of its implied value matters.
+        bounds = [self._bound_value(j) for j in range(self.ns)]
+        scale = lcm(*(b.denominator for b in bounds))
+        scaled = [b.numerator * (scale // b.denominator) for b in bounds]
         for i in range(self.m):
             slack = self.ns + i
             vec = self.matrix[i]
-            resid = vec[-1]
-            for j in range(self.total):
-                if j != slack and vec[j] != 0:
-                    resid -= vec[j] * self._bound_value(j)
-            # slack coefficient is +-1
-            sval = resid / vec[slack]
-            lo, up = self.lower[slack], self.upper[slack]
-            if sval >= lo and (up is None or sval <= up):
+            # rhs minus the structurals at their bounds, times scale * den[i]
+            resid = vec[-1] * scale - sum(map(mul, vec, scaled))
+            sign = resid * vec[slack]  # has the sign of the slack's value
+            if sign >= 0 and (self.upper[slack] is None or sign <= 0):
                 self.basis.append(slack)
                 self.status[slack] = "B"
                 continue
-            # park the slack at the bound nearest feasibility
-            self.status[slack] = "L" if sval < lo else "U"
-            resid = vec[-1]
-            for j in range(self.total):
-                if vec[j] != 0:
-                    resid -= vec[j] * self._bound_value(j)
+            # park the slack at the bound nearest feasibility (its value
+            # there is 0, so the residual is unchanged)
+            self.status[slack] = "L" if sign < 0 else "U"
             art = len(self.lower)
             self.lower.append(ZERO)
             self.upper.append(None)
+            entry = self.den[i] if resid >= 0 else -self.den[i]
             for r2, vec2 in enumerate(self.matrix):
-                vec2.insert(art, ONE if r2 == i and resid >= 0 else
-                            (-ONE if r2 == i else ZERO))
+                vec2.insert(art, entry if r2 == i else 0)
             self.status.append("B")
             self.basis.append(art)
             self.total += 1
-            artificial_cost[art] = ONE
             self.banned.add(art)
             self.artificials += 1
-        for i in range(self.m):
-            self._normalize_row(i)
-        if not artificial_cost:
+        # each initial basis column (slack or artificial) lives in a single
+        # row and holds +-den there, so a sign flip yields an identity basis
+        for i, col in enumerate(self.basis):
+            if self.matrix[i][col] < 0:
+                self.matrix[i] = [-a for a in self.matrix[i]]
+        if not self.banned:
             return
         cost = [ZERO] * self.total
-        for art in artificial_cost:
+        for art in self.banned:
             cost[art] = ONE
-        value = self._optimize(cost, phase_one=True)
+        value = self._optimize(cost)
         if value > 0:
             raise LpInfeasible("phase one optimum is positive")
         self._evict_artificials()
-
-    def _normalize_row(self, i: int) -> None:
-        # initial basis columns (slack or artificial) live in a single row,
-        # so per-row scaling alone yields an identity basis
-        piv = self.matrix[i][self.basis[i]]
-        if piv != ONE:
-            inv = ONE / piv
-            self.matrix[i] = [c * inv if c else c for c in self.matrix[i]]
 
     def _evict_artificials(self) -> None:
         drop_rows = []
@@ -257,6 +259,7 @@ class _Simplex:
             art = self.basis[i]
             self.status[art] = "L"
             del self.matrix[i]
+            del self.den[i]
             del self.basis[i]
             self.m -= 1
 
@@ -266,52 +269,62 @@ class _Simplex:
         vals = [ZERO if st == "B" else self._bound_value(j)
                 for j, st in enumerate(self.status)]
         at_bound = [(j, bv) for j, bv in enumerate(vals) if bv]
+        scale = lcm(*(bv.denominator for _, bv in at_bound))
+        at_bound = [(j, bv.numerator * (scale // bv.denominator))
+                    for j, bv in at_bound]
         for i, col in enumerate(self.basis):
             vec = self.matrix[i]
-            v = vec[-1]
+            v = vec[-1] * scale
             for j, bv in at_bound:
                 if vec[j]:
                     v -= vec[j] * bv
-            vals[col] = v
+            vals[col] = Fraction(v, self.den[i] * scale)
         return vals
 
-    def _reduced_costs(self, cost: list[Fraction]) -> list[Fraction]:
-        # basic columns are unit vectors, so their reduced cost comes out 0
-        red = list(cost)
-        for i, col in enumerate(self.basis):
-            cbi = cost[col]
-            if cbi == 0:
-                continue
+    def _reduced_costs(self, cost: list[Fraction]) -> tuple[list[int], int]:
+        """cost minus c_B times the tableau, as an integer row over a
+        positive denominator; basic columns are unit vectors, so their
+        reduced cost comes out 0."""
+        basic = [(i, cost[col]) for i, col in enumerate(self.basis) if cost[col]]
+        den = lcm(*(c.denominator for c in cost if c),
+                  *(c.denominator * self.den[i] for i, c in basic))
+        red = [c.numerator * (den // c.denominator) for c in cost]
+        for i, c in basic:
+            f = c.numerator * (den // (c.denominator * self.den[i]))
             for j, a in enumerate(self.matrix[i][:-1]):
                 if a:
-                    red[j] -= cbi * a
-        return red
+                    red[j] -= f * a
+        g = gcd(den, *red)
+        return [a // g for a in red], den // g
 
-    def _pivot(self, i: int, j: int, leaving_status: str) -> list[tuple[int, Fraction]]:
+    def _pivot(self, i: int, j: int, leaving_status: str) -> list[tuple[int, int]]:
         """Make column j basic in row i; returns the pivot row's nonzeros."""
         old = self.basis[i]
-        vec = self.matrix[i]
-        nz = [(c, a) for c, a in enumerate(vec) if a]
-        piv = vec[j]
-        if piv != ONE:
-            inv = ONE / piv
-            nz = [(c, a * inv) for c, a in nz]
-            for c, a in nz:
-                vec[c] = a
+        prow = self.matrix[i]
+        p = prow[j]
+        if p < 0:
+            p = -p
+            self.matrix[i] = prow = [-a for a in prow]
+        # the old basic entry den[i] is one of the row's integers, so they
+        # are coprime and the row stays in lowest terms over p
+        self.den[i] = p
+        nz = [(c, a) for c, a in enumerate(prow) if a]
         for r2, row2 in enumerate(self.matrix):
             f = row2[j]
             if f and r2 != i:
-                for c, a in nz:
-                    row2[c] -= f * a
+                self.matrix[r2], self.den[r2] = _eliminate(
+                    row2, self.den[r2], f, nz, p)
         self.basis[i] = j
         self.status[j] = "B"
         self.status[old] = leaving_status
         self.pivots += 1
         return nz
 
-    def _entering(self, red: list[Fraction], bland: bool) -> int:
+    def _entering(self, red: list[int], bland: bool) -> int:
+        # red shares one positive denominator, so its integers order the
+        # columns exactly as the reduced costs do
         entering = -1
-        best_score = ZERO
+        best_score = 0
         for j in range(self.total):
             st = self.status[j]
             if st == "B" or j in self.banned:
@@ -333,15 +346,18 @@ class _Simplex:
                 entering = j
         return entering
 
-    def _optimize(self, cost: list[Fraction], phase_one: bool) -> Fraction:
+    def _optimize(self, cost: list[Fraction]) -> Fraction:
         # phase state, updated at each step: beta[i] is the value of
-        # basis[i], red the reduced costs (0 on basic columns), obj the cost
+        # basis[i], red / red_den the reduced costs (0 on basic columns),
+        # obj the cost
         self.cost = cost = cost + [ZERO] * (self.total - len(cost))
         vals = self._values()
         self.beta = beta = [vals[col] for col in self.basis]
-        self.red = red = self._reduced_costs(cost)
+        red, self.red_den = self._reduced_costs(cost)
+        self.red = red
         self.obj = sum((cost[j] * vals[j] for j in range(self.total)
                         if cost[j] != 0), ZERO)
+        den = self.den
         stall = 0
         bland = False
         for _ in range(_MAX_PIVOTS):
@@ -350,23 +366,23 @@ class _Simplex:
                 return self.obj
             direction = 1 if self.status[j] == "L" else -1
             column = [(i, row[j]) for i, row in enumerate(self.matrix) if row[j]]
-            # ratio test
+            # ratio test; a basic value moves at rate -a/den[i] * direction
             t_best: Fraction | None = None
             leave_row = -1
             leave_status = "L"
             if self.upper[j] is not None:
                 t_best = self.upper[j] - self.lower[j]
             for i, a in column:
-                rate = -a * direction
+                rate = -a * direction  # den[i] times the rate
                 col = self.basis[i]
                 cur = beta[i]
                 if rate > 0:
                     if self.upper[col] is None:
                         continue
-                    t = (self.upper[col] - cur) / rate
+                    t = (self.upper[col] - cur) * den[i] / rate
                     hit = "U"
                 else:
-                    t = (self.lower[col] - cur) / rate
+                    t = (self.lower[col] - cur) * den[i] / rate
                     hit = "L"
                 if t_best is None or t < t_best or (
                         t == t_best and leave_row >= 0
@@ -379,19 +395,21 @@ class _Simplex:
             step = t_best if direction > 0 else -t_best
             if step != 0:
                 for i, a in column:
-                    beta[i] -= a * step
+                    beta[i] -= step * a / den[i]
             old_obj = self.obj
-            self.obj += red[j] * step
+            self.obj += step * red[j] / self.red_den
             if leave_row < 0:
                 # bound flip of the entering variable
                 self.status[j] = "U" if self.status[j] == "L" else "L"
                 self.bound_flips += 1
             else:
                 beta[leave_row] = self._bound_value(j) + step
-                rj = red[j]
-                for c, a in self._pivot(leave_row, j, leave_status):
-                    if c < self.total:  # the last column holds the rhs
-                        red[c] -= rj * a
+                nz = self._pivot(leave_row, j, leave_status)
+                # the last column holds the rhs, which red lacks
+                red, self.red_den = _eliminate(
+                    red, self.red_den, red[j],
+                    [(c, a) for c, a in nz if c < self.total], den[leave_row])
+                self.red = red
             if self.obj < old_obj:
                 stall = 0
                 bland = False
@@ -400,6 +418,23 @@ class _Simplex:
                 if stall > _STALL_LIMIT:
                     bland = True
         raise RuntimeError("simplex pivot limit exceeded")
+
+
+def _eliminate(vec: list[int], den: int, f: int, nz: list[tuple[int, int]],
+               p: int) -> tuple[list[int], int]:
+    """vec/den minus f/den times the pivot row (nonzeros nz over p, with p
+    at the pivot column), as an integer row over den*p in lowest terms.
+    Updates vec in place when p is 1."""
+    if p != 1:
+        vec = [a * p for a in vec]
+        den *= p
+    for c, a in nz:
+        vec[c] -= f * a
+    g = gcd(den, *vec)
+    if g != 1:
+        vec = [a // g for a in vec]
+        den //= g
+    return vec, den
 
 
 def _rank_certificate(lp: LpInstance, point: list[Fraction],
@@ -443,9 +478,6 @@ def _rank_certificate(lp: LpInstance, point: list[Fraction],
 
 def solve(lp: LpInstance) -> BasicOptimum:
     """Optimal vertex of the feasible region, or LpInfeasible/LpUnbounded."""
-    for j in range(lp.num_vars):
-        if lp.upper[j] is not None and lp.lower[j] > lp.upper[j]:
-            raise LpInfeasible(f"variable {j} has empty bound interval")
     simplex = _Simplex(lp)
     vals = simplex.solve()
     point = vals[:lp.num_vars]

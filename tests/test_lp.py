@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -262,22 +263,35 @@ def test_solve_matches_vertex_enumeration():
     assert solved > 40 and infeasible > 10
 
 
+def _check_integer_rows(simplex):
+    """Every stored tableau entry is an int, every denominator positive,
+    and every row (the reduced-cost row included) is in lowest terms."""
+    s = simplex
+    rows = list(zip(s.matrix, s.den)) + [(s.red, s.red_den)]
+    assert len(s.den) == len(s.matrix) == s.m
+    for vec, den in rows:
+        assert type(den) is int and den > 0
+        assert all(type(a) is int for a in vec)
+        assert math.gcd(den, *vec) == 1
+
+
 def _state_from_tableau(simplex):
     """Basic values, objective and nonbasic reduced costs of the current
     basis, computed from the tableau alone."""
     s = simplex
+    matrix = [[Fraction(a, den) for a in vec] for vec, den in zip(s.matrix, s.den)]
     nonbasic = [j for j in range(s.total) if s.status[j] != "B"]
     vals = {j: s.upper[j] if s.status[j] == "U" else s.lower[j]
             for j in nonbasic}
     beta = []
     for i, col in enumerate(s.basis):
-        vec = s.matrix[i]
+        vec = matrix[i]
         assert [vec[c] for c in s.basis] == [int(r == i) for r in range(s.m)]
         beta.append(vec[-1] - sum((vec[j] * vals[j] for j in nonbasic),
                                   Fraction(0)))
         vals[col] = beta[-1]
     obj = sum((s.cost[j] * vals[j] for j in range(s.total)), Fraction(0))
-    red = {j: s.cost[j] - sum((s.cost[col] * s.matrix[i][j]
+    red = {j: s.cost[j] - sum((s.cost[col] * matrix[i][j]
                                for i, col in enumerate(s.basis)), Fraction(0))
            for j in nonbasic}
     return beta, obj, red
@@ -290,11 +304,13 @@ def test_incremental_state_matches_tableau(monkeypatch):
     entering = lp._Simplex._entering
 
     def checked(self, red, bland):
+        _check_integer_rows(self)
         beta, obj, scratch_red = _state_from_tableau(self)
         assert self.beta == beta
         assert self.obj == obj
         assert self.red is red
-        assert {j: red[j] for j in scratch_red} == scratch_red
+        assert {j: Fraction(red[j], self.red_den)
+                for j in scratch_red} == scratch_red
         seen["checks"] += 1
         seen["bland"] += bland
         return entering(self, red, bland)
@@ -333,3 +349,45 @@ def test_incremental_state_matches_tableau(monkeypatch):
         seen["artificials"] += opt.artificials
     assert seen["checks"] > 300
     assert all(seen[key] > 0 for key in ("bland", "flips", "artificials", "eq"))
+
+
+def _pin_instances():
+    beale = lp.instance(
+        [Fraction(-3, 4), 150, Fraction(-1, 50), 6], [0] * 4, [None] * 4,
+        [lp.row({0: Fraction(1, 4), 1: -60, 2: Fraction(-1, 25), 3: 9},
+                lp.LE, 0),
+         lp.row({0: Fraction(1, 2), 1: -90, 2: Fraction(-1, 50), 3: 3},
+                lp.LE, 0),
+         lp.row({2: 1}, lp.LE, 1)])
+    # the first LP that kecss solves on the k=6 hub: 0 <= x <= 1 and
+    # the ten degree cuts
+    hub = gen("prism-hub-k6").graph
+    hub_lp = lp.instance(
+        [e.cost for e in hub.edges], [0] * hub.m, [1] * hub.m,
+        [lp.row({e: 1 for e in boundary(hub, frozenset({v}))}, lp.GE, 6)
+         for v in range(1, hub.n + 1)])
+    # a multigraph LP (x >= 0): x = 0 violates every cut, so every row
+    # starts on an artificial
+    multi = gen("random", seed=6, n=8, p=0.5, k=5, cost_min=1, cost_max=10,
+                ensure_connectivity=5).graph
+    multi_lp = lp.instance(
+        [e.cost for e in multi.edges], [0] * multi.m, [None] * multi.m,
+        [lp.row({e: 1 for e in boundary(multi, frozenset({v}))}, lp.GE, 5)
+         for v in range(1, multi.n + 1)])
+    return {"beale": beale, "hub": hub_lp, "multi": multi_lp}
+
+
+def test_pivot_sequence_pinned():
+    # (value, point, pivots, bound flips, artificials) as the Fraction
+    # tableau produced them: any change to the pivot sequence shows here
+    expected = {
+        "beale": ("-1/20", "1/25 0 1 0", 18, 0, 0),
+        "hub": ("9", " ".join(["1"] * 30 + ["1/2"] * 6), 6, 2, 0),
+        "multi": ("50", "0 0 0 5 5/2 0 0 0 0 0 5 5 0 0 0 0 0 0 0 5/2 0 5/2",
+                  16, 0, 8),
+    }
+    for name, inst in _pin_instances().items():
+        opt = lp.solve(inst)
+        got = (str(opt.value), " ".join(str(v) for v in opt.point),
+               opt.pivots, opt.bound_flips, opt.artificials)
+        assert got == expected[name], name
