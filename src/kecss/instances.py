@@ -8,7 +8,9 @@ Format (DIMACS-adjacent, diff-friendly):
     d <v> <lo> <hi>           (optional degree bounds, at most one per vertex)
 
 Vertices are 1-indexed, costs are nonnegative integers.  Canonical
-re-emission round-trips byte-identically.
+re-emission round-trips byte-identically.  The parser rejects n, m and k
+above MAX_VERTICES, MAX_EDGES and MAX_K, and costs and degree bounds
+above MAX_VALUE, before it builds anything of that size.
 """
 
 from __future__ import annotations
@@ -17,6 +19,12 @@ import random
 from dataclasses import dataclass
 
 from .graphs import Multigraph, make_graph, min_cut
+
+
+MAX_VERTICES = 10_000
+MAX_EDGES = 200_000
+MAX_K = 10_000
+MAX_VALUE = 10**12  # edge costs and degree bounds
 
 
 class ParseError(ValueError):
@@ -63,6 +71,13 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(line_no, "non-integer field in problem line")
             if header[0] < 1 or header[1] < 0 or header[2] < 1:
                 raise ParseError(line_no, "n, m, k out of range")
+            for name, value, limit, limit_name in (
+                    ("n", header[0], MAX_VERTICES, "MAX_VERTICES"),
+                    ("m", header[1], MAX_EDGES, "MAX_EDGES"),
+                    ("k", header[2], MAX_K, "MAX_K")):
+                if value > limit:
+                    raise ParseError(line_no, f"{name}={value} exceeds "
+                                     f"{limit_name}={limit}")
         elif parts[0] == "e":
             if header is None:
                 raise ParseError(line_no, "edge before problem line")
@@ -78,6 +93,8 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(line_no, "edge endpoint out of range")
             if cost < 0:
                 raise ParseError(line_no, "negative cost")
+            if cost > MAX_VALUE:
+                raise ParseError(line_no, f"cost {cost} exceeds MAX_VALUE={MAX_VALUE}")
             edges.append((u, v, cost))
         elif parts[0] == "d":
             if header is None:
@@ -96,6 +113,9 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(line_no, f"lower bound {lo} above upper bound {hi}")
             if lo < 0:
                 raise ParseError(line_no, "negative degree bound")
+            if hi > MAX_VALUE:
+                raise ParseError(line_no,
+                                 f"degree bound {hi} exceeds MAX_VALUE={MAX_VALUE}")
             bounds[v] = (lo, hi)
         else:
             raise ParseError(line_no, f"unknown line type {parts[0]!r}")

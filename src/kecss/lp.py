@@ -24,6 +24,22 @@ pivot or bound flip.
 
 Pivoting uses a largest-reduced-cost rule that switches to Bland's rule
 whenever the objective stalls, which guarantees termination.
+
+The lazy loop keeps one tableau for all its rounds, as in the
+cutting-plane loop of Applegate, Bixby, Chvatal and Cook (Concorde).
+The first relaxation is solved exactly as `solve` does.  Each violated
+row the oracle returns is appended with a new basic slack column and
+expressed in the current basis, which leaves the basis dual feasible
+(the reduced costs are unchanged) but primal infeasible (the slack is
+negative).  A bounded dual simplex then re-optimises: the leaving row
+holds the out-of-bounds basic variable with the smallest column index,
+and the entering column minimises |red_j| / |a_rj| among the nonbasic
+columns whose move pushes that variable towards its violated bound,
+ties going to the smallest column (Bland's rule for the dual, so the
+loop terminates).  When no column can move it, the relaxation is
+infeasible.  Every round's point is checked against every row and
+bound and certified by a full-rank set of tight constraints, in
+integer arithmetic over the point's common denominator.
 """
 
 from __future__ import annotations
@@ -74,9 +90,6 @@ class LpRow:
             return lhs <= self.rhs
         return lhs == self.rhs
 
-    def tight(self, point: Sequence[Fraction]) -> bool:
-        return self.evaluate(point) == self.rhs
-
 
 def row(coeffs: dict[int, int | Fraction], sense: str, rhs: int | Fraction) -> LpRow:
     return LpRow({j: Fraction(c) for j, c in sorted(coeffs.items()) if c != 0},
@@ -124,7 +137,7 @@ class BasicOptimum:
     tight_rows: list[int]
     tight_bounds: list[tuple[int, str]]  # (variable, "lower" | "upper")
     certificate: list[tuple]  # ("row", i) / ("bound", j, side), full column rank
-    pivots: int = 0  # basis exchanges, phase one and artificial eviction included
+    pivots: int = 0  # basis exchanges: phase one, artificial eviction, dual steps
     bound_flips: int = 0
     artificials: int = 0  # phase-one artificial columns
 
@@ -133,7 +146,8 @@ class BasicOptimum:
 
 
 class _Simplex:
-    """Bounded-variable two-phase tableau simplex over integer rows."""
+    """Bounded-variable two-phase tableau simplex over integer rows, with
+    a dual simplex that re-optimises after rows are added."""
 
     def __init__(self, lp: LpInstance):
         self.lp = lp
@@ -141,6 +155,10 @@ class _Simplex:
         self.ns = ns
         m = len(lp.rows)
         self.m = m
+        # the rows so far, and each as (scale, integer coefficients,
+        # integer rhs)
+        self.rows: list[LpRow] = list(lp.rows)
+        self.scaled = [_scaled(r) for r in self.rows]
         # columns: structurals 0..ns-1, slack of row i at ns+i; row i holds
         # integers whose values are entry / den[i]
         self.lower: list[Fraction] = list(lp.lower)
@@ -149,16 +167,14 @@ class _Simplex:
         cols = self.total
         self.matrix: list[list[int]] = []
         self.den: list[int] = []
-        for i, r in enumerate(lp.rows):
-            scale = lcm(r.rhs.denominator,
-                        *(c.denominator for c in r.coeffs.values()))
+        for i, (r, (scale, coeffs, rhs)) in enumerate(zip(self.rows, self.scaled)):
             vec = [0] * (cols + 1)
-            for j, c in r.coeffs.items():
-                vec[j] = c.numerator * (scale // c.denominator)
+            for j, a in coeffs:
+                vec[j] = a
             vec[ns + i] = -scale if r.sense == GE else scale
             self.lower.append(ZERO)
             self.upper.append(ZERO if r.sense == EQ else None)
-            vec[cols] = r.rhs.numerator * (scale // r.rhs.denominator)
+            vec[cols] = rhs
             self.matrix.append(vec)
             self.den.append(scale)
         # nonbasic start: finite upper preferred (covering LPs start feasible)
@@ -177,16 +193,20 @@ class _Simplex:
             return up
         return self.lower[j]
 
-    def solve(self) -> list[Fraction]:
+    def solve(self) -> None:
         self._phase_one()
         cost = [ZERO] * len(self.lower)
         for j in range(self.ns):
             cost[j] = self.lp.objective[j]
         self._optimize(cost)
+
+    def point(self) -> list[Fraction]:
+        """Values of the structural columns at the current basis."""
         vals = [ZERO if st == "B" else self._bound_value(j)
-                for j, st in enumerate(self.status)]
+                for j, st in enumerate(self.status[:self.ns])]
         for col, v in zip(self.basis, self.beta):
-            vals[col] = v
+            if col < self.ns:
+                vals[col] = v
         return vals
 
     # -- setup -----------------------------------------------------------
@@ -263,6 +283,49 @@ class _Simplex:
             del self.basis[i]
             self.m -= 1
 
+    def add_rows(self, rows: Sequence[LpRow]) -> None:
+        """Append rows to a solved tableau, each with a new basic slack
+        column, expressed in the current basis.  The reduced costs do not
+        change, so an optimal basis stays dual feasible; a row violated
+        at the current point leaves its slack below 0."""
+        scaled_point, point_den = _common(self.point())
+        for r in rows:
+            scale, coeffs, rhs = sc = _scaled(r)
+            slack = self.total
+            for vec in self.matrix:
+                vec.insert(slack, 0)
+            self.total += 1
+            vec = [0] * (self.total + 1)
+            for j, a in coeffs:
+                vec[j] = a
+            vec[slack] = -scale if r.sense == GE else scale
+            vec[-1] = rhs
+            den = scale
+            for i, col in enumerate(self.basis):
+                f = vec[col]
+                if f:
+                    nz = [(c, a) for c, a in enumerate(self.matrix[i]) if a]
+                    vec, den = _eliminate(vec, den, f, nz, self.den[i])
+            # the slack entry is still +-den, as no basic row touches it
+            if vec[slack] < 0:
+                vec = [-a for a in vec]
+            excess = sum(a * scaled_point[j] for j, a in coeffs) - rhs * point_den
+            self.beta.append(Fraction(excess if r.sense == GE else -excess,
+                                      scale * point_den))
+            self.matrix.append(vec)
+            self.den.append(den)
+            self.basis.append(slack)
+            self.m += 1
+            self.lower.append(ZERO)
+            self.upper.append(ZERO if r.sense == EQ else None)
+            self.status.append("B")
+            self.cost.append(ZERO)
+            self.red.append(0)
+            if r.sense != EQ:
+                self.movable.append(slack)
+            self.rows.append(r)
+            self.scaled.append(sc)
+
     # -- core ------------------------------------------------------------
 
     def _values(self) -> list[Fraction]:
@@ -320,22 +383,43 @@ class _Simplex:
         self.pivots += 1
         return nz
 
+    def _move(self, j: int, step: Fraction, column: list[tuple[int, int]],
+              leave_row: int, leave_status: str) -> None:
+        """Move nonbasic column j by step (its nonzeros are column), then
+        flip it to its other bound (leave_row < 0) or pivot it into
+        leave_row, whose basic column leaves at leave_status."""
+        beta, den = self.beta, self.den
+        if step != 0:
+            for i, a in column:
+                beta[i] -= step * a / den[i]
+        self.obj += step * self.red[j] / self.red_den
+        if leave_row < 0:
+            self.status[j] = "U" if self.status[j] == "L" else "L"
+            self.bound_flips += 1
+            return
+        beta[leave_row] = self._bound_value(j) + step
+        nz = self._pivot(leave_row, j, leave_status)
+        # the last column holds the rhs, which red lacks
+        self.red, self.red_den = _eliminate(
+            self.red, self.red_den, self.red[j],
+            [(c, a) for c, a in nz if c < self.total], den[leave_row])
+
     def _entering(self, red: list[int], bland: bool) -> int:
         # red shares one positive denominator, so its integers order the
-        # columns exactly as the reduced costs do
+        # columns exactly as the reduced costs do; basic columns have red
+        # 0 and artificial and fixed columns are never movable
+        status = self.status
         entering = -1
         best_score = 0
-        for j in range(self.total):
-            st = self.status[j]
-            if st == "B" or j in self.banned:
-                continue  # an artificial never re-enters once nonbasic
-            lo, up = self.lower[j], self.upper[j]
-            if up is not None and lo == up:
-                continue  # fixed variable never enters
+        for j in self.movable:
             rj = red[j]
-            if st == "L" and rj < 0:
+            if rj < 0:
+                if status[j] != "L":
+                    continue
                 score = -rj
-            elif st == "U" and rj > 0:
+            elif rj > 0:
+                if status[j] != "U":
+                    continue
                 score = rj
             else:
                 continue
@@ -349,19 +433,20 @@ class _Simplex:
     def _optimize(self, cost: list[Fraction]) -> Fraction:
         # phase state, updated at each step: beta[i] is the value of
         # basis[i], red / red_den the reduced costs (0 on basic columns),
-        # obj the cost
+        # obj the cost; movable lists the columns that may ever enter
         self.cost = cost = cost + [ZERO] * (self.total - len(cost))
+        self.movable = [j for j in range(self.total) if j not in self.banned
+                        and (self.upper[j] is None or self.lower[j] != self.upper[j])]
         vals = self._values()
         self.beta = beta = [vals[col] for col in self.basis]
-        red, self.red_den = self._reduced_costs(cost)
-        self.red = red
+        self.red, self.red_den = self._reduced_costs(cost)
         self.obj = sum((cost[j] * vals[j] for j in range(self.total)
                         if cost[j] != 0), ZERO)
         den = self.den
         stall = 0
         bland = False
         for _ in range(_MAX_PIVOTS):
-            j = self._entering(red, bland)
+            j = self._entering(self.red, bland)
             if j < 0:
                 return self.obj
             direction = 1 if self.status[j] == "L" else -1
@@ -392,24 +477,9 @@ class _Simplex:
                     leave_status = hit
             if t_best is None:
                 raise LpUnbounded("improving direction with no blocking bound")
-            step = t_best if direction > 0 else -t_best
-            if step != 0:
-                for i, a in column:
-                    beta[i] -= step * a / den[i]
             old_obj = self.obj
-            self.obj += step * red[j] / self.red_den
-            if leave_row < 0:
-                # bound flip of the entering variable
-                self.status[j] = "U" if self.status[j] == "L" else "L"
-                self.bound_flips += 1
-            else:
-                beta[leave_row] = self._bound_value(j) + step
-                nz = self._pivot(leave_row, j, leave_status)
-                # the last column holds the rhs, which red lacks
-                red, self.red_den = _eliminate(
-                    red, self.red_den, red[j],
-                    [(c, a) for c, a in nz if c < self.total], den[leave_row])
-                self.red = red
+            self._move(j, t_best if direction > 0 else -t_best, column,
+                       leave_row, leave_status)
             if self.obj < old_obj:
                 stall = 0
                 bland = False
@@ -418,6 +488,74 @@ class _Simplex:
                 if stall > _STALL_LIMIT:
                     bland = True
         raise RuntimeError("simplex pivot limit exceeded")
+
+    def _leaving(self) -> int:
+        """Row of the out-of-bounds basic variable with the smallest column
+        index, or -1 when every basic value lies within its bounds."""
+        leave_row = -1
+        best = self.total
+        lower, upper = self.lower, self.upper
+        for i, (col, v) in enumerate(zip(self.basis, self.beta)):
+            if col < best and (v < lower[col] or (
+                    upper[col] is not None and v > upper[col])):
+                leave_row = i
+                best = col
+        return leave_row
+
+    def _dual(self) -> None:
+        """Re-optimise a dual feasible basis by bounded dual simplex with
+        Bland's rule; LpInfeasible when a basic value cannot be repaired."""
+        status = self.status
+        for _ in range(_MAX_PIVOTS):
+            r = self._leaving()
+            if r < 0:
+                return
+            col = self.basis[r]
+            below = self.beta[r] < self.lower[col]
+            prow = self.matrix[r]
+            red = self.red
+            # column k moves x_col by -prow[k] / den[r] per unit; from L it
+            # may only rise, from U only fall.  Dual feasibility gives
+            # red_k >= 0 at L and <= 0 at U, so the ratio is |red_k| / |a|;
+            # compare ratios as integer cross-products, ties to the
+            # smallest column.
+            j = -1
+            best_red = best_a = 0
+            for k in self.movable:
+                a = prow[k]
+                st = status[k]
+                if not a or st == "B" or (a < 0) != ((st == "L") == below):
+                    continue
+                rk = abs(red[k])
+                ak = abs(a)
+                if j < 0 or rk * best_a < best_red * ak:
+                    j = k
+                    best_red = rk
+                    best_a = ak
+            if j < 0:
+                raise LpInfeasible(f"no column can move the basic value of row {r} "
+                                   "into its bounds")
+            target = self.lower[col] if below else self.upper[col]
+            step = (self.beta[r] - target) * self.den[r] / prow[j]
+            column = [(i, row[j]) for i, row in enumerate(self.matrix) if row[j]]
+            self._move(j, step, column, r, "L" if below else "U")
+        raise RuntimeError("dual simplex pivot limit exceeded")
+
+
+def _scaled(r: LpRow) -> tuple[int, list[tuple[int, int]], int]:
+    """r times the lcm of its coefficient and rhs denominators, as
+    (that lcm, integer coefficients, integer rhs)."""
+    scale = lcm(r.rhs.denominator, *(c.denominator for c in r.coeffs.values()))
+    return (scale,
+            [(j, c.numerator * (scale // c.denominator))
+             for j, c in r.coeffs.items()],
+            r.rhs.numerator * (scale // r.rhs.denominator))
+
+
+def _common(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """values as integers over their least common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _eliminate(vec: list[int], den: int, f: int, nz: list[tuple[int, int]],
@@ -437,64 +575,87 @@ def _eliminate(vec: list[int], den: int, f: int, nz: list[tuple[int, int]],
     return vec, den
 
 
-def _rank_certificate(lp: LpInstance, point: list[Fraction],
+def _rank_certificate(num_vars: int, scaled: list[tuple[int, list, int]],
                       tight_rows: list[int],
                       tight_bounds: list[tuple[int, str]]) -> list[tuple]:
-    """Greedy full-rank subset of tight constraints, as x-space row vectors."""
-    nv = lp.num_vars
-    pivots: dict[int, dict[int, Fraction]] = {}  # pivot column -> reduced vector
-    chosen: list[tuple] = []
+    """Greedy full-rank subset of tight constraints, as x-space row
+    vectors; scaled holds each row's integer coefficients (see _scaled).
 
-    def try_add(vec: dict[int, Fraction], label: tuple) -> None:
-        v = {c: val for c, val in vec.items() if val != 0}
+    A bound's unit vector is independent of the chosen ones unless its
+    column is already bounded.  The chosen bounds span their columns, so
+    a row is independent of the chosen constraints exactly when its part
+    outside those columns is independent of the chosen rows' parts."""
+    chosen: list[tuple] = []
+    bounded: set[int] = set()
+    for j, side in tight_bounds:
+        if len(chosen) == num_vars:
+            break
+        if j not in bounded:
+            bounded.add(j)
+            chosen.append(("bound", j, side))
+    pivots: dict[int, dict[int, int]] = {}  # pivot column -> reduced vector
+    for i in tight_rows:
+        if len(chosen) == num_vars:
+            break
+        v = {c: a for c, a in scaled[i][1] if a and c not in bounded}
         while v:
             col = min(v)
-            if col not in pivots:
+            piv = pivots.get(col)
+            if piv is None:
                 break
-            piv = pivots[col]
-            f = v[col] / piv[col]
-            for c2, val in piv.items():
-                nv = v.get(c2, ZERO) - f * val
-                if nv == 0:
-                    v.pop(c2, None)
+            # v * p - f * piv has the zeros of v - (f / p) * piv, and one
+            # gcd keeps it small
+            p, f = piv[col], v[col]
+            w = {c: a * p for c, a in v.items()}
+            for c2, a in piv.items():
+                a = w.get(c2, 0) - f * a
+                if a:
+                    w[c2] = a
                 else:
-                    v[c2] = nv
+                    w.pop(c2, None)
+            g = gcd(*w.values())
+            v = {c: a // g for c, a in w.items()} if g > 1 else w
         if v:
             pivots[min(v)] = v
-            chosen.append(label)
-
-    for j, side in tight_bounds:
-        if len(chosen) == nv:
-            break
-        try_add({j: ONE}, ("bound", j, side))
-    for i in tight_rows:
-        if len(chosen) == nv:
-            break
-        try_add(dict(lp.rows[i].coeffs), ("row", i))
-    if len(chosen) != nv:
+            chosen.append(("row", i))
+    if len(chosen) != num_vars:
         raise RuntimeError("solver returned a non-vertex point")
     return chosen
 
 
-def solve(lp: LpInstance) -> BasicOptimum:
-    """Optimal vertex of the feasible region, or LpInfeasible/LpUnbounded."""
-    simplex = _Simplex(lp)
-    vals = simplex.solve()
-    point = vals[:lp.num_vars]
-    for i, r in enumerate(lp.rows):
-        if not r.satisfied(point):
+def _optimum(simplex: _Simplex) -> BasicOptimum:
+    """The simplex's current point, checked against every row, with its
+    value, tight rows and bounds and a full-rank certificate.  One integer
+    evaluation per row, over the point's common denominator, decides both
+    whether the row holds and whether it is tight."""
+    lp = simplex.lp
+    point = simplex.point()
+    scaled_point, point_den = _common(point)
+    tight_rows = []
+    for i, (r, (_, coeffs, rhs)) in enumerate(zip(simplex.rows, simplex.scaled)):
+        excess = sum(a * scaled_point[j] for j, a in coeffs) - rhs * point_den
+        if excess == 0:
+            tight_rows.append(i)
+        elif r.sense == EQ or (excess < 0) == (r.sense == GE):
             raise RuntimeError(f"simplex produced point violating row {i}")
-    value = sum((lp.objective[j] * point[j] for j in range(lp.num_vars)), ZERO)
-    tight_rows = [i for i, r in enumerate(lp.rows) if r.tight(point)]
+    cost, cost_den = _common(lp.objective)
+    value = Fraction(sum(map(mul, cost, scaled_point)), cost_den * point_den)
     tight_bounds: list[tuple[int, str]] = []
     for j in range(lp.num_vars):
         if point[j] == lp.lower[j]:
             tight_bounds.append((j, "lower"))
         if lp.upper[j] is not None and point[j] == lp.upper[j]:
             tight_bounds.append((j, "upper"))
-    cert = _rank_certificate(lp, point, tight_rows, tight_bounds)
+    cert = _rank_certificate(lp.num_vars, simplex.scaled, tight_rows, tight_bounds)
     return BasicOptimum(value, point, tight_rows, tight_bounds, cert,
                         simplex.pivots, simplex.bound_flips, simplex.artificials)
+
+
+def solve(lp: LpInstance) -> BasicOptimum:
+    """Optimal vertex of the feasible region, or LpInfeasible/LpUnbounded."""
+    simplex = _Simplex(lp)
+    simplex.solve()
+    return _optimum(simplex)
 
 
 SeparationCallback = Callable[[list[Fraction]], list[LpRow]]
@@ -516,24 +677,32 @@ def solve_lazy(lp: LpInstance, oracle: SeparationCallback,
     rows only when the point is feasible for the full system).  A vertex
     of a relaxation that the oracle accepts is a vertex of the full
     system.  The oracle may return several violated rows per call.
+
+    One tableau serves every round: the added rows are appended to it and
+    the dual simplex re-optimises from the previous optimal basis.  The
+    optimum's pivots, bound flips and artificials are totals over all
+    rounds.
     """
-    rows = list(lp.rows)
-    added = 0
-    calls = 0
     if max_added is None:
         max_added = 10 * (lp.num_vars + 2 ** min(20, lp.num_vars))
+    simplex = _Simplex(lp)
+    simplex.solve()
+    calls = 0
     while True:
-        opt = solve(LpInstance(lp.objective, lp.lower, lp.upper, tuple(rows)))
+        opt = _optimum(simplex)
         cuts = oracle(opt.point)
         calls += 1
         if not cuts:
-            return LazyResult(opt, rows, calls)
+            return LazyResult(opt, simplex.rows, calls)
         for c in cuts:
+            if any(not 0 <= j < lp.num_vars for j in c.coeffs):
+                raise ValueError("oracle row references an undeclared variable")
             if c.satisfied(opt.point):
                 raise RuntimeError("oracle returned a non-violated row")
-        rows.extend(cuts)
-        added += len(cuts)
-        if added > max_added:
+        total = len(simplex.rows) + len(cuts)
+        if total - len(lp.rows) > max_added:
             raise RuntimeError(
                 f"lazy loop exceeded {max_added} added rows "
-                f"({len(rows)} rows in relaxation)")
+                f"({total} rows in relaxation)")
+        simplex.add_rows(cuts)
+        simplex._dual()

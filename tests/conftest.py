@@ -29,6 +29,23 @@ def hub_cost_variant(dashed: int, solid: int) -> Instance:
     return Instance(make_graph(10, edges), 6)
 
 
+def prism_hub_edges(g, dashed, solid):
+    """Hub 1 and gadgets (u_i, v_i, t_i): zero-cost rays and tripled rungs
+    u_i-t_i, v_i-t_i, a `dashed` edge u_i-v_i, and odd `solid` rings
+    through the u_i and through the v_i."""
+    u = [2 + 3 * i for i in range(g)]
+    v = [3 + 3 * i for i in range(g)]
+    t = [4 + 3 * i for i in range(g)]
+    edges = []
+    for i in range(g):
+        edges += [(1, u[i], 0), (1, v[i], 0), (1, t[i], 0)]
+        edges += [(u[i], t[i], 0)] * 3 + [(v[i], t[i], 0)] * 3
+    edges += [(u[i], v[i], dashed) for i in range(g)]
+    for ring in (u, v):
+        edges += [(ring[i], ring[(i + 1) % g], solid) for i in range(g)]
+    return edges
+
+
 def degree_bounds_for(inst: Instance, seed: int) -> tuple[list[int], list[int]]:
     """Feasible degree windows around the all-edges solution degrees."""
     g = inst.graph

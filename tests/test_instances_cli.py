@@ -8,7 +8,8 @@ import pytest
 
 from kecss.cli import main
 from kecss.graphs import make_graph
-from kecss.instances import (Instance, ParseError, emit_instance, gen,
+from kecss.instances import (MAX_EDGES, MAX_K, MAX_VALUE, MAX_VERTICES,
+                             Instance, ParseError, emit_instance, gen,
                              parse_instance)
 
 
@@ -48,6 +49,46 @@ def test_parse_errors_carry_line_numbers():
 
     with pytest.raises(ParseError):
         parse_instance("p kecss 2 2 4\ne 1 2 1\n")  # edge count mismatch
+
+
+def _limit_error(text):
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    return str(err.value)
+
+
+def test_parse_vertex_limit():
+    parse_instance(f"p kecss {MAX_VERTICES} 0 4\n")
+    assert "MAX_VERTICES" in _limit_error(f"p kecss {MAX_VERTICES + 1} 0 4\n")
+    assert "MAX_VERTICES" in _limit_error("p kecss 1000000000 0 4\n")
+
+
+def test_parse_edge_limit():
+    # the header alone trips the limit, before any edge line is read
+    assert "MAX_EDGES" in _limit_error(f"p kecss 2 {MAX_EDGES + 1} 4\n")
+
+
+def test_parse_k_limit():
+    parse_instance(f"p kecss 2 1 {MAX_K}\ne 1 2 1\n")
+    assert "MAX_K" in _limit_error(f"p kecss 2 1 {MAX_K + 1}\ne 1 2 1\n")
+
+
+def test_parse_cost_limit():
+    parse_instance(f"p kecss 2 1 4\ne 1 2 {MAX_VALUE}\n")
+    assert "MAX_VALUE" in _limit_error(f"p kecss 2 1 4\ne 1 2 {MAX_VALUE + 1}\n")
+
+
+def test_parse_degree_bound_limit():
+    parse_instance(f"p kecss 2 1 4\ne 1 2 1\nd 1 0 {MAX_VALUE}\n")
+    assert "MAX_VALUE" in _limit_error(
+        f"p kecss 2 1 4\ne 1 2 1\nd 1 0 {MAX_VALUE + 1}\n")
+
+
+def test_cli_run_rejects_oversized_header(tmp_path: Path, capsys):
+    big = tmp_path / "big.txt"
+    big.write_text("p kecss 1000000000 0 4\n")
+    assert main(["run", "--mode", "ecss", "--input", str(big)]) == 2
+    assert "MAX_VERTICES" in capsys.readouterr().err
 
 
 def test_roundtrip_byte_identity():

@@ -6,10 +6,12 @@ import pytest
 
 from kecss import lp
 from kecss.certify import full_cut_lp, recheck_vertex
-from kecss.graphs import boundary, complete_graph, cycle_graph
+from kecss.graphs import boundary, complete_graph, cycle_graph, make_graph
 from kecss.instances import gen
 from kecss.requirements import Requirement
 from kecss.separation import Feasible, separate_fast
+
+from conftest import prism_hub_edges
 
 
 def test_simplex_face_vertex():
@@ -297,25 +299,96 @@ def _state_from_tableau(simplex):
     return beta, obj, red
 
 
-def test_incremental_state_matches_tableau(monkeypatch):
-    # the entering choice runs once after every pivot and bound flip, so a
-    # check there sees every incremental update of beta, obj and red
-    seen = {"checks": 0, "bland": 0, "flips": 0, "artificials": 0, "eq": 0}
-    entering = lp._Simplex._entering
+def _hidden_rows_oracle(hidden, batch=2):
+    """Lazy oracle over an explicit row list: the first `batch` rows that
+    the point violates, in list order."""
+    def oracle(point):
+        return [r for r in hidden if not r.satisfied(point)][:batch]
+    return oracle
 
-    def checked(self, red, bland):
+
+def _random_lazy_instance(rng, nv):
+    """An LP over nv variables with a few seed rows, and more cut rows to
+    hand out lazily.  Most rows hold at one random integer point within
+    the bounds, so most instances are feasible."""
+    lower = [rng.randint(-1, 0) for _ in range(nv)]
+    upper = [rng.choice([1, 3, None]) for _ in range(nv)]
+    x0 = [rng.randint(lo, 3 if up is None else up) for lo, up in zip(lower, upper)]
+
+    def rows(count):
+        out = []
+        for _ in range(count):
+            coeffs = {j: rng.randint(-3, 3) for j in range(nv)}
+            coeffs = {j: c for j, c in coeffs.items() if c}
+            if not coeffs:
+                continue
+            sense = rng.choice([lp.GE, lp.LE, lp.EQ])
+            rhs = sum(c * x0[j] for j, c in coeffs.items())
+            if rng.random() < 0.1:
+                rhs = rng.randint(-4, 6)
+            elif sense == lp.GE:
+                rhs -= rng.randint(0, 2)
+            elif sense == lp.LE:
+                rhs += rng.randint(0, 2)
+            out.append(lp.row(coeffs, sense, rhs))
+        return out
+    inst = lp.instance([rng.randint(-3, 3) for _ in range(nv)], lower, upper,
+                       rows(rng.randint(0, nv)))
+    return inst, rows(rng.randint(1, 3 * nv))
+
+
+def _cut_oracle(graph, k):
+    """Lazy oracle of the k-edge-connectivity cut LP, by separate_fast."""
+    req = Requirement(graph, k, {}, 3)
+
+    def oracle(point):
+        verdict = separate_fast(dict(enumerate(point)), req)
+        if isinstance(verdict, Feasible):
+            return []
+        return [lp.row({e: 1 for e in boundary(graph, verdict.side)}, lp.GE,
+                       verdict.requirement)]
+    return oracle
+
+
+def test_incremental_state_matches_tableau(monkeypatch):
+    # the entering choice runs once after every pivot and bound flip, and
+    # the dual's leaving choice once after every dual pivot, so checks
+    # there (and after each add_rows) see every incremental update of
+    # beta, obj and red
+    seen = {"checks": 0, "bland": 0, "flips": 0, "artificials": 0, "eq": 0,
+            "added": 0, "dual": 0}
+    entering = lp._Simplex._entering
+    leaving = lp._Simplex._leaving
+    add_rows = lp._Simplex.add_rows
+
+    def check_state(self):
         _check_integer_rows(self)
         beta, obj, scratch_red = _state_from_tableau(self)
         assert self.beta == beta
         assert self.obj == obj
-        assert self.red is red
-        assert {j: Fraction(red[j], self.red_den)
+        assert {j: Fraction(self.red[j], self.red_den)
                 for j in scratch_red} == scratch_red
         seen["checks"] += 1
+
+    def checked(self, red, bland):
+        check_state(self)
+        assert self.red is red
         seen["bland"] += bland
         return entering(self, red, bland)
 
+    def checked_leaving(self):
+        check_state(self)
+        seen["dual"] += 1
+        return leaving(self)
+
+    def checked_add_rows(self, rows):
+        add_rows(self, rows)
+        check_state(self)
+        seen["added"] += len(rows)
+
     monkeypatch.setattr(lp._Simplex, "_entering", checked)
+    monkeypatch.setattr(lp._Simplex, "_leaving", checked_leaving)
+    monkeypatch.setattr(lp._Simplex, "add_rows", checked_add_rows)
     beale = lp.instance(
         [Fraction(-3, 4), 150, Fraction(-1, 50), 6], [0] * 4, [None] * 4,
         [lp.row({0: Fraction(1, 4), 1: -60, 2: Fraction(-1, 25), 3: 9},
@@ -349,6 +422,19 @@ def test_incremental_state_matches_tableau(monkeypatch):
         seen["artificials"] += opt.artificials
     assert seen["checks"] > 300
     assert all(seen[key] > 0 for key in ("bland", "flips", "artificials", "eq"))
+    # warm lazy rounds: the k=6 hub under separation, and random LPs whose
+    # cut rows come from a hidden list
+    hub = gen("prism-hub-k6").graph
+    lp.solve_lazy(lp.instance([e.cost for e in hub.edges], [0] * hub.m,
+                              [1] * hub.m, []), _cut_oracle(hub, 6))
+    rng = random.Random(37)
+    for _ in range(80):
+        inst, hidden = _random_lazy_instance(rng, rng.randint(2, 6))
+        try:
+            lp.solve_lazy(inst, _hidden_rows_oracle(hidden))
+        except (lp.LpInfeasible, lp.LpUnbounded):
+            continue
+    assert seen["added"] > 80 and seen["dual"] > 150
 
 
 def _pin_instances():
@@ -391,3 +477,100 @@ def test_pivot_sequence_pinned():
         got = (str(opt.value), " ".join(str(v) for v in opt.point),
                opt.pivots, opt.bound_flips, opt.artificials)
         assert got == expected[name], name
+
+
+def _hub_lp(graph, k, rng=None):
+    """Subgraph cut LP of a hub graph: 0 <= x <= 1 and the degree cuts;
+    random costs in 0..9 when rng is given, else the graph's costs."""
+    costs = ([rng.randint(0, 9) for _ in graph.edges] if rng
+             else [e.cost for e in graph.edges])
+    return lp.instance(costs, [0] * graph.m, [1] * graph.m,
+                       [lp.row({e: 1 for e in boundary(graph, frozenset({v}))},
+                               lp.GE, k) for v in range(1, graph.n + 1)])
+
+
+def _recording(oracle):
+    """The oracle, and the list of every batch of rows it returns."""
+    batches = []
+
+    def wrapped(point):
+        cuts = oracle(point)
+        batches.append(cuts)
+        return cuts
+    return wrapped, batches
+
+
+def test_lazy_totals_and_warm_pivots_below_cold():
+    hub = gen("prism-hub-k6").graph
+    inst = _hub_lp(hub, 6)
+    oracle, batches = _recording(_cut_oracle(hub, 6))
+    result = lp.solve_lazy(inst, oracle)
+    assert result.separation_calls == len(batches) > 2
+    # the per-round cold solves of the same sequence of row sets
+    rows = list(inst.rows)
+    cold = []
+    for cuts in batches:
+        cold.append(lp.solve(lp.LpInstance(inst.objective, inst.lower,
+                                           inst.upper, tuple(rows))))
+        rows += cuts
+    assert rows == result.rows
+    # the first LP's value is 9; the cut LP's is 21/2
+    assert cold[-1].value == result.optimum.value == Fraction(21, 2)
+    assert cold[-1].point == result.optimum.point
+    # the optimum carries totals over all rounds: the first round's cold
+    # counts plus the dual pivots of the later ones
+    opt = result.optimum
+    assert opt.pivots > cold[0].pivots
+    assert (opt.bound_flips, opt.artificials) == (cold[0].bound_flips,
+                                                  cold[0].artificials)
+    assert opt.pivots < sum(c.pivots for c in cold)
+
+
+def _warm_vs_cold(inst, oracle):
+    """Run warm solve_lazy and a cold solve of its final row set; both
+    must agree on the value, or both raise the same exception."""
+    oracle, batches = _recording(oracle)
+    try:
+        result = lp.solve_lazy(inst, oracle)
+    except (lp.LpInfeasible, lp.LpUnbounded) as exc:
+        rows = list(inst.rows) + [r for cuts in batches for r in cuts]
+        with pytest.raises(type(exc)):
+            lp.solve(lp.LpInstance(inst.objective, inst.lower, inst.upper,
+                                   tuple(rows)))
+        return type(exc).__name__
+    final = lp.LpInstance(inst.objective, inst.lower, inst.upper,
+                          tuple(result.rows))
+    assert lp.solve(final).value == result.optimum.value
+    recheck_vertex(final, result.optimum)
+    for r in result.rows:
+        assert r.satisfied(result.optimum.point)
+    return "solved"
+
+
+def test_warm_lazy_matches_cold_solve_of_final_rows():
+    rng = random.Random(41)
+    outcomes = []
+    for g, seeds in ((3, 4), (5, 2)):
+        graph = make_graph(3 * g + 1, prism_hub_edges(g, 1, 2))
+        for _ in range(seeds):
+            outcomes.append(_warm_vs_cold(_hub_lp(graph, 6, rng),
+                                          _cut_oracle(graph, 6)))
+    assert outcomes == ["solved"] * 6
+    for _ in range(120):
+        inst, hidden = _random_lazy_instance(rng, rng.randint(2, 7))
+        outcomes.append(_warm_vs_cold(inst, _hidden_rows_oracle(hidden)))
+    assert all(outcomes.count(o) > 5
+               for o in ("solved", "LpInfeasible", "LpUnbounded"))
+    # a cut that empties a feasible relaxation: the dual finds no column
+    # to repair the new row, and the cold solve fails in phase one
+    inst = lp.instance([1, 1], [0, 0], [5, None], [lp.row({0: 1, 1: 1}, lp.GE, 2)])
+    cut = lp.row({0: 1, 1: 1}, lp.LE, 1)
+    assert _warm_vs_cold(inst, _hidden_rows_oracle([cut])) == "LpInfeasible"
+
+
+def test_lazy_rejects_undeclared_variable():
+    def oracle(point):
+        return [lp.row({3: 1}, lp.GE, 1)]
+
+    with pytest.raises(ValueError):
+        lp.solve_lazy(lp.instance([1], [0], [None], []), oracle)

@@ -10,7 +10,7 @@ from kecss.rounding import (InfeasibleInstance, _solve_unbounded_cut_lp,
                             approximation_factor, bicriteria, kecsm,
                             kecsm_core, kecss, kecss_even, md_kecsm, md_kecss)
 
-from conftest import hub_cost_variant, random_feasible
+from conftest import hub_cost_variant, prism_hub_edges, random_feasible
 
 
 def degrees(graph, mult):
@@ -305,23 +305,6 @@ def test_kecsm_split_edge_picked_and_working(certify):
     assert edge_connectivity(g, sol.multiplicity) == sol.connectivity >= 2
     assert g.cost_of(sol.multiplicity) == sol.cost <= 2 * sol.lp_value
     assert (sol.cost, sol.lp_value, sol.connectivity) == (87, Fraction(146, 3), 3)
-
-
-def prism_hub_edges(g, dashed, solid):
-    """Hub 1 and gadgets (u_i, v_i, t_i): zero-cost rays and tripled rungs
-    u_i-t_i, v_i-t_i, a `dashed` edge u_i-v_i, and odd `solid` rings
-    through the u_i and through the v_i."""
-    u = [2 + 3 * i for i in range(g)]
-    v = [3 + 3 * i for i in range(g)]
-    t = [4 + 3 * i for i in range(g)]
-    edges = []
-    for i in range(g):
-        edges += [(1, u[i], 0), (1, v[i], 0), (1, t[i], 0)]
-        edges += [(u[i], t[i], 0)] * 3 + [(v[i], t[i], 0)] * 3
-    edges += [(u[i], v[i], dashed) for i in range(g)]
-    for ring in (u, v):
-        edges += [(ring[i], ring[(i + 1) % g], solid) for i in range(g)]
-    return edges
 
 
 def test_prism_hub_g7_end_to_end():
