@@ -13,7 +13,7 @@ from .lp import (BasicOptimum, LpInfeasible, LpInstance, LpRow, LpUnbounded,
                  instance, row, solve, solve_lazy)
 from .requirements import (DegreeState, Requirement, SetFunction,
                            check_even_parity, check_two_way_uncrossable,
-                           in_active_family, residual, symmetrize)
+                           symmetrize)
 from .separation import (Feasible, SeparationVerdict, Violated,
                          mixed_capacities, separate_exact, separate_fast)
 from .certify import (CertificationError, LaminarBasis, UncrossWitness,

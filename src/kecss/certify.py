@@ -7,6 +7,18 @@ extreme point the solvers produce; a failure is treated as an
 implementation bug and raised as CertificationError with enough state to
 reproduce it.  The brute-force integer optimum and the fully
 materialized cut LP are reference oracles for the solver outputs.
+
+Each extreme point is checked in integer arithmetic: a ScaledPoint holds
+x over its common denominator with each support edge's endpoint bits,
+and every x-mass the checks compare (across a cut side, between two
+vertex classes, at a degree-tight vertex) is an integer sum over it.
+The tight sets are the active cut sides whose mixed capacity (x plus the
+picked multiplicity) is exactly k; they are found among the cuts of
+capacity at most k by `cuts_below`, with polynomial delay at any n,
+since at the solvers' points every cut has capacity at least k/2 and
+such near-minimum cuts are polynomially many (Karger 2000).  The
+vertex recheck reduces integer-scaled tight rows with its own rank
+routine, independent of the simplex's certificate.
 """
 
 from __future__ import annotations
@@ -19,12 +31,11 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import lp as lpmod
-from .graphs import (CapacityError, Multigraph, mask_vertices, min_cut,
-                     vertex_mask)
+from .graphs import (CapacityError, Multigraph, cuts_below, mask_vertices,
+                     min_cut, vertex_mask)
 from .lp import LpInfeasible
 from .requirements import DegreeState, Requirement
 
-TIGHT_SET_VERTEX_LIMIT = 16
 FULL_LP_VERTEX_LIMIT = 12
 BRUTE_ECSS_EDGE_LIMIT = 18
 BRUTE_ECSM_EDGE_LIMIT = 10
@@ -101,38 +112,73 @@ def verify(graph: Multigraph, multiplicity: Mapping[int, int],
                         degree_violations or None)
 
 
-# -- tight sets and the laminar basis ---------------------------------------
+# -- the integer point and its tight sets -----------------------------------
 
-def _scaled_point(x: Mapping[int, Fraction]) -> tuple[dict[int, int], int]:
-    denom = 1
-    for v in x.values():
-        denom = math.lcm(denom, Fraction(v).denominator)
-    return {e: int(Fraction(v) * denom) for e, v in x.items()}, denom
+class ScaledPoint:
+    """An LP point x as integers over one common denominator.
+
+    `edges` lists each support edge (x_e != 0; LP points have x >= 0) by
+    id as (id, bit of u, bit of v, x_e * `denom`), so every x-mass across
+    or between vertex masks is an integer sum.  Built once per extreme
+    point and shared by every check on it.
+    """
+
+    __slots__ = ("denom", "edges")
+
+    def __init__(self, graph: Multigraph, x: Mapping[int, Fraction]):
+        values = sorted((e, Fraction(v)) for e, v in x.items() if v)
+        denom = math.lcm(1, *(v.denominator for _, v in values))
+        self.denom = denom
+        self.edges = tuple((e, 1 << (graph.edges[e].u - 1),
+                            1 << (graph.edges[e].v - 1),
+                            v.numerator * (denom // v.denominator))
+                           for e, v in values)
+
+    def cross(self, mask: int) -> int:
+        """denom times the x-mass of the edges crossing the vertex mask."""
+        total = 0
+        for _, bu, bv, w in self.edges:
+            if ((mask & bu) == 0) != ((mask & bv) == 0):
+                total += w
+        return total
+
+    def between(self, left: int, right: int) -> int:
+        """denom times the x-mass of the edges joining two disjoint masks."""
+        total = 0
+        for _, bu, bv, w in self.edges:
+            if (bu & left and bv & right) or (bv & left and bu & right):
+                total += w
+        return total
 
 
-def _mask_x_sum(graph: Multigraph, scaled: Mapping[int, int], mask: int) -> int:
-    total = 0
-    for e, w in scaled.items():
-        edge = graph.edges[e]
-        if (mask >> (edge.u - 1) & 1) != (mask >> (edge.v - 1) & 1):
-            total += w
-    return total
+def tight_sets(x: Mapping[int, Fraction], req: Requirement,
+               point: ScaledPoint | None = None) -> list[frozenset[int]]:
+    """All active canonical cut sides with x(boundary) equal to the residual.
 
-
-def tight_sets(x: Mapping[int, Fraction], req: Requirement) -> list[frozenset[int]]:
-    """All active canonical cut sides with x(boundary) equal to the residual."""
-    n = req.graph.n
-    if n > TIGHT_SET_VERTEX_LIMIT:
-        raise CapacityError(f"n={n} too large for tight-set enumeration")
-    scaled, denom = _scaled_point(x)
+    A side S is tight exactly when its mixed capacity x(delta S) plus the
+    picked multiplicity crossing S equals k.  Scaled by the point's
+    denominator every mixed capacity is an integer, so the tight sides
+    are among the cuts of scaled capacity below k * denom + 1, which
+    `cuts_below` lists with polynomial delay; those are then filtered by
+    activity and x-mass.  Sorted by (size, vertices).
+    """
+    graph = req.graph
+    if point is None:
+        point = ScaledPoint(graph, x)
+    if graph.n < 2:
+        return []
+    denom = point.denom
+    caps = dict.fromkeys(range(graph.m), 0)
+    for e, mult in req.picked.items():
+        caps[e] += mult * denom
+    for e, _, _, w in point.edges:
+        caps[e] += w
     out = []
-    for mask_rest in range(1, 1 << (n - 1)):
-        mask = mask_rest << 1
+    for side in cuts_below(graph, caps, req.k * denom + 1):
+        mask = vertex_mask(side)
         fres = req.residual_mask(mask)
-        if fres < req.threshold:
-            continue
-        if _mask_x_sum(req.graph, scaled, mask) == fres * denom:
-            out.append(mask_vertices(mask, n))
+        if fres >= req.threshold and point.cross(mask) == fres * denom:
+            out.append(side)
     return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
 
 
@@ -210,7 +256,9 @@ class LaminarBasis:
 
 
 def extract_laminar(x: Mapping[int, Fraction], req: Requirement,
-                    degree_state: DegreeState | None = None) -> LaminarBasis:
+                    degree_state: DegreeState | None = None,
+                    tight: Sequence[frozenset[int]] | None = None,
+                    point: ScaledPoint | None = None) -> LaminarBasis:
     """Greedy laminar basis for an extreme point of the residual system.
 
     Grows a maximal laminar family of active tight sets with independent
@@ -218,6 +266,8 @@ def extract_laminar(x: Mapping[int, Fraction], req: Requirement,
     independence, then selects exactly |F| members whose rows over the
     fractional edges F are independent.  Existence is guaranteed for
     vertices of the residual system; failure raises CertificationError.
+    `tight` is `tight_sets(x, req)` and `point` the scaled x, when the
+    caller has them already.
     """
     graph = req.graph
     n = graph.n
@@ -225,9 +275,9 @@ def extract_laminar(x: Mapping[int, Fraction], req: Requirement,
         degree_state = req.degree
     support = sorted(e for e, v in x.items() if v > 0)
     frac = tuple(sorted(e for e, v in x.items() if 0 < v < 1))
-    scaled, denom = _scaled_point(x)
-
-    canonical = tight_sets(x, req)
+    if point is None:
+        point = ScaledPoint(graph, x)
+    canonical = tight_sets(x, req, point) if tight is None else tight
     full = frozenset(range(1, n + 1))
     candidates: set[frozenset[int]] = set()
     for s in canonical:
@@ -245,12 +295,7 @@ def extract_laminar(x: Mapping[int, Fraction], req: Requirement,
     degree_vertices: list[int] = []
     if degree_state is not None:
         for v in sorted(degree_state.active):
-            deg_mass = sum((Fraction(x[e]) for e in x
-                            if v in (graph.edges[e].u, graph.edges[e].v)),
-                           Fraction(0))
-            lo = degree_state.lower[v - 1]
-            hi = degree_state.upper[v - 1]
-            if deg_mass < 1 or deg_mass not in (lo, hi):
+            if not _degree_tight(point, degree_state, v):
                 continue
             if tracker.add(_incidence(graph, frozenset({v}), support)):
                 degree_vertices.append(v)
@@ -286,13 +331,20 @@ def extract_laminar(x: Mapping[int, Fraction], req: Requirement,
             reproducer_dump(graph, req, x))
     basis = LaminarBasis(tuple(chosen_sets), tuple(chosen_vertices), frac,
                          tuple(rows))
-    _validate_basis(basis, x, req, degree_state, scaled, denom)
+    _validate_basis(basis, x, req, degree_state, point)
     return basis
+
+
+def _degree_tight(point: ScaledPoint, state: DegreeState, v: int) -> bool:
+    """Vertex v carries x-degree at least 1 and on one of its bounds."""
+    deg = point.cross(1 << (v - 1))
+    return deg >= point.denom and deg in (state.lower[v - 1] * point.denom,
+                                          state.upper[v - 1] * point.denom)
 
 
 def _validate_basis(basis: LaminarBasis, x: Mapping[int, Fraction],
                     req: Requirement, degree_state: DegreeState | None,
-                    scaled: Mapping[int, int], denom: int) -> None:
+                    point: ScaledPoint) -> None:
     graph = req.graph
     for a, b in itertools.combinations(basis.sets, 2):
         if not _laminar_compatible(a, b):
@@ -309,19 +361,14 @@ def _validate_basis(basis: LaminarBasis, x: Mapping[int, Fraction],
     for s in basis.sets:
         mask = vertex_mask(s)
         fres = req.residual_mask(mask)
-        if fres < req.threshold or \
-           _mask_x_sum(graph, scaled, mask) != fres * denom:
+        if fres < req.threshold or point.cross(mask) != fres * point.denom:
             raise CertificationError(f"member {sorted(s)} not an active tight set",
                                      reproducer_dump(graph, req, x))
     for v in basis.degree_vertices:
         if degree_state is None or v not in degree_state.active:
             raise CertificationError(f"vertex {v} not degree-constrained",
                                      reproducer_dump(graph, req, x))
-        deg_mass = sum((Fraction(x[e]) for e in x
-                        if v in (graph.edges[e].u, graph.edges[e].v)), Fraction(0))
-        lo = degree_state.lower[v - 1]
-        hi = degree_state.upper[v - 1]
-        if deg_mass < 1 or deg_mass not in (lo, hi):
+        if not _degree_tight(point, degree_state, v):
             raise CertificationError(f"vertex {v} not tight with mass >= 1",
                                      reproducer_dump(graph, req, x))
 
@@ -340,18 +387,9 @@ class UncrossWitness:
     identity: str
 
 
-def _class_mass(x: Mapping[int, Fraction], graph: Multigraph,
-                left: frozenset[int], right: frozenset[int]) -> Fraction:
-    total = Fraction(0)
-    for e, val in x.items():
-        u, v = graph.edges[e].u, graph.edges[e].v
-        if (u in left and v in right) or (v in left and u in right):
-            total += Fraction(val)
-    return total
-
-
 def uncross_witness(a: frozenset[int], b: frozenset[int],
-                    x: Mapping[int, Fraction], req: Requirement) -> UncrossWitness:
+                    x: Mapping[int, Fraction], req: Requirement,
+                    point: ScaledPoint | None = None) -> UncrossWitness:
     """Verified replacement family for two weakly-crossing active tight sets.
 
     Checks the incidence identity coordinatewise over the support and the
@@ -359,7 +397,9 @@ def uncross_witness(a: frozenset[int], b: frozenset[int],
     the intersection/union case, gamma for the difference case, and all
     of theta, gamma, alpha when only a mixed pair of corner sets is
     active.  The replacement family is laminar, active, tight, and spans
-    the boundary row of b together with a.
+    the boundary row of b together with a.  Every mass is an integer over
+    the point's denominator; `point` is the scaled x when the caller has
+    it already.
     """
     graph = req.graph
     a, b = frozenset(a), frozenset(b)
@@ -368,116 +408,115 @@ def uncross_witness(a: frozenset[int], b: frozenset[int],
     amb, bma = a - b, b - a
     if not inter or not amb or not bma:
         raise ValueError("sets must weakly cross")
-    scaled, denom = _scaled_point(x)
+    if point is None:
+        point = ScaledPoint(graph, x)
+    denom = point.denom
+    m_a, m_b = vertex_mask(a), vertex_mask(b)
+    m_inter, m_union = m_a & m_b, m_a | m_b
+    m_amb, m_bma = m_a & ~m_b, m_b & ~m_a
+    m_out = ((1 << graph.n) - 1) & ~m_union
 
-    def xsum(side: frozenset[int]) -> Fraction:
-        return Fraction(_mask_x_sum(graph, scaled, vertex_mask(side)), denom)
-
-    def fres(side: frozenset[int]) -> int:
-        return req.residual_mask(vertex_mask(side))
-
-    def require_tight(side: frozenset[int], label: str) -> None:
-        if xsum(side) != fres(side):
+    def require_tight(mask: int, label: str) -> None:
+        fres = req.residual_mask(mask)
+        mass = point.cross(mask)
+        if mass != fres * denom:
             raise CertificationError(
-                f"{label} {sorted(side)} expected tight but x(delta)={xsum(side)}"
-                f" != {fres(side)}", reproducer_dump(graph, req, x))
+                f"{label} {sorted(mask_vertices(mask, graph.n))} expected tight "
+                f"but x(delta)={Fraction(mass, denom)} != {fres}",
+                reproducer_dump(graph, req, x))
 
-    for s, name in ((a, "input A"), (b, "input B")):
-        if fres(s) < req.threshold:
+    for mask, name in ((m_a, "input A"), (m_b, "input B")):
+        if req.residual_mask(mask) < req.threshold:
             raise ValueError(f"{name} is not active")
-        require_tight(s, name)
+        require_tight(mask, name)
 
-    theta = _class_mass(x, graph, amb, bma)
-    gamma = _class_mass(x, graph, inter, full - union) if union != full else Fraction(0)
+    theta = point.between(m_amb, m_bma)
+    gamma = point.between(m_inter, m_out) if union != full else 0
 
-    support = sorted(e for e, v in x.items() if v > 0)
-
-    def verify_identity(combo: list[tuple[int, frozenset[int]]],
-                        target: tuple[int, frozenset[int]], text: str) -> None:
-        for e in support:
-            edge = graph.edges[e]
-            def crosses(side: frozenset[int]) -> int:
-                return 1 if (edge.u in side) != (edge.v in side) else 0
-            lhs = target[0] * crosses(target[1])
-            rhs = sum(c * crosses(s) for c, s in combo)
-            if lhs != rhs:
+    def verify_identity(combo: list[tuple[int, int]], target: tuple[int, int],
+                        text: str) -> None:
+        # sum of c * chi(S) over combo, minus the target's, on every edge
+        terms = [(-target[0], target[1])] + combo
+        for e, bu, bv, _ in point.edges:
+            total = 0
+            for c, mask in terms:
+                if ((mask & bu) == 0) != ((mask & bv) == 0):
+                    total += c
+            if total:
                 raise CertificationError(
                     f"incidence identity {text} fails on edge {e}",
                     reproducer_dump(graph, req, x))
 
+    def witness(case: str, family: tuple[frozenset[int], ...],
+                alpha: int | None, text: str) -> UncrossWitness:
+        return UncrossWitness(a, b, case, family, Fraction(theta, denom),
+                              Fraction(gamma, denom),
+                              None if alpha is None else Fraction(alpha, denom),
+                              text)
+
     if union == full:
         # weakly crossing but not crossing: A-B is the complement of B
-        require_tight(amb, "complement A-B")
-        verify_identity([(1, amb)], (1, b), "chi(B) = chi(A-B)")
-        return UncrossWitness(a, b, "complement", (a, amb), theta, gamma, None,
-                              "chi(B) = chi(A-B)")
+        require_tight(m_amb, "complement A-B")
+        verify_identity([(1, m_amb)], (1, m_b), "chi(B) = chi(A-B)")
+        return witness("complement", (a, amb), None, "chi(B) = chi(A-B)")
 
-    active = {"inter": fres(inter) >= req.threshold,
-              "union": fres(union) >= req.threshold,
-              "amb": fres(amb) >= req.threshold,
-              "bma": fres(bma) >= req.threshold}
+    active = {name: req.residual_mask(mask) >= req.threshold
+              for name, mask in (("inter", m_inter), ("union", m_union),
+                                 ("amb", m_amb), ("bma", m_bma))}
     if not (active["inter"] or active["union"]) or not (active["amb"] or active["bma"]):
         raise CertificationError(
             "corner activity pattern contradicts two-way uncrossability",
             reproducer_dump(graph, req, x))
 
-    def vanish(value: Fraction, label: str) -> None:
+    def vanish(value: int, label: str) -> None:
         if value != 0:
-            raise CertificationError(f"{label} = {value} expected 0",
+            raise CertificationError(f"{label} = {Fraction(value, denom)} expected 0",
                                      reproducer_dump(graph, req, x))
 
     if active["inter"] and active["union"]:
-        require_tight(inter, "A&B")
-        require_tight(union, "A|B")
+        require_tight(m_inter, "A&B")
+        require_tight(m_union, "A|B")
         vanish(theta, "theta")
-        verify_identity([(1, inter), (1, union), (-1, a)], (1, b),
-                        "chi(A)+chi(B) = chi(A&B)+chi(A|B)")
-        return UncrossWitness(a, b, "intersection_union", (a, inter, union),
-                              theta, gamma, None,
-                              "chi(A)+chi(B) = chi(A&B)+chi(A|B)")
+        text = "chi(A)+chi(B) = chi(A&B)+chi(A|B)"
+        verify_identity([(1, m_inter), (1, m_union), (-1, m_a)], (1, m_b), text)
+        return witness("intersection_union", (a, inter, union), None, text)
     if active["amb"] and active["bma"]:
-        require_tight(amb, "A-B")
-        require_tight(bma, "B-A")
+        require_tight(m_amb, "A-B")
+        require_tight(m_bma, "B-A")
         vanish(gamma, "gamma")
-        verify_identity([(1, amb), (1, bma), (-1, a)], (1, b),
-                        "chi(A)+chi(B) = chi(A-B)+chi(B-A)")
-        return UncrossWitness(a, b, "difference", (a, amb, bma),
-                              theta, gamma, None,
-                              "chi(A)+chi(B) = chi(A-B)+chi(B-A)")
+        text = "chi(A)+chi(B) = chi(A-B)+chi(B-A)"
+        verify_identity([(1, m_amb), (1, m_bma), (-1, m_a)], (1, m_b), text)
+        return witness("difference", (a, amb, bma), None, text)
 
     # mixed cases: all four corners tight and theta = gamma = alpha = 0
-    for side, label in ((inter, "A&B"), (union, "A|B"), (amb, "A-B"), (bma, "B-A")):
-        require_tight(side, label)
+    for mask, label in ((m_inter, "A&B"), (m_union, "A|B"), (m_amb, "A-B"),
+                        (m_bma, "B-A")):
+        require_tight(mask, label)
     vanish(theta, "theta")
     vanish(gamma, "gamma")
-    outside = full - union
     if active["union"] and active["amb"]:
-        alpha = _class_mass(x, graph, inter, bma)
+        alpha = point.between(m_inter, m_bma)
         vanish(alpha, "alpha")
         text = "chi(B) = chi(A-B)+chi(A|B)-2chi(A)"
-        verify_identity([(1, amb), (1, union), (-2, a)], (1, b), text)
-        return UncrossWitness(a, b, "mixed_union_diff", (a, amb, union),
-                              theta, gamma, alpha, text)
+        verify_identity([(1, m_amb), (1, m_union), (-2, m_a)], (1, m_b), text)
+        return witness("mixed_union_diff", (a, amb, union), alpha, text)
     if active["union"] and active["bma"]:
-        alpha = _class_mass(x, graph, inter, amb)
+        alpha = point.between(m_inter, m_amb)
         vanish(alpha, "alpha")
         text = "chi(A) = chi(B-A)+chi(A|B)-2chi(B)"
-        verify_identity([(1, bma), (1, union), (-2, b)], (1, a), text)
-        return UncrossWitness(a, b, "mixed_union_codiff", (a, bma, union),
-                              theta, gamma, alpha, text)
+        verify_identity([(1, m_bma), (1, m_union), (-2, m_b)], (1, m_a), text)
+        return witness("mixed_union_codiff", (a, bma, union), alpha, text)
     if active["inter"] and active["bma"]:
-        alpha = _class_mass(x, graph, amb, outside)
+        alpha = point.between(m_amb, m_out)
         vanish(alpha, "alpha")
         text = "chi(B) = chi(A&B)+chi(B-A)-2chi(A)"
-        verify_identity([(1, inter), (1, bma), (-2, a)], (1, b), text)
-        return UncrossWitness(a, b, "mixed_inter_codiff", (a, inter, bma),
-                              theta, gamma, alpha, text)
-    alpha = _class_mass(x, graph, bma, outside)
+        verify_identity([(1, m_inter), (1, m_bma), (-2, m_a)], (1, m_b), text)
+        return witness("mixed_inter_codiff", (a, inter, bma), alpha, text)
+    alpha = point.between(m_bma, m_out)
     vanish(alpha, "alpha")
     text = "chi(A) = chi(A&B)+chi(A-B)-2chi(B)"
-    verify_identity([(1, inter), (1, amb), (-2, b)], (1, a), text)
-    return UncrossWitness(a, b, "mixed_inter_diff", (a, inter, amb),
-                          theta, gamma, alpha, text)
+    verify_identity([(1, m_inter), (1, m_amb), (-2, m_b)], (1, m_a), text)
+    return witness("mixed_inter_diff", (a, inter, amb), alpha, text)
 
 
 def small_boundary_set(basis: LaminarBasis,
@@ -651,34 +690,24 @@ def full_cut_lp(graph: Multigraph, k: int, mode: str,
 
 
 def recheck_vertex(inst: lpmod.LpInstance, opt: lpmod.BasicOptimum) -> None:
-    """Independent full-rank check of the tight constraints at the point."""
+    """Independent full-rank check of the tight constraints at the point.
+
+    The tight bounds' unit vectors span their columns, so the rank is
+    their column count plus the rank of the tight rows restricted to the
+    other columns; each row is scaled to integers by the lcm of its
+    coefficient denominators and reduced by _IntRankTracker.
+    """
     nv = inst.num_vars
-    vectors: list[list[Fraction]] = []
-    for j, side in opt.tight_bounds:
-        vec = [Fraction(0)] * nv
-        vec[j] = Fraction(1)
-        vectors.append(vec)
+    bounded = {j for j, _ in opt.tight_bounds}
+    tracker = _IntRankTracker()
     for i in opt.tight_rows:
-        vec = [Fraction(0)] * nv
-        for j, c in inst.rows[i].coeffs.items():
-            vec[j] = c
-        vectors.append(vec)
-    rank = 0
-    pivot_cols: list[int] = []
-    reduced: list[list[Fraction]] = []
-    for vec in vectors:
-        v = list(vec)
-        for col, rowv in zip(pivot_cols, reduced):
-            if v[col] != 0:
-                f = v[col] / rowv[col]
-                v = [a - f * b for a, b in zip(v, rowv)]
-        lead = next((j for j in range(nv) if v[j] != 0), None)
-        if lead is not None:
-            pivot_cols.append(lead)
-            reduced.append(v)
-            rank += 1
-            if rank == nv:
-                break
+        if len(bounded) + tracker.rank == nv:
+            break
+        coeffs = {j: c for j, c in inst.rows[i].coeffs.items() if j not in bounded}
+        scale = math.lcm(1, *(c.denominator for c in coeffs.values()))
+        tracker.add({j: c.numerator * (scale // c.denominator)
+                     for j, c in coeffs.items()})
+    rank = len(bounded) + tracker.rank
     if rank != nv:
         raise CertificationError(
             f"tight constraints have rank {rank} < {nv}: not a vertex")

@@ -6,9 +6,9 @@
 
 Exit codes: 0 success, 1 infeasible instance, 2 parse error,
 3 certification/verification failure, 4 size limit of a requested
-exhaustive routine (`--exact-sep` above n=20, `--certify` above the
-certification limits), 5 internal fault or abort (simplex pivot limit,
-lazy-loop row cap, rounding iteration cap such as `--max-iters`).
+exhaustive routine (`--exact-sep` above n=20), 5 internal fault or abort
+(simplex pivot limit, lazy-loop row cap, rounding iteration cap such as
+`--max-iters`).
 """
 
 from __future__ import annotations
@@ -61,6 +61,12 @@ def trace_jsonl(trace: rounding.RoundingTrace) -> str:
             "picked": rec.picked,
             "frac_support": rec.frac_support,
             "dropped_witnesses": [sorted(s) for s in rec.dropped_witnesses],
+            "lazy_rounds": rec.lazy_rounds,
+            "lp_rows": rec.lp_rows,
+            "basis_size": rec.basis_size,
+            "small_member": (None if rec.small_member is None
+                             else sorted(rec.small_member)),
+            "witness_pairs_checked": rec.witness_pairs_checked,
         }))
     return "\n".join(lines) + ("\n" if lines else "")
 

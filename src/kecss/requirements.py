@@ -14,7 +14,6 @@ tests; requirement state never materializes one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .graphs import CapacityError, Multigraph, mask_vertices, vertex_mask
@@ -93,14 +92,6 @@ class Requirement:
         if n > PREDICATE_VERTEX_LIMIT:
             raise CapacityError(f"n={n} too large for an explicit table")
         return SetFunction(n, [self.residual_mask(m) for m in range(1 << n)])
-
-
-def residual(req: Requirement, side: Iterable[int]) -> int:
-    return req.residual(side)
-
-
-def in_active_family(req: Requirement, side: Iterable[int]) -> bool:
-    return req.in_active_family(side)
 
 
 @dataclass(frozen=True)
@@ -212,16 +203,3 @@ def kecss_requirement_function(n: int, k: int) -> SetFunction:
     """The plain connectivity requirement: k on proper nonempty sets, else 0."""
     full = (1 << n) - 1
     return SetFunction(n, [0 if m in (0, full) else k for m in range(full + 1)])
-
-
-def cut_function(graph: Multigraph, caps: Mapping[int, int | Fraction]) -> list:
-    """Table of cut weights w(delta(S)) for every subset mask (test helper)."""
-    n = graph.n
-    if n > PREDICATE_VERTEX_LIMIT:
-        raise CapacityError(f"n={n} too large for an explicit table")
-    table = []
-    for m in range(1 << n):
-        total = sum((Fraction(caps[e.id]) for e in graph.edges
-                     if (m >> (e.u - 1) & 1) != (m >> (e.v - 1) & 1)), Fraction(0))
-        table.append(total)
-    return table

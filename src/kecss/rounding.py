@@ -70,6 +70,8 @@ class IterationRecord:
     basis_size: int | None = None
     small_member: frozenset[int] | None = None
     witness_pairs_checked: int = 0
+    lazy_rounds: int | None = None  # separation calls of the lazy loop
+    lp_rows: int | None = None      # rows of the final relaxation
 
 
 @dataclass
@@ -108,7 +110,7 @@ def _degree_rows(graph: Multigraph, working: Sequence[int],
 
 def _solve_residual(graph: Multigraph, req: Requirement, working: list[int],
                     carry: set[frozenset[int]], exact_separation: bool,
-                    recheck: bool) -> tuple[lpmod.BasicOptimum, dict[int, Fraction]]:
+                    recheck: bool) -> tuple[lpmod.LazyResult, dict[int, Fraction]]:
     """Solve the residual LP over the working edges by lazy separation."""
     var_of = {e: i for i, e in enumerate(working)}
     objective = [graph.edges[e].cost for e in working]
@@ -153,7 +155,7 @@ def _solve_residual(graph: Multigraph, req: Requirement, working: list[int],
             lpmod.LpInstance(inst.objective, inst.lower, inst.upper,
                              tuple(result.rows)), result.optimum)
     x = {e: result.optimum.point[var_of[e]] for e in working}
-    return result.optimum, x
+    return result, x
 
 
 def _certify_iteration(graph: Multigraph, req: Requirement,
@@ -163,7 +165,9 @@ def _certify_iteration(graph: Multigraph, req: Requirement,
     """Per-extreme-point structural checks: laminar basis, token bound,
     uncrossing witnesses on sampled weakly-crossing tight pairs.
     Returns the basis members for the caller's witness pool."""
-    basis = certmod.extract_laminar(x, req)
+    point = certmod.ScaledPoint(graph, x)
+    tight = certmod.tight_sets(x, req, point)
+    basis = certmod.extract_laminar(x, req, tight=tight, point=point)
     record.basis_size = basis.size()
     frac = {e: v for e, v in x.items() if 0 < v < 1}
     if frac:
@@ -180,7 +184,6 @@ def _certify_iteration(graph: Multigraph, req: Requirement,
                     f"active member {sorted(member)} not nearly satisfied "
                     "after picking integral edges",
                     certmod.reproducer_dump(graph, req, x))
-    tight = certmod.tight_sets(x, req)
     full = frozenset(range(1, graph.n + 1))
     members: list[frozenset[int]] = []
     for s in tight:
@@ -201,7 +204,7 @@ def _certify_iteration(graph: Multigraph, req: Requirement,
     for a, b in pairs:
         if not (a & b) or not (a - b) or not (b - a):
             continue
-        certmod.uncross_witness(a, b, x, req)
+        certmod.uncross_witness(a, b, x, req, point)
         checked += 1
     record.witness_pairs_checked = checked
     return basis.members()
@@ -269,11 +272,12 @@ def _rounding_loop(graph: Multigraph, k: int, spec: _LoopSpec,
                 f"rounding exceeded {cap} iterations; state: |H|="
                 f"{sum(mult.values())}, working={len(working)}")
         try:
-            opt, x = _solve_residual(graph, req, working, carry,
-                                     exact_separation, certify_flag)
+            lazy, x = _solve_residual(graph, req, working, carry,
+                                      exact_separation, certify_flag)
         except lpmod.LpInfeasible as exc:
             raise InfeasibleInstance(
                 f"residual LP infeasible at iteration {iteration}: {exc}") from exc
+        opt = lazy.optimum
         if lp0 is None:
             lp0 = opt.value
             trace.lp0 = lp0
@@ -289,7 +293,8 @@ def _rounding_loop(graph: Multigraph, k: int, spec: _LoopSpec,
             point={e: v for e, v in sorted(x.items()) if v != 0},
             picked=sorted(picked_now),
             frac_support=sum(1 for v in x.values() if 0 < v < 1),
-            dropped_witnesses=[])
+            dropped_witnesses=[], lazy_rounds=lazy.separation_calls,
+            lp_rows=len(lazy.rows))
         if certify_flag:
             basis_members = _certify_iteration(
                 graph, req, x, {e for e in picked_now if x[e] == 1}, rng, record)
@@ -436,7 +441,7 @@ def bicriteria(graph: Multigraph, k: int, *, certify: bool | None = None,
 
 def _solve_unbounded_cut_lp(graph: Multigraph, k: int,
                             degree_rows: list[lpmod.LpRow] | None = None,
-                            recheck: bool = False) -> lpmod.BasicOptimum:
+                            recheck: bool = False) -> lpmod.LazyResult:
     """First multigraph LP: x >= 0, all cut constraints via plain min-cut."""
     rows: list[lpmod.LpRow] = list(degree_rows or [])
     var_of = {e: e for e in range(graph.m)}
@@ -459,7 +464,7 @@ def _solve_unbounded_cut_lp(graph: Multigraph, k: int,
         certmod.recheck_vertex(
             lpmod.LpInstance(inst.objective, inst.lower, inst.upper,
                              tuple(result.rows)), result.optimum)
-    return result.optimum
+    return result
 
 
 def kecsm_core(graph: Multigraph, k: int, *, certify: bool | None = None,
@@ -474,16 +479,18 @@ def kecsm_core(graph: Multigraph, k: int, *, certify: bool | None = None,
         raise InfeasibleInstance("graph is disconnected")
     certify_flag = _should_certify(certify, graph)
     try:
-        first = _solve_unbounded_cut_lp(graph, k, recheck=certify_flag)
+        lazy = _solve_unbounded_cut_lp(graph, k, recheck=certify_flag)
     except lpmod.LpInfeasible as exc:  # pragma: no cover - precheck covers this
         raise InfeasibleInstance(str(exc)) from exc
+    first = lazy.optimum
     mult = {e: int(v) for e, v in enumerate(first.point) if int(v)}
     working = [e for e in range(graph.m) if first.point[e] != int(first.point[e])]
     trace = RoundingTrace(first.value)
     trace.iterations.append(IterationRecord(
         index=0, lp_value=first.value,
         point={e: v for e, v in enumerate(first.point) if v != 0},
-        picked=sorted(mult), frac_support=len(working), dropped_witnesses=[]))
+        picked=sorted(mult), frac_support=len(working), dropped_witnesses=[],
+        lazy_rounds=lazy.separation_calls, lp_rows=len(lazy.rows)))
     spec = _LoopSpec(threshold=3, pick_cutoff=Fraction(1),
                      keep_zero_edges=False, ledger_factor=Fraction(1))
     _rounding_loop(graph, k, spec, mult, working, None, None, trace,
@@ -587,20 +594,22 @@ def md_kecsm(graph: Multigraph, k: int, lower: Sequence[int],
         return _degree_rows(graph, working_all, var_of, state)
 
     try:
-        reference = _solve_unbounded_cut_lp(graph, k, degree_rows(lower, upper))
+        reference = _solve_unbounded_cut_lp(graph, k,
+                                            degree_rows(lower, upper)).optimum
     except lpmod.LpInfeasible as exc:
         raise InfeasibleInstance(f"degree-bounded LP infeasible: {exc}") from exc
 
     run_k = k + 2 if k % 2 == 0 else k + 3
     scaled_upper = [math.ceil(rho * b) for b in upper]
     try:
-        first = _solve_unbounded_cut_lp(graph, run_k,
-                                        degree_rows(lower, scaled_upper),
-                                        recheck=certify_flag)
+        lazy = _solve_unbounded_cut_lp(graph, run_k,
+                                       degree_rows(lower, scaled_upper),
+                                       recheck=certify_flag)
     except lpmod.LpInfeasible as exc:
         raise InfeasibleInstance(
             f"scaled degree-bounded LP at k'={run_k} infeasible: {exc}") from exc
 
+    first = lazy.optimum
     mult = {e: int(v) for e, v in enumerate(first.point) if int(v)}
     working = [e for e in range(graph.m) if first.point[e] != int(first.point[e])]
     active = set()
@@ -615,7 +624,8 @@ def md_kecsm(graph: Multigraph, k: int, lower: Sequence[int],
     trace.iterations.append(IterationRecord(
         index=0, lp_value=first.value,
         point={e: v for e, v in enumerate(first.point) if v != 0},
-        picked=sorted(mult), frac_support=len(working), dropped_witnesses=[]))
+        picked=sorted(mult), frac_support=len(working), dropped_witnesses=[],
+        lazy_rounds=lazy.separation_calls, lp_rows=len(lazy.rows)))
     spec = _LoopSpec(threshold=3, pick_cutoff=Fraction(1),
                      keep_zero_edges=False, ledger_factor=Fraction(1))
     _rounding_loop(graph, run_k, spec, mult, working,

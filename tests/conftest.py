@@ -1,9 +1,13 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from kecss.graphs import make_graph
 from kecss.instances import Instance, gen
+
+TIGHT_SCAN_VERTEX_LIMIT = 16
 
 
 def random_feasible(seed: int, n: int, k: int, p: float = 0.6,
@@ -44,6 +48,62 @@ def prism_hub_edges(g, dashed, solid):
     for ring in (u, v):
         edges += [(ring[i], ring[(i + 1) % g], solid) for i in range(g)]
     return edges
+
+
+def random_cost_hub(g: int, seed: int, per_edge: bool = False) -> Instance:
+    """A k=6 prism hub with seeded random costs: one (dashed, solid) pair
+    with dashed < solid for the whole hub (the LP iterates twice), or with
+    `per_edge` a dashed cost in 1..3 and a solid cost in 4..8 per edge."""
+    rng = random.Random(seed)
+    dashed = rng.randint(1, 4)
+    solid = rng.randint(dashed + 1, 9)
+    edges = []
+    for u, v, c in prism_hub_edges(g, 1, 2):
+        if per_edge and c:
+            c = rng.randint(1, 3) if c == 1 else rng.randint(4, 8)
+        elif c:
+            c = dashed if c == 1 else solid
+        edges.append((u, v, c))
+    return Instance(make_graph(3 * g + 1, edges), 6)
+
+
+def tight_sets_scan(x, req) -> list[frozenset[int]]:
+    """Reference oracle for `certify.tight_sets`: scan all 2^(n-1)
+    canonical sides S (vertex 1 outside), n <= 16.
+
+    The picked and the scaled x weight crossing each side fill two tables
+    by cut(S + v) = cut(S) + w(delta(v)) - 2 w(v, S), adding the lowest
+    vertex of S last; S is tight when it is active and its x-mass equals
+    its residual."""
+    graph = req.graph
+    n = graph.n
+    if n > TIGHT_SCAN_VERTEX_LIMIT:
+        raise ValueError(f"n={n} too large for the tight-set scan")
+    denom = math.lcm(1, *(Fraction(v).denominator for v in x.values()))
+    # per vertex: (neighbour, picked multiplicity, x * denom) per edge
+    incident = [[] for _ in range(n + 1)]
+    for e in graph.edges:
+        weights = (req.picked.get(e.id, 0), int(Fraction(x.get(e.id, 0)) * denom))
+        incident[e.u].append((e.v, *weights))
+        incident[e.v].append((e.u, *weights))
+    size = 1 << (n - 1)  # bit b of a side's index stands for vertex b + 2
+    picked_cut = [0] * size
+    x_cut = [0] * size
+    out = []
+    for i in range(1, size):
+        low = i & -i
+        rest = i ^ low
+        p_cut, w_cut = picked_cut[rest], x_cut[rest]
+        for u, p, w in incident[low.bit_length() + 1]:
+            if u > 1 and rest >> (u - 2) & 1:
+                p_cut, w_cut = p_cut - p, w_cut - w
+            else:
+                p_cut, w_cut = p_cut + p, w_cut + w
+        picked_cut[i], x_cut[i] = p_cut, w_cut
+        fres = req.k - p_cut
+        if fres >= req.threshold and w_cut == fres * denom:
+            out.append(frozenset(b + 2 for b in range(n - 1) if i >> b & 1))
+    return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
 
 
 def degree_bounds_for(inst: Instance, seed: int) -> tuple[list[int], list[int]]:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from kecss import certify as certmod
 from kecss.certify import (brute_force_opt, extract_laminar,
                            full_cut_lp, small_boundary_set, tight_sets,
                            uncross_witness, verify)
@@ -12,7 +13,9 @@ from kecss.graphs import (boundary, complete_graph, cycle_graph,
 from kecss.instances import gen
 from kecss.lp import LpInfeasible
 from kecss.requirements import Requirement
-from kecss.rounding import kecss_even
+from kecss.rounding import bicriteria, kecss, kecss_even, md_kecss
+
+from conftest import degree_bounds_for, random_cost_hub, tight_sets_scan
 
 
 def fixture_point(inst):
@@ -83,6 +86,90 @@ def test_tight_sets_prism_fixture():
             in partitions
 
 
+def _hub_fixture_state():
+    """The k=6 hub after its first iteration's picks: zero-cost edges
+    picked, rungs at 1/2 and triangle edges at 3/4."""
+    g = gen("prism-hub-k6").graph
+    picked = {e.id: 1 for e in g.edges if e.cost == 0}
+    x = {e.id: {1: Fraction(1, 2), 2: Fraction(3, 4)}[int(e.cost)]
+         for e in g.edges if e.cost > 0}
+    return g, picked, x
+
+
+def test_tight_sets_match_scan_on_fixture_points():
+    prism = gen("prism-k3")
+    hub, hub_picked, hub_x = _hub_fixture_state()
+    k5 = complete_graph(5)
+    c6 = cycle_graph(6)
+    cases = [
+        (fixture_point(prism), Requirement(prism.graph, 3, {}, 3)),
+        (fixture_point(prism), Requirement(prism.graph, 3, {}, 2)),
+        (hub_x, Requirement(hub, 6, hub_picked, 3)),
+        (hub_x, Requirement(hub, 6, {}, 2)),
+        ({e: Fraction(1) for e in range(k5.m)}, Requirement(k5, 4, {}, 3)),
+        ({e: Fraction(1, 2) for e in range(k5.m)}, Requirement(k5, 2, {}, 2)),
+        ({e: Fraction(1) for e in range(c6.m)}, Requirement(c6, 2, {}, 2)),
+        # infeasible: every cut lies below its residual, none is tight
+        ({e: Fraction(1, 3) for e in range(c6.m)}, Requirement(c6, 4, {0: 1}, 3)),
+    ]
+    sizes = []
+    for x, req in cases:
+        got = tight_sets(x, req)
+        assert got == tight_sets_scan(x, req)
+        sizes.append(len(got))
+    # every arc of the 6-cycle is tight at x = 1, k = 2
+    assert sizes[6] == 15 and sizes[7] == 0
+    assert sum(1 for size in sizes if size) >= 6
+
+
+@pytest.fixture
+def scan_checked(monkeypatch):
+    """Check every `certify.tight_sets` call against the reference scan;
+    returns the vertex counts of the checked calls."""
+    calls = []
+    original = certmod.tight_sets
+
+    def checked(x, req, point=None):
+        got = original(x, req, point)
+        assert got == tight_sets_scan(x, req)
+        calls.append(req.graph.n)
+        return got
+
+    monkeypatch.setattr(certmod, "tight_sets", checked)
+    return calls
+
+
+def test_tight_sets_match_scan_on_fixture_runs(scan_checked, corpus50,
+                                               structured_corpus, unit_corpus,
+                                               tiny_corpus):
+    # every test fixture with n <= 16, at the points and picked sets of
+    # certified kecss runs
+    fixtures = [gen("prism-hub-k6"), gen("complete", n=5, k=4)]
+    fixtures += corpus50 + structured_corpus + unit_corpus + tiny_corpus
+    for inst in fixtures:
+        assert inst.graph.n <= 16
+        kecss(inst.graph, inst.k, certify=True)
+    assert len(scan_checked) >= len(fixtures)
+
+
+@pytest.mark.parametrize("g", [3, 5])
+def test_tight_sets_match_scan_on_seeded_hub_runs(scan_checked, g):
+    # random-cost hubs, at the points and picked sets of real kecss,
+    # bicriteria and md_kecss runs; the shared-pair hubs iterate twice
+    runs = 0
+    for seed in range(2):
+        for per_edge in (False, True):
+            inst = random_cost_hub(g, seed, per_edge)
+            lower, upper = degree_bounds_for(inst, seed)
+            for _, trace in (kecss(inst.graph, 6, certify=True),
+                             bicriteria(inst.graph, 6, certify=True),
+                             md_kecss(inst.graph, 6, lower, upper, certify=True)):
+                assert trace.certified
+                runs += len(trace.iterations)
+    assert len(scan_checked) == runs > 12
+    assert set(scan_checked) == {3 * g + 1}
+
+
 def test_extract_laminar_prism():
     inst = gen("prism-k3")
     req = Requirement(inst.graph, 3, {}, 3)
@@ -143,12 +230,8 @@ def test_uncross_witness_intersection_union():
 
 def test_uncross_witness_cases_from_run():
     # collect weakly-crossing tight pairs from the fixture and check them all
-    inst = gen("prism-hub-k6")
-    g = inst.graph
-    picked = {e.id: 1 for e in g.edges if e.cost == 0}
+    g, picked, x = _hub_fixture_state()
     req = Requirement(g, 6, picked, 3)
-    x = {e.id: {1: Fraction(1, 2), 2: Fraction(3, 4)}[int(e.cost)]
-         for e in g.edges if e.cost > 0}
     tights = tight_sets(x, req)
     full = frozenset(range(1, 11))
     members = []

@@ -147,7 +147,31 @@ def test_cli_run_solution_and_trace(tmp_path: Path):
     assert lines
     first = json.loads(lines[0])
     assert set(first) == {"iter", "lp", "picked", "frac_support",
-                          "dropped_witnesses"}
+                          "dropped_witnesses", "lazy_rounds", "lp_rows",
+                          "basis_size", "small_member",
+                          "witness_pairs_checked"}
+
+
+def test_cli_trace_reports_lp_and_certification_counters(tmp_path: Path):
+    # the k=6 hub iterates twice: rungs at 1/2 and triangles at 3/4 first,
+    # then a residual LP over the remainders; both iterations certified
+    inst_path = tmp_path / "hub.txt"
+    trace_path = tmp_path / "hub.trace.jsonl"
+    assert main(["gen", "--kind", "prism-hub-k6", "--out", str(inst_path)]) == 0
+    assert main(["run", "--mode", "ecss", "--input", str(inst_path),
+                 "--solution", str(tmp_path / "hub.sol.json"),
+                 "--trace", str(trace_path), "--certify"]) == 0
+    records = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    assert [rec["frac_support"] for rec in records] == [9, 3]
+    for rec in records:
+        assert rec["basis_size"] == rec["frac_support"]
+    # the first LP starts from the ten degree cuts and every round but the
+    # last adds one violated cut; the residual LP's carried cuts suffice
+    first, second = records
+    assert first["lp_rows"] == 10 + first["lazy_rounds"] - 1
+    assert first["lazy_rounds"] > 1 and second["lazy_rounds"] == 1
+    assert [rec["small_member"] for rec in records] == [[2], [2, 3, 4]]
+    assert [rec["witness_pairs_checked"] for rec in records] == [36, 3]
 
 
 def test_cli_exit_codes(tmp_path: Path):

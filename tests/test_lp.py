@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from kecss import lp
-from kecss.certify import full_cut_lp, recheck_vertex
+from kecss.certify import CertificationError, full_cut_lp, recheck_vertex
 from kecss.graphs import boundary, complete_graph, cycle_graph, make_graph
 from kecss.instances import gen
 from kecss.requirements import Requirement
@@ -477,6 +477,54 @@ def test_pivot_sequence_pinned():
         got = (str(opt.value), " ".join(str(v) for v in opt.point),
                opt.pivots, opt.bound_flips, opt.artificials)
         assert got == expected[name], name
+
+
+def test_recheck_vertex_accepts_pinned_lps():
+    # integer rows scaled from Fraction coefficients (beale's), from the
+    # hub LP at its bounds, and from the multigraph LP
+    for inst in _pin_instances().values():
+        recheck_vertex(inst, lp.solve(inst))
+    thirds = lp.instance(
+        [1, 1, 2], [0, 0, 0], [None, 1, None],
+        [lp.row({0: Fraction(1, 3), 1: Fraction(2, 7)}, lp.GE, 1),
+         lp.row({0: Fraction(1, 2), 2: Fraction(-1, 5)}, lp.LE, Fraction(1, 4)),
+         lp.row({1: Fraction(3, 4), 2: Fraction(5, 6)}, lp.GE, Fraction(2, 3))])
+    recheck_vertex(thirds, lp.solve(thirds))
+
+
+def test_recheck_vertex_rejects_deficient_rank():
+    # two proportional tight rows span one dimension of two
+    inst = lp.instance([1, 1], [0, 0], [None, None],
+                       [lp.row({0: Fraction(1, 2), 1: Fraction(1, 2)}, lp.GE,
+                               Fraction(1, 2)),
+                        lp.row({0: 3, 1: 3}, lp.GE, 3)])
+    half = [Fraction(1, 2)] * 2
+    with pytest.raises(CertificationError, match="rank 1 < 2"):
+        recheck_vertex(inst, lp.BasicOptimum(Fraction(1), half, [0, 1], [], []))
+    # a tight bound on x0 and rows that agree once x0 is fixed: rank 2 of 3
+    inst = lp.instance([1, 1, 1], [0, 0, 0], [1, 1, 1],
+                       [lp.row({0: 1, 1: Fraction(1, 2), 2: Fraction(1, 2)},
+                               lp.GE, Fraction(1, 2)),
+                        lp.row({0: 5, 1: 1, 2: 1}, lp.GE, 1)])
+    point = [Fraction(0), Fraction(1, 2), Fraction(1, 2)]
+    with pytest.raises(CertificationError, match="rank 2 < 3"):
+        recheck_vertex(inst, lp.BasicOptimum(Fraction(1), point, [0, 1],
+                                             [(0, "lower")], []))
+
+
+def test_dual_ratio_tie_goes_to_smallest_column():
+    # x = 0 solves the first relaxation; the cut x0 + x1 + x2 >= 1 then
+    # leaves its slack at -1, and in the dual ratio test columns 0 and 2
+    # tie at |red| / |a| = 1 (column 1 has 2).  Bland's rule enters
+    # column 0; entering column 2 would end at (0, 0, 1)
+    inst = lp.instance([1, 2, 1], [0, 0, 0], [1, 1, 1], [])
+    cold = lp.solve(inst)
+    assert cold.point == [0, 0, 0]
+    cut = lp.row({0: 1, 1: 1, 2: 1}, lp.GE, 1)
+    result = lp.solve_lazy(inst, _hidden_rows_oracle([cut]))
+    assert result.optimum.value == 1
+    assert result.optimum.point == [1, 0, 0]
+    assert result.optimum.pivots == cold.pivots + 1
 
 
 def _hub_lp(graph, k, rng=None):

@@ -152,7 +152,7 @@ def test_kecsm_reference_scales_from_run_k():
         g = random_feasible(seed, 7, 1).graph
         for k in range(1, 6):
             sol, _ = kecsm(g, k)
-            assert sol.lp_value == _solve_unbounded_cut_lp(g, k).value
+            assert sol.lp_value == _solve_unbounded_cut_lp(g, k).optimum.value
 
 
 def test_kecsm_disconnected():
@@ -319,3 +319,16 @@ def test_prism_hub_g7_end_to_end():
         assert all(m == 1 for m in sol.multiplicity.values())
         assert edge_connectivity(g, sol.multiplicity) == sol.connectivity >= target
         assert g.cost_of(sol.multiplicity) == sol.cost <= factor * lp
+
+
+def test_certified_runs_above_sixteen_vertices():
+    # tight sets come from cuts_below, so certification needs no vertex
+    # limit: the g=7 hub (n=22) certifies every iteration
+    graph = make_graph(22, prism_hub_edges(7, 1, 2))
+    for solver in (kecss, bicriteria):
+        sol, trace = solver(graph, 6, certify=True)
+        assert trace.certified and trace.iterations
+        for rec in trace.iterations:
+            assert rec.basis_size == rec.frac_support > 0
+            assert rec.small_member is not None
+
