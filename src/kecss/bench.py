@@ -2,7 +2,9 @@
 
 One CSV row per (instance, mode).  The cost/LP ratio is compared against
 the mode's guarantee exactly (rationals) before decimal rendering;
-per-instance failures are recorded and the harness keeps going.
+per-instance failures (unreadable or undecodable files, parse errors, a
+k below the mode's minimum, infeasible instances, certification
+failures) are recorded and the harness keeps going.
 """
 
 from __future__ import annotations
@@ -11,10 +13,10 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from . import rounding
 from .certify import CertificationError
 from .instances import ParseError, parse_instance
 from .lp import LpInfeasible
+from .rounding import MODES, InfeasibleInstance, frac_str
 
 CSV_HEADER = ("instance,mode,n,m,k,lp,cost,ratio,bound,within_bound,"
               "connectivity,iterations,seconds,status")
@@ -26,24 +28,25 @@ def _ratio_decimal(num: Fraction, digits: int = 6) -> str:
 
 
 def bench_row(path: Path, mode: str, seed: int) -> str:
-    from .cli import frac_str, guarantee, run_solver  # local to avoid a cycle
     name = path.name
     try:
-        inst = parse_instance(path.read_text())
-    except ParseError as exc:
+        inst = parse_instance(path.read_text(encoding="utf-8"))
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         return f"{name},{mode},,,,,,,,,,,,parse-error: {exc}"
     n, m, k = inst.graph.n, inst.graph.m, inst.k
+    entry = MODES[mode]
+    if k < entry.min_k:
+        return f"{name},{mode},{n},{m},{k},,,,,,,,,invalid-k: needs k >= {entry.min_k}"
     start = time.perf_counter()
     try:
-        sol, trace = run_solver(mode, inst, certify_flag=None, seed=seed,
-                                exact_sep=False, max_iters=None)
-    except (rounding.InfeasibleInstance, LpInfeasible):
+        sol, trace = entry.run(inst, seed=seed)
+    except (InfeasibleInstance, LpInfeasible):
         return f"{name},{mode},{n},{m},{k},,,,,,,,,infeasible"
     except CertificationError as exc:
         first = str(exc).splitlines()[0]
         return f"{name},{mode},{n},{m},{k},,,,,,,,,certification-failure: {first}"
     seconds = time.perf_counter() - start
-    target, factor = guarantee(mode, k)
+    _, factor = entry.guarantee(k)
     ratio = sol.cost / sol.lp_value if sol.lp_value else Fraction(0)
     within = ratio <= factor  # exact rational comparison
     return ",".join([

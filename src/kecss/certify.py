@@ -31,8 +31,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import lp as lpmod
-from .graphs import (CapacityError, Multigraph, cuts_below, mask_vertices,
-                     min_cut, vertex_mask)
+from .graphs import (CapacityError, Multigraph, crossing, cuts_below,
+                     mask_vertices, min_cut, vertex_mask)
 from .lp import LpInfeasible
 from .requirements import DegreeState, Requirement
 
@@ -103,8 +103,7 @@ def verify(graph: Multigraph, multiplicity: Mapping[int, int],
     degree_violations = []
     if degree_window is not None:
         for v, (lo, hi) in sorted(degree_window.items()):
-            deg = sum(m for e, m in mult.items()
-                      if v in (graph.edges[e].u, graph.edges[e].v))
+            deg = sum(mult[e] for e in crossing(graph, 1 << (v - 1), mult))
             if not lo <= deg <= hi:
                 degree_violations.append((v, deg, lo, hi))
                 failures.append(f"degree {deg} of vertex {v} outside [{lo}, {hi}]")
@@ -118,8 +117,8 @@ class ScaledPoint:
     """An LP point x as integers over one common denominator.
 
     `edges` lists each support edge (x_e != 0; LP points have x >= 0) by
-    id as (id, bit of u, bit of v, x_e * `denom`), so every x-mass across
-    or between vertex masks is an integer sum.  Built once per extreme
+    id as (id, endpoint mask, x_e * `denom`), so every x-mass across or
+    between vertex masks is an integer sum.  Built once per extreme
     point and shared by every check on it.
     """
 
@@ -129,24 +128,23 @@ class ScaledPoint:
         values = sorted((e, Fraction(v)) for e, v in x.items() if v)
         denom = math.lcm(1, *(v.denominator for _, v in values))
         self.denom = denom
-        self.edges = tuple((e, 1 << (graph.edges[e].u - 1),
-                            1 << (graph.edges[e].v - 1),
-                            v.numerator * (denom // v.denominator))
+        ends = graph.ends
+        self.edges = tuple((e, ends[e], v.numerator * (denom // v.denominator))
                            for e, v in values)
 
     def cross(self, mask: int) -> int:
         """denom times the x-mass of the edges crossing the vertex mask."""
         total = 0
-        for _, bu, bv, w in self.edges:
-            if ((mask & bu) == 0) != ((mask & bv) == 0):
+        for _, ends, w in self.edges:
+            if 0 != mask & ends != ends:
                 total += w
         return total
 
     def between(self, left: int, right: int) -> int:
         """denom times the x-mass of the edges joining two disjoint masks."""
         total = 0
-        for _, bu, bv, w in self.edges:
-            if (bu & left and bv & right) or (bv & left and bu & right):
+        for _, ends, w in self.edges:
+            if ends & left and ends & right:  # the masks are disjoint
                 total += w
         return total
 
@@ -171,7 +169,7 @@ def tight_sets(x: Mapping[int, Fraction], req: Requirement,
     caps = dict.fromkeys(range(graph.m), 0)
     for e, mult in req.picked.items():
         caps[e] += mult * denom
-    for e, _, _, w in point.edges:
+    for e, _, w in point.edges:
         caps[e] += w
     out = []
     for side in cuts_below(graph, caps, req.k * denom + 1):
@@ -208,9 +206,6 @@ class _IntRankTracker:
                 v = {c: val // g for c, val in v.items()}
         return v
 
-    def independent(self, vec: dict[int, int]) -> bool:
-        return bool(self._reduce(vec))
-
     def add(self, vec: dict[int, int]) -> bool:
         v = self._reduce(vec)
         if not v:
@@ -229,13 +224,8 @@ def _laminar_compatible(a: frozenset, b: frozenset) -> bool:
 
 def _incidence(graph: Multigraph, side: frozenset[int],
                edge_ids: Sequence[int]) -> dict[int, int]:
-    mask = vertex_mask(side)
-    vec = {}
-    for pos, e in enumerate(edge_ids):
-        edge = graph.edges[e]
-        if (mask >> (edge.u - 1) & 1) != (mask >> (edge.v - 1) & 1):
-            vec[pos] = 1
-    return vec
+    """The boundary row of `side` over the (sorted) edge ids, keyed by id."""
+    return dict.fromkeys(crossing(graph, vertex_mask(side), edge_ids), 1)
 
 
 @dataclass(frozen=True)
@@ -256,7 +246,6 @@ class LaminarBasis:
 
 
 def extract_laminar(x: Mapping[int, Fraction], req: Requirement,
-                    degree_state: DegreeState | None = None,
                     tight: Sequence[frozenset[int]] | None = None,
                     point: ScaledPoint | None = None) -> LaminarBasis:
     """Greedy laminar basis for an extreme point of the residual system.
@@ -271,18 +260,14 @@ def extract_laminar(x: Mapping[int, Fraction], req: Requirement,
     """
     graph = req.graph
     n = graph.n
-    if degree_state is None:
-        degree_state = req.degree
+    degree_state = req.degree
     support = sorted(e for e, v in x.items() if v > 0)
     frac = tuple(sorted(e for e, v in x.items() if 0 < v < 1))
     if point is None:
         point = ScaledPoint(graph, x)
     canonical = tight_sets(x, req, point) if tight is None else tight
     full = frozenset(range(1, n + 1))
-    candidates: set[frozenset[int]] = set()
-    for s in canonical:
-        candidates.add(s)
-        candidates.add(full - s)
+    candidates = {side for s in canonical for side in (s, full - s)}
     ordered = sorted(candidates, key=lambda s: (len(s), tuple(sorted(s))))
 
     tracker = _IntRankTracker()
@@ -300,29 +285,23 @@ def extract_laminar(x: Mapping[int, Fraction], req: Requirement,
             if tracker.add(_incidence(graph, frozenset({v}), support)):
                 degree_vertices.append(v)
 
-    # select |F| members with independent rows over the fractional columns
+    # select |F| members with independent rows over the fractional columns,
+    # the sets first, then the degree-tight vertices
     ftracker = _IntRankTracker()
     chosen_sets: list[frozenset[int]] = []
     chosen_vertices: list[int] = []
     rows: list[tuple[int, ...]] = []
-
-    def frow(side: frozenset[int]) -> dict[int, int]:
-        return _incidence(graph, side, frac)
-
-    for s in family:
+    members = [(s, None) for s in family] + [(frozenset({v}), v) for v in degree_vertices]
+    for side, v in members:
         if ftracker.rank == len(frac):
             break
-        vec = frow(s)
+        vec = _incidence(graph, side, frac)
         if vec and ftracker.add(vec):
-            chosen_sets.append(s)
-            rows.append(tuple(1 if i in vec else 0 for i in range(len(frac))))
-    for v in degree_vertices:
-        if ftracker.rank == len(frac):
-            break
-        vec = frow(frozenset({v}))
-        if vec and ftracker.add(vec):
-            chosen_vertices.append(v)
-            rows.append(tuple(1 if i in vec else 0 for i in range(len(frac))))
+            if v is None:
+                chosen_sets.append(side)
+            else:
+                chosen_vertices.append(v)
+            rows.append(tuple(1 if e in vec else 0 for e in frac))
 
     if ftracker.rank != len(frac):
         raise CertificationError(
@@ -331,7 +310,7 @@ def extract_laminar(x: Mapping[int, Fraction], req: Requirement,
             reproducer_dump(graph, req, x))
     basis = LaminarBasis(tuple(chosen_sets), tuple(chosen_vertices), frac,
                          tuple(rows))
-    _validate_basis(basis, x, req, degree_state, point)
+    _validate_basis(basis, x, req, point)
     return basis
 
 
@@ -343,9 +322,8 @@ def _degree_tight(point: ScaledPoint, state: DegreeState, v: int) -> bool:
 
 
 def _validate_basis(basis: LaminarBasis, x: Mapping[int, Fraction],
-                    req: Requirement, degree_state: DegreeState | None,
-                    point: ScaledPoint) -> None:
-    graph = req.graph
+                    req: Requirement, point: ScaledPoint) -> None:
+    graph, degree_state = req.graph, req.degree
     for a, b in itertools.combinations(basis.sets, 2):
         if not _laminar_compatible(a, b):
             raise CertificationError(f"family not laminar: {sorted(a)} / {sorted(b)}",
@@ -437,10 +415,10 @@ def uncross_witness(a: frozenset[int], b: frozenset[int],
                         text: str) -> None:
         # sum of c * chi(S) over combo, minus the target's, on every edge
         terms = [(-target[0], target[1])] + combo
-        for e, bu, bv, _ in point.edges:
+        for e, ends, _ in point.edges:
             total = 0
             for c, mask in terms:
-                if ((mask & bu) == 0) != ((mask & bv) == 0):
+                if 0 != mask & ends != ends:
                     total += c
             if total:
                 raise CertificationError(
@@ -488,35 +466,29 @@ def uncross_witness(a: frozenset[int], b: frozenset[int],
         verify_identity([(1, m_amb), (1, m_bma), (-1, m_a)], (1, m_b), text)
         return witness("difference", (a, amb, bma), None, text)
 
-    # mixed cases: all four corners tight and theta = gamma = alpha = 0
+    # mixed cases: all four corners tight and theta = gamma = alpha = 0.
+    # Exactly one of A&B, A|B and one of A-B, B-A is active; per pattern:
+    # the case, its family, the classes alpha joins, and the identity
+    # chi(Y) = chi(P) + chi(Q) - 2 chi(X) with X the input that is not Y
     for mask, label in ((m_inter, "A&B"), (m_union, "A|B"), (m_amb, "A-B"),
                         (m_bma, "B-A")):
         require_tight(mask, label)
     vanish(theta, "theta")
     vanish(gamma, "gamma")
-    if active["union"] and active["amb"]:
-        alpha = point.between(m_inter, m_bma)
-        vanish(alpha, "alpha")
-        text = "chi(B) = chi(A-B)+chi(A|B)-2chi(A)"
-        verify_identity([(1, m_amb), (1, m_union), (-2, m_a)], (1, m_b), text)
-        return witness("mixed_union_diff", (a, amb, union), alpha, text)
-    if active["union"] and active["bma"]:
-        alpha = point.between(m_inter, m_amb)
-        vanish(alpha, "alpha")
-        text = "chi(A) = chi(B-A)+chi(A|B)-2chi(B)"
-        verify_identity([(1, m_bma), (1, m_union), (-2, m_b)], (1, m_a), text)
-        return witness("mixed_union_codiff", (a, bma, union), alpha, text)
-    if active["inter"] and active["bma"]:
-        alpha = point.between(m_amb, m_out)
-        vanish(alpha, "alpha")
-        text = "chi(B) = chi(A&B)+chi(B-A)-2chi(A)"
-        verify_identity([(1, m_inter), (1, m_bma), (-2, m_a)], (1, m_b), text)
-        return witness("mixed_inter_codiff", (a, inter, bma), alpha, text)
-    alpha = point.between(m_bma, m_out)
+    case, family, (left, right), (p, q, m_x, m_y), text = {
+        ("union", "amb"): ("mixed_union_diff", (a, amb, union), (m_inter, m_bma),
+                           (m_amb, m_union, m_a, m_b), "chi(B) = chi(A-B)+chi(A|B)-2chi(A)"),
+        ("union", "bma"): ("mixed_union_codiff", (a, bma, union), (m_inter, m_amb),
+                           (m_bma, m_union, m_b, m_a), "chi(A) = chi(B-A)+chi(A|B)-2chi(B)"),
+        ("inter", "bma"): ("mixed_inter_codiff", (a, inter, bma), (m_amb, m_out),
+                           (m_inter, m_bma, m_a, m_b), "chi(B) = chi(A&B)+chi(B-A)-2chi(A)"),
+        ("inter", "amb"): ("mixed_inter_diff", (a, inter, amb), (m_bma, m_out),
+                           (m_inter, m_amb, m_b, m_a), "chi(A) = chi(A&B)+chi(A-B)-2chi(B)"),
+    }["union" if active["union"] else "inter", "amb" if active["amb"] else "bma"]
+    alpha = point.between(left, right)
     vanish(alpha, "alpha")
-    text = "chi(A) = chi(A&B)+chi(A-B)-2chi(B)"
-    verify_identity([(1, m_inter), (1, m_amb), (-2, m_b)], (1, m_a), text)
-    return witness("mixed_inter_diff", (a, inter, amb), alpha, text)
+    verify_identity([(1, p), (1, q), (-2, m_x)], (1, m_y), text)
+    return witness(case, family, alpha, text)
 
 
 def small_boundary_set(basis: LaminarBasis,
@@ -534,17 +506,15 @@ def small_boundary_set(basis: LaminarBasis,
     for e, v in z.items():
         if not 0 < Fraction(v) < 1:
             raise ValueError(f"z[{e}]={v} not strictly fractional")
-    members = list(basis.sets) + [frozenset({v}) for v in basis.degree_vertices]
-    for row, member in zip(basis.rows, members):
-        mass = sum((Fraction(z[basis.frac_edges[i]]) for i, c in enumerate(row) if c),
-                   Fraction(0))
+    members = basis.members()
+    masses = [sum((Fraction(z[e]) for e, c in zip(basis.frac_edges, row) if c), Fraction(0))
+              for row in basis.rows]
+    for member, mass in zip(members, masses):
         if mass.denominator != 1:
             raise ValueError(f"member {sorted(member)} has non-integral z-mass {mass}")
-    for row, member in zip(basis.rows, members):
+    for row, member, mass in zip(basis.rows, members, masses):
         count = sum(row)
         if count <= 3:
-            mass = sum((Fraction(z[basis.frac_edges[i]])
-                        for i, c in enumerate(row) if c), Fraction(0))
             if mass > 2:
                 raise CertificationError(
                     f"member {sorted(member)} has {count} fractional edges but "

@@ -4,11 +4,12 @@
     kecss gen   --kind {random,complete,cycle,prism-k3,prism-hub-k6} ...
     kecss bench --dir DIR --out CSV
 
-Exit codes: 0 success, 1 infeasible instance, 2 parse error,
-3 certification/verification failure, 4 size limit of a requested
-exhaustive routine (`--exact-sep` above n=20), 5 internal fault or abort
-(simplex pivot limit, lazy-loop row cap, rounding iteration cap such as
-`--max-iters`).
+Exit codes: 0 success, 1 infeasible instance, 2 parse error (also input
+that is not valid UTF-8, a k below the mode's minimum, or `--k` outside
+1..MAX_K), 3 certification/verification failure, 4 size limit of a
+requested exhaustive routine (`--exact-sep` above n=20), 5 internal
+fault or abort (simplex pivot limit, lazy-loop row cap, rounding
+iteration cap such as `--max-iters`).
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ from . import bench as benchmod
 from . import certify as certmod
 from . import rounding
 from .graphs import CapacityError, edge_connectivity
-from .instances import GENERATOR_KINDS, Instance, ParseError, emit_instance, gen, parse_instance
+from .instances import (GENERATOR_KINDS, MAX_K, Instance, ParseError, emit_instance, gen,
+                        parse_instance)
 from .lp import LpInfeasible
+from .rounding import MODES, frac_str
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -33,11 +36,7 @@ EXIT_CERTIFY = 3
 EXIT_CAPACITY = 4
 EXIT_INTERNAL = 5
 
-RUN_MODES = ("ecss", "ecss15", "ecsm", "md-ecss", "md-ecsm", "oracle", "certify")
-
-
-def frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+RUN_MODES = (*MODES, "oracle", "certify")
 
 
 def solution_json(sol: rounding.Solution) -> str:
@@ -71,47 +70,16 @@ def trace_jsonl(trace: rounding.RoundingTrace) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def run_solver(mode: str, inst: Instance, *, certify_flag: bool | None,
-               seed: int, exact_sep: bool, max_iters: int | None
-               ) -> tuple[rounding.Solution, rounding.RoundingTrace]:
-    kwargs = dict(certify=certify_flag, seed=seed, exact_separation=exact_sep,
-                  max_iterations=max_iters)
-    if mode == "ecss":
-        return rounding.kecss(inst.graph, inst.k, **kwargs)
-    if mode == "ecss15":
-        return rounding.bicriteria(inst.graph, inst.k, **kwargs)
-    if mode == "ecsm":
-        return rounding.kecsm(inst.graph, inst.k, **kwargs)
-    lower, upper = inst.degree_arrays()
-    if mode == "md-ecss":
-        return rounding.md_kecss(inst.graph, inst.k, lower, upper, **kwargs)
-    if mode == "md-ecsm":
-        return rounding.md_kecsm(inst.graph, inst.k, lower, upper, **kwargs)
-    raise ValueError(f"unknown solver mode {mode}")
-
-
-def guarantee(mode: str, k: int) -> tuple[int, Fraction]:
-    """(connectivity target, cost factor vs the recorded LP value)."""
-    if mode == "ecss":
-        return (k - 2 if k % 2 == 0 else k - 3), Fraction(1)
-    if mode == "ecss15":
-        return k - 1, Fraction(3, 2)
-    if mode == "ecsm":
-        return k, rounding.approximation_factor(k)
-    if mode == "md-ecss":
-        return (k - 2 if k % 2 == 0 else k - 3), Fraction(1)
-    if mode == "md-ecsm":
-        return k, rounding.approximation_factor(k)
-    raise ValueError(mode)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
-        inst = parse_instance(Path(args.input).read_text())
-    except (ParseError, OSError) as exc:
+        inst = parse_instance(Path(args.input).read_text(encoding="utf-8"))
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if args.k is not None:
+        if not 1 <= args.k <= MAX_K:
+            print(f"invalid k: --k {args.k} outside 1..{MAX_K}", file=sys.stderr)
+            return EXIT_PARSE
         inst = Instance(inst.graph, args.k, inst.bounds)
 
     if args.mode == "oracle":
@@ -119,11 +87,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.mode == "certify":
         return _cmd_certify(inst, args)
 
+    mode = MODES[args.mode]
+    if inst.k < mode.min_k:
+        print(f"invalid k: mode {args.mode} needs k >= {mode.min_k}, got {inst.k}",
+              file=sys.stderr)
+        return EXIT_PARSE
     try:
-        sol, trace = run_solver(args.mode, inst,
-                                certify_flag=True if args.certify else None,
-                                seed=args.seed, exact_sep=args.exact_sep,
-                                max_iters=args.max_iters)
+        sol, trace = mode.run(inst, certify=True if args.certify else None,
+                              seed=args.seed, exact_separation=args.exact_sep,
+                              max_iterations=args.max_iters)
     except (rounding.InfeasibleInstance, LpInfeasible) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -147,22 +119,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(inst: Instance) -> int:
     """Print the brute-force integer optimum and the materialized LP value."""
-    gr = inst.graph
     out = {}
-    try:
-        lp_opt = certmod.full_cut_lp(gr, inst.k, "ecss")
-        out["lp"] = frac_str(lp_opt.value)
-    except LpInfeasible:
-        out["lp"] = "infeasible"
-    except CapacityError as exc:
-        out["lp"] = f"skipped ({exc})"
-    try:
-        value, _ = certmod.brute_force_opt(gr, inst.k, "ecss")
-        out["opt"] = frac_str(value)
-    except LpInfeasible:
-        out["opt"] = "infeasible"
-    except CapacityError as exc:
-        out["opt"] = f"skipped ({exc})"
+    for key, oracle in (("lp", lambda: certmod.full_cut_lp(inst.graph, inst.k, "ecss").value),
+                        ("opt", lambda: certmod.brute_force_opt(inst.graph, inst.k, "ecss")[0])):
+        try:
+            out[key] = frac_str(oracle())
+        except LpInfeasible:
+            out[key] = "infeasible"
+        except CapacityError as exc:
+            out[key] = f"skipped ({exc})"
     print(json.dumps(out))
     return EXIT_OK
 
@@ -183,6 +148,19 @@ def _cmd_certify(inst: Instance, args: argparse.Namespace) -> int:
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         print(f"parse error in solution file: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    if any(not 0 <= e < inst.graph.m or m < 0 for e, m in mult.items()):
+        print("parse error in solution file: edge id or multiplicity out of range",
+              file=sys.stderr)
+        return EXIT_PARSE
+    # the solution file does not record which solver produced it, so hold
+    # it to the weakest guarantee of its mode family
+    goals = [m.guarantee(k) for m in MODES.values() if m.family == mode and k >= m.min_k]
+    if not goals:
+        print(f"parse error in solution file: no {mode!r} mode takes k={k}",
+              file=sys.stderr)
+        return EXIT_PARSE
+    target = min(t for t, _ in goals)
+    factor = max(f for _, f in goals)
     failures = []
     real_cost = inst.graph.cost_of(mult)
     if real_cost != cost:
@@ -192,13 +170,6 @@ def _cmd_certify(inst: Instance, args: argparse.Namespace) -> int:
         failures.append(f"recomputed connectivity {conn} != claimed {claimed_conn}")
     if mode == "ecss" and any(rec > 1 for rec in mult.values()):
         failures.append("subgraph solution uses an edge more than once")
-    # the solution file does not record which solver produced it, so hold
-    # it to the weakest guarantee of its mode family
-    if mode == "ecss":
-        target = k - 2 if k % 2 == 0 else k - 3
-        factor = Fraction(3, 2)
-    else:
-        target, factor = k, rounding.approximation_factor(k)
     if conn < target:
         failures.append(f"connectivity {conn} below the mode target {target}")
     if real_cost > factor * lp_value:
@@ -231,7 +202,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     modes = args.modes.split(",") if args.modes else ["ecss"]
     for m in modes:
-        if m not in ("ecss", "ecss15", "ecsm", "md-ecss", "md-ecsm"):
+        if m not in MODES:
             print(f"unknown bench mode {m}", file=sys.stderr)
             return EXIT_PARSE
     csv_text = benchmod.bench_directory(Path(args.dir), modes, seed=args.seed)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 
@@ -55,7 +56,13 @@ class Multigraph:
                    Fraction(0))
 
     def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in (e.u, e.v))
+        return len(crossing(self, 1 << (v - 1)))
+
+    @cached_property
+    def ends(self) -> tuple[int, ...]:
+        """Per edge id, the vertex mask of its two endpoints.  The edge
+        crosses a side's mask exactly when `0 != mask & ends != ends`."""
+        return tuple((1 << (e.u - 1)) | (1 << (e.v - 1)) for e in self.edges)
 
 
 def make_graph(n: int, edges: Iterable[tuple[int, int, int | Fraction]]) -> Multigraph:
@@ -91,6 +98,15 @@ def canonical_side(side: frozenset[int], n: int) -> frozenset[int]:
     return side
 
 
+def crossing(graph: Multigraph, mask: int,
+             edges: Iterable[int] | None = None) -> list[int]:
+    """Ids among `edges` (default: all, in id order) with exactly one
+    endpoint in the vertex mask; for one vertex's bit, the edges meeting it."""
+    ends = graph.ends
+    return [e for e in (range(graph.m) if edges is None else edges)
+            if 0 != mask & ends[e] != ends[e]]
+
+
 def _check_cut_side(graph: Multigraph, side: frozenset[int]) -> None:
     if not side or len(side) >= graph.n:
         raise ValueError("cut side must be a nonempty proper vertex subset")
@@ -104,15 +120,11 @@ def boundary(graph: Multigraph, side: Iterable[int],
     """Edge ids with exactly one endpoint in `side`, restricted to `restrict`."""
     side = frozenset(side)
     _check_cut_side(graph, side)
-    if restrict is None:
-        pool: Iterable[Edge] = graph.edges
-    else:
-        ids = set(restrict)
-        for e in ids:
-            if not 0 <= e < graph.m:
-                raise ValueError(f"edge id {e} out of range")
-        pool = (graph.edges[e] for e in sorted(ids))
-    return frozenset(e.id for e in pool if (e.u in side) != (e.v in side))
+    ids = None if restrict is None else sorted(set(restrict))
+    for e in ids or ():
+        if not 0 <= e < graph.m:
+            raise ValueError(f"edge id {e} out of range")
+    return frozenset(crossing(graph, vertex_mask(side), ids))
 
 
 def scale_capacities(graph: Multigraph,

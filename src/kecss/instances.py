@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graphs import Multigraph, make_graph, min_cut
+from .graphs import Multigraph, complete_graph, cycle_graph, make_graph, min_cut
 
 
 MAX_VERTICES = 10_000
@@ -81,6 +81,8 @@ def parse_instance(text: str) -> Instance:
         elif parts[0] == "e":
             if header is None:
                 raise ParseError(line_no, "edge before problem line")
+            if len(edges) == header[1]:
+                raise ParseError(line_no, f"more edge lines than the declared {header[1]}")
             if len(parts) != 4:
                 raise ParseError(line_no, "expected 'e <u> <v> <cost>'")
             try:
@@ -213,12 +215,9 @@ def gen(kind: str, seed: int = 0, n: int = 8, p: float = 0.6,
     if k < 1:
         raise ValueError("k must be at least 1")
     if kind == "complete":
-        g = make_graph(n, [(a, b, cost) for a in range(1, n + 1)
-                           for b in range(a + 1, n + 1)])
-        return Instance(g, k)
+        return Instance(complete_graph(n, cost), k)
     if kind == "cycle":
-        g = make_graph(n, [(a, a % n + 1, cost) for a in range(1, n + 1)])
-        return Instance(g, k)
+        return Instance(cycle_graph(n, cost), k)
     if kind == "prism-k3":
         return _prism_k3()
     if kind == "prism-hub-k6":

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
-from .graphs import CapacityError, Multigraph, mask_vertices, vertex_mask
+from .graphs import (CapacityError, Multigraph, edge_connectivity, mask_vertices,
+                     vertex_mask)
 
 PREDICATE_VERTEX_LIMIT = 12
 
@@ -47,15 +48,15 @@ class Requirement:
                 raise ValueError(f"picked edge {e} out of range")
             if mult < 1:
                 raise ValueError(f"picked multiplicity of edge {e} must be >= 1")
-        # (u, v, multiplicity) triples for fast boundary sums
+        # (endpoint mask, multiplicity) pairs for fast boundary sums
+        ends = self.graph.ends
         object.__setattr__(self, "_picked_edges", tuple(
-            (self.graph.edges[e].u, self.graph.edges[e].v, mult)
-            for e, mult in sorted(self.picked.items())))
+            (ends[e], mult) for e, mult in sorted(self.picked.items())))
 
     def picked_crossing(self, mask: int) -> int:
         total = 0
-        for u, v, mult in self._picked_edges:
-            if (mask >> (u - 1) & 1) != (mask >> (v - 1) & 1):
+        for ends, mult in self._picked_edges:
+            if 0 != mask & ends != ends:
                 total += mult
         return total
 
@@ -70,18 +71,11 @@ class Requirement:
         return self.residual_mask(vertex_mask(side))
 
     def in_active_family(self, side: Iterable[int]) -> bool:
-        mask = vertex_mask(side)
-        full = (1 << self.graph.n) - 1
-        if mask == 0 or mask == full:
-            return False
-        return self.residual_mask(mask) >= self.threshold
-
-    def picked_degree(self, v: int) -> int:
-        return sum(mult for u, w, mult in self._picked_edges if v in (u, w))
+        # the empty and the full side have residual 0, below either threshold
+        return self.residual_mask(vertex_mask(side)) >= self.threshold
 
     def active_empty(self) -> bool:
         """True iff no cut side reaches the threshold (the stopping rule)."""
-        from .graphs import edge_connectivity
         if not self.picked:
             return self.k < self.threshold
         conn = edge_connectivity(self.graph, dict(self.picked))

@@ -1,43 +1,54 @@
 """Iterative LP relaxation for edge-connectivity network design.
 
-Four residual-rounding procedures share one loop engine:
+One engine runs every procedure: solve the residual cut LP, pick the
+edges at or above a cutoff, drop the sets whose residual falls below a
+threshold, and repeat.  A `_LoopSpec` fixes what differs:
 
-  kecss_even   pick x=1 edges, drop sets once their residual falls below 3;
-               the output is (k-2)-edge-connected at cost at most the
-               first LP value.
-  bicriteria   pick x >= 2/3 edges, drop below residual 2; output is
-               (k-1)-edge-connected at cost at most 1.5 times the LP.
-  kecsm_core   multigraph variant: floor-extract an unbounded first LP,
-               then round the fractional remainder like kecss_even.
-  md_kecss     degree-bounded variant: degree rows ride along, vertices
-               leave the constrained set once their fractional degree (or
-               its complement) is at most 2.
+  exact        threshold 3, pick x=1 edges: (k-2)-edge-connected output
+               at cost at most the first LP value (kecss_even).
+  bicriteria   threshold 2, pick x >= 2/3 edges: (k-1)-edge-connected
+               output at cost at most 1.5 times the LP.
+  multigraph   the first LP is the unbounded cut LP, floor-extracted;
+               its fractional remainder is rounded like `exact`
+               (kecsm_core).
+  degrees      degree rows ride along (md_kecss, md_kecsm); vertices leave
+               the constrained set once their fractional degree (or its
+               complement) is at most 2.
 
-Wrappers handle odd k and the multigraph approximation factors.  Every
-run emits a per-iteration trace, asserts the progress and cost-ledger
-invariants at runtime, and (by default at desk scale) certifies the
-structural guarantees of every extreme point it produces.
+`MODES` is the one table of run modes: each mode's solver, the solution
+family it reports, its least k, and its guarantee k -> (connectivity
+target, cost factor over the recorded LP value) from the PAPER.md table.
+Every solver verifies its output against its own entry.  Every run emits
+a per-iteration trace, asserts the progress and cost-ledger invariants at
+runtime, and (by default at desk scale) certifies the structural
+guarantees of every extreme point it produces.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from . import certify as certmod
 from . import lp as lpmod
-from .graphs import Multigraph, edge_connectivity, min_cut
+from .graphs import Multigraph, crossing, edge_connectivity, min_cut, vertex_mask
 from .requirements import DegreeState, Requirement
 from .separation import Feasible, Violated, separate_exact, separate_fast
+
+if TYPE_CHECKING:  # annotation only: importing kecss does not load the file format
+    from .instances import Instance
 
 CERTIFY_VERTEX_LIMIT = 12
 WITNESS_CAP = 64
 PAIR_FAMILY_CAP = 200
 PAIR_SAMPLE = 200
+
+Bounds = tuple[Sequence[int], Sequence[int]]  # degree (lower, upper) per vertex 1..n
 
 
 class InfeasibleInstance(Exception):
@@ -81,31 +92,78 @@ class RoundingTrace:
     certified: bool = False
 
 
-def _should_certify(flag: bool | None, graph: Multigraph) -> bool:
-    return graph.n <= CERTIFY_VERTEX_LIMIT if flag is None else flag
+def frac_str(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
 
+
+def _check(graph: Multigraph, k: int, min_k: int, *, even: bool = False,
+           connectivity: int = 0, bounds: Bounds | None = None) -> None:
+    """The solvers' preconditions: degree bounds, least k and parity, n >= 2,
+    and (when `connectivity` is set) the edge connectivity the first LP needs."""
+    if bounds is not None:
+        lower, upper = bounds
+        if len(lower) != graph.n or len(upper) != graph.n:
+            raise ValueError("degree bounds must cover all vertices")
+        for v in range(graph.n):
+            if lower[v] > upper[v]:
+                raise ValueError(f"vertex {v + 1} has lower bound above upper bound")
+            if lower[v] < 0 or upper[v] < 0:
+                raise ValueError(f"vertex {v + 1} has a negative degree bound")
+    if k < min_k or (even and k % 2):
+        raise ValueError(f"k must be {'even and ' if even else ''}at least {min_k}")
+    if graph.n < 2:
+        raise ValueError("need at least 2 vertices")
+    if connectivity:
+        conn = edge_connectivity(graph)
+        if conn < connectivity:
+            raise InfeasibleInstance(f"edge connectivity {conn} is below "
+                                     f"{connectivity}; the LP is infeasible")
+
+
+# -- LP rows and the two lazy LPs ---------------------------------------------
 
 def _cut_row(graph: Multigraph, side: frozenset[int], working: Sequence[int],
              var_of: Mapping[int, int], rhs: int) -> lpmod.LpRow:
-    coeffs = {}
-    for e in working:
-        edge = graph.edges[e]
-        if (edge.u in side) != (edge.v in side):
-            coeffs[var_of[e]] = 1
+    coeffs = {var_of[e]: 1 for e in crossing(graph, vertex_mask(side), working)}
     return lpmod.row(coeffs, lpmod.GE, rhs)
 
 
-def _degree_rows(graph: Multigraph, working: Sequence[int],
-                 var_of: Mapping[int, int], state: DegreeState) -> list[lpmod.LpRow]:
+def _degree_rows(graph: Multigraph, working: Sequence[int], var_of: Mapping[int, int],
+                 lower: Sequence[int], upper: Sequence[int],
+                 vertices: Iterable[int]) -> list[lpmod.LpRow]:
     rows = []
-    for v in sorted(state.active):
-        coeffs = {var_of[e]: 1 for e in working
-                  if v in (graph.edges[e].u, graph.edges[e].v)}
-        lo = state.lower[v - 1]
-        if lo >= 1:
-            rows.append(lpmod.row(coeffs, lpmod.GE, lo))
-        rows.append(lpmod.row(coeffs, lpmod.LE, state.upper[v - 1]))
+    for v in sorted(vertices):
+        coeffs = {var_of[e]: 1 for e in crossing(graph, 1 << (v - 1), working)}
+        if lower[v - 1] >= 1:
+            rows.append(lpmod.row(coeffs, lpmod.GE, lower[v - 1]))
+        rows.append(lpmod.row(coeffs, lpmod.LE, upper[v - 1]))
     return rows
+
+
+def _degree_active(graph: Multigraph, working: Sequence[int],
+                   x: Mapping[int, Fraction], vertices: frozenset[int]) -> frozenset[int]:
+    """The vertices whose degree rows stay enforced: fractional degree over
+    the working edges, or its complement, above 2."""
+    still = set()
+    for v in vertices:
+        meeting = crossing(graph, 1 << (v - 1), working)
+        fdeg = sum((x[e] for e in meeting), Fraction(0))
+        if fdeg > 2 or len(meeting) - fdeg > 2:
+            still.add(v)
+    return frozenset(still)
+
+
+def _lazy_solve(graph: Multigraph, objective: list, lower: list, upper: list,
+                rows: list[lpmod.LpRow], oracle, recheck: bool) -> lpmod.LazyResult:
+    """solve_lazy under the row cap; with `recheck`, re-verify the vertex."""
+    inst = lpmod.instance(objective, lower, upper, rows)
+    cap = 10 * (len(objective) + 2 ** min(20, graph.n))
+    result = lpmod.solve_lazy(inst, oracle, max_added=cap)
+    if recheck:
+        certmod.recheck_vertex(
+            lpmod.LpInstance(inst.objective, inst.lower, inst.upper,
+                             tuple(result.rows)), result.optimum)
+    return result
 
 
 def _solve_residual(graph: Multigraph, req: Requirement, working: list[int],
@@ -113,23 +171,13 @@ def _solve_residual(graph: Multigraph, req: Requirement, working: list[int],
                     recheck: bool) -> tuple[lpmod.LazyResult, dict[int, Fraction]]:
     """Solve the residual LP over the working edges by lazy separation."""
     var_of = {e: i for i, e in enumerate(working)}
-    objective = [graph.edges[e].cost for e in working]
-    lower = [Fraction(0)] * len(working)
-    upper: list = [Fraction(1)] * len(working)
-
-    rows: list[lpmod.LpRow] = []
-    if req.degree is not None:
-        rows.extend(_degree_rows(graph, working, var_of, req.degree))
-    seeded: set[frozenset[int]] = set()
-    for v in range(1, graph.n + 1):
-        side = frozenset({v})
-        fres = req.residual(side)
-        if fres >= req.threshold:
-            rows.append(_cut_row(graph, side, working, var_of, fres))
-            seeded.add(side)
-    for side in sorted(carry, key=lambda s: tuple(sorted(s))):
-        if side in seeded:
-            continue
+    state = req.degree
+    rows = [] if state is None else _degree_rows(graph, working, var_of, state.lower,
+                                                 state.upper, state.active)
+    # the active singletons, then the active cuts carried from earlier LPs
+    singletons = [frozenset({v}) for v in range(1, graph.n + 1)]
+    carried = sorted(carry.difference(singletons), key=lambda s: tuple(sorted(s)))
+    for side in singletons + carried:
         fres = req.residual(side)
         if fres >= req.threshold:
             rows.append(_cut_row(graph, side, working, var_of, fres))
@@ -147,15 +195,33 @@ def _solve_residual(graph: Multigraph, req: Requirement, working: list[int],
         return [_cut_row(graph, verdict.side, working, var_of,
                          verdict.requirement)]
 
-    inst = lpmod.instance(objective, lower, upper, rows)
-    cap = 10 * (len(working) + 2 ** min(20, graph.n))
-    result = lpmod.solve_lazy(inst, oracle, max_added=cap)
-    if recheck:
-        certmod.recheck_vertex(
-            lpmod.LpInstance(inst.objective, inst.lower, inst.upper,
-                             tuple(result.rows)), result.optimum)
+    result = _lazy_solve(graph, [graph.edges[e].cost for e in working],
+                         [Fraction(0)] * len(working), [Fraction(1)] * len(working),
+                         rows, oracle, recheck)
     x = {e: result.optimum.point[var_of[e]] for e in working}
     return result, x
+
+
+def _solve_unbounded_cut_lp(graph: Multigraph, k: int, bounds: Bounds | None = None,
+                            recheck: bool = False) -> lpmod.LazyResult:
+    """First multigraph LP: x >= 0, all cut constraints via plain min-cut,
+    and degree rows on every vertex when `bounds` are given."""
+    var_of = {e: e for e in range(graph.m)}
+    working = list(range(graph.m))
+    rows = [] if bounds is None else _degree_rows(graph, working, var_of, *bounds,
+                                                  range(1, graph.n + 1))
+    for v in range(1, graph.n + 1):
+        rows.append(_cut_row(graph, frozenset({v}), working, var_of, k))
+
+    def oracle(point: list[Fraction]) -> list[lpmod.LpRow]:
+        caps = {e: point[e] for e in range(graph.m)}
+        value, side = min_cut(graph, caps)
+        if value >= k:
+            return []
+        return [_cut_row(graph, side, working, var_of, k)]
+
+    return _lazy_solve(graph, [e.cost for e in graph.edges], [0] * graph.m,
+                       [None] * graph.m, rows, oracle, recheck)
 
 
 def _certify_iteration(graph: Multigraph, req: Requirement,
@@ -176,95 +242,105 @@ def _certify_iteration(graph: Multigraph, req: Requirement,
         if req.threshold == 3 and member in basis.sets:
             # its fractional mass is at most 2, so integral picks must
             # nearly satisfy this still-active member
-            picked_across = sum(1 for e in picked_now
-                                if (graph.edges[e].u in member)
-                                != (graph.edges[e].v in member))
+            picked_across = len(crossing(graph, vertex_mask(member), picked_now))
             if req.residual(member) - picked_across > 2:
                 raise certmod.CertificationError(
                     f"active member {sorted(member)} not nearly satisfied "
                     "after picking integral edges",
                     certmod.reproducer_dump(graph, req, x))
     full = frozenset(range(1, graph.n + 1))
-    members: list[frozenset[int]] = []
-    for s in tight:
-        members.append(s)
-        members.append(full - s)
-    pairs: list[tuple[frozenset[int], frozenset[int]]] = []
+    members = [side for s in tight for side in (s, full - s)]
     if len(members) <= PAIR_FAMILY_CAP:
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                pairs.append((members[i], members[j]))
+        pairs = list(itertools.combinations(members, 2))
     else:
+        pairs = []
         for _ in range(PAIR_SAMPLE):
             i = rng.randrange(len(members))
             j = rng.randrange(len(members))
             if i != j:
                 pairs.append((members[i], members[j]))
-    checked = 0
     for a, b in pairs:
-        if not (a & b) or not (a - b) or not (b - a):
-            continue
-        certmod.uncross_witness(a, b, x, req, point)
-        checked += 1
-    record.witness_pairs_checked = checked
+        if a & b and a - b and b - a:  # weakly crossing
+            certmod.uncross_witness(a, b, x, req, point)
+            record.witness_pairs_checked += 1
     return basis.members()
 
 
-@dataclass
+# -- the engine ----------------------------------------------------------------
+
+@dataclass(frozen=True)
 class _LoopSpec:
     threshold: int
     pick_cutoff: Fraction          # pick edges with x at least this value
     keep_zero_edges: bool          # retain x=0 edges in the working set
     ledger_factor: Fraction        # cost ledger: c(H) + factor*lp <= factor*lp0
+    floor_first: bool = False      # first LP unbounded, its integer part picked
+    degrees: bool = False          # degree rows and the degree-activity rule
 
 
-def _residual_degree_state(lower: Sequence[int], upper: Sequence[Fraction | int],
-                           graph: Multigraph, mult: Mapping[int, int],
-                           active: frozenset[int]) -> DegreeState:
-    deg = [0] * (graph.n + 1)
-    for e, m in mult.items():
-        deg[graph.edges[e].u] += m
-        deg[graph.edges[e].v] += m
-    return DegreeState(tuple(lower[v - 1] - deg[v] for v in range(1, graph.n + 1)),
-                       tuple(upper[v - 1] - deg[v] for v in range(1, graph.n + 1)),
-                       active)
+_EXACT = _LoopSpec(3, Fraction(1), True, Fraction(1))
+_BICRITERIA = _LoopSpec(2, Fraction(2, 3), False, Fraction(3, 2))
+_MULTIGRAPH = _LoopSpec(3, Fraction(1), False, Fraction(1), floor_first=True)
+_DEGREE_EXACT = _LoopSpec(3, Fraction(1), False, Fraction(1), degrees=True)
+_DEGREE_MULTIGRAPH = _LoopSpec(3, Fraction(1), False, Fraction(1),
+                               floor_first=True, degrees=True)
 
 
-def _rounding_loop(graph: Multigraph, k: int, spec: _LoopSpec,
-                   mult: dict[int, int], working: list[int],
-                   degree_bounds: tuple[Sequence[int], Sequence[int]] | None,
-                   degree_active: frozenset[int] | None,
-                   trace: RoundingTrace, certify_flag: bool,
-                   exact_separation: bool, rng: random.Random,
-                   max_iterations: int | None) -> None:
-    """Shared engine: solve residual LP, pick, drop, iterate."""
+def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
+           certify: bool | None, seed: int, exact_separation: bool,
+           max_iterations: int | None) -> tuple[dict[int, int], RoundingTrace]:
+    """Shared engine: the first LP, then solve residual LP, pick, drop,
+    iterate.  Returns the picked multiplicities and the trace."""
+    certify_flag = graph.n <= CERTIFY_VERTEX_LIMIT if certify is None else certify
+    rng = random.Random(seed)
+    mult: dict[int, int] = {}
+    working = list(range(graph.m))
+    degree_active = frozenset(range(1, graph.n + 1)) if spec.degrees else None
+    trace = RoundingTrace(Fraction(0), certified=certify_flag)
+    lp0: Fraction | None = None
+    if spec.floor_first:
+        try:
+            lazy = _solve_unbounded_cut_lp(graph, k, bounds, recheck=certify_flag)
+        except lpmod.LpInfeasible as exc:
+            raise InfeasibleInstance(f"first LP at k={k} infeasible: {exc}") from exc
+        first = lazy.optimum
+        mult = {e: int(v) for e, v in enumerate(first.point) if int(v)}
+        working = [e for e in range(graph.m) if first.point[e] != int(first.point[e])]
+        if degree_active is not None:
+            degree_active = _degree_active(
+                graph, working, {e: first.point[e] - int(first.point[e]) for e in working},
+                degree_active)
+        lp0 = trace.lp0 = first.value
+        trace.iterations.append(IterationRecord(
+            index=0, lp_value=first.value,
+            point={e: v for e, v in enumerate(first.point) if v != 0},
+            picked=sorted(mult), frac_support=len(working), dropped_witnesses=[],
+            lazy_rounds=lazy.separation_calls, lp_rows=len(lazy.rows)))
+
     carry: set[frozenset[int]] = set()
     # sampled sets whose activity we track across iterations: singleton
     # cuts, every cut returned by the oracle, and laminar-basis members
     pool: set[frozenset[int]] = {frozenset({v}) for v in range(1, graph.n + 1)}
     monitor: dict[frozenset[int], int] = {}
     dropped: set[frozenset[int]] = set()
-    cap = len(graph.edges) + (graph.n if degree_bounds is not None else 0) + 1
+    cap = len(graph.edges) + (graph.n if spec.degrees else 0) + 1
     if max_iterations is not None:
         cap = min(cap, max_iterations)
     iteration = 0
-    trace.certified = certify_flag
-    lp0: Fraction | None = trace.lp0 if trace.iterations else None
-
-    def degree_state() -> DegreeState | None:
-        if degree_bounds is None or degree_active is None:
-            return None
-        return _residual_degree_state(degree_bounds[0], degree_bounds[1],
-                                      graph, mult, degree_active)
 
     def requirement() -> Requirement:
-        return Requirement(graph, k, dict(mult), spec.threshold, degree_state())
+        state = None
+        if degree_active is not None:
+            deg = [sum(mult[e] for e in crossing(graph, 1 << (v - 1), mult))
+                   for v in range(1, graph.n + 1)]
+            state = DegreeState(tuple(lo - d for lo, d in zip(bounds[0], deg)),
+                                tuple(hi - d for hi, d in zip(bounds[1], deg)),
+                                degree_active)
+        return Requirement(graph, k, dict(mult), spec.threshold, state)
 
     while True:
         req = requirement()
-        active_left = not req.active_empty()
-        degrees_left = bool(degree_active)
-        if not active_left and not degrees_left:
+        if req.active_empty() and not degree_active:
             break
         iteration += 1
         if iteration > cap:
@@ -279,8 +355,7 @@ def _rounding_loop(graph: Multigraph, k: int, spec: _LoopSpec,
                 f"residual LP infeasible at iteration {iteration}: {exc}") from exc
         opt = lazy.optimum
         if lp0 is None:
-            lp0 = opt.value
-            trace.lp0 = lp0
+            lp0 = trace.lp0 = opt.value
         # cost ledger at the start of the iteration
         cost_now = graph.cost_of(mult)
         if cost_now + spec.ledger_factor * opt.value > spec.ledger_factor * lp0:
@@ -296,37 +371,25 @@ def _rounding_loop(graph: Multigraph, k: int, spec: _LoopSpec,
             dropped_witnesses=[], lazy_rounds=lazy.separation_calls,
             lp_rows=len(lazy.rows))
         if certify_flag:
-            basis_members = _certify_iteration(
-                graph, req, x, {e for e in picked_now if x[e] == 1}, rng, record)
-            pool.update(basis_members)
+            pool.update(_certify_iteration(
+                graph, req, x, {e for e in picked_now if x[e] == 1}, rng, record))
         # progress: an edge is picked, or (degree mode) a vertex drops out
         for e in picked_now:
             mult[e] = mult.get(e, 0) + 1
         if spec.keep_zero_edges:
-            working[:] = [e for e in working if e not in picked_now]
+            working = [e for e in working if e not in picked_now]
         else:
-            working[:] = [e for e in working
-                          if e not in picked_now and 0 < x[e] < spec.pick_cutoff]
+            working = [e for e in working
+                       if e not in picked_now and 0 < x[e] < spec.pick_cutoff]
         new_active = degree_active
         if degree_active is not None:
-            still = set()
-            for v in degree_active:
-                fdeg = sum((x[e] for e in working
-                            if v in (graph.edges[e].u, graph.edges[e].v)),
-                           Fraction(0))
-                fcount = sum(1 for e in working
-                             if v in (graph.edges[e].u, graph.edges[e].v))
-                if fdeg > 2 or fcount - fdeg > 2:
-                    still.add(v)
-            new_active = frozenset(still)
-        if not picked_now:
-            shrank = degree_active is not None and new_active is not None \
-                and len(new_active) < len(degree_active)
-            if not shrank:
-                raise certmod.CertificationError(
-                    f"no progress in iteration {iteration}: nothing picked and "
-                    "no vertex left the degree-constrained set",
-                    certmod.reproducer_dump(graph, req, x))
+            new_active = _degree_active(graph, working, x, degree_active)
+        if not picked_now and (degree_active is None
+                               or len(new_active) == len(degree_active)):
+            raise certmod.CertificationError(
+                f"no progress in iteration {iteration}: nothing picked and "
+                "no vertex left the degree-constrained set",
+                certmod.reproducer_dump(graph, req, x))
         degree_active = new_active
 
         # witness-pool upkeep: residuals never increase, drops never revert
@@ -349,22 +412,25 @@ def _rounding_loop(graph: Multigraph, k: int, spec: _LoopSpec,
                 if len(record.dropped_witnesses) < WITNESS_CAP:
                     record.dropped_witnesses.append(side)
         trace.iterations.append(record)
-
-    if degree_active is not None and degree_active:
-        raise RuntimeError("loop ended with degree-constrained vertices left")
+    return mult, trace
 
 
-def _finish(graph: Multigraph, mode: str, k: int, mult: dict[int, int],
-            lp_value: Fraction, target: int, cost_bound: Fraction,
-            degree_window: Mapping[int, tuple[Fraction, Fraction]] | None = None
-            ) -> Solution:
+def _finish(graph: Multigraph, mode: Mode, k: int, mult: dict[int, int],
+            lp_value: Fraction, bounds: Bounds | None = None) -> Solution:
+    """Verify the output against the mode's guarantee at k, degrees within
+    [lower - 2, upper + 2] when `bounds` are given."""
+    target, factor = mode.guarantee(k)
+    window = None
+    if bounds is not None:
+        window = {v: (Fraction(lo - 2), Fraction(hi + 2))
+                  for v, lo, hi in zip(range(1, graph.n + 1), *bounds)}
     mult = {e: m for e, m in sorted(mult.items()) if m}
-    report = certmod.verify(graph, mult, target, cost_bound, degree_window,
-                            ecss_mode=(mode == "ecss"))
+    report = certmod.verify(graph, mult, target, factor * lp_value, window,
+                            ecss_mode=(mode.family == "ecss"))
     if not report.ok:
         raise certmod.CertificationError(
             "output fails verification: " + "; ".join(report.failures))
-    return Solution(mode, k, mult, report.cost, report.connectivity, lp_value)
+    return Solution(mode.family, k, mult, report.cost, report.connectivity, lp_value)
 
 
 # -- subgraph procedures -----------------------------------------------------
@@ -376,39 +442,22 @@ def kecss_even(graph: Multigraph, k: int, *, certify: bool | None = None,
 
     k must be even.  k=2 returns the empty subgraph (vacuous guarantee).
     """
-    if k < 2 or k % 2:
-        raise ValueError("k must be even and at least 2")
-    if graph.n < 2:
-        raise ValueError("need at least 2 vertices")
+    _check(graph, k, MODES["ecss"].min_k, even=True, connectivity=k if k > 2 else 0)
     if k == 2:
         # no cut can reach the activity threshold, so the loop never runs
         # and never solves an LP; the empty subgraph meets the vacuous
         # 0-connectivity guarantee
         warnings.warn("k=2: returning the empty subgraph", stacklevel=2)
-        trace = RoundingTrace(Fraction(0))
-        sol = Solution("ecss", k, {}, Fraction(0), 0, Fraction(0))
-        return sol, trace
-    if edge_connectivity(graph) < k:
-        raise InfeasibleInstance(
-            f"a cut has fewer than {k} edges; the LP is infeasible")
-    certify_flag = _should_certify(certify, graph)
-    trace = RoundingTrace(Fraction(0))
-    mult: dict[int, int] = {}
-    working = list(range(graph.m))
-    spec = _LoopSpec(threshold=3, pick_cutoff=Fraction(1),
-                     keep_zero_edges=True, ledger_factor=Fraction(1))
-    _rounding_loop(graph, k, spec, mult, working, None, None, trace,
-                   certify_flag, exact_separation, random.Random(seed),
-                   max_iterations)
-    return _finish(graph, "ecss", k, mult, trace.lp0, k - 2, trace.lp0), trace
+        return _finish(graph, MODES["ecss"], k, {}, Fraction(0)), RoundingTrace(Fraction(0))
+    mult, trace = _round(graph, k, _EXACT, None, certify, seed, exact_separation,
+                         max_iterations)
+    return _finish(graph, MODES["ecss"], k, mult, trace.lp0), trace
 
 
 def kecss(graph: Multigraph, k: int, **kwargs) -> tuple[Solution, RoundingTrace]:
     """Even k runs directly; odd k runs with k-1 ((k-3)-connected output)."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    run_k = k if k % 2 == 0 else k - 1
-    sol, trace = kecss_even(graph, run_k, **kwargs)
+    _check(graph, k, MODES["ecss"].min_k)
+    sol, trace = kecss_even(graph, k - k % 2, **kwargs)
     sol.k = k
     return sol, trace
 
@@ -417,123 +466,46 @@ def bicriteria(graph: Multigraph, k: int, *, certify: bool | None = None,
                seed: int = 0, exact_separation: bool = False,
                max_iterations: int | None = None) -> tuple[Solution, RoundingTrace]:
     """(k-1)-edge-connected subgraph of cost at most 1.5 times the LP."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    if graph.n < 2:
-        raise ValueError("need at least 2 vertices")
-    if edge_connectivity(graph) < k:
-        raise InfeasibleInstance(
-            f"a cut has fewer than {k} edges; the LP is infeasible")
-    certify_flag = _should_certify(certify, graph)
-    trace = RoundingTrace(Fraction(0))
-    mult: dict[int, int] = {}
-    working = list(range(graph.m))
-    spec = _LoopSpec(threshold=2, pick_cutoff=Fraction(2, 3),
-                     keep_zero_edges=False, ledger_factor=Fraction(3, 2))
-    _rounding_loop(graph, k, spec, mult, working, None, None, trace,
-                   certify_flag, exact_separation, random.Random(seed),
-                   max_iterations)
-    bound = Fraction(3, 2) * trace.lp0
-    return _finish(graph, "ecss", k, mult, trace.lp0, k - 1, bound), trace
+    _check(graph, k, MODES["ecss15"].min_k, connectivity=k)
+    mult, trace = _round(graph, k, _BICRITERIA, None, certify, seed,
+                         exact_separation, max_iterations)
+    return _finish(graph, MODES["ecss15"], k, mult, trace.lp0), trace
 
 
 # -- multigraph procedures ---------------------------------------------------
-
-def _solve_unbounded_cut_lp(graph: Multigraph, k: int,
-                            degree_rows: list[lpmod.LpRow] | None = None,
-                            recheck: bool = False) -> lpmod.LazyResult:
-    """First multigraph LP: x >= 0, all cut constraints via plain min-cut."""
-    rows: list[lpmod.LpRow] = list(degree_rows or [])
-    var_of = {e: e for e in range(graph.m)}
-    working = list(range(graph.m))
-    for v in range(1, graph.n + 1):
-        rows.append(_cut_row(graph, frozenset({v}), working, var_of, k))
-
-    def oracle(point: list[Fraction]) -> list[lpmod.LpRow]:
-        caps = {e: point[e] for e in range(graph.m)}
-        value, side = min_cut(graph, caps)
-        if value >= k:
-            return []
-        return [_cut_row(graph, side, working, var_of, k)]
-
-    inst = lpmod.instance([e.cost for e in graph.edges], [0] * graph.m,
-                          [None] * graph.m, rows)
-    cap = 10 * (graph.m + 2 ** min(20, graph.n))
-    result = lpmod.solve_lazy(inst, oracle, max_added=cap)
-    if recheck:
-        certmod.recheck_vertex(
-            lpmod.LpInstance(inst.objective, inst.lower, inst.upper,
-                             tuple(result.rows)), result.optimum)
-    return result
-
-
-def kecsm_core(graph: Multigraph, k: int, *, certify: bool | None = None,
-               seed: int = 0, exact_separation: bool = False,
-               max_iterations: int | None = None) -> tuple[Solution, RoundingTrace]:
-    """(k-2)-edge-connected multigraph of cost at most the multigraph LP."""
-    if k < 4 or k % 2:
-        raise ValueError("k must be even and at least 4")
-    if graph.n < 2:
-        raise ValueError("need at least 2 vertices")
-    if edge_connectivity(graph) < 1:
-        raise InfeasibleInstance("graph is disconnected")
-    certify_flag = _should_certify(certify, graph)
-    try:
-        lazy = _solve_unbounded_cut_lp(graph, k, recheck=certify_flag)
-    except lpmod.LpInfeasible as exc:  # pragma: no cover - precheck covers this
-        raise InfeasibleInstance(str(exc)) from exc
-    first = lazy.optimum
-    mult = {e: int(v) for e, v in enumerate(first.point) if int(v)}
-    working = [e for e in range(graph.m) if first.point[e] != int(first.point[e])]
-    trace = RoundingTrace(first.value)
-    trace.iterations.append(IterationRecord(
-        index=0, lp_value=first.value,
-        point={e: v for e, v in enumerate(first.point) if v != 0},
-        picked=sorted(mult), frac_support=len(working), dropped_witnesses=[],
-        lazy_rounds=lazy.separation_calls, lp_rows=len(lazy.rows)))
-    spec = _LoopSpec(threshold=3, pick_cutoff=Fraction(1),
-                     keep_zero_edges=False, ledger_factor=Fraction(1))
-    _rounding_loop(graph, k, spec, mult, working, None, None, trace,
-                   certify_flag, exact_separation, random.Random(seed),
-                   max_iterations)
-    return _finish(graph, "ecsm", k, mult, trace.lp0, k - 2, trace.lp0), trace
-
 
 def approximation_factor(k: int) -> Fraction:
     """1 + 2/k for even k, 1 + 3/k for odd k."""
     return 1 + Fraction(2 if k % 2 == 0 else 3, k)
 
 
+def _multigraph_run_k(k: int) -> int:
+    """The multigraph procedures round at k+2 (even k) or k+3 (odd k)."""
+    return k + 2 if k % 2 == 0 else k + 3
+
+
+def kecsm_core(graph: Multigraph, k: int, *, certify: bool | None = None,
+               seed: int = 0, exact_separation: bool = False,
+               max_iterations: int | None = None) -> tuple[Solution, RoundingTrace]:
+    """(k-2)-edge-connected multigraph of cost at most the multigraph LP."""
+    _check(graph, k, _CORE.min_k, even=True, connectivity=1)
+    mult, trace = _round(graph, k, _MULTIGRAPH, None, certify, seed,
+                         exact_separation, max_iterations)
+    return _finish(graph, _CORE, k, mult, trace.lp0), trace
+
+
 def kecsm(graph: Multigraph, k: int, **kwargs) -> tuple[Solution, RoundingTrace]:
     """k-edge-connected multigraph of cost at most (1+2/k) or (1+3/k)
     times the multigraph LP optimum at k."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if graph.n < 2:
-        raise ValueError("need at least 2 vertices")
-    if edge_connectivity(graph) < 1:
-        raise InfeasibleInstance("graph is disconnected")
-    run_k = k + 2 if k % 2 == 0 else k + 3
+    _check(graph, k, MODES["ecsm"].min_k)
+    run_k = _multigraph_run_k(k)
     sol, trace = kecsm_core(graph, run_k, **kwargs)
     # the cut LP x >= 0, x(delta(S)) >= k is homogeneous in k
     reference = Fraction(k, run_k) * trace.lp0
-    bound = approximation_factor(k) * reference
-    out = _finish(graph, "ecsm", k, sol.multiplicity, reference, k, bound)
-    return out, trace
+    return _finish(graph, MODES["ecsm"], k, sol.multiplicity, reference), trace
 
 
 # -- degree-bounded procedures -----------------------------------------------
-
-def _validate_bounds(graph: Multigraph, lower: Sequence[int],
-                     upper: Sequence[int]) -> None:
-    if len(lower) != graph.n or len(upper) != graph.n:
-        raise ValueError("degree bounds must cover all vertices")
-    for v in range(graph.n):
-        if lower[v] > upper[v]:
-            raise ValueError(f"vertex {v + 1} has lower bound above upper bound")
-        if lower[v] < 0 or upper[v] < 0:
-            raise ValueError(f"vertex {v + 1} has a negative degree bound")
-
 
 def md_kecss(graph: Multigraph, k: int, lower: Sequence[int],
              upper: Sequence[int], *, certify: bool | None = None,
@@ -541,26 +513,11 @@ def md_kecss(graph: Multigraph, k: int, lower: Sequence[int],
              max_iterations: int | None = None) -> tuple[Solution, RoundingTrace]:
     """Degree-bounded subgraph: (k-2)-connected for even k ((k-3) for odd),
     cost at most the LP, and every degree within +-2 of its window."""
-    _validate_bounds(graph, lower, upper)
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    run_k = k if k % 2 == 0 else k - 1
-    if graph.n < 2:
-        raise ValueError("need at least 2 vertices")
-    certify_flag = _should_certify(certify, graph)
-    trace = RoundingTrace(Fraction(0))
-    mult: dict[int, int] = {}
-    working = list(range(graph.m))
-    spec = _LoopSpec(threshold=3, pick_cutoff=Fraction(1),
-                     keep_zero_edges=False, ledger_factor=Fraction(1))
-    _rounding_loop(graph, run_k, spec, mult, working, (list(lower), list(upper)),
-                   frozenset(range(1, graph.n + 1)), trace, certify_flag,
-                   exact_separation, random.Random(seed), max_iterations)
-    target = run_k - 2
-    window = {v: (Fraction(lower[v - 1] - 2), Fraction(upper[v - 1] + 2))
-              for v in range(1, graph.n + 1)}
-    sol = _finish(graph, "ecss", k, mult, trace.lp0, target, trace.lp0, window)
-    return sol, trace
+    bounds = (list(lower), list(upper))
+    _check(graph, k, MODES["md-ecss"].min_k, bounds=bounds)
+    mult, trace = _round(graph, k - k % 2, _DEGREE_EXACT, bounds, certify, seed,
+                         exact_separation, max_iterations)
+    return _finish(graph, MODES["md-ecss"], k, mult, trace.lp0, bounds), trace
 
 
 def md_kecsm(graph: Multigraph, k: int, lower: Sequence[int],
@@ -576,64 +533,52 @@ def md_kecsm(graph: Multigraph, k: int, lower: Sequence[int],
     floor-extracts, then the degree-bounded loop finishes at k+2 (even k)
     or k+3 (odd k).
     """
-    _validate_bounds(graph, lower, upper)
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if graph.n < 2:
-        raise ValueError("need at least 2 vertices")
-    if edge_connectivity(graph) < 1:
-        raise InfeasibleInstance("graph is disconnected")
-    certify_flag = _should_certify(certify, graph)
-    rho = approximation_factor(k)
-    working_all = list(range(graph.m))
-    var_of = {e: e for e in range(graph.m)}
-
-    def degree_rows(lo: Sequence[int], hi: Sequence[int]) -> list[lpmod.LpRow]:
-        state = DegreeState(tuple(lo), tuple(hi),
-                            frozenset(range(1, graph.n + 1)))
-        return _degree_rows(graph, working_all, var_of, state)
-
+    _check(graph, k, MODES["md-ecsm"].min_k, connectivity=1, bounds=(lower, upper))
     try:
-        reference = _solve_unbounded_cut_lp(graph, k,
-                                            degree_rows(lower, upper)).optimum
+        reference = _solve_unbounded_cut_lp(graph, k, (lower, upper)).optimum
     except lpmod.LpInfeasible as exc:
         raise InfeasibleInstance(f"degree-bounded LP infeasible: {exc}") from exc
+    scaled = (list(lower), [math.ceil(approximation_factor(k) * b) for b in upper])
+    mult, trace = _round(graph, _multigraph_run_k(k), _DEGREE_MULTIGRAPH, scaled,
+                         certify, seed, exact_separation, max_iterations)
+    return _finish(graph, MODES["md-ecsm"], k, mult, reference.value, scaled), trace
 
-    run_k = k + 2 if k % 2 == 0 else k + 3
-    scaled_upper = [math.ceil(rho * b) for b in upper]
-    try:
-        lazy = _solve_unbounded_cut_lp(graph, run_k,
-                                       degree_rows(lower, scaled_upper),
-                                       recheck=certify_flag)
-    except lpmod.LpInfeasible as exc:
-        raise InfeasibleInstance(
-            f"scaled degree-bounded LP at k'={run_k} infeasible: {exc}") from exc
 
-    first = lazy.optimum
-    mult = {e: int(v) for e, v in enumerate(first.point) if int(v)}
-    working = [e for e in range(graph.m) if first.point[e] != int(first.point[e])]
-    active = set()
-    for v in range(1, graph.n + 1):
-        fdeg = sum((first.point[e] - int(first.point[e]) for e in working
-                    if v in (graph.edges[e].u, graph.edges[e].v)), Fraction(0))
-        fcount = sum(1 for e in working
-                     if v in (graph.edges[e].u, graph.edges[e].v))
-        if fdeg > 2 or fcount - fdeg > 2:
-            active.add(v)
-    trace = RoundingTrace(first.value)
-    trace.iterations.append(IterationRecord(
-        index=0, lp_value=first.value,
-        point={e: v for e, v in enumerate(first.point) if v != 0},
-        picked=sorted(mult), frac_support=len(working), dropped_witnesses=[],
-        lazy_rounds=lazy.separation_calls, lp_rows=len(lazy.rows)))
-    spec = _LoopSpec(threshold=3, pick_cutoff=Fraction(1),
-                     keep_zero_edges=False, ledger_factor=Fraction(1))
-    _rounding_loop(graph, run_k, spec, mult, working,
-                   (list(lower), list(scaled_upper)), frozenset(active), trace,
-                   certify_flag, exact_separation, random.Random(seed),
-                   max_iterations)
-    window = {v: (Fraction(lower[v - 1] - 2), Fraction(scaled_upper[v - 1] + 2))
-              for v in range(1, graph.n + 1)}
-    bound = rho * reference.value
-    sol = _finish(graph, "ecsm", k, mult, reference.value, k, bound, window)
-    return sol, trace
+# -- the mode table ------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Mode:
+    """A run mode: its solver, the solution family it reports ("ecss" or
+    "ecsm"), its least k, and its guarantee k -> (connectivity target,
+    cost factor over the recorded LP value)."""
+    solver: Callable[..., tuple[Solution, RoundingTrace]]
+    family: str
+    min_k: int
+    guarantee: Callable[[int], tuple[int, Fraction]]
+    degree_bounded: bool = False
+
+    def run(self, inst: Instance, **options) -> tuple[Solution, RoundingTrace]:
+        """Solve `inst`; degree-bounded modes read its degree windows."""
+        if self.degree_bounded:
+            return self.solver(inst.graph, inst.k, *inst.degree_arrays(), **options)
+        return self.solver(inst.graph, inst.k, **options)
+
+
+def _exact_cost(k: int) -> tuple[int, Fraction]:
+    """(k-2)-connected for even k, (k-3) for odd k, at cost at most the LP."""
+    return k - 2 - k % 2, Fraction(1)
+
+
+def _multigraph(k: int) -> tuple[int, Fraction]:
+    return k, approximation_factor(k)
+
+
+MODES: dict[str, Mode] = {
+    "ecss": Mode(kecss, "ecss", 2, _exact_cost),
+    "ecss15": Mode(bicriteria, "ecss", 2, lambda k: (k - 1, Fraction(3, 2))),
+    "ecsm": Mode(kecsm, "ecsm", 1, _multigraph),
+    "md-ecss": Mode(md_kecss, "ecss", 2, _exact_cost, degree_bounded=True),
+    "md-ecsm": Mode(md_kecsm, "ecsm", 1, _multigraph, degree_bounded=True),
+}
+# the rounding stage of `ecsm` at k' = k+2 or k+3; not a run mode
+_CORE = Mode(kecsm_core, "ecsm", 4, _exact_cost)

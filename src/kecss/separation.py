@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .graphs import (CapacityError, boundary, cuts_below, mask_vertices, min_cut,
-                     scale_capacities)
+from .graphs import (CapacityError, crossing, cuts_below, mask_vertices, min_cut,
+                     scale_capacities, vertex_mask)
 from .requirements import Requirement
 
 EXACT_VERTEX_LIMIT = 20
@@ -77,11 +77,9 @@ def _check_fast_preconditions(req: Requirement) -> None:
 
 
 def _violated(req: Requirement, side: frozenset[int], capacity: Fraction) -> Violated:
-    fres = req.residual(side)
-    picked_across = sum(req.picked[e] for e in req.picked
-                        if (req.graph.edges[e].u in side) != (req.graph.edges[e].v in side))
-    x_mass = Fraction(capacity) - picked_across
-    return Violated(side, Fraction(capacity), fres, x_mass)
+    mask = vertex_mask(side)
+    x_mass = Fraction(capacity) - req.picked_crossing(mask)
+    return Violated(side, Fraction(capacity), req.residual_mask(mask), x_mass)
 
 
 def separate_fast(x: Mapping[int, Fraction], req: Requirement) -> SeparationVerdict:
@@ -94,7 +92,6 @@ def separate_fast(x: Mapping[int, Fraction], req: Requirement) -> SeparationVerd
     if req.threshold == 3 and req.k == 2:
         return Feasible()  # no set can reach the threshold
     caps = mixed_capacities(x, req)
-    k = Fraction(req.k)
     window = req.k - (req.threshold - 1)
     value, side = min_cut(req.graph, caps)
     if value < window:
@@ -103,15 +100,15 @@ def separate_fast(x: Mapping[int, Fraction], req: Requirement) -> SeparationVerd
             raise RuntimeError(f"min cut {sorted(side)} of capacity {value} below "
                                f"{window} is not active")
         return _violated(req, side, value)
-    if value >= k:
+    if value >= req.k:
         return Feasible()
     # candidates come sorted by side, so the first cheapest one wins ties
-    active = [s for s in cuts_below(req.graph, caps, k) if req.in_active_family(s)]
+    active = [s for s in cuts_below(req.graph, caps, req.k) if req.in_active_family(s)]
     if not active:
         return Feasible()
 
     def capacity(s: frozenset[int]) -> Fraction:
-        return sum((caps[e] for e in boundary(req.graph, s)), Fraction(0))
+        return sum((caps[e] for e in crossing(req.graph, vertex_mask(s))), Fraction(0))
 
     best = min(active, key=capacity)
     return _violated(req, best, capacity(best))

@@ -11,6 +11,7 @@ and says why the new outputs are correct.
 
 import hashlib
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -175,3 +176,27 @@ def test_golden_outputs(name):
            for mode in MODE_NAMES for cert in (True, False)}
     want = {key: value for key, value in GOLDEN.items() if key[0] == name}
     assert got == want
+
+
+# the PAPER.md guarantee table, k = 2..9: (connectivity target, cost factor)
+EXACT_COST = [(0, 1), (0, 1), (2, 1), (2, 1), (4, 1), (4, 1), (6, 1), (6, 1)]
+GUARANTEES = {
+    "ecss": EXACT_COST,
+    "ecss15": [(1, Fraction(3, 2)), (2, Fraction(3, 2)), (3, Fraction(3, 2)),
+               (4, Fraction(3, 2)), (5, Fraction(3, 2)), (6, Fraction(3, 2)),
+               (7, Fraction(3, 2)), (8, Fraction(3, 2))],
+    "ecsm": [(2, 2), (3, 2), (4, Fraction(3, 2)), (5, Fraction(8, 5)),
+             (6, Fraction(4, 3)), (7, Fraction(10, 7)), (8, Fraction(5, 4)),
+             (9, Fraction(4, 3))],
+}
+GUARANTEES["md-ecss"] = GUARANTEES["ecss"]
+GUARANTEES["md-ecsm"] = GUARANTEES["ecsm"]
+
+
+def test_mode_table_matches_paper_guarantees():
+    assert set(rounding.MODES) == set(MODE_NAMES)
+    for name, expected in GUARANTEES.items():
+        assert [rounding.MODES[name].guarantee(k) for k in range(2, 10)] == expected
+    assert {name: (m.family, m.min_k) for name, m in rounding.MODES.items()} == {
+        "ecss": ("ecss", 2), "ecss15": ("ecss", 2), "ecsm": ("ecsm", 1),
+        "md-ecss": ("ecss", 2), "md-ecsm": ("ecsm", 1)}

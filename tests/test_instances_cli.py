@@ -51,6 +51,13 @@ def test_parse_errors_carry_line_numbers():
         parse_instance("p kecss 2 2 4\ne 1 2 1\n")  # edge count mismatch
 
 
+def test_parse_rejects_edge_lines_beyond_header_count():
+    # the edge list never outgrows the header: the extra line is named
+    with pytest.raises(ParseError) as err:
+        parse_instance("p kecss 3 1 2\ne 1 2 1\ne 2 3 1\n")
+    assert err.value.line_no == 3
+
+
 def _limit_error(text):
     with pytest.raises(ParseError) as err:
         parse_instance(text)
@@ -320,3 +327,68 @@ def test_cli_entrypoint_subprocess(tmp_path: Path):
     code, out, err = run_cli("run", "--mode", "ecss", "--input", str(inst_path))
     assert code == 0
     assert json.loads(out)["cost"] == "10/1"
+
+
+def _one_line_error(err: str) -> bool:
+    return "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_cli_run_k_below_mode_minimum_exits_2(tmp_path: Path):
+    inst_path = tmp_path / "k5-k1.txt"
+    inst_path.write_text(emit_instance(gen("complete", n=5, k=1)))
+    code, out, err = run_cli("run", "--mode", "ecss", "--input", str(inst_path))
+    assert code == 2 and out == "" and _one_line_error(err)
+    assert "k >= 2" in err
+    # ecsm takes k=1
+    code, out, _ = run_cli("run", "--mode", "ecsm", "--input", str(inst_path))
+    assert code == 0 and json.loads(out)["connectivity"] >= 1
+    for bad_k in ("0", str(MAX_K + 1)):
+        code, out, err = run_cli("run", "--mode", "ecsm", "--input", str(inst_path),
+                                 "--k", bad_k)
+        assert code == 2 and out == "" and _one_line_error(err)
+
+
+def test_cli_run_undecodable_input_exits_2(tmp_path: Path):
+    inst_path = tmp_path / "latin1.txt"
+    inst_path.write_bytes(b"# caf\xe9\np kecss 2 1 4\ne 1 2 1\n")
+    code, out, err = run_cli("run", "--mode", "ecss", "--input", str(inst_path))
+    assert code == 2 and out == "" and _one_line_error(err)
+
+
+def test_cli_bench_records_bad_k_and_undecodable_files(tmp_path: Path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a-k1.txt").write_text(emit_instance(gen("complete", n=5, k=1)))
+    (corpus / "b-latin1.txt").write_bytes(b"# caf\xe9\np kecss 2 1 4\ne 1 2 1\n")
+    (corpus / "c-k4.txt").write_text(emit_instance(gen("complete", n=5, k=4)))
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--dir", str(corpus), "--out", str(out),
+                 "--modes", "ecss,ecsm"]) == 0
+    status = {tuple(line.split(",")[:2]): line.split(",")[-1]
+              for line in out.read_text().splitlines()[1:]}
+    assert status[("a-k1.txt", "ecss")] == "invalid-k: needs k >= 2"
+    assert status[("a-k1.txt", "ecsm")] == "ok"
+    assert status[("b-latin1.txt", "ecss")].startswith("parse-error: ")
+    assert status[("b-latin1.txt", "ecsm")].startswith("parse-error: ")
+    assert status[("c-k4.txt", "ecss")] == status[("c-k4.txt", "ecsm")] == "ok"
+
+
+def test_cli_certify_rejects_malformed_solution(tmp_path: Path):
+    inst_path = tmp_path / "k5.txt"
+    sol_path = tmp_path / "sol.json"
+    inst_path.write_text(emit_instance(gen("complete", n=5, k=4)))
+    assert main(["run", "--mode", "ecsm", "--input", str(inst_path),
+                 "--solution", str(sol_path)]) == 0
+    payload = json.loads(sol_path.read_text())
+    # no mode of the family takes that k, or no such family
+    for mode, k in (("ecsm", 0), ("ecss", 1), ("steiner", 4)):
+        sol_path.write_text(json.dumps(dict(payload, mode=mode, k=k)))
+        code, out, err = run_cli("run", "--mode", "certify", "--input", str(inst_path),
+                                 "--solution", str(sol_path))
+        assert code == 2 and _one_line_error(err)
+    # an edge the instance does not have, or a negative multiplicity
+    for rec in ({"id": 10, "mult": 1}, {"id": 0, "mult": -1}):
+        sol_path.write_text(json.dumps(dict(payload, edges=payload["edges"] + [rec])))
+        code, out, err = run_cli("run", "--mode", "certify", "--input", str(inst_path),
+                                 "--solution", str(sol_path))
+        assert code == 2 and _one_line_error(err)

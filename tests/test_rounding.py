@@ -10,7 +10,7 @@ from kecss.rounding import (InfeasibleInstance, _solve_unbounded_cut_lp,
                             approximation_factor, bicriteria, kecsm,
                             kecsm_core, kecss, kecss_even, md_kecsm, md_kecss)
 
-from conftest import hub_cost_variant, prism_hub_edges, random_feasible
+from conftest import degree_bounds_for, hub_cost_variant, prism_hub_edges, random_feasible
 
 
 def degrees(graph, mult):
@@ -203,6 +203,21 @@ def test_md_kecsm_examples():
     sol, _ = md_kecsm(tri, 2, [2] * 3, [2] * 3)
     assert sol.multiplicity == {0: 2, 1: 2, 2: 2}
     assert all(d <= 2 * 2 + 2 for d in degrees(tri, sol.multiplicity))
+
+
+def test_md_kecsm_degree_activity_boundary():
+    # after floor extraction vertex 8 meets 4 fractional edges of total 2:
+    # fractional degree 2 and complement 2, both at the bound, so it leaves
+    # the degree-constrained set, no cut is active, and the loop never runs
+    inst = random_feasible(14, 8, 6)
+    lower, upper = degree_bounds_for(inst, 14)
+    sol, trace = md_kecsm(inst.graph, 6, lower, upper, certify=False)
+    first = trace.iterations[0].point
+    working = [e for e, v in first.items() if v.denominator != 1]
+    at_8 = [e for e in working if 8 in (inst.graph.edges[e].u, inst.graph.edges[e].v)]
+    assert len(at_8) == 4 and sum(first[e] % 1 for e in at_8) == 2
+    assert len(trace.iterations) == 1
+    assert trace.lp0 == Fraction(189, 2) and sol.connectivity >= 6
 
 
 def test_md_kecsm_validation():
