@@ -9,6 +9,8 @@ failures) are recorded and the harness keeps going.
 
 from __future__ import annotations
 
+import csv
+import io
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -18,8 +20,8 @@ from .instances import ParseError, parse_instance
 from .lp import LpInfeasible
 from .rounding import MODES, InfeasibleInstance, frac_str
 
-CSV_HEADER = ("instance,mode,n,m,k,lp,cost,ratio,bound,within_bound,"
-              "connectivity,iterations,seconds,status")
+CSV_HEADER = ("instance", "mode", "n", "m", "k", "lp", "cost", "ratio", "bound",
+              "within_bound", "connectivity", "iterations", "seconds", "status")
 
 
 def _ratio_decimal(num: Fraction, digits: int = 6) -> str:
@@ -27,42 +29,46 @@ def _ratio_decimal(num: Fraction, digits: int = 6) -> str:
     return f"{scaled.numerator / scaled.denominator / 10 ** digits:.{digits}f}"
 
 
-def bench_row(path: Path, mode: str, seed: int) -> str:
+def bench_row(path: Path, mode: str, seed: int) -> list[str]:
+    """The CSV fields of one (instance, mode) run; a failed run fills the
+    instance columns it knows and the status."""
     name = path.name
     try:
         inst = parse_instance(path.read_text(encoding="utf-8"))
     except (ParseError, OSError, UnicodeDecodeError) as exc:
-        return f"{name},{mode},,,,,,,,,,,,parse-error: {exc}"
+        return [name, mode] + [""] * 11 + [f"parse-error: {exc}"]
     n, m, k = inst.graph.n, inst.graph.m, inst.k
+    head = [name, mode, str(n), str(m), str(k)]
     entry = MODES[mode]
     if k < entry.min_k:
-        return f"{name},{mode},{n},{m},{k},,,,,,,,,invalid-k: needs k >= {entry.min_k}"
+        return head + [""] * 8 + [f"invalid-k: needs k >= {entry.min_k}"]
     start = time.perf_counter()
     try:
         sol, trace = entry.run(inst, seed=seed)
     except (InfeasibleInstance, LpInfeasible):
-        return f"{name},{mode},{n},{m},{k},,,,,,,,,infeasible"
+        return head + [""] * 8 + ["infeasible"]
     except CertificationError as exc:
         first = str(exc).splitlines()[0]
-        return f"{name},{mode},{n},{m},{k},,,,,,,,,certification-failure: {first}"
+        return head + [""] * 8 + [f"certification-failure: {first}"]
     seconds = time.perf_counter() - start
     _, factor = entry.guarantee(k)
     ratio = sol.cost / sol.lp_value if sol.lp_value else Fraction(0)
     within = ratio <= factor  # exact rational comparison
-    return ",".join([
-        name, mode, str(n), str(m), str(k),
+    return head + [
         frac_str(sol.lp_value), frac_str(sol.cost),
         _ratio_decimal(ratio), frac_str(factor), str(within).lower(),
         str(sol.connectivity), str(len(trace.iterations)),
         f"{seconds:.3f}", "ok",
-    ])
+    ]
 
 
 def bench_directory(directory: Path, modes: list[str], seed: int = 0) -> str:
-    lines = [CSV_HEADER]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
     for path in sorted(directory.glob("*")):
         if not path.is_file():
             continue
         for mode in modes:
-            lines.append(bench_row(path, mode, seed))
-    return "\n".join(lines) + "\n"
+            writer.writerow(bench_row(path, mode, seed))
+    return out.getvalue()

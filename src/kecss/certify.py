@@ -90,9 +90,9 @@ def verify(graph: Multigraph, multiplicity: Mapping[int, int],
             failures.append(f"bad multiplicity {m} on edge {e}")
         if ecss_mode and m > 1:
             failures.append(f"edge {e} has multiplicity {m} in subgraph mode")
-    value, side = min_cut(graph, {e: Fraction(mult.get(e, 0))
-                                  for e in range(graph.m)})
-    conn = int(value)
+    conn, side = 0, frozenset()  # a single vertex has no cut to count
+    if graph.n > 1:
+        conn, side = min_cut(graph, [mult.get(e, 0) for e in range(graph.m)])
     if conn < connectivity_target:
         witness = side
         failures.append(f"connectivity {conn} below target {connectivity_target} "
@@ -125,12 +125,10 @@ class ScaledPoint:
     __slots__ = ("denom", "edges")
 
     def __init__(self, graph: Multigraph, x: Mapping[int, Fraction]):
-        values = sorted((e, Fraction(v)) for e, v in x.items() if v)
-        denom = math.lcm(1, *(v.denominator for _, v in values))
-        self.denom = denom
+        support = sorted((e, Fraction(v)) for e, v in x.items() if v)
+        scaled, self.denom = lpmod.common([v for _, v in support])
         ends = graph.ends
-        self.edges = tuple((e, ends[e], v.numerator * (denom // v.denominator))
-                           for e, v in values)
+        self.edges = tuple((e, ends[e], w) for (e, _), w in zip(support, scaled))
 
     def cross(self, mask: int) -> int:
         """denom times the x-mass of the edges crossing the vertex mask."""
@@ -166,56 +164,18 @@ def tight_sets(x: Mapping[int, Fraction], req: Requirement,
     if graph.n < 2:
         return []
     denom = point.denom
-    caps = dict.fromkeys(range(graph.m), 0)
+    weights = [0] * graph.m
     for e, mult in req.picked.items():
-        caps[e] += mult * denom
+        weights[e] += mult * denom
     for e, _, w in point.edges:
-        caps[e] += w
+        weights[e] += w
     out = []
-    for side in cuts_below(graph, caps, req.k * denom + 1):
+    for side in cuts_below(graph, weights, req.k * denom + 1):
         mask = vertex_mask(side)
         fres = req.residual_mask(mask)
         if fres >= req.threshold and point.cross(mask) == fres * denom:
             out.append(side)
     return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
-
-
-class _IntRankTracker:
-    """Incremental rank of integer row vectors over the rationals."""
-
-    def __init__(self):
-        self.pivots: dict[int, dict[int, int]] = {}
-
-    def _reduce(self, vec: dict[int, int]) -> dict[int, int]:
-        v = {c: val for c, val in vec.items() if val}
-        while v:
-            col = min(v)
-            if col not in self.pivots:
-                break
-            piv = self.pivots[col]
-            a, b = piv[col], v[col]
-            for c2 in set(v) | set(piv):
-                nv = v.get(c2, 0) * a - piv.get(c2, 0) * b
-                if nv:
-                    v[c2] = nv
-                else:
-                    v.pop(c2, None)
-        if v:
-            g = math.gcd(*v.values())
-            if g > 1:
-                v = {c: val // g for c, val in v.items()}
-        return v
-
-    def add(self, vec: dict[int, int]) -> bool:
-        v = self._reduce(vec)
-        if not v:
-            return False
-        self.pivots[min(v)] = v
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
 
 
 def _laminar_compatible(a: frozenset, b: frozenset) -> bool:
@@ -270,7 +230,7 @@ def extract_laminar(x: Mapping[int, Fraction], req: Requirement,
     candidates = {side for s in canonical for side in (s, full - s)}
     ordered = sorted(candidates, key=lambda s: (len(s), tuple(sorted(s))))
 
-    tracker = _IntRankTracker()
+    tracker = lpmod.RankTracker()
     family: list[frozenset[int]] = []
     for s in ordered:
         if all(_laminar_compatible(s, t) for t in family):
@@ -287,7 +247,7 @@ def extract_laminar(x: Mapping[int, Fraction], req: Requirement,
 
     # select |F| members with independent rows over the fractional columns,
     # the sets first, then the degree-tight vertices
-    ftracker = _IntRankTracker()
+    ftracker = lpmod.RankTracker()
     chosen_sets: list[frozenset[int]] = []
     chosen_vertices: list[int] = []
     rows: list[tuple[int, ...]] = []
@@ -331,7 +291,7 @@ def _validate_basis(basis: LaminarBasis, x: Mapping[int, Fraction],
     if basis.size() != len(basis.frac_edges):
         raise CertificationError("|family| + |degree vertices| != |F|",
                                  reproducer_dump(graph, req, x))
-    tracker = _IntRankTracker()
+    tracker = lpmod.RankTracker()
     for r in basis.rows:
         if not tracker.add({i: c for i, c in enumerate(r) if c}):
             raise CertificationError("basis rows not linearly independent",
@@ -665,11 +625,11 @@ def recheck_vertex(inst: lpmod.LpInstance, opt: lpmod.BasicOptimum) -> None:
     The tight bounds' unit vectors span their columns, so the rank is
     their column count plus the rank of the tight rows restricted to the
     other columns; each row is scaled to integers by the lcm of its
-    coefficient denominators and reduced by _IntRankTracker.
+    coefficient denominators and reduced by `lp.RankTracker`.
     """
     nv = inst.num_vars
     bounded = {j for j, _ in opt.tight_bounds}
-    tracker = _IntRankTracker()
+    tracker = lpmod.RankTracker()
     for i in opt.tight_rows:
         if len(bounded) + tracker.rank == nv:
             break

@@ -1,20 +1,21 @@
 """Multigraph representation and exact cut machinery.
 
 Vertices are 1..n.  Edge ids are dense 0..m-1 and parallel edges are kept
-as distinct ids; self-loops are rejected.  All cut values are exact
-rationals: capacity vectors are scaled to a common integer denominator
-internally, so every comparison is integer arithmetic.  `min_cut` is
-Stoer-Wagner; `cuts_below` enumerates every cut under a bound by s-t
-max-flow branch and bound, exactly and with polynomial delay at any n.
+as distinct ids; self-loops are rejected.  The cut kernels take edge
+weights as a list of nonnegative ints indexed by edge id, so every cut
+value and comparison is integer arithmetic; a caller with rational
+capacities scales them once to a common denominator (`lp.common`) and
+scales its bounds with them.  `min_cut` is Stoer-Wagner; `cuts_below`
+enumerates every cut under a limit by s-t max-flow branch and bound,
+exactly and with polynomial delay at any n.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 
 class CapacityError(ValueError):
@@ -127,31 +128,23 @@ def boundary(graph: Multigraph, side: Iterable[int],
     return frozenset(crossing(graph, vertex_mask(side), ids))
 
 
-def scale_capacities(graph: Multigraph,
-                     caps: Mapping[int, Fraction | int]) -> tuple[list[int], int]:
-    """Return (integer weights per edge id, common denominator)."""
-    if set(caps.keys()) != set(range(graph.m)):
-        raise ValueError("capacity vector must be defined on exactly the edge ids")
-    fracs = [Fraction(caps[e]) for e in range(graph.m)]
-    for e, f in enumerate(fracs):
-        if f < 0:
-            raise ValueError(f"capacity of edge {e} is negative")
-    denom = 1
-    for f in fracs:
-        denom = math.lcm(denom, f.denominator)
-    return [int(f * denom) for f in fracs], denom
+def _check_weights(graph: Multigraph, weights: Sequence[int]) -> None:
+    if len(weights) != graph.m:
+        raise ValueError(f"weight vector has {len(weights)} entries for {graph.m} edges")
+    for e in range(graph.m):
+        w = weights[e]
+        if not isinstance(w, int) or w < 0:
+            raise ValueError(f"weight of edge {e} must be a nonnegative int, got {w!r}")
 
 
-def min_cut(graph: Multigraph,
-            caps: Mapping[int, Fraction | int]) -> tuple[Fraction, frozenset[int]]:
-    """Exact global minimum cut (value, canonical side) for rational capacities.
+def min_cut(graph: Multigraph, weights: Sequence[int]) -> tuple[int, frozenset[int]]:
+    """Exact global minimum cut (value, canonical side) for integer weights.
 
-    Deterministic maximum-adjacency (Stoer-Wagner style) contraction over
-    integer-scaled weights.
+    Deterministic maximum-adjacency (Stoer-Wagner style) contraction.
     """
     if graph.n < 2:
         raise ValueError("min cut needs at least 2 vertices")
-    weights, denom = scale_capacities(graph, caps)
+    _check_weights(graph, weights)
 
     # weight matrix over supernodes, each supernode remembers its members
     nodes = list(range(1, graph.n + 1))
@@ -200,30 +193,28 @@ def min_cut(graph: Multigraph,
     if best_value is None or best_side is None:
         raise RuntimeError("maximum-adjacency contraction found no phase cut")
     side = canonical_side(frozenset(best_side), graph.n)
-    return Fraction(best_value, denom), side
+    return best_value, side
 
 
-def cuts_below(graph: Multigraph, caps: Mapping[int, Fraction | int],
-               bound: Fraction | int) -> list[frozenset[int]]:
-    """All canonical cut sides with capacity strictly below `bound`.
+def cuts_below(graph: Multigraph, weights: Sequence[int],
+               limit: int) -> list[frozenset[int]]:
+    """All canonical cut sides with weight strictly below `limit`.
 
     Exact at any n, with polynomial delay (Vazirani-Yannakakis branching):
     vertex 1 is fixed outside the side, vertices 2..n are assigned in order,
     and a partial assignment is pruned as soon as the max flow from its
-    assigned side to its assigned complement reaches `bound`, since no
+    assigned side to its assigned complement reaches `limit`, since no
     completion can then be cheaper.  Each child warm-starts from its
     parent's flow, which stays feasible when a vertex joins either end.
     Every branch that survives ends in a returned cut, so each cut costs
     at most 2n flow computations.  Output is sorted lexicographically by
     canonical side.
     """
-    bound = Fraction(bound)
-    if bound <= 0:
-        raise ValueError("bound must be positive")
+    if not isinstance(limit, int) or limit <= 0:
+        raise ValueError(f"limit must be a positive int, got {limit!r}")
     if graph.n < 2:
         raise ValueError("cut enumeration needs at least 2 vertices")
-    weights, denom = scale_capacities(graph, caps)
-    limit = math.ceil(bound * denom)  # integer cuts: below bound <=> below limit
+    _check_weights(graph, weights)
     n = graph.n
     # residual capacity of edge j from v towards u: weights[j] - sign * flow[j]
     adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
@@ -289,14 +280,5 @@ def cuts_below(graph: Multigraph, caps: Mapping[int, Fraction | int],
 def edge_connectivity(graph: Multigraph,
                       multiplicity: Mapping[int, int] | None = None) -> int:
     """Global edge connectivity under integer edge multiplicities."""
-    if graph.n < 2:
-        raise ValueError("edge connectivity needs at least 2 vertices")
     mult = dict.fromkeys(range(graph.m), 1) if multiplicity is None else multiplicity
-    caps = {e: Fraction(mult.get(e, 0)) for e in range(graph.m)}
-    for e, c in caps.items():
-        if c < 0 or c.denominator != 1:
-            raise ValueError(f"multiplicity of edge {e} must be a nonnegative integer")
-    value, _ = min_cut(graph, caps)
-    if value.denominator != 1:
-        raise RuntimeError(f"integer multiplicities gave a fractional cut {value}")
-    return int(value)
+    return min_cut(graph, [mult.get(e, 0) for e in range(graph.m)])[0]

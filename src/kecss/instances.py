@@ -235,7 +235,7 @@ def gen(kind: str, seed: int = 0, n: int = 8, p: float = 0.6,
     if ensure_connectivity:
         while True:
             g = make_graph(n, edges)
-            value, side = min_cut(g, {e: 1 for e in range(g.m)})
+            value, side = min_cut(g, [1] * g.m)
             if value >= ensure_connectivity:
                 break
             a = rng.choice(sorted(side))

@@ -39,7 +39,8 @@ ties going to the smallest column (Bland's rule for the dual, so the
 loop terminates).  When no column can move it, the relaxation is
 infeasible.  Every round's point is checked against every row and
 bound and certified by a full-rank set of tight constraints, in
-integer arithmetic over the point's common denominator.
+integer arithmetic over the point's common denominator; the rank comes
+from `RankTracker`, the one integer elimination that `certify` shares.
 """
 
 from __future__ import annotations
@@ -288,7 +289,7 @@ class _Simplex:
         column, expressed in the current basis.  The reduced costs do not
         change, so an optimal basis stays dual feasible; a row violated
         at the current point leaves its slack below 0."""
-        scaled_point, point_den = _common(self.point())
+        scaled_point, point_den = common(self.point())
         for r in rows:
             scale, coeffs, rhs = sc = _scaled(r)
             slack = self.total
@@ -552,8 +553,9 @@ def _scaled(r: LpRow) -> tuple[int, list[tuple[int, int]], int]:
             r.rhs.numerator * (scale // r.rhs.denominator))
 
 
-def _common(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """values as integers over their least common denominator."""
+def common(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """values as integers over their least common denominator, as
+    (numerators, denominator)."""
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
 
@@ -575,6 +577,43 @@ def _eliminate(vec: list[int], den: int, f: int, nz: list[tuple[int, int]],
     return vec, den
 
 
+class RankTracker:
+    """Incremental rank of integer row vectors (column -> value) over the
+    rationals.  Each added vector is reduced against the kept ones, at
+    its smallest column each time and then divided by its gcd, and is
+    kept, keyed by its smallest column, if anything is left."""
+
+    def __init__(self):
+        self.pivots: dict[int, dict[int, int]] = {}
+
+    def add(self, vec: dict[int, int]) -> bool:
+        """Keep vec if it is independent of the kept vectors; say so."""
+        v = {c: a for c, a in vec.items() if a}
+        while v:
+            col = min(v)
+            piv = self.pivots.get(col)
+            if piv is None:
+                self.pivots[col] = v
+                return True
+            # v * p - f * piv has the zeros of v - (f / p) * piv, and one
+            # gcd keeps it small
+            p, f = piv[col], v[col]
+            w = {c: a * p for c, a in v.items()}
+            for c2, a in piv.items():
+                a = w.get(c2, 0) - f * a
+                if a:
+                    w[c2] = a
+                else:
+                    w.pop(c2, None)
+            g = gcd(*w.values())
+            v = {c: a // g for c, a in w.items()} if g > 1 else w
+        return False
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+
 def _rank_certificate(num_vars: int, scaled: list[tuple[int, list, int]],
                       tight_rows: list[int],
                       tight_bounds: list[tuple[int, str]]) -> list[tuple]:
@@ -593,30 +632,11 @@ def _rank_certificate(num_vars: int, scaled: list[tuple[int, list, int]],
         if j not in bounded:
             bounded.add(j)
             chosen.append(("bound", j, side))
-    pivots: dict[int, dict[int, int]] = {}  # pivot column -> reduced vector
+    tracker = RankTracker()
     for i in tight_rows:
         if len(chosen) == num_vars:
             break
-        v = {c: a for c, a in scaled[i][1] if a and c not in bounded}
-        while v:
-            col = min(v)
-            piv = pivots.get(col)
-            if piv is None:
-                break
-            # v * p - f * piv has the zeros of v - (f / p) * piv, and one
-            # gcd keeps it small
-            p, f = piv[col], v[col]
-            w = {c: a * p for c, a in v.items()}
-            for c2, a in piv.items():
-                a = w.get(c2, 0) - f * a
-                if a:
-                    w[c2] = a
-                else:
-                    w.pop(c2, None)
-            g = gcd(*w.values())
-            v = {c: a // g for c, a in w.items()} if g > 1 else w
-        if v:
-            pivots[min(v)] = v
+        if tracker.add({c: a for c, a in scaled[i][1] if c not in bounded}):
             chosen.append(("row", i))
     if len(chosen) != num_vars:
         raise RuntimeError("solver returned a non-vertex point")
@@ -630,7 +650,7 @@ def _optimum(simplex: _Simplex) -> BasicOptimum:
     whether the row holds and whether it is tight."""
     lp = simplex.lp
     point = simplex.point()
-    scaled_point, point_den = _common(point)
+    scaled_point, point_den = common(point)
     tight_rows = []
     for i, (r, (_, coeffs, rhs)) in enumerate(zip(simplex.rows, simplex.scaled)):
         excess = sum(a * scaled_point[j] for j, a in coeffs) - rhs * point_den
@@ -638,7 +658,7 @@ def _optimum(simplex: _Simplex) -> BasicOptimum:
             tight_rows.append(i)
         elif r.sense == EQ or (excess < 0) == (r.sense == GE):
             raise RuntimeError(f"simplex produced point violating row {i}")
-    cost, cost_den = _common(lp.objective)
+    cost, cost_den = common(lp.objective)
     value = Fraction(sum(map(mul, cost, scaled_point)), cost_den * point_den)
     tight_bounds: list[tuple[int, str]] = []
     for j in range(lp.num_vars):

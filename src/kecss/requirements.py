@@ -78,7 +78,7 @@ class Requirement:
         """True iff no cut side reaches the threshold (the stopping rule)."""
         if not self.picked:
             return self.k < self.threshold
-        conn = edge_connectivity(self.graph, dict(self.picked))
+        conn = edge_connectivity(self.graph, self.picked)
         return self.k - conn < self.threshold
 
     def as_set_function(self) -> "SetFunction":

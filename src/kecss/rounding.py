@@ -214,9 +214,9 @@ def _solve_unbounded_cut_lp(graph: Multigraph, k: int, bounds: Bounds | None = N
         rows.append(_cut_row(graph, frozenset({v}), working, var_of, k))
 
     def oracle(point: list[Fraction]) -> list[lpmod.LpRow]:
-        caps = {e: point[e] for e in range(graph.m)}
-        value, side = min_cut(graph, caps)
-        if value >= k:
+        weights, denom = lpmod.common(point)
+        value, side = min_cut(graph, weights)
+        if value >= k * denom:
             return []
         return [_cut_row(graph, side, working, var_of, k)]
 

@@ -11,6 +11,10 @@ activity.  In that window the min cut is at least k/2, so the cuts below
 k are 2-approximate min cuts: polynomially many, and `cuts_below`
 lists them with polynomial delay at any n.
 
+The mixed capacities are scaled once per call to integers over the
+point's common denominator, and k and the window are scaled with them,
+so the cut kernels and every comparison work in integers.
+
 `separate_fast` is the production oracle; `separate_exact` scans every
 partition (n <= 20) and is the reference it is tested against.
 """
@@ -21,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .graphs import (CapacityError, crossing, cuts_below, mask_vertices, min_cut,
-                     scale_capacities, vertex_mask)
+from .graphs import CapacityError, crossing, cuts_below, mask_vertices, min_cut, vertex_mask
+from .lp import common
 from .requirements import Requirement
 
 EXACT_VERTEX_LIMIT = 20
@@ -50,21 +54,29 @@ class Violated:
 SeparationVerdict = Feasible | Violated
 
 
-def mixed_capacities(x: Mapping[int, Fraction], req: Requirement) -> dict[int, Fraction]:
-    """x_e on working edges plus the picked multiplicity, 0 elsewhere.
+def mixed_capacities(x: Mapping[int, Fraction],
+                     req: Requirement) -> tuple[list[int], int]:
+    """x_e on working edges plus the picked multiplicity, 0 elsewhere, as
+    (integer weight per edge id, common denominator).
 
     An edge may carry both: floor extraction picks the integer part of a
     multigraph LP value and keeps its fractional remainder working.
     """
-    caps = {e: Fraction(req.picked.get(e, 0)) for e in range(req.graph.m)}
+    m = req.graph.m
     for e, val in x.items():
-        if not 0 <= e < req.graph.m:
+        if not 0 <= e < m:
             raise ValueError(f"edge id {e} out of range")
-        val = Fraction(val)
-        if not 0 <= val <= 1:
-            raise ValueError(f"x[{e}]={val} outside [0, 1]")
-        caps[e] += val
-    return caps
+        # denominators are positive, so this is 0 <= val <= 1 in integers
+        if (not isinstance(val, (int, Fraction))
+                or not 0 <= val.numerator <= val.denominator):
+            raise ValueError(f"x[{e}]={val!r} is not a rational in [0, 1]")
+    scaled, denom = common(list(x.values()))
+    weights = [0] * m
+    for e, mult in req.picked.items():
+        weights[e] = mult * denom
+    for e, w in zip(x, scaled):
+        weights[e] += w
+    return weights, denom
 
 
 def _check_fast_preconditions(req: Requirement) -> None:
@@ -78,8 +90,8 @@ def _check_fast_preconditions(req: Requirement) -> None:
 
 def _violated(req: Requirement, side: frozenset[int], capacity: Fraction) -> Violated:
     mask = vertex_mask(side)
-    x_mass = Fraction(capacity) - req.picked_crossing(mask)
-    return Violated(side, Fraction(capacity), req.residual_mask(mask), x_mass)
+    return Violated(side, capacity, req.residual_mask(mask),
+                    capacity - req.picked_crossing(mask))
 
 
 def separate_fast(x: Mapping[int, Fraction], req: Requirement) -> SeparationVerdict:
@@ -91,27 +103,28 @@ def separate_fast(x: Mapping[int, Fraction], req: Requirement) -> SeparationVerd
     _check_fast_preconditions(req)
     if req.threshold == 3 and req.k == 2:
         return Feasible()  # no set can reach the threshold
-    caps = mixed_capacities(x, req)
+    weights, denom = mixed_capacities(x, req)
     window = req.k - (req.threshold - 1)
-    value, side = min_cut(req.graph, caps)
-    if value < window:
+    value, side = min_cut(req.graph, weights)
+    if value < window * denom:
         # a dropped set has capacity >= window, so this side is active
         if not req.in_active_family(side):
-            raise RuntimeError(f"min cut {sorted(side)} of capacity {value} below "
-                               f"{window} is not active")
-        return _violated(req, side, value)
-    if value >= req.k:
+            raise RuntimeError(f"min cut {sorted(side)} of capacity "
+                               f"{Fraction(value, denom)} below {window} is not active")
+        return _violated(req, side, Fraction(value, denom))
+    if value >= req.k * denom:
         return Feasible()
     # candidates come sorted by side, so the first cheapest one wins ties
-    active = [s for s in cuts_below(req.graph, caps, req.k) if req.in_active_family(s)]
+    active = [s for s in cuts_below(req.graph, weights, req.k * denom)
+              if req.in_active_family(s)]
     if not active:
         return Feasible()
 
-    def capacity(s: frozenset[int]) -> Fraction:
-        return sum((caps[e] for e in crossing(req.graph, vertex_mask(s))), Fraction(0))
+    def capacity(s: frozenset[int]) -> int:
+        return sum(weights[e] for e in crossing(req.graph, vertex_mask(s)))
 
     best = min(active, key=capacity)
-    return _violated(req, best, capacity(best))
+    return _violated(req, best, Fraction(capacity(best), denom))
 
 
 def separate_exact(x: Mapping[int, Fraction], req: Requirement) -> SeparationVerdict:
@@ -119,8 +132,7 @@ def separate_exact(x: Mapping[int, Fraction], req: Requirement) -> SeparationVer
     n = req.graph.n
     if n > EXACT_VERTEX_LIMIT:
         raise CapacityError(f"n={n} too large for the exhaustive oracle")
-    caps = mixed_capacities(x, req)
-    weights, denom = scale_capacities(req.graph, caps)
+    weights, denom = mixed_capacities(x, req)
     k_scaled = req.k * denom
     best: tuple[int, tuple[int, ...], int] | None = None
     for mask_rest in range(1, 1 << (n - 1)):

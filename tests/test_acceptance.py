@@ -9,6 +9,7 @@ from fractions import Fraction
 from kecss.certify import brute_force_opt, extract_laminar, full_cut_lp
 from kecss.graphs import boundary, edge_connectivity, min_cut
 from kecss.instances import gen
+from kecss.lp import common
 from kecss.requirements import (Requirement, SetFunction, check_even_parity,
                                 check_two_way_uncrossable, symmetrize)
 from kecss.rounding import (approximation_factor, bicriteria, kecsm,
@@ -67,9 +68,9 @@ def test_criterion_02_prism_hub_k6_first_extreme_point():
         assert req.residual({u}) == 2
         assert req.residual({v}) == 2
         assert req.residual({u, v, t}) == 3
-    caps = {e: first.point.get(e, Fraction(0)) for e in range(g.m)}
-    value, _ = min_cut(g, caps)
-    assert value >= 6
+    weights, denom = common([first.point.get(e, Fraction(0)) for e in range(g.m)])
+    value, _ = min_cut(g, weights)
+    assert value >= 6 * denom
     ACCEPTANCE_TRACES.setdefault("kecss", []).append((inst, g, trace))
     _passed("2 (tight fixture k=6)", time.time() - start, 10)
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from kecss.graphs import (Multigraph, boundary, canonical_side,
                           complete_graph, cuts_below, cycle_graph,
                           edge_connectivity, make_graph, min_cut)
 from kecss.instances import gen
+from kecss.lp import common
 
 
 def exhaustive_min_cut(graph, caps):
@@ -79,10 +81,10 @@ def test_boundary_domain_errors():
 
 
 def test_min_cut_examples():
-    assert min_cut(cycle_graph(5), {e: 1 for e in range(5)})[0] == 2
-    assert min_cut(complete_graph(5), {e: 1 for e in range(10)})[0] == 4
+    assert min_cut(cycle_graph(5), [1] * 5)[0] == 2
+    assert min_cut(complete_graph(5), [1] * 10)[0] == 4
     path = make_graph(3, [(1, 2, 1), (2, 3, 1)])
-    value, side = min_cut(path, {0: 1, 1: 1})
+    value, side = min_cut(path, [1, 1])
     assert value == 1
     assert side in (frozenset({3}), frozenset({2, 3}))
 
@@ -90,7 +92,7 @@ def test_min_cut_examples():
 def test_min_cut_needs_two_vertices():
     g = Multigraph(1, ())
     with pytest.raises(ValueError):
-        min_cut(g, {})
+        min_cut(g, [])
 
 
 def test_min_cut_matches_exhaustive():
@@ -100,16 +102,17 @@ def test_min_cut_matches_exhaustive():
         g = random_graph(rng, n)
         caps = {e: Fraction(rng.randint(0, 9), rng.randint(1, 4))
                 for e in range(g.m)}
-        value, side = min_cut(g, caps)
-        assert value == exhaustive_min_cut(g, caps)
+        weights, denom = common([caps[e] for e in range(g.m)])
+        value, side = min_cut(g, weights)
+        assert Fraction(value, denom) == exhaustive_min_cut(g, caps)
         attained = sum((caps[e] for e in boundary(g, side)), Fraction(0))
-        assert attained == value
+        assert attained == Fraction(value, denom)
         assert 1 not in side  # canonical representative
 
 
 def test_cuts_below_c4():
     c4 = cycle_graph(4)
-    cuts = cuts_below(c4, {e: 1 for e in range(4)}, 3)
+    cuts = cuts_below(c4, [1] * 4, 3)
     # all 6 weight-2 partitions; the diagonal pair has weight 4
     expected = []
     for mask_rest in range(1, 8):
@@ -123,7 +126,7 @@ def test_cuts_below_c4():
 
 def test_cuts_below_k5_and_empty():
     k5 = complete_graph(5)
-    unit = {e: 1 for e in range(10)}
+    unit = [1] * 10
     cuts = cuts_below(k5, unit, 5)
     assert len(cuts) == 5 and all(len(s) in (1, 4) for s in cuts)
     assert cuts_below(k5, unit, 4) == []
@@ -139,7 +142,8 @@ def test_cuts_below_matches_exhaustive_filter():
         caps = {e: Fraction(rng.randint(0, 5), rng.randint(1, 3))
                 for e in range(g.m)}
         bound = Fraction(rng.randint(1, 8), rng.randint(1, 2))
-        got = cuts_below(g, caps, bound)
+        weights, denom = common([caps[e] for e in range(g.m)])
+        got = cuts_below(g, weights, math.ceil(bound * denom))
         expected = []
         for mask_rest in range(1, 1 << (g.n - 1)):
             mask = mask_rest << 1
@@ -153,7 +157,7 @@ def test_cuts_below_matches_exhaustive_filter():
 def test_cuts_below_cycle_above_old_limit():
     # n=21 was past the old exhaustive-scan limit; the result is exact
     big = cycle_graph(21)
-    found = cuts_below(big, {e: 1 for e in range(big.m)}, 3)
+    found = cuts_below(big, [1] * big.m, 3)
     arcs = [frozenset(range(a, b + 1)) for a in range(2, 22) for b in range(a, 22)]
     assert len(found) == 210
     assert found == sorted(arcs, key=lambda s: tuple(sorted(s)))
@@ -185,10 +189,23 @@ def test_cuts_below_hub_n16_matches_mask_scan():
     g = make_graph(16, edges)
     caps = {e: Fraction(rng.randint(1, 8), rng.choice([2, 3, 4]))
             for e in range(g.m)}
-    bound = 3 * min_cut(g, caps)[0] + Fraction(1, 3)
-    got = cuts_below(g, caps, bound)
+    weights, denom = common([caps[e] for e in range(g.m)])
+    bound = 3 * Fraction(min_cut(g, weights)[0], denom) + Fraction(1, 3)
+    got = cuts_below(g, weights, math.ceil(bound * denom))
     assert got == mask_scan_below(g, caps, bound)
     assert len(got) > 16
+
+
+def test_cut_kernels_reject_weights_that_are_not_nonnegative_ints():
+    c4 = cycle_graph(4)
+    for weights in ([1, 1, 1, Fraction(1, 2)], [1, 1, 1, Fraction(2)], [1, 1, 1, 1.0],
+                    [1, 1, -1, 1], [1, 1, 1], [1] * 5):
+        with pytest.raises(ValueError):
+            min_cut(c4, weights)
+        with pytest.raises(ValueError):
+            cuts_below(c4, weights, 3)
+    with pytest.raises(ValueError):
+        cuts_below(c4, [1] * 4, Fraction(3))
 
 
 def test_cut_submodularity_spot_check():

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -371,6 +372,26 @@ def test_cli_bench_records_bad_k_and_undecodable_files(tmp_path: Path):
     assert status[("b-latin1.txt", "ecss")].startswith("parse-error: ")
     assert status[("b-latin1.txt", "ecsm")].startswith("parse-error: ")
     assert status[("c-k4.txt", "ecss")] == status[("c-k4.txt", "ecsm")] == "ok"
+
+
+def test_cli_bench_quotes_status_text_with_commas(tmp_path: Path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    text = "p kecss 2 2 4\ne 1 2 1\n"
+    (corpus / "short.txt").write_text(text)
+    (corpus / "k5.txt").write_text(emit_instance(gen("complete", n=5, k=4)))
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert "," in str(err.value)
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--dir", str(corpus), "--out", str(out),
+                 "--modes", "ecss,ecsm"]) == 0
+    with out.open(newline="") as f:
+        rows = list(csv.reader(f))
+    assert len(rows) == 5 and all(len(row) == 14 for row in rows)
+    status = {tuple(row[:2]): row[-1] for row in rows[1:]}
+    assert status[("short.txt", "ecss")] == f"parse-error: {err.value}"
+    assert status[("k5.txt", "ecsm")] == "ok"
 
 
 def test_cli_certify_rejects_malformed_solution(tmp_path: Path):

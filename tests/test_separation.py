@@ -31,12 +31,12 @@ def random_state(rng, n_max=10):
 def test_mixed_capacities_examples():
     g = complete_graph(4)
     req = Requirement(g, 4, {}, 3)
-    caps = mixed_capacities({e: Fraction(0) for e in range(g.m)}, req)
-    assert all(v == 0 for v in caps.values())
+    assert mixed_capacities({e: Fraction(0) for e in range(g.m)}, req) == ([0] * g.m, 1)
     two = make_graph(2, [(1, 2, 1), (1, 2, 1)])
     req = Requirement(two, 6, {1: 4}, 3)
-    caps = mixed_capacities({0: Fraction(1, 2)}, req)
-    assert caps == {0: Fraction(1, 2), 1: Fraction(4)}
+    weights, denom = mixed_capacities({0: Fraction(1, 2)}, req)
+    assert denom == 2
+    assert [Fraction(w, denom) for w in weights] == [Fraction(1, 2), Fraction(4)]
 
 
 def test_mixed_capacities_fixture_point():
@@ -46,8 +46,10 @@ def test_mixed_capacities_fixture_point():
     x = {}
     for e in g.edges:
         x[e.id] = {0: Fraction(1), 1: Fraction(1, 2), 2: Fraction(3, 4)}[int(e.cost)]
-    caps = mixed_capacities(x, req)
-    assert set(caps.values()) == {Fraction(1), Fraction(1, 2), Fraction(3, 4)}
+    weights, denom = mixed_capacities(x, req)
+    assert denom == 4
+    assert {Fraction(w, denom) for w in weights} == {Fraction(1), Fraction(1, 2),
+                                                     Fraction(3, 4)}
 
 
 def test_mixed_capacities_domain_errors():
@@ -56,10 +58,13 @@ def test_mixed_capacities_domain_errors():
     with pytest.raises(ValueError):
         mixed_capacities({1: Fraction(3, 2)}, req)  # out of [0,1]
     with pytest.raises(ValueError):
+        mixed_capacities({1: 0.5}, req)  # not exact
+    with pytest.raises(ValueError):
         mixed_capacities({5: Fraction(1, 2)}, req)  # edge id out of range
     # a floor-extracted edge: picked once, fractional remainder still working
-    caps = mixed_capacities({0: Fraction(1, 3)}, req)
-    assert caps == {0: Fraction(4, 3), 1: Fraction(0), 2: Fraction(0)}
+    weights, denom = mixed_capacities({0: Fraction(1, 3)}, req)
+    assert denom == 3
+    assert [Fraction(w, denom) for w in weights] == [Fraction(4, 3), 0, 0]
 
 
 def test_violated_rejects_satisfied_cut():

@@ -21,13 +21,13 @@ def random_multigraph(rng, n, k):
         if not edges:
             continue
         g = make_graph(n, edges)
-        value, side = min_cut(g, {e: 1 for e in range(g.m)})
+        value, side = min_cut(g, [1] * g.m)
         while value < k:
             a = rng.choice(sorted(side))
             b = rng.choice(sorted(set(range(1, n + 1)) - side))
             edges.append((a, b, rng.randint(0, 9)))
             g = make_graph(n, edges)
-            value, side = min_cut(g, {e: 1 for e in range(g.m)})
+            value, side = min_cut(g, [1] * g.m)
         return g
 
 
