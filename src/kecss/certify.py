@@ -84,12 +84,15 @@ def verify(graph: Multigraph, multiplicity: Mapping[int, int],
     """Check connectivity, exact cost bound, and optional degree windows."""
     failures: list[str] = []
     witness = None
-    mult = {e: m for e, m in multiplicity.items() if m}
-    for e, m in mult.items():
+    # a bad entry is reported and left out of every sum below
+    mult = {}
+    for e, m in multiplicity.items():
         if m < 0 or not 0 <= e < graph.m:
             failures.append(f"bad multiplicity {m} on edge {e}")
-        if ecss_mode and m > 1:
-            failures.append(f"edge {e} has multiplicity {m} in subgraph mode")
+        elif m:
+            mult[e] = m
+            if ecss_mode and m > 1:
+                failures.append(f"edge {e} has multiplicity {m} in subgraph mode")
     conn, side = 0, frozenset()  # a single vertex has no cut to count
     if graph.n > 1:
         conn, side = min_cut(graph, [mult.get(e, 0) for e in range(graph.m)])

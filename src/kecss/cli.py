@@ -5,8 +5,9 @@
     kecss bench --dir DIR --out CSV
 
 Exit codes: 0 success, 1 infeasible instance, 2 parse error (also input
-that is not valid UTF-8, a k below the mode's minimum, or `--k` outside
-1..MAX_K), 3 certification/verification failure, 4 size limit of a
+that is not valid UTF-8, a k below the mode's minimum, `--k` outside
+1..MAX_K, an output path that cannot be written, or a `bench --dir` that
+is not a directory), 3 certification/verification failure, 4 size limit of a
 requested exhaustive routine (`--exact-sep` above n=20), 5 internal
 fault or abort (simplex pivot limit, lazy-loop row cap, rounding
 iteration cap such as `--max-iters`).
@@ -70,6 +71,16 @@ def trace_jsonl(trace: rounding.RoundingTrace) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _write(path: str, text: str) -> bool:
+    """Write text to path; on failure say so in one line on stderr."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         inst = parse_instance(Path(args.input).read_text(encoding="utf-8"))
@@ -109,11 +120,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"aborted: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     if args.solution:
-        Path(args.solution).write_text(solution_json(sol))
+        if not _write(args.solution, solution_json(sol)):
+            return EXIT_PARSE
     else:
         sys.stdout.write(solution_json(sol))
-    if args.trace:
-        Path(args.trace).write_text(trace_jsonl(trace))
+    if args.trace and not _write(args.trace, trace_jsonl(trace)):
+        return EXIT_PARSE
     return EXIT_OK
 
 
@@ -189,9 +201,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         return EXIT_PARSE
     text = emit_instance(inst)
     if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+        return EXIT_OK if _write(args.out, text) else EXIT_PARSE
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -201,9 +212,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if m not in MODES:
             print(f"unknown bench mode {m}", file=sys.stderr)
             return EXIT_PARSE
+    if not Path(args.dir).is_dir():
+        print(f"not a directory: {args.dir}", file=sys.stderr)
+        return EXIT_PARSE
     csv_text = benchmod.bench_directory(Path(args.dir), modes, seed=args.seed)
-    Path(args.out).write_text(csv_text)
-    return EXIT_OK
+    return EXIT_OK if _write(args.out, csv_text) else EXIT_PARSE
 
 
 def build_parser() -> argparse.ArgumentParser:

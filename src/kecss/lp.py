@@ -1,9 +1,22 @@
 """Exact rational linear programming with basic (extreme point) optima.
 
-Two-phase bounded-variable primal simplex with exact rational results.
-Every returned optimum is a vertex of the feasible region, certified by
-an explicit full-rank set of tight rows and bounds.  A lazy-constraint
-loop drives the solver from a separation callback.
+Bounded-variable simplex with exact rational results.  Every returned
+optimum is a vertex of the feasible region, certified by an explicit
+full-rank set of tight rows and bounds.  A lazy-constraint loop drives
+the solver from a separation callback.
+
+A cold solve has one start and no artificial columns.  Every row gets a
+slack column (>= 0, or fixed at 0 for an equation), and the slacks form
+the starting basis; every structural column starts at its upper bound
+when that is finite (covering LPs then start feasible), else at its
+lower bound.  When every slack lies within its bounds the primal simplex
+runs at once.  Otherwise the cost is first clipped to the sign that each
+column's bound admits (c_j kept when c_j > 0 at the lower bound or
+c_j < 0 at the upper bound, else 0), which makes the start dual
+feasible, and the dual simplex below reaches a feasible basis or proves
+that there is none (dual phase 1 by cost modification; Koberstein and
+Suhl, Comput. Optim. Appl. 37, 2007).  The primal simplex then finishes
+from there with the true cost.
 
 The tableau is fraction-free (Edmonds 1967, Bareiss 1968): row i is a
 list of Python ints with its own positive denominator den[i], so entry c
@@ -19,8 +32,8 @@ updated by the same row operation, so comparing them compares ints.
 
 The bounds, the basic values, the objective and the ratio test stay
 exact Fractions.  The basic values, the objective and the reduced costs
-are computed from the tableau once per phase and then updated at each
-pivot or bound flip.
+are computed from the tableau whenever the cost changes and then
+updated at each pivot or bound flip.
 
 Pivoting uses a largest-reduced-cost rule that switches to Bland's rule
 whenever the objective stalls, which guarantees termination.
@@ -52,7 +65,6 @@ from operator import mul
 from typing import Callable, Sequence
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 GE = ">="
 LE = "<="
@@ -138,17 +150,17 @@ class BasicOptimum:
     tight_rows: list[int]
     tight_bounds: list[tuple[int, str]]  # (variable, "lower" | "upper")
     certificate: list[tuple]  # ("row", i) / ("bound", j, side), full column rank
-    pivots: int = 0  # basis exchanges: phase one, artificial eviction, dual steps
+    pivots: int = 0  # basis exchanges: dual and primal steps
     bound_flips: int = 0
-    artificials: int = 0  # phase-one artificial columns
 
     def point_dict(self) -> dict[int, Fraction]:
         return {j: v for j, v in enumerate(self.point) if v != 0}
 
 
 class _Simplex:
-    """Bounded-variable two-phase tableau simplex over integer rows, with
-    a dual simplex that re-optimises after rows are added."""
+    """Bounded-variable tableau simplex over integer rows, started from
+    the all-slack basis; the dual simplex reaches feasibility from there
+    and re-optimises after rows are added."""
 
     def __init__(self, lp: LpInstance):
         self.lp = lp
@@ -162,29 +174,20 @@ class _Simplex:
         self.scaled = [_scaled(r) for r in self.rows]
         # columns: structurals 0..ns-1, slack of row i at ns+i; row i holds
         # integers whose values are entry / den[i]
-        self.lower: list[Fraction] = list(lp.lower)
-        self.upper: list[Fraction | None] = list(lp.upper)
-        self.total = ns + m
-        cols = self.total
-        self.matrix: list[list[int]] = []
-        self.den: list[int] = []
-        for i, (r, (scale, coeffs, rhs)) in enumerate(zip(self.rows, self.scaled)):
-            vec = [0] * (cols + 1)
-            for j, a in coeffs:
-                vec[j] = a
-            vec[ns + i] = -scale if r.sense == GE else scale
-            self.lower.append(ZERO)
-            self.upper.append(ZERO if r.sense == EQ else None)
-            vec[cols] = rhs
-            self.matrix.append(vec)
-            self.den.append(scale)
-        # nonbasic start: finite upper preferred (covering LPs start feasible)
-        self.status: list[str] = []
-        for j in range(self.total):
-            self.status.append("U" if self.upper[j] is not None else "L")
-        self.basis: list[int] = []
-        self.banned: set[int] = set()
-        self.pivots = self.bound_flips = self.artificials = 0
+        self.lower: list[Fraction] = list(lp.lower) + [ZERO] * m
+        self.upper: list[Fraction | None] = list(lp.upper) + [
+            ZERO if r.sense == EQ else None for r in self.rows]
+        self.total = cols = ns + m
+        self.matrix = [_tableau_row(r, sc, ns + i, cols)
+                       for i, (r, sc) in enumerate(zip(self.rows, self.scaled))]
+        self.den = [scale for scale, _, _ in self.scaled]
+        # the slacks are basic; a structural starts at its finite upper
+        # bound if it has one (covering LPs start feasible)
+        self.status = ["L" if up is None else "U" for up in lp.upper] + ["B"] * m
+        self.basis = list(range(ns, cols))
+        self.movable = [j for j in range(cols)
+                        if self.upper[j] is None or self.lower[j] != self.upper[j]]
+        self.pivots = self.bound_flips = 0
 
     def _bound_value(self, j: int) -> Fraction:
         if self.status[j] == "U":
@@ -195,11 +198,17 @@ class _Simplex:
         return self.lower[j]
 
     def solve(self) -> None:
-        self._phase_one()
-        cost = [ZERO] * len(self.lower)
-        for j in range(self.ns):
-            cost[j] = self.lp.objective[j]
-        self._optimize(cost)
+        """Cold solve from the starting basis (see the module docstring)."""
+        cost = list(self.lp.objective)
+        self._start(cost)
+        if self._leaving() >= 0:
+            # keep c_j where its sign suits column j's bound (c_j > 0 at
+            # L, c_j < 0 at U), else 0: the start is then dual feasible
+            self._start([c if (c > 0) == (st == "L") else ZERO
+                         for c, st in zip(cost, self.status)])
+            self._dual()
+            self._start(cost)
+        self._optimize()
 
     def point(self) -> list[Fraction]:
         """Values of the structural columns at the current basis."""
@@ -212,77 +221,16 @@ class _Simplex:
 
     # -- setup -----------------------------------------------------------
 
-    def _phase_one(self) -> None:
-        # choose slack basic when its implied value fits its bounds,
-        # otherwise add an artificial column.  Every structural starts
-        # nonbasic; every slack lies in [0, inf) or [0, 0], so only the
-        # sign of its implied value matters.
-        bounds = [self._bound_value(j) for j in range(self.ns)]
-        scale = lcm(*(b.denominator for b in bounds))
-        scaled = [b.numerator * (scale // b.denominator) for b in bounds]
-        for i in range(self.m):
-            slack = self.ns + i
-            vec = self.matrix[i]
-            # rhs minus the structurals at their bounds, times scale * den[i]
-            resid = vec[-1] * scale - sum(map(mul, vec, scaled))
-            sign = resid * vec[slack]  # has the sign of the slack's value
-            if sign >= 0 and (self.upper[slack] is None or sign <= 0):
-                self.basis.append(slack)
-                self.status[slack] = "B"
-                continue
-            # park the slack at the bound nearest feasibility (its value
-            # there is 0, so the residual is unchanged)
-            self.status[slack] = "L" if sign < 0 else "U"
-            art = len(self.lower)
-            self.lower.append(ZERO)
-            self.upper.append(None)
-            entry = self.den[i] if resid >= 0 else -self.den[i]
-            for r2, vec2 in enumerate(self.matrix):
-                vec2.insert(art, entry if r2 == i else 0)
-            self.status.append("B")
-            self.basis.append(art)
-            self.total += 1
-            self.banned.add(art)
-            self.artificials += 1
-        # each initial basis column (slack or artificial) lives in a single
-        # row and holds +-den there, so a sign flip yields an identity basis
-        for i, col in enumerate(self.basis):
-            if self.matrix[i][col] < 0:
-                self.matrix[i] = [-a for a in self.matrix[i]]
-        if not self.banned:
-            return
-        cost = [ZERO] * self.total
-        for art in self.banned:
-            cost[art] = ONE
-        value = self._optimize(cost)
-        if value > 0:
-            raise LpInfeasible("phase one optimum is positive")
-        self._evict_artificials()
-
-    def _evict_artificials(self) -> None:
-        drop_rows = []
-        for i in range(self.m):
-            if self.basis[i] not in self.banned:
-                continue
-            vec = self.matrix[i]
-            target = None
-            for j in range(self.total):
-                if j in self.banned or self.status[j] == "B":
-                    continue
-                if vec[j] != 0:
-                    target = j
-                    break
-            if target is None:
-                drop_rows.append(i)
-            else:
-                self._pivot(i, target, "L")
-        for i in sorted(drop_rows, reverse=True):
-            art = self.basis[i]
-            self.status[art] = "L"
-            del self.matrix[i]
-            del self.den[i]
-            del self.basis[i]
-            self.m -= 1
+    def _start(self, cost: list[Fraction]) -> None:
+        """Price the current basis with cost (padded with zeros): beta[i]
+        is the value of basis[i], red / red_den the reduced costs (0 on
+        basic columns) and obj the cost, each updated at every step."""
+        self.cost = cost = cost + [ZERO] * (self.total - len(cost))
+        vals = self._values()
+        self.beta = [vals[col] for col in self.basis]
+        self.red, self.red_den = self._reduced_costs(cost)
+        self.obj = sum((cost[j] * vals[j] for j in range(self.total)
+                        if cost[j] != 0), ZERO)
 
     def add_rows(self, rows: Sequence[LpRow]) -> None:
         """Append rows to a solved tableau, each with a new basic slack
@@ -296,20 +244,14 @@ class _Simplex:
             for vec in self.matrix:
                 vec.insert(slack, 0)
             self.total += 1
-            vec = [0] * (self.total + 1)
-            for j, a in coeffs:
-                vec[j] = a
-            vec[slack] = -scale if r.sense == GE else scale
-            vec[-1] = rhs
+            vec = _tableau_row(r, sc, slack, self.total)
             den = scale
+            # no basic row touches the slack, so it ends up holding +den
             for i, col in enumerate(self.basis):
                 f = vec[col]
                 if f:
                     nz = [(c, a) for c, a in enumerate(self.matrix[i]) if a]
                     vec, den = _eliminate(vec, den, f, nz, self.den[i])
-            # the slack entry is still +-den, as no basic row touches it
-            if vec[slack] < 0:
-                vec = [-a for a in vec]
             excess = sum(a * scaled_point[j] for j, a in coeffs) - rhs * point_den
             self.beta.append(Fraction(excess if r.sense == GE else -excess,
                                       scale * point_den))
@@ -408,7 +350,7 @@ class _Simplex:
     def _entering(self, red: list[int], bland: bool) -> int:
         # red shares one positive denominator, so its integers order the
         # columns exactly as the reduced costs do; basic columns have red
-        # 0 and artificial and fixed columns are never movable
+        # 0 and fixed columns are never movable
         status = self.status
         entering = -1
         best_score = 0
@@ -431,25 +373,15 @@ class _Simplex:
                 entering = j
         return entering
 
-    def _optimize(self, cost: list[Fraction]) -> Fraction:
-        # phase state, updated at each step: beta[i] is the value of
-        # basis[i], red / red_den the reduced costs (0 on basic columns),
-        # obj the cost; movable lists the columns that may ever enter
-        self.cost = cost = cost + [ZERO] * (self.total - len(cost))
-        self.movable = [j for j in range(self.total) if j not in self.banned
-                        and (self.upper[j] is None or self.lower[j] != self.upper[j])]
-        vals = self._values()
-        self.beta = beta = [vals[col] for col in self.basis]
-        self.red, self.red_den = self._reduced_costs(cost)
-        self.obj = sum((cost[j] * vals[j] for j in range(self.total)
-                        if cost[j] != 0), ZERO)
-        den = self.den
+    def _optimize(self) -> None:
+        """Primal simplex from a feasible basis priced by _start."""
+        beta, den = self.beta, self.den
         stall = 0
         bland = False
         for _ in range(_MAX_PIVOTS):
             j = self._entering(self.red, bland)
             if j < 0:
-                return self.obj
+                return
             direction = 1 if self.status[j] == "L" else -1
             column = [(i, row[j]) for i, row in enumerate(self.matrix) if row[j]]
             # ratio test; a basic value moves at rate -a/den[i] * direction
@@ -504,8 +436,10 @@ class _Simplex:
         return leave_row
 
     def _dual(self) -> None:
-        """Re-optimise a dual feasible basis by bounded dual simplex with
-        Bland's rule; LpInfeasible when a basic value cannot be repaired."""
+        """Bounded dual simplex with Bland's rule from a dual feasible
+        basis, to a basis whose values lie within their bounds: the cold
+        start's dual phase and every lazy round.  LpInfeasible when a
+        basic value cannot be repaired."""
         status = self.status
         for _ in range(_MAX_PIVOTS):
             r = self._leaving()
@@ -541,6 +475,21 @@ class _Simplex:
             column = [(i, row[j]) for i, row in enumerate(self.matrix) if row[j]]
             self._move(j, step, column, r, "L" if below else "U")
         raise RuntimeError("dual simplex pivot limit exceeded")
+
+
+def _tableau_row(r: LpRow, sc: tuple[int, list[tuple[int, int]], int],
+                 slack: int, width: int) -> list[int]:
+    """The tableau row of r with its slack at column slack, from its
+    scaling sc (see _scaled), negated for a >= row so that the slack holds
+    +scale; width columns, then the rhs."""
+    scale, coeffs, rhs = sc
+    sign = -1 if r.sense == GE else 1
+    vec = [0] * (width + 1)
+    for j, a in coeffs:
+        vec[j] = sign * a
+    vec[slack] = scale
+    vec[-1] = sign * rhs
+    return vec
 
 
 def _scaled(r: LpRow) -> tuple[int, list[tuple[int, int]], int]:
@@ -668,7 +617,7 @@ def _optimum(simplex: _Simplex) -> BasicOptimum:
             tight_bounds.append((j, "upper"))
     cert = _rank_certificate(lp.num_vars, simplex.scaled, tight_rows, tight_bounds)
     return BasicOptimum(value, point, tight_rows, tight_bounds, cert,
-                        simplex.pivots, simplex.bound_flips, simplex.artificials)
+                        simplex.pivots, simplex.bound_flips)
 
 
 def solve(lp: LpInstance) -> BasicOptimum:
@@ -700,8 +649,7 @@ def solve_lazy(lp: LpInstance, oracle: SeparationCallback,
 
     One tableau serves every round: the added rows are appended to it and
     the dual simplex re-optimises from the previous optimal basis.  The
-    optimum's pivots, bound flips and artificials are totals over all
-    rounds.
+    optimum's pivots and bound flips are totals over all rounds.
     """
     if max_added is None:
         max_added = 10 * (lp.num_vars + 2 ** min(20, lp.num_vars))

@@ -39,6 +39,24 @@ def test_verify_pass_and_fail():
     assert len(boundary(c5, report.witness_cut, broken.keys())) <= 1
 
 
+def test_verify_reports_malformed_multiplicities():
+    # a negative multiplicity, an edge id past the last edge and edge id
+    # -1 are each a failure, and none of them counts towards the
+    # connectivity or the cost
+    g = make_graph(4, [(1, 2, 1), (2, 3, 2), (3, 4, 3), (4, 1, 4), (1, 3, 5)])
+    ones = {e: 1 for e in range(g.m)}
+    for bad in ({4: -1}, {g.m: 1}, {-1: 1}):
+        mult = {**ones, **bad}
+        report = verify(g, mult, 2, None)
+        (e, m), = bad.items()
+        assert report.failures == [f"bad multiplicity {m} on edge {e}"]
+        good = {f: 1 for f in range(g.m) if f not in bad}
+        assert report.cost == g.cost_of(good)
+        assert report.connectivity == 2
+    assert verify(g, {**ones, 4: -1}, 2, None).cost == 10
+    assert verify(g, {**ones, -1: 1}, 2, None).cost == 15
+
+
 def test_verify_degree_window():
     g = complete_graph(5)
     ones = {e: 1 for e in range(g.m)}

@@ -75,17 +75,17 @@ GOLDEN = {
     ("prism-k3", "ecss15", False):
         "16946f81e022ff7d834254784ac156f17b74c61af245c57b5ba666379c4f175e",
     ("prism-k3", "ecsm", True):
-        "b37e16d4cf7e57f62d90fed426d1f4c81a60589bff6b9032dc9c71827c1957ef",
+        "d28fc30ad2eb10af9de38421386d6ce27a918ba6b4fc7afb767c8f8ddc44eccc",
     ("prism-k3", "ecsm", False):
-        "b37e16d4cf7e57f62d90fed426d1f4c81a60589bff6b9032dc9c71827c1957ef",
+        "d28fc30ad2eb10af9de38421386d6ce27a918ba6b4fc7afb767c8f8ddc44eccc",
     ("prism-k3", "md-ecss", True):
         "cc6cdd2501f4932a08ae764c6e45e4092087b57d01bc83c70c84123664b01a61",
     ("prism-k3", "md-ecss", False):
         "504cf7b3915d72ebf8f02e20262b7874549769c8af5436a460a73679673c2f8e",
     ("prism-k3", "md-ecsm", True):
-        "1e85805fc8342faf0c1e05b81956844bc6c04dcdecfe015e900adb1808cf9ee3",
+        "5c66537a60ab336d566f29f210fcf25c1891d2491f3889377f0e1ec42a608121",
     ("prism-k3", "md-ecsm", False):
-        "1e85805fc8342faf0c1e05b81956844bc6c04dcdecfe015e900adb1808cf9ee3",
+        "5c66537a60ab336d566f29f210fcf25c1891d2491f3889377f0e1ec42a608121",
     ("prism-hub-k6", "ecss", True):
         "550c5b9b7e28e1e809572f953c4c87a4dc0ea51734d6da326e6ed901260a94a8",
     ("prism-hub-k6", "ecss", False):
@@ -95,17 +95,17 @@ GOLDEN = {
     ("prism-hub-k6", "ecss15", False):
         "276e35af47872ab954a93900e026a9e41a2040ca9126c2a91f68c73891b5e212",
     ("prism-hub-k6", "ecsm", True):
-        "fe4066aec113cffcdca9e45e4032b7fa82a3bb72d5e9bdc18e959851cc2b9900",
+        "5c34a584db0e45ea6e686c756d3b1ff3b16a8c608bb46e52587ef134b82bc4ea",
     ("prism-hub-k6", "ecsm", False):
-        "fe4066aec113cffcdca9e45e4032b7fa82a3bb72d5e9bdc18e959851cc2b9900",
+        "5c34a584db0e45ea6e686c756d3b1ff3b16a8c608bb46e52587ef134b82bc4ea",
     ("prism-hub-k6", "md-ecss", True):
         "4d220d421232cc01fe016b5e9827ee02869271d2c0f3700ff0749a250a03ce44",
     ("prism-hub-k6", "md-ecss", False):
         "8ebee8b57c477636eb2581a812b1df4b5253410d58401e4430a45ce0084db9b9",
     ("prism-hub-k6", "md-ecsm", True):
-        "20ae58414ffe4a8df04d19cb4397187a0c3af1d632ee623836bc550a7d8bd5ab",
+        "7454e1f1243b0b523d38d495cdd3e6e92fb318082f3822f608931f463907d59b",
     ("prism-hub-k6", "md-ecsm", False):
-        "20ae58414ffe4a8df04d19cb4397187a0c3af1d632ee623836bc550a7d8bd5ab",
+        "7454e1f1243b0b523d38d495cdd3e6e92fb318082f3822f608931f463907d59b",
     ("k5-k4", "ecss", True):
         "b8a4cc0cee1ea36fca3d901ef07e3a0eea72daa09924bbb1cc3bcec0e2cf1033",
     ("k5-k4", "ecss", False):
@@ -115,17 +115,17 @@ GOLDEN = {
     ("k5-k4", "ecss15", False):
         "999b454bcbd2189b6400576919e03972ee3b46a838db418040b82a01913d1a2b",
     ("k5-k4", "ecsm", True):
-        "99fd3a4b3d8364c0bf6c7f13c8f34265b881e9b1c76eab111cf007aee641a34d",
+        "5eb25d78e7d8c294bf765256a4f6f664d366606c201e3f611ed116c3083d3413",
     ("k5-k4", "ecsm", False):
-        "99fd3a4b3d8364c0bf6c7f13c8f34265b881e9b1c76eab111cf007aee641a34d",
+        "5eb25d78e7d8c294bf765256a4f6f664d366606c201e3f611ed116c3083d3413",
     ("k5-k4", "md-ecss", True):
         "696d8bec7b66b53b700c2283d8632f6177adced89c38894cbe7b56e9e1f448e3",
     ("k5-k4", "md-ecss", False):
         "dbbd913b1c84b180d675ce507a11d84ead2c070bad3d4a407816471031635a8e",
     ("k5-k4", "md-ecsm", True):
-        "3b64b41ea63c411d72833bfdfb93052638aa2c168e189328907700a23d9e3954",
+        "08deb13cc1a6253e77a8207d5fb4554199aa87cedb84e4011dfee1643f1577e3",
     ("k5-k4", "md-ecsm", False):
-        "3b64b41ea63c411d72833bfdfb93052638aa2c168e189328907700a23d9e3954",
+        "08deb13cc1a6253e77a8207d5fb4554199aa87cedb84e4011dfee1643f1577e3",
     ("random-s3-n7-k4", "ecss", True):
         "0653c84882f27f6b7cac7bb81ac20b21198b9ccad74e6bb2fc04eff466a510ad",
     ("random-s3-n7-k4", "ecss", False):

@@ -195,6 +195,34 @@ def test_cli_exit_codes(tmp_path: Path):
     assert main(["run", "--mode", "ecss", "--input", str(missing)]) == 2
 
 
+def test_cli_unwritable_output_paths_exit_2(tmp_path: Path, capsys):
+    k5 = tmp_path / "k5.txt"
+    assert main(["gen", "--kind", "complete", "--n", "5", "--k", "4",
+                 "--out", str(k5)]) == 0
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    nowhere = str(tmp_path / "no" / "such" / "dir" / "o.json")
+    capsys.readouterr()
+    for argv in (["run", "--mode", "ecss", "--input", str(k5), "--solution", nowhere],
+                 ["run", "--mode", "ecss", "--input", str(k5), "--trace", nowhere],
+                 ["gen", "--kind", "complete", "--n", "5", "--out", nowhere],
+                 ["bench", "--dir", str(corpus), "--out", nowhere]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output:") and err.count("\n") == 1
+
+
+def test_cli_bench_dir_not_a_directory_exits_2(tmp_path: Path, capsys):
+    k5 = tmp_path / "k5.txt"
+    main(["gen", "--kind", "complete", "--n", "5", "--k", "4", "--out", str(k5)])
+    out = tmp_path / "bench.csv"
+    for bad in (k5, tmp_path / "missing"):
+        capsys.readouterr()
+        assert main(["bench", "--dir", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"not a directory: {bad}\n"
+    assert not out.exists()
+
+
 def test_cli_certify_tampered_solution(tmp_path: Path):
     inst_path = tmp_path / "k5.txt"
     sol_path = tmp_path / "sol.json"

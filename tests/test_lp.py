@@ -20,7 +20,7 @@ def test_simplex_face_vertex():
     assert opt.value == 1
     assert sorted(opt.point) == [Fraction(0), Fraction(1)]
     # x0 flips from its upper bound to 0, then x1 replaces the slack
-    assert (opt.pivots, opt.bound_flips, opt.artificials) == (1, 1, 0)
+    assert (opt.pivots, opt.bound_flips) == (1, 1)
 
 
 def test_infeasible_and_unbounded_signaled_distinctly():
@@ -36,8 +36,46 @@ def test_equality_system_unique_point():
                                [lp.row({0: 1, 1: 1}, lp.EQ, 3),
                                 lp.row({0: 1, 1: -1}, lp.EQ, 1)]))
     assert opt.point == [Fraction(2), Fraction(1)]
-    # both rows start infeasible, so each gets an artificial
-    assert (opt.pivots, opt.bound_flips, opt.artificials) == (2, 0, 2)
+    # both slacks start out of their bounds [0, 0]; one dual step each
+    assert (opt.pivots, opt.bound_flips) == (2, 0)
+
+
+def test_cold_start_redundant_and_inconsistent_equations():
+    # the second row is twice the first: its slack stays basic at 0
+    inst = lp.instance([1, 2], [0, 0], [None, None],
+                       [lp.row({0: 1, 1: 1}, lp.EQ, 3),
+                        lp.row({0: 2, 1: 2}, lp.EQ, 6),
+                        lp.row({0: 1, 1: -1}, lp.EQ, 1)])
+    opt = lp.solve(inst)
+    assert opt.point == [2, 1] and opt.value == 4
+    recheck_vertex(inst, opt)
+    with pytest.raises(lp.LpInfeasible):
+        lp.solve(lp.instance([1, 2], [0, 0], [None, None],
+                             [lp.row({0: 1, 1: 1}, lp.EQ, 3),
+                              lp.row({0: 2, 1: 2}, lp.EQ, 5)]))
+
+
+def test_cold_start_clips_cost_for_the_dual_phase(monkeypatch):
+    # x1 >= 5 - x0 is violated at x = 0, so the start is priced three
+    # times: true cost, the cost clipped for the dual phase (x0 sits at
+    # its lower bound with cost -1, so it gets 0), true cost again
+    costs = []
+    start = lp._Simplex._start
+
+    def recording(self, cost):
+        costs.append([str(c) for c in cost])
+        start(self, cost)
+
+    monkeypatch.setattr(lp._Simplex, "_start", recording)
+    opt = lp.solve(lp.instance([-1, 1], [0, 0], [None, None],
+                               [lp.row({0: 1}, lp.LE, 3),
+                                lp.row({0: 1, 1: 1}, lp.GE, 5)]))
+    assert opt.point == [3, 2] and opt.value == -1
+    assert costs == [["-1", "1"], ["0", "1"], ["-1", "1"]]
+    # feasible after the dual phase, then unbounded along x0
+    with pytest.raises(lp.LpUnbounded):
+        lp.solve(lp.instance([-1, 0], [0, 0], [None, None],
+                             [lp.row({0: 1, 1: 1}, lp.GE, 2)]))
 
 
 def test_prism_equality_system_halves_and_quarters():
@@ -355,11 +393,12 @@ def test_incremental_state_matches_tableau(monkeypatch):
     # the dual's leaving choice once after every dual pivot, so checks
     # there (and after each add_rows) see every incremental update of
     # beta, obj and red
-    seen = {"checks": 0, "bland": 0, "flips": 0, "artificials": 0, "eq": 0,
+    seen = {"checks": 0, "bland": 0, "flips": 0, "infeasible_start": 0, "eq": 0,
             "added": 0, "dual": 0}
     entering = lp._Simplex._entering
     leaving = lp._Simplex._leaving
     add_rows = lp._Simplex.add_rows
+    dual = lp._Simplex._dual
 
     def check_state(self):
         _check_integer_rows(self)
@@ -386,7 +425,14 @@ def test_incremental_state_matches_tableau(monkeypatch):
         check_state(self)
         seen["added"] += len(rows)
 
+    def counted_dual(self):
+        # the cold solves below run the dual only when their start is
+        # infeasible; its every step goes through checked_leaving
+        seen["infeasible_start"] += 1
+        dual(self)
+
     monkeypatch.setattr(lp._Simplex, "_entering", checked)
+    monkeypatch.setattr(lp._Simplex, "_dual", counted_dual)
     monkeypatch.setattr(lp._Simplex, "_leaving", checked_leaving)
     monkeypatch.setattr(lp._Simplex, "add_rows", checked_add_rows)
     beale = lp.instance(
@@ -419,9 +465,8 @@ def test_incremental_state_matches_tableau(monkeypatch):
         except (lp.LpInfeasible, lp.LpUnbounded):
             continue
         seen["flips"] += opt.bound_flips
-        seen["artificials"] += opt.artificials
     assert seen["checks"] > 300
-    assert all(seen[key] > 0 for key in ("bland", "flips", "artificials", "eq"))
+    assert all(seen[key] > 0 for key in ("bland", "flips", "infeasible_start", "eq"))
     # warm lazy rounds: the k=6 hub under separation, and random LPs whose
     # cut rows come from a hidden list
     hub = gen("prism-hub-k6").graph
@@ -452,8 +497,8 @@ def _pin_instances():
         [e.cost for e in hub.edges], [0] * hub.m, [1] * hub.m,
         [lp.row({e: 1 for e in boundary(hub, frozenset({v}))}, lp.GE, 6)
          for v in range(1, hub.n + 1)])
-    # a multigraph LP (x >= 0): x = 0 violates every cut, so every row
-    # starts on an artificial
+    # a multigraph LP (x >= 0): x = 0 violates every cut, so the cold
+    # start runs the dual simplex first
     multi = gen("random", seed=6, n=8, p=0.5, k=5, cost_min=1, cost_max=10,
                 ensure_connectivity=5).graph
     multi_lp = lp.instance(
@@ -464,18 +509,17 @@ def _pin_instances():
 
 
 def test_pivot_sequence_pinned():
-    # (value, point, pivots, bound flips, artificials) as the Fraction
-    # tableau produced them: any change to the pivot sequence shows here
+    # (value, point, pivots, bound flips): any change to the pivot
+    # sequence shows here
     expected = {
-        "beale": ("-1/20", "1/25 0 1 0", 18, 0, 0),
-        "hub": ("9", " ".join(["1"] * 30 + ["1/2"] * 6), 6, 2, 0),
-        "multi": ("50", "0 0 0 5 5/2 0 0 0 0 0 5 5 0 0 0 0 0 0 0 5/2 0 5/2",
-                  16, 0, 8),
+        "beale": ("-1/20", "1/25 0 1 0", 18, 0),
+        "hub": ("9", " ".join(["1"] * 30 + ["1/2"] * 6), 6, 2),
+        "multi": ("50", "0 0 0 5 0 0 0 0 5 0 5 5 0 0 0 0 0 0 0 0 0 5", 6, 0),
     }
     for name, inst in _pin_instances().items():
         opt = lp.solve(inst)
         got = (str(opt.value), " ".join(str(v) for v in opt.point),
-               opt.pivots, opt.bound_flips, opt.artificials)
+               opt.pivots, opt.bound_flips)
         assert got == expected[name], name
 
 
@@ -569,8 +613,7 @@ def test_lazy_totals_and_warm_pivots_below_cold():
     # counts plus the dual pivots of the later ones
     opt = result.optimum
     assert opt.pivots > cold[0].pivots
-    assert (opt.bound_flips, opt.artificials) == (cold[0].bound_flips,
-                                                  cold[0].artificials)
+    assert opt.bound_flips == cold[0].bound_flips
     assert opt.pivots < sum(c.pivots for c in cold)
 
 
@@ -610,7 +653,7 @@ def test_warm_lazy_matches_cold_solve_of_final_rows():
     assert all(outcomes.count(o) > 5
                for o in ("solved", "LpInfeasible", "LpUnbounded"))
     # a cut that empties a feasible relaxation: the dual finds no column
-    # to repair the new row, and the cold solve fails in phase one
+    # to repair the new row, and the cold solve fails in its dual phase
     inst = lp.instance([1, 1], [0, 0], [5, None], [lp.row({0: 1, 1: 1}, lp.GE, 2)])
     cut = lp.row({0: 1, 1: 1}, lp.LE, 1)
     assert _warm_vs_cold(inst, _hidden_rows_oracle([cut])) == "LpInfeasible"
