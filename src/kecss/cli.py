@@ -6,8 +6,8 @@
 
 Exit codes: 0 success, 1 infeasible instance, 2 parse error (also input
 that is not valid UTF-8, a k below the mode's minimum, `--k` outside
-1..MAX_K, an output path that cannot be written, or a `bench --dir` that
-is not a directory), 3 certification/verification failure, 4 size limit of a
+1..MAX_K, `gen` parameters past the parser's limits, an output path that
+cannot be written, or a `bench --dir` that is not a directory), 3 certification/verification failure, 4 size limit of a
 requested exhaustive routine (`--exact-sep` above n=20), 5 internal
 fault or abort (simplex pivot limit, lazy-loop row cap, rounding
 iteration cap such as `--max-iters`).
@@ -194,8 +194,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     try:
         inst = gen(args.kind, seed=args.seed, n=args.n, p=args.p,
                    cost_min=args.cost_min, cost_max=args.cost_max, k=args.k,
-                   cost=args.cost,
-                   ensure_connectivity=args.ensure_connectivity)
+                   cost=args.cost, ensure_connectivity=args.ensure_connectivity,
+                   gadgets=args.gadgets)
     except ValueError as exc:
         print(f"invalid generator parameters: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -249,6 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--cost-max", dest="cost_max", type=int, default=10)
     p_gen.add_argument("--ensure-connectivity", dest="ensure_connectivity",
                        type=int, default=None)
+    p_gen.add_argument("--gadgets", type=int, default=3,
+                       help="prism-hub-k6 gadget count, odd and at least 3")
     p_gen.add_argument("--out", default=None)
     p_gen.set_defaults(func=_cmd_gen)
 

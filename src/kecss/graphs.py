@@ -5,9 +5,11 @@ as distinct ids; self-loops are rejected.  The cut kernels take edge
 weights as a list of nonnegative ints indexed by edge id, so every cut
 value and comparison is integer arithmetic; a caller with rational
 capacities scales them once to a common denominator (`lp.common`) and
-scales its bounds with them.  `min_cut` is Stoer-Wagner; `cuts_below`
-enumerates every cut under a limit by s-t max-flow branch and bound,
-exactly and with polynomial delay at any n.
+scales its bounds with them.  `min_cut` is Stoer-Wagner with a
+heap-ordered maximum-adjacency order; `cuts_below` enumerates every cut
+under a limit by s-t max-flow branch and bound, exactly and with
+polynomial delay at any n, reusing a parent's flow wherever a child
+cannot add to it.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from heapq import heappop, heappush
 from typing import Iterable, Mapping, Sequence
 
 
@@ -140,60 +143,56 @@ def _check_weights(graph: Multigraph, weights: Sequence[int]) -> None:
 def min_cut(graph: Multigraph, weights: Sequence[int]) -> tuple[int, frozenset[int]]:
     """Exact global minimum cut (value, canonical side) for integer weights.
 
-    Deterministic maximum-adjacency (Stoer-Wagner style) contraction.
+    Stoer-Wagner.  Each phase orders the live supernodes by maximum
+    adjacency from the smallest id, popping `(-key, v)` off a heap (the
+    largest key, then the smallest id); keys only grow, so stale entries
+    pop after live ones and are dropped.  With the heap empty, every
+    unvisited vertex has key 0 and the smallest id is next.  The first
+    strictly smallest phase cut `key[t]` wins; t merges into its predecessor.
     """
     if graph.n < 2:
         raise ValueError("min cut needs at least 2 vertices")
     _check_weights(graph, weights)
-
-    # weight matrix over supernodes, each supernode remembers its members
-    nodes = list(range(1, graph.n + 1))
-    members: dict[int, set[int]] = {v: {v} for v in nodes}
-    w: dict[int, dict[int, int]] = {v: {} for v in nodes}
+    n = graph.n
+    # sparse weight map per supernode; each supernode lists its members
+    adj: list[dict[int, int]] = [{} for _ in range(n + 1)]
     for e in graph.edges:
-        if weights[e.id] == 0:
-            continue
-        w[e.u][e.v] = w[e.u].get(e.v, 0) + weights[e.id]
-        w[e.v][e.u] = w[e.v].get(e.u, 0) + weights[e.id]
-
-    best_value: int | None = None
-    best_side: set[int] | None = None
-    while len(nodes) > 1:
-        # maximum-adjacency ordering; ties broken by node id for determinism
-        start = nodes[0]
-        in_a = {start}
-        key = {v: w[start].get(v, 0) for v in nodes if v != start}
-        order = [start]
-        while len(in_a) < len(nodes):
-            nxt = min(key, key=lambda v: (-key[v], v))
-            order.append(nxt)
-            in_a.add(nxt)
-            del key[nxt]
-            for v, wt in w[nxt].items():
-                if v not in in_a:
-                    key[v] += wt
-        t = order[-1]
-        s = order[-2]
-        phase = sum(w[t].values())
-        if best_value is None or phase < best_value:
-            best_value = phase
-            best_side = set(members[t])
-        # merge t into s
-        members[s] |= members[t]
-        for v, wt in list(w[t].items()):
-            if v == s:
-                continue
-            w[s][v] = w[s].get(v, 0) + wt
-            w[v][s] = w[v].get(s, 0) + wt
-        for v in w[t]:
-            del w[v][t]
-        del w[t]
-        nodes.remove(t)
-
-    if best_value is None or best_side is None:
-        raise RuntimeError("maximum-adjacency contraction found no phase cut")
-    side = canonical_side(frozenset(best_side), graph.n)
-    return best_value, side
+        if weights[e.id]:
+            adj[e.u][e.v] = adj[e.u].get(e.v, 0) + weights[e.id]
+            adj[e.v][e.u] = adj[e.v].get(e.u, 0) + weights[e.id]
+    members = [[v] for v in range(n + 1)]
+    alive = list(range(1, n + 1))
+    best_value, best_side = -1, []
+    while len(alive) > 1:
+        key = [0] * (n + 1)
+        done = [False] * (n + 1)
+        heap: list[tuple[int, int]] = []
+        zero = s = t = 0  # alive[:zero] are all done
+        for _ in alive:
+            while heap and done[heap[0][1]]:
+                heappop(heap)
+            if heap:
+                v = heappop(heap)[1]
+            else:
+                while done[alive[zero]]:
+                    zero += 1
+                v = alive[zero]
+            done[v] = True
+            s, t = t, v
+            for u, wt in adj[v].items():
+                if not done[u]:
+                    key[u] += wt
+                    heappush(heap, (-key[u], u))
+        if best_value < 0 or key[t] < best_value:
+            best_value, best_side = key[t], members[t][:]
+        members[s] += members[t]
+        for u, wt in adj[t].items():
+            del adj[u][t]
+            if u != s:
+                adj[s][u] = adj[s].get(u, 0) + wt
+                adj[u][s] = adj[u].get(s, 0) + wt
+        alive.remove(t)
+    return best_value, canonical_side(frozenset(best_side), n)
 
 
 def cuts_below(graph: Multigraph, weights: Sequence[int],
@@ -203,9 +202,13 @@ def cuts_below(graph: Multigraph, weights: Sequence[int],
     Exact at any n, with polynomial delay (Vazirani-Yannakakis branching):
     vertex 1 is fixed outside the side, vertices 2..n are assigned in order,
     and a partial assignment is pruned as soon as the max flow from its
-    assigned side to its assigned complement reaches `limit`, since no
+    assigned side S to its assigned complement T reaches `limit`, since no
     completion can then be cheaper.  Each child warm-starts from its
     parent's flow, which stays feasible when a vertex joins either end.
+    A max flow below `limit` ends in a failed search whose reach R from S
+    in the residual graph misses T; a child that puts a vertex of R into
+    S, or one outside R into T, opens no augmenting path and keeps its
+    parent's flow, value and R.
     Every branch that survives ends in a returned cut, so each cut costs
     at most 2n flow computations.  Output is sorted lexicographically by
     canonical side.
@@ -216,28 +219,35 @@ def cuts_below(graph: Multigraph, weights: Sequence[int],
         raise ValueError("cut enumeration needs at least 2 vertices")
     _check_weights(graph, weights)
     n = graph.n
-    # residual capacity of edge j from v towards u: weights[j] - sign * flow[j]
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
+    # arcs 2j (u->v) and 2j+1 (v->u) run along edge j; a flow is held as
+    # the residual capacity of every arc
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
     for e in graph.edges:
         if weights[e.id]:
-            adj[e.u].append((e.v, e.id, 1))
-            adj[e.v].append((e.u, e.id, -1))
-    # side[v]: 1 in the cut side S, -1 in the complement T, 0 unassigned
+            adj[e.u].append((e.v, 2 * e.id))
+            adj[e.v].append((e.u, 2 * e.id + 1))
+    tail = [end for e in graph.edges for end in (e.u, e.v)]
+    # side[v]: 1 in S, -1 in T, 0 unassigned; S also lists its vertices
     side = [0] * (n + 1)
+    sources: list[int] = []
     found: list[frozenset[int]] = []
 
-    def max_flow(flow: list[int], value: int) -> int:
-        """Augment `flow` (net flow u->v per edge, a valid S-T flow of
-        `value`) by shortest paths; stop once the value reaches `limit`."""
-        sources = [v for v in range(1, n + 1) if side[v] == 1]
+    def max_flow(res: list[int], value: int) -> tuple[int, list[bool]]:
+        """Augment the S-T flow `res` of `value` by shortest paths; stop
+        once the value reaches `limit`, or at a failed search, which also
+        returns the reach R."""
+        via = [0] * (n + 1)  # arc into each vertex the search reached
         while value < limit:
-            prev: dict[int, tuple[int, int, int] | None] = dict.fromkeys(sources)
-            queue = list(sources)
+            seen = [False] * (n + 1)
+            for v in sources:
+                seen[v] = True
+            queue = sources[:]
             sink = 0
             for v in queue:
-                for u, j, sign in adj[v]:
-                    if u not in prev and weights[j] - sign * flow[j] > 0:
-                        prev[u] = (v, j, sign)
+                for u, a in adj[v]:
+                    if not seen[u] and res[a]:
+                        seen[u] = True
+                        via[u] = a
                         if side[u] == -1:
                             sink = u
                             break
@@ -245,35 +255,41 @@ def cuts_below(graph: Multigraph, weights: Sequence[int],
                 if sink:
                     break
             if not sink:
-                return value
+                return value, seen
             path = []
             while side[sink] != 1:
-                sink, j, sign = prev[sink]
-                path.append((j, sign))
-            push = min([limit - value] + [weights[j] - sign * flow[j] for j, sign in path])
-            for j, sign in path:
-                flow[j] += sign * push
+                path.append(via[sink])
+                sink = tail[via[sink]]
+            push = min([limit - value] + [res[a] for a in path])
+            for a in path:
+                res[a] -= push
+                res[a ^ 1] += push
             value += push
-        return value
+        return value, []
 
-    def branch(v: int, flow: list[int], value: int) -> None:
-        # `flow` is a max S-T flow of the current assignment, below `limit`;
-        # while S is empty it stays the zero flow
+    def branch(v: int, res: list[int], value: int, reach: list[bool]) -> None:
+        # `res` is a max S-T flow of the current assignment, below `limit`,
+        # and `reach` its R
         if v > n:
-            cut = frozenset(u for u in range(2, n + 1) if side[u] == 1)
-            if cut:
-                found.append(cut)
+            if sources:
+                found.append(frozenset(sources))
             return
+        sources.append(v)
         for choice in (1, -1):
             side[v] = choice
-            child = flow[:]
-            child_value = max_flow(child, value)
+            if choice == -1:
+                sources.pop()
+            if reach[v] == (choice == 1):  # no augmenting path can open
+                branch(v + 1, res, value, reach)
+                continue
+            child = res[:]
+            child_value, child_reach = max_flow(child, value)
             if child_value < limit:
-                branch(v + 1, child, child_value)
+                branch(v + 1, child, child_value, child_reach)
         side[v] = 0
 
     side[1] = -1
-    branch(2, [0] * graph.m, 0)
+    branch(2, [weights[a // 2] for a in range(2 * graph.m)], 0, [False] * (n + 1))
     return sorted(found, key=lambda s: tuple(sorted(s)))
 
 

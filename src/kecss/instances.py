@@ -16,6 +16,7 @@ above MAX_VALUE, before it builds anything of that size.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import Multigraph, complete_graph, cycle_graph, make_graph, min_cut
@@ -165,37 +166,26 @@ def _prism_k3() -> Instance:
     return Instance(make_graph(6, edges), 3)
 
 
-def _prism_hub_k6() -> Instance:
-    """Prism gadgets hanging off a hub, k=6.
+def _prism_hub_k6(gadgets: int) -> Instance:
+    """Prism gadgets hanging off a hub, k=6, for an odd gadget count G.
 
-    Vertices: hub s=1 and triples (u_i, v_i, t_i).  Zero-cost edges: one
-    hub ray to each of u_i, v_i, t_i and triple rungs u_i-t_i, v_i-t_i.
-    Cost-1 edges u_i-v_i and two cost-2 triangles through the u_i and the
-    v_i.  The unique LP optimum sets every zero-cost edge to 1, the
-    cost-1 edges to 1/2, and the triangle edges to 3/4; picking the
-    integral edges leaves residual requirement 2 on each {u_i}, {v_i} and
-    3 on each {u_i, v_i, t_i}.
+    Vertices: hub s=1 and triples (u_i, v_i, t_i) = (3i+2, 3i+3, 3i+4).
+    Zero-cost edges: one hub ray to each of u_i, v_i, t_i and tripled
+    rungs u_i-t_i, v_i-t_i.  Cost-1 edges u_i-v_i and two cost-2 odd
+    rings through the u_i and the v_i.  The unique LP optimum, of value
+    7G/2, sets every zero-cost edge to 1, the cost-1 edges to 1/2, and
+    the ring edges to 3/4; picking the integral edges leaves residual
+    requirement 2 on each {u_i}, {v_i} and 3 on each {u_i, v_i, t_i}.
     """
-    # s=1; u_i = 2,5,8; v_i = 3,6,9; t_i = 4,7,10
-    u = [2, 5, 8]
-    v = [3, 6, 9]
-    t = [4, 7, 10]
+    us = range(2, 3 * gadgets + 2, 3)  # u_i; v_i = u_i + 1 and t_i = u_i + 2
     edges = []
-    for i in range(3):
-        edges.append((1, u[i], 0))
-        edges.append((1, v[i], 0))
-        edges.append((1, t[i], 0))
-        for _ in range(3):
-            edges.append((u[i], t[i], 0))
-        for _ in range(3):
-            edges.append((v[i], t[i], 0))
-    for i in range(3):
-        edges.append((u[i], v[i], 1))
-    for a, b in ((0, 1), (1, 2), (0, 2)):
-        edges.append((u[a], u[b], 2))
-    for a, b in ((0, 1), (1, 2), (0, 2)):
-        edges.append((v[a], v[b], 2))
-    return Instance(make_graph(10, edges), 6)
+    for u in us:
+        edges += [(1, u, 0), (1, u + 1, 0), (1, u + 2, 0)]
+        edges += [(u, u + 2, 0)] * 3 + [(u + 1, u + 2, 0)] * 3
+    edges += [(u, u + 1, 1) for u in us]
+    for ring in (us, range(3, 3 * gadgets + 2, 3)):
+        edges += [(a, b, 2) for a, b in zip(ring, ring[1:])] + [(ring[0], ring[-1], 2)]
+    return Instance(make_graph(3 * gadgets + 1, edges), 6)
 
 
 GENERATOR_KINDS = ("random", "complete", "cycle", "prism-k3", "prism-hub-k6")
@@ -203,17 +193,33 @@ GENERATOR_KINDS = ("random", "complete", "cycle", "prism-k3", "prism-hub-k6")
 
 def gen(kind: str, seed: int = 0, n: int = 8, p: float = 0.6,
         cost_min: int = 1, cost_max: int = 10, k: int = 4,
-        cost: int = 1, ensure_connectivity: int | None = None) -> Instance:
+        cost: int = 1, ensure_connectivity: int | None = None,
+        gadgets: int = 3) -> Instance:
     """Deterministic instance generator.
 
     random: Erdos-Renyi with integer costs; ensure_connectivity repairs
     the graph by adding random edges across deficient cuts until the
-    unit-capacity connectivity reaches the given value.
+    unit-capacity connectivity reaches the given value.  prism-hub-k6
+    takes an odd gadget count of at least 3.  Sizes, k and costs are
+    held to the parser's limits before anything is built, so
+    `parse_instance` reads back whatever `gen` emits.
     """
-    if kind in ("complete", "cycle", "random") and n < 2:
-        raise ValueError("generators need at least 2 vertices")
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    if kind not in GENERATOR_KINDS:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    if kind in ("complete", "cycle", "random") and not 2 <= n <= MAX_VERTICES:
+        raise ValueError(f"n={n} outside 2..MAX_VERTICES={MAX_VERTICES}")
+    if kind == "complete" and n * (n - 1) // 2 > MAX_EDGES:
+        raise ValueError(f"complete graph on n={n} exceeds MAX_EDGES={MAX_EDGES}")
+    if not 1 <= k <= MAX_K:
+        raise ValueError(f"k={k} outside 1..MAX_K={MAX_K}")
+    if not (0 <= cost <= MAX_VALUE and 0 <= cost_min <= cost_max <= MAX_VALUE):
+        raise ValueError(f"costs must satisfy 0 <= cost, cost_min <= cost_max "
+                         f"and lie within MAX_VALUE={MAX_VALUE}")
+    if (ensure_connectivity or 0) * n > 2 * MAX_EDGES:
+        raise ValueError(f"connectivity {ensure_connectivity} on n={n} needs more "
+                         f"than MAX_EDGES={MAX_EDGES} edges")
+    if kind == "prism-hub-k6" and not (3 <= gadgets <= MAX_VERTICES // 3 and gadgets % 2):
+        raise ValueError(f"gadgets={gadgets} must be odd and within 3..{MAX_VERTICES // 3}")
     if kind == "complete":
         return Instance(complete_graph(n, cost), k)
     if kind == "cycle":
@@ -221,24 +227,29 @@ def gen(kind: str, seed: int = 0, n: int = 8, p: float = 0.6,
     if kind == "prism-k3":
         return _prism_k3()
     if kind == "prism-hub-k6":
-        return _prism_hub_k6()
-    if kind != "random":
-        raise ValueError(f"unknown generator kind {kind!r}")
+        return _prism_hub_k6(gadgets)
     rng = random.Random(seed)
     edges = []
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
             if rng.random() < p:
                 edges.append((a, b, rng.randint(cost_min, cost_max)))
+                if len(edges) > MAX_EDGES:
+                    raise ValueError(f"random graph exceeds MAX_EDGES={MAX_EDGES}")
     if not edges:
         edges.append((1, 2, rng.randint(cost_min, cost_max)))
-    if ensure_connectivity:
-        while True:
-            g = make_graph(n, edges)
-            value, side = min_cut(g, [1] * g.m)
-            if value >= ensure_connectivity:
-                break
-            a = rng.choice(sorted(side))
-            b = rng.choice(sorted(set(range(1, n + 1)) - side))
-            edges.append((a, b, rng.randint(cost_min, cost_max)))
+    # the cut kernel sees only summed weights, so the repair loop hands it
+    # one unit-cost edge per vertex pair, weighted by its multiplicity
+    pairs = Counter((a, b) for a, b, _ in edges)
+    while ensure_connectivity:
+        support = make_graph(n, [(a, b, 0) for a, b in pairs])
+        value, side = min_cut(support, list(pairs.values()))
+        if value >= ensure_connectivity:
+            break
+        if len(edges) == MAX_EDGES:
+            raise ValueError(f"connectivity repair reached MAX_EDGES={MAX_EDGES}")
+        a = rng.choice(sorted(side))
+        b = rng.choice(sorted(set(range(1, n + 1)) - side))
+        edges.append((a, b, rng.randint(cost_min, cost_max)))
+        pairs[min(a, b), max(a, b)] += 1
     return Instance(make_graph(n, edges), k)

@@ -153,9 +153,6 @@ class BasicOptimum:
     pivots: int = 0  # basis exchanges: dual and primal steps
     bound_flips: int = 0
 
-    def point_dict(self) -> dict[int, Fraction]:
-        return {j: v for j, v in enumerate(self.point) if v != 0}
-
 
 class _Simplex:
     """Bounded-variable tableau simplex over integer rows, started from

@@ -142,32 +142,6 @@ def check_two_way_uncrossable(f: SetFunction):
     return True, None
 
 
-def check_crossing_supermodular(f: SetFunction):
-    n = f.n
-    full = (1 << n) - 1
-    vals = f.values
-    for a in range(1, full):
-        for b in range(a + 1, full):
-            if not (a & b) or not (a & ~b) or not (b & ~a) or (a | b) == full:
-                continue
-            if vals[a] + vals[b] > vals[a & b] + vals[a | b]:
-                return False, _witness(n, a, b)
-    return True, None
-
-
-def check_weakly_supermodular(f: SetFunction):
-    n = f.n
-    full = (1 << n) - 1
-    vals = f.values
-    for a in range(1, full + 1):
-        for b in range(a, full + 1):
-            best = max(vals[a & b] + vals[a | b],
-                       vals[a & ~b & full] + vals[b & ~a & full])
-            if vals[a] + vals[b] > best:
-                return False, _witness(n, a, b)
-    return True, None
-
-
 def check_even_parity(f: SetFunction):
     """f(A)+f(B)+f(A|B) must be even for disjoint nonempty A, B."""
     n = f.n
@@ -191,9 +165,3 @@ def symmetrize(f: SetFunction) -> SetFunction:
     for m in range(1, full):
         vals[m] = max(f.values[m], f.values[full ^ m])
     return SetFunction(f.n, vals)
-
-
-def kecss_requirement_function(n: int, k: int) -> SetFunction:
-    """The plain connectivity requirement: k on proper nonempty sets, else 0."""
-    full = (1 << n) - 1
-    return SetFunction(n, [0 if m in (0, full) else k for m in range(full + 1)])

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from kecss.graphs import make_graph
+from kecss.graphs import canonical_side, make_graph
 from kecss.instances import Instance, gen
 
 TIGHT_SCAN_VERTEX_LIMIT = 16
@@ -21,33 +21,15 @@ def hub_cost_variant(dashed: int, solid: int) -> Instance:
 
     Any solid cost above the dashed cost keeps the unique fractional
     optimum (zero-cost edges at 1, rungs at 1/2, triangles at 3/4)."""
-    base = gen("prism-hub-k6")
-    edges = []
-    for e in base.graph.edges:
-        c = int(e.cost)
-        if c == 1:
-            c = dashed
-        elif c == 2:
-            c = solid
-        edges.append((e.u, e.v, c))
-    return Instance(make_graph(10, edges), 6)
+    return Instance(make_graph(10, prism_hub_edges(3, dashed, solid)), 6)
 
 
 def prism_hub_edges(g, dashed, solid):
-    """Hub 1 and gadgets (u_i, v_i, t_i): zero-cost rays and tripled rungs
-    u_i-t_i, v_i-t_i, a `dashed` edge u_i-v_i, and odd `solid` rings
-    through the u_i and through the v_i."""
-    u = [2 + 3 * i for i in range(g)]
-    v = [3 + 3 * i for i in range(g)]
-    t = [4 + 3 * i for i in range(g)]
-    edges = []
-    for i in range(g):
-        edges += [(1, u[i], 0), (1, v[i], 0), (1, t[i], 0)]
-        edges += [(u[i], t[i], 0)] * 3 + [(v[i], t[i], 0)] * 3
-    edges += [(u[i], v[i], dashed) for i in range(g)]
-    for ring in (u, v):
-        edges += [(ring[i], ring[(i + 1) % g], solid) for i in range(g)]
-    return edges
+    """The `prism-hub-k6` generator's edges for g gadgets, with its
+    cost-1 edges (u_i-v_i) at `dashed` and its cost-2 ring edges at
+    `solid`."""
+    hub = gen("prism-hub-k6", gadgets=g).graph
+    return [(e.u, e.v, (0, dashed, solid)[int(e.cost)]) for e in hub.edges]
 
 
 def random_cost_hub(g: int, seed: int, per_edge: bool = False) -> Instance:
@@ -104,6 +86,47 @@ def tight_sets_scan(x, req) -> list[frozenset[int]]:
         if fres >= req.threshold and w_cut == fres * denom:
             out.append(frozenset(b + 2 for b in range(n - 1) if i >> b & 1))
     return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
+
+
+def min_cut_reference(graph, weights) -> tuple[int, frozenset[int]]:
+    """Reference for `graphs.min_cut`: maximum-adjacency contraction that
+    picks each next vertex with `min` over a dict by (-key, v), with no
+    heap.  `min_cut` must return the same value and the same side."""
+    nodes = list(range(1, graph.n + 1))
+    members = {v: {v} for v in nodes}
+    w = {v: {} for v in nodes}
+    for e in graph.edges:
+        if weights[e.id]:
+            w[e.u][e.v] = w[e.u].get(e.v, 0) + weights[e.id]
+            w[e.v][e.u] = w[e.v].get(e.u, 0) + weights[e.id]
+    best_value = best_side = None
+    while len(nodes) > 1:
+        start = nodes[0]
+        in_a = {start}
+        key = {v: w[start].get(v, 0) for v in nodes if v != start}
+        order = [start]
+        while len(in_a) < len(nodes):
+            nxt = min(key, key=lambda v: (-key[v], v))
+            order.append(nxt)
+            in_a.add(nxt)
+            del key[nxt]
+            for v, wt in w[nxt].items():
+                if v not in in_a:
+                    key[v] += wt
+        s, t = order[-2], order[-1]
+        phase = sum(w[t].values())
+        if best_value is None or phase < best_value:
+            best_value, best_side = phase, set(members[t])
+        members[s] |= members[t]
+        for v, wt in list(w[t].items()):
+            if v != s:
+                w[s][v] = w[s].get(v, 0) + wt
+                w[v][s] = w[v].get(s, 0) + wt
+        for v in w[t]:
+            del w[v][t]
+        del w[t]
+        nodes.remove(t)
+    return best_value, canonical_side(frozenset(best_side), graph.n)
 
 
 def degree_bounds_for(inst: Instance, seed: int) -> tuple[list[int], list[int]]:

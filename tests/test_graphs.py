@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import min_cut_reference, random_cost_hub
+from kecss import rounding, separation
 from kecss.graphs import (Multigraph, boundary, canonical_side,
                           complete_graph, cuts_below, cycle_graph,
                           edge_connectivity, make_graph, min_cut)
@@ -108,6 +110,73 @@ def test_min_cut_matches_exhaustive():
         attained = sum((caps[e] for e in boundary(g, side)), Fraction(0))
         assert attained == Fraction(value, denom)
         assert 1 not in side  # canonical representative
+
+
+def random_multigraph(rng, n):
+    """Up to three parallel copies per pair, with endpoints in either
+    order; at low density the support is often disconnected."""
+    p = rng.choice((0.1, 0.3, 0.7))
+    edges = []
+    for u in range(1, n + 1):
+        for v in range(u + 1, n + 1):
+            if rng.random() < p:
+                edges += [(u, v, 1) if rng.random() < 0.5 else (v, u, 1)] * rng.randint(1, 3)
+    return make_graph(n, edges)
+
+
+def test_min_cut_matches_reference_value_and_side():
+    # exact (value, side) equality: the side reaches traces and digests.
+    # Zero weights and disconnected supports leave vertices at key 0,
+    # which the contraction takes in vertex-id order.
+    rng = random.Random(29)
+    zero_cuts = 0
+    for trial in range(400):
+        g = random_multigraph(rng, 2 + trial % 23)
+        top = rng.choice((1, 9, 10**12))
+        weights = [rng.randint(0, top) if rng.random() < 0.7 else 0 for _ in range(g.m)]
+        got = min_cut(g, weights)
+        assert got == min_cut_reference(g, weights)
+        zero_cuts += got[0] == 0
+    assert 20 < zero_cuts < 380
+
+
+def test_min_cut_matches_reference_on_hub_lp_points(monkeypatch):
+    # every LP point that separation probes while `kecss` solves
+    # random-cost hubs with g = 3, 5 and 9 gadgets
+    calls = []
+
+    def checked(graph, weights):
+        got = min_cut(graph, weights)
+        assert got == min_cut_reference(graph, weights)
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(separation, "min_cut", checked)
+    for g in (3, 5, 9):
+        for seed in range(4):
+            inst = random_cost_hub(g, seed, per_edge=seed % 2 == 1)
+            rounding.kecss(inst.graph, inst.k)
+    assert len(calls) > 80
+
+
+def test_cuts_below_reuses_reachable_set_and_matches_mask_scan():
+    # Edge 2-3 is heavier than the limit, so once 2 is in S vertex 3 is
+    # reachable from S and its S-child keeps the parent's flow; vertex n
+    # meets only zero-weight edges, so it is never reachable and its
+    # T-child does too.  The outputs must equal the mask scan.
+    rng = random.Random(14)
+    total = 0
+    for trial in range(33):
+        n = 4 + trial % 11
+        g = random_multigraph(rng, n - 1)
+        edges = [(e.u, e.v, 1) for e in g.edges] + [(2, 3, 1), (1, n, 1), (2, n, 1)]
+        g = make_graph(n, edges)
+        limit = rng.randint(1, 25)
+        weights = [rng.randint(0, 6) for _ in range(g.m - 3)] + [limit, 0, 0]
+        got = cuts_below(g, weights, limit)
+        assert got == mask_scan_below(g, weights, limit)
+        total += len(got)
+    assert total > 100
 
 
 def test_cuts_below_c4():

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from kecss import instances
 from kecss.cli import main
-from kecss.graphs import make_graph
+from kecss.graphs import edge_connectivity, make_graph
 from kecss.instances import (MAX_EDGES, MAX_K, MAX_VALUE, MAX_VERTICES,
                              Instance, ParseError, emit_instance, gen,
                              parse_instance)
@@ -137,6 +139,56 @@ def test_gen_fixtures():
     assert hub.graph.n == 10 and hub.graph.m == 36 and hub.k == 6
     with pytest.raises(ValueError):
         gen("unknown-kind")
+
+
+PRISM_HUB_G3_SHA256 = "7c8ab2b46c19613b7ddf13f643406e126768fed0fcf9c03ad1627a299395289a"
+
+
+def test_gen_prism_hub_gadgets(tmp_path: Path, capsys):
+    # G=3, the default, keeps the fixture's bytes from before --gadgets
+    for extra in ([], ["--gadgets", "3"]):
+        assert main(["gen", "--kind", "prism-hub-k6", *extra]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == PRISM_HUB_G3_SHA256
+    for bad in ("4", "1", "-3"):
+        assert main(["gen", "--kind", "prism-hub-k6", "--gadgets", bad]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+    hub = tmp_path / "hub15.txt"
+    sol = tmp_path / "sol.json"
+    assert main(["gen", "--kind", "prism-hub-k6", "--gadgets", "15", "--out", str(hub)]) == 0
+    assert parse_instance(hub.read_text()).graph.n == 46
+    assert main(["run", "--mode", "ecss", "--input", str(hub), "--solution", str(sol)]) == 0
+    assert Fraction(json.loads(sol.read_text())["lp"]) == Fraction(7 * 15, 2)
+
+
+@pytest.mark.parametrize("args, limit", [
+    (["--kind", "cycle", "--n", str(MAX_VERTICES + 1)], "MAX_VERTICES"),
+    (["--kind", "complete", "--n", "700"], "MAX_EDGES"),
+    (["--kind", "random", "--n", "3", "--k", "20000"], "MAX_K"),
+    (["--kind", "complete", "--n", "4", "--cost", str(MAX_VALUE + 1)], "MAX_VALUE"),
+    (["--kind", "random", "--n", "4", "--cost-max", "10000000000000"], "MAX_VALUE"),
+    (["--kind", "random", "--n", "3", "--ensure-connectivity", "200000"], "MAX_EDGES"),
+])
+def test_gen_rejects_what_the_parser_would_refuse(args, limit, capsys):
+    assert main(["gen", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and limit in captured.err
+
+
+def test_gen_edge_count_stops_at_max_edges(monkeypatch):
+    # the random draw and the connectivity repair both stop at MAX_EDGES
+    monkeypatch.setattr(instances, "MAX_EDGES", 40)
+    with pytest.raises(ValueError, match="random graph exceeds MAX_EDGES=40"):
+        gen("random", n=12, p=0.9)
+    with pytest.raises(ValueError, match="connectivity repair reached MAX_EDGES=40"):
+        gen("random", n=4, p=0.5, ensure_connectivity=20)
+
+
+def test_gen_repair_is_fast_at_high_connectivity():
+    inst = gen("random", n=3, k=4, ensure_connectivity=5000)
+    assert edge_connectivity(inst.graph) >= 5000
+    assert emit_instance(parse_instance(emit_instance(inst))) == emit_instance(inst)
 
 
 def test_cli_run_solution_and_trace(tmp_path: Path):

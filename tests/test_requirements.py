@@ -3,13 +3,45 @@ from fractions import Fraction
 
 import pytest
 
-from kecss.graphs import boundary, complete_graph, make_graph
+from kecss.graphs import boundary, complete_graph, make_graph, mask_vertices
 from kecss.instances import gen
 from kecss.requirements import (CapacityError, Requirement, SetFunction,
-                                check_crossing_supermodular, check_even_parity,
-                                check_two_way_uncrossable,
-                                check_weakly_supermodular,
-                                kecss_requirement_function, symmetrize)
+                                check_even_parity, check_two_way_uncrossable,
+                                symmetrize)
+
+
+def check_crossing_supermodular(f: SetFunction):
+    """f(A)+f(B) <= f(A&B)+f(A|B) for crossing A, B whose union is not V."""
+    n = f.n
+    full = (1 << n) - 1
+    vals = f.values
+    for a in range(1, full):
+        for b in range(a + 1, full):
+            if not (a & b) or not (a & ~b) or not (b & ~a) or (a | b) == full:
+                continue
+            if vals[a] + vals[b] > vals[a & b] + vals[a | b]:
+                return False, (mask_vertices(a, n), mask_vertices(b, n))
+    return True, None
+
+
+def check_weakly_supermodular(f: SetFunction):
+    """f(A)+f(B) <= max(f(A&B)+f(A|B), f(A-B)+f(B-A)) for all A, B."""
+    n = f.n
+    full = (1 << n) - 1
+    vals = f.values
+    for a in range(1, full + 1):
+        for b in range(a, full + 1):
+            best = max(vals[a & b] + vals[a | b],
+                       vals[a & ~b & full] + vals[b & ~a & full])
+            if vals[a] + vals[b] > best:
+                return False, (mask_vertices(a, n), mask_vertices(b, n))
+    return True, None
+
+
+def kecss_requirement_function(n: int, k: int) -> SetFunction:
+    """The plain connectivity requirement: k on proper nonempty sets, else 0."""
+    full = (1 << n) - 1
+    return SetFunction(n, [0 if m in (0, full) else k for m in range(full + 1)])
 
 
 def random_graph(rng, n, p=0.6):
