@@ -6,19 +6,15 @@ structural properties (laminar tight families, uncrossing identities,
 token-count bounds) of every extreme point encountered.
 """
 
-from .graphs import (CapacityError, Edge, Multigraph, boundary, canonical_side,
-                     complete_graph, cuts_below, cycle_graph, edge_connectivity,
-                     make_graph, min_cut)
+from .graphs import (Edge, Multigraph, boundary, canonical_side, complete_graph,
+                     cuts_below, cycle_graph, edge_connectivity, make_graph, min_cut)
 from .lp import (BasicOptimum, LpInfeasible, LpInstance, LpRow, LpUnbounded,
                  instance, row, solve, solve_lazy)
-from .requirements import (DegreeState, Requirement, SetFunction,
-                           check_even_parity, check_two_way_uncrossable,
-                           symmetrize)
-from .separation import (Feasible, SeparationVerdict, Violated,
-                         mixed_capacities, separate_exact, separate_fast)
-from .certify import (CertificationError, LaminarBasis, UncrossWitness,
-                      VerifyReport, brute_force_opt, extract_laminar,
-                      full_cut_lp, small_boundary_set, tight_sets,
+from .requirements import DegreeState, Requirement
+from .separation import (Feasible, SeparationVerdict, Violated, mixed_capacities,
+                         separate_fast)
+from .certify import (CertificationError, LaminarBasis, UncrossWitness, VerifyReport,
+                      extract_laminar, small_boundary_set, tight_sets,
                       uncross_witness, verify)
 from .rounding import (InfeasibleInstance, IterationRecord, RoundingTrace,
                        Solution, approximation_factor, bicriteria, kecsm,

@@ -5,8 +5,7 @@ laminar-basis extraction, the uncrossing witnesses, and the
 small-boundary member are existence statements that hold for every
 extreme point the solvers produce; a failure is treated as an
 implementation bug and raised as CertificationError with enough state to
-reproduce it.  The brute-force integer optimum and the fully
-materialized cut LP are reference oracles for the solver outputs.
+reproduce it.
 
 Each extreme point is checked in integer arithmetic: a ScaledPoint holds
 x over its common denominator with each support edge's endpoint bits,
@@ -31,14 +30,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import lp as lpmod
-from .graphs import (CapacityError, Multigraph, crossing, cuts_below,
-                     mask_vertices, min_cut, vertex_mask)
-from .lp import LpInfeasible
+from .graphs import Multigraph, crossing, cuts_below, mask_vertices, min_cut, vertex_mask
 from .requirements import DegreeState, Requirement
-
-FULL_LP_VERTEX_LIMIT = 12
-BRUTE_ECSS_EDGE_LIMIT = 18
-BRUTE_ECSM_EDGE_LIMIT = 10
 
 
 class CertificationError(AssertionError):
@@ -486,140 +479,6 @@ def small_boundary_set(basis: LaminarBasis,
     raise CertificationError(
         "no member with at most 3 fractional boundary edges; this falsifies "
         "the token-counting bound")
-
-
-# -- reference oracles -------------------------------------------------------
-
-def brute_force_opt(graph: Multigraph, k: int,
-                    mode: str) -> tuple[Fraction, dict[int, int]]:
-    """Exact integer optimum by enumeration; the independent cost oracle."""
-    if mode not in ("ecss", "ecsm"):
-        raise ValueError("mode must be 'ecss' or 'ecsm'")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if mode == "ecss":
-        return _brute_ecss(graph, k)
-    return _brute_ecsm(graph, k)
-
-
-def _feasible_mult(graph: Multigraph, mult: Mapping[int, int], k: int) -> bool:
-    n = graph.n
-    for mask_rest in range(1, 1 << (n - 1)):
-        mask = mask_rest << 1
-        total = 0
-        for e, m in mult.items():
-            edge = graph.edges[e]
-            if (mask >> (edge.u - 1) & 1) != (mask >> (edge.v - 1) & 1):
-                total += m
-        if total < k:
-            return False
-    return True
-
-
-def _brute_ecss(graph: Multigraph, k: int) -> tuple[Fraction, dict[int, int]]:
-    m = graph.m
-    if m > BRUTE_ECSS_EDGE_LIMIT:
-        raise CapacityError(f"|E|={m} exceeds subgraph enumeration limit")
-    n = graph.n
-    min_edges = math.ceil(k * n / 2)
-    best: tuple[Fraction, int] | None = None
-    for mask in range(1 << m):
-        if mask.bit_count() < min_edges:
-            continue
-        deg = [0] * (n + 1)
-        cost = Fraction(0)
-        rest = mask
-        while rest:
-            e = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            deg[graph.edges[e].u] += 1
-            deg[graph.edges[e].v] += 1
-            cost += graph.edges[e].cost
-        if best is not None and cost >= best[0]:
-            continue
-        if min(deg[1:]) < k:
-            continue
-        mult = {e: 1 for e in range(m) if mask >> e & 1}
-        if _feasible_mult(graph, mult, k):
-            best = (cost, mask)
-    if best is None:
-        raise LpInfeasible(f"no {k}-edge-connected subgraph exists")
-    return best[0], {e: 1 for e in range(m) if best[1] >> e & 1}
-
-
-def _brute_ecsm(graph: Multigraph, k: int) -> tuple[Fraction, dict[int, int]]:
-    m = graph.m
-    if m > BRUTE_ECSM_EDGE_LIMIT:
-        raise CapacityError(f"|E|={m} exceeds multigraph enumeration limit")
-    n = graph.n
-    masks = [(mask_rest << 1) for mask_rest in range(1, 1 << (n - 1))]
-    crossing = [[e.id for e in graph.edges
-                 if (mask >> (e.u - 1) & 1) != (mask >> (e.v - 1) & 1)]
-                for mask in masks]
-    order = sorted(range(m), key=lambda e: -graph.edges[e].cost)
-    best_cost: list[Fraction | None] = [None]
-    best_mult: list[dict[int, int] | None] = [None]
-    mult = [0] * m
-    undecided_set = [set(order[i:]) for i in range(m + 1)]
-
-    def dfs(idx: int, cost: Fraction) -> None:
-        if best_cost[0] is not None and cost >= best_cost[0]:
-            return
-        for ci, cut_edges in enumerate(crossing):
-            have = sum(mult[e] for e in cut_edges)
-            possible = have + k * sum(1 for e in cut_edges
-                                      if e in undecided_set[idx])
-            if possible < k:
-                return
-        if idx == m:
-            best_cost[0] = cost
-            best_mult[0] = {e: mult[e] for e in range(m) if mult[e]}
-            return
-        e = order[idx]
-        for copies in range(0, k + 1):
-            mult[e] = copies
-            dfs(idx + 1, cost + copies * graph.edges[e].cost)
-        mult[e] = 0
-
-    dfs(0, Fraction(0))
-    if best_cost[0] is None:
-        raise LpInfeasible(f"no {k}-edge-connected multigraph exists")
-    if best_mult[0] is None:
-        raise RuntimeError("brute force recorded a cost without a multigraph")
-    return best_cost[0], best_mult[0]
-
-
-def full_cut_lp(graph: Multigraph, k: int, mode: str,
-                degree_bounds: tuple[Sequence[int], Sequence[int]] | None = None
-                ) -> lpmod.BasicOptimum:
-    """Materialized cut LP: one row per partition, solved directly.
-
-    Independent of the lazy loop; used as the LP-value oracle.  Subgraph
-    mode bounds variables by 1, multigraph mode leaves them unbounded.
-    Degree rows are added for every vertex when bounds are given.
-    """
-    n = graph.n
-    if n > FULL_LP_VERTEX_LIMIT:
-        raise CapacityError(f"n={n} too large for the materialized cut LP")
-    if mode not in ("ecss", "ecsm"):
-        raise ValueError("mode must be 'ecss' or 'ecsm'")
-    rows = []
-    for mask_rest in range(1, 1 << (n - 1)):
-        mask = mask_rest << 1
-        coeffs = {e.id: 1 for e in graph.edges
-                  if (mask >> (e.u - 1) & 1) != (mask >> (e.v - 1) & 1)}
-        rows.append(lpmod.row(coeffs, lpmod.GE, k))
-    if degree_bounds is not None:
-        lower, upper = degree_bounds
-        for v in range(1, n + 1):
-            coeffs = {e.id: 1 for e in graph.edges if v in (e.u, e.v)}
-            if lower[v - 1] > 0:
-                rows.append(lpmod.row(coeffs, lpmod.GE, lower[v - 1]))
-            rows.append(lpmod.row(coeffs, lpmod.LE, upper[v - 1]))
-    upper_bound: list = [1] * graph.m if mode == "ecss" else [None] * graph.m
-    inst = lpmod.instance([e.cost for e in graph.edges], [0] * graph.m,
-                          upper_bound, rows)
-    return lpmod.solve(inst)
 
 
 def recheck_vertex(inst: lpmod.LpInstance, opt: lpmod.BasicOptimum) -> None:

@@ -1,16 +1,16 @@
 """Command-line entry points.
 
-    kecss run   --mode {ecss,ecss15,ecsm,md-ecss,md-ecsm,oracle,certify} ...
+    kecss run   --mode {ecss,ecss15,ecsm,md-ecss,md-ecsm,certify} ...
     kecss gen   --kind {random,complete,cycle,prism-k3,prism-hub-k6} ...
     kecss bench --dir DIR --out CSV
 
 Exit codes: 0 success, 1 infeasible instance, 2 parse error (also input
 that is not valid UTF-8, a k below the mode's minimum, `--k` outside
-1..MAX_K, `gen` parameters past the parser's limits, an output path that
-cannot be written, or a `bench --dir` that is not a directory), 3 certification/verification failure, 4 size limit of a
-requested exhaustive routine (`--exact-sep` above n=20), 5 internal
+1..MAX_K, a negative `--max-iters`, `gen` parameters past the parser's
+limits, an output path that cannot be written, or a `bench --dir` that
+is not a directory), 3 certification/verification failure, 5 internal
 fault or abort (simplex pivot limit, lazy-loop row cap, rounding
-iteration cap such as `--max-iters`).
+iteration cap such as `--max-iters`).  Code 4 is no longer used.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from pathlib import Path
 from . import bench as benchmod
 from . import certify as certmod
 from . import rounding
-from .graphs import CapacityError
 from .instances import (GENERATOR_KINDS, MAX_K, Instance, ParseError, emit_instance, gen,
                         parse_instance)
 from .lp import LpInfeasible
@@ -34,10 +33,9 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_PARSE = 2
 EXIT_CERTIFY = 3
-EXIT_CAPACITY = 4
 EXIT_INTERNAL = 5
 
-RUN_MODES = (*MODES, "oracle", "certify")
+RUN_MODES = (*MODES, "certify")
 
 
 def solution_json(sol: rounding.Solution) -> str:
@@ -92,9 +90,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"invalid k: --k {args.k} outside 1..{MAX_K}", file=sys.stderr)
             return EXIT_PARSE
         inst = Instance(inst.graph, args.k, inst.bounds)
+    if args.max_iters is not None and args.max_iters < 0:
+        print(f"invalid iteration cap: --max-iters {args.max_iters} is negative",
+              file=sys.stderr)
+        return EXIT_PARSE
 
-    if args.mode == "oracle":
-        return _cmd_oracle(inst)
     if args.mode == "certify":
         return _cmd_certify(inst, args)
 
@@ -105,17 +105,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return EXIT_PARSE
     try:
         sol, trace = mode.run(inst, certify=True if args.certify else None,
-                              seed=args.seed, exact_separation=args.exact_sep,
-                              max_iterations=args.max_iters)
+                              seed=args.seed, max_iterations=args.max_iters)
     except (rounding.InfeasibleInstance, LpInfeasible) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except certmod.CertificationError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFY
-    except CapacityError as exc:
-        print(f"size limit: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
     except RuntimeError as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
@@ -126,21 +122,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         sys.stdout.write(solution_json(sol))
     if args.trace and not _write(args.trace, trace_jsonl(trace)):
         return EXIT_PARSE
-    return EXIT_OK
-
-
-def _cmd_oracle(inst: Instance) -> int:
-    """Print the brute-force integer optimum and the materialized LP value."""
-    out = {}
-    for key, oracle in (("lp", lambda: certmod.full_cut_lp(inst.graph, inst.k, "ecss").value),
-                        ("opt", lambda: certmod.brute_force_opt(inst.graph, inst.k, "ecss")[0])):
-        try:
-            out[key] = frac_str(oracle())
-        except LpInfeasible:
-            out[key] = "infeasible"
-        except CapacityError as exc:
-            out[key] = f"skipped ({exc})"
-    print(json.dumps(out))
     return EXIT_OK
 
 
@@ -233,8 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--certify", action="store_true",
                        help="force inline structural certification")
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--exact-sep", dest="exact_sep", action="store_true",
-                       help="use the exhaustive separation oracle")
     p_run.add_argument("--max-iters", dest="max_iters", type=int, default=None)
     p_run.set_defaults(func=_cmd_run)
 

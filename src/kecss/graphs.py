@@ -21,10 +21,6 @@ from heapq import heappop, heappush
 from typing import Iterable, Mapping, Sequence
 
 
-class CapacityError(ValueError):
-    """Input too large for an exhaustive routine."""
-
-
 @dataclass(frozen=True)
 class Edge:
     id: int

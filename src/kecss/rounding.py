@@ -38,7 +38,7 @@ from . import certify as certmod
 from . import lp as lpmod
 from .graphs import Multigraph, crossing, edge_connectivity, min_cut, vertex_mask
 from .requirements import DegreeState, Requirement
-from .separation import Feasible, Violated, separate_exact, separate_fast
+from .separation import Feasible, Violated, separate_fast
 
 if TYPE_CHECKING:  # annotation only: importing kecss does not load the file format
     from .instances import Instance
@@ -167,7 +167,7 @@ def _lazy_solve(graph: Multigraph, objective: list, lower: list, upper: list,
 
 
 def _solve_residual(graph: Multigraph, req: Requirement, working: list[int],
-                    carry: set[frozenset[int]], exact_separation: bool,
+                    carry: set[frozenset[int]],
                     recheck: bool) -> tuple[lpmod.LazyResult, dict[int, Fraction]]:
     """Solve the residual LP over the working edges by lazy separation."""
     var_of = {e: i for i, e in enumerate(working)}
@@ -182,11 +182,9 @@ def _solve_residual(graph: Multigraph, req: Requirement, working: list[int],
         if fres >= req.threshold:
             rows.append(_cut_row(graph, side, working, var_of, fres))
 
-    separate = separate_exact if exact_separation else separate_fast
-
     def oracle(point: list[Fraction]) -> list[lpmod.LpRow]:
         x = {e: point[var_of[e]] for e in working}
-        verdict = separate(x, req)
+        verdict = separate_fast(x, req)
         if isinstance(verdict, Feasible):
             return []
         if not isinstance(verdict, Violated):
@@ -287,7 +285,7 @@ _DEGREE_MULTIGRAPH = _LoopSpec(3, Fraction(1), False, Fraction(1),
 
 
 def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
-           certify: bool | None, seed: int, exact_separation: bool,
+           certify: bool | None, seed: int,
            max_iterations: int | None) -> tuple[dict[int, int], RoundingTrace]:
     """Shared engine: the first LP, then solve residual LP, pick, drop,
     iterate.  Returns the picked multiplicities and the trace."""
@@ -348,8 +346,7 @@ def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
                 f"rounding exceeded {cap} iterations; state: |H|="
                 f"{sum(mult.values())}, working={len(working)}")
         try:
-            lazy, x = _solve_residual(graph, req, working, carry,
-                                      exact_separation, certify_flag)
+            lazy, x = _solve_residual(graph, req, working, carry, certify_flag)
         except lpmod.LpInfeasible as exc:
             raise InfeasibleInstance(
                 f"residual LP infeasible at iteration {iteration}: {exc}") from exc
@@ -436,7 +433,7 @@ def _finish(graph: Multigraph, mode: Mode, k: int, mult: dict[int, int],
 # -- subgraph procedures -----------------------------------------------------
 
 def kecss_even(graph: Multigraph, k: int, *, certify: bool | None = None,
-               seed: int = 0, exact_separation: bool = False,
+               seed: int = 0,
                max_iterations: int | None = None) -> tuple[Solution, RoundingTrace]:
     """(k-2)-edge-connected subgraph of cost at most the cut-LP optimum.
 
@@ -449,8 +446,7 @@ def kecss_even(graph: Multigraph, k: int, *, certify: bool | None = None,
         # 0-connectivity guarantee
         warnings.warn("k=2: returning the empty subgraph", stacklevel=2)
         return _finish(graph, MODES["ecss"], k, {}, Fraction(0)), RoundingTrace(Fraction(0))
-    mult, trace = _round(graph, k, _EXACT, None, certify, seed, exact_separation,
-                         max_iterations)
+    mult, trace = _round(graph, k, _EXACT, None, certify, seed, max_iterations)
     return _finish(graph, MODES["ecss"], k, mult, trace.lp0), trace
 
 
@@ -463,12 +459,11 @@ def kecss(graph: Multigraph, k: int, **kwargs) -> tuple[Solution, RoundingTrace]
 
 
 def bicriteria(graph: Multigraph, k: int, *, certify: bool | None = None,
-               seed: int = 0, exact_separation: bool = False,
+               seed: int = 0,
                max_iterations: int | None = None) -> tuple[Solution, RoundingTrace]:
     """(k-1)-edge-connected subgraph of cost at most 1.5 times the LP."""
     _check(graph, k, MODES["ecss15"].min_k, connectivity=k)
-    mult, trace = _round(graph, k, _BICRITERIA, None, certify, seed,
-                         exact_separation, max_iterations)
+    mult, trace = _round(graph, k, _BICRITERIA, None, certify, seed, max_iterations)
     return _finish(graph, MODES["ecss15"], k, mult, trace.lp0), trace
 
 
@@ -485,12 +480,11 @@ def _multigraph_run_k(k: int) -> int:
 
 
 def kecsm_core(graph: Multigraph, k: int, *, certify: bool | None = None,
-               seed: int = 0, exact_separation: bool = False,
+               seed: int = 0,
                max_iterations: int | None = None) -> tuple[Solution, RoundingTrace]:
     """(k-2)-edge-connected multigraph of cost at most the multigraph LP."""
     _check(graph, k, _CORE.min_k, even=True, connectivity=1)
-    mult, trace = _round(graph, k, _MULTIGRAPH, None, certify, seed,
-                         exact_separation, max_iterations)
+    mult, trace = _round(graph, k, _MULTIGRAPH, None, certify, seed, max_iterations)
     return _finish(graph, _CORE, k, mult, trace.lp0), trace
 
 
@@ -509,20 +503,20 @@ def kecsm(graph: Multigraph, k: int, **kwargs) -> tuple[Solution, RoundingTrace]
 
 def md_kecss(graph: Multigraph, k: int, lower: Sequence[int],
              upper: Sequence[int], *, certify: bool | None = None,
-             seed: int = 0, exact_separation: bool = False,
+             seed: int = 0,
              max_iterations: int | None = None) -> tuple[Solution, RoundingTrace]:
     """Degree-bounded subgraph: (k-2)-connected for even k ((k-3) for odd),
     cost at most the LP, and every degree within +-2 of its window."""
     bounds = (list(lower), list(upper))
     _check(graph, k, MODES["md-ecss"].min_k, bounds=bounds)
     mult, trace = _round(graph, k - k % 2, _DEGREE_EXACT, bounds, certify, seed,
-                         exact_separation, max_iterations)
+                         max_iterations)
     return _finish(graph, MODES["md-ecss"], k, mult, trace.lp0, bounds), trace
 
 
 def md_kecsm(graph: Multigraph, k: int, lower: Sequence[int],
              upper: Sequence[int], *, certify: bool | None = None,
-             seed: int = 0, exact_separation: bool = False,
+             seed: int = 0,
              max_iterations: int | None = None) -> tuple[Solution, RoundingTrace]:
     """Degree-bounded multigraph: k-connected, cost at most rho_k times the
     LP, degrees in [l-2, ceil(rho_k*b) + 2].
@@ -540,7 +534,7 @@ def md_kecsm(graph: Multigraph, k: int, lower: Sequence[int],
         raise InfeasibleInstance(f"degree-bounded LP infeasible: {exc}") from exc
     scaled = (list(lower), [math.ceil(approximation_factor(k) * b) for b in upper])
     mult, trace = _round(graph, _multigraph_run_k(k), _DEGREE_MULTIGRAPH, scaled,
-                         certify, seed, exact_separation, max_iterations)
+                         certify, seed, max_iterations)
     return _finish(graph, MODES["md-ecsm"], k, mult, reference.value, scaled), trace
 
 

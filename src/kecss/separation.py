@@ -15,8 +15,8 @@ The mixed capacities are scaled once per call to integers over the
 point's common denominator, and k and the window are scaled with them,
 so the cut kernels and every comparison work in integers.
 
-`separate_fast` is the production oracle; `separate_exact` scans every
-partition (n <= 20) and is the reference it is tested against.
+`separate_fast` is the one oracle the solvers use; the tests compare it
+with an exhaustive scan of every partition (`tests/reference.py`).
 """
 
 from __future__ import annotations
@@ -25,11 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .graphs import CapacityError, crossing, cuts_below, mask_vertices, min_cut, vertex_mask
+from .graphs import crossing, cuts_below, min_cut, vertex_mask
 from .lp import common
 from .requirements import Requirement
-
-EXACT_VERTEX_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -126,29 +124,3 @@ def separate_fast(x: Mapping[int, Fraction], req: Requirement) -> SeparationVerd
     best = min(active, key=capacity)
     return _violated(req, best, Fraction(capacity(best), denom))
 
-
-def separate_exact(x: Mapping[int, Fraction], req: Requirement) -> SeparationVerdict:
-    """Exhaustive reference oracle: scan all partitions, most violated first."""
-    n = req.graph.n
-    if n > EXACT_VERTEX_LIMIT:
-        raise CapacityError(f"n={n} too large for the exhaustive oracle")
-    weights, denom = mixed_capacities(x, req)
-    k_scaled = req.k * denom
-    best: tuple[int, tuple[int, ...], int] | None = None
-    for mask_rest in range(1, 1 << (n - 1)):
-        mask = mask_rest << 1
-        if req.residual_mask(mask) < req.threshold:
-            continue
-        w = 0
-        for e in req.graph.edges:
-            if (mask >> (e.u - 1) & 1) != (mask >> (e.v - 1) & 1):
-                w += weights[e.id]
-        if w < k_scaled:
-            side = mask_vertices(mask, n)
-            key = (w, tuple(sorted(side)), mask)
-            if best is None or key[:2] < best[:2]:
-                best = key
-    if best is None:
-        return Feasible()
-    side = mask_vertices(best[2], n)
-    return _violated(req, side, Fraction(best[0], denom))

@@ -6,17 +6,19 @@ import random
 import time
 from fractions import Fraction
 
-from kecss.certify import brute_force_opt, extract_laminar, full_cut_lp
+from kecss.certify import extract_laminar
 from kecss.graphs import boundary, edge_connectivity, min_cut
 from kecss.instances import gen
 from kecss.lp import common
-from kecss.requirements import (Requirement, SetFunction, check_even_parity,
-                                check_two_way_uncrossable, symmetrize)
+from kecss.requirements import Requirement
 from kecss.rounding import (approximation_factor, bicriteria, kecsm,
                             kecss_even, md_kecsm, md_kecss)
-from kecss.separation import Violated, separate_exact, separate_fast
+from kecss.separation import Violated, separate_fast
 
 from conftest import ACCEPTANCE_TRACES, degree_bounds_for
+from reference import (SetFunction, as_set_function, brute_force_opt, check_even_parity,
+                       check_two_way_uncrossable, full_cut_lp, separate_exact,
+                       symmetrize)
 
 
 def _passed(criterion: str, elapsed: float, budget: float, detail: str = ""):
@@ -229,7 +231,7 @@ def test_criterion_09_requirement_predicates():
         g = make_graph(n, edges)
         k = rng.choice([4, 6, 8])
         picked = {e: rng.randint(1, 3) for e in range(g.m) if rng.random() < 0.5}
-        table = Requirement(g, k, picked, 3).as_set_function()
+        table = as_set_function(Requirement(g, k, picked, 3))
         ok, witness = check_two_way_uncrossable(table)
         assert ok, witness
         ok, witness = check_even_parity(table)

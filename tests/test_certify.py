@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 
 from kecss import certify as certmod
-from kecss.certify import (brute_force_opt, extract_laminar,
-                           full_cut_lp, small_boundary_set, tight_sets,
+from kecss.certify import (extract_laminar, small_boundary_set, tight_sets,
                            uncross_witness, verify)
 from kecss.graphs import (boundary, complete_graph, cycle_graph,
                           edge_connectivity, make_graph)
@@ -16,6 +15,7 @@ from kecss.requirements import Requirement
 from kecss.rounding import bicriteria, kecss, kecss_even, md_kecss
 
 from conftest import degree_bounds_for, random_cost_hub, tight_sets_scan
+from reference import brute_force_opt, full_cut_lp
 
 
 def fixture_point(inst):

@@ -291,14 +291,6 @@ def test_cli_certify_tampered_solution(tmp_path: Path):
                  "--solution", str(sol_path)]) == 3
 
 
-def test_cli_oracle_mode(tmp_path: Path, capsys):
-    p3 = tmp_path / "p3.txt"
-    main(["gen", "--kind", "prism-k3", "--out", str(p3)])
-    assert main(["run", "--mode", "oracle", "--input", str(p3)]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["lp"] == "21/2"
-
-
 def test_cli_determinism(tmp_path: Path):
     inst_path = tmp_path / "r.txt"
     main(["gen", "--kind", "random", "--n", "7", "--k", "4", "--seed", "3",
@@ -325,30 +317,21 @@ def test_cli_md_modes_with_default_bounds(tmp_path: Path):
     assert payload["connectivity"] >= 2
 
 
-def test_cli_exact_sep_flag(tmp_path: Path):
-    inst_path = tmp_path / "k5.txt"
-    main(["gen", "--kind", "complete", "--n", "5", "--k", "4",
-          "--out", str(inst_path)])
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    assert main(["run", "--mode", "ecss", "--input", str(inst_path),
-                 "--solution", str(a)]) == 0
-    assert main(["run", "--mode", "ecss", "--input", str(inst_path),
-                 "--solution", str(b), "--exact-sep"]) == 0
-    assert json.loads(a.read_text())["cost"] == json.loads(b.read_text())["cost"]
-
-
-def test_cli_exact_sep_size_limit_exit_code(tmp_path: Path):
+def test_cli_ecss15_on_c22_is_2_connected(tmp_path: Path):
+    # n=22 is past every exhaustive routine's limit; separation runs at any n
     inst_path = tmp_path / "c22.txt"
     main(["gen", "--kind", "cycle", "--n", "22", "--k", "2",
           "--out", str(inst_path)])
-    code, out, err = run_cli("run", "--mode", "ecss15", "--input", str(inst_path),
-                             "--exact-sep")
-    assert code == 4
-    assert out == ""
-    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     code, out, _ = run_cli("run", "--mode", "ecss15", "--input", str(inst_path))
     assert code == 0 and json.loads(out)["connectivity"] == 2
+
+
+def test_cli_run_has_no_exhaustive_separation_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    assert "--exact-sep" not in usage and "oracle" not in usage
 
 
 def test_cli_max_iters_abort(tmp_path: Path):
@@ -358,6 +341,15 @@ def test_cli_max_iters_abort(tmp_path: Path):
     # an iteration-cap abort is an internal stop, not an infeasible input
     assert main(["run", "--mode", "ecss", "--input", str(inst_path),
                  "--max-iters", "0"]) == 5
+
+
+def test_cli_negative_max_iters_exits_2(tmp_path: Path):
+    inst_path = tmp_path / "hub.txt"
+    main(["gen", "--kind", "prism-hub-k6", "--out", str(inst_path)])
+    code, out, err = run_cli("run", "--mode", "ecss", "--input", str(inst_path),
+                             "--max-iters", "-1")
+    assert code == 2 and out == "" and _one_line_error(err)
+    assert "--max-iters" in err
 
 
 def test_cli_bench(tmp_path: Path):

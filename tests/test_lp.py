@@ -5,13 +5,14 @@ from fractions import Fraction
 import pytest
 
 from kecss import lp
-from kecss.certify import CertificationError, full_cut_lp, recheck_vertex
+from kecss.certify import CertificationError, recheck_vertex
 from kecss.graphs import boundary, complete_graph, cycle_graph, make_graph
 from kecss.instances import gen
 from kecss.requirements import Requirement
 from kecss.separation import Feasible, separate_fast
 
 from conftest import prism_hub_edges
+from reference import full_cut_lp
 
 
 def test_simplex_face_vertex():

@@ -5,9 +5,10 @@ import pytest
 
 from kecss.graphs import boundary, complete_graph, make_graph, mask_vertices
 from kecss.instances import gen
-from kecss.requirements import (CapacityError, Requirement, SetFunction,
-                                check_even_parity, check_two_way_uncrossable,
-                                symmetrize)
+from kecss.requirements import Requirement
+
+from reference import (CapacityError, SetFunction, as_set_function, check_even_parity,
+                       check_two_way_uncrossable, symmetrize)
 
 
 def check_crossing_supermodular(f: SetFunction):
@@ -55,7 +56,7 @@ def random_graph(rng, n, p=0.6):
 def residual_table(graph, k, picked):
     """Independent table construction for cross-checking Requirement."""
     req = Requirement(graph, k, picked, 3)
-    return req.as_set_function()
+    return as_set_function(req)
 
 
 def test_residual_arithmetic():

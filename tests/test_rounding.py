@@ -3,14 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from kecss.certify import full_cut_lp
+from kecss import rounding
 from kecss.graphs import complete_graph, cycle_graph, edge_connectivity, make_graph
 from kecss.instances import gen
 from kecss.rounding import (InfeasibleInstance, _solve_unbounded_cut_lp,
                             approximation_factor, bicriteria, kecsm,
                             kecsm_core, kecss, kecss_even, md_kecsm, md_kecss)
+from kecss.separation import Violated, separate_fast
 
-from conftest import degree_bounds_for, hub_cost_variant, prism_hub_edges, random_feasible
+from conftest import (degree_bounds_for, hub_cost_variant, prism_hub_edges,
+                      random_cost_hub, random_feasible)
+from reference import full_cut_lp, separate_exact
 
 
 def degrees(graph, mult):
@@ -263,12 +266,38 @@ def test_monotone_lp_values_fixture():
     assert len(trace.iterations) >= 2  # the fixture needs several rounds
 
 
-def test_exact_separation_gives_same_outcome():
-    inst = hub_cost_variant(2, 3)
-    fast_sol, fast_trace = kecss_even(inst.graph, 6)
-    exact_sol, exact_trace = kecss_even(inst.graph, 6, exact_separation=True)
-    assert fast_sol.cost == exact_sol.cost
-    assert fast_trace.lp0 == exact_trace.lp0
+def test_separate_fast_matches_reference_at_every_oracle_call(monkeypatch):
+    # every separation call of real kecss, bicriteria, kecsm and md_kecss
+    # runs, checked against the exhaustive scan at the same point and state
+    verdicts = []
+
+    def checked(x, req):
+        verdict = separate_fast(x, req)
+        expected = separate_exact(x, req)
+        assert type(verdict) is type(expected)
+        if isinstance(verdict, Violated):
+            assert verdict.capacity == expected.capacity
+            assert req.in_active_family(verdict.side)
+            assert verdict.lhs < verdict.requirement
+        verdicts.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(rounding, "separate_fast", checked)
+    for seed in range(4):
+        for per_edge in (False, True):
+            inst = random_cost_hub(3, seed, per_edge)
+            kecss(inst.graph, 6)
+            bicriteria(inst.graph, 6)
+            kecsm(inst.graph, 6)
+            md_kecss(inst.graph, 6, *degree_bounds_for(inst, seed))
+    for seed, n in ((960, 6), (961, 7), (962, 8), (963, 9), (964, 9)):
+        inst = random_feasible(seed, n, 4)
+        kecss(inst.graph, 4)
+        bicriteria(inst.graph, 4)
+        kecsm(inst.graph, 4)
+    # kecsm makes no calls here: no cut is active after it floors its first LP
+    violated = sum(isinstance(v, Violated) for v in verdicts)
+    assert len(verdicts) >= 111 and violated >= 69
 
 
 def test_lp0_matches_materialized_lp():

@@ -6,8 +6,9 @@ import pytest
 from kecss.graphs import boundary, complete_graph, make_graph
 from kecss.instances import gen
 from kecss.requirements import Requirement
-from kecss.separation import (Feasible, Violated, mixed_capacities,
-                              separate_exact, separate_fast)
+from kecss.separation import Feasible, Violated, mixed_capacities, separate_fast
+
+from reference import separate_exact
 
 
 def random_graph(rng, n, p=0.55):

@@ -25,3 +25,18 @@ def test_no_function_local_imports_in_package():
                     if isinstance(inner, (ast.Import, ast.ImportFrom)):
                         found.append(f"{path.name}:{inner.lineno}")
     assert found == []
+
+
+def test_no_subset_enumeration_in_package():
+    # exhaustive scans (range(1 << n), range(2 ** m)) belong in
+    # tests/reference.py, never on a solver's path
+    found = []
+    for path in sorted(Path(kecss.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "range"
+                    and any(isinstance(inner, ast.BinOp)
+                            and isinstance(inner.op, (ast.LShift, ast.Pow))
+                            for arg in node.args for inner in ast.walk(arg))):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
