@@ -11,8 +11,8 @@ from .graphs import (Edge, Multigraph, boundary, canonical_side, complete_graph,
 from .lp import (BasicOptimum, LpInfeasible, LpInstance, LpRow, LpUnbounded,
                  instance, row, solve, solve_lazy)
 from .requirements import DegreeState, Requirement
-from .separation import (Feasible, SeparationVerdict, Violated, mixed_capacities,
-                         separate_fast)
+from .separation import (Cut, Feasible, SeparationVerdict, Violated,
+                         mixed_capacities, separate_fast)
 from .certify import (CertificationError, LaminarBasis, UncrossWitness, VerifyReport,
                       extract_laminar, small_boundary_set, tight_sets,
                       uncross_witness, verify)

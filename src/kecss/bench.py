@@ -51,7 +51,7 @@ def bench_row(path: Path, mode: str, seed: int) -> list[str]:
         first = str(exc).splitlines()[0]
         return head + [""] * 8 + [f"certification-failure: {first}"]
     seconds = time.perf_counter() - start
-    _, factor = entry.guarantee(k)
+    _, factor = entry.guarantee(inst.graph, k)
     ratio = sol.cost / sol.lp_value if sol.lp_value else Fraction(0)
     within = ratio <= factor  # exact rational comparison
     return head + [

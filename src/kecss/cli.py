@@ -147,7 +147,8 @@ def _cmd_certify(inst: Instance, args: argparse.Namespace) -> int:
         return EXIT_PARSE
     # the solution file does not record which solver produced it, so hold
     # it to the weakest guarantee of its mode family
-    goals = [m.guarantee(k) for m in MODES.values() if m.family == mode and k >= m.min_k]
+    goals = [m.guarantee(inst.graph, k) for m in MODES.values()
+             if m.family == mode and k >= m.min_k]
     if not goals:
         print(f"parse error in solution file: no {mode!r} mode takes k={k}",
               file=sys.stderr)

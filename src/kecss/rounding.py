@@ -16,8 +16,9 @@ threshold, and repeat.  A `_LoopSpec` fixes what differs:
                complement) is at most 2.
 
 `MODES` is the one table of run modes: each mode's solver, the solution
-family it reports, its least k, and its guarantee k -> (connectivity
-target, cost factor over the recorded LP value) from the PAPER.md table.
+family it reports, its least k, and its guarantee (graph, k) ->
+(connectivity target, cost factor over the recorded LP value) from the
+PAPER.md table.
 Every solver verifies its output against its own entry.  Every run emits
 a per-iteration trace, asserts the progress and cost-ledger invariants at
 runtime, and (by default at desk scale) certifies the structural
@@ -81,7 +82,7 @@ class IterationRecord:
     basis_size: int | None = None
     small_member: frozenset[int] | None = None
     witness_pairs_checked: int = 0
-    lazy_rounds: int | None = None  # separation calls of the lazy loop
+    lazy_rounds: int | None = None  # oracle rounds of the lazy loop, not cuts
     lp_rows: int | None = None      # rows of the final relaxation
 
 
@@ -189,9 +190,9 @@ def _solve_residual(graph: Multigraph, req: Requirement, working: list[int],
             return []
         if not isinstance(verdict, Violated):
             raise RuntimeError(f"separation returned {verdict!r}")
-        carry.add(verdict.side)
-        return [_cut_row(graph, verdict.side, working, var_of,
-                         verdict.requirement)]
+        carry.update(cut.side for cut in verdict.cuts)
+        return [_cut_row(graph, cut.side, working, var_of, cut.requirement)
+                for cut in verdict.cuts]
 
     result = _lazy_solve(graph, [graph.edges[e].cost for e in working],
                          [Fraction(0)] * len(working), [Fraction(1)] * len(working),
@@ -416,7 +417,7 @@ def _finish(graph: Multigraph, mode: Mode, k: int, mult: dict[int, int],
             lp_value: Fraction, bounds: Bounds | None = None) -> Solution:
     """Verify the output against the mode's guarantee at k, degrees within
     [lower - 2, upper + 2] when `bounds` are given."""
-    target, factor = mode.guarantee(k)
+    target, factor = mode.guarantee(graph, k)
     window = None
     if bounds is not None:
         window = {v: (Fraction(lo - 2), Fraction(hi + 2))
@@ -543,12 +544,12 @@ def md_kecsm(graph: Multigraph, k: int, lower: Sequence[int],
 @dataclass(frozen=True)
 class Mode:
     """A run mode: its solver, the solution family it reports ("ecss" or
-    "ecsm"), its least k, and its guarantee k -> (connectivity target,
-    cost factor over the recorded LP value)."""
+    "ecsm"), its least k, and its guarantee (graph, k) -> (connectivity
+    target, cost factor over the recorded LP value)."""
     solver: Callable[..., tuple[Solution, RoundingTrace]]
     family: str
     min_k: int
-    guarantee: Callable[[int], tuple[int, Fraction]]
+    guarantee: Callable[[Multigraph, int], tuple[int, Fraction]]
     degree_bounded: bool = False
 
     def run(self, inst: Instance, **options) -> tuple[Solution, RoundingTrace]:
@@ -558,18 +559,27 @@ class Mode:
         return self.solver(inst.graph, inst.k, **options)
 
 
-def _exact_cost(k: int) -> tuple[int, Fraction]:
+def _exact_cost(graph: Multigraph, k: int) -> tuple[int, Fraction]:
     """(k-2)-connected for even k, (k-3) for odd k, at cost at most the LP."""
     return k - 2 - k % 2, Fraction(1)
 
 
-def _multigraph(k: int) -> tuple[int, Fraction]:
+def _bicriteria_cost(graph: Multigraph, k: int) -> tuple[int, Fraction]:
+    """(k-1)-connected at cost at most 3/2 times the LP, or 1 + 4/(3k)
+    times it when every edge costs the same and that is smaller."""
+    factor = Fraction(3, 2)
+    if len({e.cost for e in graph.edges}) <= 1:
+        factor = min(factor, 1 + Fraction(4, 3 * k))
+    return k - 1, factor
+
+
+def _multigraph(graph: Multigraph, k: int) -> tuple[int, Fraction]:
     return k, approximation_factor(k)
 
 
 MODES: dict[str, Mode] = {
     "ecss": Mode(kecss, "ecss", 2, _exact_cost),
-    "ecss15": Mode(bicriteria, "ecss", 2, lambda k: (k - 1, Fraction(3, 2))),
+    "ecss15": Mode(bicriteria, "ecss", 2, _bicriteria_cost),
     "ecsm": Mode(kecsm, "ecsm", 1, _multigraph),
     "md-ecss": Mode(md_kecss, "ecss", 2, _exact_cost, degree_bounded=True),
     "md-ecsm": Mode(md_kecsm, "ecsm", 1, _multigraph, degree_bounded=True),

@@ -9,7 +9,9 @@ automatically an active violated cut; otherwise every violated cut lies
 among the cuts of capacity below k, which are enumerated and filtered by
 activity.  In that window the min cut is at least k/2, so the cuts below
 k are 2-approximate min cuts: polynomially many, and `cuts_below`
-lists them with polynomial delay at any n.
+lists them with polynomial delay at any n.  Every active side it lists
+is violated, and the verdict reports all of them, so one lazy round can
+add a row for each.
 
 The mixed capacities are scaled once per call to integers over the
 point's common denominator, and k and the window are scaled with them,
@@ -36,7 +38,7 @@ class Feasible:
 
 
 @dataclass(frozen=True)
-class Violated:
+class Cut:
     side: frozenset[int]
     capacity: Fraction  # mixed capacity of the cut
     requirement: int    # residual requirement of the side
@@ -47,6 +49,19 @@ class Violated:
         if self.lhs >= self.requirement:
             raise ValueError(f"cut {sorted(self.side)} is not violated: x-mass "
                              f"{self.lhs} >= residual {self.requirement}")
+
+
+@dataclass(frozen=True)
+class Violated:
+    cuts: tuple[Cut, ...]  # distinct violated cuts, cheapest first
+
+    def __post_init__(self):
+        if not self.cuts:
+            raise ValueError("a violated verdict needs at least one cut")
+        keys = [(c.capacity, tuple(sorted(c.side))) for c in self.cuts]
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise ValueError("cuts must be distinct and ordered by "
+                             "(capacity, side)")
 
 
 SeparationVerdict = Feasible | Violated
@@ -86,17 +101,20 @@ def _check_fast_preconditions(req: Requirement) -> None:
             raise ValueError("threshold 2 needs k >= 2")
 
 
-def _violated(req: Requirement, side: frozenset[int], capacity: Fraction) -> Violated:
+def _cut(req: Requirement, side: frozenset[int], capacity: Fraction) -> Cut:
     mask = vertex_mask(side)
-    return Violated(side, capacity, req.residual_mask(mask),
-                    capacity - req.picked_crossing(mask))
+    return Cut(side, capacity, req.residual_mask(mask),
+               capacity - req.picked_crossing(mask))
 
 
 def separate_fast(x: Mapping[int, Fraction], req: Requirement) -> SeparationVerdict:
     """Min-cut probe plus near-minimum-cut enumeration.
 
-    Returns Feasible, or the violated active cut with the smallest mixed
-    capacity (ties broken lexicographically by canonical side).
+    Returns Feasible, or Violated with the violated active cuts found,
+    ordered by mixed capacity and then lexicographically by canonical
+    side.  A min cut below the window is reported alone; otherwise the
+    verdict holds every active side of capacity below k, which is every
+    violated cut.
     """
     _check_fast_preconditions(req)
     if req.threshold == 3 and req.k == 2:
@@ -109,18 +127,15 @@ def separate_fast(x: Mapping[int, Fraction], req: Requirement) -> SeparationVerd
         if not req.in_active_family(side):
             raise RuntimeError(f"min cut {sorted(side)} of capacity "
                                f"{Fraction(value, denom)} below {window} is not active")
-        return _violated(req, side, Fraction(value, denom))
+        return Violated((_cut(req, side, Fraction(value, denom)),))
     if value >= req.k * denom:
         return Feasible()
-    # candidates come sorted by side, so the first cheapest one wins ties
-    active = [s for s in cuts_below(req.graph, weights, req.k * denom)
-              if req.in_active_family(s)]
-    if not active:
+    found = [(sum(weights[e] for e in crossing(req.graph, vertex_mask(s))), s)
+             for s in cuts_below(req.graph, weights, req.k * denom)
+             if req.in_active_family(s)]
+    if not found:
         return Feasible()
-
-    def capacity(s: frozenset[int]) -> int:
-        return sum(weights[e] for e in crossing(req.graph, vertex_mask(s)))
-
-    best = min(active, key=capacity)
-    return _violated(req, best, Fraction(capacity(best), denom))
+    # candidates come sorted by side, so the stable sort breaks ties by side
+    found.sort(key=lambda pair: pair[0])
+    return Violated(tuple(_cut(req, s, Fraction(w, denom)) for w, s in found))
 

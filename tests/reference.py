@@ -5,8 +5,9 @@ each refuses inputs past its stated limit with CapacityError.  None of
 them is on a solver's path: the solvers separate with
 `kecss.separation.separate_fast` and certify with `kecss.certify`.
 
-- `separate_exact`: the residual separation oracle by a scan of all
-  2^(n-1) cut sides, most violated first (n <= 20).
+- `violated_cuts_exact`: every violated active cut by a scan of all
+  2^(n-1) cut sides, cheapest first, and `separate_exact`, the residual
+  separation oracle that reports the first of them (n <= 20).
 - `brute_force_opt`: the integer optimum of k-ECSS or k-ECSM by
   enumeration (|E| <= 18 or 10).
 - `full_cut_lp`: the cut LP with one row per partition, solved directly
@@ -27,7 +28,8 @@ from kecss import lp as lpmod
 from kecss.graphs import Multigraph, mask_vertices, vertex_mask
 from kecss.lp import LpInfeasible
 from kecss.requirements import Requirement
-from kecss.separation import Feasible, SeparationVerdict, _violated, mixed_capacities
+from kecss.separation import (Cut, Feasible, SeparationVerdict, Violated, _cut,
+                              mixed_capacities)
 
 EXACT_VERTEX_LIMIT = 20
 FULL_LP_VERTEX_LIMIT = 12
@@ -42,14 +44,15 @@ class CapacityError(ValueError):
 
 # -- separation ----------------------------------------------------------------
 
-def separate_exact(x: Mapping[int, Fraction], req: Requirement) -> SeparationVerdict:
-    """Exhaustive reference oracle: scan all partitions, most violated first."""
+def violated_cuts_exact(x: Mapping[int, Fraction], req: Requirement) -> list[Cut]:
+    """Every violated active cut, by a scan of all 2^(n-1) canonical sides,
+    ordered by (mixed capacity, sorted side)."""
     n = req.graph.n
     if n > EXACT_VERTEX_LIMIT:
         raise CapacityError(f"n={n} too large for the exhaustive oracle")
     weights, denom = mixed_capacities(x, req)
     k_scaled = req.k * denom
-    best: tuple[int, tuple[int, ...], int] | None = None
+    found: list[tuple[int, tuple[int, ...], frozenset[int]]] = []
     for mask_rest in range(1, 1 << (n - 1)):
         mask = mask_rest << 1
         if req.residual_mask(mask) < req.threshold:
@@ -60,13 +63,16 @@ def separate_exact(x: Mapping[int, Fraction], req: Requirement) -> SeparationVer
                 w += weights[e.id]
         if w < k_scaled:
             side = mask_vertices(mask, n)
-            key = (w, tuple(sorted(side)), mask)
-            if best is None or key[:2] < best[:2]:
-                best = key
-    if best is None:
-        return Feasible()
-    side = mask_vertices(best[2], n)
-    return _violated(req, side, Fraction(best[0], denom))
+            found.append((w, tuple(sorted(side)), side))
+    found.sort()
+    return [_cut(req, side, Fraction(w, denom)) for w, _, side in found]
+
+
+def separate_exact(x: Mapping[int, Fraction], req: Requirement) -> SeparationVerdict:
+    """Exhaustive reference oracle: the most violated cut alone (least
+    capacity, ties broken by sorted side), or Feasible."""
+    cuts = violated_cuts_exact(x, req)
+    return Violated((cuts[0],)) if cuts else Feasible()
 
 
 # -- integer optimum and materialized cut LP ----------------------------------

@@ -71,9 +71,9 @@ GOLDEN = {
     ("prism-k3", "ecss", False):
         "aad937c3d867cabc91efbff21dd03e3919730121bb496b4ac8db29ea92d2f54f",
     ("prism-k3", "ecss15", True):
-        "c6dde7a35a5eb3b24f5041048e81d4121744867b362e91b230de68a20aeb18f4",
+        "19833453e779e42068ba77161feed28e1c26186bb5baaa7cd66d3f1f6664161f",
     ("prism-k3", "ecss15", False):
-        "16946f81e022ff7d834254784ac156f17b74c61af245c57b5ba666379c4f175e",
+        "d83def1f6aa8901de64844b4a57fc128858c96631aad3f197c8ea50c7db79523",
     ("prism-k3", "ecsm", True):
         "d28fc30ad2eb10af9de38421386d6ce27a918ba6b4fc7afb767c8f8ddc44eccc",
     ("prism-k3", "ecsm", False):
@@ -87,21 +87,21 @@ GOLDEN = {
     ("prism-k3", "md-ecsm", False):
         "5c66537a60ab336d566f29f210fcf25c1891d2491f3889377f0e1ec42a608121",
     ("prism-hub-k6", "ecss", True):
-        "550c5b9b7e28e1e809572f953c4c87a4dc0ea51734d6da326e6ed901260a94a8",
+        "2677bc01f5a08545a72b3e091e44a2cf7c70b9c7e0e243446fa9827aed0e693b",
     ("prism-hub-k6", "ecss", False):
-        "cc17d9868ba7a9fd4d5e10499d6c67613f50538cabef732c05fce995c0a8f98f",
+        "2d825fd08338b3610dde0ee8101d18784d5e51d9beed2ada36e5aad932d02be0",
     ("prism-hub-k6", "ecss15", True):
-        "9c5f08085d046ab01a140ac6b62ebb28664dc9ebacde5a70eda09a7df1933b32",
+        "2c0c9f4b10674bc7cb5669961c567e8f588699c939609a99d47a4c0a31887d4d",
     ("prism-hub-k6", "ecss15", False):
-        "276e35af47872ab954a93900e026a9e41a2040ca9126c2a91f68c73891b5e212",
+        "bac827d4768280b34ee1d5e70bd135434c614e1c4a73169bb6daaf3d4da978fe",
     ("prism-hub-k6", "ecsm", True):
         "5c34a584db0e45ea6e686c756d3b1ff3b16a8c608bb46e52587ef134b82bc4ea",
     ("prism-hub-k6", "ecsm", False):
         "5c34a584db0e45ea6e686c756d3b1ff3b16a8c608bb46e52587ef134b82bc4ea",
     ("prism-hub-k6", "md-ecss", True):
-        "4d220d421232cc01fe016b5e9827ee02869271d2c0f3700ff0749a250a03ce44",
+        "4cda12c784e9d6df56508d399eaf5cf9e1a29efbf008d55916e82cfcd4ea49a6",
     ("prism-hub-k6", "md-ecss", False):
-        "8ebee8b57c477636eb2581a812b1df4b5253410d58401e4430a45ce0084db9b9",
+        "1172b45f17a5435ac23dc7c76cde44348e86ee3922642908621faced63e6e4e3",
     ("prism-hub-k6", "md-ecsm", True):
         "7454e1f1243b0b523d38d495cdd3e6e92fb318082f3822f608931f463907d59b",
     ("prism-hub-k6", "md-ecsm", False):
@@ -191,12 +191,21 @@ GUARANTEES = {
 }
 GUARANTEES["md-ecss"] = GUARANTEES["ecss"]
 GUARANTEES["md-ecsm"] = GUARANTEES["ecsm"]
+# with unit costs ecss15 pays at most min(3/2, 1 + 4/(3k)) times the LP
+UNIT_GUARANTEES = dict(GUARANTEES, ecss15=[
+    (1, Fraction(3, 2)), (2, Fraction(13, 9)), (3, Fraction(4, 3)),
+    (4, Fraction(19, 15)), (5, Fraction(11, 9)), (6, Fraction(25, 21)),
+    (7, Fraction(7, 6)), (8, Fraction(31, 27))])
 
 
 def test_mode_table_matches_paper_guarantees():
     assert set(rounding.MODES) == set(MODE_NAMES)
-    for name, expected in GUARANTEES.items():
-        assert [rounding.MODES[name].guarantee(k) for k in range(2, 10)] == expected
+    mixed = gen("prism-hub-k6").graph  # edge costs 0, 1 and 2
+    unit = complete_graph(5)
+    for table, graph in ((GUARANTEES, mixed), (UNIT_GUARANTEES, unit)):
+        for name, expected in table.items():
+            got = [rounding.MODES[name].guarantee(graph, k) for k in range(2, 10)]
+            assert got == expected
     assert {name: (m.family, m.min_k) for name, m in rounding.MODES.items()} == {
         "ecss": ("ecss", 2), "ecss15": ("ecss", 2), "ecsm": ("ecsm", 1),
         "md-ecss": ("ecss", 2), "md-ecsm": ("ecsm", 1)}

@@ -141,8 +141,8 @@ def test_min_cut_matches_reference_value_and_side():
 
 
 def test_min_cut_matches_reference_on_hub_lp_points(monkeypatch):
-    # every LP point that separation probes while `kecss` solves
-    # random-cost hubs with g = 3, 5 and 9 gadgets
+    # every LP point that separation probes while `kecss` and `bicriteria`
+    # solve random-cost hubs with g = 3, 5 and 9 gadgets
     calls = []
 
     def checked(graph, weights):
@@ -153,9 +153,10 @@ def test_min_cut_matches_reference_on_hub_lp_points(monkeypatch):
 
     monkeypatch.setattr(separation, "min_cut", checked)
     for g in (3, 5, 9):
-        for seed in range(4):
+        for seed in range(8):
             inst = random_cost_hub(g, seed, per_edge=seed % 2 == 1)
             rounding.kecss(inst.graph, inst.k)
+            rounding.bicriteria(inst.graph, inst.k)
     assert len(calls) > 80
 
 

@@ -143,8 +143,8 @@ def test_lazy_kecss_lp_on_k5():
         verdict = separate_fast(x, req)
         if isinstance(verdict, Feasible):
             return []
-        coeffs = {e: 1 for e in boundary(g, verdict.side)}
-        return [lp.row(coeffs, lp.GE, verdict.requirement)]
+        return [lp.row({e: 1 for e in boundary(g, c.side)}, lp.GE, c.requirement)
+                for c in verdict.cuts]
 
     inst = lp.instance([1] * g.m, [0] * g.m, [1] * g.m, [])
     result = lp.solve_lazy(inst, oracle)
@@ -163,8 +163,8 @@ def test_lazy_infeasible_propagates():
         verdict = separate_fast(x, req)
         if isinstance(verdict, Feasible):
             return []
-        return [lp.row({e: 1 for e in boundary(g, verdict.side)}, lp.GE,
-                       verdict.requirement)]
+        return [lp.row({e: 1 for e in boundary(g, c.side)}, lp.GE, c.requirement)
+                for c in verdict.cuts]
 
     inst = lp.instance([1] * 5, [0] * 5, [1] * 5, [])
     with pytest.raises(lp.LpInfeasible):
@@ -191,8 +191,8 @@ def test_lazy_equals_materialized_on_random_instances():
             verdict = separate_fast(x, req)
             if isinstance(verdict, Feasible):
                 return []
-            return [lp.row({e: 1 for e in boundary(g, verdict.side)}, lp.GE,
-                           verdict.requirement)]
+            return [lp.row({e: 1 for e in boundary(g, c.side)}, lp.GE,
+                           c.requirement) for c in verdict.cuts]
 
         inst = lp.instance([e.cost for e in g.edges], [0] * g.m, [1] * g.m, [])
         lazy = lp.solve_lazy(inst, oracle)
@@ -377,15 +377,19 @@ def _random_lazy_instance(rng, nv):
 
 
 def _cut_oracle(graph, k):
-    """Lazy oracle of the k-edge-connectivity cut LP, by separate_fast."""
+    """Lazy oracle of the k-edge-connectivity cut LP, by separate_fast.
+
+    It adds only the cheapest violated cut, so that the warm loop runs
+    several rounds on small inputs."""
     req = Requirement(graph, k, {}, 3)
 
     def oracle(point):
         verdict = separate_fast(dict(enumerate(point)), req)
         if isinstance(verdict, Feasible):
             return []
-        return [lp.row({e: 1 for e in boundary(graph, verdict.side)}, lp.GE,
-                       verdict.requirement)]
+        cut = verdict.cuts[0]
+        return [lp.row({e: 1 for e in boundary(graph, cut.side)}, lp.GE,
+                       cut.requirement)]
     return oracle
 
 

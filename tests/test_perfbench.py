@@ -1,0 +1,27 @@
+"""The per-layer benchmark still sees the package's layers.
+
+`perfbench/tracer.py` wraps package functions by the names the modules
+look them up under, and counts separation verdicts by their type.  A
+change to `src/` that breaks either leaves the traced run working while
+its per-layer metrics read 0, so this runs it once.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_benchmark_run_counts_violated_verdicts():
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "hub-separation",
+         "--seed", "1", "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout.splitlines()[-1])
+    assert report["correct"] is True
+    assert report["metrics"]["separation.separate_fast.violated_frac"]["value"] > 0

@@ -3,17 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from kecss import rounding
-from kecss.graphs import complete_graph, cycle_graph, edge_connectivity, make_graph
+from kecss import rounding, separation
+from kecss.certify import CertificationError
+from kecss.graphs import (complete_graph, crossing, cuts_below, cycle_graph,
+                          edge_connectivity, make_graph, vertex_mask)
 from kecss.instances import gen
-from kecss.rounding import (InfeasibleInstance, _solve_unbounded_cut_lp,
-                            approximation_factor, bicriteria, kecsm,
-                            kecsm_core, kecss, kecss_even, md_kecsm, md_kecss)
+from kecss.rounding import (MODES, InfeasibleInstance, _finish,
+                            _solve_unbounded_cut_lp, approximation_factor,
+                            bicriteria, kecsm, kecsm_core, kecss, kecss_even,
+                            md_kecsm, md_kecss)
 from kecss.separation import Violated, separate_fast
 
 from conftest import (degree_bounds_for, hub_cost_variant, prism_hub_edges,
                       random_cost_hub, random_feasible)
-from reference import full_cut_lp, separate_exact
+from reference import full_cut_lp, separate_exact, violated_cuts_exact
 
 
 def degrees(graph, mult):
@@ -266,24 +269,46 @@ def test_monotone_lp_values_fixture():
     assert len(trace.iterations) >= 2  # the fixture needs several rounds
 
 
+def _oracle_calls(monkeypatch) -> list:
+    """Record every separation call of the solvers as (x, req, verdict,
+    enumerated), where `enumerated` says whether `separate_fast` went
+    through `cuts_below` or the min-cut probe decided."""
+    calls = []
+    listed = []
+
+    def counted(*args):
+        listed.append(True)
+        return cuts_below(*args)
+
+    def recorded(x, req):
+        listed.clear()
+        verdict = separate_fast(x, req)
+        calls.append((x, req, verdict, bool(listed)))
+        return verdict
+
+    monkeypatch.setattr(separation, "cuts_below", counted)
+    monkeypatch.setattr(rounding, "separate_fast", recorded)
+    return calls
+
+
+def two_cliques(seed: int):
+    """Two K5s on n=10 with costs 1..4, joined by 4-7 edges of cost 5..9:
+    4-edge-connected, and the degree rows alone leave the joining cut at
+    x-mass 0, so the min-cut probe decides the first round."""
+    rng = random.Random(seed)
+    halves = (range(1, 6), range(6, 11))
+    edges = [(u, v, rng.randint(1, 4)) for half in halves
+             for u in half for v in half if u < v]
+    for _ in range(rng.randint(4, 7)):
+        edges.append((rng.choice(halves[0]), rng.choice(halves[1]), rng.randint(5, 9)))
+    return make_graph(10, edges)
+
+
 def test_separate_fast_matches_reference_at_every_oracle_call(monkeypatch):
     # every separation call of real kecss, bicriteria, kecsm and md_kecss
     # runs, checked against the exhaustive scan at the same point and state
-    verdicts = []
-
-    def checked(x, req):
-        verdict = separate_fast(x, req)
-        expected = separate_exact(x, req)
-        assert type(verdict) is type(expected)
-        if isinstance(verdict, Violated):
-            assert verdict.capacity == expected.capacity
-            assert req.in_active_family(verdict.side)
-            assert verdict.lhs < verdict.requirement
-        verdicts.append(verdict)
-        return verdict
-
-    monkeypatch.setattr(rounding, "separate_fast", checked)
-    for seed in range(4):
+    calls = _oracle_calls(monkeypatch)
+    for seed in range(12):
         for per_edge in (False, True):
             inst = random_cost_hub(3, seed, per_edge)
             kecss(inst.graph, 6)
@@ -296,8 +321,51 @@ def test_separate_fast_matches_reference_at_every_oracle_call(monkeypatch):
         bicriteria(inst.graph, 4)
         kecsm(inst.graph, 4)
     # kecsm makes no calls here: no cut is active after it floors its first LP
-    violated = sum(isinstance(v, Violated) for v in verdicts)
-    assert len(verdicts) >= 111 and violated >= 69
+    for x, req, verdict, _ in calls:
+        expected = separate_exact(x, req)
+        assert type(verdict) is type(expected)
+        if isinstance(verdict, Violated):
+            assert verdict.cuts[0].capacity == expected.cuts[0].capacity
+            for cut in verdict.cuts:
+                assert req.in_active_family(cut.side)
+                assert cut.lhs < cut.requirement
+                across = crossing(req.graph, vertex_mask(cut.side))
+                assert cut.capacity == sum(x.get(e, 0) + req.picked.get(e, 0)
+                                           for e in across)
+    violated = sum(isinstance(v, Violated) for _, _, v, _ in calls)
+    assert len(calls) >= 111 and violated >= 69
+
+
+def test_separate_fast_returns_every_violated_cut_at_every_oracle_call(monkeypatch):
+    # where the enumeration ran, the verdict lists exactly the violated
+    # active cuts of the exhaustive scan, in (capacity, side) order; where
+    # the probe decided, it reports its one min cut
+    calls = _oracle_calls(monkeypatch)
+    for seed in range(4):
+        for per_edge in (False, True):
+            inst = random_cost_hub(3, seed, per_edge)
+            kecss(inst.graph, 6)
+            bicriteria(inst.graph, 6)
+            md_kecss(inst.graph, 6, *degree_bounds_for(inst, seed))
+    for seed in range(6):
+        graph = two_cliques(seed)
+        kecss(graph, 4)
+        bicriteria(graph, 4)
+    for seed in range(4):
+        inst = random_feasible(2000 + 4 * seed, 7, 5, p=0.7)
+        kecss(inst.graph, 5)
+        bicriteria(inst.graph, 5)
+    listed = probed = several = 0
+    for x, req, verdict, enumerated in calls:
+        if enumerated:
+            got = verdict.cuts if isinstance(verdict, Violated) else ()
+            assert list(got) == violated_cuts_exact(x, req)
+            listed += bool(got)
+            several += len(got) > 1
+        elif isinstance(verdict, Violated):
+            assert len(verdict.cuts) == 1
+            probed += 1
+    assert listed >= 25 and several >= 20 and probed >= 10
 
 
 def test_lp0_matches_materialized_lp():
@@ -305,6 +373,20 @@ def test_lp0_matches_materialized_lp():
         inst = random_feasible(950 + i, 6, 4, p=0.75)
         _, trace = kecss_even(inst.graph, 4)
         assert trace.lp0 == full_cut_lp(inst.graph, 4, "ecss").value
+
+
+def test_finish_holds_unit_cost_ecss15_to_four_thirds_k():
+    # all ten K5 edges: cost 10, 4-connected; against an LP value of 7 the
+    # ratio 10/7 lies above 1 + 4/(3*4) = 4/3 and below 3/2
+    unit = complete_graph(5)
+    everything = {e: 1 for e in range(unit.m)}
+    with pytest.raises(CertificationError, match="cost"):
+        _finish(unit, MODES["ecss15"], 4, everything, Fraction(7))
+    # one edge at cost 2 lifts the bound to 3/2: 11 <= 3/2 * 15/2
+    mixed = make_graph(5, [(e.u, e.v, 2 if e.id == 0 else 1) for e in unit.edges])
+    sol = _finish(mixed, MODES["ecss15"], 4, everything, Fraction(15, 2))
+    assert (sol.cost, sol.connectivity) == (11, 4)
+    assert Fraction(4, 3) * sol.lp_value < sol.cost <= Fraction(3, 2) * sol.lp_value
 
 
 def test_two_vertex_parallel_edges_all_modes():

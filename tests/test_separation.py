@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from kecss.graphs import boundary, complete_graph, make_graph
+from kecss import separation
+from kecss.graphs import boundary, complete_graph, cuts_below, make_graph
 from kecss.instances import gen
 from kecss.requirements import Requirement
-from kecss.separation import Feasible, Violated, mixed_capacities, separate_fast
+from kecss.separation import Cut, Feasible, Violated, mixed_capacities, separate_fast
 
-from reference import separate_exact
+from reference import separate_exact, violated_cuts_exact
 
 
 def random_graph(rng, n, p=0.55):
@@ -70,10 +71,25 @@ def test_mixed_capacities_domain_errors():
 
 def test_violated_rejects_satisfied_cut():
     with pytest.raises(ValueError):
-        Violated(frozenset({2}), Fraction(4), 3, Fraction(3))
+        Cut(frozenset({2}), Fraction(4), 3, Fraction(3))
     with pytest.raises(ValueError):
-        Violated(frozenset({2}), Fraction(5), 3, Fraction(7, 2))
-    assert Violated(frozenset({2}), Fraction(2), 3, Fraction(5, 2)).lhs == Fraction(5, 2)
+        Cut(frozenset({2}), Fraction(5), 3, Fraction(7, 2))
+    assert Cut(frozenset({2}), Fraction(2), 3, Fraction(5, 2)).lhs == Fraction(5, 2)
+
+
+def test_violated_needs_distinct_cuts_cheapest_first():
+    a = Cut(frozenset({2}), Fraction(2), 3, Fraction(5, 2))
+    b = Cut(frozenset({3}), Fraction(2), 3, Fraction(2))
+    c = Cut(frozenset({2, 3}), Fraction(3), 4, Fraction(3))
+    assert Violated((a, b, c)).cuts == (a, b, c)
+    with pytest.raises(ValueError):
+        Violated(())
+    with pytest.raises(ValueError):
+        Violated((c, a))  # capacity out of order
+    with pytest.raises(ValueError):
+        Violated((b, a))  # equal capacity, sides out of order
+    with pytest.raises(ValueError):
+        Violated((a, a))
 
 
 def test_feasible_on_saturated_k5():
@@ -92,8 +108,8 @@ def test_zero_point_violated_with_singleton():
         x = {e: Fraction(0) for e in range(g.m)}
         verdict = separate_fast(x, req)
         assert isinstance(verdict, Violated)
-        assert len(verdict.side) == 1
-        assert verdict.capacity == 0
+        assert len(verdict.cuts[0].side) == 1
+        assert verdict.cuts[0].capacity == 0
 
 
 def test_fixture_point_feasible_for_k6():
@@ -115,10 +131,11 @@ def test_dropped_sets_never_reported():
     picked = {e: 1 for e in boundary(g, side)}  # residual of {2} becomes 1
     req = Requirement(g, 4, picked, 3)
     x = {e: Fraction(0) for e in range(g.m) if e not in picked}
-    verdict = separate_exact(x, req)
-    if isinstance(verdict, Violated):
-        assert verdict.side != side
-        assert req.residual(verdict.side) >= 3
+    for verdict in (separate_exact(x, req), separate_fast(x, req)):
+        if isinstance(verdict, Violated):
+            for cut in verdict.cuts:
+                assert cut.side != side
+                assert req.residual(cut.side) >= 3
 
 
 def test_threshold3_k2_immediately_feasible():
@@ -138,25 +155,42 @@ def test_fast_precondition_errors():
                       Requirement(g, 1, {}, 2))
 
 
-def test_fast_matches_exact_randomized():
+def test_fast_matches_exact_randomized(monkeypatch):
+    # where the enumeration ran, the verdict lists every violated cut of
+    # the exhaustive scan in order; where the probe decided, one cut
+    listed = []
+
+    def counted(*args):
+        listed.append(True)
+        return cuts_below(*args)
+
+    monkeypatch.setattr(separation, "cuts_below", counted)
     rng = random.Random(99)
-    violated = 0
+    violated = probed = several = 0
     for _ in range(250):
         g, req, x = random_state(rng)
+        listed.clear()
         vf = separate_fast(x, req)
         ve = separate_exact(x, req)
         assert type(vf) is type(ve)
+        if listed:
+            got = vf.cuts if isinstance(vf, Violated) else ()
+            assert list(got) == violated_cuts_exact(x, req)
+            several += len(got) > 1
+        elif isinstance(vf, Violated):
+            assert len(vf.cuts) == 1
+            probed += 1
         if isinstance(vf, Violated):
             violated += 1
             assert isinstance(ve, Violated)
-            assert vf.capacity == ve.capacity
-            for v in (vf, ve):
+            assert vf.cuts[0].capacity == ve.cuts[0].capacity
+            for v in vf.cuts + ve.cuts:
                 assert req.residual(v.side) >= req.threshold
                 assert v.lhs < v.requirement
                 mass = sum((Fraction(x[e]) for e in boundary(g, v.side)
                             if e in x), Fraction(0))
                 assert mass == v.lhs
-    assert violated > 20  # the suite is not vacuous
+    assert violated > 20 and probed > 10 and several > 5  # not vacuous
 
 
 def test_soundness_of_violated_rows():
@@ -165,7 +199,8 @@ def test_soundness_of_violated_rows():
         g, req, x = random_state(rng, n_max=8)
         verdict = separate_fast(x, req)
         if isinstance(verdict, Violated):
-            # the row x(delta_E'(S)) >= f_res(S) really is violated at x
-            mass = sum((Fraction(x[e]) for e in boundary(g, verdict.side)
-                        if e in x), Fraction(0))
-            assert mass < req.residual(verdict.side)
+            # each row x(delta_E'(S)) >= f_res(S) really is violated at x
+            for cut in verdict.cuts:
+                mass = sum((Fraction(x[e]) for e in boundary(g, cut.side)
+                            if e in x), Fraction(0))
+                assert mass < req.residual(cut.side)
