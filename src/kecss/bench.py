@@ -3,8 +3,8 @@
 One CSV row per (instance, mode).  The cost/LP ratio is compared against
 the mode's guarantee exactly (rationals) before decimal rendering;
 per-instance failures (unreadable or undecodable files, parse errors, a
-k below the mode's minimum, infeasible instances, certification
-failures) are recorded and the harness keeps going.
+k below the mode's minimum, fewer than 2 vertices, infeasible instances,
+certification failures) are recorded and the harness keeps going.
 """
 
 from __future__ import annotations
@@ -40,8 +40,9 @@ def bench_row(path: Path, mode: str, seed: int) -> list[str]:
     n, m, k = inst.graph.n, inst.graph.m, inst.k
     head = [name, mode, str(n), str(m), str(k)]
     entry = MODES[mode]
-    if k < entry.min_k:
-        return head + [""] * 8 + [f"invalid-k: needs k >= {entry.min_k}"]
+    refusal = entry.refusal(inst)
+    if refusal is not None:
+        return head + [""] * 8 + [refusal]
     start = time.perf_counter()
     try:
         sol, trace = entry.run(inst, seed=seed)

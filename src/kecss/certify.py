@@ -32,6 +32,7 @@ from typing import Mapping, Sequence
 from . import lp as lpmod
 from .graphs import Multigraph, crossing, cuts_below, mask_vertices, min_cut, vertex_mask
 from .requirements import DegreeState, Requirement
+from .separation import mixed_capacities
 
 
 class CertificationError(AssertionError):
@@ -159,17 +160,12 @@ def tight_sets(x: Mapping[int, Fraction], req: Requirement,
         point = ScaledPoint(graph, x)
     if graph.n < 2:
         return []
-    denom = point.denom
-    weights = [0] * graph.m
-    for e, mult in req.picked.items():
-        weights[e] += mult * denom
-    for e, _, w in point.edges:
-        weights[e] += w
+    weights, denom = mixed_capacities(x, req)
     out = []
     for side in cuts_below(graph, weights, req.k * denom + 1):
         mask = vertex_mask(side)
         fres = req.residual_mask(mask)
-        if fres >= req.threshold and point.cross(mask) == fres * denom:
+        if fres >= req.threshold and point.cross(mask) == fres * point.denom:
             out.append(side)
     return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
 

@@ -5,12 +5,14 @@
     kecss bench --dir DIR --out CSV
 
 Exit codes: 0 success, 1 infeasible instance, 2 parse error (also input
-that is not valid UTF-8, a k below the mode's minimum, `--k` outside
-1..MAX_K, a negative `--max-iters`, `gen` parameters past the parser's
-limits, an output path that cannot be written, or a `bench --dir` that
-is not a directory), 3 certification/verification failure, 5 internal
-fault or abort (simplex pivot limit, lazy-loop row cap, rounding
-iteration cap such as `--max-iters`).  Code 4 is no longer used.
+that is not valid UTF-8, a k below the mode's minimum, fewer than 2
+vertices, `--k` outside 1..MAX_K, a negative `--max-iters`, `gen`
+parameters past the parser's limits, an output path that cannot be
+written, a `bench --dir` that is not a directory, or a solution file
+that `run --mode certify` cannot read), 3 certification/verification
+failure, 5 internal fault or abort (simplex pivot limit, lazy-loop row
+cap, rounding iteration cap such as `--max-iters`).  Code 4 is no
+longer used.
 """
 
 from __future__ import annotations
@@ -99,8 +101,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return _cmd_certify(inst, args)
 
     mode = MODES[args.mode]
-    if inst.k < mode.min_k:
-        print(f"invalid k: mode {args.mode} needs k >= {mode.min_k}, got {inst.k}",
+    refusal = mode.refusal(inst)
+    if refusal is not None:
+        print(f"{refusal} (mode {args.mode}, n={inst.graph.n}, k={inst.k})",
               file=sys.stderr)
         return EXIT_PARSE
     try:
@@ -138,7 +141,8 @@ def _cmd_certify(inst: Instance, args: argparse.Namespace) -> int:
         lp_value = Fraction(payload["lp"])
         claimed_conn = int(payload["connectivity"])
         mult = {int(rec["id"]): int(rec["mult"]) for rec in payload["edges"]}
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, ArithmeticError) as exc:
+        # ArithmeticError: a zero denominator, or an infinite number
         print(f"parse error in solution file: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if any(not 0 <= e < inst.graph.m or m < 0 for e, m in mult.items()):

@@ -30,10 +30,16 @@ gcd(den[r], *matrix[r]) so that every row stays in lowest terms.  The
 reduced costs are one more integer row over a positive denominator,
 updated by the same row operation, so comparing them compares ints.
 
-The bounds, the basic values, the objective and the ratio test stay
-exact Fractions.  The basic values, the objective and the reduced costs
-are computed from the tableau whenever the cost changes and then
-updated at each pivot or bound flip.
+Bounds are ints, and each nonbasic column's bound value is folded into
+the last column: row i's last entry is den[i] times the value of
+basis[i], and the reduced-cost row's is red_den times minus the
+objective.  Moving nonbasic column j by delta subtracts delta times
+column j from the last column (`_shift`); a common divisor of a row's
+other entries divides that change, so rows stay in lowest terms.  A
+bound flip is one shift; a pivot unfolds the entering column, eliminates
+and folds the leaving column at its bound.  The ratio tests and bound
+checks compare integer cross-products, so the only Fractions the
+simplex holds are the LP and its cost.
 
 Pivoting uses a largest-reduced-cost rule that switches to Bland's rule
 whenever the objective stalls, which guarantees termination.
@@ -112,16 +118,18 @@ def row(coeffs: dict[int, int | Fraction], sense: str, rhs: int | Fraction) -> L
 @dataclass(frozen=True)
 class LpInstance:
     objective: tuple[Fraction, ...]
-    lower: tuple[Fraction, ...]
-    upper: tuple[Fraction | None, ...]  # None means +infinity
+    lower: tuple[int, ...]
+    upper: tuple[int | None, ...]  # None means +infinity
     rows: tuple[LpRow, ...]
 
     def __post_init__(self):
         nv = len(self.objective)
         if len(self.lower) != nv or len(self.upper) != nv:
             raise ValueError("bound vectors must match objective length")
-        for j in range(nv):
-            if self.upper[j] is not None and self.lower[j] > self.upper[j]:
+        for j, (lo, up) in enumerate(zip(self.lower, self.upper)):
+            if type(lo) is not int or not (up is None or type(up) is int):
+                raise ValueError(f"variable {j} has a bound that is not an int")
+            if up is not None and lo > up:
                 raise ValueError(f"variable {j} has lower > upper")
         for r in self.rows:
             for j in r.coeffs:
@@ -133,14 +141,10 @@ class LpInstance:
         return len(self.objective)
 
 
-def instance(objective: Sequence[int | Fraction],
-             lower: Sequence[int | Fraction],
-             upper: Sequence[int | Fraction | None],
-             rows: Sequence[LpRow]) -> LpInstance:
-    return LpInstance(tuple(Fraction(c) for c in objective),
-                      tuple(Fraction(b) for b in lower),
-                      tuple(None if b is None else Fraction(b) for b in upper),
-                      tuple(rows))
+def instance(objective: Sequence[int | Fraction], lower: Sequence[int],
+             upper: Sequence[int | None], rows: Sequence[LpRow]) -> LpInstance:
+    return LpInstance(tuple(Fraction(c) for c in objective), tuple(lower),
+                      tuple(upper), tuple(rows))
 
 
 @dataclass
@@ -171,22 +175,29 @@ class _Simplex:
         self.scaled = [_scaled(r) for r in self.rows]
         # columns: structurals 0..ns-1, slack of row i at ns+i; row i holds
         # integers whose values are entry / den[i]
-        self.lower: list[Fraction] = list(lp.lower) + [ZERO] * m
-        self.upper: list[Fraction | None] = list(lp.upper) + [
-            ZERO if r.sense == EQ else None for r in self.rows]
+        self.lower: list[int] = list(lp.lower) + [0] * m
+        self.upper: list[int | None] = list(lp.upper) + [
+            0 if r.sense == EQ else None for r in self.rows]
         self.total = cols = ns + m
-        self.matrix = [_tableau_row(r, sc, ns + i, cols)
-                       for i, (r, sc) in enumerate(zip(self.rows, self.scaled))]
-        self.den = [scale for scale, _, _ in self.scaled]
         # the slacks are basic; a structural starts at its finite upper
         # bound if it has one (covering LPs start feasible)
         self.status = ["L" if up is None else "U" for up in lp.upper] + ["B"] * m
         self.basis = list(range(ns, cols))
+        at = self._folded()
+        self.matrix = [_tableau_row(r, sc, ns + i, cols, at)
+                       for i, (r, sc) in enumerate(zip(self.rows, self.scaled))]
+        self.den = [scale for scale, _, _ in self.scaled]
         self.movable = [j for j in range(cols)
                         if self.upper[j] is None or self.lower[j] != self.upper[j]]
         self.pivots = self.bound_flips = 0
 
-    def _bound_value(self, j: int) -> Fraction:
+    def _folded(self) -> list[int]:
+        """Each structural column's value folded into the last column: its
+        bound value when nonbasic, else 0."""
+        return [0 if st == "B" else self._bound_value(j)
+                for j, st in enumerate(self.status[:self.ns])]
+
+    def _bound_value(self, j: int) -> int:
         if self.status[j] == "U":
             up = self.upper[j]
             if up is None:
@@ -209,58 +220,63 @@ class _Simplex:
 
     def point(self) -> list[Fraction]:
         """Values of the structural columns at the current basis."""
-        vals = [ZERO if st == "B" else self._bound_value(j)
-                for j, st in enumerate(self.status[:self.ns])]
-        for col, v in zip(self.basis, self.beta):
+        vals = [Fraction(v) for v in self._folded()]
+        for i, col in enumerate(self.basis):
             if col < self.ns:
-                vals[col] = v
+                vals[col] = Fraction(self.matrix[i][-1], self.den[i])
         return vals
 
     # -- setup -----------------------------------------------------------
 
     def _start(self, cost: list[Fraction]) -> None:
-        """Price the current basis with cost (padded with zeros): beta[i]
-        is the value of basis[i], red / red_den the reduced costs (0 on
-        basic columns) and obj the cost, each updated at every step."""
+        """Price the current basis with cost (padded with zeros): red /
+        red_den are the reduced costs (0 on basic columns), then minus the
+        objective."""
         self.cost = cost = cost + [ZERO] * (self.total - len(cost))
-        vals = self._values()
-        self.beta = [vals[col] for col in self.basis]
-        self.red, self.red_den = self._reduced_costs(cost)
-        self.obj = sum((cost[j] * vals[j] for j in range(self.total)
-                        if cost[j] != 0), ZERO)
+        basic = [(i, cost[col]) for i, col in enumerate(self.basis) if cost[col]]
+        den = lcm(*(c.denominator for c in cost if c),
+                  *(c.denominator * self.den[i] for i, c in basic))
+        red = [c.numerator * (den // c.denominator) for c in cost]
+        # only structural columns have a cost
+        red.append(-sum(map(mul, red, self._folded())))
+        # basic columns are unit vectors, so their reduced cost comes out 0
+        for i, c in basic:
+            f = c.numerator * (den // (c.denominator * self.den[i]))
+            for j, a in enumerate(self.matrix[i]):
+                if a:
+                    red[j] -= f * a
+        g = gcd(den, *red)
+        self.red, self.red_den = [a // g for a in red], den // g
 
     def add_rows(self, rows: Sequence[LpRow]) -> None:
         """Append rows to a solved tableau, each with a new basic slack
         column, expressed in the current basis.  The reduced costs do not
         change, so an optimal basis stays dual feasible; a row violated
         at the current point leaves its slack below 0."""
-        scaled_point, point_den = common(self.point())
+        at = self._folded()
         for r in rows:
-            scale, coeffs, rhs = sc = _scaled(r)
+            sc = _scaled(r)
             slack = self.total
             for vec in self.matrix:
                 vec.insert(slack, 0)
+            self.red.insert(slack, 0)
             self.total += 1
-            vec = _tableau_row(r, sc, slack, self.total)
-            den = scale
+            vec = _tableau_row(r, sc, slack, self.total, at)
+            den = sc[0]
             # no basic row touches the slack, so it ends up holding +den
             for i, col in enumerate(self.basis):
                 f = vec[col]
                 if f:
                     nz = [(c, a) for c, a in enumerate(self.matrix[i]) if a]
                     vec, den = _eliminate(vec, den, f, nz, self.den[i])
-            excess = sum(a * scaled_point[j] for j, a in coeffs) - rhs * point_den
-            self.beta.append(Fraction(excess if r.sense == GE else -excess,
-                                      scale * point_den))
             self.matrix.append(vec)
             self.den.append(den)
             self.basis.append(slack)
             self.m += 1
-            self.lower.append(ZERO)
-            self.upper.append(ZERO if r.sense == EQ else None)
+            self.lower.append(0)
+            self.upper.append(0 if r.sense == EQ else None)
             self.status.append("B")
             self.cost.append(ZERO)
-            self.red.append(0)
             if r.sense != EQ:
                 self.movable.append(slack)
             self.rows.append(r)
@@ -268,41 +284,20 @@ class _Simplex:
 
     # -- core ------------------------------------------------------------
 
-    def _values(self) -> list[Fraction]:
-        vals = [ZERO if st == "B" else self._bound_value(j)
-                for j, st in enumerate(self.status)]
-        at_bound = [(j, bv) for j, bv in enumerate(vals) if bv]
-        scale = lcm(*(bv.denominator for _, bv in at_bound))
-        at_bound = [(j, bv.numerator * (scale // bv.denominator))
-                    for j, bv in at_bound]
-        for i, col in enumerate(self.basis):
-            vec = self.matrix[i]
-            v = vec[-1] * scale
-            for j, bv in at_bound:
+    def _shift(self, j: int, delta: int) -> None:
+        """Move nonbasic column j by delta: the basic values and the
+        objective in every row's last entry follow."""
+        if delta:
+            for vec in self.matrix:
                 if vec[j]:
-                    v -= vec[j] * bv
-            vals[col] = Fraction(v, self.den[i] * scale)
-        return vals
+                    vec[-1] -= delta * vec[j]
+            self.red[-1] -= delta * self.red[j]
 
-    def _reduced_costs(self, cost: list[Fraction]) -> tuple[list[int], int]:
-        """cost minus c_B times the tableau, as an integer row over a
-        positive denominator; basic columns are unit vectors, so their
-        reduced cost comes out 0."""
-        basic = [(i, cost[col]) for i, col in enumerate(self.basis) if cost[col]]
-        den = lcm(*(c.denominator for c in cost if c),
-                  *(c.denominator * self.den[i] for i, c in basic))
-        red = [c.numerator * (den // c.denominator) for c in cost]
-        for i, c in basic:
-            f = c.numerator * (den // (c.denominator * self.den[i]))
-            for j, a in enumerate(self.matrix[i][:-1]):
-                if a:
-                    red[j] -= f * a
-        g = gcd(den, *red)
-        return [a // g for a in red], den // g
-
-    def _pivot(self, i: int, j: int, leaving_status: str) -> list[tuple[int, int]]:
-        """Make column j basic in row i; returns the pivot row's nonzeros."""
+    def _pivot(self, i: int, j: int, leaving_status: str) -> None:
+        """Make nonbasic column j basic in row i; the old basic column
+        leaves at leaving_status."""
         old = self.basis[i]
+        self._shift(j, -self._bound_value(j))
         prow = self.matrix[i]
         p = prow[j]
         if p < 0:
@@ -317,32 +312,12 @@ class _Simplex:
             if f and r2 != i:
                 self.matrix[r2], self.den[r2] = _eliminate(
                     row2, self.den[r2], f, nz, p)
+        self.red, self.red_den = _eliminate(self.red, self.red_den, self.red[j], nz, p)
         self.basis[i] = j
         self.status[j] = "B"
         self.status[old] = leaving_status
+        self._shift(old, self._bound_value(old))
         self.pivots += 1
-        return nz
-
-    def _move(self, j: int, step: Fraction, column: list[tuple[int, int]],
-              leave_row: int, leave_status: str) -> None:
-        """Move nonbasic column j by step (its nonzeros are column), then
-        flip it to its other bound (leave_row < 0) or pivot it into
-        leave_row, whose basic column leaves at leave_status."""
-        beta, den = self.beta, self.den
-        if step != 0:
-            for i, a in column:
-                beta[i] -= step * a / den[i]
-        self.obj += step * self.red[j] / self.red_den
-        if leave_row < 0:
-            self.status[j] = "U" if self.status[j] == "L" else "L"
-            self.bound_flips += 1
-            return
-        beta[leave_row] = self._bound_value(j) + step
-        nz = self._pivot(leave_row, j, leave_status)
-        # the last column holds the rhs, which red lacks
-        self.red, self.red_den = _eliminate(
-            self.red, self.red_den, self.red[j],
-            [(c, a) for c, a in nz if c < self.total], den[leave_row])
 
     def _entering(self, red: list[int], bland: bool) -> int:
         # red shares one positive denominator, so its integers order the
@@ -372,45 +347,51 @@ class _Simplex:
 
     def _optimize(self) -> None:
         """Primal simplex from a feasible basis priced by _start."""
-        beta, den = self.beta, self.den
+        lower, upper, den = self.lower, self.upper, self.den
         stall = 0
         bland = False
         for _ in range(_MAX_PIVOTS):
             j = self._entering(self.red, bland)
             if j < 0:
                 return
-            direction = 1 if self.status[j] == "L" else -1
-            column = [(i, row[j]) for i, row in enumerate(self.matrix) if row[j]]
-            # ratio test; a basic value moves at rate -a/den[i] * direction
-            t_best: Fraction | None = None
+            rising = self.status[j] == "L"
+            # ratio test: the step is t / t_den; moving j by one unit moves
+            # row i's basic value at rate -a/den[i] (rising) or a/den[i],
+            # and a bound flip is the first candidate
+            t = None if upper[j] is None else upper[j] - lower[j]
+            t_den = 1
             leave_row = -1
             leave_status = "L"
-            if self.upper[j] is not None:
-                t_best = self.upper[j] - self.lower[j]
-            for i, a in column:
-                rate = -a * direction  # den[i] times the rate
+            for i, row in enumerate(self.matrix):
+                a = row[j]
+                if not a:
+                    continue
                 col = self.basis[i]
-                cur = beta[i]
+                rate = -a if rising else a  # den[i] times the rate
                 if rate > 0:
-                    if self.upper[col] is None:
+                    if upper[col] is None:
                         continue
-                    t = (self.upper[col] - cur) * den[i] / rate
+                    num, d = upper[col] * den[i] - row[-1], rate
                     hit = "U"
                 else:
-                    t = (self.lower[col] - cur) * den[i] / rate
+                    num, d = row[-1] - lower[col] * den[i], -rate
                     hit = "L"
-                if t_best is None or t < t_best or (
-                        t == t_best and leave_row >= 0
+                if t is None or num * t_den < t * d or (
+                        num * t_den == t * d and leave_row >= 0
                         and col < self.basis[leave_row]):
-                    t_best = t
+                    t, t_den = num, d
                     leave_row = i
                     leave_status = hit
-            if t_best is None:
+            if t is None:
                 raise LpUnbounded("improving direction with no blocking bound")
-            old_obj = self.obj
-            self._move(j, t_best if direction > 0 else -t_best, column,
-                       leave_row, leave_status)
-            if self.obj < old_obj:
+            if leave_row < 0:
+                self._shift(j, t if rising else -t)
+                self.status[j] = "U" if rising else "L"
+                self.bound_flips += 1
+            else:
+                self._pivot(leave_row, j, leave_status)
+            # a nonzero step lowers the objective
+            if t:
                 stall = 0
                 bland = False
             else:
@@ -425,9 +406,9 @@ class _Simplex:
         leave_row = -1
         best = self.total
         lower, upper = self.lower, self.upper
-        for i, (col, v) in enumerate(zip(self.basis, self.beta)):
-            if col < best and (v < lower[col] or (
-                    upper[col] is not None and v > upper[col])):
+        for i, (col, vec, d) in enumerate(zip(self.basis, self.matrix, self.den)):
+            if col < best and (vec[-1] < lower[col] * d or (
+                    upper[col] is not None and vec[-1] > upper[col] * d)):
                 leave_row = i
                 best = col
         return leave_row
@@ -443,8 +424,8 @@ class _Simplex:
             if r < 0:
                 return
             col = self.basis[r]
-            below = self.beta[r] < self.lower[col]
             prow = self.matrix[r]
+            below = prow[-1] < self.lower[col] * self.den[r]
             red = self.red
             # column k moves x_col by -prow[k] / den[r] per unit; from L it
             # may only rise, from U only fall.  Dual feasibility gives
@@ -467,23 +448,22 @@ class _Simplex:
             if j < 0:
                 raise LpInfeasible(f"no column can move the basic value of row {r} "
                                    "into its bounds")
-            target = self.lower[col] if below else self.upper[col]
-            step = (self.beta[r] - target) * self.den[r] / prow[j]
-            column = [(i, row[j]) for i, row in enumerate(self.matrix) if row[j]]
-            self._move(j, step, column, r, "L" if below else "U")
+            self._pivot(r, j, "L" if below else "U")
         raise RuntimeError("dual simplex pivot limit exceeded")
 
 
 def _tableau_row(r: LpRow, sc: tuple[int, list[tuple[int, int]], int],
-                 slack: int, width: int) -> list[int]:
+                 slack: int, width: int, at: Sequence[int]) -> list[int]:
     """The tableau row of r with its slack at column slack, from its
     scaling sc (see _scaled), negated for a >= row so that the slack holds
-    +scale; width columns, then the rhs."""
+    +scale; width columns, then the rhs minus the row at the structural
+    values `at`."""
     scale, coeffs, rhs = sc
     sign = -1 if r.sense == GE else 1
     vec = [0] * (width + 1)
     for j, a in coeffs:
         vec[j] = sign * a
+        rhs -= a * at[j]
     vec[slack] = scale
     vec[-1] = sign * rhs
     return vec
@@ -607,10 +587,10 @@ def _optimum(simplex: _Simplex) -> BasicOptimum:
     cost, cost_den = common(lp.objective)
     value = Fraction(sum(map(mul, cost, scaled_point)), cost_den * point_den)
     tight_bounds: list[tuple[int, str]] = []
-    for j in range(lp.num_vars):
-        if point[j] == lp.lower[j]:
+    for j, (x, lo, up) in enumerate(zip(scaled_point, lp.lower, lp.upper)):
+        if x == lo * point_den:
             tight_bounds.append((j, "lower"))
-        if lp.upper[j] is not None and point[j] == lp.upper[j]:
+        if up is not None and x == up * point_den:
             tight_bounds.append((j, "upper"))
     cert = _rank_certificate(lp.num_vars, simplex.scaled, tight_rows, tight_bounds)
     return BasicOptimum(value, point, tight_rows, tight_bounds, cert,

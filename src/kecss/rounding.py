@@ -195,8 +195,7 @@ def _solve_residual(graph: Multigraph, req: Requirement, working: list[int],
                 for cut in verdict.cuts]
 
     result = _lazy_solve(graph, [graph.edges[e].cost for e in working],
-                         [Fraction(0)] * len(working), [Fraction(1)] * len(working),
-                         rows, oracle, recheck)
+                         [0] * len(working), [1] * len(working), rows, oracle, recheck)
     x = {e: result.optimum.point[var_of[e]] for e in working}
     return result, x
 
@@ -551,6 +550,15 @@ class Mode:
     min_k: int
     guarantee: Callable[[Multigraph, int], tuple[int, Fraction]]
     degree_bounded: bool = False
+
+    def refusal(self, inst: Instance) -> str | None:
+        """Why this mode does not take `inst` (a k below its least k, or
+        fewer than 2 vertices), as a bench status; None when it does."""
+        if inst.k < self.min_k:
+            return f"invalid-k: needs k >= {self.min_k}"
+        if inst.graph.n < 2:
+            return "invalid-n: needs at least 2 vertices"
+        return None
 
     def run(self, inst: Instance, **options) -> tuple[Solution, RoundingTrace]:
         """Solve `inst`; degree-bounded modes read its degree windows."""

@@ -14,6 +14,7 @@ from kecss.graphs import edge_connectivity, make_graph
 from kecss.instances import (MAX_EDGES, MAX_K, MAX_VALUE, MAX_VERTICES,
                              Instance, ParseError, emit_instance, gen,
                              parse_instance)
+from kecss.rounding import MODES
 
 
 def run_cli(*args):
@@ -447,6 +448,31 @@ def test_cli_bench_records_bad_k_and_undecodable_files(tmp_path: Path):
     assert status[("c-k4.txt", "ecss")] == status[("c-k4.txt", "ecsm")] == "ok"
 
 
+def test_cli_run_one_vertex_instance_exits_2(tmp_path: Path, capsys):
+    inst_path = tmp_path / "one.txt"
+    inst_path.write_text("p kecss 1 0 2\n")
+    for mode in MODES:
+        assert main(["run", "--mode", mode, "--input", str(inst_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and _one_line_error(captured.err)
+        assert "at least 2 vertices" in captured.err
+
+
+def test_cli_bench_records_one_vertex_instance(tmp_path: Path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a-one.txt").write_text("p kecss 1 0 2\n")
+    (corpus / "b-k4.txt").write_text(emit_instance(gen("complete", n=5, k=4)))
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--dir", str(corpus), "--out", str(out),
+                 "--modes", "ecss,ecsm"]) == 0
+    status = {tuple(line.split(",")[:2]): line.split(",")[-1]
+              for line in out.read_text().splitlines()[1:]}
+    assert status[("a-one.txt", "ecss")] == "invalid-n: needs at least 2 vertices"
+    assert status[("a-one.txt", "ecsm")] == "invalid-n: needs at least 2 vertices"
+    assert status[("b-k4.txt", "ecss")] == status[("b-k4.txt", "ecsm")] == "ok"
+
+
 def test_cli_bench_quotes_status_text_with_commas(tmp_path: Path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -486,3 +512,25 @@ def test_cli_certify_rejects_malformed_solution(tmp_path: Path):
         code, out, err = run_cli("run", "--mode", "certify", "--input", str(inst_path),
                                  "--solution", str(sol_path))
         assert code == 2 and _one_line_error(err)
+
+
+_SOLUTION = {"mode": "ecsm", "k": 4, "cost": "10/1", "lp": "10/1",
+             "connectivity": 4, "edges": [{"id": 0, "mult": 1}]}
+
+
+@pytest.mark.parametrize("payload", [
+    dict(_SOLUTION, cost="1/0"),
+    [_SOLUTION],
+    dict(_SOLUTION, edges=5),
+    dict(_SOLUTION, k=float("inf")),
+], ids=["zero-denominator", "top-level-array", "edges-not-a-list", "infinite-k"])
+def test_cli_certify_rejects_unreadable_solution_values(tmp_path: Path, capsys,
+                                                        payload):
+    inst_path = tmp_path / "k5.txt"
+    sol_path = tmp_path / "sol.json"
+    inst_path.write_text(emit_instance(gen("complete", n=5, k=4)))
+    sol_path.write_text(json.dumps(payload))
+    assert main(["run", "--mode", "certify", "--input", str(inst_path),
+                 "--solution", str(sol_path)]) == 2
+    err = capsys.readouterr().err
+    assert _one_line_error(err) and err.startswith("parse error in solution file")

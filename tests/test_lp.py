@@ -306,36 +306,45 @@ def test_solve_matches_vertex_enumeration():
 
 def _check_integer_rows(simplex):
     """Every stored tableau entry is an int, every denominator positive,
-    and every row (the reduced-cost row included) is in lowest terms."""
+    and every row (the reduced-cost row and its last entry included) is
+    in lowest terms."""
     s = simplex
     rows = list(zip(s.matrix, s.den)) + [(s.red, s.red_den)]
     assert len(s.den) == len(s.matrix) == s.m
     for vec, den in rows:
+        assert len(vec) == s.total + 1
         assert type(den) is int and den > 0
         assert all(type(a) is int for a in vec)
         assert math.gcd(den, *vec) == 1
 
 
-def _state_from_tableau(simplex):
-    """Basic values, objective and nonbasic reduced costs of the current
-    basis, computed from the tableau alone."""
+def _state_from_rows(simplex):
+    """The value of every column at the current basis: the nonbasic ones
+    at their bounds, and the basic ones solved from the original rows'
+    equations (row i with its slack at column ns + i, as the tableau
+    builds it) by Gauss-Jordan elimination over Fractions."""
     s = simplex
-    matrix = [[Fraction(a, den) for a in vec] for vec, den in zip(s.matrix, s.den)]
-    nonbasic = [j for j in range(s.total) if s.status[j] != "B"]
-    vals = {j: s.upper[j] if s.status[j] == "U" else s.lower[j]
-            for j in nonbasic}
-    beta = []
-    for i, col in enumerate(s.basis):
-        vec = matrix[i]
-        assert [vec[c] for c in s.basis] == [int(r == i) for r in range(s.m)]
-        beta.append(vec[-1] - sum((vec[j] * vals[j] for j in nonbasic),
-                                  Fraction(0)))
-        vals[col] = beta[-1]
-    obj = sum((s.cost[j] * vals[j] for j in range(s.total)), Fraction(0))
-    red = {j: s.cost[j] - sum((s.cost[col] * matrix[i][j]
-                               for i, col in enumerate(s.basis)), Fraction(0))
-           for j in nonbasic}
-    return beta, obj, red
+    x = {j: Fraction(s.upper[j] if st == "U" else s.lower[j])
+         for j, st in enumerate(s.status) if st != "B"}
+    system = []
+    for i, r in enumerate(s.rows):
+        sign = -1 if r.sense == lp.GE else 1
+        coeffs = {j: sign * c for j, c in r.coeffs.items()}
+        coeffs[s.ns + i] = Fraction(1)
+        rhs = sign * r.rhs - sum((c * x[j] for j, c in coeffs.items() if j in x),
+                                 Fraction(0))
+        system.append([coeffs.get(col, Fraction(0)) for col in s.basis] + [rhs])
+    for c in range(s.m):
+        p = next(i for i in range(c, s.m) if system[i][c])
+        system[c], system[p] = system[p], system[c]
+        system[c] = [a / system[c][c] for a in system[c]]
+        for i in range(s.m):
+            f = system[i][c]
+            if i != c and f:
+                system[i] = [a - f * b for a, b in zip(system[i], system[c])]
+    for col, eq in zip(s.basis, system):
+        x[col] = eq[-1]
+    return x
 
 
 def _hidden_rows_oracle(hidden, batch=2):
@@ -396,8 +405,8 @@ def _cut_oracle(graph, k):
 def test_incremental_state_matches_tableau(monkeypatch):
     # the entering choice runs once after every pivot and bound flip, and
     # the dual's leaving choice once after every dual pivot, so checks
-    # there (and after each add_rows) see every incremental update of
-    # beta, obj and red
+    # there (and after each add_rows) see every update of the tableau's
+    # last column and of the reduced-cost row
     seen = {"checks": 0, "bland": 0, "flips": 0, "infeasible_start": 0, "eq": 0,
             "added": 0, "dual": 0}
     entering = lp._Simplex._entering
@@ -406,12 +415,22 @@ def test_incremental_state_matches_tableau(monkeypatch):
     dual = lp._Simplex._dual
 
     def check_state(self):
+        # row i's last entry is den[i] times the value of basis[i], and
+        # the reduced-cost row's is red_den times minus the objective
         _check_integer_rows(self)
-        beta, obj, scratch_red = _state_from_tableau(self)
-        assert self.beta == beta
-        assert self.obj == obj
-        assert {j: Fraction(self.red[j], self.red_den)
-                for j in scratch_red} == scratch_red
+        x = _state_from_rows(self)
+        for i, (vec, den) in enumerate(zip(self.matrix, self.den)):
+            assert [vec[c] for c in self.basis] == [
+                den if r == i else 0 for r in range(self.m)]
+            assert Fraction(vec[-1], den) == x[self.basis[i]]
+        obj = sum((self.cost[j] * x[j] for j in range(self.total)), Fraction(0))
+        assert Fraction(self.red[-1], self.red_den) == -obj
+        # the nonbasic reduced costs, from the tableau
+        for j in range(self.total):
+            if self.status[j] != "B":
+                assert Fraction(self.red[j], self.red_den) == self.cost[j] - sum(
+                    (self.cost[col] * Fraction(self.matrix[i][j], self.den[i])
+                     for i, col in enumerate(self.basis)), Fraction(0))
         seen["checks"] += 1
 
     def checked(self, red, bland):
@@ -670,3 +689,11 @@ def test_lazy_rejects_undeclared_variable():
 
     with pytest.raises(ValueError):
         lp.solve_lazy(lp.instance([1], [0], [None], []), oracle)
+
+
+def test_instance_bounds_must_be_ints():
+    for lower, upper in (([Fraction(1, 2)], [None]), ([0], [Fraction(3, 2)]),
+                         ([0], [0.5]), ([Fraction(0)], [1])):
+        with pytest.raises(ValueError, match="not an int"):
+            lp.instance([1], lower, upper, [])
+    assert lp.instance([1], [-2], [3], []).upper == (3,)
