@@ -7,10 +7,13 @@ extreme point the solvers produce; a failure is treated as an
 implementation bug and raised as CertificationError with enough state to
 reproduce it.
 
-Each extreme point is checked in integer arithmetic: a ScaledPoint holds
-x over its common denominator with each support edge's endpoint bits,
-and every x-mass the checks compare (across a cut side, between two
-vertex classes, at a degree-tight vertex) is an integer sum over it.
+Each extreme point is checked in integer arithmetic on one
+`separation.ScaledPoint`, the integer point type that separation uses
+too: x over one denominator with each support edge's endpoint bits, so
+every x-mass the checks compare (across a cut side, between two vertex
+classes, at a degree-tight vertex) is an integer sum over it.  The
+solvers pass the point they built from the LP's integers; a caller
+without one passes x alone and it is scaled here.
 The tight sets are the active cut sides whose mixed capacity (x plus the
 picked multiplicity) is exactly k; they are found among the cuts of
 capacity at most k by `cuts_below`, with polynomial delay at any n,
@@ -32,7 +35,7 @@ from typing import Mapping, Sequence
 from . import lp as lpmod
 from .graphs import Multigraph, crossing, cuts_below, mask_vertices, min_cut, vertex_mask
 from .requirements import DegreeState, Requirement
-from .separation import mixed_capacities
+from .separation import ScaledPoint, mixed_capacities
 
 
 class CertificationError(AssertionError):
@@ -108,41 +111,7 @@ def verify(graph: Multigraph, multiplicity: Mapping[int, int],
                         degree_violations or None)
 
 
-# -- the integer point and its tight sets -----------------------------------
-
-class ScaledPoint:
-    """An LP point x as integers over one common denominator.
-
-    `edges` lists each support edge (x_e != 0; LP points have x >= 0) by
-    id as (id, endpoint mask, x_e * `denom`), so every x-mass across or
-    between vertex masks is an integer sum.  Built once per extreme
-    point and shared by every check on it.
-    """
-
-    __slots__ = ("denom", "edges")
-
-    def __init__(self, graph: Multigraph, x: Mapping[int, Fraction]):
-        support = sorted((e, Fraction(v)) for e, v in x.items() if v)
-        scaled, self.denom = lpmod.common([v for _, v in support])
-        ends = graph.ends
-        self.edges = tuple((e, ends[e], w) for (e, _), w in zip(support, scaled))
-
-    def cross(self, mask: int) -> int:
-        """denom times the x-mass of the edges crossing the vertex mask."""
-        total = 0
-        for _, ends, w in self.edges:
-            if 0 != mask & ends != ends:
-                total += w
-        return total
-
-    def between(self, left: int, right: int) -> int:
-        """denom times the x-mass of the edges joining two disjoint masks."""
-        total = 0
-        for _, ends, w in self.edges:
-            if ends & left and ends & right:  # the masks are disjoint
-                total += w
-        return total
-
+# -- tight sets ---------------------------------------------------------------
 
 def tight_sets(x: Mapping[int, Fraction], req: Requirement,
                point: ScaledPoint | None = None) -> list[frozenset[int]]:
@@ -157,10 +126,10 @@ def tight_sets(x: Mapping[int, Fraction], req: Requirement,
     """
     graph = req.graph
     if point is None:
-        point = ScaledPoint(graph, x)
+        point = ScaledPoint.of(graph, x)
     if graph.n < 2:
         return []
-    weights, denom = mixed_capacities(x, req)
+    weights, denom = mixed_capacities(point, req)
     out = []
     for side in cuts_below(graph, weights, req.k * denom + 1):
         mask = vertex_mask(side)
@@ -216,7 +185,7 @@ def extract_laminar(x: Mapping[int, Fraction], req: Requirement,
     support = sorted(e for e, v in x.items() if v > 0)
     frac = tuple(sorted(e for e, v in x.items() if 0 < v < 1))
     if point is None:
-        point = ScaledPoint(graph, x)
+        point = ScaledPoint.of(graph, x)
     canonical = tight_sets(x, req, point) if tight is None else tight
     full = frozenset(range(1, n + 1))
     candidates = {side for s in canonical for side in (s, full - s)}
@@ -339,7 +308,7 @@ def uncross_witness(a: frozenset[int], b: frozenset[int],
     if not inter or not amb or not bma:
         raise ValueError("sets must weakly cross")
     if point is None:
-        point = ScaledPoint(graph, x)
+        point = ScaledPoint.of(graph, x)
     denom = point.denom
     m_a, m_b = vertex_mask(a), vertex_mask(b)
     m_inter, m_union = m_a & m_b, m_a | m_b

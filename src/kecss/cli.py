@@ -128,6 +128,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _json_int(value: object) -> int:
+    """A JSON integer; a float, a bool or a string raises ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
 def _cmd_certify(inst: Instance, args: argparse.Namespace) -> int:
     """Re-verify a solution file against its own claims and mode bound."""
     if not args.solution:
@@ -136,11 +143,11 @@ def _cmd_certify(inst: Instance, args: argparse.Namespace) -> int:
     try:
         payload = json.loads(Path(args.solution).read_text())
         mode = payload["mode"]
-        k = int(payload["k"])
+        k = _json_int(payload["k"])
         cost = Fraction(payload["cost"])
         lp_value = Fraction(payload["lp"])
-        claimed_conn = int(payload["connectivity"])
-        mult = {int(rec["id"]): int(rec["mult"]) for rec in payload["edges"]}
+        claimed_conn = _json_int(payload["connectivity"])
+        mult = {_json_int(rec["id"]): _json_int(rec["mult"]) for rec in payload["edges"]}
     except (OSError, KeyError, TypeError, ValueError, ArithmeticError) as exc:
         # ArithmeticError: a zero denominator, or an infinite number
         print(f"parse error in solution file: {exc}", file=sys.stderr)

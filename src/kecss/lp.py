@@ -56,16 +56,29 @@ and the entering column minimises |red_j| / |a_rj| among the nonbasic
 columns whose move pushes that variable towards its violated bound,
 ties going to the smallest column (Bland's rule for the dual, so the
 loop terminates).  When no column can move it, the relaxation is
-infeasible.  Every round's point is checked against every row and
-bound and certified by a full-rank set of tight constraints, in
-integer arithmetic over the point's common denominator; the rank comes
-from `RankTracker`, the one integer elimination that `certify` shares.
+infeasible.
+
+The point leaves the tableau as integers: each basic value is its row's
+last entry over den[i] and each nonbasic column sits at its int bound,
+so `BasicOptimum` holds integer numerators over one denominator in
+lowest terms, and the oracle is called with those.  Rows keep int
+coefficients and rhs as ints (`row`), so an all-int cut row is its own
+scaled form.  Every round's point is checked against every row and
+bound, each returned row is checked to be violated there, and the point
+is certified by a full-rank set of tight constraints, all in integer
+arithmetic over the point's denominator.  The certificate takes the
+tight bounds, then the rows whose slack is nonbasic (at a basis these
+complete the rank, unless a basic value sits on its bound), then the
+other tight rows; `RankTracker`, the one integer elimination that
+`certify` shares, still checks each row's independence.  The Fraction
+point is built only when something reads `BasicOptimum.point`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, Sequence
@@ -90,9 +103,9 @@ class LpUnbounded(Exception):
 
 @dataclass(frozen=True)
 class LpRow:
-    coeffs: dict[int, Fraction]
+    coeffs: dict[int, int | Fraction]
     sense: str
-    rhs: Fraction
+    rhs: int | Fraction
 
     def __post_init__(self):
         if self.sense not in (GE, LE, EQ):
@@ -110,9 +123,15 @@ class LpRow:
         return lhs == self.rhs
 
 
+def _exact(v: int | Fraction) -> int | Fraction:
+    return v if type(v) is int else Fraction(v)
+
+
 def row(coeffs: dict[int, int | Fraction], sense: str, rhs: int | Fraction) -> LpRow:
-    return LpRow({j: Fraction(c) for j, c in sorted(coeffs.items()) if c != 0},
-                 sense, Fraction(rhs))
+    """An LpRow without zero coefficients; ints stay ints, other values
+    become Fractions."""
+    return LpRow({j: _exact(c) for j, c in sorted(coeffs.items()) if c != 0},
+                 sense, _exact(rhs))
 
 
 @dataclass(frozen=True)
@@ -150,12 +169,18 @@ def instance(objective: Sequence[int | Fraction], lower: Sequence[int],
 @dataclass
 class BasicOptimum:
     value: Fraction
-    point: list[Fraction]
+    nums: list[int]  # the point: variable j is nums[j] / denom, in lowest terms
+    denom: int
     tight_rows: list[int]
     tight_bounds: list[tuple[int, str]]  # (variable, "lower" | "upper")
     certificate: list[tuple]  # ("row", i) / ("bound", j, side), full column rank
     pivots: int = 0  # basis exchanges: dual and primal steps
     bound_flips: int = 0
+
+    @cached_property
+    def point(self) -> list[Fraction]:
+        """The point as Fractions, built on first use."""
+        return [Fraction(a, self.denom) for a in self.nums]
 
 
 class _Simplex:
@@ -190,6 +215,8 @@ class _Simplex:
         self.movable = [j for j in range(cols)
                         if self.upper[j] is None or self.lower[j] != self.upper[j]]
         self.pivots = self.bound_flips = 0
+        # the objective as integers over one denominator, for every round's value
+        self.cost_nums, self.cost_den = common(lp.objective)
 
     def _folded(self) -> list[int]:
         """Each structural column's value folded into the last column: its
@@ -218,13 +245,21 @@ class _Simplex:
             self._start(cost)
         self._optimize()
 
-    def point(self) -> list[Fraction]:
-        """Values of the structural columns at the current basis."""
-        vals = [Fraction(v) for v in self._folded()]
+    def scaled_point(self) -> tuple[list[int], int]:
+        """Values of the structural columns at the current basis, as
+        (integer numerators, denominator) in lowest terms: a basic value
+        is its row's last entry over den[i], a nonbasic one its bound."""
+        basic = []
         for i, col in enumerate(self.basis):
             if col < self.ns:
-                vals[col] = Fraction(self.matrix[i][-1], self.den[i])
-        return vals
+                v, d = self.matrix[i][-1], self.den[i]
+                g = gcd(v, d)
+                basic.append((col, v // g, d // g))
+        denom = lcm(*(d for _, _, d in basic))
+        nums = [a * denom for a in self._folded()]
+        for col, v, d in basic:
+            nums[col] = v * (denom // d)
+        return nums, denom
 
     # -- setup -----------------------------------------------------------
 
@@ -472,6 +507,8 @@ def _tableau_row(r: LpRow, sc: tuple[int, list[tuple[int, int]], int],
 def _scaled(r: LpRow) -> tuple[int, list[tuple[int, int]], int]:
     """r times the lcm of its coefficient and rhs denominators, as
     (that lcm, integer coefficients, integer rhs)."""
+    if type(r.rhs) is int and all(type(c) is int for c in r.coeffs.values()):
+        return 1, list(r.coeffs.items()), r.rhs
     scale = lcm(r.rhs.denominator, *(c.denominator for c in r.coeffs.values()))
     return (scale,
             [(j, c.numerator * (scale // c.denominator))
@@ -569,31 +606,48 @@ def _rank_certificate(num_vars: int, scaled: list[tuple[int, list, int]],
     return chosen
 
 
+def _excess(coeffs: list[tuple[int, int]], rhs: int, nums: Sequence[int],
+            denom: int) -> int:
+    """denom times (row value minus rhs) of an integer row at the point
+    nums / denom; its sign is that of the row's value minus its rhs."""
+    return sum(a * nums[j] for j, a in coeffs) - rhs * denom
+
+
+def _holds(sense: str, excess: int) -> bool:
+    """Whether a row of this sense holds at this excess (see _excess)."""
+    if sense == GE:
+        return excess >= 0
+    if sense == LE:
+        return excess <= 0
+    return excess == 0
+
+
 def _optimum(simplex: _Simplex) -> BasicOptimum:
     """The simplex's current point, checked against every row, with its
     value, tight rows and bounds and a full-rank certificate.  One integer
-    evaluation per row, over the point's common denominator, decides both
+    evaluation per row, over the point's denominator, decides both
     whether the row holds and whether it is tight."""
     lp = simplex.lp
-    point = simplex.point()
-    scaled_point, point_den = common(point)
+    nums, denom = simplex.scaled_point()
     tight_rows = []
     for i, (r, (_, coeffs, rhs)) in enumerate(zip(simplex.rows, simplex.scaled)):
-        excess = sum(a * scaled_point[j] for j, a in coeffs) - rhs * point_den
+        excess = _excess(coeffs, rhs, nums, denom)
         if excess == 0:
             tight_rows.append(i)
-        elif r.sense == EQ or (excess < 0) == (r.sense == GE):
+        elif not _holds(r.sense, excess):
             raise RuntimeError(f"simplex produced point violating row {i}")
-    cost, cost_den = common(lp.objective)
-    value = Fraction(sum(map(mul, cost, scaled_point)), cost_den * point_den)
+    value = Fraction(sum(map(mul, simplex.cost_nums, nums)), simplex.cost_den * denom)
     tight_bounds: list[tuple[int, str]] = []
-    for j, (x, lo, up) in enumerate(zip(scaled_point, lp.lower, lp.upper)):
-        if x == lo * point_den:
+    for j, (x, lo, up) in enumerate(zip(nums, lp.lower, lp.upper)):
+        if x == lo * denom:
             tight_bounds.append((j, "lower"))
-        if up is not None and x == up * point_den:
+        if up is not None and x == up * denom:
             tight_bounds.append((j, "upper"))
-    cert = _rank_certificate(lp.num_vars, simplex.scaled, tight_rows, tight_bounds)
-    return BasicOptimum(value, point, tight_rows, tight_bounds, cert,
+    # rows whose slack is nonbasic first (False sorts before True)
+    status, ns = simplex.status, simplex.ns
+    order = sorted(tight_rows, key=lambda i: status[ns + i] == "B")
+    cert = _rank_certificate(lp.num_vars, simplex.scaled, order, tight_bounds)
+    return BasicOptimum(value, nums, denom, tight_rows, tight_bounds, cert,
                         simplex.pivots, simplex.bound_flips)
 
 
@@ -604,7 +658,8 @@ def solve(lp: LpInstance) -> BasicOptimum:
     return _optimum(simplex)
 
 
-SeparationCallback = Callable[[list[Fraction]], list[LpRow]]
+# called with the point as (integer numerators, denominator)
+SeparationCallback = Callable[[list[int], int], list[LpRow]]
 
 
 @dataclass
@@ -622,7 +677,9 @@ def solve_lazy(lp: LpInstance, oracle: SeparationCallback,
     system and violated at the queried point) and complete (it returns no
     rows only when the point is feasible for the full system).  A vertex
     of a relaxation that the oracle accepts is a vertex of the full
-    system.  The oracle may return several violated rows per call.
+    system.  The oracle may return several violated rows per call.  It is
+    called with the point as integer numerators over one denominator in
+    lowest terms (`BasicOptimum.nums`, `.denom`).
 
     One tableau serves every round: the added rows are appended to it and
     the dual simplex re-optimises from the previous optimal basis.  The
@@ -635,14 +692,15 @@ def solve_lazy(lp: LpInstance, oracle: SeparationCallback,
     calls = 0
     while True:
         opt = _optimum(simplex)
-        cuts = oracle(opt.point)
+        cuts = oracle(opt.nums, opt.denom)
         calls += 1
         if not cuts:
             return LazyResult(opt, simplex.rows, calls)
         for c in cuts:
             if any(not 0 <= j < lp.num_vars for j in c.coeffs):
                 raise ValueError("oracle row references an undeclared variable")
-            if c.satisfied(opt.point):
+            _, coeffs, rhs = _scaled(c)
+            if _holds(c.sense, _excess(coeffs, rhs, opt.nums, opt.denom)):
                 raise RuntimeError("oracle returned a non-violated row")
         total = len(simplex.rows) + len(cuts)
         if total - len(lp.rows) > max_added:

@@ -37,9 +37,10 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from . import certify as certmod
 from . import lp as lpmod
-from .graphs import Multigraph, crossing, edge_connectivity, min_cut, vertex_mask
+from .graphs import (Multigraph, crossing, edge_connectivity, is_connected, min_cut,
+                     vertex_mask)
 from .requirements import DegreeState, Requirement
-from .separation import Feasible, Violated, separate_fast
+from .separation import Feasible, ScaledPoint, Violated, separate_fast
 
 if TYPE_CHECKING:  # annotation only: importing kecss does not load the file format
     from .instances import Instance
@@ -100,7 +101,8 @@ def frac_str(x: Fraction) -> str:
 def _check(graph: Multigraph, k: int, min_k: int, *, even: bool = False,
            connectivity: int = 0, bounds: Bounds | None = None) -> None:
     """The solvers' preconditions: degree bounds, least k and parity, n >= 2,
-    and (when `connectivity` is set) the edge connectivity the first LP needs."""
+    and (when `connectivity` is set) the edge connectivity the first LP
+    needs; connectivity 1 is a reachability test."""
     if bounds is not None:
         lower, upper = bounds
         if len(lower) != graph.n or len(upper) != graph.n:
@@ -115,7 +117,10 @@ def _check(graph: Multigraph, k: int, min_k: int, *, even: bool = False,
     if graph.n < 2:
         raise ValueError("need at least 2 vertices")
     if connectivity:
-        conn = edge_connectivity(graph)
+        if connectivity == 1:
+            conn = int(is_connected(graph))
+        else:
+            conn = edge_connectivity(graph)
         if conn < connectivity:
             raise InfeasibleInstance(f"edge connectivity {conn} is below "
                                      f"{connectivity}; the LP is infeasible")
@@ -167,6 +172,16 @@ def _lazy_solve(graph: Multigraph, objective: list, lower: list, upper: list,
     return result
 
 
+def _edge_point(graph: Multigraph, working: Sequence[int], nums: Sequence[int],
+                denom: int) -> ScaledPoint:
+    """An LP point over the working edges (nums / denom, one per working
+    edge), as a point over edge ids."""
+    weights = [0] * graph.m
+    for e, w in zip(working, nums):
+        weights[e] = w
+    return ScaledPoint(graph, weights, denom)
+
+
 def _solve_residual(graph: Multigraph, req: Requirement, working: list[int],
                     carry: set[frozenset[int]],
                     recheck: bool) -> tuple[lpmod.LazyResult, dict[int, Fraction]]:
@@ -183,9 +198,8 @@ def _solve_residual(graph: Multigraph, req: Requirement, working: list[int],
         if fres >= req.threshold:
             rows.append(_cut_row(graph, side, working, var_of, fres))
 
-    def oracle(point: list[Fraction]) -> list[lpmod.LpRow]:
-        x = {e: point[var_of[e]] for e in working}
-        verdict = separate_fast(x, req)
+    def oracle(nums: list[int], denom: int) -> list[lpmod.LpRow]:
+        verdict = separate_fast(_edge_point(graph, working, nums, denom), req)
         if isinstance(verdict, Feasible):
             return []
         if not isinstance(verdict, Violated):
@@ -196,8 +210,7 @@ def _solve_residual(graph: Multigraph, req: Requirement, working: list[int],
 
     result = _lazy_solve(graph, [graph.edges[e].cost for e in working],
                          [0] * len(working), [1] * len(working), rows, oracle, recheck)
-    x = {e: result.optimum.point[var_of[e]] for e in working}
-    return result, x
+    return result, dict(zip(working, result.optimum.point))
 
 
 def _solve_unbounded_cut_lp(graph: Multigraph, k: int, bounds: Bounds | None = None,
@@ -211,8 +224,7 @@ def _solve_unbounded_cut_lp(graph: Multigraph, k: int, bounds: Bounds | None = N
     for v in range(1, graph.n + 1):
         rows.append(_cut_row(graph, frozenset({v}), working, var_of, k))
 
-    def oracle(point: list[Fraction]) -> list[lpmod.LpRow]:
-        weights, denom = lpmod.common(point)
+    def oracle(weights: list[int], denom: int) -> list[lpmod.LpRow]:
         value, side = min_cut(graph, weights)
         if value >= k * denom:
             return []
@@ -223,13 +235,12 @@ def _solve_unbounded_cut_lp(graph: Multigraph, k: int, bounds: Bounds | None = N
 
 
 def _certify_iteration(graph: Multigraph, req: Requirement,
-                       x: dict[int, Fraction], picked_now: set[int],
-                       rng: random.Random,
+                       x: dict[int, Fraction], point: ScaledPoint,
+                       picked_now: set[int], rng: random.Random,
                        record: IterationRecord) -> list[frozenset[int]]:
     """Per-extreme-point structural checks: laminar basis, token bound,
     uncrossing witnesses on sampled weakly-crossing tight pairs.
     Returns the basis members for the caller's witness pool."""
-    point = certmod.ScaledPoint(graph, x)
     tight = certmod.tight_sets(x, req, point)
     basis = certmod.extract_laminar(x, req, tight=tight, point=point)
     record.basis_size = basis.size()
@@ -338,7 +349,7 @@ def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
 
     while True:
         req = requirement()
-        if req.active_empty() and not degree_active:
+        if not degree_active and req.active_empty():
             break
         iteration += 1
         if iteration > cap:
@@ -368,8 +379,10 @@ def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
             dropped_witnesses=[], lazy_rounds=lazy.separation_calls,
             lp_rows=len(lazy.rows))
         if certify_flag:
+            point = _edge_point(graph, working, opt.nums, opt.denom)
             pool.update(_certify_iteration(
-                graph, req, x, {e for e in picked_now if x[e] == 1}, rng, record))
+                graph, req, x, point, {e for e in picked_now if x[e] == 1}, rng,
+                record))
         # progress: an edge is picked, or (degree mode) a vertex drops out
         for e in picked_now:
             mult[e] = mult.get(e, 0) + 1
@@ -496,7 +509,16 @@ def kecsm(graph: Multigraph, k: int, **kwargs) -> tuple[Solution, RoundingTrace]
     sol, trace = kecsm_core(graph, run_k, **kwargs)
     # the cut LP x >= 0, x(delta(S)) >= k is homogeneous in k
     reference = Fraction(k, run_k) * trace.lp0
-    return _finish(graph, MODES["ecsm"], k, sol.multiplicity, reference), trace
+    # the core verified its output at run_k - 2 - run_k % 2 >= k and at
+    # cost trace.lp0, which is exactly the ecsm bound factor * reference;
+    # hold its report to the ecsm guarantee without recomputing it
+    target, factor = MODES["ecsm"].guarantee(graph, k)
+    if sol.connectivity < target or sol.cost > factor * reference:
+        raise certmod.CertificationError(
+            f"output fails verification: connectivity {sol.connectivity} "
+            f"(target {target}), cost {sol.cost} (bound {factor * reference})")
+    return Solution("ecsm", k, sol.multiplicity, sol.cost, sol.connectivity,
+                    reference), trace
 
 
 # -- degree-bounded procedures -----------------------------------------------

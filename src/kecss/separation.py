@@ -13,9 +13,13 @@ lists them with polynomial delay at any n.  Every active side it lists
 is violated, and the verdict reports all of them, so one lazy round can
 add a row for each.
 
-The mixed capacities are scaled once per call to integers over the
-point's common denominator, and k and the window are scaled with them,
-so the cut kernels and every comparison work in integers.
+The point is a `ScaledPoint`: x over edge ids as integers over one
+denominator, the one integer point type that separation and
+certification share.  The solvers build it from the LP's integer point,
+without Fractions; `ScaledPoint.of` scales a mapping of rationals.  The
+mixed capacities add the picked multiplicity times that denominator,
+and k and the window are scaled with them, so the cut kernels and every
+comparison work in integers.
 
 `separate_fast` is the one oracle the solvers use; the tests compare it
 with an exhaustive scan of every partition (`tests/reference.py`).
@@ -25,9 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
-from .graphs import crossing, cuts_below, min_cut, vertex_mask
+from .graphs import Multigraph, crossing, cuts_below, min_cut, vertex_mask
 from .lp import common
 from .requirements import Requirement
 
@@ -67,28 +72,77 @@ class Violated:
 SeparationVerdict = Feasible | Violated
 
 
-def mixed_capacities(x: Mapping[int, Fraction],
+class ScaledPoint:
+    """An LP point x over edge ids as integers over one denominator.
+
+    `weights[e]` is x_e * `denom` for every edge id (0 off x's keys).
+    `edges` lists the support (x_e != 0; LP points have x >= 0) by id as
+    (id, endpoint mask, weight), so every x-mass across or between
+    vertex masks is an integer sum.  Built once per point and shared by
+    every check on it.
+    """
+
+    def __init__(self, graph: Multigraph, weights: list[int], denom: int):
+        if len(weights) != graph.m:
+            raise ValueError(f"point has {len(weights)} entries for {graph.m} edges")
+        self.graph = graph
+        self.weights = weights
+        self.denom = denom
+
+    @classmethod
+    def of(cls, graph: Multigraph, x: Mapping[int, Fraction]) -> ScaledPoint:
+        """x (edge id -> int or Fraction) over its least common denominator."""
+        for e, val in x.items():
+            if not 0 <= e < graph.m:
+                raise ValueError(f"edge id {e} out of range")
+            if not isinstance(val, (int, Fraction)):
+                raise ValueError(f"x[{e}]={val!r} is not an exact rational")
+        scaled, denom = common(list(x.values()))
+        weights = [0] * graph.m
+        for e, w in zip(x, scaled):
+            weights[e] = w
+        return cls(graph, weights, denom)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """The support as (id, endpoint mask, weight), by id."""
+        ends = self.graph.ends
+        return tuple((e, ends[e], w) for e, w in enumerate(self.weights) if w)
+
+    def cross(self, mask: int) -> int:
+        """denom times the x-mass of the edges crossing the vertex mask."""
+        total = 0
+        for _, ends, w in self.edges:
+            if 0 != mask & ends != ends:
+                total += w
+        return total
+
+    def between(self, left: int, right: int) -> int:
+        """denom times the x-mass of the edges joining two disjoint masks."""
+        total = 0
+        for _, ends, w in self.edges:
+            if ends & left and ends & right:  # the masks are disjoint
+                total += w
+        return total
+
+
+def mixed_capacities(x: ScaledPoint | Mapping[int, Fraction],
                      req: Requirement) -> tuple[list[int], int]:
     """x_e on working edges plus the picked multiplicity, 0 elsewhere, as
-    (integer weight per edge id, common denominator).
+    (integer weight per edge id, common denominator); x is a ScaledPoint
+    or a mapping of edge id to rational, each x_e in [0, 1].
 
     An edge may carry both: floor extraction picks the integer part of a
     multigraph LP value and keeps its fractional remainder working.
     """
-    m = req.graph.m
-    for e, val in x.items():
-        if not 0 <= e < m:
-            raise ValueError(f"edge id {e} out of range")
-        # denominators are positive, so this is 0 <= val <= 1 in integers
-        if (not isinstance(val, (int, Fraction))
-                or not 0 <= val.numerator <= val.denominator):
-            raise ValueError(f"x[{e}]={val!r} is not a rational in [0, 1]")
-    scaled, denom = common(list(x.values()))
-    weights = [0] * m
+    point = x if isinstance(x, ScaledPoint) else ScaledPoint.of(req.graph, x)
+    denom = point.denom
+    weights = list(point.weights)
+    for e, w in enumerate(weights):
+        if not 0 <= w <= denom:
+            raise ValueError(f"x[{e}]={Fraction(w, denom)} is not in [0, 1]")
     for e, mult in req.picked.items():
-        weights[e] = mult * denom
-    for e, w in zip(x, scaled):
-        weights[e] += w
+        weights[e] += mult * denom
     return weights, denom
 
 
@@ -107,8 +161,10 @@ def _cut(req: Requirement, side: frozenset[int], capacity: Fraction) -> Cut:
                capacity - req.picked_crossing(mask))
 
 
-def separate_fast(x: Mapping[int, Fraction], req: Requirement) -> SeparationVerdict:
-    """Min-cut probe plus near-minimum-cut enumeration.
+def separate_fast(x: ScaledPoint | Mapping[int, Fraction],
+                  req: Requirement) -> SeparationVerdict:
+    """Min-cut probe plus near-minimum-cut enumeration at the point x (a
+    ScaledPoint, or a mapping of edge id to rational).
 
     Returns Feasible, or Violated with the violated active cuts found,
     ordered by mixed capacity and then lexicographically by canonical

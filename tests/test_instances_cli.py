@@ -534,3 +534,35 @@ def test_cli_certify_rejects_unreadable_solution_values(tmp_path: Path, capsys,
                  "--solution", str(sol_path)]) == 2
     err = capsys.readouterr().err
     assert _one_line_error(err) and err.startswith("parse error in solution file")
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("k", lambda p: p["k"] + 0.9),
+    ("connectivity", lambda p: p["connectivity"] + 0.7),
+    ("id", lambda p: float(p["edges"][0]["id"])),
+    ("mult", lambda p: p["edges"][0]["mult"] + 0.5),
+    ("mult", lambda p: str(p["edges"][0]["mult"])),
+    ("k", lambda p: True),
+], ids=["k-float", "connectivity-float", "id-float", "mult-float", "mult-string",
+        "k-bool"])
+def test_cli_certify_rejects_non_integer_fields(tmp_path: Path, capsys, field, edit):
+    # int() would read each edited value as an integer (4.9 as 4, "3" as
+    # 3, true as 1) and certify the file; only JSON integers are accepted
+    inst_path = tmp_path / "k5.txt"
+    sol_path = tmp_path / "sol.json"
+    inst_path.write_text(emit_instance(gen("complete", n=5, k=4)))
+    certify = ["run", "--mode", "certify", "--input", str(inst_path),
+               "--solution", str(sol_path)]
+    assert main(["run", "--mode", "ecsm", "--input", str(inst_path),
+                 "--solution", str(sol_path)]) == 0
+    payload = json.loads(sol_path.read_text())
+    assert main(certify) == 0
+    capsys.readouterr()
+    if field in ("k", "connectivity"):
+        payload[field] = edit(payload)
+    else:
+        payload["edges"][0][field] = edit(payload)
+    sol_path.write_text(json.dumps(payload))
+    assert main(certify) == 2
+    err = capsys.readouterr().err
+    assert _one_line_error(err) and err.startswith("parse error in solution file")

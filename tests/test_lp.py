@@ -129,7 +129,7 @@ def test_lazy_trivial_oracle_matches_direct_solve():
     rows = [lp.row({0: 1, 1: 2}, lp.GE, 3)]
     inst = lp.instance([2, 1], [0, 0], [4, 4], rows)
     direct = lp.solve(inst)
-    lazy = lp.solve_lazy(inst, lambda point: [])
+    lazy = lp.solve_lazy(inst, lambda nums, denom: [])
     assert lazy.optimum.value == direct.value
     assert lazy.separation_calls == 1
 
@@ -138,8 +138,8 @@ def test_lazy_kecss_lp_on_k5():
     g = complete_graph(5)
     req = Requirement(g, 4, {}, 3)
 
-    def oracle(point):
-        x = {e: point[e] for e in range(g.m)}
+    def oracle(nums, denom):
+        x = {e: Fraction(nums[e], denom) for e in range(g.m)}
         verdict = separate_fast(x, req)
         if isinstance(verdict, Feasible):
             return []
@@ -158,8 +158,8 @@ def test_lazy_infeasible_propagates():
     g = cycle_graph(5)
     req = Requirement(g, 4, {}, 3)
 
-    def oracle(point):
-        x = {e: point[e] for e in range(g.m)}
+    def oracle(nums, denom):
+        x = {e: Fraction(nums[e], denom) for e in range(g.m)}
         verdict = separate_fast(x, req)
         if isinstance(verdict, Feasible):
             return []
@@ -186,8 +186,8 @@ def test_lazy_equals_materialized_on_random_instances():
             continue
         req = Requirement(g, 4, {}, 3)
 
-        def oracle(point):
-            x = {e: point[e] for e in range(g.m)}
+        def oracle(nums, denom):
+            x = {e: Fraction(nums[e], denom) for e in range(g.m)}
             verdict = separate_fast(x, req)
             if isinstance(verdict, Feasible):
                 return []
@@ -202,7 +202,7 @@ def test_lazy_equals_materialized_on_random_instances():
 def test_lazy_row_cap():
     calls = []
 
-    def oracle(point):
+    def oracle(nums, denom):
         calls.append(1)
         return [lp.row({0: 1}, lp.GE, len(calls))]
 
@@ -234,8 +234,8 @@ def _enumerate_vertex_optimum(inst):
     for r in inst.rows:
         vec = [Fraction(0)] * nv
         for j, c in r.coeffs.items():
-            vec[j] = c
-        constraints.append((vec, r.rhs))
+            vec[j] = Fraction(c)
+        constraints.append((vec, Fraction(r.rhs)))
 
     def solve_square(idx):
         mat = [list(constraints[i][0]) + [constraints[i][1]] for i in idx]
@@ -329,7 +329,7 @@ def _state_from_rows(simplex):
     system = []
     for i, r in enumerate(s.rows):
         sign = -1 if r.sense == lp.GE else 1
-        coeffs = {j: sign * c for j, c in r.coeffs.items()}
+        coeffs = {j: Fraction(sign * c) for j, c in r.coeffs.items()}
         coeffs[s.ns + i] = Fraction(1)
         rhs = sign * r.rhs - sum((c * x[j] for j, c in coeffs.items() if j in x),
                                  Fraction(0))
@@ -350,7 +350,8 @@ def _state_from_rows(simplex):
 def _hidden_rows_oracle(hidden, batch=2):
     """Lazy oracle over an explicit row list: the first `batch` rows that
     the point violates, in list order."""
-    def oracle(point):
+    def oracle(nums, denom):
+        point = [Fraction(a, denom) for a in nums]
         return [r for r in hidden if not r.satisfied(point)][:batch]
     return oracle
 
@@ -392,8 +393,9 @@ def _cut_oracle(graph, k):
     several rounds on small inputs."""
     req = Requirement(graph, k, {}, 3)
 
-    def oracle(point):
-        verdict = separate_fast(dict(enumerate(point)), req)
+    def oracle(nums, denom):
+        verdict = separate_fast({e: Fraction(a, denom) for e, a in enumerate(nums)},
+                                req)
         if isinstance(verdict, Feasible):
             return []
         cut = verdict.cuts[0]
@@ -566,17 +568,15 @@ def test_recheck_vertex_rejects_deficient_rank():
                        [lp.row({0: Fraction(1, 2), 1: Fraction(1, 2)}, lp.GE,
                                Fraction(1, 2)),
                         lp.row({0: 3, 1: 3}, lp.GE, 3)])
-    half = [Fraction(1, 2)] * 2
     with pytest.raises(CertificationError, match="rank 1 < 2"):
-        recheck_vertex(inst, lp.BasicOptimum(Fraction(1), half, [0, 1], [], []))
+        recheck_vertex(inst, lp.BasicOptimum(Fraction(1), [1, 1], 2, [0, 1], [], []))
     # a tight bound on x0 and rows that agree once x0 is fixed: rank 2 of 3
     inst = lp.instance([1, 1, 1], [0, 0, 0], [1, 1, 1],
                        [lp.row({0: 1, 1: Fraction(1, 2), 2: Fraction(1, 2)},
                                lp.GE, Fraction(1, 2)),
                         lp.row({0: 5, 1: 1, 2: 1}, lp.GE, 1)])
-    point = [Fraction(0), Fraction(1, 2), Fraction(1, 2)]
     with pytest.raises(CertificationError, match="rank 2 < 3"):
-        recheck_vertex(inst, lp.BasicOptimum(Fraction(1), point, [0, 1],
+        recheck_vertex(inst, lp.BasicOptimum(Fraction(1), [0, 1, 1], 2, [0, 1],
                                              [(0, "lower")], []))
 
 
@@ -609,8 +609,8 @@ def _recording(oracle):
     """The oracle, and the list of every batch of rows it returns."""
     batches = []
 
-    def wrapped(point):
-        cuts = oracle(point)
+    def wrapped(nums, denom):
+        cuts = oracle(nums, denom)
         batches.append(cuts)
         return cuts
     return wrapped, batches
@@ -683,8 +683,65 @@ def test_warm_lazy_matches_cold_solve_of_final_rows():
     assert _warm_vs_cold(inst, _hidden_rows_oracle([cut])) == "LpInfeasible"
 
 
+def test_integer_point_matches_fractions_every_round(monkeypatch):
+    # at every optimum, cold or in a lazy round, the point leaves the
+    # tableau as ints over one positive denominator in lowest terms, equal
+    # to the values solved from the original rows over Fractions and to
+    # the Fraction `point`
+    optimum = lp._optimum
+    seen = {"rounds": 0, "fractional": 0}
+
+    def checked(simplex):
+        opt = optimum(simplex)
+        assert type(opt.denom) is int and opt.denom > 0
+        assert all(type(a) is int for a in opt.nums)
+        assert math.gcd(opt.denom, *opt.nums) == 1
+        x = _state_from_rows(simplex)
+        values = [x[j] for j in range(simplex.ns)]
+        assert [Fraction(a, opt.denom) for a in opt.nums] == values == opt.point
+        seen["rounds"] += 1
+        seen["fractional"] += opt.denom > 1
+        return opt
+
+    monkeypatch.setattr(lp, "_optimum", checked)
+    rng = random.Random(41)
+    for g, seeds in ((3, 4), (5, 2)):
+        graph = make_graph(3 * g + 1, prism_hub_edges(g, 1, 2))
+        for _ in range(seeds):
+            lp.solve_lazy(_hub_lp(graph, 6, rng), _cut_oracle(graph, 6))
+    for _ in range(120):
+        inst, hidden = _random_lazy_instance(rng, rng.randint(2, 7))
+        try:
+            lp.solve_lazy(inst, _hidden_rows_oracle(hidden))
+        except (lp.LpInfeasible, lp.LpUnbounded):
+            continue
+    assert seen["rounds"] > 200 and seen["fractional"] > 100
+
+
+def test_lazy_rejects_row_the_point_satisfies():
+    # the first relaxation's optimum is (1/2, 1/2); each row below holds
+    # there (two of them with slack), so returning it is an oracle fault,
+    # whether its coefficients are ints or Fractions
+    inst = lp.instance([1, 1], [0, 0], [1, 1],
+                       [lp.row({0: 1, 1: 3}, lp.GE, 2), lp.row({0: 3, 1: 1}, lp.GE, 2)])
+    assert lp.solve(inst).point == [Fraction(1, 2)] * 2
+    for satisfied in (lp.row({0: 1, 1: 1}, lp.GE, 1),
+                      lp.row({0: 2, 1: -1}, lp.LE, 1),
+                      lp.row({0: 2, 1: -2}, lp.EQ, 0),
+                      lp.row({0: Fraction(1, 3)}, lp.GE, Fraction(1, 7)),
+                      lp.row({1: 1}, lp.LE, Fraction(1, 2))):
+        with pytest.raises(RuntimeError, match="non-violated row"):
+            lp.solve_lazy(inst, lambda nums, denom: [satisfied])
+    # a violated row of each kind is accepted and moves the point
+    for violated, point in ((lp.row({0: 1}, lp.GE, 1), [1, Fraction(1, 3)]),
+                            (lp.row({1: Fraction(2, 3)}, lp.LE, Fraction(1, 4)),
+                             [Fraction(7, 8), Fraction(3, 8)])):
+        result = lp.solve_lazy(inst, _hidden_rows_oracle([violated]))
+        assert result.optimum.point == point
+
+
 def test_lazy_rejects_undeclared_variable():
-    def oracle(point):
+    def oracle(nums, denom):
         return [lp.row({3: 1}, lp.GE, 1)]
 
     with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from kecss import rounding, separation
+from kecss import certify, graphs, rounding, separation
 from kecss.certify import CertificationError
 from kecss.graphs import (complete_graph, crossing, cuts_below, cycle_graph,
                           edge_connectivity, make_graph, vertex_mask)
@@ -161,10 +161,54 @@ def test_kecsm_reference_scales_from_run_k():
             assert sol.lp_value == _solve_unbounded_cut_lp(g, k).optimum.value
 
 
-def test_kecsm_disconnected():
+def test_kecsm_disconnected(monkeypatch):
+    # both multigraph modes need connectivity 1, which is a reachability
+    # test: the precondition runs no min cut
+    def no_min_cut(*args):
+        raise AssertionError("the connectivity-1 precondition ran a min cut")
+
+    monkeypatch.setattr(graphs, "min_cut", no_min_cut)
     g = make_graph(4, [(1, 2, 1), (3, 4, 1)])
-    with pytest.raises(InfeasibleInstance):
+    message = r"^edge connectivity 0 is below 1; the LP is infeasible$"
+    with pytest.raises(InfeasibleInstance, match=message):
         kecsm(g, 2)
+    with pytest.raises(InfeasibleInstance, match=message):
+        md_kecsm(g, 2, [0] * 4, [4] * 4)
+    path = make_graph(4, [(1, 2, 1), (3, 4, 1), (2, 3, 2)])
+    rounding._check(path, 4, 4, even=True, connectivity=1)
+
+
+def test_kecsm_verifies_its_output_once(monkeypatch):
+    # the core's verify (target k'-2-(k' mod 2) >= k, cost bound exactly
+    # the ecsm bound) is the only one; kecsm checks its report
+    targets = []
+    verify = certify.verify
+
+    def counted(graph, mult, target, *args, **kwargs):
+        targets.append(target)
+        return verify(graph, mult, target, *args, **kwargs)
+
+    monkeypatch.setattr(certify, "verify", counted)
+    for k in (2, 3, 4, 5):
+        targets.clear()
+        sol, _ = kecsm(complete_graph(5), k)
+        assert targets == [k if k % 2 == 0 else k + 1]
+        assert sol.connectivity >= k
+        assert sol.cost <= approximation_factor(k) * sol.lp_value
+
+
+def test_kecsm_raises_on_a_core_report_below_its_guarantee(monkeypatch):
+    g = complete_graph(5)
+    core = kecsm_core
+    for field, value in (("connectivity", 3), ("cost", Fraction(100))):
+        def short(graph, k, **kwargs):
+            sol, trace = core(graph, k, **kwargs)
+            setattr(sol, field, value)
+            return sol, trace
+
+        monkeypatch.setattr(rounding, "kecsm_core", short)
+        with pytest.raises(CertificationError, match="output fails verification"):
+            kecsm(g, 4)
 
 
 def test_md_kecss_k5_tight_window():
@@ -271,8 +315,9 @@ def test_monotone_lp_values_fixture():
 
 def _oracle_calls(monkeypatch) -> list:
     """Record every separation call of the solvers as (x, req, verdict,
-    enumerated), where `enumerated` says whether `separate_fast` went
-    through `cuts_below` or the min-cut probe decided."""
+    enumerated), where x is the integer point the solver passed, as
+    Fractions per edge id, and `enumerated` says whether `separate_fast`
+    went through `cuts_below` or the min-cut probe decided."""
     calls = []
     listed = []
 
@@ -280,9 +325,10 @@ def _oracle_calls(monkeypatch) -> list:
         listed.append(True)
         return cuts_below(*args)
 
-    def recorded(x, req):
+    def recorded(point, req):
         listed.clear()
-        verdict = separate_fast(x, req)
+        verdict = separate_fast(point, req)
+        x = {e: Fraction(w, point.denom) for e, w in enumerate(point.weights)}
         calls.append((x, req, verdict, bool(listed)))
         return verdict
 
