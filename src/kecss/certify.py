@@ -8,12 +8,12 @@ implementation bug and raised as CertificationError with enough state to
 reproduce it.
 
 Each extreme point is checked in integer arithmetic on one
-`separation.ScaledPoint`, the integer point type that separation uses
-too: x over one denominator with each support edge's endpoint bits, so
-every x-mass the checks compare (across a cut side, between two vertex
-classes, at a degree-tight vertex) is an integer sum over it.  The
-solvers pass the point they built from the LP's integers; a caller
-without one passes x alone and it is scaled here.
+`separation.ScaledPoint`, the one form in which a point enters
+separation and certification: x over one denominator with each support
+edge's endpoint bits, so every x-mass the checks compare (across a cut
+side, between two vertex classes, at a degree-tight vertex, on a basis
+member) is an integer sum over it.  The solvers build it from the LP's
+integers once per extreme point and pass it to every check.
 The tight sets are the active cut sides whose mixed capacity (x plus the
 picked multiplicity) is exactly k; they are found among the cuts of
 capacity at most k by `cuts_below`, with polynomial delay at any n,
@@ -46,19 +46,18 @@ class CertificationError(AssertionError):
         self.dump = dump
 
 
-def reproducer_dump(graph: Multigraph, req: Requirement | None,
-                    x: Mapping[int, Fraction] | None) -> str:
-    """Instance text plus a JSON block of the LP point, rationals as p/q."""
-    lines = [f"p kecss {graph.n} {graph.m} {req.k if req else 0}"]
+def reproducer_dump(graph: Multigraph, req: Requirement, point: ScaledPoint) -> str:
+    """Instance text plus a JSON block of the LP point's support, each
+    x_e as p/q in lowest terms."""
+    lines = [f"p kecss {graph.n} {graph.m} {req.k}"]
     for e in graph.edges:
         lines.append(f"e {e.u} {e.v} {e.cost}")
-    payload = {}
-    if x is not None:
-        payload["point"] = {str(e): f"{v.numerator}/{v.denominator}"
-                            for e, v in sorted(x.items())}
-    if req is not None:
-        payload["picked"] = {str(e): m for e, m in sorted(req.picked.items())}
-        payload["threshold"] = req.threshold
+    values = {}
+    for e, _, w in point.edges:
+        g = math.gcd(w, point.denom)
+        values[str(e)] = f"{w // g}/{point.denom // g}"
+    payload = {"point": values, "threshold": req.threshold,
+               "picked": {str(e): m for e, m in sorted(req.picked.items())}}
     return "\n".join(lines) + "\n" + json.dumps(payload, sort_keys=True)
 
 
@@ -113,8 +112,7 @@ def verify(graph: Multigraph, multiplicity: Mapping[int, int],
 
 # -- tight sets ---------------------------------------------------------------
 
-def tight_sets(x: Mapping[int, Fraction], req: Requirement,
-               point: ScaledPoint | None = None) -> list[frozenset[int]]:
+def tight_sets(point: ScaledPoint, req: Requirement) -> list[frozenset[int]]:
     """All active canonical cut sides with x(boundary) equal to the residual.
 
     A side S is tight exactly when its mixed capacity x(delta S) plus the
@@ -125,8 +123,6 @@ def tight_sets(x: Mapping[int, Fraction], req: Requirement,
     activity and x-mass.  Sorted by (size, vertices).
     """
     graph = req.graph
-    if point is None:
-        point = ScaledPoint.of(graph, x)
     if graph.n < 2:
         return []
     weights, denom = mixed_capacities(point, req)
@@ -166,9 +162,8 @@ class LaminarBasis:
         return len(self.sets) + len(self.degree_vertices)
 
 
-def extract_laminar(x: Mapping[int, Fraction], req: Requirement,
-                    tight: Sequence[frozenset[int]] | None = None,
-                    point: ScaledPoint | None = None) -> LaminarBasis:
+def extract_laminar(point: ScaledPoint, req: Requirement,
+                    tight: Sequence[frozenset[int]]) -> LaminarBasis:
     """Greedy laminar basis for an extreme point of the residual system.
 
     Grows a maximal laminar family of active tight sets with independent
@@ -176,19 +171,15 @@ def extract_laminar(x: Mapping[int, Fraction], req: Requirement,
     independence, then selects exactly |F| members whose rows over the
     fractional edges F are independent.  Existence is guaranteed for
     vertices of the residual system; failure raises CertificationError.
-    `tight` is `tight_sets(x, req)` and `point` the scaled x, when the
-    caller has them already.
+    `tight` is `tight_sets(point, req)`.
     """
     graph = req.graph
     n = graph.n
     degree_state = req.degree
-    support = sorted(e for e, v in x.items() if v > 0)
-    frac = tuple(sorted(e for e, v in x.items() if 0 < v < 1))
-    if point is None:
-        point = ScaledPoint.of(graph, x)
-    canonical = tight_sets(x, req, point) if tight is None else tight
+    support = [e for e, _, _ in point.edges]
+    frac = tuple(e for e, _, w in point.edges if w < point.denom)
     full = frozenset(range(1, n + 1))
-    candidates = {side for s in canonical for side in (s, full - s)}
+    candidates = {side for s in tight for side in (s, full - s)}
     ordered = sorted(candidates, key=lambda s: (len(s), tuple(sorted(s))))
 
     tracker = lpmod.RankTracker()
@@ -228,10 +219,10 @@ def extract_laminar(x: Mapping[int, Fraction], req: Requirement,
         raise CertificationError(
             f"no laminar basis of size |F|={len(frac)} found (got {ftracker.rank}); "
             "this falsifies the laminar-basis guarantee",
-            reproducer_dump(graph, req, x))
+            reproducer_dump(graph, req, point))
     basis = LaminarBasis(tuple(chosen_sets), tuple(chosen_vertices), frac,
                          tuple(rows))
-    _validate_basis(basis, x, req, point)
+    _validate_basis(basis, req, point)
     return basis
 
 
@@ -242,53 +233,57 @@ def _degree_tight(point: ScaledPoint, state: DegreeState, v: int) -> bool:
                                           state.upper[v - 1] * point.denom)
 
 
-def _validate_basis(basis: LaminarBasis, x: Mapping[int, Fraction],
-                    req: Requirement, point: ScaledPoint) -> None:
+def _validate_basis(basis: LaminarBasis, req: Requirement, point: ScaledPoint) -> None:
     graph, degree_state = req.graph, req.degree
     for a, b in itertools.combinations(basis.sets, 2):
         if not _laminar_compatible(a, b):
             raise CertificationError(f"family not laminar: {sorted(a)} / {sorted(b)}",
-                                     reproducer_dump(graph, req, x))
+                                     reproducer_dump(graph, req, point))
     if basis.size() != len(basis.frac_edges):
         raise CertificationError("|family| + |degree vertices| != |F|",
-                                 reproducer_dump(graph, req, x))
+                                 reproducer_dump(graph, req, point))
     tracker = lpmod.RankTracker()
     for r in basis.rows:
         if not tracker.add({i: c for i, c in enumerate(r) if c}):
             raise CertificationError("basis rows not linearly independent",
-                                     reproducer_dump(graph, req, x))
+                                     reproducer_dump(graph, req, point))
     for s in basis.sets:
         mask = vertex_mask(s)
         fres = req.residual_mask(mask)
         if fres < req.threshold or point.cross(mask) != fres * point.denom:
             raise CertificationError(f"member {sorted(s)} not an active tight set",
-                                     reproducer_dump(graph, req, x))
+                                     reproducer_dump(graph, req, point))
     for v in basis.degree_vertices:
         if degree_state is None or v not in degree_state.active:
             raise CertificationError(f"vertex {v} not degree-constrained",
-                                     reproducer_dump(graph, req, x))
+                                     reproducer_dump(graph, req, point))
         if not _degree_tight(point, degree_state, v):
             raise CertificationError(f"vertex {v} not tight with mass >= 1",
-                                     reproducer_dump(graph, req, x))
+                                     reproducer_dump(graph, req, point))
 
 
 # -- uncrossing witnesses ----------------------------------------------------
 
 @dataclass(frozen=True)
 class UncrossWitness:
+    """A checked replacement family for a weakly-crossing pair (a, b).
+
+    theta (x-mass between A-B and B-A), gamma (between A&B and the
+    outside) and alpha (between the classes a mixed case joins; None
+    otherwise) are integers: the masses times the point's denominator,
+    as the checks computed them."""
     a: frozenset[int]
     b: frozenset[int]
     case: str
     family: tuple[frozenset[int], ...]
-    theta: Fraction
-    gamma: Fraction
-    alpha: Fraction | None
+    theta: int
+    gamma: int
+    alpha: int | None
     identity: str
 
 
-def uncross_witness(a: frozenset[int], b: frozenset[int],
-                    x: Mapping[int, Fraction], req: Requirement,
-                    point: ScaledPoint | None = None) -> UncrossWitness:
+def uncross_witness(a: frozenset[int], b: frozenset[int], point: ScaledPoint,
+                    req: Requirement) -> UncrossWitness:
     """Verified replacement family for two weakly-crossing active tight sets.
 
     Checks the incidence identity coordinatewise over the support and the
@@ -297,8 +292,7 @@ def uncross_witness(a: frozenset[int], b: frozenset[int],
     of theta, gamma, alpha when only a mixed pair of corner sets is
     active.  The replacement family is laminar, active, tight, and spans
     the boundary row of b together with a.  Every mass is an integer over
-    the point's denominator; `point` is the scaled x when the caller has
-    it already.
+    the point's denominator.
     """
     graph = req.graph
     a, b = frozenset(a), frozenset(b)
@@ -307,8 +301,6 @@ def uncross_witness(a: frozenset[int], b: frozenset[int],
     amb, bma = a - b, b - a
     if not inter or not amb or not bma:
         raise ValueError("sets must weakly cross")
-    if point is None:
-        point = ScaledPoint.of(graph, x)
     denom = point.denom
     m_a, m_b = vertex_mask(a), vertex_mask(b)
     m_inter, m_union = m_a & m_b, m_a | m_b
@@ -322,7 +314,7 @@ def uncross_witness(a: frozenset[int], b: frozenset[int],
             raise CertificationError(
                 f"{label} {sorted(mask_vertices(mask, graph.n))} expected tight "
                 f"but x(delta)={Fraction(mass, denom)} != {fres}",
-                reproducer_dump(graph, req, x))
+                reproducer_dump(graph, req, point))
 
     for mask, name in ((m_a, "input A"), (m_b, "input B")):
         if req.residual_mask(mask) < req.threshold:
@@ -344,14 +336,11 @@ def uncross_witness(a: frozenset[int], b: frozenset[int],
             if total:
                 raise CertificationError(
                     f"incidence identity {text} fails on edge {e}",
-                    reproducer_dump(graph, req, x))
+                    reproducer_dump(graph, req, point))
 
     def witness(case: str, family: tuple[frozenset[int], ...],
                 alpha: int | None, text: str) -> UncrossWitness:
-        return UncrossWitness(a, b, case, family, Fraction(theta, denom),
-                              Fraction(gamma, denom),
-                              None if alpha is None else Fraction(alpha, denom),
-                              text)
+        return UncrossWitness(a, b, case, family, theta, gamma, alpha, text)
 
     if union == full:
         # weakly crossing but not crossing: A-B is the complement of B
@@ -365,12 +354,12 @@ def uncross_witness(a: frozenset[int], b: frozenset[int],
     if not (active["inter"] or active["union"]) or not (active["amb"] or active["bma"]):
         raise CertificationError(
             "corner activity pattern contradicts two-way uncrossability",
-            reproducer_dump(graph, req, x))
+            reproducer_dump(graph, req, point))
 
     def vanish(value: int, label: str) -> None:
         if value != 0:
             raise CertificationError(f"{label} = {Fraction(value, denom)} expected 0",
-                                     reproducer_dump(graph, req, x))
+                                     reproducer_dump(graph, req, point))
 
     if active["inter"] and active["union"]:
         require_tight(m_inter, "A&B")
@@ -412,34 +401,33 @@ def uncross_witness(a: frozenset[int], b: frozenset[int],
     return witness(case, family, alpha, text)
 
 
-def small_boundary_set(basis: LaminarBasis,
-                       z: Mapping[int, Fraction]) -> frozenset[int]:
+def small_boundary_set(basis: LaminarBasis, point: ScaledPoint) -> frozenset[int]:
     """A basis member with at most 3 fractional boundary edges.
 
-    Requires z strictly fractional on F with integral boundary mass on
-    every member; the returned member then has z-mass at most 2.  Absence
-    of such a member would falsify the token-counting bound, so it raises
-    CertificationError.
+    Requires the point strictly fractional on F with integral x-mass over
+    F on every member's boundary; the returned member then has that mass
+    at most 2.  Absence of such a member would falsify the token-counting
+    bound, so it raises CertificationError.
     """
-    fset = set(basis.frac_edges)
-    if set(z.keys()) != fset:
-        raise ValueError("z must be defined exactly on the fractional edges")
-    for e, v in z.items():
-        if not 0 < Fraction(v) < 1:
-            raise ValueError(f"z[{e}]={v} not strictly fractional")
+    weights, denom = point.weights, point.denom
+    for e in basis.frac_edges:
+        if not 0 < weights[e] < denom:
+            raise ValueError(f"x[{e}]={Fraction(weights[e], denom)} not strictly "
+                             "fractional")
     members = basis.members()
-    masses = [sum((Fraction(z[e]) for e, c in zip(basis.frac_edges, row) if c), Fraction(0))
+    masses = [sum(weights[e] for e, c in zip(basis.frac_edges, row) if c)
               for row in basis.rows]
     for member, mass in zip(members, masses):
-        if mass.denominator != 1:
-            raise ValueError(f"member {sorted(member)} has non-integral z-mass {mass}")
+        if mass % denom:
+            raise ValueError(f"member {sorted(member)} has non-integral mass "
+                             f"{Fraction(mass, denom)} over F")
     for row, member, mass in zip(basis.rows, members, masses):
         count = sum(row)
         if count <= 3:
-            if mass > 2:
+            if mass > 2 * denom:
                 raise CertificationError(
                     f"member {sorted(member)} has {count} fractional edges but "
-                    f"mass {mass} > 2")
+                    f"mass {Fraction(mass, denom)} > 2")
             return member
     raise CertificationError(
         "no member with at most 3 fractional boundary edges; this falsifies "

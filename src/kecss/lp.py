@@ -111,17 +111,6 @@ class LpRow:
         if self.sense not in (GE, LE, EQ):
             raise ValueError(f"unknown row sense {self.sense!r}")
 
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        return sum((point[j] * c for j, c in self.coeffs.items()), ZERO)
-
-    def satisfied(self, point: Sequence[Fraction]) -> bool:
-        lhs = self.evaluate(point)
-        if self.sense == GE:
-            return lhs >= self.rhs
-        if self.sense == LE:
-            return lhs <= self.rhs
-        return lhs == self.rhs
-
 
 def _exact(v: int | Fraction) -> int | Fraction:
     return v if type(v) is int else Fraction(v)

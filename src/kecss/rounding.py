@@ -234,19 +234,17 @@ def _solve_unbounded_cut_lp(graph: Multigraph, k: int, bounds: Bounds | None = N
                        [None] * graph.m, rows, oracle, recheck)
 
 
-def _certify_iteration(graph: Multigraph, req: Requirement,
-                       x: dict[int, Fraction], point: ScaledPoint,
+def _certify_iteration(graph: Multigraph, req: Requirement, point: ScaledPoint,
                        picked_now: set[int], rng: random.Random,
                        record: IterationRecord) -> list[frozenset[int]]:
     """Per-extreme-point structural checks: laminar basis, token bound,
     uncrossing witnesses on sampled weakly-crossing tight pairs.
     Returns the basis members for the caller's witness pool."""
-    tight = certmod.tight_sets(x, req, point)
-    basis = certmod.extract_laminar(x, req, tight=tight, point=point)
+    tight = certmod.tight_sets(point, req)
+    basis = certmod.extract_laminar(point, req, tight)
     record.basis_size = basis.size()
-    frac = {e: v for e, v in x.items() if 0 < v < 1}
-    if frac:
-        member = certmod.small_boundary_set(basis, frac)
+    if basis.frac_edges:
+        member = certmod.small_boundary_set(basis, point)
         record.small_member = member
         if req.threshold == 3 and member in basis.sets:
             # its fractional mass is at most 2, so integral picks must
@@ -256,7 +254,7 @@ def _certify_iteration(graph: Multigraph, req: Requirement,
                 raise certmod.CertificationError(
                     f"active member {sorted(member)} not nearly satisfied "
                     "after picking integral edges",
-                    certmod.reproducer_dump(graph, req, x))
+                    certmod.reproducer_dump(graph, req, point))
     full = frozenset(range(1, graph.n + 1))
     members = [side for s in tight for side in (s, full - s)]
     if len(members) <= PAIR_FAMILY_CAP:
@@ -270,7 +268,7 @@ def _certify_iteration(graph: Multigraph, req: Requirement,
                 pairs.append((members[i], members[j]))
     for a, b in pairs:
         if a & b and a - b and b - a:  # weakly crossing
-            certmod.uncross_witness(a, b, x, req, point)
+            certmod.uncross_witness(a, b, point, req)
             record.witness_pairs_checked += 1
     return basis.members()
 
@@ -378,10 +376,10 @@ def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
             frac_support=sum(1 for v in x.values() if 0 < v < 1),
             dropped_witnesses=[], lazy_rounds=lazy.separation_calls,
             lp_rows=len(lazy.rows))
+        point = _edge_point(graph, working, opt.nums, opt.denom)
         if certify_flag:
-            point = _edge_point(graph, working, opt.nums, opt.denom)
             pool.update(_certify_iteration(
-                graph, req, x, point, {e for e in picked_now if x[e] == 1}, rng,
+                graph, req, point, {e for e in picked_now if x[e] == 1}, rng,
                 record))
         # progress: an edge is picked, or (degree mode) a vertex drops out
         for e in picked_now:
@@ -399,7 +397,7 @@ def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
             raise certmod.CertificationError(
                 f"no progress in iteration {iteration}: nothing picked and "
                 "no vertex left the degree-constrained set",
-                certmod.reproducer_dump(graph, req, x))
+                certmod.reproducer_dump(graph, req, point))
         degree_active = new_active
 
         # witness-pool upkeep: residuals never increase, drops never revert

@@ -13,13 +13,13 @@ lists them with polynomial delay at any n.  Every active side it lists
 is violated, and the verdict reports all of them, so one lazy round can
 add a row for each.
 
-The point is a `ScaledPoint`: x over edge ids as integers over one
-denominator, the one integer point type that separation and
-certification share.  The solvers build it from the LP's integer point,
-without Fractions; `ScaledPoint.of` scales a mapping of rationals.  The
-mixed capacities add the picked multiplicity times that denominator,
-and k and the window are scaled with them, so the cut kernels and every
-comparison work in integers.
+The point is a `ScaledPoint`: x over edge ids as nonnegative integers
+over one positive denominator, the one form in which a point enters
+separation and certification.  The solvers build it from the LP's
+integer point, without Fractions; `ScaledPoint.of` is the one converter
+from a mapping of rationals.  The mixed capacities add the picked
+multiplicity times that denominator, and k and the window are scaled
+with them, so the cut kernels and every comparison work in integers.
 
 `separate_fast` is the one oracle the solvers use; the tests compare it
 with an exhaustive scan of every partition (`tests/reference.py`).
@@ -32,7 +32,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
-from .graphs import Multigraph, crossing, cuts_below, min_cut, vertex_mask
+from .graphs import (Multigraph, _check_weights, crossing, cuts_below, min_cut,
+                     vertex_mask)
 from .lp import common
 from .requirements import Requirement
 
@@ -75,16 +76,18 @@ SeparationVerdict = Feasible | Violated
 class ScaledPoint:
     """An LP point x over edge ids as integers over one denominator.
 
-    `weights[e]` is x_e * `denom` for every edge id (0 off x's keys).
-    `edges` lists the support (x_e != 0; LP points have x >= 0) by id as
+    `weights[e]` is x_e * `denom` for every edge id (0 off x's keys), a
+    nonnegative int, and `denom` is a positive int; anything else raises
+    ValueError.  `edges` lists the support (x_e > 0) by id as
     (id, endpoint mask, weight), so every x-mass across or between
     vertex masks is an integer sum.  Built once per point and shared by
     every check on it.
     """
 
     def __init__(self, graph: Multigraph, weights: list[int], denom: int):
-        if len(weights) != graph.m:
-            raise ValueError(f"point has {len(weights)} entries for {graph.m} edges")
+        if not isinstance(denom, int) or denom <= 0:
+            raise ValueError(f"denominator must be a positive int, got {denom!r}")
+        _check_weights(graph, weights)
         self.graph = graph
         self.weights = weights
         self.denom = denom
@@ -126,20 +129,17 @@ class ScaledPoint:
         return total
 
 
-def mixed_capacities(x: ScaledPoint | Mapping[int, Fraction],
-                     req: Requirement) -> tuple[list[int], int]:
+def mixed_capacities(point: ScaledPoint, req: Requirement) -> tuple[list[int], int]:
     """x_e on working edges plus the picked multiplicity, 0 elsewhere, as
-    (integer weight per edge id, common denominator); x is a ScaledPoint
-    or a mapping of edge id to rational, each x_e in [0, 1].
+    (integer weight per edge id, common denominator); each x_e is in [0, 1].
 
     An edge may carry both: floor extraction picks the integer part of a
     multigraph LP value and keeps its fractional remainder working.
     """
-    point = x if isinstance(x, ScaledPoint) else ScaledPoint.of(req.graph, x)
     denom = point.denom
     weights = list(point.weights)
     for e, w in enumerate(weights):
-        if not 0 <= w <= denom:
+        if w > denom:
             raise ValueError(f"x[{e}]={Fraction(w, denom)} is not in [0, 1]")
     for e, mult in req.picked.items():
         weights[e] += mult * denom
@@ -161,10 +161,8 @@ def _cut(req: Requirement, side: frozenset[int], capacity: Fraction) -> Cut:
                capacity - req.picked_crossing(mask))
 
 
-def separate_fast(x: ScaledPoint | Mapping[int, Fraction],
-                  req: Requirement) -> SeparationVerdict:
-    """Min-cut probe plus near-minimum-cut enumeration at the point x (a
-    ScaledPoint, or a mapping of edge id to rational).
+def separate_fast(point: ScaledPoint, req: Requirement) -> SeparationVerdict:
+    """Min-cut probe plus near-minimum-cut enumeration at the point.
 
     Returns Feasible, or Violated with the violated active cuts found,
     ordered by mixed capacity and then lexicographically by canonical
@@ -175,7 +173,7 @@ def separate_fast(x: ScaledPoint | Mapping[int, Fraction],
     _check_fast_preconditions(req)
     if req.threshold == 3 and req.k == 2:
         return Feasible()  # no set can reach the threshold
-    weights, denom = mixed_capacities(x, req)
+    weights, denom = mixed_capacities(point, req)
     window = req.k - (req.threshold - 1)
     value, side = min_cut(req.graph, weights)
     if value < window * denom:

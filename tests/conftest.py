@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from kecss import lp
 from kecss.graphs import canonical_side, make_graph
 from kecss.instances import Instance, gen
 
@@ -47,6 +48,14 @@ def random_cost_hub(g: int, seed: int, per_edge: bool = False) -> Instance:
             c = dashed if c == 1 else solid
         edges.append((u, v, c))
     return Instance(make_graph(3 * g + 1, edges), 6)
+
+
+def row_holds(row, point) -> bool:
+    """Reference check of an LP row at a point of Fractions: the row's
+    left side summed over Fractions, compared with its rhs by its sense."""
+    lhs = sum((Fraction(c) * point[j] for j, c in row.coeffs.items()), Fraction(0))
+    return {lp.GE: lhs >= row.rhs, lp.LE: lhs <= row.rhs,
+            lp.EQ: lhs == row.rhs}[row.sense]
 
 
 def tight_sets_scan(x, req) -> list[frozenset[int]]:

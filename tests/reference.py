@@ -28,8 +28,8 @@ from kecss import lp as lpmod
 from kecss.graphs import Multigraph, mask_vertices, vertex_mask
 from kecss.lp import LpInfeasible
 from kecss.requirements import Requirement
-from kecss.separation import (Cut, Feasible, SeparationVerdict, Violated, _cut,
-                              mixed_capacities)
+from kecss.separation import (Cut, Feasible, ScaledPoint, SeparationVerdict, Violated,
+                              _cut, mixed_capacities)
 
 EXACT_VERTEX_LIMIT = 20
 FULL_LP_VERTEX_LIMIT = 12
@@ -50,7 +50,7 @@ def violated_cuts_exact(x: Mapping[int, Fraction], req: Requirement) -> list[Cut
     n = req.graph.n
     if n > EXACT_VERTEX_LIMIT:
         raise CapacityError(f"n={n} too large for the exhaustive oracle")
-    weights, denom = mixed_capacities(x, req)
+    weights, denom = mixed_capacities(ScaledPoint.of(req.graph, x), req)
     k_scaled = req.k * denom
     found: list[tuple[int, tuple[int, ...], frozenset[int]]] = []
     for mask_rest in range(1, 1 << (n - 1)):

@@ -6,14 +6,14 @@ import random
 import time
 from fractions import Fraction
 
-from kecss.certify import extract_laminar
+from kecss.certify import extract_laminar, tight_sets
 from kecss.graphs import boundary, edge_connectivity, min_cut
 from kecss.instances import gen
 from kecss.lp import common
 from kecss.requirements import Requirement
 from kecss.rounding import (approximation_factor, bicriteria, kecsm,
                             kecss_even, md_kecsm, md_kecss)
-from kecss.separation import Violated, separate_fast
+from kecss.separation import ScaledPoint, Violated, separate_fast
 
 from conftest import ACCEPTANCE_TRACES, degree_bounds_for
 from reference import (SetFunction, as_set_function, brute_force_opt, check_even_parity,
@@ -45,8 +45,8 @@ def test_criterion_01_prism_k3_lp_and_laminar_basis():
         expected = {0: Fraction(1), 1: Fraction(1, 2), 2: Fraction(3, 4)}[int(e.cost)]
         assert opt.point[e.id] == expected
     req = Requirement(g, 3, {}, 3)
-    x = {e: opt.point[e] for e in range(g.m)}
-    basis = extract_laminar(x, req)
+    point = ScaledPoint.of(g, {e: opt.point[e] for e in range(g.m)})
+    basis = extract_laminar(point, req, tight_sets(point, req))
     assert len(basis.frac_edges) == 9
     assert basis.size() == 9
     assert not basis.degree_vertices
@@ -176,7 +176,7 @@ def test_criterion_07_separation_equivalence():
         x = {e: Fraction(rng.randint(0, 6), 6) for e in range(g.m)
              if e not in picked}
         req = Requirement(g, k, picked, threshold)
-        vf = separate_fast(x, req)
+        vf = separate_fast(ScaledPoint.of(g, x), req)
         ve = separate_exact(x, req)
         assert type(vf) is type(ve), f"case {case}: verdicts disagree"
         if isinstance(vf, Violated):

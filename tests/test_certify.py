@@ -1,17 +1,19 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from kecss import certify as certmod
-from kecss.certify import (extract_laminar, small_boundary_set, tight_sets,
-                           uncross_witness, verify)
+from kecss.certify import (extract_laminar, reproducer_dump, small_boundary_set,
+                           tight_sets, uncross_witness, verify)
 from kecss.graphs import (boundary, complete_graph, cycle_graph,
                           edge_connectivity, make_graph)
-from kecss.instances import gen
+from kecss.instances import gen, parse_instance
 from kecss.lp import LpInfeasible
 from kecss.requirements import Requirement
+from kecss.separation import ScaledPoint
 from kecss.rounding import bicriteria, kecss, kecss_even, md_kecss
 
 from conftest import degree_bounds_for, random_cost_hub, tight_sets_scan
@@ -73,7 +75,7 @@ def test_tight_sets_k5():
     g = complete_graph(5)
     req = Requirement(g, 4, {}, 3)
     x = {e: Fraction(1) for e in range(g.m)}
-    sets = tight_sets(x, req)
+    sets = tight_sets(ScaledPoint.of(g, x), req)
     assert len(sets) == 5
     assert all(1 not in s for s in sets)
     assert sorted(len(s) for s in sets) == [1, 1, 1, 1, 4]
@@ -84,14 +86,14 @@ def test_tight_sets_above_requirement_empty():
     g = complete_graph(5)
     req = Requirement(g, 3, {}, 3)
     x = {e: Fraction(1) for e in range(g.m)}  # every cut has at least 4
-    assert tight_sets(x, req) == []
+    assert tight_sets(ScaledPoint.of(g, x), req) == []
 
 
 def test_tight_sets_prism_fixture():
     inst = gen("prism-k3")
     full = frozenset(range(1, 7))
     req = Requirement(inst.graph, 3, {}, 3)
-    sets = tight_sets(fixture_point(inst), req)
+    sets = tight_sets(ScaledPoint.of(inst.graph, fixture_point(inst)), req)
     partitions = {frozenset((tuple(sorted(s)), tuple(sorted(full - s))))
                   for s in sets}
     for v in range(1, 7):
@@ -132,7 +134,7 @@ def test_tight_sets_match_scan_on_fixture_points():
     ]
     sizes = []
     for x, req in cases:
-        got = tight_sets(x, req)
+        got = tight_sets(ScaledPoint.of(req.graph, x), req)
         assert got == tight_sets_scan(x, req)
         sizes.append(len(got))
     # every arc of the 6-cycle is tight at x = 1, k = 2
@@ -147,8 +149,9 @@ def scan_checked(monkeypatch):
     calls = []
     original = certmod.tight_sets
 
-    def checked(x, req, point=None):
-        got = original(x, req, point)
+    def checked(point, req):
+        got = original(point, req)
+        x = {e: Fraction(w, point.denom) for e, _, w in point.edges}
         assert got == tight_sets_scan(x, req)
         calls.append(req.graph.n)
         return got
@@ -191,7 +194,8 @@ def test_tight_sets_match_scan_on_seeded_hub_runs(scan_checked, g):
 def test_extract_laminar_prism():
     inst = gen("prism-k3")
     req = Requirement(inst.graph, 3, {}, 3)
-    basis = extract_laminar(fixture_point(inst), req)
+    p = ScaledPoint.of(inst.graph, fixture_point(inst))
+    basis = extract_laminar(p, req, tight_sets(p, req))
     assert basis.size() == 9 == len(basis.frac_edges)
     assert not basis.degree_vertices
     for a, b in itertools.combinations(basis.sets, 2):
@@ -201,7 +205,8 @@ def test_extract_laminar_prism():
 def test_extract_laminar_integral_point():
     g = complete_graph(5)
     req = Requirement(g, 4, {}, 3)
-    basis = extract_laminar({e: Fraction(1) for e in range(g.m)}, req)
+    p = ScaledPoint.of(g, {e: Fraction(1) for e in range(g.m)})
+    basis = extract_laminar(p, req, tight_sets(p, req))
     assert basis.size() == 0 and basis.frac_edges == ()
 
 
@@ -209,9 +214,10 @@ def test_small_boundary_set_prism():
     inst = gen("prism-k3")
     req = Requirement(inst.graph, 3, {}, 3)
     x = fixture_point(inst)
-    basis = extract_laminar(x, req)
+    p = ScaledPoint.of(inst.graph, x)
+    basis = extract_laminar(p, req, tight_sets(p, req))
     z = {e: v for e, v in x.items() if 0 < v < 1}
-    member = small_boundary_set(basis, z)
+    member = small_boundary_set(basis, p)
     cut = boundary(inst.graph, member, z.keys())
     assert len(cut) <= 3
     assert sum((z[e] for e in cut), Fraction(0)) <= 2
@@ -221,12 +227,12 @@ def test_small_boundary_set_rejects_bad_z():
     inst = gen("prism-k3")
     req = Requirement(inst.graph, 3, {}, 3)
     x = fixture_point(inst)
-    basis = extract_laminar(x, req)
-    z = {e: v for e, v in x.items() if 0 < v < 1}
-    bad = dict(z)
-    bad[next(iter(bad))] = Fraction(1)  # not strictly fractional
-    with pytest.raises(ValueError):
-        small_boundary_set(basis, bad)
+    p = ScaledPoint.of(inst.graph, x)
+    basis = extract_laminar(p, req, tight_sets(p, req))
+    bad = dict(x)
+    bad[basis.frac_edges[0]] = Fraction(1)  # not strictly fractional
+    with pytest.raises(ValueError, match="not strictly fractional"):
+        small_boundary_set(basis, ScaledPoint.of(inst.graph, bad))
 
 
 def test_uncross_witness_intersection_union():
@@ -241,7 +247,7 @@ def test_uncross_witness_intersection_union():
     mass_b = sum((x[e] for e in boundary(g, b)), Fraction(0))
     assert mass_a == req.residual(a)
     if mass_b == req.residual(b):
-        w = uncross_witness(a, b, x, req)
+        w = uncross_witness(a, b, ScaledPoint.of(g, x), req)
         assert w.case in ("intersection_union", "difference")
         assert w.a == a
 
@@ -250,7 +256,8 @@ def test_uncross_witness_cases_from_run():
     # collect weakly-crossing tight pairs from the fixture and check them all
     g, picked, x = _hub_fixture_state()
     req = Requirement(g, 6, picked, 3)
-    tights = tight_sets(x, req)
+    p = ScaledPoint.of(g, x)
+    tights = tight_sets(p, req)
     full = frozenset(range(1, 11))
     members = []
     for s in tights:
@@ -260,7 +267,7 @@ def test_uncross_witness_cases_from_run():
     for a, b in itertools.combinations(members, 2):
         if not (a & b) or not (a - b) or not (b - a):
             continue
-        w = uncross_witness(a, b, x, req)
+        w = uncross_witness(a, b, p, req)
         cases.add(w.case)
         assert w.a == a and len(w.family) >= 2
         if w.case == "intersection_union":
@@ -272,14 +279,39 @@ def test_uncross_witness_cases_from_run():
     assert cases  # at least one weakly-crossing pair existed
 
 
+def test_reproducer_dump_lists_the_support_in_lowest_terms():
+    # the hub after its first picks, with x = 0 on the picked edges and on
+    # one rung, and x = 1 on one ring edge: over the common denominator 4
+    # the dump reduces each support value and leaves the zeros out
+    g, picked, x = _hub_fixture_state()
+    rung, ring = (min(e for e in x if g.edges[e].cost == c) for c in (1, 2))
+    x = {**{e: Fraction(0) for e in picked}, **x, rung: Fraction(0), ring: Fraction(1)}
+    req = Requirement(g, 6, picked, 3)
+    point = ScaledPoint.of(g, x)
+    assert point.denom == 4
+    text = reproducer_dump(g, req, point)
+    *instance_lines, payload = text.splitlines()
+    payload = json.loads(payload)
+    assert payload["point"] == {str(e): f"{v.numerator}/{v.denominator}"
+                                for e, v in x.items() if v}
+    assert payload["point"][str(ring)] == "1/1" and str(rung) not in payload["point"]
+    assert "2/4" not in payload["point"].values()
+    assert payload["picked"] == {str(e): 1 for e in sorted(picked)}
+    assert payload["threshold"] == 3
+    inst = parse_instance("\n".join(instance_lines))
+    assert (inst.graph.n, inst.graph.m, inst.k) == (g.n, g.m, 6)
+    assert [(e.u, e.v, e.cost) for e in inst.graph.edges] == \
+        [(e.u, e.v, e.cost) for e in g.edges]
+
+
 def test_uncross_witness_domain_errors():
     inst = gen("prism-k3")
     req = Requirement(inst.graph, 3, {}, 3)
-    x = fixture_point(inst)
+    p = ScaledPoint.of(inst.graph, fixture_point(inst))
     with pytest.raises(ValueError):
-        uncross_witness(frozenset({1}), frozenset({2}), x, req)  # disjoint
+        uncross_witness(frozenset({1}), frozenset({2}), p, req)  # disjoint
     with pytest.raises(ValueError):
-        uncross_witness(frozenset({1}), frozenset({1, 2}), x, req)  # nested
+        uncross_witness(frozenset({1}), frozenset({1, 2}), p, req)  # nested
 
 
 def test_brute_force_examples():

@@ -9,9 +9,9 @@ from kecss.certify import CertificationError, recheck_vertex
 from kecss.graphs import boundary, complete_graph, cycle_graph, make_graph
 from kecss.instances import gen
 from kecss.requirements import Requirement
-from kecss.separation import Feasible, separate_fast
+from kecss.separation import Feasible, ScaledPoint, separate_fast
 
-from conftest import prism_hub_edges
+from conftest import prism_hub_edges, row_holds
 from reference import full_cut_lp
 
 
@@ -122,7 +122,7 @@ def test_vertex_certificate_full_rank():
         assert len(opt.certificate) == nv
         recheck_vertex(inst, opt)  # independent rank computation
         for r in inst.rows:
-            assert r.satisfied(opt.point)
+            assert row_holds(r, opt.point)
 
 
 def test_lazy_trivial_oracle_matches_direct_solve():
@@ -139,8 +139,7 @@ def test_lazy_kecss_lp_on_k5():
     req = Requirement(g, 4, {}, 3)
 
     def oracle(nums, denom):
-        x = {e: Fraction(nums[e], denom) for e in range(g.m)}
-        verdict = separate_fast(x, req)
+        verdict = separate_fast(ScaledPoint(g, nums, denom), req)
         if isinstance(verdict, Feasible):
             return []
         return [lp.row({e: 1 for e in boundary(g, c.side)}, lp.GE, c.requirement)
@@ -159,8 +158,7 @@ def test_lazy_infeasible_propagates():
     req = Requirement(g, 4, {}, 3)
 
     def oracle(nums, denom):
-        x = {e: Fraction(nums[e], denom) for e in range(g.m)}
-        verdict = separate_fast(x, req)
+        verdict = separate_fast(ScaledPoint(g, nums, denom), req)
         if isinstance(verdict, Feasible):
             return []
         return [lp.row({e: 1 for e in boundary(g, c.side)}, lp.GE, c.requirement)
@@ -187,8 +185,7 @@ def test_lazy_equals_materialized_on_random_instances():
         req = Requirement(g, 4, {}, 3)
 
         def oracle(nums, denom):
-            x = {e: Fraction(nums[e], denom) for e in range(g.m)}
-            verdict = separate_fast(x, req)
+            verdict = separate_fast(ScaledPoint(g, nums, denom), req)
             if isinstance(verdict, Feasible):
                 return []
             return [lp.row({e: 1 for e in boundary(g, c.side)}, lp.GE,
@@ -267,7 +264,7 @@ def _enumerate_vertex_optimum(inst):
         if point is None:
             continue
         ok = all(inst.lower[j] <= point[j] <= inst.upper[j] for j in range(nv))
-        if ok and all(r.satisfied(point) for r in inst.rows):
+        if ok and all(row_holds(r, point) for r in inst.rows):
             value = sum(inst.objective[j] * point[j] for j in range(nv))
             if best is None or value < best:
                 best = value
@@ -352,7 +349,7 @@ def _hidden_rows_oracle(hidden, batch=2):
     the point violates, in list order."""
     def oracle(nums, denom):
         point = [Fraction(a, denom) for a in nums]
-        return [r for r in hidden if not r.satisfied(point)][:batch]
+        return [r for r in hidden if not row_holds(r, point)][:batch]
     return oracle
 
 
@@ -394,8 +391,7 @@ def _cut_oracle(graph, k):
     req = Requirement(graph, k, {}, 3)
 
     def oracle(nums, denom):
-        verdict = separate_fast({e: Fraction(a, denom) for e, a in enumerate(nums)},
-                                req)
+        verdict = separate_fast(ScaledPoint(graph, nums, denom), req)
         if isinstance(verdict, Feasible):
             return []
         cut = verdict.cuts[0]
@@ -658,7 +654,7 @@ def _warm_vs_cold(inst, oracle):
     assert lp.solve(final).value == result.optimum.value
     recheck_vertex(final, result.optimum)
     for r in result.rows:
-        assert r.satisfied(result.optimum.point)
+        assert row_holds(r, result.optimum.point)
     return "solved"
 
 

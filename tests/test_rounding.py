@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -304,6 +305,22 @@ def test_bicriteria_ledger_on_random_instances():
             assert cost + factor * rec.lp_value <= factor * trace.lp0
             cost += sum(inst.graph.edges[e].cost for e in rec.picked)
         assert cost == sol.cost
+
+
+def test_no_progress_dump_holds_the_iterations_point():
+    # a loop that picks nothing stops after its first LP; the dump must hold
+    # that LP's point, although the working set has already dropped the
+    # x = 0 edge that comes first by id (an expensive parallel rung)
+    edges = [(2, 3, 100)] + prism_hub_edges(3, 1, 2)
+    graph = make_graph(10, edges)
+    stuck = rounding._LoopSpec(3, Fraction(2), False, Fraction(1))
+    with pytest.raises(CertificationError, match="no progress") as err:
+        rounding._round(graph, 6, stuck, None, False, 0, None)
+    point = json.loads(err.value.dump.splitlines()[-1])["point"]
+    # the hub's unique LP optimum: 1 on cost 0, 1/2 on cost 1, 3/4 on cost 2
+    expected = {str(e.id): ("1/1", "1/2", "3/4")[int(e.cost)]
+                for e in graph.edges if e.cost < 100}
+    assert point == expected
 
 
 def test_monotone_lp_values_fixture():

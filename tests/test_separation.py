@@ -7,7 +7,8 @@ from kecss import separation
 from kecss.graphs import boundary, complete_graph, cuts_below, make_graph
 from kecss.instances import gen
 from kecss.requirements import Requirement
-from kecss.separation import Cut, Feasible, Violated, mixed_capacities, separate_fast
+from kecss.separation import (Cut, Feasible, ScaledPoint, Violated, mixed_capacities,
+                              separate_fast)
 
 from reference import separate_exact, violated_cuts_exact
 
@@ -33,10 +34,11 @@ def random_state(rng, n_max=10):
 def test_mixed_capacities_examples():
     g = complete_graph(4)
     req = Requirement(g, 4, {}, 3)
-    assert mixed_capacities({e: Fraction(0) for e in range(g.m)}, req) == ([0] * g.m, 1)
+    zero = ScaledPoint.of(g, {e: Fraction(0) for e in range(g.m)})
+    assert mixed_capacities(zero, req) == ([0] * g.m, 1)
     two = make_graph(2, [(1, 2, 1), (1, 2, 1)])
     req = Requirement(two, 6, {1: 4}, 3)
-    weights, denom = mixed_capacities({0: Fraction(1, 2)}, req)
+    weights, denom = mixed_capacities(ScaledPoint.of(two, {0: Fraction(1, 2)}), req)
     assert denom == 2
     assert [Fraction(w, denom) for w in weights] == [Fraction(1, 2), Fraction(4)]
 
@@ -48,7 +50,7 @@ def test_mixed_capacities_fixture_point():
     x = {}
     for e in g.edges:
         x[e.id] = {0: Fraction(1), 1: Fraction(1, 2), 2: Fraction(3, 4)}[int(e.cost)]
-    weights, denom = mixed_capacities(x, req)
+    weights, denom = mixed_capacities(ScaledPoint.of(g, x), req)
     assert denom == 4
     assert {Fraction(w, denom) for w in weights} == {Fraction(1), Fraction(1, 2),
                                                      Fraction(3, 4)}
@@ -58,15 +60,39 @@ def test_mixed_capacities_domain_errors():
     g = complete_graph(3)
     req = Requirement(g, 4, {0: 1}, 3)
     with pytest.raises(ValueError):
-        mixed_capacities({1: Fraction(3, 2)}, req)  # out of [0,1]
+        mixed_capacities(ScaledPoint.of(g, {1: Fraction(3, 2)}), req)  # out of [0,1]
     with pytest.raises(ValueError):
-        mixed_capacities({1: 0.5}, req)  # not exact
+        mixed_capacities(ScaledPoint.of(g, {1: 0.5}), req)  # not exact
     with pytest.raises(ValueError):
-        mixed_capacities({5: Fraction(1, 2)}, req)  # edge id out of range
+        mixed_capacities(ScaledPoint.of(g, {5: Fraction(1, 2)}), req)  # edge id out of range
     # a floor-extracted edge: picked once, fractional remainder still working
-    weights, denom = mixed_capacities({0: Fraction(1, 3)}, req)
+    weights, denom = mixed_capacities(ScaledPoint.of(g, {0: Fraction(1, 3)}), req)
     assert denom == 3
     assert [Fraction(w, denom) for w in weights] == [Fraction(4, 3), 0, 0]
+
+
+def test_scaled_point_rejects_a_denominator_that_is_not_positive():
+    g = complete_graph(3)
+    for denom in (0, -1, Fraction(1, 2), 1.0):
+        with pytest.raises(ValueError, match="denominator must be a positive int"):
+            ScaledPoint(g, [1, 0, 0], denom)
+    # refused before separation could divide by it or call the point feasible
+    with pytest.raises(ValueError, match="denominator"):
+        separate_fast(ScaledPoint(g, [0, 0, 0], 0), Requirement(g, 4, {}, 3))
+
+
+def test_scaled_point_rejects_weights_that_are_not_nonnegative_ints():
+    g = complete_graph(3)
+    # -1 over -1 is refused for its denominator, not read as x_0 = 1
+    with pytest.raises(ValueError, match="denominator"):
+        ScaledPoint(g, [-1, 0, 0], -1)
+    for bad in (-1, Fraction(1, 2), 0.5, None):
+        with pytest.raises(ValueError, match="weight of edge 1"):
+            ScaledPoint(g, [1, bad, 0], 2)
+    with pytest.raises(ValueError):
+        ScaledPoint.of(g, {0: Fraction(-1, 2)})
+    with pytest.raises(ValueError):
+        ScaledPoint(g, [1, 1], 2)  # one entry short
 
 
 def test_violated_rejects_satisfied_cut():
@@ -96,7 +122,7 @@ def test_feasible_on_saturated_k5():
     g = complete_graph(5)
     req = Requirement(g, 4, {}, 3)
     x = {e: Fraction(1) for e in range(g.m)}
-    assert isinstance(separate_fast(x, req), Feasible)
+    assert isinstance(separate_fast(ScaledPoint.of(g, x), req), Feasible)
     assert isinstance(separate_exact(x, req), Feasible)
 
 
@@ -106,7 +132,7 @@ def test_zero_point_violated_with_singleton():
         g = random_graph(rng, rng.randint(4, 8), p=0.7)
         req = Requirement(g, 4, {}, 3)
         x = {e: Fraction(0) for e in range(g.m)}
-        verdict = separate_fast(x, req)
+        verdict = separate_fast(ScaledPoint.of(g, x), req)
         assert isinstance(verdict, Violated)
         assert len(verdict.cuts[0].side) == 1
         assert verdict.cuts[0].capacity == 0
@@ -119,7 +145,7 @@ def test_fixture_point_feasible_for_k6():
     x = {}
     for e in g.edges:
         x[e.id] = {0: Fraction(1), 1: Fraction(1, 2), 2: Fraction(3, 4)}[int(e.cost)]
-    assert isinstance(separate_fast(x, req), Feasible)
+    assert isinstance(separate_fast(ScaledPoint.of(g, x), req), Feasible)
     assert isinstance(separate_exact(x, req), Feasible)
 
 
@@ -131,7 +157,7 @@ def test_dropped_sets_never_reported():
     picked = {e: 1 for e in boundary(g, side)}  # residual of {2} becomes 1
     req = Requirement(g, 4, picked, 3)
     x = {e: Fraction(0) for e in range(g.m) if e not in picked}
-    for verdict in (separate_exact(x, req), separate_fast(x, req)):
+    for verdict in (separate_exact(x, req), separate_fast(ScaledPoint.of(g, x), req)):
         if isinstance(verdict, Violated):
             for cut in verdict.cuts:
                 assert cut.side != side
@@ -142,17 +168,15 @@ def test_threshold3_k2_immediately_feasible():
     g = complete_graph(4)
     req = Requirement(g, 2, {}, 3)
     x = {e: Fraction(0) for e in range(g.m)}
-    assert isinstance(separate_fast(x, req), Feasible)
+    assert isinstance(separate_fast(ScaledPoint.of(g, x), req), Feasible)
 
 
 def test_fast_precondition_errors():
     g = complete_graph(4)
     with pytest.raises(ValueError):
-        separate_fast({e: Fraction(0) for e in range(g.m)},
-                      Requirement(g, 3, {}, 3))
+        separate_fast(ScaledPoint(g, [0] * g.m, 1), Requirement(g, 3, {}, 3))
     with pytest.raises(ValueError):
-        separate_fast({e: Fraction(0) for e in range(g.m)},
-                      Requirement(g, 1, {}, 2))
+        separate_fast(ScaledPoint(g, [0] * g.m, 1), Requirement(g, 1, {}, 2))
 
 
 def test_fast_matches_exact_randomized(monkeypatch):
@@ -170,7 +194,7 @@ def test_fast_matches_exact_randomized(monkeypatch):
     for _ in range(250):
         g, req, x = random_state(rng)
         listed.clear()
-        vf = separate_fast(x, req)
+        vf = separate_fast(ScaledPoint.of(g, x), req)
         ve = separate_exact(x, req)
         assert type(vf) is type(ve)
         if listed:
@@ -197,7 +221,7 @@ def test_soundness_of_violated_rows():
     rng = random.Random(123)
     for _ in range(80):
         g, req, x = random_state(rng, n_max=8)
-        verdict = separate_fast(x, req)
+        verdict = separate_fast(ScaledPoint.of(g, x), req)
         if isinstance(verdict, Violated):
             # each row x(delta_E'(S)) >= f_res(S) really is violated at x
             for cut in verdict.cuts:

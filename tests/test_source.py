@@ -1,7 +1,25 @@
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import kecss
+from test_golden import GOLDEN
+
+TESTS = Path(__file__).resolve().parent
+
+# recomputes every golden digest in a fresh interpreter and prints the
+# keys whose digest differs, with the interpreter's optimisation level
+_GOLDEN_UNDER_O = """
+import json, sys
+import test_golden
+bad = [list(key) for key, digest in test_golden.GOLDEN.items()
+       if test_golden._digest(key[1], test_golden.INSTANCES[key[0]](), key[2]) != digest]
+print(json.dumps({"optimize": sys.flags.optimize, "checked": len(test_golden.GOLDEN),
+                  "mismatched": bad}))
+"""
 
 
 def test_no_assert_statements_in_package():
@@ -12,6 +30,18 @@ def test_no_assert_statements_in_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_golden_outputs_unchanged_under_python_O():
+    # the lint above proves there are no assert statements; this checks
+    # that the solvers' outputs are the same end to end without them
+    src = Path(kecss.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(TESTS)]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _GOLDEN_UNDER_O],
+                          capture_output=True, text=True, env=env, cwd=TESTS)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == {"optimize": 1, "checked": len(GOLDEN), "mismatched": []}
 
 
 def test_no_function_local_imports_in_package():

@@ -5,15 +5,17 @@ crossing cases rarely arise organically; these states are built by hand
 to pin each dispatch branch and its vanishing quantities.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
 
 from kecss.certify import (CertificationError, extract_laminar,
-                           small_boundary_set, uncross_witness)
+                           small_boundary_set, tight_sets, uncross_witness)
 from kecss.graphs import make_graph
 from kecss.instances import gen
 from kecss.requirements import DegreeState, Requirement
+from kecss.separation import ScaledPoint
 
 
 def build_mixed_state():
@@ -47,7 +49,7 @@ def build_mixed_state():
 
 def test_mixed_union_diff_case():
     g, req, x, a, b = build_mixed_state()
-    w = uncross_witness(a, b, x, req)
+    w = uncross_witness(a, b, ScaledPoint.of(g, x), req)
     assert w.case == "mixed_union_diff"
     assert w.family == (a, a - b, a | b)
     assert w.theta == 0 and w.gamma == 0 and w.alpha == 0
@@ -56,7 +58,7 @@ def test_mixed_union_diff_case():
 def test_mixed_union_codiff_case():
     # swapping the inputs lands in the symmetric corner
     g, req, x, a, b = build_mixed_state()
-    w = uncross_witness(b, a, x, req)
+    w = uncross_witness(b, a, ScaledPoint.of(g, x), req)
     assert w.case == "mixed_union_codiff"
     assert w.family == (b, a - b, a | b)
     assert w.alpha == 0
@@ -67,7 +69,7 @@ def test_mixed_inter_codiff_case():
     g, req, x, a, b = build_mixed_state()
     b2 = frozenset(range(1, 5)) - b  # {1, 4}
     assert req.residual(b2) == req.residual(b)
-    w = uncross_witness(a, b2, x, req)
+    w = uncross_witness(a, b2, ScaledPoint.of(g, x), req)
     assert w.case == "mixed_inter_codiff"
     assert w.alpha == 0
 
@@ -75,7 +77,7 @@ def test_mixed_inter_codiff_case():
 def test_mixed_inter_diff_case():
     g, req, x, a, b = build_mixed_state()
     b2 = frozenset(range(1, 5)) - b
-    w = uncross_witness(b2, a, x, req)
+    w = uncross_witness(b2, a, ScaledPoint.of(g, x), req)
     assert w.case == "mixed_inter_diff"
     assert w.alpha == 0
 
@@ -112,11 +114,13 @@ def build_difference_state():
 
 def test_difference_case_allows_nonzero_theta():
     g, req, x, a, b = build_difference_state()
-    w = uncross_witness(a, b, x, req)
+    p = ScaledPoint.of(g, x)
+    w = uncross_witness(a, b, p, req)
     assert w.case == "difference"
     assert w.family == (a, a - b, b - a)
     assert w.gamma == 0
-    assert w.theta == Fraction(1, 2)  # tolerated: not part of the identity
+    # tolerated: not part of the identity
+    assert Fraction(w.theta, p.denom) == Fraction(1, 2)
 
 
 def test_intersection_union_case_on_doubled_cycle():
@@ -130,7 +134,7 @@ def test_intersection_union_case_on_doubled_cycle():
     x = {e: Fraction(1) for e in range(g.m)}
     a = frozenset({1, 2})
     b = frozenset({2, 3})
-    w = uncross_witness(a, b, x, req)
+    w = uncross_witness(a, b, ScaledPoint.of(g, x), req)
     assert w.case == "intersection_union"
     assert w.theta == 0
     assert w.family == (a, a & b, a | b)
@@ -146,7 +150,7 @@ def test_complement_case_on_prism():
     full = frozenset(range(1, 7))
     a = full - frozenset({1, 2})
     b = full - frozenset({3, 4})
-    w = uncross_witness(a, b, x, req)
+    w = uncross_witness(a, b, ScaledPoint.of(g, x), req)
     assert w.case == "complement"
     assert w.family == (a, a - b)
 
@@ -155,8 +159,9 @@ def test_witness_rejects_broken_tightness():
     g, req, x, a, b = build_mixed_state()
     bad = dict(x)
     bad[7] = Fraction(1, 2)  # perturb an A-boundary edge: A no longer tight
-    with pytest.raises(CertificationError):
-        uncross_witness(a, b, bad, req)
+    with pytest.raises(CertificationError) as err:
+        uncross_witness(a, b, ScaledPoint.of(g, bad), req)
+    assert json.loads(err.value.dump.splitlines()[-1])["point"]["7"] == "1/2"
 
 
 def test_extract_laminar_with_degree_tight_vertices():
@@ -171,11 +176,12 @@ def test_extract_laminar_with_degree_tight_vertices():
     req = Requirement(g, 3, picked, 3, degree)
     x = {e.id: {1: Fraction(1, 2), 2: Fraction(3, 4)}[int(e.cost)]
          for e in g.edges if e.cost > 0}
-    basis = extract_laminar(x, req)
+    p = ScaledPoint.of(g, x)
+    basis = extract_laminar(p, req, tight_sets(p, req))
     assert len(basis.frac_edges) == 9
     assert basis.size() == 9
     assert len(basis.degree_vertices) == 6
     assert len(basis.sets) == 3
     assert all(len(s) == 2 for s in basis.sets)
-    member = small_boundary_set(basis, x)
+    member = small_boundary_set(basis, p)
     assert member  # the token bound holds with degree-tight members too
