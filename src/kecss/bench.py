@@ -4,7 +4,9 @@ One CSV row per (instance, mode).  The cost/LP ratio is compared against
 the mode's guarantee exactly (rationals) before decimal rendering;
 per-instance failures (unreadable or undecodable files, parse errors, a
 k below the mode's minimum, fewer than 2 vertices, infeasible instances,
-certification failures) are recorded and the harness keeps going.
+certification failures, and the internal faults that `kecss run` exits 5
+on: simplex pivot limit, lazy-loop row cap, rounding iteration cap) are
+recorded as the row's status and the harness keeps going.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ def _ratio_decimal(num: Fraction, digits: int = 6) -> str:
     return f"{scaled.numerator / scaled.denominator / 10 ** digits:.{digits}f}"
 
 
+def _first_line(exc: Exception) -> str:
+    return str(exc).partition("\n")[0]
+
+
 def bench_row(path: Path, mode: str, seed: int) -> list[str]:
     """The CSV fields of one (instance, mode) run; a failed run fills the
     instance columns it knows and the status."""
@@ -49,8 +55,9 @@ def bench_row(path: Path, mode: str, seed: int) -> list[str]:
     except (InfeasibleInstance, LpInfeasible):
         return head + [""] * 8 + ["infeasible"]
     except CertificationError as exc:
-        first = str(exc).splitlines()[0]
-        return head + [""] * 8 + [f"certification-failure: {first}"]
+        return head + [""] * 8 + [f"certification-failure: {_first_line(exc)}"]
+    except RuntimeError as exc:
+        return head + [""] * 8 + [f"aborted: {_first_line(exc)}"]
     seconds = time.perf_counter() - start
     _, factor = entry.guarantee(inst.graph, k)
     ratio = sol.cost / sol.lp_value if sol.lp_value else Fraction(0)

@@ -401,13 +401,15 @@ def uncross_witness(a: frozenset[int], b: frozenset[int], point: ScaledPoint,
     return witness(case, family, alpha, text)
 
 
-def small_boundary_set(basis: LaminarBasis, point: ScaledPoint) -> frozenset[int]:
+def small_boundary_set(basis: LaminarBasis, point: ScaledPoint,
+                       req: Requirement) -> frozenset[int]:
     """A basis member with at most 3 fractional boundary edges.
 
     Requires the point strictly fractional on F with integral x-mass over
     F on every member's boundary; the returned member then has that mass
     at most 2.  Absence of such a member would falsify the token-counting
-    bound, so it raises CertificationError.
+    bound, so it raises CertificationError with a reproducer dump of
+    `req` and the point.
     """
     weights, denom = point.weights, point.denom
     for e in basis.frac_edges:
@@ -427,11 +429,12 @@ def small_boundary_set(basis: LaminarBasis, point: ScaledPoint) -> frozenset[int
             if mass > 2 * denom:
                 raise CertificationError(
                     f"member {sorted(member)} has {count} fractional edges but "
-                    f"mass {Fraction(mass, denom)} > 2")
+                    f"mass {Fraction(mass, denom)} > 2",
+                    reproducer_dump(point.graph, req, point))
             return member
     raise CertificationError(
         "no member with at most 3 fractional boundary edges; this falsifies "
-        "the token-counting bound")
+        "the token-counting bound", reproducer_dump(point.graph, req, point))
 
 
 def recheck_vertex(inst: lpmod.LpInstance, opt: lpmod.BasicOptimum) -> None:

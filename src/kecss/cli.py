@@ -12,7 +12,8 @@ written, a `bench --dir` that is not a directory, or a solution file
 that `run --mode certify` cannot read), 3 certification/verification
 failure, 5 internal fault or abort (simplex pivot limit, lazy-loop row
 cap, rounding iteration cap such as `--max-iters`).  Code 4 is no
-longer used.
+longer used.  `bench` exits 0 once its CSV is written: a run that is
+infeasible, fails certification or aborts is a row whose status says so.
 """
 
 from __future__ import annotations

@@ -70,8 +70,8 @@ arithmetic over the point's denominator.  The certificate takes the
 tight bounds, then the rows whose slack is nonbasic (at a basis these
 complete the rank, unless a basic value sits on its bound), then the
 other tight rows; `RankTracker`, the one integer elimination that
-`certify` shares, still checks each row's independence.  The Fraction
-point is built only when something reads `BasicOptimum.point`.
+`certify` shares, still checks each row's independence.  No solver
+reads the Fraction `BasicOptimum.point`; it is built on first read.
 """
 
 from __future__ import annotations

@@ -146,15 +146,15 @@ def _degree_rows(graph: Multigraph, working: Sequence[int], var_of: Mapping[int,
     return rows
 
 
-def _degree_active(graph: Multigraph, working: Sequence[int],
-                   x: Mapping[int, Fraction], vertices: frozenset[int]) -> frozenset[int]:
+def _degree_active(point: ScaledPoint, vertices: frozenset[int]) -> frozenset[int]:
     """The vertices whose degree rows stay enforced: fractional degree over
-    the working edges, or its complement, above 2."""
+    the point's fractional support edges, or its complement, above 2."""
+    denom = point.denom
     still = set()
     for v in vertices:
-        meeting = crossing(graph, 1 << (v - 1), working)
-        fdeg = sum((x[e] for e in meeting), Fraction(0))
-        if fdeg > 2 or len(meeting) - fdeg > 2:
+        meeting = [w for _, ends, w in point.edges if w < denom and ends & (1 << (v - 1))]
+        fdeg = sum(meeting)
+        if fdeg > 2 * denom or (len(meeting) - 2) * denom > fdeg:
             still.add(v)
     return frozenset(still)
 
@@ -183,8 +183,7 @@ def _edge_point(graph: Multigraph, working: Sequence[int], nums: Sequence[int],
 
 
 def _solve_residual(graph: Multigraph, req: Requirement, working: list[int],
-                    carry: set[frozenset[int]],
-                    recheck: bool) -> tuple[lpmod.LazyResult, dict[int, Fraction]]:
+                    carry: set[frozenset[int]], recheck: bool) -> lpmod.LazyResult:
     """Solve the residual LP over the working edges by lazy separation."""
     var_of = {e: i for i, e in enumerate(working)}
     state = req.degree
@@ -208,9 +207,8 @@ def _solve_residual(graph: Multigraph, req: Requirement, working: list[int],
         return [_cut_row(graph, cut.side, working, var_of, cut.requirement)
                 for cut in verdict.cuts]
 
-    result = _lazy_solve(graph, [graph.edges[e].cost for e in working],
-                         [0] * len(working), [1] * len(working), rows, oracle, recheck)
-    return result, dict(zip(working, result.optimum.point))
+    return _lazy_solve(graph, [graph.edges[e].cost for e in working],
+                       [0] * len(working), [1] * len(working), rows, oracle, recheck)
 
 
 def _solve_unbounded_cut_lp(graph: Multigraph, k: int, bounds: Bounds | None = None,
@@ -244,7 +242,7 @@ def _certify_iteration(graph: Multigraph, req: Requirement, point: ScaledPoint,
     basis = certmod.extract_laminar(point, req, tight)
     record.basis_size = basis.size()
     if basis.frac_edges:
-        member = certmod.small_boundary_set(basis, point)
+        member = certmod.small_boundary_set(basis, point, req)
         record.small_member = member
         if req.threshold == 3 and member in basis.sets:
             # its fractional mass is at most 2, so integral picks must
@@ -278,7 +276,7 @@ def _certify_iteration(graph: Multigraph, req: Requirement, point: ScaledPoint,
 @dataclass(frozen=True)
 class _LoopSpec:
     threshold: int
-    pick_cutoff: Fraction          # pick edges with x at least this value
+    pick_cutoff: Fraction          # pick x >= cutoff: weight >= ceil(cutoff*denom)
     keep_zero_edges: bool          # retain x=0 edges in the working set
     ledger_factor: Fraction        # cost ledger: c(H) + factor*lp <= factor*lp0
     floor_first: bool = False      # first LP unbounded, its integer part picked
@@ -311,16 +309,18 @@ def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
         except lpmod.LpInfeasible as exc:
             raise InfeasibleInstance(f"first LP at k={k} infeasible: {exc}") from exc
         first = lazy.optimum
-        mult = {e: int(v) for e, v in enumerate(first.point) if int(v)}
-        working = [e for e in range(graph.m) if first.point[e] != int(first.point[e])]
+        split = [divmod(num, first.denom) for num in first.nums]
+        mult = {e: whole for e, (whole, _) in enumerate(split) if whole}
+        rests = [rest for _, rest in split]
+        working = [e for e, rest in enumerate(rests) if rest]
         if degree_active is not None:
-            degree_active = _degree_active(
-                graph, working, {e: first.point[e] - int(first.point[e]) for e in working},
-                degree_active)
+            degree_active = _degree_active(ScaledPoint(graph, rests, first.denom),
+                                           degree_active)
         lp0 = trace.lp0 = first.value
         trace.iterations.append(IterationRecord(
             index=0, lp_value=first.value,
-            point={e: v for e, v in enumerate(first.point) if v != 0},
+            point={e: Fraction(num, first.denom)
+                   for e, num in enumerate(first.nums) if num},
             picked=sorted(mult), frac_support=len(working), dropped_witnesses=[],
             lazy_rounds=lazy.separation_calls, lp_rows=len(lazy.rows)))
 
@@ -355,11 +355,14 @@ def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
                 f"rounding exceeded {cap} iterations; state: |H|="
                 f"{sum(mult.values())}, working={len(working)}")
         try:
-            lazy, x = _solve_residual(graph, req, working, carry, certify_flag)
+            lazy = _solve_residual(graph, req, working, carry, certify_flag)
         except lpmod.LpInfeasible as exc:
             raise InfeasibleInstance(
                 f"residual LP infeasible at iteration {iteration}: {exc}") from exc
         opt = lazy.optimum
+        point = _edge_point(graph, working, opt.nums, opt.denom)
+        weights, denom = point.weights, point.denom
+        cut = math.ceil(spec.pick_cutoff * denom)  # x_e >= cutoff iff weight >= cut
         if lp0 is None:
             lp0 = trace.lp0 = opt.value
         # cost ledger at the start of the iteration
@@ -368,30 +371,27 @@ def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
             raise certmod.CertificationError(
                 f"cost ledger violated: c(H)={cost_now} + "
                 f"{spec.ledger_factor}*{opt.value} > {spec.ledger_factor}*{lp0}")
-        picked_now = {e for e in working if x[e] >= spec.pick_cutoff}
+        picked_now = {e for e in working if weights[e] >= cut}
         record = IterationRecord(
             index=iteration, lp_value=opt.value,
-            point={e: v for e, v in sorted(x.items()) if v != 0},
+            point={e: Fraction(w, denom) for e, _, w in point.edges},
             picked=sorted(picked_now),
-            frac_support=sum(1 for v in x.values() if 0 < v < 1),
+            frac_support=sum(1 for _, _, w in point.edges if w < denom),
             dropped_witnesses=[], lazy_rounds=lazy.separation_calls,
             lp_rows=len(lazy.rows))
-        point = _edge_point(graph, working, opt.nums, opt.denom)
         if certify_flag:
             pool.update(_certify_iteration(
-                graph, req, point, {e for e in picked_now if x[e] == 1}, rng,
-                record))
+                graph, req, point, {e for e in picked_now if weights[e] == denom},
+                rng, record))
         # progress: an edge is picked, or (degree mode) a vertex drops out
         for e in picked_now:
             mult[e] = mult.get(e, 0) + 1
         if spec.keep_zero_edges:
             working = [e for e in working if e not in picked_now]
         else:
-            working = [e for e in working
-                       if e not in picked_now and 0 < x[e] < spec.pick_cutoff]
-        new_active = degree_active
-        if degree_active is not None:
-            new_active = _degree_active(graph, working, x, degree_active)
+            working = [e for e in working if 0 < weights[e] < cut]
+        new_active = (None if degree_active is None
+                      else _degree_active(point, degree_active))
         if not picked_now and (degree_active is None
                                or len(new_active) == len(degree_active)):
             raise certmod.CertificationError(

@@ -217,7 +217,7 @@ def test_small_boundary_set_prism():
     p = ScaledPoint.of(inst.graph, x)
     basis = extract_laminar(p, req, tight_sets(p, req))
     z = {e: v for e, v in x.items() if 0 < v < 1}
-    member = small_boundary_set(basis, p)
+    member = small_boundary_set(basis, p, req)
     cut = boundary(inst.graph, member, z.keys())
     assert len(cut) <= 3
     assert sum((z[e] for e in cut), Fraction(0)) <= 2
@@ -232,7 +232,26 @@ def test_small_boundary_set_rejects_bad_z():
     bad = dict(x)
     bad[basis.frac_edges[0]] = Fraction(1)  # not strictly fractional
     with pytest.raises(ValueError, match="not strictly fractional"):
-        small_boundary_set(basis, ScaledPoint.of(inst.graph, bad))
+        small_boundary_set(basis, ScaledPoint.of(inst.graph, bad), req)
+
+
+def test_small_boundary_set_without_a_small_member_carries_a_dump():
+    # every member of this hand-built basis has 4 fractional boundary
+    # edges (integral mass 2), which the token-counting bound rules out
+    g = complete_graph(5)
+    req = Requirement(g, 4, {}, 3)
+    point = ScaledPoint(g, [1] * g.m, 2)  # x = 1/2 everywhere
+    frac = tuple(range(g.m))
+    sets = (frozenset({1}), frozenset({2}))
+    rows = tuple(tuple(int(e in boundary(g, s)) for e in frac) for s in sets)
+    basis = certmod.LaminarBasis(sets, (), frac, rows)
+    with pytest.raises(certmod.CertificationError,
+                       match="no member with at most 3") as err:
+        small_boundary_set(basis, point, req)
+    assert err.value.dump is not None
+    payload = json.loads(err.value.dump.splitlines()[-1])
+    assert payload["point"] == {str(e): "1/2" for e in frac}
+    assert payload["threshold"] == 3
 
 
 def test_uncross_witness_intersection_union():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from kecss import instances
+from kecss import instances, lp
 from kecss.cli import main
 from kecss.graphs import edge_connectivity, make_graph
 from kecss.instances import (MAX_EDGES, MAX_K, MAX_VALUE, MAX_VERTICES,
@@ -491,6 +491,25 @@ def test_cli_bench_quotes_status_text_with_commas(tmp_path: Path):
     status = {tuple(row[:2]): row[-1] for row in rows[1:]}
     assert status[("short.txt", "ecss")] == f"parse-error: {err.value}"
     assert status[("k5.txt", "ecsm")] == "ok"
+
+
+def test_cli_bench_records_an_internal_fault_and_keeps_going(tmp_path: Path,
+                                                             monkeypatch):
+    # a fault that `kecss run` exits 5 on is the row's status, not a traceback
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "hub.txt").write_text(emit_instance(gen("prism-hub-k6")))
+    out = tmp_path / "bench.csv"
+    monkeypatch.setattr(lp, "_MAX_PIVOTS", 2)
+    assert main(["bench", "--dir", str(corpus), "--out", str(out),
+                 "--modes", "ecss,ecsm"]) == 0
+    with out.open(newline="") as f:
+        rows = list(csv.reader(f))
+    assert [row[:5] for row in rows[1:]] == [["hub.txt", mode, "10", "36", "6"]
+                                             for mode in ("ecss", "ecsm")]
+    assert [row[-1] for row in rows[1:]] == ["aborted: simplex pivot limit exceeded",
+                                             "aborted: dual simplex pivot limit exceeded"]
+    assert all(row[5:-1] == [""] * 8 for row in rows[1:])
 
 
 def test_cli_certify_rejects_malformed_solution(tmp_path: Path):

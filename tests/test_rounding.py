@@ -13,7 +13,7 @@ from kecss.rounding import (MODES, InfeasibleInstance, _finish,
                             _solve_unbounded_cut_lp, approximation_factor,
                             bicriteria, kecsm, kecsm_core, kecss, kecss_even,
                             md_kecsm, md_kecss)
-from kecss.separation import Violated, separate_fast
+from kecss.separation import ScaledPoint, Violated, separate_fast
 
 from conftest import (degree_bounds_for, hub_cost_variant, prism_hub_edges,
                       random_cost_hub, random_feasible)
@@ -521,3 +521,36 @@ def test_certified_runs_above_sixteen_vertices():
             assert rec.basis_size == rec.frac_support > 0
             assert rec.small_member is not None
 
+
+def _degree_active_reference(point, vertices):
+    # fractional degree over the edges with 0 < x_e < 1, as Fractions
+    x = [Fraction(w, point.denom) for w in point.weights]
+    still = set()
+    for v in vertices:
+        meeting = [e for e in crossing(point.graph, 1 << (v - 1)) if 0 < x[e] < 1]
+        fdeg = sum((x[e] for e in meeting), Fraction(0))
+        if fdeg > 2 or len(meeting) - fdeg > 2:
+            still.add(v)
+    return frozenset(still)
+
+
+def test_degree_active_matches_a_fraction_reference_at_the_boundary():
+    # K6 doubled: each vertex meets 10 edges; small denominators make a
+    # fractional degree (or its complement) of exactly 2 common, where the
+    # strict > keeps the vertex out
+    g = make_graph(6, [(u, v, 1) for u in range(1, 7) for v in range(u + 1, 7)] * 2)
+    rng = random.Random(16)
+    at_two = {"degree": 0, "complement": 0}
+    for _ in range(400):
+        denom = rng.choice((1, 2, 3, 4, 6))
+        weights = [rng.choice((0, denom, rng.randint(0, denom))) for _ in range(g.m)]
+        point = ScaledPoint(g, weights, denom)
+        vertices = frozenset(v for v in range(1, 7) if rng.random() < 0.8)
+        assert rounding._degree_active(point, vertices) == \
+            _degree_active_reference(point, vertices)
+        for v in vertices:
+            meeting = [w for e, w in enumerate(weights)
+                       if 0 < w < denom and e in crossing(g, 1 << (v - 1))]
+            at_two["degree"] += sum(meeting) == 2 * denom
+            at_two["complement"] += len(meeting) * denom - sum(meeting) == 2 * denom
+    assert min(at_two.values()) >= 20, at_two

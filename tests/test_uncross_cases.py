@@ -183,5 +183,5 @@ def test_extract_laminar_with_degree_tight_vertices():
     assert len(basis.degree_vertices) == 6
     assert len(basis.sets) == 3
     assert all(len(s) == 2 for s in basis.sets)
-    member = small_boundary_set(basis, p)
+    member = small_boundary_set(basis, p, req)
     assert member  # the token bound holds with degree-tight members too
