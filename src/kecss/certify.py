@@ -70,12 +70,12 @@ class VerifyReport:
     cost: Fraction
     failures: list[str]
     witness_cut: frozenset[int] | None = None
-    degree_violations: list[tuple[int, int, Fraction, Fraction]] | None = None
+    degree_violations: list[tuple[int, int, int, int]] | None = None
 
 
 def verify(graph: Multigraph, multiplicity: Mapping[int, int],
            connectivity_target: int, cost_bound: Fraction | None,
-           degree_window: Mapping[int, tuple[Fraction, Fraction]] | None = None,
+           degree_window: Mapping[int, tuple[int, int]] | None = None,
            ecss_mode: bool = False) -> VerifyReport:
     """Check connectivity, exact cost bound, and optional degree windows."""
     failures: list[str] = []

@@ -148,7 +148,10 @@ def _cmd_certify(inst: Instance, args: argparse.Namespace) -> int:
         cost = Fraction(payload["cost"])
         lp_value = Fraction(payload["lp"])
         claimed_conn = _json_int(payload["connectivity"])
-        mult = {_json_int(rec["id"]): _json_int(rec["mult"]) for rec in payload["edges"]}
+        edges = [(_json_int(rec["id"]), _json_int(rec["mult"])) for rec in payload["edges"]]
+        mult = dict(edges)
+        if len(mult) < len(edges):
+            raise ValueError("an edge id is listed twice")
     except (OSError, KeyError, TypeError, ValueError, ArithmeticError) as exc:
         # ArithmeticError: a zero denominator, or an infinite number
         print(f"parse error in solution file: {exc}", file=sys.stderr)

@@ -1,9 +1,10 @@
 """Multigraph representation and exact cut machinery.
 
 Vertices are 1..n.  Edge ids are dense 0..m-1 and parallel edges are kept
-as distinct ids; self-loops are rejected.  The cut kernels take edge
-weights as a list of nonnegative ints indexed by edge id, so every cut
-value and comparison is integer arithmetic; a caller with rational
+as distinct ids; self-loops are rejected.  Edge costs are Fractions,
+summed as integers over one denominator (`costs`).  The cut kernels take
+edge weights as a list of nonnegative ints indexed by edge id, so every
+cut value and comparison is integer arithmetic; a caller with rational
 capacities scales them once to a common denominator (`lp.common`) and
 scales its bounds with them.  `min_cut` is Stoer-Wagner with a
 heap-ordered maximum-adjacency order; `cuts_below` enumerates every cut
@@ -19,6 +20,8 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
 from typing import Iterable, Mapping, Sequence
+
+from .lp import common
 
 
 @dataclass(frozen=True)
@@ -52,8 +55,8 @@ class Multigraph:
         return len(self.edges)
 
     def cost_of(self, multiplicity: Mapping[int, int]) -> Fraction:
-        return sum((self.edges[e].cost * m for e, m in multiplicity.items()),
-                   Fraction(0))
+        nums, den = self.costs
+        return Fraction(sum(nums[e] * m for e, m in multiplicity.items()), den)
 
     def degree(self, v: int) -> int:
         return len(crossing(self, 1 << (v - 1)))
@@ -63,6 +66,12 @@ class Multigraph:
         """Per edge id, the vertex mask of its two endpoints.  The edge
         crosses a side's mask exactly when `0 != mask & ends != ends`."""
         return tuple((1 << (e.u - 1)) | (1 << (e.v - 1)) for e in self.edges)
+
+    @cached_property
+    def costs(self) -> tuple[tuple[int, ...], int]:
+        """Edge costs as (integer numerators by id, one denominator)."""
+        nums, den = common([e.cost for e in self.edges])
+        return tuple(nums), den
 
 
 def make_graph(n: int, edges: Iterable[tuple[int, int, int | Fraction]]) -> Multigraph:

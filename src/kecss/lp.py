@@ -5,18 +5,21 @@ optimum is a vertex of the feasible region, certified by an explicit
 full-rank set of tight rows and bounds.  A lazy-constraint loop drives
 the solver from a separation callback.
 
-A cold solve has one start and no artificial columns.  Every row gets a
-slack column (>= 0, or fixed at 0 for an equation), and the slacks form
-the starting basis; every structural column starts at its upper bound
-when that is finite (covering LPs then start feasible), else at its
-lower bound.  When every slack lies within its bounds the primal simplex
-runs at once.  Otherwise the cost is first clipped to the sign that each
-column's bound admits (c_j kept when c_j > 0 at the lower bound or
-c_j < 0 at the upper bound, else 0), which makes the start dual
-feasible, and the dual simplex below reaches a feasible basis or proves
-that there is none (dual phase 1 by cost modification; Koberstein and
-Suhl, Comput. Optim. Appl. 37, 2007).  The primal simplex then finishes
-from there with the true cost.
+A cold solve has one start and no artificial columns.  The tableau
+starts with the structural columns alone, each at its upper bound when
+that is finite (covering LPs then start feasible), else at its lower
+bound, and is priced with no rows.  The LP's rows then come in through
+`add_rows`, the one way in for rows, which the lazy loop's cuts also
+take: every row gets a slack column (>= 0, or fixed at 0 for an
+equation), and the slacks form the starting basis.  When every slack
+lies within its bounds the primal simplex runs at once.  Otherwise the
+cost is first clipped to the sign that each column's bound admits (c_j
+kept when c_j > 0 at the lower bound or c_j < 0 at the upper bound,
+else 0), which makes the start dual feasible, and the dual simplex
+below reaches a feasible basis or proves that there is none (dual phase
+1 by cost modification; Koberstein and Suhl, Comput. Optim. Appl. 37,
+2007).  The primal simplex then finishes from there with the true
+cost.
 
 The tableau is fraction-free (Edmonds 1967, Bareiss 1968): row i is a
 list of Python ints with its own positive denominator den[i], so entry c
@@ -27,8 +30,11 @@ p = |matrix[i][j]| sets den[i] = p (flipping the row's sign if needed);
 every other row r with f = matrix[r][j] != 0 becomes
 matrix[r] * p - f * matrix[i] over den[r] * p, and is then divided by
 gcd(den[r], *matrix[r]) so that every row stays in lowest terms.  The
-reduced costs are one more integer row over a positive denominator,
-updated by the same row operation, so comparing them compares ints.
+objective is priced as integer numerators over one denominator cost_den
+(`common`), so the reduced costs, in units of 1/cost_den, are one more
+integer row over a positive denominator, updated by the same row
+operation; a positive scale changes no entering choice, ratio test or
+tie, and comparing reduced costs compares ints.
 
 Bounds are ints, and each nonbasic column's bound value is folded into
 the last column: row i's last entry is den[i] times the value of
@@ -38,25 +44,24 @@ column j from the last column (`_shift`); a common divisor of a row's
 other entries divides that change, so rows stay in lowest terms.  A
 bound flip is one shift; a pivot unfolds the entering column, eliminates
 and folds the leaving column at its bound.  The ratio tests and bound
-checks compare integer cross-products, so the only Fractions the
-simplex holds are the LP and its cost.
+checks compare integer cross-products, so the simplex holds no Fraction.
 
 Pivoting uses a largest-reduced-cost rule that switches to Bland's rule
 whenever the objective stalls, which guarantees termination.
 
 The lazy loop keeps one tableau for all its rounds, as in the
-cutting-plane loop of Applegate, Bixby, Chvatal and Cook (Concorde).
-The first relaxation is solved exactly as `solve` does.  Each violated
-row the oracle returns is appended with a new basic slack column and
-expressed in the current basis, which leaves the basis dual feasible
-(the reduced costs are unchanged) but primal infeasible (the slack is
-negative).  A bounded dual simplex then re-optimises: the leaving row
-holds the out-of-bounds basic variable with the smallest column index,
-and the entering column minimises |red_j| / |a_rj| among the nonbasic
-columns whose move pushes that variable towards its violated bound,
-ties going to the smallest column (Bland's rule for the dual, so the
-loop terminates).  When no column can move it, the relaxation is
-infeasible.
+cutting-plane loop of Applegate, Bixby, Chvatal and Cook (Concorde);
+`solve` is that loop with an oracle that returns no rows.  Each
+violated row the oracle returns is appended with a new basic slack
+column and expressed in the current basis, which leaves the basis dual
+feasible (the reduced costs are unchanged) but primal infeasible (the
+slack is negative).  A bounded dual simplex then re-optimises: the
+leaving row holds the out-of-bounds basic variable with the smallest
+column index, and the entering column minimises |red_j| / |a_rj| among
+the nonbasic columns whose move pushes that variable towards its
+violated bound, ties going to the smallest column (Bland's rule for the
+dual, so the loop terminates).  When no column can move it, the
+relaxation is infeasible.
 
 The point leaves the tableau as integers: each basic value is its row's
 last entry over den[i] and each nonbasic column sits at its int bound,
@@ -82,8 +87,6 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, Sequence
-
-ZERO = Fraction(0)
 
 GE = ">="
 LE = "<="
@@ -113,19 +116,19 @@ class LpRow:
 
 
 def _exact(v: int | Fraction) -> int | Fraction:
-    return v if type(v) is int else Fraction(v)
+    return v if type(v) in (int, Fraction) else Fraction(v)
 
 
 def row(coeffs: dict[int, int | Fraction], sense: str, rhs: int | Fraction) -> LpRow:
-    """An LpRow without zero coefficients; ints stay ints, other values
-    become Fractions."""
+    """An LpRow without zero coefficients; ints and Fractions stay as they
+    are, other values become Fractions."""
     return LpRow({j: _exact(c) for j, c in sorted(coeffs.items()) if c != 0},
                  sense, _exact(rhs))
 
 
 @dataclass(frozen=True)
 class LpInstance:
-    objective: tuple[Fraction, ...]
+    objective: tuple[int | Fraction, ...]
     lower: tuple[int, ...]
     upper: tuple[int | None, ...]  # None means +infinity
     rows: tuple[LpRow, ...]
@@ -151,7 +154,7 @@ class LpInstance:
 
 def instance(objective: Sequence[int | Fraction], lower: Sequence[int],
              upper: Sequence[int | None], rows: Sequence[LpRow]) -> LpInstance:
-    return LpInstance(tuple(Fraction(c) for c in objective), tuple(lower),
+    return LpInstance(tuple(map(_exact, objective)), tuple(lower),
                       tuple(upper), tuple(rows))
 
 
@@ -179,33 +182,25 @@ class _Simplex:
 
     def __init__(self, lp: LpInstance):
         self.lp = lp
-        ns = lp.num_vars
-        self.ns = ns
-        m = len(lp.rows)
-        self.m = m
-        # the rows so far, and each as (scale, integer coefficients,
-        # integer rhs)
-        self.rows: list[LpRow] = list(lp.rows)
-        self.scaled = [_scaled(r) for r in self.rows]
-        # columns: structurals 0..ns-1, slack of row i at ns+i; row i holds
-        # integers whose values are entry / den[i]
-        self.lower: list[int] = list(lp.lower) + [0] * m
-        self.upper: list[int | None] = list(lp.upper) + [
-            0 if r.sense == EQ else None for r in self.rows]
-        self.total = cols = ns + m
-        # the slacks are basic; a structural starts at its finite upper
-        # bound if it has one (covering LPs start feasible)
-        self.status = ["L" if up is None else "U" for up in lp.upper] + ["B"] * m
-        self.basis = list(range(ns, cols))
-        at = self._folded()
-        self.matrix = [_tableau_row(r, sc, ns + i, cols, at)
-                       for i, (r, sc) in enumerate(zip(self.rows, self.scaled))]
-        self.den = [scale for scale, _, _ in self.scaled]
-        self.movable = [j for j in range(cols)
-                        if self.upper[j] is None or self.lower[j] != self.upper[j]]
+        self.ns = self.total = lp.num_vars
+        # columns: structurals 0..ns-1, slack of row i at ns+i.  add_rows
+        # fills in the rows, each also as (scale, integer coefficients,
+        # integer rhs), and tableau row i: ints over den[i], basic in basis[i]
+        self.m = 0
+        self.rows: list[LpRow] = []
+        self.scaled: list[tuple[int, list[tuple[int, int]], int]] = []
+        self.matrix: list[list[int]] = []
+        self.den, self.basis = [], []
+        self.lower: list[int] = list(lp.lower)
+        self.upper: list[int | None] = list(lp.upper)
+        self.status = ["L" if up is None else "U" for up in lp.upper]
+        self.movable = [j for j, (lo, up) in enumerate(zip(lp.lower, lp.upper))
+                        if up is None or lo != up]
         self.pivots = self.bound_flips = 0
-        # the objective as integers over one denominator, for every round's value
+        # the objective as integers over one denominator: prices and values
         self.cost_nums, self.cost_den = common(lp.objective)
+        self._start(self.cost_nums)
+        self.add_rows(lp.rows)
 
     def _folded(self) -> list[int]:
         """Each structural column's value folded into the last column: its
@@ -223,12 +218,11 @@ class _Simplex:
 
     def solve(self) -> None:
         """Cold solve from the starting basis (see the module docstring)."""
-        cost = list(self.lp.objective)
-        self._start(cost)
         if self._leaving() >= 0:
             # keep c_j where its sign suits column j's bound (c_j > 0 at
             # L, c_j < 0 at U), else 0: the start is then dual feasible
-            self._start([c if (c > 0) == (st == "L") else ZERO
+            cost = self.cost_nums
+            self._start([c if (c > 0) == (st == "L") else 0
                          for c, st in zip(cost, self.status)])
             self._dual()
             self._start(cost)
@@ -252,59 +246,56 @@ class _Simplex:
 
     # -- setup -----------------------------------------------------------
 
-    def _start(self, cost: list[Fraction]) -> None:
-        """Price the current basis with cost (padded with zeros): red /
-        red_den are the reduced costs (0 on basic columns), then minus the
-        objective."""
-        self.cost = cost = cost + [ZERO] * (self.total - len(cost))
-        basic = [(i, cost[col]) for i, col in enumerate(self.basis) if cost[col]]
-        den = lcm(*(c.denominator for c in cost if c),
-                  *(c.denominator * self.den[i] for i, c in basic))
-        red = [c.numerator * (den // c.denominator) for c in cost]
-        # only structural columns have a cost
-        red.append(-sum(map(mul, red, self._folded())))
-        # basic columns are unit vectors, so their reduced cost comes out 0
-        for i, c in basic:
-            f = c.numerator * (den // (c.denominator * self.den[i]))
-            for j, a in enumerate(self.matrix[i]):
-                if a:
-                    red[j] -= f * a
-        g = gcd(den, *red)
-        self.red, self.red_den = [a // g for a in red], den // g
+    def _start(self, cost: list[int]) -> None:
+        """Price the current basis with the integer cost (the structural
+        columns' prices in units of 1/cost_den, padded with zeros): red /
+        red_den are the reduced costs in the same units (0 on basic
+        columns), then minus the objective."""
+        self.cost = cost = cost + [0] * (self.total - len(cost))
+        # only structural columns have a cost; eliminating each priced
+        # basic row, a unit vector in its basic column, zeroes that column
+        red, den = cost + [-sum(map(mul, cost, self._folded()))], 1
+        for col, vec, p in zip(self.basis, self.matrix, self.den):
+            if cost[col]:
+                nz = [(c, a) for c, a in enumerate(vec) if a]
+                red, den = _eliminate(red, den, cost[col] * den, nz, p)
+        self.red, self.red_den = red, den
 
     def add_rows(self, rows: Sequence[LpRow]) -> None:
-        """Append rows to a solved tableau, each with a new basic slack
-        column, expressed in the current basis.  The reduced costs do not
-        change, so an optimal basis stays dual feasible; a row violated
-        at the current point leaves its slack below 0."""
+        """Append rows to the priced tableau, each with a new basic slack
+        column, expressed in the current basis: the cold tableau's rows
+        and every lazy round's cuts come in here.  The existing rows and
+        the reduced-cost row widen once, by one zero per new slack.  The
+        reduced costs do not change, so an optimal basis stays dual
+        feasible; a row violated at the current point leaves its slack
+        below 0."""
         at = self._folded()
-        for r in rows:
-            sc = _scaled(r)
-            slack = self.total
-            for vec in self.matrix:
-                vec.insert(slack, 0)
-            self.red.insert(slack, 0)
-            self.total += 1
-            vec = _tableau_row(r, sc, slack, self.total, at)
-            den = sc[0]
-            # no basic row touches the slack, so it ends up holding +den
-            for i, col in enumerate(self.basis):
-                f = vec[col]
-                if f:
-                    nz = [(c, a) for c, a in enumerate(self.matrix[i]) if a]
-                    vec, den = _eliminate(vec, den, f, nz, self.den[i])
+        first, added = self.total, len(rows)
+        pad = [0] * added
+        for vec in self.matrix:
+            vec[first:first] = pad
+        self.red[first:first] = pad
+        self.total += added
+        old = list(zip(self.basis, self.matrix, self.den))
+        scaled = [_scaled(r) for r in rows]
+        for slack, (r, sc) in enumerate(zip(rows, scaled), first):
+            vec, den = _tableau_row(r, sc, slack, self.total, at), sc[0]
+            # no basic row touches a new slack, so it ends up holding +den
+            for col, prow, p in old:
+                if vec[col]:
+                    nz = [(c, a) for c, a in enumerate(prow) if a]
+                    vec, den = _eliminate(vec, den, vec[col], nz, p)
             self.matrix.append(vec)
             self.den.append(den)
-            self.basis.append(slack)
-            self.m += 1
-            self.lower.append(0)
-            self.upper.append(0 if r.sense == EQ else None)
-            self.status.append("B")
-            self.cost.append(ZERO)
-            if r.sense != EQ:
-                self.movable.append(slack)
-            self.rows.append(r)
-            self.scaled.append(sc)
+        self.basis += range(first, self.total)
+        self.status += ["B"] * added
+        self.lower += pad
+        self.upper += [0 if r.sense == EQ else None for r in rows]
+        self.movable += [j for j, r in enumerate(rows, first) if r.sense != EQ]
+        self.cost += pad
+        self.rows += rows
+        self.scaled += scaled
+        self.m += added
 
     # -- core ------------------------------------------------------------
 
@@ -505,7 +496,7 @@ def _scaled(r: LpRow) -> tuple[int, list[tuple[int, int]], int]:
             r.rhs.numerator * (scale // r.rhs.denominator))
 
 
-def common(values: Sequence[Fraction]) -> tuple[list[int], int]:
+def common(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
     """values as integers over their least common denominator, as
     (numerators, denominator)."""
     den = lcm(*(v.denominator for v in values))
@@ -642,9 +633,7 @@ def _optimum(simplex: _Simplex) -> BasicOptimum:
 
 def solve(lp: LpInstance) -> BasicOptimum:
     """Optimal vertex of the feasible region, or LpInfeasible/LpUnbounded."""
-    simplex = _Simplex(lp)
-    simplex.solve()
-    return _optimum(simplex)
+    return solve_lazy(lp, lambda nums, denom: []).optimum
 
 
 # called with the point as (integer numerators, denominator)

@@ -428,10 +428,8 @@ def _finish(graph: Multigraph, mode: Mode, k: int, mult: dict[int, int],
     """Verify the output against the mode's guarantee at k, degrees within
     [lower - 2, upper + 2] when `bounds` are given."""
     target, factor = mode.guarantee(graph, k)
-    window = None
-    if bounds is not None:
-        window = {v: (Fraction(lo - 2), Fraction(hi + 2))
-                  for v, lo, hi in zip(range(1, graph.n + 1), *bounds)}
+    window = None if bounds is None else {
+        v: (lo - 2, hi + 2) for v, lo, hi in zip(range(1, graph.n + 1), *bounds)}
     mult = {e: m for e, m in sorted(mult.items()) if m}
     report = certmod.verify(graph, mult, target, factor * lp_value, window,
                             ecss_mode=(mode.family == "ecss"))

@@ -533,6 +533,27 @@ def test_cli_certify_rejects_malformed_solution(tmp_path: Path):
         assert code == 2 and _one_line_error(err)
 
 
+def test_cli_certify_rejects_duplicate_edge_ids(tmp_path: Path, capsys):
+    # a later entry for an edge id used to overwrite an earlier one: edge
+    # 0 listed twice at mult 1 certified, and a second entry at mult 0
+    # was checked as if edge 0 were left out
+    inst_path = tmp_path / "prism.txt"
+    sol_path = tmp_path / "sol.json"
+    inst_path.write_text(emit_instance(gen("prism-k3")))
+    assert main(["run", "--mode", "ecss", "--k", "4", "--input", str(inst_path),
+                 "--solution", str(sol_path)]) == 0
+    payload = json.loads(sol_path.read_text())
+    assert {"id": 0, "mult": 1} in payload["edges"]
+    for i, extra in enumerate(({"id": 0, "mult": 1}, {"id": 0, "mult": 0})):
+        dup_path = tmp_path / f"dup{i}.json"
+        dup_path.write_text(json.dumps(dict(payload, edges=payload["edges"] + [extra])))
+        capsys.readouterr()
+        assert main(["run", "--mode", "certify", "--input", str(inst_path),
+                     "--solution", str(dup_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "parse error in solution file: an edge id is listed twice\n"
+
+
 _SOLUTION = {"mode": "ecsm", "k": 4, "cost": "10/1", "lp": "10/1",
              "connectivity": 4, "edges": [{"id": 0, "mult": 1}]}
 

@@ -545,6 +545,47 @@ def test_pivot_sequence_pinned():
         assert got == expected[name], name
 
 
+def _tableau_state(s):
+    return (s.matrix, s.den, s.basis, s.status, s.movable, s.red, s.red_den,
+            s.cost)
+
+
+def test_add_rows_at_once_equals_one_at_a_time(monkeypatch):
+    # the hub LP's cut rows, as its lazy loop adds them, appended to its
+    # solved tableau in one call and one by one; and the cold tableau of
+    # the hub LP against its bare columns given the degree rows one by one
+    hub = gen("prism-hub-k6").graph
+    inst = _pin_instances()["hub"]
+    cuts = lp.solve_lazy(inst, _cut_oracle(hub, 6)).rows[len(inst.rows):]
+    assert len(cuts) == 3
+    pivots = []
+    pivot = lp._Simplex._pivot
+
+    def recorded(self, i, j, leaving_status):
+        pivots.append((self, i, j, leaving_status))
+        pivot(self, i, j, leaving_status)
+
+    monkeypatch.setattr(lp._Simplex, "_pivot", recorded)
+    at_once, one_by_one = lp._Simplex(inst), lp._Simplex(inst)
+    at_once.solve()
+    one_by_one.solve()
+    at_once.add_rows(cuts)
+    for r in cuts:
+        one_by_one.add_rows([r])
+    assert _tableau_state(at_once) == _tableau_state(one_by_one)
+    pivots.clear()
+    at_once._dual()
+    one_by_one._dual()
+    seq = [[step[1:] for step in pivots if step[0] is s] for s in (at_once, one_by_one)]
+    assert seq[0] == seq[1] and seq[0]
+    assert _tableau_state(at_once) == _tableau_state(one_by_one)
+    cold = lp._Simplex(inst)
+    bare = lp._Simplex(lp.LpInstance(inst.objective, inst.lower, inst.upper, ()))
+    for r in inst.rows:
+        bare.add_rows([r])
+    assert _tableau_state(cold) == _tableau_state(bare)
+
+
 def test_recheck_vertex_accepts_pinned_lps():
     # integer rows scaled from Fraction coefficients (beale's), from the
     # hub LP at its bounds, and from the multigraph LP

@@ -1,5 +1,6 @@
 import json
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from kecss import certify, graphs, rounding, separation
 from kecss.certify import CertificationError
 from kecss.graphs import (complete_graph, crossing, cuts_below, cycle_graph,
                           edge_connectivity, make_graph, vertex_mask)
-from kecss.instances import gen
+from kecss.instances import Instance, gen
 from kecss.rounding import (MODES, InfeasibleInstance, _finish,
                             _solve_unbounded_cut_lp, approximation_factor,
                             bicriteria, kecsm, kecsm_core, kecss, kecss_even,
@@ -471,6 +472,35 @@ def test_fractional_costs_through_api():
     sol, trace = kecsm_core(g, 4)
     assert sol.cost == 2 * (Fraction(1, 3) + Fraction(1, 2) + Fraction(5, 7))
     assert sol.connectivity == 4
+    # a third of every cost scales every cost and LP value by 1/3 and
+    # changes nothing else, in every mode and certification setting
+    third = Fraction(1, 3)
+    instances = [gen("prism-hub-k6"), gen("prism-k3"),
+                 gen("random", seed=3, n=7, p=0.5, k=4, ensure_connectivity=4)]
+    runs = 0
+    for inst in instances:
+        scaled = Instance(make_graph(inst.graph.n, [(e.u, e.v, e.cost * third)
+                                                    for e in inst.graph.edges]),
+                          inst.k, inst.bounds)
+        for name, mode in MODES.items():
+            for certify_flag in (True, False):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # k=2 returns the empty subgraph
+                    sol, trace = mode.run(inst, certify=certify_flag)
+                    sol3, trace3 = mode.run(scaled, certify=certify_flag)
+                key = (inst.graph.n, name, certify_flag)
+                assert sol3.cost == sol.cost * third, key
+                assert sol3.lp_value == sol.lp_value * third, key
+                assert sol3.multiplicity == sol.multiplicity, key
+                assert len(trace3.iterations) == len(trace.iterations), key
+                for rec, rec3 in zip(trace.iterations, trace3.iterations):
+                    assert rec3.lp_value == rec.lp_value * third, key
+                    assert ((rec3.picked, rec3.frac_support, rec3.lazy_rounds,
+                             rec3.lp_rows, rec3.point)
+                            == (rec.picked, rec.frac_support, rec.lazy_rounds,
+                                rec.lp_rows, rec.point)), key
+                runs += 1
+    assert runs == 30
 
 
 # ecsm at k=2 on a random graph (n=10, m=22): the first multigraph LP sets

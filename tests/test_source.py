@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import kecss
+from kecss import lp
 from test_golden import GOLDEN
 
 TESTS = Path(__file__).resolve().parent
@@ -70,3 +71,20 @@ def test_no_subset_enumeration_in_package():
                             for arg in node.args for inner in ast.walk(arg))):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_simplex_names_no_fraction():
+    # the simplex prices, pivots and ratio-tests in integers; Fractions
+    # belong to the LP API around it, and lp.py keeps no Fraction zero
+    tree = ast.parse(Path(lp.__file__).read_text())
+    simplex = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == "_Simplex")
+    named = {node.id for node in ast.walk(simplex) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(simplex) if isinstance(node, ast.Attribute)}
+    assert named & {"Fraction", "ZERO"} == set()
+    defined = {target.id for node in ast.walk(tree)
+               if isinstance(node, (ast.Assign, ast.AnnAssign))
+               for target in (node.targets if isinstance(node, ast.Assign)
+                              else [node.target])
+               if isinstance(target, ast.Name)}
+    assert "ZERO" not in defined
