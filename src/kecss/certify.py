@@ -8,7 +8,7 @@ implementation bug and raised as CertificationError with enough state to
 reproduce it.
 
 Each extreme point is checked in integer arithmetic on one
-`separation.ScaledPoint`, the one form in which a point enters
+`graphs.ScaledPoint`, the one form in which a point enters
 separation and certification: x over one denominator with each support
 edge's endpoint bits, so every x-mass the checks compare (across a cut
 side, between two vertex classes, at a degree-tight vertex, on a basis
@@ -19,8 +19,8 @@ picked multiplicity) is exactly k; they are found among the cuts of
 capacity at most k by `cuts_below`, with polynomial delay at any n,
 since at the solvers' points every cut has capacity at least k/2 and
 such near-minimum cuts are polynomially many (Karger 2000).  The
-vertex recheck reduces integer-scaled tight rows with its own rank
-routine, independent of the simplex's certificate.
+vertex recheck runs the simplex's rank routine over the LP's own rows
+in index order, independent of the simplex's basis.
 """
 
 from __future__ import annotations
@@ -33,9 +33,10 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import lp as lpmod
-from .graphs import Multigraph, crossing, cuts_below, mask_vertices, min_cut, vertex_mask
+from .graphs import (Multigraph, ScaledPoint, crossing, cuts_below, mask_vertices, min_cut,
+                     vertex_mask)
 from .requirements import DegreeState, Requirement
-from .separation import ScaledPoint, mixed_capacities
+from .separation import mixed_capacities
 
 
 class CertificationError(AssertionError):
@@ -89,9 +90,10 @@ def verify(graph: Multigraph, multiplicity: Mapping[int, int],
             mult[e] = m
             if ecss_mode and m > 1:
                 failures.append(f"edge {e} has multiplicity {m} in subgraph mode")
+    point = ScaledPoint(graph, [mult.get(e, 0) for e in range(graph.m)], 1)
     conn, side = 0, frozenset()  # a single vertex has no cut to count
     if graph.n > 1:
-        conn, side = min_cut(graph, [mult.get(e, 0) for e in range(graph.m)])
+        conn, side = min_cut(graph, point.weights)
     if conn < connectivity_target:
         witness = side
         failures.append(f"connectivity {conn} below target {connectivity_target} "
@@ -102,7 +104,7 @@ def verify(graph: Multigraph, multiplicity: Mapping[int, int],
     degree_violations = []
     if degree_window is not None:
         for v, (lo, hi) in sorted(degree_window.items()):
-            deg = sum(mult[e] for e in crossing(graph, 1 << (v - 1), mult))
+            deg = point.cross(1 << (v - 1))
             if not lo <= deg <= hi:
                 degree_violations.append((v, deg, lo, hi))
                 failures.append(f"degree {deg} of vertex {v} outside [{lo}, {hi}]")
@@ -438,24 +440,11 @@ def small_boundary_set(basis: LaminarBasis, point: ScaledPoint,
 
 
 def recheck_vertex(inst: lpmod.LpInstance, opt: lpmod.BasicOptimum) -> None:
-    """Independent full-rank check of the tight constraints at the point.
-
-    The tight bounds' unit vectors span their columns, so the rank is
-    their column count plus the rank of the tight rows restricted to the
-    other columns; each row is scaled to integers by the lcm of its
-    coefficient denominators and reduced by `lp.RankTracker`.
-    """
-    nv = inst.num_vars
-    bounded = {j for j, _ in opt.tight_bounds}
-    tracker = lpmod.RankTracker()
-    for i in opt.tight_rows:
-        if len(bounded) + tracker.rank == nv:
-            break
-        coeffs = {j: c for j, c in inst.rows[i].coeffs.items() if j not in bounded}
-        scale = math.lcm(1, *(c.denominator for c in coeffs.values()))
-        tracker.add({j: c.numerator * (scale // c.denominator)
-                     for j, c in coeffs.items()})
-    rank = len(bounded) + tracker.rank
-    if rank != nv:
+    """Full-rank check of the tight constraints at the point: the
+    simplex's rank routine over the LP's own rows, in index order."""
+    scaled = [lpmod._scaled(r) for r in inst.rows]
+    rank = len(lpmod._rank_certificate(inst.num_vars, scaled, opt.tight_rows,
+                                       opt.tight_bounds))
+    if rank != inst.num_vars:
         raise CertificationError(
-            f"tight constraints have rank {rank} < {nv}: not a vertex")
+            f"tight constraints have rank {rank} < {inst.num_vars}: not a vertex")

@@ -2,9 +2,12 @@
 
 Vertices are 1..n.  Edge ids are dense 0..m-1 and parallel edges are kept
 as distinct ids; self-loops are rejected.  Edge costs are Fractions,
-summed as integers over one denominator (`costs`).  The cut kernels take
-edge weights as a list of nonnegative ints indexed by edge id, so every
-cut value and comparison is integer arithmetic; a caller with rational
+summed as integers over one denominator (`costs`).  `ScaledPoint` is
+the one weighted-edge type (an LP point, or an edge multiset over
+denominator 1) and its `cross` the one sum over the edges crossing a
+vertex set; `crossing` lists their ids.  The cut kernels take edge
+weights as a list of nonnegative ints indexed by edge id, so every cut
+value and comparison is integer arithmetic; a caller with rational
 capacities scales them once to a common denominator (`lp.common`) and
 scales its bounds with them.  `min_cut` is Stoer-Wagner with a
 heap-ordered maximum-adjacency order; `cuts_below` enumerates every cut
@@ -143,6 +146,63 @@ def _check_weights(graph: Multigraph, weights: Sequence[int]) -> None:
         w = weights[e]
         if not isinstance(w, int) or w < 0:
             raise ValueError(f"weight of edge {e} must be a nonnegative int, got {w!r}")
+
+
+class ScaledPoint:
+    """Edge weights by id as integers over one denominator: an LP point x
+    over its denominator, or an edge multiset over denominator 1.
+
+    `weights[e]` is x_e * `denom` for every edge id (0 off x's keys), a
+    nonnegative int, and `denom` is a positive int; anything else raises
+    ValueError.  `edges` lists the support (x_e > 0) by id as
+    (id, endpoint mask, weight), so every x-mass across or between
+    vertex masks is an integer sum.  Built once per point and shared by
+    every check on it.
+    """
+
+    def __init__(self, graph: Multigraph, weights: list[int], denom: int):
+        if not isinstance(denom, int) or denom <= 0:
+            raise ValueError(f"denominator must be a positive int, got {denom!r}")
+        _check_weights(graph, weights)
+        self.graph = graph
+        self.weights = weights
+        self.denom = denom
+
+    @classmethod
+    def of(cls, graph: Multigraph, x: Mapping[int, Fraction]) -> ScaledPoint:
+        """x (edge id -> int or Fraction) over its least common denominator."""
+        for e, val in x.items():
+            if not 0 <= e < graph.m:
+                raise ValueError(f"edge id {e} out of range")
+            if not isinstance(val, (int, Fraction)):
+                raise ValueError(f"x[{e}]={val!r} is not an exact rational")
+        scaled, denom = common(list(x.values()))
+        weights = [0] * graph.m
+        for e, w in zip(x, scaled):
+            weights[e] = w
+        return cls(graph, weights, denom)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """The support as (id, endpoint mask, weight), by id."""
+        ends = self.graph.ends
+        return tuple((e, ends[e], w) for e, w in enumerate(self.weights) if w)
+
+    def cross(self, mask: int) -> int:
+        """denom times the x-mass of the edges crossing the vertex mask."""
+        total = 0
+        for _, ends, w in self.edges:
+            if 0 != mask & ends != ends:
+                total += w
+        return total
+
+    def between(self, left: int, right: int) -> int:
+        """denom times the x-mass of the edges joining two disjoint masks."""
+        total = 0
+        for _, ends, w in self.edges:
+            if ends & left and ends & right:  # the masks are disjoint
+                total += w
+        return total
 
 
 def min_cut(graph: Multigraph, weights: Sequence[int]) -> tuple[int, frozenset[int]]:

@@ -215,6 +215,10 @@ def gen(kind: str, seed: int = 0, n: int = 8, p: float = 0.6,
     if not (0 <= cost <= MAX_VALUE and 0 <= cost_min <= cost_max <= MAX_VALUE):
         raise ValueError(f"costs must satisfy 0 <= cost, cost_min <= cost_max "
                          f"and lie within MAX_VALUE={MAX_VALUE}")
+    if not 0 <= p <= 1:  # also refuses nan
+        raise ValueError(f"p={p} outside [0, 1]")
+    if ensure_connectivity is not None and ensure_connectivity < 0:
+        raise ValueError(f"connectivity {ensure_connectivity} is negative")
     if (ensure_connectivity or 0) * n > 2 * MAX_EDGES:
         raise ValueError(f"connectivity {ensure_connectivity} on n={n} needs more "
                          f"than MAX_EDGES={MAX_EDGES} edges")

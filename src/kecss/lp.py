@@ -74,8 +74,8 @@ is certified by a full-rank set of tight constraints, all in integer
 arithmetic over the point's denominator.  The certificate takes the
 tight bounds, then the rows whose slack is nonbasic (at a basis these
 complete the rank, unless a basic value sits on its bound), then the
-other tight rows; `RankTracker`, the one integer elimination that
-`certify` shares, still checks each row's independence.  No solver
+other tight rows; `RankTracker` checks each row's independence, and
+`certify.recheck_vertex` runs this routine in row order.  No solver
 reads the Fraction `BasicOptimum.point`; it is built on first read.
 """
 
@@ -558,10 +558,11 @@ class RankTracker:
 
 
 def _rank_certificate(num_vars: int, scaled: list[tuple[int, list, int]],
-                      tight_rows: list[int],
-                      tight_bounds: list[tuple[int, str]]) -> list[tuple]:
-    """Greedy full-rank subset of tight constraints, as x-space row
-    vectors; scaled holds each row's integer coefficients (see _scaled).
+                      tight_rows: Sequence[int],
+                      tight_bounds: Sequence[tuple[int, str]]) -> list[tuple]:
+    """Greedy independent subset of the tight constraints in the given
+    order, as x-space row vectors: num_vars of them exactly at a vertex;
+    scaled holds each row's integer coefficients (see _scaled).
 
     A bound's unit vector is independent of the chosen ones unless its
     column is already bounded.  The chosen bounds span their columns, so
@@ -581,8 +582,6 @@ def _rank_certificate(num_vars: int, scaled: list[tuple[int, list, int]],
             break
         if tracker.add({c: a for c, a in scaled[i][1] if c not in bounded}):
             chosen.append(("row", i))
-    if len(chosen) != num_vars:
-        raise RuntimeError("solver returned a non-vertex point")
     return chosen
 
 
@@ -627,6 +626,8 @@ def _optimum(simplex: _Simplex) -> BasicOptimum:
     status, ns = simplex.status, simplex.ns
     order = sorted(tight_rows, key=lambda i: status[ns + i] == "B")
     cert = _rank_certificate(lp.num_vars, simplex.scaled, order, tight_bounds)
+    if len(cert) != lp.num_vars:
+        raise RuntimeError("solver returned a non-vertex point")
     return BasicOptimum(value, nums, denom, tight_rows, tight_bounds, cert,
                         simplex.pivots, simplex.bound_flips)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .graphs import Multigraph, edge_connectivity, vertex_mask
+from .graphs import Multigraph, ScaledPoint, edge_connectivity, vertex_mask
 
 
 @dataclass(frozen=True)
@@ -31,28 +31,25 @@ class Requirement:
     picked: Mapping[int, int] = field(default_factory=dict)
     threshold: int = 3
     degree: DegreeState | None = None
+    picked_point: ScaledPoint = field(init=False, repr=False, compare=False)  # over 1
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if self.threshold not in (2, 3):
             raise ValueError("threshold must be 2 or 3")
+        weights = [0] * self.graph.m
         for e, mult in self.picked.items():
             if not 0 <= e < self.graph.m:
                 raise ValueError(f"picked edge {e} out of range")
-            if mult < 1:
-                raise ValueError(f"picked multiplicity of edge {e} must be >= 1")
-        # (endpoint mask, multiplicity) pairs for fast boundary sums
-        ends = self.graph.ends
-        object.__setattr__(self, "_picked_edges", tuple(
-            (ends[e], mult) for e, mult in sorted(self.picked.items())))
+            if not isinstance(mult, int) or mult < 1:
+                raise ValueError(f"picked multiplicity of edge {e} must be an int >= 1")
+            weights[e] = mult
+        object.__setattr__(self, "picked_point", ScaledPoint(self.graph, weights, 1))
 
     def picked_crossing(self, mask: int) -> int:
-        total = 0
-        for ends, mult in self._picked_edges:
-            if 0 != mask & ends != ends:
-                total += mult
-        return total
+        """The picked multiplicity crossing the vertex mask."""
+        return self.picked_point.cross(mask)
 
     def residual_mask(self, mask: int) -> int:
         full = (1 << self.graph.n) - 1

@@ -33,14 +33,15 @@ import random
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from . import certify as certmod
 from . import lp as lpmod
-from .graphs import (Multigraph, crossing, edge_connectivity, is_connected, min_cut,
-                     vertex_mask)
+from .graphs import (Multigraph, ScaledPoint, crossing, edge_connectivity, is_connected,
+                     min_cut, vertex_mask)
 from .requirements import DegreeState, Requirement
-from .separation import Feasible, ScaledPoint, Violated, separate_fast
+from .separation import Feasible, Violated, separate_fast
 
 if TYPE_CHECKING:  # annotation only: importing kecss does not load the file format
     from .instances import Instance
@@ -76,7 +77,7 @@ class Solution:
 class IterationRecord:
     index: int
     lp_value: Fraction
-    point: dict[int, Fraction]
+    lp_point: ScaledPoint = field(repr=False)  # the iteration's LP point by edge id
     picked: list[int]
     frac_support: int
     dropped_witnesses: list[frozenset[int]]
@@ -85,6 +86,12 @@ class IterationRecord:
     witness_pairs_checked: int = 0
     lazy_rounds: int | None = None  # oracle rounds of the lazy loop, not cuts
     lp_rows: int | None = None      # rows of the final relaxation
+
+    @cached_property
+    def point(self) -> dict[int, Fraction]:
+        """The LP point's support as Fractions by edge id, built on first use."""
+        denom = self.lp_point.denom
+        return {e: Fraction(w, denom) for e, _, w in self.lp_point.edges}
 
 
 @dataclass
@@ -149,11 +156,12 @@ def _degree_rows(graph: Multigraph, working: Sequence[int], var_of: Mapping[int,
 def _degree_active(point: ScaledPoint, vertices: frozenset[int]) -> frozenset[int]:
     """The vertices whose degree rows stay enforced: fractional degree over
     the point's fractional support edges, or its complement, above 2."""
-    denom = point.denom
+    denom, weights = point.denom, point.weights
+    frac = [e for e, _, w in point.edges if w < denom]
     still = set()
     for v in vertices:
-        meeting = [w for _, ends, w in point.edges if w < denom and ends & (1 << (v - 1))]
-        fdeg = sum(meeting)
+        meeting = crossing(point.graph, 1 << (v - 1), frac)
+        fdeg = sum(weights[e] for e in meeting)
         if fdeg > 2 * denom or (len(meeting) - 2) * denom > fdeg:
             still.add(v)
     return frozenset(still)
@@ -319,8 +327,7 @@ def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
         lp0 = trace.lp0 = first.value
         trace.iterations.append(IterationRecord(
             index=0, lp_value=first.value,
-            point={e: Fraction(num, first.denom)
-                   for e, num in enumerate(first.nums) if num},
+            lp_point=ScaledPoint(graph, first.nums, first.denom),
             picked=sorted(mult), frac_support=len(working), dropped_witnesses=[],
             lazy_rounds=lazy.separation_calls, lp_rows=len(lazy.rows)))
 
@@ -338,17 +345,15 @@ def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
     def requirement() -> Requirement:
         state = None
         if degree_active is not None:
-            deg = [sum(mult[e] for e in crossing(graph, 1 << (v - 1), mult))
-                   for v in range(1, graph.n + 1)]
+            picked = ScaledPoint(graph, [mult.get(e, 0) for e in range(graph.m)], 1)
+            deg = [picked.cross(1 << (v - 1)) for v in range(1, graph.n + 1)]
             state = DegreeState(tuple(lo - d for lo, d in zip(bounds[0], deg)),
                                 tuple(hi - d for hi, d in zip(bounds[1], deg)),
                                 degree_active)
         return Requirement(graph, k, dict(mult), spec.threshold, state)
 
-    while True:
-        req = requirement()
-        if not degree_active and req.active_empty():
-            break
+    req = requirement()
+    while degree_active or not req.active_empty():
         iteration += 1
         if iteration > cap:
             raise RuntimeError(
@@ -373,8 +378,7 @@ def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
                 f"{spec.ledger_factor}*{opt.value} > {spec.ledger_factor}*{lp0}")
         picked_now = {e for e in working if weights[e] >= cut}
         record = IterationRecord(
-            index=iteration, lp_value=opt.value,
-            point={e: Fraction(w, denom) for e, _, w in point.edges},
+            index=iteration, lp_value=opt.value, lp_point=point,
             picked=sorted(picked_now),
             frac_support=sum(1 for _, _, w in point.edges if w < denom),
             dropped_witnesses=[], lazy_rounds=lazy.separation_calls,
@@ -420,6 +424,7 @@ def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
                 if len(record.dropped_witnesses) < WITNESS_CAP:
                     record.dropped_witnesses.append(side)
         trace.iterations.append(record)
+        req = new_req
     return mult, trace
 
 

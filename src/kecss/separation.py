@@ -13,13 +13,14 @@ lists them with polynomial delay at any n.  Every active side it lists
 is violated, and the verdict reports all of them, so one lazy round can
 add a row for each.
 
-The point is a `ScaledPoint`: x over edge ids as nonnegative integers
-over one positive denominator, the one form in which a point enters
-separation and certification.  The solvers build it from the LP's
-integer point, without Fractions; `ScaledPoint.of` is the one converter
-from a mapping of rationals.  The mixed capacities add the picked
-multiplicity times that denominator, and k and the window are scaled
-with them, so the cut kernels and every comparison work in integers.
+The point is a `graphs.ScaledPoint`, also named here: x over edge ids
+as nonnegative integers over one positive denominator, the one form in
+which a point enters separation and certification.  The solvers build
+it from the LP's integer point, without Fractions; `ScaledPoint.of` is
+the one converter from a mapping of rationals.  The mixed capacities
+add the picked multiplicity times that denominator, and k and the
+window are scaled with them, so the cut kernels, each cut's `cross` and
+every comparison work in integers.
 
 `separate_fast` is the one oracle the solvers use; the tests compare it
 with an exhaustive scan of every partition (`tests/reference.py`).
@@ -29,12 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Mapping
 
-from .graphs import (Multigraph, _check_weights, crossing, cuts_below, min_cut,
-                     vertex_mask)
-from .lp import common
+from .graphs import ScaledPoint, cuts_below, min_cut, vertex_mask
 from .requirements import Requirement
 
 
@@ -71,62 +68,6 @@ class Violated:
 
 
 SeparationVerdict = Feasible | Violated
-
-
-class ScaledPoint:
-    """An LP point x over edge ids as integers over one denominator.
-
-    `weights[e]` is x_e * `denom` for every edge id (0 off x's keys), a
-    nonnegative int, and `denom` is a positive int; anything else raises
-    ValueError.  `edges` lists the support (x_e > 0) by id as
-    (id, endpoint mask, weight), so every x-mass across or between
-    vertex masks is an integer sum.  Built once per point and shared by
-    every check on it.
-    """
-
-    def __init__(self, graph: Multigraph, weights: list[int], denom: int):
-        if not isinstance(denom, int) or denom <= 0:
-            raise ValueError(f"denominator must be a positive int, got {denom!r}")
-        _check_weights(graph, weights)
-        self.graph = graph
-        self.weights = weights
-        self.denom = denom
-
-    @classmethod
-    def of(cls, graph: Multigraph, x: Mapping[int, Fraction]) -> ScaledPoint:
-        """x (edge id -> int or Fraction) over its least common denominator."""
-        for e, val in x.items():
-            if not 0 <= e < graph.m:
-                raise ValueError(f"edge id {e} out of range")
-            if not isinstance(val, (int, Fraction)):
-                raise ValueError(f"x[{e}]={val!r} is not an exact rational")
-        scaled, denom = common(list(x.values()))
-        weights = [0] * graph.m
-        for e, w in zip(x, scaled):
-            weights[e] = w
-        return cls(graph, weights, denom)
-
-    @cached_property
-    def edges(self) -> tuple[tuple[int, int, int], ...]:
-        """The support as (id, endpoint mask, weight), by id."""
-        ends = self.graph.ends
-        return tuple((e, ends[e], w) for e, w in enumerate(self.weights) if w)
-
-    def cross(self, mask: int) -> int:
-        """denom times the x-mass of the edges crossing the vertex mask."""
-        total = 0
-        for _, ends, w in self.edges:
-            if 0 != mask & ends != ends:
-                total += w
-        return total
-
-    def between(self, left: int, right: int) -> int:
-        """denom times the x-mass of the edges joining two disjoint masks."""
-        total = 0
-        for _, ends, w in self.edges:
-            if ends & left and ends & right:  # the masks are disjoint
-                total += w
-        return total
 
 
 def mixed_capacities(point: ScaledPoint, req: Requirement) -> tuple[list[int], int]:
@@ -184,7 +125,8 @@ def separate_fast(point: ScaledPoint, req: Requirement) -> SeparationVerdict:
         return Violated((_cut(req, side, Fraction(value, denom)),))
     if value >= req.k * denom:
         return Feasible()
-    found = [(sum(weights[e] for e in crossing(req.graph, vertex_mask(s))), s)
+    mixed = ScaledPoint(req.graph, weights, denom)
+    found = [(mixed.cross(vertex_mask(s)), s)
              for s in cuts_below(req.graph, weights, req.k * denom)
              if req.in_active_family(s)]
     if not found:

@@ -6,11 +6,14 @@ import pytest
 
 from conftest import min_cut_reference, random_cost_hub
 from kecss import rounding, separation
+from kecss.certify import verify
 from kecss.graphs import (Multigraph, boundary, canonical_side,
                           complete_graph, cuts_below, cycle_graph,
-                          edge_connectivity, make_graph, min_cut)
+                          edge_connectivity, make_graph, min_cut, vertex_mask)
 from kecss.instances import gen
 from kecss.lp import common
+from kecss.requirements import Requirement
+from kecss.separation import ScaledPoint
 
 
 def exhaustive_min_cut(graph, caps):
@@ -122,6 +125,39 @@ def random_multigraph(rng, n):
             if rng.random() < p:
                 edges += [(u, v, 1) if rng.random() < 0.5 else (v, u, 1)] * rng.randint(1, 3)
     return make_graph(n, edges)
+
+
+def test_one_crossing_sum_matches_endpoint_reference():
+    # ScaledPoint.cross at several denominators, a Requirement's picked
+    # multiplicity and verify's degrees all equal a sum over the edges
+    # with exactly one endpoint in the set, read from Edge.u and Edge.v
+    rng = random.Random(18)
+    sides = 0
+    for trial in range(80):
+        g = random_multigraph(rng, 2 + trial % 8)
+        weights = [rng.randint(0, 5) if rng.random() < 0.7 else 0 for _ in range(g.m)]
+        mult = {e: rng.randint(1, 4) for e in range(g.m) if rng.random() < 0.5}
+        picked = [mult.get(e, 0) for e in range(g.m)]
+
+        def across(values, side):
+            return sum(values[e.id] for e in g.edges if (e.u in side) != (e.v in side))
+
+        req = Requirement(g, 6, mult, 3)
+        report = verify(g, mult, 0, None, dict.fromkeys(range(1, g.n + 1), (-1, -1)))
+        assert [(v, deg) for v, deg, _, _ in report.degree_violations] == \
+            [(v, across(picked, {v})) for v in range(1, g.n + 1)]
+        points = [(ScaledPoint.of(g, {e: Fraction(w, d) for e, w in enumerate(weights)}), d)
+                  for d in (1, 2, 3, 7, 12)]
+        for _ in range(10):
+            side = {v for v in range(1, g.n + 1) if rng.random() < 0.5}
+            mask = vertex_mask(side)
+            assert ScaledPoint(g, weights, 5).cross(mask) == across(weights, side)
+            for point, d in points:
+                assert Fraction(point.cross(mask), point.denom) == \
+                    Fraction(across(weights, side), d)
+            assert req.picked_crossing(mask) == across(picked, side)
+            sides += 1
+    assert sides == 800
 
 
 def test_min_cut_matches_reference_value_and_side():

@@ -177,6 +177,23 @@ def test_gen_rejects_what_the_parser_would_refuse(args, limit, capsys):
     assert captured.err.count("\n") == 1 and limit in captured.err
 
 
+@pytest.mark.parametrize("args", [["--p", "7"], ["--p", "-1"], ["--p", "nan"],
+                                  ["--p", "1.0001"], ["--ensure-connectivity", "-2"]])
+def test_gen_rejects_p_outside_unit_interval_and_negative_connectivity(args, capsys):
+    assert main(["gen", "--kind", "random", "--n", "5", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid generator parameters: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_gen_accepts_the_ends_of_the_unit_interval():
+    assert gen("random", n=4, p=0).graph.m == 1  # the fallback edge
+    assert gen("random", n=4, p=1).graph.m == 6
+    # connectivity 0 asks for no repair
+    assert gen("random", n=4, p=0, ensure_connectivity=0) == gen("random", n=4, p=0)
+
+
 def test_gen_edge_count_stops_at_max_edges(monkeypatch):
     # the random draw and the connectivity repair both stop at MAX_EDGES
     monkeypatch.setattr(instances, "MAX_EDGES", 40)

@@ -270,3 +270,9 @@ def test_requirement_validation():
         Requirement(g, 4, {0: 0}, 3)
     with pytest.raises(ValueError):
         Requirement(g, 4, {99: 1}, 3)
+    # a multiplicity is an int >= 1: a rational or float one would make
+    # every residual fractional
+    for bad in (Fraction(3, 2), 1.5, 2.0, "2", None):
+        with pytest.raises(ValueError, match="picked multiplicity of edge 0 must be"):
+            Requirement(complete_graph(4), 6, {0: bad}, 3)
+    assert Requirement(complete_graph(4), 6, {0: 2}, 3).residual({1}) == 4

@@ -88,3 +88,35 @@ def test_simplex_names_no_fraction():
                               else [node.target])
                if isinstance(target, ast.Name)}
     assert "ZERO" not in defined
+
+
+def _writes_out_crossing(node: ast.AST) -> bool:
+    # `0 != mask & ends != ends`: exactly one endpoint in the mask
+    return (isinstance(node, ast.Compare) and len(node.ops) == 2
+            and all(isinstance(op, ast.NotEq) for op in node.ops)
+            and isinstance(node.left, ast.Constant) and node.left.value == 0)
+
+
+def test_crossing_test_lives_in_graphs():
+    # which edges cross a vertex set is decided in graphs.py (`crossing`,
+    # `ScaledPoint.cross`, `is_connected`) and, one coordinate at a time,
+    # in certify.uncross_witness's identity check; only graphs.py reads
+    # the endpoint masks
+    chained, ends = [], []
+    for path in sorted(Path(kecss.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed: set[int] = set()
+        if path.name == "graphs.py":
+            allowed = {id(node) for node in ast.walk(tree)}
+        elif path.name == "certify.py":
+            witness = next(node for node in tree.body
+                           if isinstance(node, ast.FunctionDef)
+                           and node.name == "uncross_witness")
+            allowed = {id(node) for node in ast.walk(witness)}
+        for node in ast.walk(tree):
+            if _writes_out_crossing(node) and id(node) not in allowed:
+                chained.append(f"{path.name}:{node.lineno}")
+            if (isinstance(node, ast.Attribute) and node.attr == "ends"
+                    and path.name != "graphs.py"):
+                ends.append(f"{path.name}:{node.lineno}")
+    assert chained == [] and ends == []
