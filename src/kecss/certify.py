@@ -9,11 +9,18 @@ reproduce it.
 
 Each extreme point is checked in integer arithmetic on one
 `graphs.ScaledPoint`, the one form in which a point enters
-separation and certification: x over one denominator with each support
-edge's endpoint bits, so every x-mass the checks compare (across a cut
-side, between two vertex classes, at a degree-tight vertex, on a basis
-member) is an integer sum over it.  The solvers build it from the LP's
-integers once per extreme point and pass it to every check.
+separation and certification: x over one denominator, with a bitset
+per vertex over the support edges, so a vertex set's boundary is an XOR
+of bitsets and every x-mass the checks compare (across a cut side,
+between two vertex classes, at a degree-tight vertex, on a basis
+member) is an integer popcount sum, memoised per mask on the point.
+The solvers build it from the LP's integers once per extreme point and
+pass it to every check, so the masses of the sets that recur across
+the uncrossing pairs are computed once.  The checks run on vertex
+masks: laminarity and weak crossing are mask tests, incidence rows are
+boundary bitsets keyed by support position, and an incidence identity
+holds when both sides' bit-plane sums over the boundary bitsets agree
+(`identity_failure`).
 The tight sets are the active cut sides whose mixed capacity (x plus the
 picked multiplicity) is exactly k; they are found among the cuts of
 capacity at most k by `cuts_below`, with polynomial delay at any n,
@@ -33,7 +40,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import lp as lpmod
-from .graphs import (Multigraph, ScaledPoint, crossing, cuts_below, mask_vertices, min_cut,
+from .graphs import (Multigraph, ScaledPoint, cuts_below, mask_vertices, min_cut,
                      vertex_mask)
 from .requirements import DegreeState, Requirement
 from .separation import mixed_capacities
@@ -137,14 +144,14 @@ def tight_sets(point: ScaledPoint, req: Requirement) -> list[frozenset[int]]:
     return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
 
 
-def _laminar_compatible(a: frozenset, b: frozenset) -> bool:
-    return a <= b or b <= a or not (a & b)
-
-
-def _incidence(graph: Multigraph, side: frozenset[int],
-               edge_ids: Sequence[int]) -> dict[int, int]:
-    """The boundary row of `side` over the (sorted) edge ids, keyed by id."""
-    return dict.fromkeys(crossing(graph, vertex_mask(side), edge_ids), 1)
+def _bit_row(bits: int) -> dict[int, int]:
+    """A support bitset as an incidence row, keyed by position."""
+    row = {}
+    while bits:
+        low = bits & -bits
+        row[low.bit_length() - 1] = 1
+        bits ^= low
+    return row
 
 
 @dataclass(frozen=True)
@@ -178,25 +185,31 @@ def extract_laminar(point: ScaledPoint, req: Requirement,
     graph = req.graph
     n = graph.n
     degree_state = req.degree
-    support = [e for e, _, _ in point.edges]
-    frac = tuple(e for e, _, w in point.edges if w < point.denom)
+    # incidence rows are boundary bitsets over the support's positions,
+    # which run in edge-id order
+    frac_pos = [i for i, (_, _, w) in enumerate(point.edges) if w < point.denom]
+    frac = tuple(point.edges[i][0] for i in frac_pos)
+    frac_bits = sum(1 << i for i in frac_pos)
     full = frozenset(range(1, n + 1))
     candidates = {side for s in tight for side in (s, full - s)}
     ordered = sorted(candidates, key=lambda s: (len(s), tuple(sorted(s))))
 
     tracker = lpmod.RankTracker()
     family: list[frozenset[int]] = []
+    masks: list[int] = []
     for s in ordered:
-        if all(_laminar_compatible(s, t) for t in family):
-            if tracker.add(_incidence(graph, s, support)):
+        mask = vertex_mask(s)
+        if all(mask & t in (0, mask, t) for t in masks):  # nested or disjoint
+            if tracker.add(_bit_row(point.boundary_bits(mask))):
                 family.append(s)
+                masks.append(mask)
 
     degree_vertices: list[int] = []
     if degree_state is not None:
         for v in sorted(degree_state.active):
             if not _degree_tight(point, degree_state, v):
                 continue
-            if tracker.add(_incidence(graph, frozenset({v}), support)):
+            if tracker.add(_bit_row(point.boundary_bits(1 << (v - 1)))):
                 degree_vertices.append(v)
 
     # select |F| members with independent rows over the fractional columns,
@@ -205,17 +218,18 @@ def extract_laminar(point: ScaledPoint, req: Requirement,
     chosen_sets: list[frozenset[int]] = []
     chosen_vertices: list[int] = []
     rows: list[tuple[int, ...]] = []
-    members = [(s, None) for s in family] + [(frozenset({v}), v) for v in degree_vertices]
-    for side, v in members:
+    members = ([(s, m, None) for s, m in zip(family, masks)]
+               + [(frozenset({v}), 1 << (v - 1), v) for v in degree_vertices])
+    for side, mask, v in members:
         if ftracker.rank == len(frac):
             break
-        vec = _incidence(graph, side, frac)
-        if vec and ftracker.add(vec):
+        bits = point.boundary_bits(mask) & frac_bits
+        if bits and ftracker.add(_bit_row(bits)):
             if v is None:
                 chosen_sets.append(side)
             else:
                 chosen_vertices.append(v)
-            rows.append(tuple(1 if e in vec else 0 for e in frac))
+            rows.append(tuple(bits >> i & 1 for i in frac_pos))
 
     if ftracker.rank != len(frac):
         raise CertificationError(
@@ -237,8 +251,9 @@ def _degree_tight(point: ScaledPoint, state: DegreeState, v: int) -> bool:
 
 def _validate_basis(basis: LaminarBasis, req: Requirement, point: ScaledPoint) -> None:
     graph, degree_state = req.graph, req.degree
-    for a, b in itertools.combinations(basis.sets, 2):
-        if not _laminar_compatible(a, b):
+    masks = [vertex_mask(s) for s in basis.sets]
+    for (a, ma), (b, mb) in itertools.combinations(zip(basis.sets, masks), 2):
+        if ma & mb not in (0, ma, mb):
             raise CertificationError(f"family not laminar: {sorted(a)} / {sorted(b)}",
                                      reproducer_dump(graph, req, point))
     if basis.size() != len(basis.frac_edges):
@@ -249,8 +264,7 @@ def _validate_basis(basis: LaminarBasis, req: Requirement, point: ScaledPoint) -
         if not tracker.add({i: c for i, c in enumerate(r) if c}):
             raise CertificationError("basis rows not linearly independent",
                                      reproducer_dump(graph, req, point))
-    for s in basis.sets:
-        mask = vertex_mask(s)
+    for s, mask in zip(basis.sets, masks):
         fres = req.residual_mask(mask)
         if fres < req.threshold or point.cross(mask) != fres * point.denom:
             raise CertificationError(f"member {sorted(s)} not an active tight set",
@@ -284,30 +298,62 @@ class UncrossWitness:
     identity: str
 
 
+def identity_failure(point: ScaledPoint, combo: Sequence[tuple[int, int]],
+                     target: tuple[int, int]) -> int | None:
+    """The first support edge id on which the incidence identity
+    sum of c * chi(S) over `combo` = c * chi(T) for `target` fails, or
+    None if it holds on every support edge.  Each term is (coefficient,
+    vertex mask), chi(S) S's boundary bitset over the support.  Each
+    side, the negative terms moved across, is summed per position as
+    binary digit planes (bit i of plane j is digit j of position i's
+    sum), and the sides agree where every plane does."""
+    sides: tuple[list[int], list[int]] = ([], [])
+    for c, mask in [*combo, (-target[0], target[1])]:
+        planes = sides[c < 0]
+        bits, c, j = point.boundary_bits(mask), abs(c), 0
+        while c:
+            if c & 1:
+                carry, i = bits, j
+                while carry:  # add the term's bits to digit plane i, rippling up
+                    while len(planes) <= i:
+                        planes.append(0)
+                    planes[i], carry = planes[i] ^ carry, planes[i] & carry
+                    i += 1
+            c >>= 1
+            j += 1
+    left, right = sides
+    diff = 0
+    for i in range(max(len(left), len(right))):
+        diff |= (left[i] if i < len(left) else 0) ^ (right[i] if i < len(right) else 0)
+    if not diff:
+        return None
+    return point.edges[(diff & -diff).bit_length() - 1][0]
+
+
 def uncross_witness(a: frozenset[int], b: frozenset[int], point: ScaledPoint,
                     req: Requirement) -> UncrossWitness:
     """Verified replacement family for two weakly-crossing active tight sets.
 
-    Checks the incidence identity coordinatewise over the support and the
-    vanishing of the cross-class masses the identity requires: theta for
-    the intersection/union case, gamma for the difference case, and all
-    of theta, gamma, alpha when only a mixed pair of corner sets is
-    active.  The replacement family is laminar, active, tight, and spans
-    the boundary row of b together with a.  Every mass is an integer over
-    the point's denominator.
+    Checks the incidence identity over the support (`identity_failure`)
+    and the vanishing of the cross-class masses the identity requires:
+    theta for the intersection/union case, gamma for the difference
+    case, and all of theta, gamma, alpha when only a mixed pair of corner
+    sets is active.  The replacement family is laminar, active, tight,
+    and spans the boundary row of b together with a.  Every mass is an
+    integer over the point's denominator, read from the point's boundary
+    bitsets and memo; the corners are vertex masks, and frozensets are
+    built only for the family returned.
     """
     graph = req.graph
     a, b = frozenset(a), frozenset(b)
-    full = frozenset(range(1, graph.n + 1))
-    inter, union = a & b, a | b
-    amb, bma = a - b, b - a
-    if not inter or not amb or not bma:
-        raise ValueError("sets must weakly cross")
     denom = point.denom
     m_a, m_b = vertex_mask(a), vertex_mask(b)
     m_inter, m_union = m_a & m_b, m_a | m_b
     m_amb, m_bma = m_a & ~m_b, m_b & ~m_a
-    m_out = ((1 << graph.n) - 1) & ~m_union
+    if not m_inter or not m_amb or not m_bma:
+        raise ValueError("sets must weakly cross")
+    full = (1 << graph.n) - 1
+    m_out = full & ~m_union
 
     def require_tight(mask: int, label: str) -> None:
         fres = req.residual_mask(mask)
@@ -324,31 +370,25 @@ def uncross_witness(a: frozenset[int], b: frozenset[int], point: ScaledPoint,
         require_tight(mask, name)
 
     theta = point.between(m_amb, m_bma)
-    gamma = point.between(m_inter, m_out) if union != full else 0
+    gamma = point.between(m_inter, m_out) if m_union != full else 0
 
     def verify_identity(combo: list[tuple[int, int]], target: tuple[int, int],
                         text: str) -> None:
-        # sum of c * chi(S) over combo, minus the target's, on every edge
-        terms = [(-target[0], target[1])] + combo
-        for e, ends, _ in point.edges:
-            total = 0
-            for c, mask in terms:
-                if 0 != mask & ends != ends:
-                    total += c
-            if total:
-                raise CertificationError(
-                    f"incidence identity {text} fails on edge {e}",
-                    reproducer_dump(graph, req, point))
+        e = identity_failure(point, combo, target)
+        if e is not None:
+            raise CertificationError(
+                f"incidence identity {text} fails on edge {e}",
+                reproducer_dump(graph, req, point))
 
     def witness(case: str, family: tuple[frozenset[int], ...],
                 alpha: int | None, text: str) -> UncrossWitness:
         return UncrossWitness(a, b, case, family, theta, gamma, alpha, text)
 
-    if union == full:
+    if m_union == full:
         # weakly crossing but not crossing: A-B is the complement of B
         require_tight(m_amb, "complement A-B")
         verify_identity([(1, m_amb)], (1, m_b), "chi(B) = chi(A-B)")
-        return witness("complement", (a, amb), None, "chi(B) = chi(A-B)")
+        return witness("complement", (a, a - b), None, "chi(B) = chi(A-B)")
 
     active = {name: req.residual_mask(mask) >= req.threshold
               for name, mask in (("inter", m_inter), ("union", m_union),
@@ -369,14 +409,14 @@ def uncross_witness(a: frozenset[int], b: frozenset[int], point: ScaledPoint,
         vanish(theta, "theta")
         text = "chi(A)+chi(B) = chi(A&B)+chi(A|B)"
         verify_identity([(1, m_inter), (1, m_union), (-1, m_a)], (1, m_b), text)
-        return witness("intersection_union", (a, inter, union), None, text)
+        return witness("intersection_union", (a, a & b, a | b), None, text)
     if active["amb"] and active["bma"]:
         require_tight(m_amb, "A-B")
         require_tight(m_bma, "B-A")
         vanish(gamma, "gamma")
         text = "chi(A)+chi(B) = chi(A-B)+chi(B-A)"
         verify_identity([(1, m_amb), (1, m_bma), (-1, m_a)], (1, m_b), text)
-        return witness("difference", (a, amb, bma), None, text)
+        return witness("difference", (a, a - b, b - a), None, text)
 
     # mixed cases: all four corners tight and theta = gamma = alpha = 0.
     # Exactly one of A&B, A|B and one of A-B, B-A is active; per pattern:
@@ -387,6 +427,7 @@ def uncross_witness(a: frozenset[int], b: frozenset[int], point: ScaledPoint,
         require_tight(mask, label)
     vanish(theta, "theta")
     vanish(gamma, "gamma")
+    inter, union, amb, bma = a & b, a | b, a - b, b - a
     case, family, (left, right), (p, q, m_x, m_y), text = {
         ("union", "amb"): ("mixed_union_diff", (a, amb, union), (m_inter, m_bma),
                            (m_amb, m_union, m_a, m_b), "chi(B) = chi(A-B)+chi(A|B)-2chi(A)"),

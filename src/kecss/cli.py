@@ -7,8 +7,9 @@
 Exit codes: 0 success, 1 infeasible instance, 2 parse error (also input
 that is not valid UTF-8, a k below the mode's minimum, fewer than 2
 vertices, `--k` outside 1..MAX_K, a negative `--max-iters`, `gen`
-parameters past the parser's limits, a `gen --p` outside [0, 1] or a
-negative `--ensure-connectivity`, an output path that cannot be
+parameters past the parser's limits, a `gen --p` outside [0, 1], a
+negative `--ensure-connectivity` or a connectivity repair past its
+min-cut budget, an output path that cannot be
 written, a `bench --dir` that is not a directory, or a solution file
 that `run --mode certify` cannot read), 3 certification/verification
 failure, 5 internal fault or abort (simplex pivot limit, lazy-loop row

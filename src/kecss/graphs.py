@@ -5,15 +5,16 @@ as distinct ids; self-loops are rejected.  Edge costs are Fractions,
 summed as integers over one denominator (`costs`).  `ScaledPoint` is
 the one weighted-edge type (an LP point, or an edge multiset over
 denominator 1) and its `cross` the one sum over the edges crossing a
-vertex set; `crossing` lists their ids.  The cut kernels take edge
-weights as a list of nonnegative ints indexed by edge id, so every cut
-value and comparison is integer arithmetic; a caller with rational
-capacities scales them once to a common denominator (`lp.common`) and
-scales its bounds with them.  `min_cut` is Stoer-Wagner with a
-heap-ordered maximum-adjacency order; `cuts_below` enumerates every cut
-under a limit by s-t max-flow branch and bound, exactly and with
-polynomial delay at any n, reusing a parent's flow wherever a child
-cannot add to it.
+vertex set, taken from per-vertex bitsets over the point's support and
+kept in a memo per mask; `crossing` lists the crossing edges' ids.  The
+cut kernels take edge weights as a list of nonnegative ints indexed by
+edge id, so every cut value and comparison is integer arithmetic; a
+caller with rational capacities scales them once to a common
+denominator (`lp.common`) and scales its bounds with them.  `min_cut`
+is Stoer-Wagner with a heap-ordered maximum-adjacency order;
+`cuts_below` enumerates every cut under a limit by s-t max-flow branch
+and bound, exactly and with polynomial delay at any n, reusing a
+parent's flow wherever a child cannot add to it.
 """
 
 from __future__ import annotations
@@ -153,20 +154,25 @@ class ScaledPoint:
     over its denominator, or an edge multiset over denominator 1.
 
     `weights[e]` is x_e * `denom` for every edge id (0 off x's keys), a
-    nonnegative int, and `denom` is a positive int; anything else raises
-    ValueError.  `edges` lists the support (x_e > 0) by id as
-    (id, endpoint mask, weight), so every x-mass across or between
-    vertex masks is an integer sum.  Built once per point and shared by
-    every check on it.
+    nonnegative int, kept as a tuple so nothing cached from it can go
+    stale, and `denom` is a positive int; anything else raises
+    ValueError.  `edges` lists the support (x_e > 0) by id as (id,
+    endpoint mask, weight); position i in it is bit i of a support
+    bitset.  Each vertex's bitset of the edges meeting it and each
+    distinct weight's bitset are built once, on first use, so a vertex
+    mask's boundary is an XOR of bitsets and an x-mass a popcount per
+    weight, and `boundary_bits` and `cross` keep a memo per mask.
     """
 
-    def __init__(self, graph: Multigraph, weights: list[int], denom: int):
+    def __init__(self, graph: Multigraph, weights: Sequence[int], denom: int):
         if not isinstance(denom, int) or denom <= 0:
             raise ValueError(f"denominator must be a positive int, got {denom!r}")
         _check_weights(graph, weights)
         self.graph = graph
-        self.weights = weights
+        self.weights = tuple(weights)
         self.denom = denom
+        self._bounds: dict[int, int] = {}
+        self._masses: dict[int, int] = {}
 
     @classmethod
     def of(cls, graph: Multigraph, x: Mapping[int, Fraction]) -> ScaledPoint:
@@ -188,21 +194,58 @@ class ScaledPoint:
         ends = self.graph.ends
         return tuple((e, ends[e], w) for e, w in enumerate(self.weights) if w)
 
+    @cached_property
+    def _touch(self) -> list[int]:
+        """Per vertex 1..n (index 0 unused), the support edges meeting it."""
+        touch = [0] * (self.graph.n + 1)
+        for i, (e, _, _) in enumerate(self.edges):
+            edge = self.graph.edges[e]
+            touch[edge.u] |= 1 << i
+            touch[edge.v] |= 1 << i
+        return touch
+
+    @cached_property
+    def _classes(self) -> tuple[tuple[int, int], ...]:
+        """(weight, the support edges carrying it) per distinct weight."""
+        classes: dict[int, int] = {}
+        for i, (_, _, w) in enumerate(self.edges):
+            classes[w] = classes.get(w, 0) | 1 << i
+        return tuple(classes.items())
+
+    def boundary_bits(self, mask: int) -> int:
+        """The support edges crossing the vertex mask, as a bitset over
+        positions in `edges`; vertices outside 1..n are ignored."""
+        bits = self._bounds.get(mask)
+        if bits is None:
+            touch = self._touch
+            n = self.graph.n
+            full = (1 << n) - 1
+            rest = mask & full
+            if 2 * rest.bit_count() > n:  # a side and its complement share a boundary
+                rest ^= full
+            bits = 0
+            while rest:
+                low = rest & -rest
+                bits ^= touch[low.bit_length()]
+                rest ^= low
+            self._bounds[mask] = bits
+        return bits
+
+    def _mass(self, bits: int) -> int:
+        """denom times the x-mass of the support edges in the bitset."""
+        return sum(w * (bits & cls).bit_count() for w, cls in self._classes)
+
     def cross(self, mask: int) -> int:
         """denom times the x-mass of the edges crossing the vertex mask."""
-        total = 0
-        for _, ends, w in self.edges:
-            if 0 != mask & ends != ends:
-                total += w
+        total = self._masses.get(mask)
+        if total is None:
+            total = self._masses[mask] = self._mass(self.boundary_bits(mask))
         return total
 
     def between(self, left: int, right: int) -> int:
-        """denom times the x-mass of the edges joining two disjoint masks."""
-        total = 0
-        for _, ends, w in self.edges:
-            if ends & left and ends & right:  # the masks are disjoint
-                total += w
-        return total
+        """denom times the x-mass of the edges joining two disjoint masks:
+        the edges crossing both."""
+        return self._mass(self.boundary_bits(left) & self.boundary_bits(right))
 
 
 def min_cut(graph: Multigraph, weights: Sequence[int]) -> tuple[int, frozenset[int]]:

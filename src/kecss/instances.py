@@ -26,6 +26,10 @@ MAX_VERTICES = 10_000
 MAX_EDGES = 200_000
 MAX_K = 10_000
 MAX_VALUE = 10**12  # edge costs and degree bounds
+# min-cut work the connectivity repair of `gen` may spend, counted as
+# n * (vertex pairs + n) per Stoer-Wagner call: about 3 s of repair
+# (Python 3.11, one core of a 2-core VM)
+REPAIR_WORK = 3 * 10**7
 
 
 class ParseError(ValueError):
@@ -199,9 +203,12 @@ def gen(kind: str, seed: int = 0, n: int = 8, p: float = 0.6,
 
     random: Erdos-Renyi with integer costs; ensure_connectivity repairs
     the graph by adding random edges across deficient cuts until the
-    unit-capacity connectivity reaches the given value.  prism-hub-k6
-    takes an odd gadget count of at least 3.  Sizes, k and costs are
-    held to the parser's limits before anything is built, so
+    unit-capacity connectivity reaches the given value.  Each added edge
+    follows one min cut over all n vertices, so the repair spends at most
+    REPAIR_WORK of min-cut work and raises ValueError past it, up front
+    when the degree deficit alone needs more edges than that allows.
+    prism-hub-k6 takes an odd gadget count of at least 3.  Sizes, k and
+    costs are held to the parser's limits before anything is built, so
     `parse_instance` reads back whatever `gen` emits.
     """
     if kind not in GENERATOR_KINDS:
@@ -245,7 +252,22 @@ def gen(kind: str, seed: int = 0, n: int = 8, p: float = 0.6,
     # the cut kernel sees only summed weights, so the repair loop hands it
     # one unit-cost edge per vertex pair, weighted by its multiplicity
     pairs = Counter((a, b) for a, b, _ in edges)
+    if ensure_connectivity:
+        # each added edge raises two degrees, so the degree deficit bounds
+        # the edges to add, and with them the repair's work, from below
+        degree = Counter(v for a, b, _ in edges for v in (a, b))
+        deficit = sum(max(0, ensure_connectivity - degree[v]) for v in range(1, n + 1))
+        least = (deficit + 1) // 2
+        if least * n * (len(pairs) + n) > REPAIR_WORK:
+            raise ValueError(f"connectivity {ensure_connectivity} on n={n} needs at "
+                             f"least {least} repair edges, beyond the repair's "
+                             "min-cut budget")
+    work = 0
     while ensure_connectivity:
+        work += n * (len(pairs) + n)
+        if work > REPAIR_WORK:
+            raise ValueError(f"connectivity repair to {ensure_connectivity} on n={n} "
+                             "ran out of its min-cut budget")
         support = make_graph(n, [(a, b, 0) for a, b in pairs])
         value, side = min_cut(support, list(pairs.values()))
         if value >= ensure_connectivity:

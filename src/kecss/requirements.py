@@ -52,10 +52,9 @@ class Requirement:
         return self.picked_point.cross(mask)
 
     def residual_mask(self, mask: int) -> int:
-        full = (1 << self.graph.n) - 1
-        if mask == 0 or mask == full:
+        if mask == 0 or mask == (1 << self.graph.n) - 1:
             return 0
-        return self.k - self.picked_crossing(mask)
+        return self.k - self.picked_point.cross(mask)
 
     def residual(self, side: Iterable[int]) -> int:
         """k minus the picked multiplicity crossing the cut (may be negative)."""

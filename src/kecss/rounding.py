@@ -261,20 +261,25 @@ def _certify_iteration(graph: Multigraph, req: Requirement, point: ScaledPoint,
                     f"active member {sorted(member)} not nearly satisfied "
                     "after picking integral edges",
                     certmod.reproducer_dump(graph, req, point))
-    full = frozenset(range(1, graph.n + 1))
-    members = [side for s in tight for side in (s, full - s)]
+    full, full_mask = frozenset(range(1, graph.n + 1)), (1 << graph.n) - 1
+    members, masks = [], []
+    for s in tight:
+        mask = vertex_mask(s)
+        members += [s, full - s]
+        masks += [mask, full_mask ^ mask]
     if len(members) <= PAIR_FAMILY_CAP:
-        pairs = list(itertools.combinations(members, 2))
+        pairs = list(itertools.combinations(range(len(members)), 2))
     else:
         pairs = []
         for _ in range(PAIR_SAMPLE):
             i = rng.randrange(len(members))
             j = rng.randrange(len(members))
             if i != j:
-                pairs.append((members[i], members[j]))
-    for a, b in pairs:
-        if a & b and a - b and b - a:  # weakly crossing
-            certmod.uncross_witness(a, b, point, req)
+                pairs.append((i, j))
+    for i, j in pairs:
+        a, b = masks[i], masks[j]
+        if a & b and a & ~b and b & ~a:  # weakly crossing
+            certmod.uncross_witness(members[i], members[j], point, req)
             record.witness_pairs_checked += 1
     return basis.members()
 

@@ -323,6 +323,53 @@ def test_reproducer_dump_lists_the_support_in_lowest_terms():
         [(e.u, e.v, e.cost) for e in g.edges]
 
 
+def _identity_reference(graph, point, combo, target):
+    """The first support edge on which sum c * chi(S) over combo differs
+    from the target's, read edge by edge from Edge.u and Edge.v."""
+    terms = [(-target[0], target[1]), *combo]
+    for e, _, _ in point.edges:
+        u, v = graph.edges[e].u, graph.edges[e].v
+        if sum(c for c, mask in terms if (mask >> (u - 1) & 1) != (mask >> (v - 1) & 1)):
+            return e
+    return None
+
+
+def test_identity_failure_matches_per_edge_reference():
+    # the term shapes uncross_witness checks, (1), (1, 1, -1) and
+    # (1, 1, -2) against a target, on the corners of random vertex sets
+    # A and B and on unrelated random masks, over seeded points on random
+    # multigraphs: the same verdict and the same first failing edge
+    rng = random.Random(19)
+    verdicts = {True: 0, False: 0}
+    for trial in range(60):
+        n = 3 + trial % 8
+        edges = [(u, v, 1) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                 for _ in range(rng.randint(0, 2)) if rng.random() < 0.5]
+        g = make_graph(n, edges)
+        weights = [rng.randint(0, 4) if rng.random() < 0.6 else 0 for _ in range(g.m)]
+        point = ScaledPoint(g, weights, rng.choice((1, 3, 4)))
+        full = (1 << n) - 1
+        for _ in range(10):
+            a, b, *r = (rng.randrange(full + 1) for _ in range(6))
+            inter, union, amb, bma = a & b, a | b, a & ~b, b & ~a
+            cases = [([(1, amb)], (1, b)),
+                     ([(1, inter), (1, union), (-1, a)], (1, b)),
+                     ([(1, amb), (1, bma), (-1, a)], (1, b)),
+                     ([(1, amb), (1, union), (-2, a)], (1, b)),
+                     ([(1, bma), (1, union), (-2, b)], (1, a)),
+                     ([(1, inter), (1, bma), (-2, a)], (1, b)),
+                     ([(1, inter), (1, amb), (-2, b)], (1, a)),
+                     ([(1, r[0])], (1, r[1])),
+                     ([(1, r[0]), (1, r[1]), (-1, r[2])], (1, r[3])),
+                     ([(1, r[0]), (1, r[1]), (-2, r[2])], (1, r[3])),
+                     ([(1, a)], (1, full & ~a))]
+            for combo, target in cases:
+                got = certmod.identity_failure(point, combo, target)
+                assert got == _identity_reference(g, point, combo, target)
+                verdicts[got is None] += 1
+    assert verdicts[True] > 1000 and verdicts[False] > 1000
+
+
 def test_uncross_witness_domain_errors():
     inst = gen("prism-k3")
     req = Requirement(inst.graph, 3, {}, 3)

@@ -130,9 +130,12 @@ def random_multigraph(rng, n):
 def test_one_crossing_sum_matches_endpoint_reference():
     # ScaledPoint.cross at several denominators, a Requirement's picked
     # multiplicity and verify's degrees all equal a sum over the edges
-    # with exactly one endpoint in the set, read from Edge.u and Edge.v
+    # with exactly one endpoint in the set, read from Edge.u and Edge.v;
+    # ScaledPoint.between equals the sum over the edges joining two
+    # disjoint sets.  Every mask is asked twice, the second time from
+    # the point's memo, and a point with empty support reads 0 everywhere.
     rng = random.Random(18)
-    sides = 0
+    sides = pairs = 0
     for trial in range(80):
         g = random_multigraph(rng, 2 + trial % 8)
         weights = [rng.randint(0, 5) if rng.random() < 0.7 else 0 for _ in range(g.m)]
@@ -142,22 +145,56 @@ def test_one_crossing_sum_matches_endpoint_reference():
         def across(values, side):
             return sum(values[e.id] for e in g.edges if (e.u in side) != (e.v in side))
 
+        def joining(values, left, right):
+            return sum(values[e.id] for e in g.edges
+                       if {e.u, e.v} & left and {e.u, e.v} & right)
+
         req = Requirement(g, 6, mult, 3)
         report = verify(g, mult, 0, None, dict.fromkeys(range(1, g.n + 1), (-1, -1)))
         assert [(v, deg) for v, deg, _, _ in report.degree_violations] == \
             [(v, across(picked, {v})) for v in range(1, g.n + 1)]
         points = [(ScaledPoint.of(g, {e: Fraction(w, d) for e, w in enumerate(weights)}), d)
                   for d in (1, 2, 3, 7, 12)]
+        fives = ScaledPoint(g, weights, 5)
+        empty = ScaledPoint(g, [0] * g.m, 4)
+        assert empty.edges == ()
         for _ in range(10):
             side = {v for v in range(1, g.n + 1) if rng.random() < 0.5}
             mask = vertex_mask(side)
-            assert ScaledPoint(g, weights, 5).cross(mask) == across(weights, side)
-            for point, d in points:
-                assert Fraction(point.cross(mask), point.denom) == \
-                    Fraction(across(weights, side), d)
-            assert req.picked_crossing(mask) == across(picked, side)
+            for _ in range(2):
+                assert fives.cross(mask) == across(weights, side)
+                for point, d in points:
+                    assert Fraction(point.cross(mask), point.denom) == \
+                        Fraction(across(weights, side), d)
+                assert req.picked_crossing(mask) == across(picked, side)
+                assert empty.cross(mask) == 0
             sides += 1
-    assert sides == 800
+            # a random disjoint pair: each vertex left, right or neither
+            where = [rng.randrange(3) for _ in range(g.n)]
+            left = {v for v in range(1, g.n + 1) if where[v - 1] == 1}
+            right = {v for v in range(1, g.n + 1) if where[v - 1] == 2}
+            masks = vertex_mask(left), vertex_mask(right)
+            for _ in range(2):
+                assert fives.between(*masks) == joining(weights, left, right)
+                for point, d in points:
+                    assert Fraction(point.between(*masks), point.denom) == \
+                        Fraction(joining(weights, left, right), d)
+                assert req.picked_point.between(*masks) == joining(picked, left, right)
+                assert empty.between(*masks) == 0
+            pairs += 1
+    assert sides == pairs == 800
+
+
+def test_scaled_point_weights_are_read_only():
+    # the support, its bitsets and the memo are built from `weights`
+    # once, so the weights cannot change under them
+    g = complete_graph(4)
+    point = ScaledPoint(g, [1, 0, 2, 0, 1, 1], 2)
+    assert point.weights == (1, 0, 2, 0, 1, 1)
+    assert point.cross(vertex_mask({1})) == 3
+    with pytest.raises(TypeError):
+        point.weights[1] = 2
+    assert ScaledPoint.of(g, {0: Fraction(1, 3)}).weights == (1, 0, 0, 0, 0, 0)
 
 
 def test_min_cut_matches_reference_value_and_side():

@@ -209,6 +209,29 @@ def test_gen_repair_is_fast_at_high_connectivity():
     assert emit_instance(parse_instance(emit_instance(inst))) == emit_instance(inst)
 
 
+def test_gen_connectivity_repair_stays_within_its_budget(monkeypatch, capsys):
+    # the degree deficit bounds the repair edges from below: at n=2000 with
+    # no random edges, connectivity 3 needs 2999 of them, each after a min
+    # cut on 2000 vertices, so gen refuses before running any min cut
+    def no_min_cut(*args):
+        raise AssertionError("min cut run")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(instances, "min_cut", no_min_cut)
+        assert main(["gen", "--kind", "random", "--n", "2000", "--p", "0",
+                     "--ensure-connectivity", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("invalid generator parameters: connectivity 3 on n=2000 "
+                            "needs at least 2999 repair edges, beyond the repair's "
+                            "min-cut budget\n")
+    # a repair that passes the deficit bound still stops at the budget:
+    # n=12 needs 17 edges and so 18 min cuts of at least 12 * 13 work each
+    monkeypatch.setattr(instances, "REPAIR_WORK", 17 * 12 * 13)
+    with pytest.raises(ValueError, match="ran out of its min-cut budget"):
+        gen("random", n=12, p=0, ensure_connectivity=3)
+
+
 def test_cli_run_solution_and_trace(tmp_path: Path):
     inst_path = tmp_path / "k5.txt"
     sol_path = tmp_path / "k5.sol.json"

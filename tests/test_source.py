@@ -99,24 +99,16 @@ def _writes_out_crossing(node: ast.AST) -> bool:
 
 def test_crossing_test_lives_in_graphs():
     # which edges cross a vertex set is decided in graphs.py (`crossing`,
-    # `ScaledPoint.cross`, `is_connected`) and, one coordinate at a time,
-    # in certify.uncross_witness's identity check; only graphs.py reads
-    # the endpoint masks
+    # `ScaledPoint`'s boundary bitsets, `is_connected`), and only
+    # graphs.py reads the endpoint masks
     chained, ends = [], []
     for path in sorted(Path(kecss.__file__).parent.rglob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        allowed: set[int] = set()
         if path.name == "graphs.py":
-            allowed = {id(node) for node in ast.walk(tree)}
-        elif path.name == "certify.py":
-            witness = next(node for node in tree.body
-                           if isinstance(node, ast.FunctionDef)
-                           and node.name == "uncross_witness")
-            allowed = {id(node) for node in ast.walk(witness)}
+            continue
+        tree = ast.parse(path.read_text(), str(path))
         for node in ast.walk(tree):
-            if _writes_out_crossing(node) and id(node) not in allowed:
+            if _writes_out_crossing(node):
                 chained.append(f"{path.name}:{node.lineno}")
-            if (isinstance(node, ast.Attribute) and node.attr == "ends"
-                    and path.name != "graphs.py"):
+            if isinstance(node, ast.Attribute) and node.attr == "ends":
                 ends.append(f"{path.name}:{node.lineno}")
     assert chained == [] and ends == []
