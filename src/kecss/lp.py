@@ -19,7 +19,10 @@ else 0), which makes the start dual feasible, and the dual simplex
 below reaches a feasible basis or proves that there is none (dual phase
 1 by cost modification; Koberstein and Suhl, Comput. Optim. Appl. 37,
 2007).  The primal simplex then finishes from there with the true
-cost.
+cost.  When clipping changes nothing (c_j >= 0 at lower bounds and
+c_j <= 0 at upper bounds, as in every multigraph cut LP), the start is
+priced once: the reduced-cost row that the dual simplex keeps is the
+one repricing would give.
 
 The tableau is fraction-free (Edmonds 1967, Bareiss 1968): row i is a
 list of Python ints with its own positive denominator den[i], so entry c
@@ -63,6 +66,16 @@ violated bound, ties going to the smallest column (Bland's rule for the
 dual, so the loop terminates).  When no column can move it, the
 relaxation is infeasible.
 
+A lazy loop can also start from an earlier one's final tableau, kept on
+request (`keep_tableau`), when the new LP has the same objective, bounds
+and rows in the same order and differs only in right-hand sides, by
+integers (`solve_lazy(..., start=result)`, `_Simplex.restart`).  A rhs
+is a constant beside the row's slack column, so a change d of row i's
+rhs adds sign * d times slack column i to the last column (sign -1 for
+a >= row), which is a shift of that slack, basic or not.  The reduced
+costs do not change, the basis stays dual feasible, and the dual
+simplex repairs the values before the loop goes on as usual.
+
 The point leaves the tableau as integers: each basic value is its row's
 last entry over den[i] and each nonbasic column sits at its int bound,
 so `BasicOptimum` holds integer numerators over one denominator in
@@ -81,7 +94,7 @@ reads the Fraction `BasicOptimum.point`; it is built on first read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -222,11 +235,50 @@ class _Simplex:
             # keep c_j where its sign suits column j's bound (c_j > 0 at
             # L, c_j < 0 at U), else 0: the start is then dual feasible
             cost = self.cost_nums
-            self._start([c if (c > 0) == (st == "L") else 0
-                         for c, st in zip(cost, self.status)])
-            self._dual()
-            self._start(cost)
+            clipped = [c if (c > 0) == (st == "L") else 0
+                       for c, st in zip(cost, self.status)]
+            if clipped == cost:
+                # the start is priced with this cost already, and the
+                # dual's reduced-cost row is the one pricing its basis
+                # again would give: the same vector, in lowest terms over
+                # a positive denominator, so the same integers
+                self._dual()
+            else:
+                self._start(clipped)
+                self._dual()
+                self._start(cost)
         self._optimize()
+
+    def restart(self, lp: LpInstance) -> None:
+        """Take lp in place of self.lp at the current basis.  lp has the
+        same objective, bounds and rows as self.lp but for the rows'
+        right-hand sides, which may change by integers (ValueError
+        otherwise, with the tableau untouched).
+
+        Row i reads sign * (a . x) + s_i = sign * rhs_i, where sign is -1
+        for a >= row and s_i is its slack, so a change d of rhs_i adds
+        sign * d times column s_i to the last column: a shift of s_i by
+        -sign * d, basic or not (see _shift; rows stay in lowest terms).
+        The reduced costs do not change, so an optimal basis stays dual
+        feasible, and the dual simplex repairs the values."""
+        old = self.lp
+        if (lp.objective, lp.lower, lp.upper) != (old.objective, old.lower, old.upper):
+            raise ValueError("a warm start keeps the objective and the bounds")
+        if len(lp.rows) != self.m:
+            raise ValueError("a warm start keeps the number of rows")
+        shifts = []
+        for i, (r, s) in enumerate(zip(lp.rows, self.rows)):
+            d = r.rhs - s.rhs
+            if r.coeffs != s.coeffs or r.sense != s.sense or d.denominator != 1:
+                raise ValueError(f"a warm start changes row {i} in more than "
+                                 "its rhs, or by a non-integer")
+            if d:
+                shifts.append((self.ns + i, int(d) if r.sense == GE else -int(d)))
+        for slack, delta in shifts:
+            self._shift(slack, delta)
+        self.lp, self.rows = lp, list(lp.rows)
+        self.scaled = [_scaled(r) for r in lp.rows]
+        self.pivots = self.bound_flips = 0
 
     def scaled_point(self) -> tuple[list[int], int]:
         """Values of the structural columns at the current basis, as
@@ -301,7 +353,9 @@ class _Simplex:
 
     def _shift(self, j: int, delta: int) -> None:
         """Move nonbasic column j by delta: the basic values and the
-        objective in every row's last entry follow."""
+        objective in every row's last entry follow.  On a basic column
+        the same update lowers that column's value by delta: a change of
+        the constant terms by -delta times column j (see restart)."""
         if delta:
             for vec in self.matrix:
                 if vec[j]:
@@ -644,12 +698,15 @@ SeparationCallback = Callable[[list[int], int], list[LpRow]]
 @dataclass
 class LazyResult:
     optimum: BasicOptimum
-    rows: list[LpRow]  # full row set of the final relaxation
+    rows: list[LpRow]  # full row set of the final relaxation, a copy
     separation_calls: int
+    # the final tableau, kept only on request for a later warm start
+    tableau: _Simplex | None = field(default=None, repr=False)
 
 
 def solve_lazy(lp: LpInstance, oracle: SeparationCallback,
-               max_added: int | None = None) -> LazyResult:
+               max_added: int | None = None, start: LazyResult | None = None,
+               keep_tableau: bool = False) -> LazyResult:
     """Cutting-plane loop: solve, separate, add violated rows, repeat.
 
     The oracle must be sound (returned rows are valid for the implicit
@@ -663,18 +720,34 @@ def solve_lazy(lp: LpInstance, oracle: SeparationCallback,
     One tableau serves every round: the added rows are appended to it and
     the dual simplex re-optimises from the previous optimal basis.  The
     optimum's pivots and bound flips are totals over all rounds.
+
+    With `start`, a result solved with `keep_tableau`, the loop begins at
+    its optimal basis instead of a cold solve: lp must be `start.rows`
+    with the same objective and bounds, changed in right-hand sides only,
+    by integers (`_Simplex.restart`; ValueError otherwise).  The warm
+    start takes the tableau over, so a result starts one solve; the
+    pivots and bound flips count from there.
     """
     if max_added is None:
         max_added = 10 * (lp.num_vars + 2 ** min(20, lp.num_vars))
-    simplex = _Simplex(lp)
-    simplex.solve()
+    if start is None:
+        simplex = _Simplex(lp)
+        simplex.solve()
+    else:
+        simplex = start.tableau
+        if simplex is None:
+            raise ValueError("the start result holds no tableau")
+        simplex.restart(lp)
+        start.tableau = None
+        simplex._dual()
     calls = 0
     while True:
         opt = _optimum(simplex)
         cuts = oracle(opt.nums, opt.denom)
         calls += 1
         if not cuts:
-            return LazyResult(opt, simplex.rows, calls)
+            return LazyResult(opt, list(simplex.rows), calls,
+                              simplex if keep_tableau else None)
         for c in cuts:
             if any(not 0 <= j < lp.num_vars for j in c.coeffs):
                 raise ValueError("oracle row references an undeclared variable")

@@ -8,9 +8,9 @@ threshold, and repeat.  A `_LoopSpec` fixes what differs:
                at cost at most the first LP value (kecss_even).
   bicriteria   threshold 2, pick x >= 2/3 edges: (k-1)-edge-connected
                output at cost at most 1.5 times the LP.
-  multigraph   the first LP is the unbounded cut LP, floor-extracted;
-               its fractional remainder is rounded like `exact`
-               (kecsm_core).
+  multigraph   the caller solves the first LP, the unbounded cut LP,
+               and hands it in; it is floor-extracted, and its
+               fractional remainder is rounded like `exact` (kecsm_core).
   degrees      degree rows ride along (md_kecss, md_kecsm); vertices leave
                the constrained set once their fractional degree (or its
                complement) is at most 2.
@@ -168,11 +168,15 @@ def _degree_active(point: ScaledPoint, vertices: frozenset[int]) -> frozenset[in
 
 
 def _lazy_solve(graph: Multigraph, objective: list, lower: list, upper: list,
-                rows: list[lpmod.LpRow], oracle, recheck: bool) -> lpmod.LazyResult:
-    """solve_lazy under the row cap; with `recheck`, re-verify the vertex."""
+                rows: list[lpmod.LpRow], oracle, recheck: bool,
+                start: lpmod.LazyResult | None = None,
+                keep_tableau: bool = False) -> lpmod.LazyResult:
+    """solve_lazy under the row cap, from `start` when given (see
+    lp.solve_lazy); with `recheck`, re-verify the vertex."""
     inst = lpmod.instance(objective, lower, upper, rows)
     cap = 10 * (len(objective) + 2 ** min(20, graph.n))
-    result = lpmod.solve_lazy(inst, oracle, max_added=cap)
+    result = lpmod.solve_lazy(inst, oracle, max_added=cap, start=start,
+                              keep_tableau=keep_tableau)
     if recheck:
         certmod.recheck_vertex(
             lpmod.LpInstance(inst.objective, inst.lower, inst.upper,
@@ -220,15 +224,25 @@ def _solve_residual(graph: Multigraph, req: Requirement, working: list[int],
 
 
 def _solve_unbounded_cut_lp(graph: Multigraph, k: int, bounds: Bounds | None = None,
-                            recheck: bool = False) -> lpmod.LazyResult:
+                            recheck: bool = False,
+                            start: lpmod.LazyResult | None = None,
+                            keep_tableau: bool = False) -> lpmod.LazyResult:
     """First multigraph LP: x >= 0, all cut constraints via plain min-cut,
-    and degree rows on every vertex when `bounds` are given."""
+    and degree rows on every vertex when `bounds` are given.
+
+    With `start`, a result of this LP at another k and other upper degree
+    bounds (the same lower ones) solved with `keep_tableau`, the LP is
+    that result's rows with the degree rows at these bounds and every cut
+    row, the lazily added ones too, at k, solved from its tableau."""
     var_of = {e: e for e in range(graph.m)}
     working = list(range(graph.m))
     rows = [] if bounds is None else _degree_rows(graph, working, var_of, *bounds,
                                                   range(1, graph.n + 1))
-    for v in range(1, graph.n + 1):
-        rows.append(_cut_row(graph, frozenset({v}), working, var_of, k))
+    if start is None:
+        rows += [_cut_row(graph, frozenset({v}), working, var_of, k)
+                 for v in range(1, graph.n + 1)]
+    else:
+        rows += [lpmod.LpRow(r.coeffs, r.sense, k) for r in start.rows[len(rows):]]
 
     def oracle(weights: list[int], denom: int) -> list[lpmod.LpRow]:
         value, side = min_cut(graph, weights)
@@ -237,7 +251,7 @@ def _solve_unbounded_cut_lp(graph: Multigraph, k: int, bounds: Bounds | None = N
         return [_cut_row(graph, side, working, var_of, k)]
 
     return _lazy_solve(graph, [e.cost for e in graph.edges], [0] * graph.m,
-                       [None] * graph.m, rows, oracle, recheck)
+                       [None] * graph.m, rows, oracle, recheck, start, keep_tableau)
 
 
 def _certify_iteration(graph: Multigraph, req: Requirement, point: ScaledPoint,
@@ -292,36 +306,38 @@ class _LoopSpec:
     pick_cutoff: Fraction          # pick x >= cutoff: weight >= ceil(cutoff*denom)
     keep_zero_edges: bool          # retain x=0 edges in the working set
     ledger_factor: Fraction        # cost ledger: c(H) + factor*lp <= factor*lp0
-    floor_first: bool = False      # first LP unbounded, its integer part picked
     degrees: bool = False          # degree rows and the degree-activity rule
 
 
 _EXACT = _LoopSpec(3, Fraction(1), True, Fraction(1))
 _BICRITERIA = _LoopSpec(2, Fraction(2, 3), False, Fraction(3, 2))
-_MULTIGRAPH = _LoopSpec(3, Fraction(1), False, Fraction(1), floor_first=True)
-_DEGREE_EXACT = _LoopSpec(3, Fraction(1), False, Fraction(1), degrees=True)
-_DEGREE_MULTIGRAPH = _LoopSpec(3, Fraction(1), False, Fraction(1),
-                               floor_first=True, degrees=True)
+_MULTIGRAPH = _LoopSpec(3, Fraction(1), False, Fraction(1))
+_DEGREE = _LoopSpec(3, Fraction(1), False, Fraction(1), degrees=True)
+
+
+def _certifying(graph: Multigraph, certify: bool | None) -> bool:
+    """Whether a run certifies: by default only at desk scale."""
+    return graph.n <= CERTIFY_VERTEX_LIMIT if certify is None else certify
 
 
 def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
-           certify: bool | None, seed: int,
-           max_iterations: int | None) -> tuple[dict[int, int], RoundingTrace]:
-    """Shared engine: the first LP, then solve residual LP, pick, drop,
-    iterate.  Returns the picked multiplicities and the trace."""
-    certify_flag = graph.n <= CERTIFY_VERTEX_LIMIT if certify is None else certify
+           certify: bool | None, seed: int, max_iterations: int | None,
+           first_lp: lpmod.LazyResult | None = None
+           ) -> tuple[dict[int, int], RoundingTrace]:
+    """Shared engine: solve residual LP, pick, drop, iterate.  A
+    floor-first run (the multigraph procedures) hands in its first LP,
+    solved with `recheck` as the run certifies; its integer part is
+    picked before the loop.  Returns the picked multiplicities and the
+    trace."""
+    certify_flag = _certifying(graph, certify)
     rng = random.Random(seed)
     mult: dict[int, int] = {}
     working = list(range(graph.m))
     degree_active = frozenset(range(1, graph.n + 1)) if spec.degrees else None
     trace = RoundingTrace(Fraction(0), certified=certify_flag)
     lp0: Fraction | None = None
-    if spec.floor_first:
-        try:
-            lazy = _solve_unbounded_cut_lp(graph, k, bounds, recheck=certify_flag)
-        except lpmod.LpInfeasible as exc:
-            raise InfeasibleInstance(f"first LP at k={k} infeasible: {exc}") from exc
-        first = lazy.optimum
+    if first_lp is not None:
+        first = first_lp.optimum
         split = [divmod(num, first.denom) for num in first.nums]
         mult = {e: whole for e, (whole, _) in enumerate(split) if whole}
         rests = [rest for _, rest in split]
@@ -334,7 +350,7 @@ def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
             index=0, lp_value=first.value,
             lp_point=ScaledPoint(graph, first.nums, first.denom),
             picked=sorted(mult), frac_support=len(working), dropped_witnesses=[],
-            lazy_rounds=lazy.separation_calls, lp_rows=len(lazy.rows)))
+            lazy_rounds=first_lp.separation_calls, lp_rows=len(first_lp.rows)))
 
     carry: set[frozenset[int]] = set()
     # sampled sets whose activity we track across iterations: singleton
@@ -503,7 +519,10 @@ def kecsm_core(graph: Multigraph, k: int, *, certify: bool | None = None,
                max_iterations: int | None = None) -> tuple[Solution, RoundingTrace]:
     """(k-2)-edge-connected multigraph of cost at most the multigraph LP."""
     _check(graph, k, _CORE.min_k, even=True, connectivity=1)
-    mult, trace = _round(graph, k, _MULTIGRAPH, None, certify, seed, max_iterations)
+    # feasible: x >= 0 and the graph is connected
+    first = _solve_unbounded_cut_lp(graph, k, recheck=_certifying(graph, certify))
+    mult, trace = _round(graph, k, _MULTIGRAPH, None, certify, seed, max_iterations,
+                         first)
     return _finish(graph, _CORE, k, mult, trace.lp0), trace
 
 
@@ -537,7 +556,7 @@ def md_kecss(graph: Multigraph, k: int, lower: Sequence[int],
     cost at most the LP, and every degree within +-2 of its window."""
     bounds = (list(lower), list(upper))
     _check(graph, k, MODES["md-ecss"].min_k, bounds=bounds)
-    mult, trace = _round(graph, k - k % 2, _DEGREE_EXACT, bounds, certify, seed,
+    mult, trace = _round(graph, k - k % 2, _DEGREE, bounds, certify, seed,
                          max_iterations)
     return _finish(graph, MODES["md-ecss"], k, mult, trace.lp0, bounds), trace
 
@@ -551,19 +570,30 @@ def md_kecsm(graph: Multigraph, k: int, lower: Sequence[int],
 
     The scaled run uses integer degree caps ceil(rho_k * b): any feasible
     point of the original LP scales into them, so the cost chain
-    c(H) <= LP(k') <= rho_k * LP(k) is exact.  The first LP
-    floor-extracts, then the degree-bounded loop finishes at k+2 (even k)
-    or k+3 (odd k).
+    c(H) <= LP(k') <= rho_k * LP(k) is exact.  The run's first LP, at
+    k' = k+2 (even k) or k+3 (odd k) and these caps, is solved cold; the
+    reference LP(k) is then read off its tableau: the same rows with the
+    caps b and every cut row at k, re-optimised by the dual simplex and
+    the min-cut oracle at k.  The first LP floor-extracts, then the
+    degree-bounded loop finishes at k'.
     """
     _check(graph, k, MODES["md-ecsm"].min_k, connectivity=1, bounds=(lower, upper))
+    run_k = _multigraph_run_k(k)
+    scaled = (list(lower), [math.ceil(approximation_factor(k) * b) for b in upper])
     try:
-        reference = _solve_unbounded_cut_lp(graph, k, (lower, upper)).optimum
+        # for every x feasible at k and b, rho_k * x is feasible at k' and
+        # the scaled caps (rho_k * k = k', and rho_k >= 1 keeps the lower
+        # bounds), so an infeasible first LP means an infeasible reference
+        first = _solve_unbounded_cut_lp(graph, run_k, scaled,
+                                        recheck=_certifying(graph, certify),
+                                        keep_tableau=True)
+        reference = _solve_unbounded_cut_lp(graph, k, (lower, upper),
+                                            start=first).optimum.value
     except lpmod.LpInfeasible as exc:
         raise InfeasibleInstance(f"degree-bounded LP infeasible: {exc}") from exc
-    scaled = (list(lower), [math.ceil(approximation_factor(k) * b) for b in upper])
-    mult, trace = _round(graph, _multigraph_run_k(k), _DEGREE_MULTIGRAPH, scaled,
-                         certify, seed, max_iterations)
-    return _finish(graph, MODES["md-ecsm"], k, mult, reference.value, scaled), trace
+    mult, trace = _round(graph, run_k, _DEGREE, scaled, certify, seed, max_iterations,
+                         first)
+    return _finish(graph, MODES["md-ecsm"], k, mult, reference, scaled), trace
 
 
 # -- the mode table ------------------------------------------------------------

@@ -73,6 +73,15 @@ def test_cold_start_clips_cost_for_the_dual_phase(monkeypatch):
                                 lp.row({0: 1, 1: 1}, lp.GE, 5)]))
     assert opt.point == [3, 2] and opt.value == -1
     assert costs == [["-1", "1"], ["0", "1"], ["-1", "1"]]
+    # with c >= 0 at lower bounds (every multigraph first LP) the clipped
+    # cost is the true cost: the start is priced once, and the dual's
+    # reduced costs serve the primal simplex that follows
+    costs.clear()
+    opt = lp.solve(lp.instance([2, 1, 0], [0, 0, 0], [None, None, None],
+                               [lp.row({0: 1, 1: 1}, lp.GE, 5),
+                                lp.row({1: 1, 2: 1}, lp.LE, 3)]))
+    assert opt.point == [2, 3, 0] and opt.value == 7
+    assert costs == [["2", "1", "0"]]
     # feasible after the dual phase, then unbounded along x0
     with pytest.raises(lp.LpUnbounded):
         lp.solve(lp.instance([-1, 0], [0, 0], [None, None],
@@ -718,6 +727,126 @@ def test_warm_lazy_matches_cold_solve_of_final_rows():
     inst = lp.instance([1, 1], [0, 0], [5, None], [lp.row({0: 1, 1: 1}, lp.GE, 2)])
     cut = lp.row({0: 1, 1: 1}, lp.LE, 1)
     assert _warm_vs_cold(inst, _hidden_rows_oracle([cut])) == "LpInfeasible"
+
+
+def _with_rows(inst, rows):
+    return lp.LpInstance(inst.objective, inst.lower, inst.upper, tuple(rows))
+
+
+def _random_kept_result(rng, fractions=False):
+    """A seeded random lazy LP solved with its tableau kept, its oracle,
+    and the LP; None when it is infeasible or unbounded.  With
+    `fractions`, each row is divided by a random 1..4, so that its
+    coefficients and rhs are Fractions."""
+    inst, hidden = _random_lazy_instance(rng, rng.randint(2, 6))
+    if fractions:
+        def divided(r):
+            q = rng.randint(1, 4)
+            return lp.row({j: Fraction(c, q) for j, c in r.coeffs.items()},
+                          r.sense, Fraction(r.rhs, q))
+        inst = _with_rows(inst, [divided(r) for r in inst.rows])
+        hidden = [divided(r) for r in hidden]
+    oracle = _hidden_rows_oracle(hidden)
+    try:
+        return lp.solve_lazy(inst, oracle, keep_tableau=True), oracle, inst
+    except (lp.LpInfeasible, lp.LpUnbounded):
+        return None
+
+
+def test_warm_start_from_changed_rhs_matches_cold_solve():
+    # the final relaxation's rows with random integer rhs changes, solved
+    # from the first solve's tableau and cold under the same oracle: the
+    # same value, or LpInfeasible on both paths; integer rows and rows of
+    # Fractions alike
+    rng = random.Random(53)
+    outcomes = {"solved": 0, "infeasible": 0, "fractions": 0, "fewer_pivots": 0}
+    for trial in range(300):
+        kept = _random_kept_result(rng, fractions=trial % 2 == 1)
+        if kept is None:
+            continue
+        first, oracle, inst = kept
+        changed = _with_rows(inst, [
+            lp.LpRow(r.coeffs, r.sense, r.rhs + rng.choice([-1, 0, 0, 0, 1, 2]))
+            for r in first.rows])
+        try:
+            cold = lp.solve_lazy(changed, oracle)
+        except lp.LpInfeasible:
+            with pytest.raises(lp.LpInfeasible):
+                lp.solve_lazy(changed, oracle, start=first)
+            outcomes["infeasible"] += 1
+            continue
+        warm = lp.solve_lazy(changed, oracle, start=first)
+        assert warm.optimum.value == cold.optimum.value
+        assert warm.rows[:len(changed.rows)] == list(changed.rows)
+        recheck_vertex(_with_rows(inst, warm.rows), warm.optimum)
+        for r in warm.rows:
+            assert row_holds(r, warm.optimum.point)
+        outcomes["solved"] += 1
+        outcomes["fractions"] += trial % 2 == 1
+        outcomes["fewer_pivots"] += warm.optimum.pivots < cold.optimum.pivots
+    assert outcomes["solved"] > 50 and outcomes["infeasible"] > 50
+    assert outcomes["fractions"] > 20 and outcomes["fewer_pivots"] > 40
+
+
+def test_warm_start_at_the_same_rhs_takes_no_pivot():
+    rng = random.Random(59)
+    seen = 0
+    for trial in range(120):
+        kept = _random_kept_result(rng, fractions=trial % 2 == 1)
+        if kept is None:
+            continue
+        first, oracle, inst = kept
+        same = _with_rows(inst, [lp.row(r.coeffs, r.sense, r.rhs) for r in first.rows])
+        warm = lp.solve_lazy(same, oracle, start=first)
+        assert (warm.optimum.pivots, warm.optimum.bound_flips) == (0, 0)
+        assert (warm.optimum.nums, warm.optimum.denom) == (first.optimum.nums,
+                                                           first.optimum.denom)
+        assert warm.rows == first.rows and warm.separation_calls == 1
+        seen += 1
+    assert seen > 50
+
+
+def test_warm_start_refuses_anything_but_an_integer_rhs_change():
+    rows = (lp.row({0: 1, 1: 1}, lp.GE, 2), lp.row({0: Fraction(1, 2), 1: -1}, lp.LE, 1))
+    inst = lp.instance([1, 2], [0, 0], [3, None], rows)
+
+    def oracle(nums, denom):
+        return []
+
+    first = lp.solve_lazy(inst, oracle, keep_tableau=True)
+    refused = {
+        "coefficient": _with_rows(inst, [lp.row({0: 1, 1: 2}, lp.GE, 2), rows[1]]),
+        "sense": _with_rows(inst, [lp.row({0: 1, 1: 1}, lp.EQ, 2), rows[1]]),
+        "row count": _with_rows(inst, rows[:1]),
+        "objective": lp.instance([1, 3], [0, 0], [3, None], rows),
+        "lower bound": lp.instance([1, 2], [0, -1], [3, None], rows),
+        "upper bound": lp.instance([1, 2], [0, 0], [4, None], rows),
+        "rhs by 1/2": _with_rows(inst, [rows[0], lp.row({0: Fraction(1, 2), 1: -1},
+                                                        lp.LE, Fraction(3, 2))]),
+    }
+    for name, changed in refused.items():
+        with pytest.raises(ValueError):
+            lp.solve_lazy(changed, oracle, start=first)
+    # a refused start leaves the tableau as it was; a Fraction row whose
+    # rhs changes by an integer is taken
+    assert lp.solve_lazy(inst, oracle, start=first).optimum.pivots == 0
+    # the warm start took the tableau over, and a result solved without
+    # keep_tableau holds none
+    for start in (first, lp.solve_lazy(inst, oracle)):
+        with pytest.raises(ValueError, match="no tableau"):
+            lp.solve_lazy(inst, oracle, start=start)
+    first = lp.solve_lazy(inst, oracle, keep_tableau=True)
+    raised = _with_rows(inst, [rows[0], lp.row({0: Fraction(1, 2), 1: -1}, lp.LE, 3)])
+    assert lp.solve_lazy(raised, oracle, start=first).optimum.value == \
+        lp.solve(raised).value
+
+
+def test_lazy_result_rows_are_a_copy():
+    # rows added to a kept tableau later do not reach a returned result
+    inst = lp.instance([1, 1], [0, 0], [None, None], [lp.row({0: 1}, lp.GE, 1)])
+    result = lp.solve_lazy(inst, lambda nums, denom: [], keep_tableau=True)
+    result.tableau.add_rows([lp.row({1: 1}, lp.GE, 1)])
+    assert result.rows == list(inst.rows)
 
 
 def test_integer_point_matches_fractions_every_round(monkeypatch):

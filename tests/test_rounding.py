@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from kecss import certify, graphs, rounding, separation
+from kecss import lp as lpmod
 from kecss.certify import CertificationError
+from kecss.cli import EXIT_INFEASIBLE, main
 from kecss.graphs import (complete_graph, crossing, cuts_below, cycle_graph,
                           edge_connectivity, make_graph, vertex_mask)
 from kecss.instances import Instance, gen
@@ -270,6 +272,64 @@ def test_md_kecsm_degree_activity_boundary():
     assert len(at_8) == 4 and sum(first[e] % 1 for e in at_8) == 2
     assert len(trace.iterations) == 1
     assert trace.lp0 == Fraction(189, 2) and sol.connectivity >= 6
+
+
+def test_md_kecsm_reference_equals_a_cold_solve():
+    # md_kecsm reads LP(k) off its run LP's tableau at k' = k+2 or k+3;
+    # it must equal the cold solve of the LP at k, on random graphs and
+    # random-cost hubs, some of whose runs iterate
+    runs = []
+    for seed in (*range(10), 42, 66):
+        for k in range(1, 7):
+            inst = random_feasible(seed, 6 + seed % 4, k, p=0.5)
+            runs.append((inst.graph, k, *degree_bounds_for(inst, seed)))
+    for seed in (13, 16):
+        g = random_cost_hub(3, seed, per_edge=True).graph
+        rng = random.Random(seed)
+        for k in (2, 3, 4, 5, 6):
+            runs.append((g, k, [0] * g.n, [rng.randint(k, k + 3) for _ in range(g.n)]))
+    iterated = 0
+    for g, k, lower, upper in runs:
+        sol, trace = md_kecsm(g, k, lower, upper, certify=False)
+        cold = _solve_unbounded_cut_lp(g, k, (lower, upper)).optimum
+        assert sol.lp_value == cold.value
+        iterated += len(trace.iterations) > 1
+    assert iterated >= 6
+
+
+def test_md_kecsm_solves_one_tableau_for_both_first_lps(monkeypatch):
+    # the run LP at k' is built and solved cold once, and the reference
+    # LP at k is re-optimised on its tableau: one _Simplex per operation
+    # when the rounding loop never runs
+    built = []
+    init = lpmod._Simplex.__init__
+
+    def counted(self, inst):
+        built.append(inst.num_vars)
+        init(self, inst)
+
+    monkeypatch.setattr(lpmod._Simplex, "__init__", counted)
+    inst = random_feasible(14, 8, 6)
+    lower, upper = degree_bounds_for(inst, 14)
+    for certify_flag in (False, True):
+        built.clear()
+        sol, trace = md_kecsm(inst.graph, 6, lower, upper, certify=certify_flag)
+        assert len(trace.iterations) == 1 and trace.certified == certify_flag
+        assert built == [inst.graph.m]
+
+
+def test_md_kecsm_infeasible_degree_bounds(tmp_path):
+    # caps below twice k at vertex 3 of the path 1-3-2 starve the run LP
+    # at k' too; lower bounds are not scaled, so x13 >= 3 and the cut
+    # {2} at k=1 overfill cap 3 at vertex 3 in the reference LP alone
+    path = make_graph(3, [(1, 3, 3), (2, 3, 2)])
+    for k, lower, upper in ((2, [0] * 3, [9, 9, 1]), (1, [3, 0, 1], [9, 3, 3])):
+        with pytest.raises(InfeasibleInstance, match="^degree-bounded LP infeasible: "):
+            md_kecsm(path, k, lower, upper)
+        text = tmp_path / f"path_k{k}.txt"
+        text.write_text(f"p kecss 3 2 {k}\ne 1 3 3\ne 2 3 2\n" + "".join(
+            f"d {v} {lo} {hi}\n" for v, lo, hi in zip((1, 2, 3), lower, upper)))
+        assert main(["run", "--mode", "md-ecsm", "--input", str(text)]) == EXIT_INFEASIBLE
 
 
 def test_md_kecsm_validation():
