@@ -6,8 +6,8 @@ structural properties (laminar tight families, uncrossing identities,
 token-count bounds) of every extreme point encountered.
 """
 
-from .graphs import (Edge, Multigraph, boundary, canonical_side, complete_graph,
-                     cuts_below, cycle_graph, edge_connectivity, make_graph, min_cut)
+from .graphs import (Edge, Multigraph, complete_graph, crossing, cuts_below, cycle_graph,
+                     edge_connectivity, make_graph, min_cut, vertices)
 from .lp import (BasicOptimum, LpInfeasible, LpInstance, LpRow, LpUnbounded,
                  instance, row, solve, solve_lazy)
 from .requirements import DegreeState, Requirement

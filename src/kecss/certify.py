@@ -16,8 +16,10 @@ between two vertex classes, at a degree-tight vertex, on a basis
 member) is an integer popcount sum, memoised per mask on the point.
 The solvers build it from the LP's integers once per extreme point and
 pass it to every check, so the masses of the sets that recur across
-the uncrossing pairs are computed once.  The checks run on vertex
-masks: laminarity and weak crossing are mask tests, incidence rows are
+the uncrossing pairs are computed once.  Every vertex set here (tight
+sets, basis members, witness families) is a vertex mask, as everywhere
+in the package, and becomes a vertex list only in error text:
+laminarity and weak crossing are mask tests, incidence rows are
 boundary bitsets keyed by support position, and an incidence identity
 holds when both sides' bit-plane sums over the boundary bitsets agree
 (`identity_failure`).
@@ -40,8 +42,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import lp as lpmod
-from .graphs import (Multigraph, ScaledPoint, cuts_below, mask_vertices, min_cut,
-                     vertex_mask)
+from .graphs import Multigraph, ScaledPoint, cuts_below, min_cut, vertices
 from .requirements import DegreeState, Requirement
 from .separation import mixed_capacities
 
@@ -77,7 +78,7 @@ class VerifyReport:
     connectivity: int
     cost: Fraction
     failures: list[str]
-    witness_cut: frozenset[int] | None = None
+    witness_cut: int | None = None  # vertex mask of a cut below the target
     degree_violations: list[tuple[int, int, int, int]] | None = None
 
 
@@ -98,13 +99,13 @@ def verify(graph: Multigraph, multiplicity: Mapping[int, int],
             if ecss_mode and m > 1:
                 failures.append(f"edge {e} has multiplicity {m} in subgraph mode")
     point = ScaledPoint(graph, [mult.get(e, 0) for e in range(graph.m)], 1)
-    conn, side = 0, frozenset()  # a single vertex has no cut to count
+    conn, side = 0, 0  # a single vertex has no cut to count
     if graph.n > 1:
         conn, side = min_cut(graph, point.weights)
     if conn < connectivity_target:
         witness = side
         failures.append(f"connectivity {conn} below target {connectivity_target} "
-                        f"(cut side {sorted(side)})")
+                        f"(cut side {vertices(side)})")
     cost = graph.cost_of(mult)
     if cost_bound is not None and cost > cost_bound:
         failures.append(f"cost {cost} exceeds bound {cost_bound}")
@@ -121,7 +122,13 @@ def verify(graph: Multigraph, multiplicity: Mapping[int, int],
 
 # -- tight sets ---------------------------------------------------------------
 
-def tight_sets(point: ScaledPoint, req: Requirement) -> list[frozenset[int]]:
+def size_order(mask: int) -> tuple[int, list[int]]:
+    """Order key of a vertex mask: (size, sorted vertices), the order of
+    the tight sets, the laminar candidates and the solvers' witness pool."""
+    return mask.bit_count(), vertices(mask)
+
+
+def tight_sets(point: ScaledPoint, req: Requirement) -> list[int]:
     """All active canonical cut sides with x(boundary) equal to the residual.
 
     A side S is tight exactly when its mixed capacity x(delta S) plus the
@@ -137,11 +144,10 @@ def tight_sets(point: ScaledPoint, req: Requirement) -> list[frozenset[int]]:
     weights, denom = mixed_capacities(point, req)
     out = []
     for side in cuts_below(graph, weights, req.k * denom + 1):
-        mask = vertex_mask(side)
-        fres = req.residual_mask(mask)
-        if fres >= req.threshold and point.cross(mask) == fres * point.denom:
+        fres = req.residual(side)
+        if fres >= req.threshold and point.cross(side) == fres * point.denom:
             out.append(side)
-    return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
+    return sorted(out, key=size_order)
 
 
 def _bit_row(bits: int) -> dict[int, int]:
@@ -159,20 +165,21 @@ class LaminarBasis:
     """Laminar tight family plus degree-tight vertices spanning the
     fractional support: one member per fractional edge, with linearly
     independent boundary rows over the fractional edges."""
-    sets: tuple[frozenset[int], ...]
+    sets: tuple[int, ...]  # vertex masks
     degree_vertices: tuple[int, ...]
     frac_edges: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]  # incidence over frac_edges, sets then vertices
 
-    def members(self) -> list[frozenset[int]]:
-        return list(self.sets) + [frozenset({v}) for v in self.degree_vertices]
+    def members(self) -> list[int]:
+        """The members as vertex masks, the sets then the vertices."""
+        return list(self.sets) + [1 << (v - 1) for v in self.degree_vertices]
 
     def size(self) -> int:
         return len(self.sets) + len(self.degree_vertices)
 
 
 def extract_laminar(point: ScaledPoint, req: Requirement,
-                    tight: Sequence[frozenset[int]]) -> LaminarBasis:
+                    tight: Sequence[int]) -> LaminarBasis:
     """Greedy laminar basis for an extreme point of the residual system.
 
     Grows a maximal laminar family of active tight sets with independent
@@ -183,30 +190,25 @@ def extract_laminar(point: ScaledPoint, req: Requirement,
     `tight` is `tight_sets(point, req)`.
     """
     graph = req.graph
-    n = graph.n
     degree_state = req.degree
     # incidence rows are boundary bitsets over the support's positions,
     # which run in edge-id order
     frac_pos = [i for i, (_, _, w) in enumerate(point.edges) if w < point.denom]
     frac = tuple(point.edges[i][0] for i in frac_pos)
     frac_bits = sum(1 << i for i in frac_pos)
-    full = frozenset(range(1, n + 1))
-    candidates = {side for s in tight for side in (s, full - s)}
-    ordered = sorted(candidates, key=lambda s: (len(s), tuple(sorted(s))))
+    full = (1 << graph.n) - 1
+    candidates = {side for s in tight for side in (s, full ^ s)}
 
     tracker = lpmod.RankTracker()
-    family: list[frozenset[int]] = []
-    masks: list[int] = []
-    for s in ordered:
-        mask = vertex_mask(s)
-        if all(mask & t in (0, mask, t) for t in masks):  # nested or disjoint
+    family: list[int] = []
+    for mask in sorted(candidates, key=size_order):
+        if all(mask & t in (0, mask, t) for t in family):  # nested or disjoint
             if tracker.add(_bit_row(point.boundary_bits(mask))):
-                family.append(s)
-                masks.append(mask)
+                family.append(mask)
 
     degree_vertices: list[int] = []
     if degree_state is not None:
-        for v in sorted(degree_state.active):
+        for v in vertices(degree_state.active):
             if not _degree_tight(point, degree_state, v):
                 continue
             if tracker.add(_bit_row(point.boundary_bits(1 << (v - 1)))):
@@ -215,18 +217,18 @@ def extract_laminar(point: ScaledPoint, req: Requirement,
     # select |F| members with independent rows over the fractional columns,
     # the sets first, then the degree-tight vertices
     ftracker = lpmod.RankTracker()
-    chosen_sets: list[frozenset[int]] = []
+    chosen_sets: list[int] = []
     chosen_vertices: list[int] = []
     rows: list[tuple[int, ...]] = []
-    members = ([(s, m, None) for s, m in zip(family, masks)]
-               + [(frozenset({v}), 1 << (v - 1), v) for v in degree_vertices])
-    for side, mask, v in members:
+    members = ([(mask, None) for mask in family]
+               + [(1 << (v - 1), v) for v in degree_vertices])
+    for mask, v in members:
         if ftracker.rank == len(frac):
             break
         bits = point.boundary_bits(mask) & frac_bits
         if bits and ftracker.add(_bit_row(bits)):
             if v is None:
-                chosen_sets.append(side)
+                chosen_sets.append(mask)
             else:
                 chosen_vertices.append(v)
             rows.append(tuple(bits >> i & 1 for i in frac_pos))
@@ -251,10 +253,9 @@ def _degree_tight(point: ScaledPoint, state: DegreeState, v: int) -> bool:
 
 def _validate_basis(basis: LaminarBasis, req: Requirement, point: ScaledPoint) -> None:
     graph, degree_state = req.graph, req.degree
-    masks = [vertex_mask(s) for s in basis.sets]
-    for (a, ma), (b, mb) in itertools.combinations(zip(basis.sets, masks), 2):
-        if ma & mb not in (0, ma, mb):
-            raise CertificationError(f"family not laminar: {sorted(a)} / {sorted(b)}",
+    for a, b in itertools.combinations(basis.sets, 2):
+        if a & b not in (0, a, b):
+            raise CertificationError(f"family not laminar: {vertices(a)} / {vertices(b)}",
                                      reproducer_dump(graph, req, point))
     if basis.size() != len(basis.frac_edges):
         raise CertificationError("|family| + |degree vertices| != |F|",
@@ -264,13 +265,13 @@ def _validate_basis(basis: LaminarBasis, req: Requirement, point: ScaledPoint) -
         if not tracker.add({i: c for i, c in enumerate(r) if c}):
             raise CertificationError("basis rows not linearly independent",
                                      reproducer_dump(graph, req, point))
-    for s, mask in zip(basis.sets, masks):
-        fres = req.residual_mask(mask)
-        if fres < req.threshold or point.cross(mask) != fres * point.denom:
-            raise CertificationError(f"member {sorted(s)} not an active tight set",
+    for s in basis.sets:
+        fres = req.residual(s)
+        if fres < req.threshold or point.cross(s) != fres * point.denom:
+            raise CertificationError(f"member {vertices(s)} not an active tight set",
                                      reproducer_dump(graph, req, point))
     for v in basis.degree_vertices:
-        if degree_state is None or v not in degree_state.active:
+        if degree_state is None or v not in vertices(degree_state.active):
             raise CertificationError(f"vertex {v} not degree-constrained",
                                      reproducer_dump(graph, req, point))
         if not _degree_tight(point, degree_state, v):
@@ -287,11 +288,11 @@ class UncrossWitness:
     theta (x-mass between A-B and B-A), gamma (between A&B and the
     outside) and alpha (between the classes a mixed case joins; None
     otherwise) are integers: the masses times the point's denominator,
-    as the checks computed them."""
-    a: frozenset[int]
-    b: frozenset[int]
+    as the checks computed them.  The sets are vertex masks."""
+    a: int
+    b: int
     case: str
-    family: tuple[frozenset[int], ...]
+    family: tuple[int, ...]
     theta: int
     gamma: int
     alpha: int | None
@@ -330,7 +331,7 @@ def identity_failure(point: ScaledPoint, combo: Sequence[tuple[int, int]],
     return point.edges[(diff & -diff).bit_length() - 1][0]
 
 
-def uncross_witness(a: frozenset[int], b: frozenset[int], point: ScaledPoint,
+def uncross_witness(a: int, b: int, point: ScaledPoint,
                     req: Requirement) -> UncrossWitness:
     """Verified replacement family for two weakly-crossing active tight sets.
 
@@ -341,31 +342,29 @@ def uncross_witness(a: frozenset[int], b: frozenset[int], point: ScaledPoint,
     sets is active.  The replacement family is laminar, active, tight,
     and spans the boundary row of b together with a.  Every mass is an
     integer over the point's denominator, read from the point's boundary
-    bitsets and memo; the corners are vertex masks, and frozensets are
-    built only for the family returned.
+    bitsets and memo.  The inputs, the corners and the family returned
+    are vertex masks.
     """
     graph = req.graph
-    a, b = frozenset(a), frozenset(b)
     denom = point.denom
-    m_a, m_b = vertex_mask(a), vertex_mask(b)
-    m_inter, m_union = m_a & m_b, m_a | m_b
-    m_amb, m_bma = m_a & ~m_b, m_b & ~m_a
+    m_inter, m_union = a & b, a | b
+    m_amb, m_bma = a & ~b, b & ~a
     if not m_inter or not m_amb or not m_bma:
         raise ValueError("sets must weakly cross")
     full = (1 << graph.n) - 1
     m_out = full & ~m_union
 
     def require_tight(mask: int, label: str) -> None:
-        fres = req.residual_mask(mask)
+        fres = req.residual(mask)
         mass = point.cross(mask)
         if mass != fres * denom:
             raise CertificationError(
-                f"{label} {sorted(mask_vertices(mask, graph.n))} expected tight "
+                f"{label} {vertices(mask)} expected tight "
                 f"but x(delta)={Fraction(mass, denom)} != {fres}",
                 reproducer_dump(graph, req, point))
 
-    for mask, name in ((m_a, "input A"), (m_b, "input B")):
-        if req.residual_mask(mask) < req.threshold:
+    for mask, name in ((a, "input A"), (b, "input B")):
+        if req.residual(mask) < req.threshold:
             raise ValueError(f"{name} is not active")
         require_tight(mask, name)
 
@@ -380,17 +379,17 @@ def uncross_witness(a: frozenset[int], b: frozenset[int], point: ScaledPoint,
                 f"incidence identity {text} fails on edge {e}",
                 reproducer_dump(graph, req, point))
 
-    def witness(case: str, family: tuple[frozenset[int], ...],
+    def witness(case: str, family: tuple[int, ...],
                 alpha: int | None, text: str) -> UncrossWitness:
         return UncrossWitness(a, b, case, family, theta, gamma, alpha, text)
 
     if m_union == full:
         # weakly crossing but not crossing: A-B is the complement of B
         require_tight(m_amb, "complement A-B")
-        verify_identity([(1, m_amb)], (1, m_b), "chi(B) = chi(A-B)")
-        return witness("complement", (a, a - b), None, "chi(B) = chi(A-B)")
+        verify_identity([(1, m_amb)], (1, b), "chi(B) = chi(A-B)")
+        return witness("complement", (a, m_amb), None, "chi(B) = chi(A-B)")
 
-    active = {name: req.residual_mask(mask) >= req.threshold
+    active = {name: req.residual(mask) >= req.threshold
               for name, mask in (("inter", m_inter), ("union", m_union),
                                  ("amb", m_amb), ("bma", m_bma))}
     if not (active["inter"] or active["union"]) or not (active["amb"] or active["bma"]):
@@ -408,15 +407,15 @@ def uncross_witness(a: frozenset[int], b: frozenset[int], point: ScaledPoint,
         require_tight(m_union, "A|B")
         vanish(theta, "theta")
         text = "chi(A)+chi(B) = chi(A&B)+chi(A|B)"
-        verify_identity([(1, m_inter), (1, m_union), (-1, m_a)], (1, m_b), text)
-        return witness("intersection_union", (a, a & b, a | b), None, text)
+        verify_identity([(1, m_inter), (1, m_union), (-1, a)], (1, b), text)
+        return witness("intersection_union", (a, m_inter, m_union), None, text)
     if active["amb"] and active["bma"]:
         require_tight(m_amb, "A-B")
         require_tight(m_bma, "B-A")
         vanish(gamma, "gamma")
         text = "chi(A)+chi(B) = chi(A-B)+chi(B-A)"
-        verify_identity([(1, m_amb), (1, m_bma), (-1, m_a)], (1, m_b), text)
-        return witness("difference", (a, a - b, b - a), None, text)
+        verify_identity([(1, m_amb), (1, m_bma), (-1, a)], (1, b), text)
+        return witness("difference", (a, m_amb, m_bma), None, text)
 
     # mixed cases: all four corners tight and theta = gamma = alpha = 0.
     # Exactly one of A&B, A|B and one of A-B, B-A is active; per pattern:
@@ -427,16 +426,15 @@ def uncross_witness(a: frozenset[int], b: frozenset[int], point: ScaledPoint,
         require_tight(mask, label)
     vanish(theta, "theta")
     vanish(gamma, "gamma")
-    inter, union, amb, bma = a & b, a | b, a - b, b - a
     case, family, (left, right), (p, q, m_x, m_y), text = {
-        ("union", "amb"): ("mixed_union_diff", (a, amb, union), (m_inter, m_bma),
-                           (m_amb, m_union, m_a, m_b), "chi(B) = chi(A-B)+chi(A|B)-2chi(A)"),
-        ("union", "bma"): ("mixed_union_codiff", (a, bma, union), (m_inter, m_amb),
-                           (m_bma, m_union, m_b, m_a), "chi(A) = chi(B-A)+chi(A|B)-2chi(B)"),
-        ("inter", "bma"): ("mixed_inter_codiff", (a, inter, bma), (m_amb, m_out),
-                           (m_inter, m_bma, m_a, m_b), "chi(B) = chi(A&B)+chi(B-A)-2chi(A)"),
-        ("inter", "amb"): ("mixed_inter_diff", (a, inter, amb), (m_bma, m_out),
-                           (m_inter, m_amb, m_b, m_a), "chi(A) = chi(A&B)+chi(A-B)-2chi(B)"),
+        ("union", "amb"): ("mixed_union_diff", (a, m_amb, m_union), (m_inter, m_bma),
+                           (m_amb, m_union, a, b), "chi(B) = chi(A-B)+chi(A|B)-2chi(A)"),
+        ("union", "bma"): ("mixed_union_codiff", (a, m_bma, m_union), (m_inter, m_amb),
+                           (m_bma, m_union, b, a), "chi(A) = chi(B-A)+chi(A|B)-2chi(B)"),
+        ("inter", "bma"): ("mixed_inter_codiff", (a, m_inter, m_bma), (m_amb, m_out),
+                           (m_inter, m_bma, a, b), "chi(B) = chi(A&B)+chi(B-A)-2chi(A)"),
+        ("inter", "amb"): ("mixed_inter_diff", (a, m_inter, m_amb), (m_bma, m_out),
+                           (m_inter, m_amb, b, a), "chi(A) = chi(A&B)+chi(A-B)-2chi(B)"),
     }["union" if active["union"] else "inter", "amb" if active["amb"] else "bma"]
     alpha = point.between(left, right)
     vanish(alpha, "alpha")
@@ -445,7 +443,7 @@ def uncross_witness(a: frozenset[int], b: frozenset[int], point: ScaledPoint,
 
 
 def small_boundary_set(basis: LaminarBasis, point: ScaledPoint,
-                       req: Requirement) -> frozenset[int]:
+                       req: Requirement) -> int:
     """A basis member with at most 3 fractional boundary edges.
 
     Requires the point strictly fractional on F with integral x-mass over
@@ -464,14 +462,14 @@ def small_boundary_set(basis: LaminarBasis, point: ScaledPoint,
               for row in basis.rows]
     for member, mass in zip(members, masses):
         if mass % denom:
-            raise ValueError(f"member {sorted(member)} has non-integral mass "
+            raise ValueError(f"member {vertices(member)} has non-integral mass "
                              f"{Fraction(mass, denom)} over F")
     for row, member, mass in zip(basis.rows, members, masses):
         count = sum(row)
         if count <= 3:
             if mass > 2 * denom:
                 raise CertificationError(
-                    f"member {sorted(member)} has {count} fractional edges but "
+                    f"member {vertices(member)} has {count} fractional edges but "
                     f"mass {Fraction(mass, denom)} > 2",
                     reproducer_dump(point.graph, req, point))
             return member

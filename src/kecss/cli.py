@@ -29,6 +29,7 @@ from pathlib import Path
 from . import bench as benchmod
 from . import certify as certmod
 from . import rounding
+from .graphs import vertices
 from .instances import (GENERATOR_KINDS, MAX_K, Instance, ParseError, emit_instance, gen,
                         parse_instance)
 from .lp import LpInfeasible
@@ -63,12 +64,12 @@ def trace_jsonl(trace: rounding.RoundingTrace) -> str:
             "lp": frac_str(rec.lp_value),
             "picked": rec.picked,
             "frac_support": rec.frac_support,
-            "dropped_witnesses": [sorted(s) for s in rec.dropped_witnesses],
+            "dropped_witnesses": [vertices(s) for s in rec.dropped_witnesses],
             "lazy_rounds": rec.lazy_rounds,
             "lp_rows": rec.lp_rows,
             "basis_size": rec.basis_size,
             "small_member": (None if rec.small_member is None
-                             else sorted(rec.small_member)),
+                             else vertices(rec.small_member)),
             "witness_pairs_checked": rec.witness_pairs_checked,
         }))
     return "\n".join(lines) + ("\n" if lines else "")

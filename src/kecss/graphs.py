@@ -1,20 +1,24 @@
 """Multigraph representation and exact cut machinery.
 
 Vertices are 1..n.  Edge ids are dense 0..m-1 and parallel edges are kept
-as distinct ids; self-loops are rejected.  Edge costs are Fractions,
-summed as integers over one denominator (`costs`).  `ScaledPoint` is
-the one weighted-edge type (an LP point, or an edge multiset over
-denominator 1) and its `cross` the one sum over the edges crossing a
-vertex set, taken from per-vertex bitsets over the point's support and
-kept in a memo per mask; `crossing` lists the crossing edges' ids.  The
-cut kernels take edge weights as a list of nonnegative ints indexed by
-edge id, so every cut value and comparison is integer arithmetic; a
-caller with rational capacities scales them once to a common
-denominator (`lp.common`) and scales its bounds with them.  `min_cut`
-is Stoer-Wagner with a heap-ordered maximum-adjacency order;
-`cuts_below` enumerates every cut under a limit by s-t max-flow branch
-and bound, exactly and with polynomial delay at any n, reusing a
-parent's flow wherever a child cannot add to it.
+as distinct ids; self-loops are rejected.  A vertex set, such as a cut
+side, is an int mask with bit v-1 standing for vertex v; `vertices`
+lists one in ascending order, the form in which sides are ordered and
+written out.  Edge costs are Fractions, summed as integers over one
+denominator (`costs`).  `ScaledPoint` is the one weighted-edge type
+(an LP point, or an edge multiset over denominator 1) and its `cross`
+the one sum over the edges crossing a vertex set, taken from per-vertex
+bitsets over the point's support and kept in a memo per mask;
+`crossing` lists the crossing edges' ids.  The cut kernels take edge
+weights as a list of nonnegative ints indexed by edge id, so every cut
+value and comparison is integer arithmetic; a caller with rational
+capacities scales them once to a common denominator (`lp.common`) and
+scales its bounds with them.  They return cut sides as canonical masks,
+without vertex 1.  `min_cut` is Stoer-Wagner with a heap-ordered
+maximum-adjacency order; `cuts_below` enumerates every cut under a
+limit by s-t max-flow branch and bound, exactly and with polynomial
+delay at any n, reusing a parent's flow wherever a child cannot add to
+it.
 """
 
 from __future__ import annotations
@@ -93,22 +97,15 @@ def cycle_graph(n: int, cost: int | Fraction = 1) -> Multigraph:
     return make_graph(n, [(v, v % n + 1, cost) for v in range(1, n + 1)])
 
 
-def vertex_mask(vertices: Iterable[int]) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << (v - 1)
-    return mask
-
-
-def mask_vertices(mask: int, n: int) -> frozenset[int]:
-    return frozenset(v for v in range(1, n + 1) if mask >> (v - 1) & 1)
-
-
-def canonical_side(side: frozenset[int], n: int) -> frozenset[int]:
-    """One representative per cut partition: the side not containing vertex 1."""
-    if 1 in side:
-        return frozenset(range(1, n + 1)) - side
-    return side
+def vertices(mask: int) -> list[int]:
+    """The vertices of a vertex mask, ascending (bit v-1 stands for v):
+    the form in which a side is ordered and written out."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return out
 
 
 def crossing(graph: Multigraph, mask: int,
@@ -118,26 +115,6 @@ def crossing(graph: Multigraph, mask: int,
     ends = graph.ends
     return [e for e in (range(graph.m) if edges is None else edges)
             if 0 != mask & ends[e] != ends[e]]
-
-
-def _check_cut_side(graph: Multigraph, side: frozenset[int]) -> None:
-    if not side or len(side) >= graph.n:
-        raise ValueError("cut side must be a nonempty proper vertex subset")
-    for v in side:
-        if not 1 <= v <= graph.n:
-            raise ValueError(f"vertex {v} out of range")
-
-
-def boundary(graph: Multigraph, side: Iterable[int],
-             restrict: Iterable[int] | None = None) -> frozenset[int]:
-    """Edge ids with exactly one endpoint in `side`, restricted to `restrict`."""
-    side = frozenset(side)
-    _check_cut_side(graph, side)
-    ids = None if restrict is None else sorted(set(restrict))
-    for e in ids or ():
-        if not 0 <= e < graph.m:
-            raise ValueError(f"edge id {e} out of range")
-    return frozenset(crossing(graph, vertex_mask(side), ids))
 
 
 def _check_weights(graph: Multigraph, weights: Sequence[int]) -> None:
@@ -248,8 +225,9 @@ class ScaledPoint:
         return self._mass(self.boundary_bits(left) & self.boundary_bits(right))
 
 
-def min_cut(graph: Multigraph, weights: Sequence[int]) -> tuple[int, frozenset[int]]:
-    """Exact global minimum cut (value, canonical side) for integer weights.
+def min_cut(graph: Multigraph, weights: Sequence[int]) -> tuple[int, int]:
+    """Exact global minimum cut (value, canonical side) for integer
+    weights; the canonical side is the vertex mask without vertex 1.
 
     Stoer-Wagner.  Each phase orders the live supernodes by maximum
     adjacency from the smallest id, popping `(-key, v)` off a heap (the
@@ -262,15 +240,15 @@ def min_cut(graph: Multigraph, weights: Sequence[int]) -> tuple[int, frozenset[i
         raise ValueError("min cut needs at least 2 vertices")
     _check_weights(graph, weights)
     n = graph.n
-    # sparse weight map per supernode; each supernode lists its members
+    # sparse weight map per supernode; each supernode's members as a mask
     adj: list[dict[int, int]] = [{} for _ in range(n + 1)]
     for e in graph.edges:
         if weights[e.id]:
             adj[e.u][e.v] = adj[e.u].get(e.v, 0) + weights[e.id]
             adj[e.v][e.u] = adj[e.v].get(e.u, 0) + weights[e.id]
-    members = [[v] for v in range(n + 1)]
+    members = [0] + [1 << v for v in range(n)]
     alive = list(range(1, n + 1))
-    best_value, best_side = -1, []
+    best_value, best_side = -1, 0
     while len(alive) > 1:
         key = [0] * (n + 1)
         done = [False] * (n + 1)
@@ -292,20 +270,23 @@ def min_cut(graph: Multigraph, weights: Sequence[int]) -> tuple[int, frozenset[i
                     key[u] += wt
                     heappush(heap, (-key[u], u))
         if best_value < 0 or key[t] < best_value:
-            best_value, best_side = key[t], members[t][:]
-        members[s] += members[t]
+            best_value, best_side = key[t], members[t]
+        members[s] |= members[t]
         for u, wt in adj[t].items():
             del adj[u][t]
             if u != s:
                 adj[s][u] = adj[s].get(u, 0) + wt
                 adj[u][s] = adj[u].get(s, 0) + wt
         alive.remove(t)
-    return best_value, canonical_side(frozenset(best_side), n)
+    if best_side & 1:
+        best_side ^= (1 << n) - 1
+    return best_value, best_side
 
 
 def cuts_below(graph: Multigraph, weights: Sequence[int],
-               limit: int) -> list[frozenset[int]]:
-    """All canonical cut sides with weight strictly below `limit`.
+               limit: int) -> list[int]:
+    """All canonical cut sides (vertex masks without vertex 1) with weight
+    strictly below `limit`.
 
     Exact at any n, with polynomial delay (Vazirani-Yannakakis branching):
     vertex 1 is fixed outside the side, vertices 2..n are assigned in order,
@@ -319,7 +300,7 @@ def cuts_below(graph: Multigraph, weights: Sequence[int],
     parent's flow, value and R.
     Every branch that survives ends in a returned cut, so each cut costs
     at most 2n flow computations.  Output is sorted lexicographically by
-    canonical side.
+    the sides' sorted vertex lists (`vertices`).
     """
     if not isinstance(limit, int) or limit <= 0:
         raise ValueError(f"limit must be a positive int, got {limit!r}")
@@ -338,7 +319,7 @@ def cuts_below(graph: Multigraph, weights: Sequence[int],
     # side[v]: 1 in S, -1 in T, 0 unassigned; S also lists its vertices
     side = [0] * (n + 1)
     sources: list[int] = []
-    found: list[frozenset[int]] = []
+    found: list[int] = []
 
     def max_flow(res: list[int], value: int) -> tuple[int, list[bool]]:
         """Augment the S-T flow `res` of `value` by shortest paths; stop
@@ -380,7 +361,7 @@ def cuts_below(graph: Multigraph, weights: Sequence[int],
         # and `reach` its R
         if v > n:
             if sources:
-                found.append(frozenset(sources))
+                found.append(sum(1 << (u - 1) for u in sources))
             return
         sources.append(v)
         for choice in (1, -1):
@@ -398,7 +379,7 @@ def cuts_below(graph: Multigraph, weights: Sequence[int],
 
     side[1] = -1
     branch(2, [weights[a // 2] for a in range(2 * graph.m)], 0, [False] * (n + 1))
-    return sorted(found, key=lambda s: tuple(sorted(s)))
+    return sorted(found, key=vertices)
 
 
 def edge_connectivity(graph: Multigraph,

@@ -19,7 +19,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .graphs import Multigraph, complete_graph, cycle_graph, make_graph, min_cut
+from .graphs import Multigraph, complete_graph, cycle_graph, make_graph, min_cut, vertices
 
 
 MAX_VERTICES = 10_000
@@ -274,8 +274,8 @@ def gen(kind: str, seed: int = 0, n: int = 8, p: float = 0.6,
             break
         if len(edges) == MAX_EDGES:
             raise ValueError(f"connectivity repair reached MAX_EDGES={MAX_EDGES}")
-        a = rng.choice(sorted(side))
-        b = rng.choice(sorted(set(range(1, n + 1)) - side))
+        a = rng.choice(vertices(side))
+        b = rng.choice(vertices(((1 << n) - 1) ^ side))
         edges.append((a, b, rng.randint(cost_min, cost_max)))
         pairs[min(a, b), max(a, b)] += 1
     return Instance(make_graph(n, edges), k)

@@ -486,7 +486,8 @@ class _Simplex:
         """Bounded dual simplex with Bland's rule from a dual feasible
         basis, to a basis whose values lie within their bounds: the cold
         start's dual phase and every lazy round.  LpInfeasible when a
-        basic value cannot be repaired."""
+        basic value cannot be repaired, naming its column: a structural
+        variable, or the slack of an LP row."""
         status = self.status
         for _ in range(_MAX_PIVOTS):
             r = self._leaving()
@@ -515,8 +516,9 @@ class _Simplex:
                     best_red = rk
                     best_a = ak
             if j < 0:
-                raise LpInfeasible(f"no column can move the basic value of row {r} "
-                                   "into its bounds")
+                name = (f"variable {col}" if col < self.ns
+                        else f"the slack of row {col - self.ns}")
+                raise LpInfeasible(f"no column can move {name} into its bounds")
             self._pivot(r, j, "L" if below else "U")
         raise RuntimeError("dual simplex pivot limit exceeded")
 

@@ -3,17 +3,18 @@
 A Requirement captures the rounding state: target connectivity k, the
 multiset of already-picked edges, the activity threshold (3 for the
 exact-cost procedures, 2 for the bicriteria one), and optional residual
-degree bounds.  The residual requirement of a cut side S is
-k - (picked multiplicity crossing S); a set is active when its residual
-requirement reaches the threshold.
+degree bounds.  A cut side S is a vertex mask (bit v-1 for vertex v,
+see `graphs`); its residual requirement is k - (picked multiplicity
+crossing S), and 0 for the empty and the full set.  A set is active when
+its residual requirement reaches the threshold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .graphs import Multigraph, ScaledPoint, edge_connectivity, vertex_mask
+from .graphs import Multigraph, ScaledPoint, edge_connectivity
 
 
 @dataclass(frozen=True)
@@ -21,7 +22,7 @@ class DegreeState:
     """Residual degree windows for the still-constrained vertices."""
     lower: tuple[int, ...]  # residual lower bound per vertex 1..n
     upper: tuple[int, ...]  # residual upper bound per vertex 1..n
-    active: frozenset[int]  # vertices whose degree rows are still enforced
+    active: int             # mask of the vertices whose degree rows are still enforced
 
 
 @dataclass(frozen=True)
@@ -51,18 +52,16 @@ class Requirement:
         """The picked multiplicity crossing the vertex mask."""
         return self.picked_point.cross(mask)
 
-    def residual_mask(self, mask: int) -> int:
+    def residual(self, mask: int) -> int:
+        """k minus the picked multiplicity crossing the cut (may be
+        negative); 0 for the empty and the full set."""
         if mask == 0 or mask == (1 << self.graph.n) - 1:
             return 0
         return self.k - self.picked_point.cross(mask)
 
-    def residual(self, side: Iterable[int]) -> int:
-        """k minus the picked multiplicity crossing the cut (may be negative)."""
-        return self.residual_mask(vertex_mask(side))
-
-    def in_active_family(self, side: Iterable[int]) -> bool:
+    def in_active_family(self, mask: int) -> bool:
         # the empty and the full side have residual 0, below either threshold
-        return self.residual_mask(vertex_mask(side)) >= self.threshold
+        return self.residual(mask) >= self.threshold
 
     def active_empty(self) -> bool:
         """True iff no cut side reaches the threshold (the stopping rule)."""

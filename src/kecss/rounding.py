@@ -34,12 +34,12 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from . import certify as certmod
 from . import lp as lpmod
 from .graphs import (Multigraph, ScaledPoint, crossing, edge_connectivity, is_connected,
-                     min_cut, vertex_mask)
+                     min_cut, vertices)
 from .requirements import DegreeState, Requirement
 from .separation import Feasible, Violated, separate_fast
 
@@ -80,9 +80,9 @@ class IterationRecord:
     lp_point: ScaledPoint = field(repr=False)  # the iteration's LP point by edge id
     picked: list[int]
     frac_support: int
-    dropped_witnesses: list[frozenset[int]]
+    dropped_witnesses: list[int]  # vertex masks
     basis_size: int | None = None
-    small_member: frozenset[int] | None = None
+    small_member: int | None = None  # vertex mask
     witness_pairs_checked: int = 0
     lazy_rounds: int | None = None  # oracle rounds of the lazy loop, not cuts
     lp_rows: int | None = None      # rows of the final relaxation
@@ -135,17 +135,18 @@ def _check(graph: Multigraph, k: int, min_k: int, *, even: bool = False,
 
 # -- LP rows and the two lazy LPs ---------------------------------------------
 
-def _cut_row(graph: Multigraph, side: frozenset[int], working: Sequence[int],
+def _cut_row(graph: Multigraph, side: int, working: Sequence[int],
              var_of: Mapping[int, int], rhs: int) -> lpmod.LpRow:
-    coeffs = {var_of[e]: 1 for e in crossing(graph, vertex_mask(side), working)}
+    coeffs = {var_of[e]: 1 for e in crossing(graph, side, working)}
     return lpmod.row(coeffs, lpmod.GE, rhs)
 
 
 def _degree_rows(graph: Multigraph, working: Sequence[int], var_of: Mapping[int, int],
                  lower: Sequence[int], upper: Sequence[int],
-                 vertices: Iterable[int]) -> list[lpmod.LpRow]:
+                 active: int) -> list[lpmod.LpRow]:
+    """The degree rows of the vertices in the mask `active`, by vertex."""
     rows = []
-    for v in sorted(vertices):
+    for v in vertices(active):
         coeffs = {var_of[e]: 1 for e in crossing(graph, 1 << (v - 1), working)}
         if lower[v - 1] >= 1:
             rows.append(lpmod.row(coeffs, lpmod.GE, lower[v - 1]))
@@ -153,18 +154,19 @@ def _degree_rows(graph: Multigraph, working: Sequence[int], var_of: Mapping[int,
     return rows
 
 
-def _degree_active(point: ScaledPoint, vertices: frozenset[int]) -> frozenset[int]:
-    """The vertices whose degree rows stay enforced: fractional degree over
-    the point's fractional support edges, or its complement, above 2."""
+def _degree_active(point: ScaledPoint, active: int) -> int:
+    """The mask of the vertices of `active` whose degree rows stay
+    enforced: fractional degree over the point's fractional support
+    edges, or its complement, above 2."""
     denom, weights = point.denom, point.weights
     frac = [e for e, _, w in point.edges if w < denom]
-    still = set()
-    for v in vertices:
+    still = 0
+    for v in vertices(active):
         meeting = crossing(point.graph, 1 << (v - 1), frac)
         fdeg = sum(weights[e] for e in meeting)
         if fdeg > 2 * denom or (len(meeting) - 2) * denom > fdeg:
-            still.add(v)
-    return frozenset(still)
+            still |= 1 << (v - 1)
+    return still
 
 
 def _lazy_solve(graph: Multigraph, objective: list, lower: list, upper: list,
@@ -195,15 +197,15 @@ def _edge_point(graph: Multigraph, working: Sequence[int], nums: Sequence[int],
 
 
 def _solve_residual(graph: Multigraph, req: Requirement, working: list[int],
-                    carry: set[frozenset[int]], recheck: bool) -> lpmod.LazyResult:
+                    carry: set[int], recheck: bool) -> lpmod.LazyResult:
     """Solve the residual LP over the working edges by lazy separation."""
     var_of = {e: i for i, e in enumerate(working)}
     state = req.degree
     rows = [] if state is None else _degree_rows(graph, working, var_of, state.lower,
                                                  state.upper, state.active)
     # the active singletons, then the active cuts carried from earlier LPs
-    singletons = [frozenset({v}) for v in range(1, graph.n + 1)]
-    carried = sorted(carry.difference(singletons), key=lambda s: tuple(sorted(s)))
+    singletons = [1 << v for v in range(graph.n)]
+    carried = sorted(carry.difference(singletons), key=vertices)
     for side in singletons + carried:
         fres = req.residual(side)
         if fres >= req.threshold:
@@ -237,10 +239,9 @@ def _solve_unbounded_cut_lp(graph: Multigraph, k: int, bounds: Bounds | None = N
     var_of = {e: e for e in range(graph.m)}
     working = list(range(graph.m))
     rows = [] if bounds is None else _degree_rows(graph, working, var_of, *bounds,
-                                                  range(1, graph.n + 1))
+                                                  (1 << graph.n) - 1)
     if start is None:
-        rows += [_cut_row(graph, frozenset({v}), working, var_of, k)
-                 for v in range(1, graph.n + 1)]
+        rows += [_cut_row(graph, 1 << v, working, var_of, k) for v in range(graph.n)]
     else:
         rows += [lpmod.LpRow(r.coeffs, r.sense, k) for r in start.rows[len(rows):]]
 
@@ -256,7 +257,7 @@ def _solve_unbounded_cut_lp(graph: Multigraph, k: int, bounds: Bounds | None = N
 
 def _certify_iteration(graph: Multigraph, req: Requirement, point: ScaledPoint,
                        picked_now: set[int], rng: random.Random,
-                       record: IterationRecord) -> list[frozenset[int]]:
+                       record: IterationRecord) -> list[int]:
     """Per-extreme-point structural checks: laminar basis, token bound,
     uncrossing witnesses on sampled weakly-crossing tight pairs.
     Returns the basis members for the caller's witness pool."""
@@ -269,18 +270,14 @@ def _certify_iteration(graph: Multigraph, req: Requirement, point: ScaledPoint,
         if req.threshold == 3 and member in basis.sets:
             # its fractional mass is at most 2, so integral picks must
             # nearly satisfy this still-active member
-            picked_across = len(crossing(graph, vertex_mask(member), picked_now))
+            picked_across = len(crossing(graph, member, picked_now))
             if req.residual(member) - picked_across > 2:
                 raise certmod.CertificationError(
-                    f"active member {sorted(member)} not nearly satisfied "
+                    f"active member {vertices(member)} not nearly satisfied "
                     "after picking integral edges",
                     certmod.reproducer_dump(graph, req, point))
-    full, full_mask = frozenset(range(1, graph.n + 1)), (1 << graph.n) - 1
-    members, masks = [], []
-    for s in tight:
-        mask = vertex_mask(s)
-        members += [s, full - s]
-        masks += [mask, full_mask ^ mask]
+    full = (1 << graph.n) - 1
+    members = [side for s in tight for side in (s, full ^ s)]
     if len(members) <= PAIR_FAMILY_CAP:
         pairs = list(itertools.combinations(range(len(members)), 2))
     else:
@@ -291,9 +288,9 @@ def _certify_iteration(graph: Multigraph, req: Requirement, point: ScaledPoint,
             if i != j:
                 pairs.append((i, j))
     for i, j in pairs:
-        a, b = masks[i], masks[j]
+        a, b = members[i], members[j]
         if a & b and a & ~b and b & ~a:  # weakly crossing
-            certmod.uncross_witness(members[i], members[j], point, req)
+            certmod.uncross_witness(a, b, point, req)
             record.witness_pairs_checked += 1
     return basis.members()
 
@@ -333,7 +330,7 @@ def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
     rng = random.Random(seed)
     mult: dict[int, int] = {}
     working = list(range(graph.m))
-    degree_active = frozenset(range(1, graph.n + 1)) if spec.degrees else None
+    degree_active = (1 << graph.n) - 1 if spec.degrees else None
     trace = RoundingTrace(Fraction(0), certified=certify_flag)
     lp0: Fraction | None = None
     if first_lp is not None:
@@ -352,12 +349,13 @@ def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
             picked=sorted(mult), frac_support=len(working), dropped_witnesses=[],
             lazy_rounds=first_lp.separation_calls, lp_rows=len(first_lp.rows)))
 
-    carry: set[frozenset[int]] = set()
-    # sampled sets whose activity we track across iterations: singleton
-    # cuts, every cut returned by the oracle, and laminar-basis members
-    pool: set[frozenset[int]] = {frozenset({v}) for v in range(1, graph.n + 1)}
-    monitor: dict[frozenset[int], int] = {}
-    dropped: set[frozenset[int]] = set()
+    carry: set[int] = set()
+    # sampled sets whose activity we track across iterations, as vertex
+    # masks: singleton cuts, every cut returned by the oracle, and
+    # laminar-basis members
+    pool: set[int] = {1 << v for v in range(graph.n)}
+    monitor: dict[int, int] = {}
+    dropped: set[int] = set()
     cap = len(graph.edges) + (graph.n if spec.degrees else 0) + 1
     if max_iterations is not None:
         cap = min(cap, max_iterations)
@@ -417,8 +415,7 @@ def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
             working = [e for e in working if 0 < weights[e] < cut]
         new_active = (None if degree_active is None
                       else _degree_active(point, degree_active))
-        if not picked_now and (degree_active is None
-                               or len(new_active) == len(degree_active)):
+        if not picked_now and (degree_active is None or new_active == degree_active):
             raise certmod.CertificationError(
                 f"no progress in iteration {iteration}: nothing picked and "
                 "no vertex left the degree-constrained set",
@@ -428,18 +425,18 @@ def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
         # witness-pool upkeep: residuals never increase, drops never revert
         new_req = requirement()
         pool.update(carry)
-        for side in sorted(pool, key=lambda s: (len(s), tuple(sorted(s)))):
+        for side in sorted(pool, key=certmod.size_order):
             fres_new = new_req.residual(side)
             if side in monitor and fres_new > monitor[side]:
                 raise certmod.CertificationError(
-                    f"residual of {sorted(side)} increased "
+                    f"residual of {vertices(side)} increased "
                     f"{monitor[side]} -> {fres_new}")
             monitor[side] = fres_new
             was_active = req.residual(side) >= spec.threshold
             is_active = fres_new >= spec.threshold
             if side in dropped and is_active:
                 raise certmod.CertificationError(
-                    f"dropped set {sorted(side)} re-entered the active family")
+                    f"dropped set {vertices(side)} re-entered the active family")
             if was_active and not is_active:
                 dropped.add(side)
                 if len(record.dropped_witnesses) < WITNESS_CAP:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import ScaledPoint, cuts_below, min_cut, vertex_mask
+from .graphs import ScaledPoint, cuts_below, min_cut, vertices
 from .requirements import Requirement
 
 
@@ -42,7 +42,7 @@ class Feasible:
 
 @dataclass(frozen=True)
 class Cut:
-    side: frozenset[int]
+    side: int           # canonical side: a vertex mask without vertex 1
     capacity: Fraction  # mixed capacity of the cut
     requirement: int    # residual requirement of the side
     lhs: Fraction       # x-mass of working edges across the cut
@@ -50,7 +50,7 @@ class Cut:
     def __post_init__(self):
         # mixed capacity below k exactly when the x-mass is below the residual
         if self.lhs >= self.requirement:
-            raise ValueError(f"cut {sorted(self.side)} is not violated: x-mass "
+            raise ValueError(f"cut {vertices(self.side)} is not violated: x-mass "
                              f"{self.lhs} >= residual {self.requirement}")
 
 
@@ -61,7 +61,7 @@ class Violated:
     def __post_init__(self):
         if not self.cuts:
             raise ValueError("a violated verdict needs at least one cut")
-        keys = [(c.capacity, tuple(sorted(c.side))) for c in self.cuts]
+        keys = [(c.capacity, vertices(c.side)) for c in self.cuts]
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ValueError("cuts must be distinct and ordered by "
                              "(capacity, side)")
@@ -96,20 +96,18 @@ def _check_fast_preconditions(req: Requirement) -> None:
             raise ValueError("threshold 2 needs k >= 2")
 
 
-def _cut(req: Requirement, side: frozenset[int], capacity: Fraction) -> Cut:
-    mask = vertex_mask(side)
-    return Cut(side, capacity, req.residual_mask(mask),
-               capacity - req.picked_crossing(mask))
+def _cut(req: Requirement, side: int, capacity: Fraction) -> Cut:
+    return Cut(side, capacity, req.residual(side), capacity - req.picked_crossing(side))
 
 
 def separate_fast(point: ScaledPoint, req: Requirement) -> SeparationVerdict:
     """Min-cut probe plus near-minimum-cut enumeration at the point.
 
     Returns Feasible, or Violated with the violated active cuts found,
-    ordered by mixed capacity and then lexicographically by canonical
-    side.  A min cut below the window is reported alone; otherwise the
-    verdict holds every active side of capacity below k, which is every
-    violated cut.
+    ordered by mixed capacity and then lexicographically by the canonical
+    side's sorted vertices.  A min cut below the window is reported
+    alone; otherwise the verdict holds every active side of capacity
+    below k, which is every violated cut.
     """
     _check_fast_preconditions(req)
     if req.threshold == 3 and req.k == 2:
@@ -120,13 +118,13 @@ def separate_fast(point: ScaledPoint, req: Requirement) -> SeparationVerdict:
     if value < window * denom:
         # a dropped set has capacity >= window, so this side is active
         if not req.in_active_family(side):
-            raise RuntimeError(f"min cut {sorted(side)} of capacity "
+            raise RuntimeError(f"min cut {vertices(side)} of capacity "
                                f"{Fraction(value, denom)} below {window} is not active")
         return Violated((_cut(req, side, Fraction(value, denom)),))
     if value >= req.k * denom:
         return Feasible()
     mixed = ScaledPoint(req.graph, weights, denom)
-    found = [(mixed.cross(vertex_mask(s)), s)
+    found = [(mixed.cross(s), s)
              for s in cuts_below(req.graph, weights, req.k * denom)
              if req.in_active_family(s)]
     if not found:

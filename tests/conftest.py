@@ -5,10 +5,20 @@ from fractions import Fraction
 import pytest
 
 from kecss import lp
-from kecss.graphs import canonical_side, make_graph
+from kecss.graphs import make_graph, vertices
 from kecss.instances import Instance, gen
 
 TIGHT_SCAN_VERTEX_LIMIT = 16
+
+
+def mask(vs) -> int:
+    """The vertex mask of a literal vertex set: bit v-1 for vertex v."""
+    return sum(1 << (v - 1) for v in set(vs))
+
+
+def size_order(side: int) -> tuple[int, list[int]]:
+    """The (size, sorted vertices) order of vertex masks."""
+    return side.bit_count(), vertices(side)
 
 
 def random_feasible(seed: int, n: int, k: int, p: float = 0.6,
@@ -58,7 +68,7 @@ def row_holds(row, point) -> bool:
             lp.EQ: lhs == row.rhs}[row.sense]
 
 
-def tight_sets_scan(x, req) -> list[frozenset[int]]:
+def tight_sets_scan(x, req) -> list[int]:
     """Reference oracle for `certify.tight_sets`: scan all 2^(n-1)
     canonical sides S (vertex 1 outside), n <= 16.
 
@@ -93,11 +103,11 @@ def tight_sets_scan(x, req) -> list[frozenset[int]]:
         picked_cut[i], x_cut[i] = p_cut, w_cut
         fres = req.k - p_cut
         if fres >= req.threshold and w_cut == fres * denom:
-            out.append(frozenset(b + 2 for b in range(n - 1) if i >> b & 1))
-    return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
+            out.append(i << 1)
+    return sorted(out, key=size_order)
 
 
-def min_cut_reference(graph, weights) -> tuple[int, frozenset[int]]:
+def min_cut_reference(graph, weights) -> tuple[int, int]:
     """Reference for `graphs.min_cut`: maximum-adjacency contraction that
     picks each next vertex with `min` over a dict by (-key, v), with no
     heap.  `min_cut` must return the same value and the same side."""
@@ -135,7 +145,8 @@ def min_cut_reference(graph, weights) -> tuple[int, frozenset[int]]:
             del w[v][t]
         del w[t]
         nodes.remove(t)
-    return best_value, canonical_side(frozenset(best_side), graph.n)
+    side = mask(best_side)
+    return best_value, (side ^ ((1 << graph.n) - 1) if side & 1 else side)
 
 
 def degree_bounds_for(inst: Instance, seed: int) -> tuple[list[int], list[int]]:

@@ -13,8 +13,9 @@ them is on a solver's path: the solvers separate with
 - `full_cut_lp`: the cut LP with one row per partition, solved directly
   by `kecss.lp.solve` (n <= 12).
 - `SetFunction` and the predicates on it: two-way uncrossability, even
-  parity and symmetrization over an explicit 2^n table (n <= 12);
-  `as_set_function(req)` tabulates a requirement's residual function.
+  parity and symmetrization over an explicit 2^n table indexed by
+  vertex mask (n <= 12); `as_set_function(req)` tabulates a
+  requirement's residual function.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from kecss import lp as lpmod
-from kecss.graphs import Multigraph, mask_vertices, vertex_mask
+from kecss.graphs import Multigraph, vertices
 from kecss.lp import LpInfeasible
 from kecss.requirements import Requirement
 from kecss.separation import (Cut, Feasible, ScaledPoint, SeparationVerdict, Violated,
@@ -52,18 +53,17 @@ def violated_cuts_exact(x: Mapping[int, Fraction], req: Requirement) -> list[Cut
         raise CapacityError(f"n={n} too large for the exhaustive oracle")
     weights, denom = mixed_capacities(ScaledPoint.of(req.graph, x), req)
     k_scaled = req.k * denom
-    found: list[tuple[int, tuple[int, ...], frozenset[int]]] = []
+    found: list[tuple[int, list[int], int]] = []
     for mask_rest in range(1, 1 << (n - 1)):
         mask = mask_rest << 1
-        if req.residual_mask(mask) < req.threshold:
+        if req.residual(mask) < req.threshold:
             continue
         w = 0
         for e in req.graph.edges:
             if (mask >> (e.u - 1) & 1) != (mask >> (e.v - 1) & 1):
                 w += weights[e.id]
         if w < k_scaled:
-            side = mask_vertices(mask, n)
-            found.append((w, tuple(sorted(side)), side))
+            found.append((w, vertices(mask), mask))
     found.sort()
     return [_cut(req, side, Fraction(w, denom)) for w, _, side in found]
 
@@ -225,19 +225,15 @@ class SetFunction:
             raise ValueError("table must cover all subsets")
 
     @classmethod
-    def from_callable(cls, n: int, fn: Callable[[frozenset[int]], int]) -> "SetFunction":
-        return cls(n, [fn(mask_vertices(m, n)) for m in range(1 << n)])
+    def from_callable(cls, n: int, fn: Callable[[int], int]) -> "SetFunction":
+        return cls(n, [fn(m) for m in range(1 << n)])
 
-    def __call__(self, side: Iterable[int]) -> int:
-        return self.values[vertex_mask(side)]
+    def __call__(self, side: int) -> int:
+        return self.values[side]
 
     def is_symmetric(self) -> bool:
         full = (1 << self.n) - 1
         return all(self.values[m] == self.values[full ^ m] for m in range(1 << self.n))
-
-
-def _witness(n: int, a: int, b: int) -> tuple[frozenset[int], frozenset[int]]:
-    return mask_vertices(a, n), mask_vertices(b, n)
 
 
 def check_two_way_uncrossable(f: SetFunction):
@@ -246,8 +242,7 @@ def check_two_way_uncrossable(f: SetFunction):
 
     Returns (True, None) or (False, (A, B)) with a violating pair.
     """
-    n = f.n
-    full = (1 << n) - 1
+    full = (1 << f.n) - 1
     vals = f.values
     for a in range(1, full):
         for b in range(a + 1, full):
@@ -261,14 +256,13 @@ def check_two_way_uncrossable(f: SetFunction):
             lhs = vals[a] + vals[b]
             if lhs > vals[inter] + vals[a | b] or \
                lhs > vals[a & ~b & full] + vals[b & ~a & full]:
-                return False, _witness(n, a, b)
+                return False, (a, b)
     return True, None
 
 
 def check_even_parity(f: SetFunction):
     """f(A)+f(B)+f(A|B) must be even for disjoint nonempty A, B."""
-    n = f.n
-    full = (1 << n) - 1
+    full = (1 << f.n) - 1
     vals = f.values
     for a in range(1, full + 1):
         rest = full & ~a
@@ -276,7 +270,7 @@ def check_even_parity(f: SetFunction):
         while b:
             if b > a:  # unordered pairs once
                 if (vals[a] + vals[b] + vals[a | b]) & 1:
-                    return False, _witness(n, a, b)
+                    return False, (a, b)
             b = (b - 1) & rest
     return True, None
 
@@ -294,4 +288,4 @@ def as_set_function(req: Requirement) -> SetFunction:
     n = req.graph.n
     if n > PREDICATE_VERTEX_LIMIT:
         raise CapacityError(f"n={n} too large for an explicit table")
-    return SetFunction(n, [req.residual_mask(m) for m in range(1 << n)])
+    return SetFunction(n, [req.residual(m) for m in range(1 << n)])

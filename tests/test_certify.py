@@ -8,15 +8,15 @@ import pytest
 from kecss import certify as certmod
 from kecss.certify import (extract_laminar, reproducer_dump, small_boundary_set,
                            tight_sets, uncross_witness, verify)
-from kecss.graphs import (boundary, complete_graph, cycle_graph,
-                          edge_connectivity, make_graph)
+from kecss.graphs import (complete_graph, crossing, cycle_graph, edge_connectivity,
+                          make_graph)
 from kecss.instances import gen, parse_instance
 from kecss.lp import LpInfeasible
 from kecss.requirements import Requirement
 from kecss.separation import ScaledPoint
 from kecss.rounding import bicriteria, kecss, kecss_even, md_kecss
 
-from conftest import degree_bounds_for, random_cost_hub, tight_sets_scan
+from conftest import degree_bounds_for, mask, random_cost_hub, tight_sets_scan
 from reference import brute_force_opt, full_cut_lp
 
 
@@ -38,7 +38,8 @@ def test_verify_pass_and_fail():
     report = verify(c5, broken, 2, None)
     assert not report.ok
     assert report.witness_cut is not None
-    assert len(boundary(c5, report.witness_cut, broken.keys())) <= 1
+    assert len(crossing(c5, report.witness_cut, broken.keys())) <= 1
+    assert report.failures == ["connectivity 1 below target 2 (cut side [5])"]
 
 
 def test_verify_reports_malformed_multiplicities():
@@ -77,9 +78,9 @@ def test_tight_sets_k5():
     x = {e: Fraction(1) for e in range(g.m)}
     sets = tight_sets(ScaledPoint.of(g, x), req)
     assert len(sets) == 5
-    assert all(1 not in s for s in sets)
-    assert sorted(len(s) for s in sets) == [1, 1, 1, 1, 4]
-    assert all(len(boundary(g, s)) == 4 for s in sets)
+    assert all(not s & 1 for s in sets)
+    assert sets == [mask({2}), mask({3}), mask({4}), mask({5}), mask({2, 3, 4, 5})]
+    assert all(len(crossing(g, s)) == 4 for s in sets)
 
 
 def test_tight_sets_above_requirement_empty():
@@ -91,19 +92,13 @@ def test_tight_sets_above_requirement_empty():
 
 def test_tight_sets_prism_fixture():
     inst = gen("prism-k3")
-    full = frozenset(range(1, 7))
+    full = (1 << 6) - 1
     req = Requirement(inst.graph, 3, {}, 3)
     sets = tight_sets(ScaledPoint.of(inst.graph, fixture_point(inst)), req)
-    partitions = {frozenset((tuple(sorted(s)), tuple(sorted(full - s))))
-                  for s in sets}
-    for v in range(1, 7):
-        side = frozenset({v})
-        assert frozenset((tuple(sorted(side)), tuple(sorted(full - side)))) \
-            in partitions
-    for pair in ((1, 2), (3, 4), (5, 6)):
-        side = frozenset(pair)
-        assert frozenset((tuple(sorted(side)), tuple(sorted(full - side)))) \
-            in partitions
+    partitions = {min(s, full ^ s) for s in sets}  # one side per partition
+    sides = [mask({v}) for v in range(1, 7)] + [mask(p) for p in ((1, 2), (3, 4), (5, 6))]
+    for side in sides:
+        assert min(side, full ^ side) in partitions
 
 
 def _hub_fixture_state():
@@ -199,7 +194,7 @@ def test_extract_laminar_prism():
     assert basis.size() == 9 == len(basis.frac_edges)
     assert not basis.degree_vertices
     for a, b in itertools.combinations(basis.sets, 2):
-        assert a <= b or b <= a or not (a & b)
+        assert a & b in (0, a, b)
 
 
 def test_extract_laminar_integral_point():
@@ -218,7 +213,7 @@ def test_small_boundary_set_prism():
     basis = extract_laminar(p, req, tight_sets(p, req))
     z = {e: v for e, v in x.items() if 0 < v < 1}
     member = small_boundary_set(basis, p, req)
-    cut = boundary(inst.graph, member, z.keys())
+    cut = crossing(inst.graph, member, z.keys())
     assert len(cut) <= 3
     assert sum((z[e] for e in cut), Fraction(0)) <= 2
 
@@ -242,8 +237,8 @@ def test_small_boundary_set_without_a_small_member_carries_a_dump():
     req = Requirement(g, 4, {}, 3)
     point = ScaledPoint(g, [1] * g.m, 2)  # x = 1/2 everywhere
     frac = tuple(range(g.m))
-    sets = (frozenset({1}), frozenset({2}))
-    rows = tuple(tuple(int(e in boundary(g, s)) for e in frac) for s in sets)
+    sets = (mask({1}), mask({2}))
+    rows = tuple(tuple(int(e in crossing(g, s)) for e in frac) for s in sets)
     basis = certmod.LaminarBasis(sets, (), frac, rows)
     with pytest.raises(certmod.CertificationError,
                        match="no member with at most 3") as err:
@@ -260,10 +255,10 @@ def test_uncross_witness_intersection_union():
     g = inst.graph
     req = Requirement(g, 3, {}, 2)
     x = fixture_point(inst)
-    a = frozenset({1, 2})
-    b = frozenset({2, 3, 4})
-    mass_a = sum((x[e] for e in boundary(g, a)), Fraction(0))
-    mass_b = sum((x[e] for e in boundary(g, b)), Fraction(0))
+    a = mask({1, 2})
+    b = mask({2, 3, 4})
+    mass_a = sum((x[e] for e in crossing(g, a)), Fraction(0))
+    mass_b = sum((x[e] for e in crossing(g, b)), Fraction(0))
     assert mass_a == req.residual(a)
     if mass_b == req.residual(b):
         w = uncross_witness(a, b, ScaledPoint.of(g, x), req)
@@ -277,14 +272,14 @@ def test_uncross_witness_cases_from_run():
     req = Requirement(g, 6, picked, 3)
     p = ScaledPoint.of(g, x)
     tights = tight_sets(p, req)
-    full = frozenset(range(1, 11))
+    full = (1 << 10) - 1
     members = []
     for s in tights:
         members.append(s)
-        members.append(full - s)
+        members.append(full ^ s)
     cases = set()
     for a, b in itertools.combinations(members, 2):
-        if not (a & b) or not (a - b) or not (b - a):
+        if not (a & b) or not (a & ~b) or not (b & ~a):
             continue
         w = uncross_witness(a, b, p, req)
         cases.add(w.case)
@@ -375,9 +370,9 @@ def test_uncross_witness_domain_errors():
     req = Requirement(inst.graph, 3, {}, 3)
     p = ScaledPoint.of(inst.graph, fixture_point(inst))
     with pytest.raises(ValueError):
-        uncross_witness(frozenset({1}), frozenset({2}), p, req)  # disjoint
+        uncross_witness(mask({1}), mask({2}), p, req)  # disjoint
     with pytest.raises(ValueError):
-        uncross_witness(frozenset({1}), frozenset({1, 2}), p, req)  # nested
+        uncross_witness(mask({1}), mask({1, 2}), p, req)  # nested
 
 
 def test_brute_force_examples():

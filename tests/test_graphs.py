@@ -4,12 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import min_cut_reference, random_cost_hub
-from kecss import rounding, separation
+from conftest import mask, min_cut_reference, random_cost_hub, size_order
+from kecss import certify, rounding, separation
 from kecss.certify import verify
-from kecss.graphs import (Multigraph, boundary, canonical_side,
-                          complete_graph, cuts_below, cycle_graph,
-                          edge_connectivity, make_graph, min_cut, vertex_mask)
+from kecss.graphs import (Multigraph, complete_graph, crossing, cuts_below, cycle_graph,
+                          edge_connectivity, make_graph, min_cut, vertices)
 from kecss.instances import gen
 from kecss.lp import common
 from kecss.requirements import Requirement
@@ -54,35 +53,60 @@ def test_multigraph_validation():
 
 def test_boundary_cycle():
     c4 = cycle_graph(4)
-    cut = boundary(c4, {1, 2})
-    assert cut == {1, 3}  # edges v2v3 and v4v1
-    assert len(cut) == 2
+    assert crossing(c4, mask({1, 2})) == [1, 3]  # edges v2v3 and v4v1
 
 
 def test_boundary_star():
     k4 = complete_graph(4)
-    assert len(boundary(k4, {1})) == 3
+    assert len(crossing(k4, mask({1}))) == 3
 
 
 def test_boundary_restricted_and_symmetry():
     g = gen("prism-hub-k6").graph
     frac = [e.id for e in g.edges if e.cost > 0]
-    assert len(boundary(g, {2}, frac)) == 3  # one rung + two triangle edges
+    assert len(crossing(g, mask({2}), frac)) == 3  # one rung + two triangle edges
     rng = random.Random(0)
     for _ in range(30):
         gr = random_graph(rng, rng.randint(2, 8))
-        side = frozenset(rng.sample(range(1, gr.n + 1),
-                                    rng.randint(1, gr.n - 1)))
-        other = frozenset(range(1, gr.n + 1)) - side
-        assert boundary(gr, side) == boundary(gr, other)
+        side = mask(rng.sample(range(1, gr.n + 1), rng.randint(1, gr.n - 1)))
+        other = ((1 << gr.n) - 1) ^ side
+        assert crossing(gr, side) == crossing(gr, other)
 
 
-def test_boundary_domain_errors():
-    c4 = cycle_graph(4)
-    with pytest.raises(ValueError):
-        boundary(c4, set())
-    with pytest.raises(ValueError):
-        boundary(c4, {1, 2, 3, 4})
+def test_vertices_lists_a_mask_in_ascending_order():
+    assert vertices(0) == []
+    assert vertices(mask({3, 1, 7})) == [1, 3, 7]
+    for side in range(1 << 9):
+        assert vertices(side) == [v for v in range(1, 10) if side >> (v - 1) & 1]
+        assert mask(vertices(side)) == side
+
+
+def test_size_order_key_reproduces_the_set_order():
+    # the mask key (size, sorted vertices) orders every vertex set of
+    # 1..n as the sets themselves are ordered by (size, sorted tuple);
+    # for equal sizes that is "the lowest bit of A ^ B lies in A"
+    for n in range(1, 8):
+        sets = [frozenset(v for v in range(1, n + 1) if m >> (v - 1) & 1)
+                for m in range(1 << n)]
+        old = [mask(s) for s in sorted(sets, key=lambda s: (len(s), tuple(sorted(s))))]
+        new = sorted(range(1 << n), key=certify.size_order)
+        assert new == old == sorted(range(1 << n), key=size_order)
+        for a, b in zip(new, new[1:]):
+            if a.bit_count() == b.bit_count():
+                assert (a ^ b) & -(a ^ b) & a
+        # cuts_below's order: lexicographic by the sorted vertex list
+        lex = sorted(sets, key=lambda s: tuple(sorted(s)))
+        assert sorted(range(1 << n), key=vertices) == [mask(s) for s in lex]
+
+
+def test_cuts_below_output_is_sorted_by_vertex_list():
+    rng = random.Random(7)
+    for trial in range(40):
+        g = random_multigraph(rng, 3 + trial % 9)
+        weights = [rng.randint(0, 4) for _ in range(g.m)]
+        found = cuts_below(g, weights, rng.randint(1, 12))
+        assert found == sorted(found, key=vertices)
+        assert all(not side & 1 for side in found)  # vertex 1 stays outside
 
 
 def test_min_cut_examples():
@@ -91,7 +115,7 @@ def test_min_cut_examples():
     path = make_graph(3, [(1, 2, 1), (2, 3, 1)])
     value, side = min_cut(path, [1, 1])
     assert value == 1
-    assert side in (frozenset({3}), frozenset({2, 3}))
+    assert side in (mask({3}), mask({2, 3}))
 
 
 def test_min_cut_needs_two_vertices():
@@ -110,9 +134,9 @@ def test_min_cut_matches_exhaustive():
         weights, denom = common([caps[e] for e in range(g.m)])
         value, side = min_cut(g, weights)
         assert Fraction(value, denom) == exhaustive_min_cut(g, caps)
-        attained = sum((caps[e] for e in boundary(g, side)), Fraction(0))
+        attained = sum((caps[e] for e in crossing(g, side)), Fraction(0))
         assert attained == Fraction(value, denom)
-        assert 1 not in side  # canonical representative
+        assert not side & 1  # canonical representative: vertex 1 outside
 
 
 def random_multigraph(rng, n):
@@ -160,20 +184,20 @@ def test_one_crossing_sum_matches_endpoint_reference():
         assert empty.edges == ()
         for _ in range(10):
             side = {v for v in range(1, g.n + 1) if rng.random() < 0.5}
-            mask = vertex_mask(side)
+            bits = mask(side)
             for _ in range(2):
-                assert fives.cross(mask) == across(weights, side)
+                assert fives.cross(bits) == across(weights, side)
                 for point, d in points:
-                    assert Fraction(point.cross(mask), point.denom) == \
+                    assert Fraction(point.cross(bits), point.denom) == \
                         Fraction(across(weights, side), d)
-                assert req.picked_crossing(mask) == across(picked, side)
-                assert empty.cross(mask) == 0
+                assert req.picked_crossing(bits) == across(picked, side)
+                assert empty.cross(bits) == 0
             sides += 1
             # a random disjoint pair: each vertex left, right or neither
             where = [rng.randrange(3) for _ in range(g.n)]
             left = {v for v in range(1, g.n + 1) if where[v - 1] == 1}
             right = {v for v in range(1, g.n + 1) if where[v - 1] == 2}
-            masks = vertex_mask(left), vertex_mask(right)
+            masks = mask(left), mask(right)
             for _ in range(2):
                 assert fives.between(*masks) == joining(weights, left, right)
                 for point, d in points:
@@ -191,7 +215,7 @@ def test_scaled_point_weights_are_read_only():
     g = complete_graph(4)
     point = ScaledPoint(g, [1, 0, 2, 0, 1, 1], 2)
     assert point.weights == (1, 0, 2, 0, 1, 1)
-    assert point.cross(vertex_mask({1})) == 3
+    assert point.cross(mask({1})) == 3
     with pytest.raises(TypeError):
         point.weights[1] = 2
     assert ScaledPoint.of(g, {0: Fraction(1, 3)}).weights == (1, 0, 0, 0, 0, 0)
@@ -257,13 +281,8 @@ def test_cuts_below_c4():
     c4 = cycle_graph(4)
     cuts = cuts_below(c4, [1] * 4, 3)
     # all 6 weight-2 partitions; the diagonal pair has weight 4
-    expected = []
-    for mask_rest in range(1, 8):
-        mask = mask_rest << 1
-        side = frozenset(v for v in range(1, 5) if mask >> (v - 1) & 1)
-        if len(boundary(c4, side)) < 3:
-            expected.append(side)
-    assert sorted(cuts, key=sorted) == sorted(expected, key=sorted)
+    expected = [side << 1 for side in range(1, 8) if len(crossing(c4, side << 1)) < 3]
+    assert sorted(cuts) == expected
     assert len(cuts) == 6
 
 
@@ -271,7 +290,7 @@ def test_cuts_below_k5_and_empty():
     k5 = complete_graph(5)
     unit = [1] * 10
     cuts = cuts_below(k5, unit, 5)
-    assert len(cuts) == 5 and all(len(s) in (1, 4) for s in cuts)
+    assert len(cuts) == 5 and all(s.bit_count() in (1, 4) for s in cuts)
     assert cuts_below(k5, unit, 4) == []
     with pytest.raises(ValueError):
         cuts_below(k5, unit, 0)
@@ -289,36 +308,34 @@ def test_cuts_below_matches_exhaustive_filter():
         got = cuts_below(g, weights, math.ceil(bound * denom))
         expected = []
         for mask_rest in range(1, 1 << (g.n - 1)):
-            mask = mask_rest << 1
-            side = frozenset(v for v in range(1, g.n + 1) if mask >> (v - 1) & 1)
-            w = sum((caps[e] for e in boundary(g, side)), Fraction(0))
+            side = mask_rest << 1
+            w = sum((caps[e] for e in crossing(g, side)), Fraction(0))
             if w < bound:
                 expected.append(side)
-        assert got == sorted(expected, key=lambda s: tuple(sorted(s)))
+        assert got == sorted(expected, key=vertices)
 
 
 def test_cuts_below_cycle_above_old_limit():
     # n=21 was past the old exhaustive-scan limit; the result is exact
     big = cycle_graph(21)
     found = cuts_below(big, [1] * big.m, 3)
-    arcs = [frozenset(range(a, b + 1)) for a in range(2, 22) for b in range(a, 22)]
+    arcs = [mask(range(a, b + 1)) for a in range(2, 22) for b in range(a, 22)]
     assert len(found) == 210
-    assert found == sorted(arcs, key=lambda s: tuple(sorted(s)))
-    assert all(len(boundary(big, side)) == 2 for side in found)
+    assert found == sorted(arcs, key=vertices)
+    assert all(len(crossing(big, side)) == 2 for side in found)
 
 
 def mask_scan_below(graph, caps, bound):
     """Reference: every canonical side of capacity below `bound`, by mask."""
     found = []
     for mask_rest in range(1, 1 << (graph.n - 1)):
-        mask = mask_rest << 1
+        side = mask_rest << 1
         w = sum((caps[e.id] for e in graph.edges
-                 if (mask >> (e.u - 1) & 1) != (mask >> (e.v - 1) & 1)),
+                 if (side >> (e.u - 1) & 1) != (side >> (e.v - 1) & 1)),
                 Fraction(0))
         if w < bound:
-            found.append(frozenset(v for v in range(2, graph.n + 1)
-                                   if mask >> (v - 1) & 1))
-    return sorted(found, key=lambda s: tuple(sorted(s)))
+            found.append(side)
+    return sorted(found, key=vertices)
 
 
 def test_cuts_below_hub_n16_matches_mask_scan():
@@ -358,15 +375,13 @@ def test_cut_submodularity_spot_check():
         caps = {e: Fraction(rng.randint(0, 6)) for e in range(g.m)}
 
         def w(side):
-            if not side or len(side) == g.n:
-                return Fraction(0)
-            return sum((caps[e] for e in boundary(g, side)), Fraction(0))
+            return sum((caps[e] for e in crossing(g, side)), Fraction(0))
 
         verts = list(range(1, g.n + 1))
-        s = frozenset(rng.sample(verts, rng.randint(1, g.n - 1)))
-        t = frozenset(rng.sample(verts, rng.randint(1, g.n - 1)))
+        s = mask(rng.sample(verts, rng.randint(1, g.n - 1)))
+        t = mask(rng.sample(verts, rng.randint(1, g.n - 1)))
         assert w(s) + w(t) >= w(s & t) + w(s | t)
-        assert w(s) + w(t) >= w(s - t) + w(t - s)
+        assert w(s) + w(t) >= w(s & ~t) + w(t & ~s)
 
 
 def test_edge_connectivity_examples():
@@ -376,8 +391,3 @@ def test_edge_connectivity_examples():
     two = make_graph(2, [(1, 2, 1)])
     assert edge_connectivity(two, {0: 6}) == 6
     assert edge_connectivity(two, {0: 0}) == 0
-
-
-def test_canonical_side():
-    assert canonical_side(frozenset({1, 2}), 4) == frozenset({3, 4})
-    assert canonical_side(frozenset({3}), 4) == frozenset({3})

@@ -6,7 +6,7 @@ import pytest
 
 from kecss import lp
 from kecss.certify import CertificationError, recheck_vertex
-from kecss.graphs import boundary, complete_graph, cycle_graph, make_graph
+from kecss.graphs import complete_graph, crossing, cycle_graph, make_graph
 from kecss.instances import gen
 from kecss.requirements import Requirement
 from kecss.separation import Feasible, ScaledPoint, separate_fast
@@ -94,12 +94,11 @@ def test_prism_equality_system_halves_and_quarters():
     g = gen("prism-k3").graph
     frac = [e.id for e in g.edges if e.cost > 0]
     var_of = {e: i for i, e in enumerate(frac)}
-    members = [frozenset({v}) for v in range(1, 7)]
-    members += [frozenset({1, 2}), frozenset({3, 4}), frozenset({5, 6})]
+    members = [1 << v for v in range(6)] + [0b11, 0b1100, 0b110000]  # {1,2} {3,4} {5,6}
     rows = []
     for s in members:
-        rhs = 2 if len(s) == 1 else 3
-        rows.append(lp.row({var_of[e]: 1 for e in boundary(g, s, frac)},
+        rhs = 2 if s.bit_count() == 1 else 3
+        rows.append(lp.row({var_of[e]: 1 for e in crossing(g, s, frac)},
                            lp.EQ, rhs))
     opt = lp.solve(lp.instance([0] * 9, [0] * 9, [None] * 9, rows))
     values = {e: opt.point[var_of[e]] for e in frac}
@@ -151,7 +150,7 @@ def test_lazy_kecss_lp_on_k5():
         verdict = separate_fast(ScaledPoint(g, nums, denom), req)
         if isinstance(verdict, Feasible):
             return []
-        return [lp.row({e: 1 for e in boundary(g, c.side)}, lp.GE, c.requirement)
+        return [lp.row({e: 1 for e in crossing(g, c.side)}, lp.GE, c.requirement)
                 for c in verdict.cuts]
 
     inst = lp.instance([1] * g.m, [0] * g.m, [1] * g.m, [])
@@ -170,12 +169,32 @@ def test_lazy_infeasible_propagates():
         verdict = separate_fast(ScaledPoint(g, nums, denom), req)
         if isinstance(verdict, Feasible):
             return []
-        return [lp.row({e: 1 for e in boundary(g, c.side)}, lp.GE, c.requirement)
+        return [lp.row({e: 1 for e in crossing(g, c.side)}, lp.GE, c.requirement)
                 for c in verdict.cuts]
 
     inst = lp.instance([1] * 5, [0] * 5, [1] * 5, [])
     with pytest.raises(lp.LpInfeasible):
         lp.solve_lazy(inst, oracle)
+
+
+def test_infeasibility_names_the_basic_column_not_its_tableau_row():
+    # after the dual simplex's pivots the stuck basic variable sits in a
+    # tableau row whose position is neither its LP row nor its column:
+    # the slack of LP row 0 (2x0 + 2x1 <= 3, which x1 >= 2 + x0 rules
+    # out) in tableau row 2, and structural x0 (x0 <= -2 against
+    # x0 >= 0) in tableau row 1
+    cases = [
+        (lp.instance([2, 3], [0, 0], [2, None],
+                     [lp.row({0: 2, 1: 2}, lp.LE, 3), lp.row({1: -1}, lp.LE, -1),
+                      lp.row({0: -1, 1: 1}, lp.GE, 2)]),
+         "no column can move the slack of row 0 into its bounds"),
+        (lp.instance([3], [0], [2], [lp.row({0: -2}, lp.LE, 0), lp.row({0: 1}, lp.LE, -2)]),
+         "no column can move variable 0 into its bounds"),
+    ]
+    for inst, message in cases:
+        with pytest.raises(lp.LpInfeasible) as err:
+            lp.solve(inst)
+        assert str(err.value) == message
 
 
 def test_lazy_equals_materialized_on_random_instances():
@@ -197,7 +216,7 @@ def test_lazy_equals_materialized_on_random_instances():
             verdict = separate_fast(ScaledPoint(g, nums, denom), req)
             if isinstance(verdict, Feasible):
                 return []
-            return [lp.row({e: 1 for e in boundary(g, c.side)}, lp.GE,
+            return [lp.row({e: 1 for e in crossing(g, c.side)}, lp.GE,
                            c.requirement) for c in verdict.cuts]
 
         inst = lp.instance([e.cost for e in g.edges], [0] * g.m, [1] * g.m, [])
@@ -404,7 +423,7 @@ def _cut_oracle(graph, k):
         if isinstance(verdict, Feasible):
             return []
         cut = verdict.cuts[0]
-        return [lp.row({e: 1 for e in boundary(graph, cut.side)}, lp.GE,
+        return [lp.row({e: 1 for e in crossing(graph, cut.side)}, lp.GE,
                        cut.requirement)]
     return oracle
 
@@ -526,7 +545,7 @@ def _pin_instances():
     hub = gen("prism-hub-k6").graph
     hub_lp = lp.instance(
         [e.cost for e in hub.edges], [0] * hub.m, [1] * hub.m,
-        [lp.row({e: 1 for e in boundary(hub, frozenset({v}))}, lp.GE, 6)
+        [lp.row({e: 1 for e in crossing(hub, 1 << (v - 1))}, lp.GE, 6)
          for v in range(1, hub.n + 1)])
     # a multigraph LP (x >= 0): x = 0 violates every cut, so the cold
     # start runs the dual simplex first
@@ -534,7 +553,7 @@ def _pin_instances():
                 ensure_connectivity=5).graph
     multi_lp = lp.instance(
         [e.cost for e in multi.edges], [0] * multi.m, [None] * multi.m,
-        [lp.row({e: 1 for e in boundary(multi, frozenset({v}))}, lp.GE, 5)
+        [lp.row({e: 1 for e in crossing(multi, 1 << (v - 1))}, lp.GE, 5)
          for v in range(1, multi.n + 1)])
     return {"beale": beale, "hub": hub_lp, "multi": multi_lp}
 
@@ -647,7 +666,7 @@ def _hub_lp(graph, k, rng=None):
     costs = ([rng.randint(0, 9) for _ in graph.edges] if rng
              else [e.cost for e in graph.edges])
     return lp.instance(costs, [0] * graph.m, [1] * graph.m,
-                       [lp.row({e: 1 for e in boundary(graph, frozenset({v}))},
+                       [lp.row({e: 1 for e in crossing(graph, 1 << (v - 1))},
                                lp.GE, k) for v in range(1, graph.n + 1)])
 
 

@@ -1,9 +1,10 @@
 """The per-layer benchmark still sees the package's layers.
 
 `perfbench/tracer.py` wraps package functions by the names the modules
-look them up under, and counts separation verdicts by their type.  A
-change to `src/` that breaks either leaves the traced run working while
-its per-layer metrics read 0, so this runs it once.
+look them up under (and `Requirement.in_active_family` on its class),
+and counts separation verdicts by their type.  A change to `src/` that
+breaks either leaves the traced run working while its per-layer metrics
+read 0, so this runs it once.
 """
 
 import json
@@ -24,4 +25,9 @@ def test_traced_benchmark_run_counts_violated_verdicts():
     assert run.returncode == 0, run.stderr
     report = json.loads(run.stdout.splitlines()[-1])
     assert report["correct"] is True
-    assert report["metrics"]["separation.separate_fast.violated_frac"]["value"] > 0
+    metrics = report["metrics"]
+    assert metrics["separation.separate_fast.violated_frac"]["value"] > 0
+    # the tracer wraps these by name where they are looked up; a caller
+    # that reached them another way would zero these counts
+    assert metrics["graphs.cuts_below.calls"]["value"] > 0
+    assert metrics["requirements.in_active_family.calls"]["value"] > 0

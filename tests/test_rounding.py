@@ -10,7 +10,7 @@ from kecss import lp as lpmod
 from kecss.certify import CertificationError
 from kecss.cli import EXIT_INFEASIBLE, main
 from kecss.graphs import (complete_graph, crossing, cuts_below, cycle_graph,
-                          edge_connectivity, make_graph, vertex_mask)
+                          edge_connectivity, make_graph)
 from kecss.instances import Instance, gen
 from kecss.rounding import (MODES, InfeasibleInstance, _finish,
                             _solve_unbounded_cut_lp, approximation_factor,
@@ -18,7 +18,7 @@ from kecss.rounding import (MODES, InfeasibleInstance, _finish,
                             md_kecsm, md_kecss)
 from kecss.separation import ScaledPoint, Violated, separate_fast
 
-from conftest import (degree_bounds_for, hub_cost_variant, prism_hub_edges,
+from conftest import (degree_bounds_for, hub_cost_variant, mask, prism_hub_edges,
                       random_cost_hub, random_feasible)
 from reference import full_cut_lp, separate_exact, violated_cuts_exact
 
@@ -453,7 +453,7 @@ def test_separate_fast_matches_reference_at_every_oracle_call(monkeypatch):
             for cut in verdict.cuts:
                 assert req.in_active_family(cut.side)
                 assert cut.lhs < cut.requirement
-                across = crossing(req.graph, vertex_mask(cut.side))
+                across = crossing(req.graph, cut.side)
                 assert cut.capacity == sum(x.get(e, 0) + req.picked.get(e, 0)
                                            for e in across)
     violated = sum(isinstance(v, Violated) for _, _, v, _ in calls)
@@ -612,16 +612,16 @@ def test_certified_runs_above_sixteen_vertices():
             assert rec.small_member is not None
 
 
-def _degree_active_reference(point, vertices):
+def _degree_active_reference(point, vs):
     # fractional degree over the edges with 0 < x_e < 1, as Fractions
     x = [Fraction(w, point.denom) for w in point.weights]
     still = set()
-    for v in vertices:
+    for v in vs:
         meeting = [e for e in crossing(point.graph, 1 << (v - 1)) if 0 < x[e] < 1]
         fdeg = sum((x[e] for e in meeting), Fraction(0))
         if fdeg > 2 or len(meeting) - fdeg > 2:
             still.add(v)
-    return frozenset(still)
+    return mask(still)
 
 
 def test_degree_active_matches_a_fraction_reference_at_the_boundary():
@@ -635,10 +635,10 @@ def test_degree_active_matches_a_fraction_reference_at_the_boundary():
         denom = rng.choice((1, 2, 3, 4, 6))
         weights = [rng.choice((0, denom, rng.randint(0, denom))) for _ in range(g.m)]
         point = ScaledPoint(g, weights, denom)
-        vertices = frozenset(v for v in range(1, 7) if rng.random() < 0.8)
-        assert rounding._degree_active(point, vertices) == \
-            _degree_active_reference(point, vertices)
-        for v in vertices:
+        vs = [v for v in range(1, 7) if rng.random() < 0.8]
+        assert rounding._degree_active(point, mask(vs)) == \
+            _degree_active_reference(point, vs)
+        for v in vs:
             meeting = [w for e, w in enumerate(weights)
                        if 0 < w < denom and e in crossing(g, 1 << (v - 1))]
             at_two["degree"] += sum(meeting) == 2 * denom

@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 
 from kecss import separation
-from kecss.graphs import boundary, complete_graph, cuts_below, make_graph
+from kecss.graphs import complete_graph, crossing, cuts_below, make_graph
 from kecss.instances import gen
 from kecss.requirements import Requirement
 from kecss.separation import (Cut, Feasible, ScaledPoint, Violated, mixed_capacities,
                               separate_fast)
 
+from conftest import mask
 from reference import separate_exact, violated_cuts_exact
 
 
@@ -97,17 +98,22 @@ def test_scaled_point_rejects_weights_that_are_not_nonnegative_ints():
 
 def test_violated_rejects_satisfied_cut():
     with pytest.raises(ValueError):
-        Cut(frozenset({2}), Fraction(4), 3, Fraction(3))
-    with pytest.raises(ValueError):
-        Cut(frozenset({2}), Fraction(5), 3, Fraction(7, 2))
-    assert Cut(frozenset({2}), Fraction(2), 3, Fraction(5, 2)).lhs == Fraction(5, 2)
+        Cut(mask({2}), Fraction(4), 3, Fraction(3))
+    with pytest.raises(ValueError, match=r"cut \[2, 4\] is not violated"):
+        Cut(mask({2, 4}), Fraction(5), 3, Fraction(7, 2))
+    assert Cut(mask({2}), Fraction(2), 3, Fraction(5, 2)).lhs == Fraction(5, 2)
 
 
 def test_violated_needs_distinct_cuts_cheapest_first():
-    a = Cut(frozenset({2}), Fraction(2), 3, Fraction(5, 2))
-    b = Cut(frozenset({3}), Fraction(2), 3, Fraction(2))
-    c = Cut(frozenset({2, 3}), Fraction(3), 4, Fraction(3))
+    a = Cut(mask({2}), Fraction(2), 3, Fraction(5, 2))
+    b = Cut(mask({3}), Fraction(2), 3, Fraction(2))
+    c = Cut(mask({2, 3}), Fraction(3), 4, Fraction(3))
     assert Violated((a, b, c)).cuts == (a, b, c)
+    # ties go by sorted vertices, not by mask value: [2, 4] before [3]
+    d = Cut(mask({2, 4}), Fraction(2), 3, Fraction(2))
+    assert Violated((a, d, b)).cuts == (a, d, b)
+    with pytest.raises(ValueError):
+        Violated((a, b, d))
     with pytest.raises(ValueError):
         Violated(())
     with pytest.raises(ValueError):
@@ -134,7 +140,7 @@ def test_zero_point_violated_with_singleton():
         x = {e: Fraction(0) for e in range(g.m)}
         verdict = separate_fast(ScaledPoint.of(g, x), req)
         assert isinstance(verdict, Violated)
-        assert len(verdict.cuts[0].side) == 1
+        assert verdict.cuts[0].side.bit_count() == 1
         assert verdict.cuts[0].capacity == 0
 
 
@@ -153,8 +159,8 @@ def test_dropped_sets_never_reported():
     # a set whose residual fell below the threshold is not a violation,
     # no matter how small its x-mass is
     g = complete_graph(4)
-    side = frozenset({2})
-    picked = {e: 1 for e in boundary(g, side)}  # residual of {2} becomes 1
+    side = mask({2})
+    picked = {e: 1 for e in crossing(g, side)}  # residual of {2} becomes 1
     req = Requirement(g, 4, picked, 3)
     x = {e: Fraction(0) for e in range(g.m) if e not in picked}
     for verdict in (separate_exact(x, req), separate_fast(ScaledPoint.of(g, x), req)):
@@ -211,7 +217,7 @@ def test_fast_matches_exact_randomized(monkeypatch):
             for v in vf.cuts + ve.cuts:
                 assert req.residual(v.side) >= req.threshold
                 assert v.lhs < v.requirement
-                mass = sum((Fraction(x[e]) for e in boundary(g, v.side)
+                mass = sum((Fraction(x[e]) for e in crossing(g, v.side)
                             if e in x), Fraction(0))
                 assert mass == v.lhs
     assert violated > 20 and probed > 10 and several > 5  # not vacuous
@@ -225,6 +231,6 @@ def test_soundness_of_violated_rows():
         if isinstance(verdict, Violated):
             # each row x(delta_E'(S)) >= f_res(S) really is violated at x
             for cut in verdict.cuts:
-                mass = sum((Fraction(x[e]) for e in boundary(g, cut.side)
+                mass = sum((Fraction(x[e]) for e in crossing(g, cut.side)
                             if e in x), Fraction(0))
                 assert mass < req.residual(cut.side)

@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from kecss import approximation_factor, bicriteria, kecsm, kecss_even, md_kecss
-from kecss.graphs import make_graph, min_cut
+from kecss.graphs import make_graph, min_cut, vertices
 
 from reference import full_cut_lp
 
@@ -24,8 +24,8 @@ def random_multigraph(rng, n, k):
         g = make_graph(n, edges)
         value, side = min_cut(g, [1] * g.m)
         while value < k:
-            a = rng.choice(sorted(side))
-            b = rng.choice(sorted(set(range(1, n + 1)) - side))
+            a = rng.choice(vertices(side))
+            b = rng.choice(vertices(((1 << n) - 1) ^ side))
             edges.append((a, b, rng.randint(0, 9)))
             g = make_graph(n, edges)
             value, side = min_cut(g, [1] * g.m)

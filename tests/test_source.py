@@ -112,3 +112,14 @@ def test_crossing_test_lives_in_graphs():
             if isinstance(node, ast.Attribute) and node.attr == "ends":
                 ends.append(f"{path.name}:{node.lineno}")
     assert chained == [] and ends == []
+
+
+def test_vertex_sets_are_masks_only():
+    # a vertex set has one form in the package, an int mask: no module
+    # names frozenset, and graphs keeps no set <-> mask converters
+    named = [path.name for path in sorted(Path(kecss.__file__).parent.rglob("*.py"))
+             if "frozenset" in path.read_text()]
+    assert named == []
+    tree = ast.parse(Path(kecss.graphs.__file__).read_text())
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert defined & {"vertex_mask", "mask_vertices", "canonical_side", "boundary"} == set()

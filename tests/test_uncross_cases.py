@@ -17,6 +17,8 @@ from kecss.instances import gen
 from kecss.requirements import DegreeState, Requirement
 from kecss.separation import ScaledPoint
 
+from conftest import mask
+
 
 def build_mixed_state():
     """k=6 on four regions 1=A-B, 2=A&B, 3=B-A, 4=outside.
@@ -39,11 +41,11 @@ def build_mixed_state():
     picked = {e: 1 for e in range(5)}
     x = {e: Fraction(1) for e in range(5, 12)}
     req = Requirement(g, 6, picked, 3)
-    a = frozenset({1, 2})
-    b = frozenset({2, 3})
+    a = mask({1, 2})
+    b = mask({2, 3})
     assert req.residual(a) == 3 and req.residual(b) == 4
-    assert req.residual(a & b) == 2 and req.residual(b - a) == 2
-    assert req.residual(a | b) == 5 and req.residual(a - b) == 5
+    assert req.residual(a & b) == 2 and req.residual(b & ~a) == 2
+    assert req.residual(a | b) == 5 and req.residual(a & ~b) == 5
     return g, req, x, a, b
 
 
@@ -51,7 +53,7 @@ def test_mixed_union_diff_case():
     g, req, x, a, b = build_mixed_state()
     w = uncross_witness(a, b, ScaledPoint.of(g, x), req)
     assert w.case == "mixed_union_diff"
-    assert w.family == (a, a - b, a | b)
+    assert w.family == (a, a & ~b, a | b)
     assert w.theta == 0 and w.gamma == 0 and w.alpha == 0
 
 
@@ -60,14 +62,14 @@ def test_mixed_union_codiff_case():
     g, req, x, a, b = build_mixed_state()
     w = uncross_witness(b, a, ScaledPoint.of(g, x), req)
     assert w.case == "mixed_union_codiff"
-    assert w.family == (b, a - b, a | b)
+    assert w.family == (b, a & ~b, a | b)
     assert w.alpha == 0
 
 
 def test_mixed_inter_codiff_case():
     # complementing B turns the union corner into an intersection corner
     g, req, x, a, b = build_mixed_state()
-    b2 = frozenset(range(1, 5)) - b  # {1, 4}
+    b2 = 0b1111 ^ b  # {1, 4}
     assert req.residual(b2) == req.residual(b)
     w = uncross_witness(a, b2, ScaledPoint.of(g, x), req)
     assert w.case == "mixed_inter_codiff"
@@ -76,7 +78,7 @@ def test_mixed_inter_codiff_case():
 
 def test_mixed_inter_diff_case():
     g, req, x, a, b = build_mixed_state()
-    b2 = frozenset(range(1, 5)) - b
+    b2 = 0b1111 ^ b
     w = uncross_witness(b2, a, ScaledPoint.of(g, x), req)
     assert w.case == "mixed_inter_diff"
     assert w.alpha == 0
@@ -103,12 +105,12 @@ def build_difference_state():
     x = {6: Fraction(1), 7: Fraction(1), 8: Fraction(1), 9: Fraction(1),
          10: Fraction(1, 2), 11: Fraction(1, 2), 12: Fraction(1, 2)}
     req = Requirement(g, 6, picked, 3)
-    a = frozenset({1, 2})
-    b = frozenset({2, 3})
+    a = mask({1, 2})
+    b = mask({2, 3})
     assert req.residual(a) == 3 and req.residual(b) == 3
     assert req.residual(a & b) == 4        # intersection stays active
     assert req.residual(a | b) == 2        # union dropped
-    assert req.residual(a - b) == 3 and req.residual(b - a) == 3
+    assert req.residual(a & ~b) == 3 and req.residual(b & ~a) == 3
     return g, req, x, a, b
 
 
@@ -117,7 +119,7 @@ def test_difference_case_allows_nonzero_theta():
     p = ScaledPoint.of(g, x)
     w = uncross_witness(a, b, p, req)
     assert w.case == "difference"
-    assert w.family == (a, a - b, b - a)
+    assert w.family == (a, a & ~b, b & ~a)
     assert w.gamma == 0
     # tolerated: not part of the identity
     assert Fraction(w.theta, p.denom) == Fraction(1, 2)
@@ -132,8 +134,8 @@ def test_intersection_union_case_on_doubled_cycle():
     g = make_graph(4, edges)
     req = Requirement(g, 4, {}, 3)
     x = {e: Fraction(1) for e in range(g.m)}
-    a = frozenset({1, 2})
-    b = frozenset({2, 3})
+    a = mask({1, 2})
+    b = mask({2, 3})
     w = uncross_witness(a, b, ScaledPoint.of(g, x), req)
     assert w.case == "intersection_union"
     assert w.theta == 0
@@ -147,12 +149,12 @@ def test_complement_case_on_prism():
     x = {}
     for e in g.edges:
         x[e.id] = {0: Fraction(1), 1: Fraction(1, 2), 2: Fraction(3, 4)}[int(e.cost)]
-    full = frozenset(range(1, 7))
-    a = full - frozenset({1, 2})
-    b = full - frozenset({3, 4})
+    full = (1 << 6) - 1
+    a = full ^ mask({1, 2})
+    b = full ^ mask({3, 4})
     w = uncross_witness(a, b, ScaledPoint.of(g, x), req)
     assert w.case == "complement"
-    assert w.family == (a, a - b)
+    assert w.family == (a, a & ~b)
 
 
 def test_witness_rejects_broken_tightness():
@@ -172,7 +174,7 @@ def test_extract_laminar_with_degree_tight_vertices():
     g = inst.graph
     picked = {e.id: 1 for e in g.edges if e.cost == 0}
     degree = DegreeState(lower=(0,) * 6, upper=(2,) * 6,
-                         active=frozenset(range(1, 7)))
+                         active=(1 << 6) - 1)
     req = Requirement(g, 3, picked, 3, degree)
     x = {e.id: {1: Fraction(1, 2), 2: Fraction(3, 4)}[int(e.cost)]
          for e in g.edges if e.cost > 0}
@@ -182,6 +184,6 @@ def test_extract_laminar_with_degree_tight_vertices():
     assert basis.size() == 9
     assert len(basis.degree_vertices) == 6
     assert len(basis.sets) == 3
-    assert all(len(s) == 2 for s in basis.sets)
+    assert all(s.bit_count() == 2 for s in basis.sets)
     member = small_boundary_set(basis, p, req)
     assert member  # the token bound holds with degree-tight members too
