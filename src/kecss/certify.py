@@ -39,6 +39,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Mapping, Sequence
 
 from . import lp as lpmod
@@ -353,9 +354,10 @@ def uncross_witness(a: int, b: int, point: ScaledPoint,
         raise ValueError("sets must weakly cross")
     full = (1 << graph.n) - 1
     m_out = full & ~m_union
+    residual = cache(req.residual)  # read once per mask
 
     def require_tight(mask: int, label: str) -> None:
-        fres = req.residual(mask)
+        fres = residual(mask)
         mass = point.cross(mask)
         if mass != fres * denom:
             raise CertificationError(
@@ -364,7 +366,7 @@ def uncross_witness(a: int, b: int, point: ScaledPoint,
                 reproducer_dump(graph, req, point))
 
     for mask, name in ((a, "input A"), (b, "input B")):
-        if req.residual(mask) < req.threshold:
+        if residual(mask) < req.threshold:
             raise ValueError(f"{name} is not active")
         require_tight(mask, name)
 
@@ -389,7 +391,7 @@ def uncross_witness(a: int, b: int, point: ScaledPoint,
         verify_identity([(1, m_amb)], (1, b), "chi(B) = chi(A-B)")
         return witness("complement", (a, m_amb), None, "chi(B) = chi(A-B)")
 
-    active = {name: req.residual(mask) >= req.threshold
+    active = {name: residual(mask) >= req.threshold
               for name, mask in (("inter", m_inter), ("union", m_union),
                                  ("amb", m_amb), ("bma", m_bma))}
     if not (active["inter"] or active["union"]) or not (active["amb"] or active["bma"]):
@@ -481,8 +483,7 @@ def small_boundary_set(basis: LaminarBasis, point: ScaledPoint,
 def recheck_vertex(inst: lpmod.LpInstance, opt: lpmod.BasicOptimum) -> None:
     """Full-rank check of the tight constraints at the point: the
     simplex's rank routine over the LP's own rows, in index order."""
-    scaled = [lpmod._scaled(r) for r in inst.rows]
-    rank = len(lpmod._rank_certificate(inst.num_vars, scaled, opt.tight_rows,
+    rank = len(lpmod._rank_certificate(inst.num_vars, inst.rows, opt.tight_rows,
                                        opt.tight_bounds))
     if rank != inst.num_vars:
         raise CertificationError(

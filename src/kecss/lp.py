@@ -10,25 +10,25 @@ starts with the structural columns alone, each at its upper bound when
 that is finite (covering LPs then start feasible), else at its lower
 bound, and is priced with no rows.  The LP's rows then come in through
 `add_rows`, the one way in for rows, which the lazy loop's cuts also
-take: every row gets a slack column (>= 0, or fixed at 0 for an
-equation), and the slacks form the starting basis.  When every slack
-lies within its bounds the primal simplex runs at once.  Otherwise the
-cost is first clipped to the sign that each column's bound admits (c_j
-kept when c_j > 0 at the lower bound or c_j < 0 at the upper bound,
-else 0), which makes the start dual feasible, and the dual simplex
-below reaches a feasible basis or proves that there is none (dual phase
-1 by cost modification; Koberstein and Suhl, Comput. Optim. Appl. 37,
-2007).  The primal simplex then finishes from there with the true
-cost.  When clipping changes nothing (c_j >= 0 at lower bounds and
-c_j <= 0 at upper bounds, as in every multigraph cut LP), the start is
-priced once: the reduced-cost row that the dual simplex keeps is the
-one repricing would give.
+take: every row gets a slack column >= 0, and the slacks form the
+starting basis.  When every slack lies within its bounds the primal
+simplex runs at once.  Otherwise the cost is first clipped to the sign
+that each column's bound admits (c_j kept when c_j > 0 at the lower
+bound or c_j < 0 at the upper bound, else 0), which makes the start
+dual feasible, and the dual simplex below reaches a feasible basis or
+proves that there is none (dual phase 1 by cost modification;
+Koberstein and Suhl, Comput. Optim. Appl. 37, 2007).  The primal
+simplex then finishes from there with the true cost.  When clipping
+changes nothing (c_j >= 0 at lower bounds and c_j <= 0 at upper bounds,
+as in every multigraph cut LP), the start is priced once: the
+reduced-cost row that the dual simplex keeps is the one repricing would
+give.
 
 The tableau is fraction-free (Edmonds 1967, Bareiss 1968): row i is a
 list of Python ints with its own positive denominator den[i], so entry c
 stands for matrix[i][c] / den[i], and the basic column of row i holds
-den[i].  Each LpRow is scaled by the lcm of its coefficient and rhs
-denominators when the tableau is built.  A pivot on (i, j) with
+den[i].  An LpRow has int coefficients and an int rhs, so it enters the
+tableau as it is, over denominator 1.  A pivot on (i, j) with
 p = |matrix[i][j]| sets den[i] = p (flipping the row's sign if needed);
 every other row r with f = matrix[r][j] != 0 becomes
 matrix[r] * p - f * matrix[i] over den[r] * p, and is then divided by
@@ -68,23 +68,22 @@ relaxation is infeasible.
 
 A lazy loop can also start from an earlier one's final tableau, kept on
 request (`keep_tableau`), when the new LP has the same objective, bounds
-and rows in the same order and differs only in right-hand sides, by
-integers (`solve_lazy(..., start=result)`, `_Simplex.restart`).  A rhs
-is a constant beside the row's slack column, so a change d of row i's
-rhs adds sign * d times slack column i to the last column (sign -1 for
-a >= row), which is a shift of that slack, basic or not.  The reduced
-costs do not change, the basis stays dual feasible, and the dual
-simplex repairs the values before the loop goes on as usual.
+and rows in the same order and differs only in right-hand sides
+(`solve_lazy(..., start=result)`, `_Simplex.restart`).  A rhs is a
+constant beside the row's slack column, so a change d of row i's rhs
+adds sign * d times slack column i to the last column (sign -1 for a >=
+row), which is a shift of that slack, basic or not.  The reduced costs
+do not change, the basis stays dual feasible, and the dual simplex
+repairs the values before the loop goes on as usual.
 
 The point leaves the tableau as integers: each basic value is its row's
 last entry over den[i] and each nonbasic column sits at its int bound,
 so `BasicOptimum` holds integer numerators over one denominator in
-lowest terms, and the oracle is called with those.  Rows keep int
-coefficients and rhs as ints (`row`), so an all-int cut row is its own
-scaled form.  Every round's point is checked against every row and
-bound, each returned row is checked to be violated there, and the point
-is certified by a full-rank set of tight constraints, all in integer
-arithmetic over the point's denominator.  The certificate takes the
+lowest terms, and the oracle is called with those.  Every round's point
+is checked against every row and bound, each returned row is checked to
+be violated there, and the point is certified by a full-rank set of
+tight constraints, all in integer arithmetic over the point's
+denominator.  The certificate takes the
 tight bounds, then the rows whose slack is nonbasic (at a basis these
 complete the rank, unless a basic value sits on its bound), then the
 other tight rows; `RankTracker` checks each row's independence, and
@@ -103,7 +102,6 @@ from typing import Callable, Sequence
 
 GE = ">="
 LE = "<="
-EQ = "=="
 
 _STALL_LIMIT = 12  # degenerate pivots before falling back to Bland's rule
 _MAX_PIVOTS = 200_000
@@ -119,24 +117,21 @@ class LpUnbounded(Exception):
 
 @dataclass(frozen=True)
 class LpRow:
-    coeffs: dict[int, int | Fraction]
+    """coeffs . x >= rhs or <= rhs, with int coefficients and an int rhs."""
+    coeffs: dict[int, int]
     sense: str
-    rhs: int | Fraction
+    rhs: int
 
     def __post_init__(self):
-        if self.sense not in (GE, LE, EQ):
+        if self.sense not in (GE, LE):
             raise ValueError(f"unknown row sense {self.sense!r}")
+        if any(type(v) is not int for v in (self.rhs, *self.coeffs.values())):
+            raise ValueError("row has a coefficient or rhs that is not an int")
 
 
-def _exact(v: int | Fraction) -> int | Fraction:
-    return v if type(v) in (int, Fraction) else Fraction(v)
-
-
-def row(coeffs: dict[int, int | Fraction], sense: str, rhs: int | Fraction) -> LpRow:
-    """An LpRow without zero coefficients; ints and Fractions stay as they
-    are, other values become Fractions."""
-    return LpRow({j: _exact(c) for j, c in sorted(coeffs.items()) if c != 0},
-                 sense, _exact(rhs))
+def row(coeffs: dict[int, int], sense: str, rhs: int) -> LpRow:
+    """An LpRow without zero coefficients, in variable order."""
+    return LpRow({j: c for j, c in sorted(coeffs.items()) if c != 0}, sense, rhs)
 
 
 @dataclass(frozen=True)
@@ -167,8 +162,10 @@ class LpInstance:
 
 def instance(objective: Sequence[int | Fraction], lower: Sequence[int],
              upper: Sequence[int | None], rows: Sequence[LpRow]) -> LpInstance:
-    return LpInstance(tuple(map(_exact, objective)), tuple(lower),
-                      tuple(upper), tuple(rows))
+    """An LpInstance; objective values not int or Fraction become Fractions."""
+    return LpInstance(tuple(c if type(c) in (int, Fraction) else Fraction(c)
+                            for c in objective),
+                      tuple(lower), tuple(upper), tuple(rows))
 
 
 @dataclass
@@ -197,11 +194,10 @@ class _Simplex:
         self.lp = lp
         self.ns = self.total = lp.num_vars
         # columns: structurals 0..ns-1, slack of row i at ns+i.  add_rows
-        # fills in the rows, each also as (scale, integer coefficients,
-        # integer rhs), and tableau row i: ints over den[i], basic in basis[i]
+        # fills in the rows and tableau row i: ints over den[i], basic in
+        # basis[i]
         self.m = 0
         self.rows: list[LpRow] = []
-        self.scaled: list[tuple[int, list[tuple[int, int]], int]] = []
         self.matrix: list[list[int]] = []
         self.den, self.basis = [], []
         self.lower: list[int] = list(lp.lower)
@@ -252,8 +248,8 @@ class _Simplex:
     def restart(self, lp: LpInstance) -> None:
         """Take lp in place of self.lp at the current basis.  lp has the
         same objective, bounds and rows as self.lp but for the rows'
-        right-hand sides, which may change by integers (ValueError
-        otherwise, with the tableau untouched).
+        right-hand sides (ValueError otherwise, with the tableau
+        untouched).
 
         Row i reads sign * (a . x) + s_i = sign * rhs_i, where sign is -1
         for a >= row and s_i is its slack, so a change d of rhs_i adds
@@ -268,16 +264,14 @@ class _Simplex:
             raise ValueError("a warm start keeps the number of rows")
         shifts = []
         for i, (r, s) in enumerate(zip(lp.rows, self.rows)):
+            if r.coeffs != s.coeffs or r.sense != s.sense:
+                raise ValueError(f"a warm start changes row {i} in more than its rhs")
             d = r.rhs - s.rhs
-            if r.coeffs != s.coeffs or r.sense != s.sense or d.denominator != 1:
-                raise ValueError(f"a warm start changes row {i} in more than "
-                                 "its rhs, or by a non-integer")
             if d:
-                shifts.append((self.ns + i, int(d) if r.sense == GE else -int(d)))
+                shifts.append((self.ns + i, d if r.sense == GE else -d))
         for slack, delta in shifts:
             self._shift(slack, delta)
         self.lp, self.rows = lp, list(lp.rows)
-        self.scaled = [_scaled(r) for r in lp.rows]
         self.pivots = self.bound_flips = 0
 
     def scaled_point(self) -> tuple[list[int], int]:
@@ -329,9 +323,8 @@ class _Simplex:
         self.red[first:first] = pad
         self.total += added
         old = list(zip(self.basis, self.matrix, self.den))
-        scaled = [_scaled(r) for r in rows]
-        for slack, (r, sc) in enumerate(zip(rows, scaled), first):
-            vec, den = _tableau_row(r, sc, slack, self.total, at), sc[0]
+        for slack, r in enumerate(rows, first):
+            vec, den = _tableau_row(r, slack, self.total, at), 1
             # no basic row touches a new slack, so it ends up holding +den
             for col, prow, p in old:
                 if vec[col]:
@@ -342,11 +335,10 @@ class _Simplex:
         self.basis += range(first, self.total)
         self.status += ["B"] * added
         self.lower += pad
-        self.upper += [0 if r.sense == EQ else None for r in rows]
-        self.movable += [j for j, r in enumerate(rows, first) if r.sense != EQ]
+        self.upper += [None] * added
+        self.movable += range(first, self.total)
         self.cost += pad
         self.rows += rows
-        self.scaled += scaled
         self.m += added
 
     # -- core ------------------------------------------------------------
@@ -523,33 +515,19 @@ class _Simplex:
         raise RuntimeError("dual simplex pivot limit exceeded")
 
 
-def _tableau_row(r: LpRow, sc: tuple[int, list[tuple[int, int]], int],
-                 slack: int, width: int, at: Sequence[int]) -> list[int]:
-    """The tableau row of r with its slack at column slack, from its
-    scaling sc (see _scaled), negated for a >= row so that the slack holds
-    +scale; width columns, then the rhs minus the row at the structural
-    values `at`."""
-    scale, coeffs, rhs = sc
+def _tableau_row(r: LpRow, slack: int, width: int, at: Sequence[int]) -> list[int]:
+    """The tableau row of r over denominator 1 with its slack at column
+    slack, negated for a >= row so that the slack holds +1; width columns,
+    then the rhs minus the row at the structural values `at`."""
     sign = -1 if r.sense == GE else 1
+    rhs = r.rhs
     vec = [0] * (width + 1)
-    for j, a in coeffs:
+    for j, a in r.coeffs.items():
         vec[j] = sign * a
         rhs -= a * at[j]
-    vec[slack] = scale
+    vec[slack] = 1
     vec[-1] = sign * rhs
     return vec
-
-
-def _scaled(r: LpRow) -> tuple[int, list[tuple[int, int]], int]:
-    """r times the lcm of its coefficient and rhs denominators, as
-    (that lcm, integer coefficients, integer rhs)."""
-    if type(r.rhs) is int and all(type(c) is int for c in r.coeffs.values()):
-        return 1, list(r.coeffs.items()), r.rhs
-    scale = lcm(r.rhs.denominator, *(c.denominator for c in r.coeffs.values()))
-    return (scale,
-            [(j, c.numerator * (scale // c.denominator))
-             for j, c in r.coeffs.items()],
-            r.rhs.numerator * (scale // r.rhs.denominator))
 
 
 def common(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
@@ -613,12 +591,12 @@ class RankTracker:
         return len(self.pivots)
 
 
-def _rank_certificate(num_vars: int, scaled: list[tuple[int, list, int]],
+def _rank_certificate(num_vars: int, rows: Sequence[LpRow],
                       tight_rows: Sequence[int],
                       tight_bounds: Sequence[tuple[int, str]]) -> list[tuple]:
     """Greedy independent subset of the tight constraints in the given
     order, as x-space row vectors: num_vars of them exactly at a vertex;
-    scaled holds each row's integer coefficients (see _scaled).
+    tight_rows index rows.
 
     A bound's unit vector is independent of the chosen ones unless its
     column is already bounded.  The chosen bounds span their columns, so
@@ -636,25 +614,20 @@ def _rank_certificate(num_vars: int, scaled: list[tuple[int, list, int]],
     for i in tight_rows:
         if len(chosen) == num_vars:
             break
-        if tracker.add({c: a for c, a in scaled[i][1] if c not in bounded}):
+        if tracker.add({c: a for c, a in rows[i].coeffs.items() if c not in bounded}):
             chosen.append(("row", i))
     return chosen
 
 
-def _excess(coeffs: list[tuple[int, int]], rhs: int, nums: Sequence[int],
-            denom: int) -> int:
-    """denom times (row value minus rhs) of an integer row at the point
-    nums / denom; its sign is that of the row's value minus its rhs."""
-    return sum(a * nums[j] for j, a in coeffs) - rhs * denom
+def _excess(r: LpRow, nums: Sequence[int], denom: int) -> int:
+    """denom times (row value minus rhs) of r at the point nums / denom;
+    its sign is that of the row's value minus its rhs."""
+    return sum(a * nums[j] for j, a in r.coeffs.items()) - r.rhs * denom
 
 
 def _holds(sense: str, excess: int) -> bool:
     """Whether a row of this sense holds at this excess (see _excess)."""
-    if sense == GE:
-        return excess >= 0
-    if sense == LE:
-        return excess <= 0
-    return excess == 0
+    return excess >= 0 if sense == GE else excess <= 0
 
 
 def _optimum(simplex: _Simplex) -> BasicOptimum:
@@ -665,8 +638,8 @@ def _optimum(simplex: _Simplex) -> BasicOptimum:
     lp = simplex.lp
     nums, denom = simplex.scaled_point()
     tight_rows = []
-    for i, (r, (_, coeffs, rhs)) in enumerate(zip(simplex.rows, simplex.scaled)):
-        excess = _excess(coeffs, rhs, nums, denom)
+    for i, r in enumerate(simplex.rows):
+        excess = _excess(r, nums, denom)
         if excess == 0:
             tight_rows.append(i)
         elif not _holds(r.sense, excess):
@@ -681,7 +654,7 @@ def _optimum(simplex: _Simplex) -> BasicOptimum:
     # rows whose slack is nonbasic first (False sorts before True)
     status, ns = simplex.status, simplex.ns
     order = sorted(tight_rows, key=lambda i: status[ns + i] == "B")
-    cert = _rank_certificate(lp.num_vars, simplex.scaled, order, tight_bounds)
+    cert = _rank_certificate(lp.num_vars, simplex.rows, order, tight_bounds)
     if len(cert) != lp.num_vars:
         raise RuntimeError("solver returned a non-vertex point")
     return BasicOptimum(value, nums, denom, tight_rows, tight_bounds, cert,
@@ -725,8 +698,8 @@ def solve_lazy(lp: LpInstance, oracle: SeparationCallback,
 
     With `start`, a result solved with `keep_tableau`, the loop begins at
     its optimal basis instead of a cold solve: lp must be `start.rows`
-    with the same objective and bounds, changed in right-hand sides only,
-    by integers (`_Simplex.restart`; ValueError otherwise).  The warm
+    with the same objective and bounds, changed in right-hand sides only
+    (`_Simplex.restart`; ValueError otherwise).  The warm
     start takes the tableau over, so a result starts one solve; the
     pivots and bound flips count from there.
     """
@@ -753,8 +726,7 @@ def solve_lazy(lp: LpInstance, oracle: SeparationCallback,
         for c in cuts:
             if any(not 0 <= j < lp.num_vars for j in c.coeffs):
                 raise ValueError("oracle row references an undeclared variable")
-            _, coeffs, rhs = _scaled(c)
-            if _holds(c.sense, _excess(coeffs, rhs, opt.nums, opt.denom)):
+            if _holds(c.sense, _excess(c, opt.nums, opt.denom)):
                 raise RuntimeError("oracle returned a non-violated row")
         total = len(simplex.rows) + len(cuts)
         if total - len(lp.rows) > max_added:

@@ -115,6 +115,8 @@ def _check(graph: Multigraph, k: int, min_k: int, *, even: bool = False,
         if len(lower) != graph.n or len(upper) != graph.n:
             raise ValueError("degree bounds must cover all vertices")
         for v in range(graph.n):
+            if type(lower[v]) is not int or type(upper[v]) is not int:
+                raise ValueError(f"vertex {v + 1} has a degree bound that is not an int")
             if lower[v] > upper[v]:
                 raise ValueError(f"vertex {v + 1} has lower bound above upper bound")
             if lower[v] < 0 or upper[v] < 0:
@@ -302,14 +304,13 @@ class _LoopSpec:
     threshold: int
     pick_cutoff: Fraction          # pick x >= cutoff: weight >= ceil(cutoff*denom)
     keep_zero_edges: bool          # retain x=0 edges in the working set
-    ledger_factor: Fraction        # cost ledger: c(H) + factor*lp <= factor*lp0
     degrees: bool = False          # degree rows and the degree-activity rule
 
 
-_EXACT = _LoopSpec(3, Fraction(1), True, Fraction(1))
-_BICRITERIA = _LoopSpec(2, Fraction(2, 3), False, Fraction(3, 2))
-_MULTIGRAPH = _LoopSpec(3, Fraction(1), False, Fraction(1))
-_DEGREE = _LoopSpec(3, Fraction(1), False, Fraction(1), degrees=True)
+_EXACT = _LoopSpec(3, Fraction(1), True)
+_BICRITERIA = _LoopSpec(2, Fraction(2, 3), False)
+_MULTIGRAPH = _LoopSpec(3, Fraction(1), False)
+_DEGREE = _LoopSpec(3, Fraction(1), False, degrees=True)
 
 
 def _certifying(graph: Multigraph, certify: bool | None) -> bool:
@@ -389,12 +390,15 @@ def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
         cut = math.ceil(spec.pick_cutoff * denom)  # x_e >= cutoff iff weight >= cut
         if lp0 is None:
             lp0 = trace.lp0 = opt.value
-        # cost ledger at the start of the iteration
+        # cost ledger at the start of the iteration: each picked edge
+        # costs c_e <= c_e * x_e / cutoff, so c(H) + lp / cutoff stays
+        # at most lp0 / cutoff
         cost_now = graph.cost_of(mult)
-        if cost_now + spec.ledger_factor * opt.value > spec.ledger_factor * lp0:
+        factor = 1 / spec.pick_cutoff
+        if cost_now + factor * opt.value > factor * lp0:
             raise certmod.CertificationError(
                 f"cost ledger violated: c(H)={cost_now} + "
-                f"{spec.ledger_factor}*{opt.value} > {spec.ledger_factor}*{lp0}")
+                f"{factor}*{opt.value} > {factor}*{lp0}")
         picked_now = {e for e in working if weights[e] >= cut}
         record = IterationRecord(
             index=iteration, lp_value=opt.value, lp_point=point,

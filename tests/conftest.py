@@ -64,8 +64,7 @@ def row_holds(row, point) -> bool:
     """Reference check of an LP row at a point of Fractions: the row's
     left side summed over Fractions, compared with its rhs by its sense."""
     lhs = sum((Fraction(c) * point[j] for j, c in row.coeffs.items()), Fraction(0))
-    return {lp.GE: lhs >= row.rhs, lp.LE: lhs <= row.rhs,
-            lp.EQ: lhs == row.rhs}[row.sense]
+    return {lp.GE: lhs >= row.rhs, lp.LE: lhs <= row.rhs}[row.sense]
 
 
 def tight_sets_scan(x, req) -> list[int]:

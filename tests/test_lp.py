@@ -15,6 +15,16 @@ from conftest import prism_hub_edges, row_holds
 from reference import full_cut_lp
 
 
+def _equation(coeffs, rhs):
+    """coeffs . x = rhs as a >= row and a <= row."""
+    return [lp.row(coeffs, lp.GE, rhs), lp.row(coeffs, lp.LE, rhs)]
+
+
+def _rows(coeffs, sense, rhs):
+    """[the row], or for sense None the equation as two rows."""
+    return _equation(coeffs, rhs) if sense is None else [lp.row(coeffs, sense, rhs)]
+
+
 def test_simplex_face_vertex():
     inst = lp.instance([1, 1], [0, 0], [1, 1], [lp.row({0: 1, 1: 1}, lp.GE, 1)])
     opt = lp.solve(inst)
@@ -34,26 +44,23 @@ def test_infeasible_and_unbounded_signaled_distinctly():
 
 def test_equality_system_unique_point():
     opt = lp.solve(lp.instance([0, 0], [0, 0], [None, None],
-                               [lp.row({0: 1, 1: 1}, lp.EQ, 3),
-                                lp.row({0: 1, 1: -1}, lp.EQ, 1)]))
+                               _equation({0: 1, 1: 1}, 3) + _equation({0: 1, 1: -1}, 1)))
     assert opt.point == [Fraction(2), Fraction(1)]
-    # both slacks start out of their bounds [0, 0]; one dual step each
+    # the two >= slacks start below 0; one dual step each
     assert (opt.pivots, opt.bound_flips) == (2, 0)
 
 
 def test_cold_start_redundant_and_inconsistent_equations():
-    # the second row is twice the first: its slack stays basic at 0
+    # the second equation is twice the first: its slacks stay basic at 0
     inst = lp.instance([1, 2], [0, 0], [None, None],
-                       [lp.row({0: 1, 1: 1}, lp.EQ, 3),
-                        lp.row({0: 2, 1: 2}, lp.EQ, 6),
-                        lp.row({0: 1, 1: -1}, lp.EQ, 1)])
+                       _equation({0: 1, 1: 1}, 3) + _equation({0: 2, 1: 2}, 6)
+                       + _equation({0: 1, 1: -1}, 1))
     opt = lp.solve(inst)
     assert opt.point == [2, 1] and opt.value == 4
     recheck_vertex(inst, opt)
     with pytest.raises(lp.LpInfeasible):
         lp.solve(lp.instance([1, 2], [0, 0], [None, None],
-                             [lp.row({0: 1, 1: 1}, lp.EQ, 3),
-                              lp.row({0: 2, 1: 2}, lp.EQ, 5)]))
+                             _equation({0: 1, 1: 1}, 3) + _equation({0: 2, 1: 2}, 5)))
 
 
 def test_cold_start_clips_cost_for_the_dual_phase(monkeypatch):
@@ -98,8 +105,7 @@ def test_prism_equality_system_halves_and_quarters():
     rows = []
     for s in members:
         rhs = 2 if s.bit_count() == 1 else 3
-        rows.append(lp.row({var_of[e]: 1 for e in crossing(g, s, frac)},
-                           lp.EQ, rhs))
+        rows += _equation({var_of[e]: 1 for e in crossing(g, s, frac)}, rhs)
     opt = lp.solve(lp.instance([0] * 9, [0] * 9, [None] * 9, rows))
     values = {e: opt.point[var_of[e]] for e in frac}
     for e in frac:
@@ -311,8 +317,8 @@ def test_solve_matches_vertex_enumeration():
             coeffs = {j: c for j, c in coeffs.items() if c}
             if not coeffs:
                 continue
-            sense = rng.choice([lp.GE, lp.LE, lp.EQ])
-            rows.append(lp.row(coeffs, sense, rng.randint(-5, 5)))
+            sense = rng.choice([lp.GE, lp.LE, None])
+            rows += _rows(coeffs, sense, rng.randint(-5, 5))
         inst = lp.instance([rng.randint(-4, 4) for _ in range(nv)],
                            [rng.randint(-2, 0) for _ in range(nv)],
                            [rng.randint(1, 4) for _ in range(nv)], rows)
@@ -396,7 +402,7 @@ def _random_lazy_instance(rng, nv):
             coeffs = {j: c for j, c in coeffs.items() if c}
             if not coeffs:
                 continue
-            sense = rng.choice([lp.GE, lp.LE, lp.EQ])
+            sense = rng.choice([lp.GE, lp.LE, None])
             rhs = sum(c * x0[j] for j, c in coeffs.items())
             if rng.random() < 0.1:
                 rhs = rng.randint(-4, 6)
@@ -404,7 +410,7 @@ def _random_lazy_instance(rng, nv):
                 rhs -= rng.randint(0, 2)
             elif sense == lp.LE:
                 rhs += rng.randint(0, 2)
-            out.append(lp.row(coeffs, sense, rhs))
+            out += _rows(coeffs, sense, rhs)
         return out
     inst = lp.instance([rng.randint(-3, 3) for _ in range(nv)], lower, upper,
                        rows(rng.randint(0, nv)))
@@ -433,7 +439,7 @@ def test_incremental_state_matches_tableau(monkeypatch):
     # the dual's leaving choice once after every dual pivot, so checks
     # there (and after each add_rows) see every update of the tableau's
     # last column and of the reduced-cost row
-    seen = {"checks": 0, "bland": 0, "flips": 0, "infeasible_start": 0, "eq": 0,
+    seen = {"checks": 0, "bland": 0, "flips": 0, "infeasible_start": 0,
             "added": 0, "dual": 0}
     entering = lp._Simplex._entering
     leaving = lp._Simplex._leaving
@@ -485,38 +491,33 @@ def test_incremental_state_matches_tableau(monkeypatch):
     monkeypatch.setattr(lp._Simplex, "_dual", counted_dual)
     monkeypatch.setattr(lp._Simplex, "_leaving", checked_leaving)
     monkeypatch.setattr(lp._Simplex, "add_rows", checked_add_rows)
-    beale = lp.instance(
-        [Fraction(-3, 4), 150, Fraction(-1, 50), 6], [0] * 4, [None] * 4,
-        [lp.row({0: Fraction(1, 4), 1: -60, 2: Fraction(-1, 25), 3: 9},
-                lp.LE, 0),
-         lp.row({0: Fraction(1, 2), 1: -90, 2: Fraction(-1, 50), 3: 3},
-                lp.LE, 0),
-         lp.row({2: 1}, lp.LE, 1)])
-    instances = [beale]  # cycles under the largest-coefficient rule
+    # no int LP here stalls long enough to reach Bland's rule at the
+    # default limit, so every degenerate step takes it
+    monkeypatch.setattr(lp, "_STALL_LIMIT", 0)
+    instances = [_pin_instances()["beale"]]
     rng = random.Random(31)
     for trial in range(60):
         nv = rng.randint(2, 6) if trial < 50 else 10
-        senses = [lp.GE, lp.LE, lp.EQ] if trial < 50 else [lp.GE, lp.LE]
+        senses = [lp.GE, lp.LE, None] if trial < 50 else [lp.GE, lp.LE]
         rows = []
         for _ in range(rng.randint(1, 2 * nv)):
             coeffs = {j: rng.randint(-3, 3) for j in range(nv)}
             coeffs = {j: c for j, c in coeffs.items() if c}
             if coeffs:
-                rows.append(lp.row(coeffs, rng.choice(senses),
-                                   rng.randint(-4, 6) if trial < 50 else 0))
+                rows += _rows(coeffs, rng.choice(senses),
+                              rng.randint(-4, 6) if trial < 50 else 0)
         instances.append(lp.instance(
             [rng.randint(-3, 3) for _ in range(nv)],
             [rng.randint(-1, 0) for _ in range(nv)],
             [rng.choice([1, 3, None]) for _ in range(nv)], rows))
     for inst in instances:
-        seen["eq"] += any(r.sense == lp.EQ for r in inst.rows)
         try:
             opt = lp.solve(inst)
         except (lp.LpInfeasible, lp.LpUnbounded):
             continue
         seen["flips"] += opt.bound_flips
     assert seen["checks"] > 300
-    assert all(seen[key] > 0 for key in ("bland", "flips", "infeasible_start", "eq"))
+    assert all(seen[key] > 0 for key in ("bland", "flips", "infeasible_start"))
     # warm lazy rounds: the k=6 hub under separation, and random LPs whose
     # cut rows come from a hidden list
     hub = gen("prism-hub-k6").graph
@@ -533,12 +534,11 @@ def test_incremental_state_matches_tableau(monkeypatch):
 
 
 def _pin_instances():
+    # Beale's cycling example with its first two rows times 100
     beale = lp.instance(
         [Fraction(-3, 4), 150, Fraction(-1, 50), 6], [0] * 4, [None] * 4,
-        [lp.row({0: Fraction(1, 4), 1: -60, 2: Fraction(-1, 25), 3: 9},
-                lp.LE, 0),
-         lp.row({0: Fraction(1, 2), 1: -90, 2: Fraction(-1, 50), 3: 3},
-                lp.LE, 0),
+        [lp.row({0: 25, 1: -6000, 2: -4, 3: 900}, lp.LE, 0),
+         lp.row({0: 50, 1: -9000, 2: -2, 3: 300}, lp.LE, 0),
          lp.row({2: 1}, lp.LE, 1)])
     # the first LP that kecss solves on the k=6 hub: 0 <= x <= 1 and
     # the ten degree cuts
@@ -562,7 +562,7 @@ def test_pivot_sequence_pinned():
     # (value, point, pivots, bound flips): any change to the pivot
     # sequence shows here
     expected = {
-        "beale": ("-1/20", "1/25 0 1 0", 18, 0),
+        "beale": ("-1/20", "1/25 0 1 0", 6, 0),
         "hub": ("9", " ".join(["1"] * 30 + ["1/2"] * 6), 6, 2),
         "multi": ("50", "0 0 0 5 0 0 0 0 5 0 5 5 0 0 0 0 0 0 0 0 0 5", 6, 0),
     }
@@ -615,30 +615,29 @@ def test_add_rows_at_once_equals_one_at_a_time(monkeypatch):
 
 
 def test_recheck_vertex_accepts_pinned_lps():
-    # integer rows scaled from Fraction coefficients (beale's), from the
-    # hub LP at its bounds, and from the multigraph LP
+    # rows with large coefficients (beale's), the hub LP at its bounds,
+    # and the multigraph LP
     for inst in _pin_instances().values():
         recheck_vertex(inst, lp.solve(inst))
+    # x0/3 + 2x1/7 >= 1, x0/2 - x2/5 <= 1/4, 3x1/4 + 5x2/6 >= 2/3, each
+    # times the lcm of its denominators
     thirds = lp.instance(
         [1, 1, 2], [0, 0, 0], [None, 1, None],
-        [lp.row({0: Fraction(1, 3), 1: Fraction(2, 7)}, lp.GE, 1),
-         lp.row({0: Fraction(1, 2), 2: Fraction(-1, 5)}, lp.LE, Fraction(1, 4)),
-         lp.row({1: Fraction(3, 4), 2: Fraction(5, 6)}, lp.GE, Fraction(2, 3))])
+        [lp.row({0: 7, 1: 6}, lp.GE, 21),
+         lp.row({0: 10, 2: -4}, lp.LE, 5),
+         lp.row({1: 9, 2: 10}, lp.GE, 8)])
     recheck_vertex(thirds, lp.solve(thirds))
 
 
 def test_recheck_vertex_rejects_deficient_rank():
     # two proportional tight rows span one dimension of two
     inst = lp.instance([1, 1], [0, 0], [None, None],
-                       [lp.row({0: Fraction(1, 2), 1: Fraction(1, 2)}, lp.GE,
-                               Fraction(1, 2)),
-                        lp.row({0: 3, 1: 3}, lp.GE, 3)])
+                       [lp.row({0: 1, 1: 1}, lp.GE, 1), lp.row({0: 3, 1: 3}, lp.GE, 3)])
     with pytest.raises(CertificationError, match="rank 1 < 2"):
         recheck_vertex(inst, lp.BasicOptimum(Fraction(1), [1, 1], 2, [0, 1], [], []))
     # a tight bound on x0 and rows that agree once x0 is fixed: rank 2 of 3
     inst = lp.instance([1, 1, 1], [0, 0, 0], [1, 1, 1],
-                       [lp.row({0: 1, 1: Fraction(1, 2), 2: Fraction(1, 2)},
-                               lp.GE, Fraction(1, 2)),
+                       [lp.row({0: 2, 1: 1, 2: 1}, lp.GE, 1),
                         lp.row({0: 5, 1: 1, 2: 1}, lp.GE, 1)])
     with pytest.raises(CertificationError, match="rank 2 < 3"):
         recheck_vertex(inst, lp.BasicOptimum(Fraction(1), [0, 1, 1], 2, [0, 1],
@@ -752,19 +751,18 @@ def _with_rows(inst, rows):
     return lp.LpInstance(inst.objective, inst.lower, inst.upper, tuple(rows))
 
 
-def _random_kept_result(rng, fractions=False):
+def _random_kept_result(rng, multiplied=False):
     """A seeded random lazy LP solved with its tableau kept, its oracle,
     and the LP; None when it is infeasible or unbounded.  With
-    `fractions`, each row is divided by a random 1..4, so that its
-    coefficients and rhs are Fractions."""
+    `multiplied`, each row is multiplied by a random 1..4, so that a rhs
+    change of 1 may be a fraction of the row's common factor."""
     inst, hidden = _random_lazy_instance(rng, rng.randint(2, 6))
-    if fractions:
-        def divided(r):
+    if multiplied:
+        def times(r):
             q = rng.randint(1, 4)
-            return lp.row({j: Fraction(c, q) for j, c in r.coeffs.items()},
-                          r.sense, Fraction(r.rhs, q))
-        inst = _with_rows(inst, [divided(r) for r in inst.rows])
-        hidden = [divided(r) for r in hidden]
+            return lp.row({j: c * q for j, c in r.coeffs.items()}, r.sense, r.rhs * q)
+        inst = _with_rows(inst, [times(r) for r in inst.rows])
+        hidden = [times(r) for r in hidden]
     oracle = _hidden_rows_oracle(hidden)
     try:
         return lp.solve_lazy(inst, oracle, keep_tableau=True), oracle, inst
@@ -775,12 +773,12 @@ def _random_kept_result(rng, fractions=False):
 def test_warm_start_from_changed_rhs_matches_cold_solve():
     # the final relaxation's rows with random integer rhs changes, solved
     # from the first solve's tableau and cold under the same oracle: the
-    # same value, or LpInfeasible on both paths; integer rows and rows of
-    # Fractions alike
+    # same value, or LpInfeasible on both paths; rows as drawn and rows
+    # with a common factor alike
     rng = random.Random(53)
-    outcomes = {"solved": 0, "infeasible": 0, "fractions": 0, "fewer_pivots": 0}
+    outcomes = {"solved": 0, "infeasible": 0, "multiplied": 0, "fewer_pivots": 0}
     for trial in range(300):
-        kept = _random_kept_result(rng, fractions=trial % 2 == 1)
+        kept = _random_kept_result(rng, multiplied=trial % 2 == 1)
         if kept is None:
             continue
         first, oracle, inst = kept
@@ -801,17 +799,17 @@ def test_warm_start_from_changed_rhs_matches_cold_solve():
         for r in warm.rows:
             assert row_holds(r, warm.optimum.point)
         outcomes["solved"] += 1
-        outcomes["fractions"] += trial % 2 == 1
+        outcomes["multiplied"] += trial % 2 == 1
         outcomes["fewer_pivots"] += warm.optimum.pivots < cold.optimum.pivots
     assert outcomes["solved"] > 50 and outcomes["infeasible"] > 50
-    assert outcomes["fractions"] > 20 and outcomes["fewer_pivots"] > 40
+    assert outcomes["multiplied"] > 20 and outcomes["fewer_pivots"] > 40
 
 
 def test_warm_start_at_the_same_rhs_takes_no_pivot():
     rng = random.Random(59)
     seen = 0
     for trial in range(120):
-        kept = _random_kept_result(rng, fractions=trial % 2 == 1)
+        kept = _random_kept_result(rng, multiplied=trial % 2 == 1)
         if kept is None:
             continue
         first, oracle, inst = kept
@@ -826,7 +824,7 @@ def test_warm_start_at_the_same_rhs_takes_no_pivot():
 
 
 def test_warm_start_refuses_anything_but_an_integer_rhs_change():
-    rows = (lp.row({0: 1, 1: 1}, lp.GE, 2), lp.row({0: Fraction(1, 2), 1: -1}, lp.LE, 1))
+    rows = (lp.row({0: 1, 1: 1}, lp.GE, 2), lp.row({0: 1, 1: -2}, lp.LE, 2))
     inst = lp.instance([1, 2], [0, 0], [3, None], rows)
 
     def oracle(nums, denom):
@@ -835,19 +833,16 @@ def test_warm_start_refuses_anything_but_an_integer_rhs_change():
     first = lp.solve_lazy(inst, oracle, keep_tableau=True)
     refused = {
         "coefficient": _with_rows(inst, [lp.row({0: 1, 1: 2}, lp.GE, 2), rows[1]]),
-        "sense": _with_rows(inst, [lp.row({0: 1, 1: 1}, lp.EQ, 2), rows[1]]),
+        "sense": _with_rows(inst, [lp.row({0: 1, 1: 1}, lp.LE, 2), rows[1]]),
         "row count": _with_rows(inst, rows[:1]),
         "objective": lp.instance([1, 3], [0, 0], [3, None], rows),
         "lower bound": lp.instance([1, 2], [0, -1], [3, None], rows),
         "upper bound": lp.instance([1, 2], [0, 0], [4, None], rows),
-        "rhs by 1/2": _with_rows(inst, [rows[0], lp.row({0: Fraction(1, 2), 1: -1},
-                                                        lp.LE, Fraction(3, 2))]),
     }
     for name, changed in refused.items():
         with pytest.raises(ValueError):
             lp.solve_lazy(changed, oracle, start=first)
-    # a refused start leaves the tableau as it was; a Fraction row whose
-    # rhs changes by an integer is taken
+    # a refused start leaves the tableau as it was
     assert lp.solve_lazy(inst, oracle, start=first).optimum.pivots == 0
     # the warm start took the tableau over, and a result solved without
     # keep_tableau holds none
@@ -855,7 +850,8 @@ def test_warm_start_refuses_anything_but_an_integer_rhs_change():
         with pytest.raises(ValueError, match="no tableau"):
             lp.solve_lazy(inst, oracle, start=start)
     first = lp.solve_lazy(inst, oracle, keep_tableau=True)
-    raised = _with_rows(inst, [rows[0], lp.row({0: Fraction(1, 2), 1: -1}, lp.LE, 3)])
+    # a rhs change that is not a multiple of the row's common factor 2
+    raised = _with_rows(inst, [rows[0], lp.row({0: 1, 1: -2}, lp.LE, 5)])
     assert lp.solve_lazy(raised, oracle, start=first).optimum.value == \
         lp.solve(raised).value
 
@@ -905,22 +901,20 @@ def test_integer_point_matches_fractions_every_round(monkeypatch):
 
 def test_lazy_rejects_row_the_point_satisfies():
     # the first relaxation's optimum is (1/2, 1/2); each row below holds
-    # there (two of them with slack), so returning it is an oracle fault,
-    # whether its coefficients are ints or Fractions
+    # there (two of them with slack), so returning it is an oracle fault
     inst = lp.instance([1, 1], [0, 0], [1, 1],
                        [lp.row({0: 1, 1: 3}, lp.GE, 2), lp.row({0: 3, 1: 1}, lp.GE, 2)])
     assert lp.solve(inst).point == [Fraction(1, 2)] * 2
     for satisfied in (lp.row({0: 1, 1: 1}, lp.GE, 1),
                       lp.row({0: 2, 1: -1}, lp.LE, 1),
-                      lp.row({0: 2, 1: -2}, lp.EQ, 0),
-                      lp.row({0: Fraction(1, 3)}, lp.GE, Fraction(1, 7)),
-                      lp.row({1: 1}, lp.LE, Fraction(1, 2))):
+                      lp.row({0: 2, 1: -2}, lp.GE, 0),
+                      lp.row({0: 7}, lp.GE, 3),
+                      lp.row({1: 2}, lp.LE, 1)):
         with pytest.raises(RuntimeError, match="non-violated row"):
             lp.solve_lazy(inst, lambda nums, denom: [satisfied])
     # a violated row of each kind is accepted and moves the point
     for violated, point in ((lp.row({0: 1}, lp.GE, 1), [1, Fraction(1, 3)]),
-                            (lp.row({1: Fraction(2, 3)}, lp.LE, Fraction(1, 4)),
-                             [Fraction(7, 8), Fraction(3, 8)])):
+                            (lp.row({1: 8}, lp.LE, 3), [Fraction(7, 8), Fraction(3, 8)])):
         result = lp.solve_lazy(inst, _hidden_rows_oracle([violated]))
         assert result.optimum.point == point
 
@@ -939,3 +933,15 @@ def test_instance_bounds_must_be_ints():
         with pytest.raises(ValueError, match="not an int"):
             lp.instance([1], lower, upper, [])
     assert lp.instance([1], [-2], [3], []).upper == (3,)
+
+
+def test_rows_must_be_int_with_sense_ge_or_le():
+    for coeffs, sense, rhs in (({0: Fraction(1, 2)}, lp.GE, 1), ({0: 0.5}, lp.LE, 1),
+                               ({0: 1}, lp.GE, Fraction(1, 2)), ({0: 1}, lp.GE, 1.0)):
+        for make in (lp.row, lp.LpRow):
+            with pytest.raises(ValueError, match="not an int"):
+                make(coeffs, sense, rhs)
+    for make in (lp.row, lp.LpRow):
+        with pytest.raises(ValueError, match="unknown row sense '=='"):
+            make({0: 1}, "==", 1)
+    assert lp.row({1: 2, 0: 1, 2: 0}, lp.LE, 3) == lp.LpRow({0: 1, 1: 2}, lp.LE, 3)

@@ -338,6 +338,16 @@ def test_md_kecsm_validation():
         md_kecsm(tri, 2, [3] * 3, [2] * 3)
 
 
+def test_degree_bounds_must_be_ints():
+    # refused at the API edge, naming the vertex, before any LP row is built
+    tri = make_graph(3, [(1, 2, 1), (2, 3, 1), (1, 3, 1)])
+    for lower, upper in (([2, Fraction(3, 2), 2], [4] * 3), ([2] * 3, [4, 4.0, 4])):
+        for solver in (md_kecss, md_kecsm):
+            with pytest.raises(ValueError, match="^vertex 2 has a degree bound "
+                                                 "that is not an int$"):
+                solver(tri, 2, lower, upper)
+
+
 def test_progress_and_ledger_on_random_instances():
     rng = random.Random(77)
     for i in range(6):
@@ -374,7 +384,7 @@ def test_no_progress_dump_holds_the_iterations_point():
     # x = 0 edge that comes first by id (an expensive parallel rung)
     edges = [(2, 3, 100)] + prism_hub_edges(3, 1, 2)
     graph = make_graph(10, edges)
-    stuck = rounding._LoopSpec(3, Fraction(2), False, Fraction(1))
+    stuck = rounding._LoopSpec(3, Fraction(2), False)
     with pytest.raises(CertificationError, match="no progress") as err:
         rounding._round(graph, 6, stuck, None, False, 0, None)
     point = json.loads(err.value.dump.splitlines()[-1])["point"]

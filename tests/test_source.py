@@ -123,3 +123,21 @@ def test_vertex_sets_are_masks_only():
     tree = ast.parse(Path(kecss.graphs.__file__).read_text())
     defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert defined & {"vertex_mask", "mask_vertices", "canonical_side", "boundary"} == set()
+
+
+def test_lp_rows_have_one_form():
+    # an LpRow is int >= or <= row: no module keeps a scaled copy of the
+    # rows (`_scaled`) or an equation sense (`EQ`)
+    found = []
+    for path in sorted(Path(kecss.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name in ("_scaled", "EQ")]
+    assert found == []
