@@ -28,6 +28,9 @@ picked multiplicity) is exactly k; they are found among the cuts of
 capacity at most k by `cuts_below`, with polynomial delay at any n,
 since at the solvers' points every cut has capacity at least k/2 and
 such near-minimum cuts are polynomially many (Karger 2000).  The
+enumeration is given the active family's side constraint (picked
+crossing at most k - threshold), so it lists active sides only, and
+the residual and mass filters check each one.  The
 vertex recheck runs the simplex's rank routine over the LP's own rows
 in index order, independent of the simplex's basis.
 """
@@ -39,7 +42,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from typing import Mapping, Sequence
 
 from . import lp as lpmod
@@ -135,16 +137,18 @@ def tight_sets(point: ScaledPoint, req: Requirement) -> list[int]:
     A side S is tight exactly when its mixed capacity x(delta S) plus the
     picked multiplicity crossing S equals k.  Scaled by the point's
     denominator every mixed capacity is an integer, so the tight sides
-    are among the cuts of scaled capacity below k * denom + 1, which
-    `cuts_below` lists with polynomial delay; those are then filtered by
-    activity and x-mass.  Sorted by (size, vertices).
+    are among the active cuts of scaled capacity below k * denom + 1,
+    which `cuts_below` lists with polynomial delay under the active
+    family's side constraint; those are then filtered by activity and
+    x-mass.  Sorted by (size, vertices).
     """
     graph = req.graph
     if graph.n < 2:
         return []
     weights, denom = mixed_capacities(point, req)
     out = []
-    for side in cuts_below(graph, weights, req.k * denom + 1):
+    for side in cuts_below(graph, weights, req.k * denom + 1,
+                           constraint=req.active_constraint()):
         fres = req.residual(side)
         if fres >= req.threshold and point.cross(side) == fres * point.denom:
             out.append(side)
@@ -354,10 +358,11 @@ def uncross_witness(a: int, b: int, point: ScaledPoint,
         raise ValueError("sets must weakly cross")
     full = (1 << graph.n) - 1
     m_out = full & ~m_union
-    residual = cache(req.residual)  # read once per mask
+    residual = {mask: req.residual(mask)  # read once per mask
+                for mask in (a, b, m_inter, m_union, m_amb, m_bma)}
 
     def require_tight(mask: int, label: str) -> None:
-        fres = residual(mask)
+        fres = residual[mask]
         mass = point.cross(mask)
         if mass != fres * denom:
             raise CertificationError(
@@ -366,7 +371,7 @@ def uncross_witness(a: int, b: int, point: ScaledPoint,
                 reproducer_dump(graph, req, point))
 
     for mask, name in ((a, "input A"), (b, "input B")):
-        if residual(mask) < req.threshold:
+        if residual[mask] < req.threshold:
             raise ValueError(f"{name} is not active")
         require_tight(mask, name)
 
@@ -391,7 +396,7 @@ def uncross_witness(a: int, b: int, point: ScaledPoint,
         verify_identity([(1, m_amb)], (1, b), "chi(B) = chi(A-B)")
         return witness("complement", (a, m_amb), None, "chi(B) = chi(A-B)")
 
-    active = {name: residual(mask) >= req.threshold
+    active = {name: residual[mask] >= req.threshold
               for name, mask in (("inter", m_inter), ("union", m_union),
                                  ("amb", m_amb), ("bma", m_bma))}
     if not (active["inter"] or active["union"]) or not (active["amb"] or active["bma"]):

@@ -17,8 +17,10 @@ scales its bounds with them.  They return cut sides as canonical masks,
 without vertex 1.  `min_cut` is Stoer-Wagner with a heap-ordered
 maximum-adjacency order; `cuts_below` enumerates every cut under a
 limit by s-t max-flow branch and bound, exactly and with polynomial
-delay at any n, reusing a parent's flow wherever a child cannot add to
-it.
+delay at any n, on parallel edges merged into one arc pair, reusing a
+parent's flow wherever a child cannot add to it; given a second int
+vector per edge and a bound, it lists only the sides crossing at most
+that bound under it (`Requirement.active_constraint`: active sides).
 """
 
 from __future__ import annotations
@@ -283,24 +285,39 @@ def min_cut(graph: Multigraph, weights: Sequence[int]) -> tuple[int, int]:
     return best_value, best_side
 
 
-def cuts_below(graph: Multigraph, weights: Sequence[int],
-               limit: int) -> list[int]:
-    """All canonical cut sides (vertex masks without vertex 1) with weight
-    strictly below `limit`.
+def _merged(graph: Multigraph, weights: Sequence[int]) -> dict[tuple[int, int], int]:
+    """Summed positive weight per adjacent vertex pair (u, v), u < v."""
+    pairs: dict[tuple[int, int], int] = {}
+    for e in graph.edges:
+        if weights[e.id]:
+            key = (e.u, e.v) if e.u < e.v else (e.v, e.u)
+            pairs[key] = pairs.get(key, 0) + weights[e.id]
+    return pairs
 
-    Exact at any n, with polynomial delay (Vazirani-Yannakakis branching):
-    vertex 1 is fixed outside the side, vertices 2..n are assigned in order,
-    and a partial assignment is pruned as soon as the max flow from its
-    assigned side S to its assigned complement T reaches `limit`, since no
-    completion can then be cheaper.  Each child warm-starts from its
-    parent's flow, which stays feasible when a vertex joins either end.
-    A max flow below `limit` ends in a failed search whose reach R from S
-    in the residual graph misses T; a child that puts a vertex of R into
-    S, or one outside R into T, opens no augmenting path and keeps its
-    parent's flow, value and R.
-    Every branch that survives ends in a returned cut, so each cut costs
-    at most 2n flow computations.  Output is sorted lexicographically by
-    the sides' sorted vertex lists (`vertices`).
+
+def cuts_below(graph: Multigraph, weights: Sequence[int], limit: int,
+               constraint: tuple[Sequence[int], int] | None = None) -> list[int]:
+    """All canonical cut sides (vertex masks without vertex 1) with weight
+    strictly below `limit`; with `constraint` = (c, bound), c a
+    nonnegative int per edge id, only those whose crossing weight under
+    c is at most `bound` (none for a negative bound).
+
+    Exact at any n (Vazirani-Yannakakis branching): vertex 1 is fixed
+    outside the side, vertices 2..n are assigned in order, and a partial
+    assignment is pruned as soon as the max flow from its assigned side S
+    to its assigned complement T reaches `limit`, since no completion can
+    then be cheaper; likewise once the c-weight of the edges between S
+    and T, which cross every completion, passes `bound`.  The flow runs
+    on one arc pair per adjacent vertex pair, with parallel edges merged.
+    Each child warm-starts from its parent's flow, which stays feasible
+    when a vertex joins either end.  A max flow below `limit` ends in a
+    failed search whose reach R from S in the residual graph misses T; a
+    child that puts a vertex of R into S, or one outside R into T, opens
+    no augmenting path and keeps its parent's flow, value and R.
+    Without the constraint every branch that survives ends in a returned
+    cut, so each cut costs at most 2n flow computations; with it the
+    search visits a subset of those branches.  Output is sorted
+    lexicographically by the sides' sorted vertex lists (`vertices`).
     """
     if not isinstance(limit, int) or limit <= 0:
         raise ValueError(f"limit must be a positive int, got {limit!r}")
@@ -308,14 +325,26 @@ def cuts_below(graph: Multigraph, weights: Sequence[int],
         raise ValueError("cut enumeration needs at least 2 vertices")
     _check_weights(graph, weights)
     n = graph.n
-    # arcs 2j (u->v) and 2j+1 (v->u) run along edge j; a flow is held as
-    # the residual capacity of every arc
+    # arcs 2j (u->v) and 2j+1 (v->u) run along adjacent pair j (u < v);
+    # a flow is held as the residual capacity of every arc
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    for e in graph.edges:
-        if weights[e.id]:
-            adj[e.u].append((e.v, 2 * e.id))
-            adj[e.v].append((e.u, 2 * e.id + 1))
-    tail = [end for e in graph.edges for end in (e.u, e.v)]
+    tail: list[int] = []
+    capacity: list[int] = []
+    for j, ((u, v), w) in enumerate(_merged(graph, weights).items()):
+        adj[u].append((v, 2 * j))
+        adj[v].append((u, 2 * j + 1))
+        tail += (u, v)
+        capacity += (w, w)
+    # back[v]: (u, c-weight) for each u < v joined to v under c
+    back: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    bound = 0
+    if constraint is not None:
+        c, bound = constraint
+        _check_weights(graph, c)
+        if not isinstance(bound, int):
+            raise ValueError(f"constraint bound must be an int, got {bound!r}")
+        for (u, v), w in _merged(graph, c).items():
+            back[v].append((u, w))
     # side[v]: 1 in S, -1 in T, 0 unassigned; S also lists its vertices
     side = [0] * (n + 1)
     sources: list[int] = []
@@ -356,9 +385,10 @@ def cuts_below(graph: Multigraph, weights: Sequence[int],
             value += push
         return value, []
 
-    def branch(v: int, res: list[int], value: int, reach: list[bool]) -> None:
+    def branch(v: int, res: list[int], value: int, reach: list[bool],
+               spent: int) -> None:
         # `res` is a max S-T flow of the current assignment, below `limit`,
-        # and `reach` its R
+        # `reach` its R, and `spent` the c-weight between S and T
         if v > n:
             if sources:
                 found.append(sum(1 << (u - 1) for u in sources))
@@ -368,17 +398,23 @@ def cuts_below(graph: Multigraph, weights: Sequence[int],
             side[v] = choice
             if choice == -1:
                 sources.pop()
+            cost = spent
+            for u, w in back[v]:
+                if side[u] != choice:
+                    cost += w
+            if cost > bound:
+                continue
             if reach[v] == (choice == 1):  # no augmenting path can open
-                branch(v + 1, res, value, reach)
+                branch(v + 1, res, value, reach, cost)
                 continue
             child = res[:]
             child_value, child_reach = max_flow(child, value)
             if child_value < limit:
-                branch(v + 1, child, child_value, child_reach)
+                branch(v + 1, child, child_value, child_reach, cost)
         side[v] = 0
 
     side[1] = -1
-    branch(2, [weights[a // 2] for a in range(2 * graph.m)], 0, [False] * (n + 1))
+    branch(2, capacity, 0, [False] * (n + 1), 0)
     return sorted(found, key=vertices)
 
 

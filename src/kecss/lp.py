@@ -557,8 +557,9 @@ def _eliminate(vec: list[int], den: int, f: int, nz: list[tuple[int, int]],
 class RankTracker:
     """Incremental rank of integer row vectors (column -> value) over the
     rationals.  Each added vector is reduced against the kept ones, at
-    its smallest column each time and then divided by its gcd, and is
-    kept, keyed by its smallest column, if anything is left."""
+    its smallest column each time (in place where that pivot is 1, else
+    scaled by the pivot and then divided by its gcd), and is kept, keyed
+    by its smallest column, if anything is left."""
 
     def __init__(self):
         self.pivots: dict[int, dict[int, int]] = {}
@@ -572,18 +573,21 @@ class RankTracker:
             if piv is None:
                 self.pivots[col] = v
                 return True
-            # v * p - f * piv has the zeros of v - (f / p) * piv, and one
-            # gcd keeps it small
+            # v * p - f * piv has the zeros of v - (f / p) * piv; at p = 1
+            # v is reduced in place, otherwise one gcd keeps it small
             p, f = piv[col], v[col]
-            w = {c: a * p for c, a in v.items()}
+            if p != 1:
+                v = {c: a * p for c, a in v.items()}
             for c2, a in piv.items():
-                a = w.get(c2, 0) - f * a
+                a = v.get(c2, 0) - f * a
                 if a:
-                    w[c2] = a
+                    v[c2] = a
                 else:
-                    w.pop(c2, None)
-            g = gcd(*w.values())
-            v = {c: a // g for c, a in w.items()} if g > 1 else w
+                    v.pop(c2, None)
+            if p != 1:
+                g = gcd(*v.values())
+                if g > 1:
+                    v = {c: a // g for c, a in v.items()}
         return False
 
     @property

@@ -59,6 +59,13 @@ class Requirement:
             return 0
         return self.k - self.picked_point.cross(mask)
 
+    def active_constraint(self) -> tuple[tuple[int, ...], int]:
+        """(picked multiplicity per edge id, k - threshold): a side other
+        than the empty and the full set is active exactly when its picked
+        crossing is at most that bound, the side constraint of
+        `graphs.cuts_below`."""
+        return self.picked_point.weights, self.k - self.threshold
+
     def in_active_family(self, mask: int) -> bool:
         # the empty and the full side have residual 0, below either threshold
         return self.residual(mask) >= self.threshold

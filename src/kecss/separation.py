@@ -9,9 +9,12 @@ automatically an active violated cut; otherwise every violated cut lies
 among the cuts of capacity below k, which are enumerated and filtered by
 activity.  In that window the min cut is at least k/2, so the cuts below
 k are 2-approximate min cuts: polynomially many, and `cuts_below`
-lists them with polynomial delay at any n.  Every active side it lists
-is violated, and the verdict reports all of them, so one lazy round can
-add a row for each.
+lists them with polynomial delay at any n.  A side is active exactly
+when its picked crossing is at most k - threshold, so `cuts_below` is
+given that side constraint and lists only the active ones; the
+activity filter stays as a check.  Every side it lists is violated, and
+the verdict reports all of them, so one lazy round can add a row for
+each.
 
 The point is a `graphs.ScaledPoint`, also named here: x over edge ids
 as nonnegative integers over one positive denominator, the one form in
@@ -125,7 +128,8 @@ def separate_fast(point: ScaledPoint, req: Requirement) -> SeparationVerdict:
         return Feasible()
     mixed = ScaledPoint(req.graph, weights, denom)
     found = [(mixed.cross(s), s)
-             for s in cuts_below(req.graph, weights, req.k * denom)
+             for s in cuts_below(req.graph, weights, req.k * denom,
+                                 constraint=req.active_constraint())
              if req.in_active_family(s)]
     if not found:
         return Feasible()

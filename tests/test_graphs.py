@@ -356,6 +356,74 @@ def test_cuts_below_hub_n16_matches_mask_scan():
     assert len(got) > 16
 
 
+def counted_crossing(graph, weights, side):
+    """Reference: the weight of the edges with one endpoint in `side`."""
+    return sum(weights[e.id] for e in graph.edges
+               if (side >> (e.u - 1) & 1) != (side >> (e.v - 1) & 1))
+
+
+def test_cuts_below_constraint_equals_filtered_enumeration():
+    # parallel edges carry different weights under both vectors, so the
+    # merged arcs and the merged constraint weights are both exercised;
+    # one bound in four is some listed side's own crossing, the boundary
+    # case of the prune
+    rng = random.Random(23)
+    kept = dropped = at_bound = 0
+    for trial in range(160):
+        g = random_multigraph(rng, rng.randint(2, 10))
+        if not g.m:
+            continue
+        weights = [rng.randint(0, 5) for _ in range(g.m)]
+        c = [rng.choice((0, 0, 1, 2, 3)) for _ in range(g.m)]
+        limit = rng.randint(1, 20)
+        plain = cuts_below(g, weights, limit)
+        bound = rng.randint(-2, 8)
+        if plain and trial % 4 == 0:
+            bound = counted_crossing(g, c, rng.choice(plain))
+        got = cuts_below(g, weights, limit, constraint=(c, bound))
+        expected = [s for s in plain if counted_crossing(g, c, s) <= bound]
+        assert got == expected
+        kept += len(got)
+        dropped += len(plain) - len(got)
+        at_bound += sum(counted_crossing(g, c, s) == bound for s in got)
+        if bound < 0:
+            assert got == []
+        # the all-zero vector at bound 0 constrains nothing
+        assert cuts_below(g, weights, limit, constraint=([0] * g.m, 0)) == plain
+    assert kept > 200 and dropped > 200 and at_bound > 40
+
+
+def test_cuts_below_constraint_on_a_hub_with_triple_rungs():
+    # the g=5 prism hub carries each rung u-t and v-t three times: 60
+    # edges on 40 adjacent pairs; picking its zero-cost edges once leaves
+    # the sides of residual k - picked crossing >= threshold active
+    g = gen("prism-hub-k6", gadgets=5).graph
+    assert (g.n, g.m) == (16, 60)
+    assert len({frozenset((e.u, e.v)) for e in g.edges}) == 40
+    rng = random.Random(5)
+    caps = {e: Fraction(rng.randint(1, 8), rng.choice([2, 3, 4])) for e in range(g.m)}
+    weights, denom = common([caps[e] for e in range(g.m)])
+    picked = [int(e.cost == 0) for e in g.edges]
+    bound = 3 * Fraction(min_cut(g, weights)[0], denom) + Fraction(1, 3)
+    scan = mask_scan_below(g, caps, bound)
+    plain = cuts_below(g, weights, math.ceil(bound * denom))
+    assert plain == scan
+    for k, threshold in ((6, 3), (6, 2), (8, 3)):
+        got = cuts_below(g, weights, math.ceil(bound * denom),
+                         constraint=(picked, k - threshold))
+        assert got == [s for s in scan if k - counted_crossing(g, picked, s) >= threshold]
+        assert 0 < len(got) < len(scan)
+
+
+def test_cuts_below_rejects_a_malformed_constraint():
+    c4 = cycle_graph(4)
+    for c in ([1, 1, 1, Fraction(1, 2)], [1, 1, -1, 1], [1, 1, 1], [1] * 5):
+        with pytest.raises(ValueError):
+            cuts_below(c4, [1] * 4, 3, constraint=(c, 2))
+    with pytest.raises(ValueError):
+        cuts_below(c4, [1] * 4, 3, constraint=([1] * 4, Fraction(2)))
+
+
 def test_cut_kernels_reject_weights_that_are_not_nonnegative_ints():
     c4 = cycle_graph(4)
     for weights in ([1, 1, 1, Fraction(1, 2)], [1, 1, 1, Fraction(2)], [1, 1, 1, 1.0],

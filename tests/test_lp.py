@@ -945,3 +945,54 @@ def test_rows_must_be_int_with_sense_ge_or_le():
         with pytest.raises(ValueError, match="unknown row sense '=='"):
             make({0: 1}, "==", 1)
     assert lp.row({1: 2, 0: 1, 2: 0}, lp.LE, 3) == lp.LpRow({0: 1, 1: 2}, lp.LE, 3)
+
+
+def fraction_rank(rows, ncols):
+    """Reference: the rank of dict rows over Q by Fraction Gaussian elimination."""
+    matrix = [[Fraction(r.get(c, 0)) for c in range(ncols)] for r in rows]
+    rank = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(matrix)) if matrix[i][col]), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        for i in range(rank + 1, len(matrix)):
+            f = matrix[i][col] / matrix[rank][col]
+            matrix[i] = [a - f * b for a, b in zip(matrix[i], matrix[rank])]
+        rank += 1
+    return rank
+
+
+def test_rank_tracker_matches_fraction_elimination():
+    # 0/1 incidence rows, small ints (pivots other than 1, negative ones
+    # too) and explicit zeros; one row in three is an int combination of
+    # earlier rows, so dependent rows are rejected often.  Each decision
+    # must equal the Fraction rank's step, and the caller's dict is kept.
+    rng = random.Random(29)
+    kept = rejected = big_pivots = 0
+    for trial in range(300):
+        ncols = rng.randint(1, 9)
+        tracker = lp.RankTracker()
+        rows, rank = [], 0
+        for _ in range(rng.randint(1, 14)):
+            if rows and rng.random() < 1 / 3:
+                row = {}
+                for r in rng.sample(rows, min(len(rows), rng.randint(1, 3))):
+                    f = rng.choice((-2, -1, 1, 3))
+                    for c, a in r.items():
+                        row[c] = row.get(c, 0) + f * a
+            elif trial % 2:
+                row = {c: 1 for c in range(ncols) if rng.random() < 0.4}
+            else:
+                row = {c: rng.randint(-4, 4) for c in range(ncols) if rng.random() < 0.6}
+            before = dict(row)
+            added = tracker.add(row)
+            assert row == before
+            rows.append(row)
+            assert added == (fraction_rank(rows, ncols) > rank)
+            rank += added
+            kept += added
+            rejected += not added
+        assert tracker.rank == rank
+        big_pivots += sum(abs(piv[col]) > 1 for col, piv in tracker.pivots.items())
+    assert kept > 500 and rejected > 500 and big_pivots > 100

@@ -409,9 +409,9 @@ def _oracle_calls(monkeypatch) -> list:
     calls = []
     listed = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         listed.append(True)
-        return cuts_below(*args)
+        return cuts_below(*args, **kwargs)
 
     def recorded(point, req):
         listed.clear()

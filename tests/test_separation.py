@@ -190,9 +190,9 @@ def test_fast_matches_exact_randomized(monkeypatch):
     # the exhaustive scan in order; where the probe decided, one cut
     listed = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         listed.append(True)
-        return cuts_below(*args)
+        return cuts_below(*args, **kwargs)
 
     monkeypatch.setattr(separation, "cuts_below", counted)
     rng = random.Random(99)
