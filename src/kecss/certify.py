@@ -19,10 +19,11 @@ pass it to every check, so the masses of the sets that recur across
 the uncrossing pairs are computed once.  Every vertex set here (tight
 sets, basis members, witness families) is a vertex mask, as everywhere
 in the package, and becomes a vertex list only in error text:
-laminarity and weak crossing are mask tests, incidence rows are
-boundary bitsets keyed by support position, and an incidence identity
-holds when both sides' bit-plane sums over the boundary bitsets agree
-(`identity_failure`).
+laminarity and weak crossing are mask tests, a basis row is a boundary
+bitset over the support positions (`LaminarBasis.rows`), an incidence
+identity holds when both sides' bit-plane sums over the boundary
+bitsets agree (`identity_failure`), and each uncrossing case is one row
+of a table that one check sequence runs (`uncross_witness`).
 The tight sets are the active cut sides whose mixed capacity (x plus the
 picked multiplicity) is exactly k; they are found among the cuts of
 capacity at most k by `cuts_below`, with polynomial delay at any n,
@@ -92,10 +93,10 @@ def verify(graph: Multigraph, multiplicity: Mapping[int, int],
     """Check connectivity, exact cost bound, and optional degree windows."""
     failures: list[str] = []
     witness = None
-    # a bad entry is reported and left out of every sum below
+    # a bad entry (not an int, a bool, negative, an id off the edges) is reported and skipped
     mult = {}
     for e, m in multiplicity.items():
-        if m < 0 or not 0 <= e < graph.m:
+        if type(e) is not int or type(m) is not int or m < 0 or not 0 <= e < graph.m:
             failures.append(f"bad multiplicity {m} on edge {e}")
         elif m:
             mult[e] = m
@@ -169,11 +170,12 @@ def _bit_row(bits: int) -> dict[int, int]:
 class LaminarBasis:
     """Laminar tight family plus degree-tight vertices spanning the
     fractional support: one member per fractional edge, with linearly
-    independent boundary rows over the fractional edges."""
+    independent boundary rows over the fractional edges, kept as bitsets
+    over the point's support positions (`ScaledPoint.boundary_bits`)."""
     sets: tuple[int, ...]  # vertex masks
     degree_vertices: tuple[int, ...]
     frac_edges: tuple[int, ...]
-    rows: tuple[tuple[int, ...], ...]  # incidence over frac_edges, sets then vertices
+    rows: tuple[int, ...]  # fractional boundary bitsets, sets then vertices
 
     def members(self) -> list[int]:
         """The members as vertex masks, the sets then the vertices."""
@@ -224,7 +226,7 @@ def extract_laminar(point: ScaledPoint, req: Requirement,
     ftracker = lpmod.RankTracker()
     chosen_sets: list[int] = []
     chosen_vertices: list[int] = []
-    rows: list[tuple[int, ...]] = []
+    rows: list[int] = []
     members = ([(mask, None) for mask in family]
                + [(1 << (v - 1), v) for v in degree_vertices])
     for mask, v in members:
@@ -236,7 +238,7 @@ def extract_laminar(point: ScaledPoint, req: Requirement,
                 chosen_sets.append(mask)
             else:
                 chosen_vertices.append(v)
-            rows.append(tuple(bits >> i & 1 for i in frac_pos))
+            rows.append(bits)
 
     if ftracker.rank != len(frac):
         raise CertificationError(
@@ -267,7 +269,7 @@ def _validate_basis(basis: LaminarBasis, req: Requirement, point: ScaledPoint) -
                                  reproducer_dump(graph, req, point))
     tracker = lpmod.RankTracker()
     for r in basis.rows:
-        if not tracker.add({i: c for i, c in enumerate(r) if c}):
+        if not tracker.add(_bit_row(r)):
             raise CertificationError("basis rows not linearly independent",
                                      reproducer_dump(graph, req, point))
     for s in basis.sets:
@@ -340,35 +342,40 @@ def uncross_witness(a: int, b: int, point: ScaledPoint,
                     req: Requirement) -> UncrossWitness:
     """Verified replacement family for two weakly-crossing active tight sets.
 
-    Checks the incidence identity over the support (`identity_failure`)
-    and the vanishing of the cross-class masses the identity requires:
-    theta for the intersection/union case, gamma for the difference
-    case, and all of theta, gamma, alpha when only a mixed pair of corner
-    sets is active.  The replacement family is laminar, active, tight,
-    and spans the boundary row of b together with a.  Every mass is an
-    integer over the point's denominator, read from the point's boundary
-    bitsets and memo.  The inputs, the corners and the family returned
-    are vertex masks.
+    The inputs must be active (ValueError) and tight.  The corners'
+    activity then picks one row of the case table: the case, its family,
+    the corners that must be tight, the masses that must vanish (theta
+    between A-B and B-A, gamma between A&B and the outside, alpha between
+    the classes a mixed case joins) and the incidence identity:
+
+        complement          A|B is everything    A-B                   -
+        intersection_union  A&B, A|B active      A&B, A|B              theta
+        difference          A-B, B-A active      A-B, B-A              gamma
+        mixed_*             one of each pair     A&B, A|B, A-B, B-A    theta, gamma, alpha
+
+    One sequence checks the corners tight, the masses zero, then the
+    identity (`identity_failure`).  Masses are integers over the point's
+    denominator; the family is laminar, active, tight, and spans the
+    boundary row of b together with a.
     """
-    graph = req.graph
     denom = point.denom
     m_inter, m_union = a & b, a | b
     m_amb, m_bma = a & ~b, b & ~a
     if not m_inter or not m_amb or not m_bma:
         raise ValueError("sets must weakly cross")
-    full = (1 << graph.n) - 1
+    full = (1 << req.graph.n) - 1
     m_out = full & ~m_union
     residual = {mask: req.residual(mask)  # read once per mask
                 for mask in (a, b, m_inter, m_union, m_amb, m_bma)}
 
+    def failure(text: str) -> CertificationError:
+        return CertificationError(text, reproducer_dump(req.graph, req, point))
+
     def require_tight(mask: int, label: str) -> None:
-        fres = residual[mask]
         mass = point.cross(mask)
-        if mass != fres * denom:
-            raise CertificationError(
-                f"{label} {vertices(mask)} expected tight "
-                f"but x(delta)={Fraction(mass, denom)} != {fres}",
-                reproducer_dump(graph, req, point))
+        if mass != residual[mask] * denom:
+            raise failure(f"{label} {vertices(mask)} expected tight "
+                          f"but x(delta)={Fraction(mass, denom)} != {residual[mask]}")
 
     for mask, name in ((a, "input A"), (b, "input B")):
         if residual[mask] < req.threshold:
@@ -377,76 +384,52 @@ def uncross_witness(a: int, b: int, point: ScaledPoint,
 
     theta = point.between(m_amb, m_bma)
     gamma = point.between(m_inter, m_out) if m_union != full else 0
-
-    def verify_identity(combo: list[tuple[int, int]], target: tuple[int, int],
-                        text: str) -> None:
-        e = identity_failure(point, combo, target)
-        if e is not None:
-            raise CertificationError(
-                f"incidence identity {text} fails on edge {e}",
-                reproducer_dump(graph, req, point))
-
-    def witness(case: str, family: tuple[int, ...],
-                alpha: int | None, text: str) -> UncrossWitness:
-        return UncrossWitness(a, b, case, family, theta, gamma, alpha, text)
-
+    alpha = None
+    corners = ((m_inter, "A&B"), (m_union, "A|B"), (m_amb, "A-B"), (m_bma, "B-A"))
     if m_union == full:
         # weakly crossing but not crossing: A-B is the complement of B
-        require_tight(m_amb, "complement A-B")
-        verify_identity([(1, m_amb)], (1, b), "chi(B) = chi(A-B)")
-        return witness("complement", (a, m_amb), None, "chi(B) = chi(A-B)")
-
-    active = {name: residual[mask] >= req.threshold
-              for name, mask in (("inter", m_inter), ("union", m_union),
-                                 ("amb", m_amb), ("bma", m_bma))}
-    if not (active["inter"] or active["union"]) or not (active["amb"] or active["bma"]):
-        raise CertificationError(
-            "corner activity pattern contradicts two-way uncrossability",
-            reproducer_dump(graph, req, point))
-
-    def vanish(value: int, label: str) -> None:
-        if value != 0:
-            raise CertificationError(f"{label} = {Fraction(value, denom)} expected 0",
-                                     reproducer_dump(graph, req, point))
-
-    if active["inter"] and active["union"]:
-        require_tight(m_inter, "A&B")
-        require_tight(m_union, "A|B")
-        vanish(theta, "theta")
-        text = "chi(A)+chi(B) = chi(A&B)+chi(A|B)"
-        verify_identity([(1, m_inter), (1, m_union), (-1, a)], (1, b), text)
-        return witness("intersection_union", (a, m_inter, m_union), None, text)
-    if active["amb"] and active["bma"]:
-        require_tight(m_amb, "A-B")
-        require_tight(m_bma, "B-A")
-        vanish(gamma, "gamma")
-        text = "chi(A)+chi(B) = chi(A-B)+chi(B-A)"
-        verify_identity([(1, m_amb), (1, m_bma), (-1, a)], (1, b), text)
-        return witness("difference", (a, m_amb, m_bma), None, text)
-
-    # mixed cases: all four corners tight and theta = gamma = alpha = 0.
-    # Exactly one of A&B, A|B and one of A-B, B-A is active; per pattern:
-    # the case, its family, the classes alpha joins, and the identity
-    # chi(Y) = chi(P) + chi(Q) - 2 chi(X) with X the input that is not Y
-    for mask, label in ((m_inter, "A&B"), (m_union, "A|B"), (m_amb, "A-B"),
-                        (m_bma, "B-A")):
+        case, family, tight, vanish, combo, target, text = (
+            "complement", (a, m_amb), ((m_amb, "complement A-B"),), (),
+            ((1, m_amb),), (1, b), "chi(B) = chi(A-B)")
+    else:
+        inter, union, amb, bma = (residual[mask] >= req.threshold for mask, _ in corners)
+        if not (inter or union) or not (amb or bma):
+            raise failure("corner activity pattern contradicts two-way uncrossability")
+        if inter and union:
+            case, family, tight, vanish, combo, target, text = (
+                "intersection_union", (a, m_inter, m_union), corners[:2], (("theta", theta),),
+                ((1, m_inter), (1, m_union), (-1, a)), (1, b),
+                "chi(A)+chi(B) = chi(A&B)+chi(A|B)")
+        elif amb and bma:
+            case, family, tight, vanish, combo, target, text = (
+                "difference", (a, m_amb, m_bma), corners[2:], (("gamma", gamma),),
+                ((1, m_amb), (1, m_bma), (-1, a)), (1, b), "chi(A)+chi(B) = chi(A-B)+chi(B-A)")
+        else:
+            # exactly one of A&B, A|B and one of A-B, B-A is active; per
+            # pattern: the case, its family, the classes alpha joins, and the
+            # identity chi(Y) = chi(P) + chi(Q) - 2 chi(X) as (P, Q, X, Y)
+            case, family, joined, (p, q, m_x, m_y), text = {
+                (True, True): ("mixed_union_diff", (a, m_amb, m_union), (m_inter, m_bma),
+                               (m_amb, m_union, a, b), "chi(B) = chi(A-B)+chi(A|B)-2chi(A)"),
+                (True, False): ("mixed_union_codiff", (a, m_bma, m_union), (m_inter, m_amb),
+                                (m_bma, m_union, b, a), "chi(A) = chi(B-A)+chi(A|B)-2chi(B)"),
+                (False, False): ("mixed_inter_codiff", (a, m_inter, m_bma), (m_amb, m_out),
+                                 (m_inter, m_bma, a, b), "chi(B) = chi(A&B)+chi(B-A)-2chi(A)"),
+                (False, True): ("mixed_inter_diff", (a, m_inter, m_amb), (m_bma, m_out),
+                                (m_inter, m_amb, b, a), "chi(A) = chi(A&B)+chi(A-B)-2chi(B)"),
+            }[union, amb]
+            alpha = point.between(*joined)
+            tight, vanish = corners, (("theta", theta), ("gamma", gamma), ("alpha", alpha))
+            combo, target = ((1, p), (1, q), (-2, m_x)), (1, m_y)
+    for mask, label in tight:
         require_tight(mask, label)
-    vanish(theta, "theta")
-    vanish(gamma, "gamma")
-    case, family, (left, right), (p, q, m_x, m_y), text = {
-        ("union", "amb"): ("mixed_union_diff", (a, m_amb, m_union), (m_inter, m_bma),
-                           (m_amb, m_union, a, b), "chi(B) = chi(A-B)+chi(A|B)-2chi(A)"),
-        ("union", "bma"): ("mixed_union_codiff", (a, m_bma, m_union), (m_inter, m_amb),
-                           (m_bma, m_union, b, a), "chi(A) = chi(B-A)+chi(A|B)-2chi(B)"),
-        ("inter", "bma"): ("mixed_inter_codiff", (a, m_inter, m_bma), (m_amb, m_out),
-                           (m_inter, m_bma, a, b), "chi(B) = chi(A&B)+chi(B-A)-2chi(A)"),
-        ("inter", "amb"): ("mixed_inter_diff", (a, m_inter, m_amb), (m_bma, m_out),
-                           (m_inter, m_amb, b, a), "chi(A) = chi(A&B)+chi(A-B)-2chi(B)"),
-    }["union" if active["union"] else "inter", "amb" if active["amb"] else "bma"]
-    alpha = point.between(left, right)
-    vanish(alpha, "alpha")
-    verify_identity([(1, p), (1, q), (-2, m_x)], (1, m_y), text)
-    return witness(case, family, alpha, text)
+    for label, value in vanish:
+        if value:
+            raise failure(f"{label} = {Fraction(value, denom)} expected 0")
+    e = identity_failure(point, combo, target)
+    if e is not None:
+        raise failure(f"incidence identity {text} fails on edge {e}")
+    return UncrossWitness(a, b, case, family, theta, gamma, alpha, text)
 
 
 def small_boundary_set(basis: LaminarBasis, point: ScaledPoint,
@@ -465,14 +448,13 @@ def small_boundary_set(basis: LaminarBasis, point: ScaledPoint,
             raise ValueError(f"x[{e}]={Fraction(weights[e], denom)} not strictly "
                              "fractional")
     members = basis.members()
-    masses = [sum(weights[e] for e, c in zip(basis.frac_edges, row) if c)
-              for row in basis.rows]
+    masses = [point.mass(row) for row in basis.rows]
     for member, mass in zip(members, masses):
         if mass % denom:
             raise ValueError(f"member {vertices(member)} has non-integral mass "
                              f"{Fraction(mass, denom)} over F")
     for row, member, mass in zip(basis.rows, members, masses):
-        count = sum(row)
+        count = row.bit_count()
         if count <= 3:
             if mass > 2 * denom:
                 raise CertificationError(

@@ -14,13 +14,14 @@ weights as a list of nonnegative ints indexed by edge id, so every cut
 value and comparison is integer arithmetic; a caller with rational
 capacities scales them once to a common denominator (`lp.common`) and
 scales its bounds with them.  They return cut sides as canonical masks,
-without vertex 1.  `min_cut` is Stoer-Wagner with a heap-ordered
-maximum-adjacency order; `cuts_below` enumerates every cut under a
-limit by s-t max-flow branch and bound, exactly and with polynomial
-delay at any n, on parallel edges merged into one arc pair, reusing a
-parent's flow wherever a child cannot add to it; given a second int
-vector per edge and a bound, it lists only the sides crossing at most
-that bound under it (`Requirement.active_constraint`: active sides).
+without vertex 1.  Both run on parallel edges merged into one weight
+per vertex pair (`_merged`).  `min_cut` is Stoer-Wagner with a
+heap-ordered maximum-adjacency order; `cuts_below` enumerates every cut
+under a limit by s-t max-flow branch and bound, exactly and with
+polynomial delay at any n, reusing a parent's flow wherever a child
+cannot add to it; given a second int vector per edge and a bound, it
+lists only the sides crossing at most that bound under it
+(`Requirement.active_constraint`: active sides).
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ class ScaledPoint:
             self._bounds[mask] = bits
         return bits
 
-    def _mass(self, bits: int) -> int:
+    def mass(self, bits: int) -> int:
         """denom times the x-mass of the support edges in the bitset."""
         return sum(w * (bits & cls).bit_count() for w, cls in self._classes)
 
@@ -218,13 +219,23 @@ class ScaledPoint:
         """denom times the x-mass of the edges crossing the vertex mask."""
         total = self._masses.get(mask)
         if total is None:
-            total = self._masses[mask] = self._mass(self.boundary_bits(mask))
+            total = self._masses[mask] = self.mass(self.boundary_bits(mask))
         return total
 
     def between(self, left: int, right: int) -> int:
         """denom times the x-mass of the edges joining two disjoint masks:
         the edges crossing both."""
-        return self._mass(self.boundary_bits(left) & self.boundary_bits(right))
+        return self.mass(self.boundary_bits(left) & self.boundary_bits(right))
+
+
+def _merged(graph: Multigraph, weights: Sequence[int]) -> dict[tuple[int, int], int]:
+    """Summed positive weight per adjacent vertex pair (u, v), u < v."""
+    pairs: dict[tuple[int, int], int] = {}
+    for e in graph.edges:
+        if weights[e.id]:
+            key = (e.u, e.v) if e.u < e.v else (e.v, e.u)
+            pairs[key] = pairs.get(key, 0) + weights[e.id]
+    return pairs
 
 
 def min_cut(graph: Multigraph, weights: Sequence[int]) -> tuple[int, int]:
@@ -244,10 +255,8 @@ def min_cut(graph: Multigraph, weights: Sequence[int]) -> tuple[int, int]:
     n = graph.n
     # sparse weight map per supernode; each supernode's members as a mask
     adj: list[dict[int, int]] = [{} for _ in range(n + 1)]
-    for e in graph.edges:
-        if weights[e.id]:
-            adj[e.u][e.v] = adj[e.u].get(e.v, 0) + weights[e.id]
-            adj[e.v][e.u] = adj[e.v].get(e.u, 0) + weights[e.id]
+    for (u, v), w in _merged(graph, weights).items():
+        adj[u][v] = adj[v][u] = w
     members = [0] + [1 << v for v in range(n)]
     alive = list(range(1, n + 1))
     best_value, best_side = -1, 0
@@ -283,16 +292,6 @@ def min_cut(graph: Multigraph, weights: Sequence[int]) -> tuple[int, int]:
     if best_side & 1:
         best_side ^= (1 << n) - 1
     return best_value, best_side
-
-
-def _merged(graph: Multigraph, weights: Sequence[int]) -> dict[tuple[int, int], int]:
-    """Summed positive weight per adjacent vertex pair (u, v), u < v."""
-    pairs: dict[tuple[int, int], int] = {}
-    for e in graph.edges:
-        if weights[e.id]:
-            key = (e.u, e.v) if e.u < e.v else (e.v, e.u)
-            pairs[key] = pairs.get(key, 0) + weights[e.id]
-    return pairs
 
 
 def cuts_below(graph: Multigraph, weights: Sequence[int], limit: int,

@@ -66,9 +66,9 @@ violated bound, ties going to the smallest column (Bland's rule for the
 dual, so the loop terminates).  When no column can move it, the
 relaxation is infeasible.
 
-A lazy loop can also start from an earlier one's final tableau, kept on
-request (`keep_tableau`), when the new LP has the same objective, bounds
-and rows in the same order and differs only in right-hand sides
+A lazy loop can also start from an earlier one's final tableau, which
+its result keeps, when the new LP has the same objective, bounds and
+rows in the same order and differs only in right-hand sides
 (`solve_lazy(..., start=result)`, `_Simplex.restart`).  A rhs is a
 constant beside the row's slack column, so a change d of row i's rhs
 adds sign * d times slack column i to the last column (sign -1 for a >=
@@ -679,13 +679,13 @@ class LazyResult:
     optimum: BasicOptimum
     rows: list[LpRow]  # full row set of the final relaxation, a copy
     separation_calls: int
-    # the final tableau, kept only on request for a later warm start
-    tableau: _Simplex | None = field(default=None, repr=False)
+    # the final tableau, until a warm start takes it over
+    tableau: _Simplex | None = field(repr=False)
 
 
 def solve_lazy(lp: LpInstance, oracle: SeparationCallback,
-               max_added: int | None = None, start: LazyResult | None = None,
-               keep_tableau: bool = False) -> LazyResult:
+               max_added: int | None = None,
+               start: LazyResult | None = None) -> LazyResult:
     """Cutting-plane loop: solve, separate, add violated rows, repeat.
 
     The oracle must be sound (returned rows are valid for the implicit
@@ -700,12 +700,12 @@ def solve_lazy(lp: LpInstance, oracle: SeparationCallback,
     the dual simplex re-optimises from the previous optimal basis.  The
     optimum's pivots and bound flips are totals over all rounds.
 
-    With `start`, a result solved with `keep_tableau`, the loop begins at
-    its optimal basis instead of a cold solve: lp must be `start.rows`
-    with the same objective and bounds, changed in right-hand sides only
-    (`_Simplex.restart`; ValueError otherwise).  The warm
-    start takes the tableau over, so a result starts one solve; the
-    pivots and bound flips count from there.
+    With `start`, an earlier result, the loop begins at its optimal basis
+    instead of a cold solve: lp must be `start.rows` with the same
+    objective and bounds, changed in right-hand sides only
+    (`_Simplex.restart`; ValueError otherwise).  Every result keeps its
+    final tableau until a warm start takes it over, so a result starts
+    one solve; the pivots and bound flips count from there.
     """
     if max_added is None:
         max_added = 10 * (lp.num_vars + 2 ** min(20, lp.num_vars))
@@ -725,8 +725,7 @@ def solve_lazy(lp: LpInstance, oracle: SeparationCallback,
         cuts = oracle(opt.nums, opt.denom)
         calls += 1
         if not cuts:
-            return LazyResult(opt, list(simplex.rows), calls,
-                              simplex if keep_tableau else None)
+            return LazyResult(opt, list(simplex.rows), calls, simplex)
         for c in cuts:
             if any(not 0 <= j < lp.num_vars for j in c.coeffs):
                 raise ValueError("oracle row references an undeclared variable")

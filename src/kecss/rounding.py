@@ -173,14 +173,12 @@ def _degree_active(point: ScaledPoint, active: int) -> int:
 
 def _lazy_solve(graph: Multigraph, objective: list, lower: list, upper: list,
                 rows: list[lpmod.LpRow], oracle, recheck: bool,
-                start: lpmod.LazyResult | None = None,
-                keep_tableau: bool = False) -> lpmod.LazyResult:
+                start: lpmod.LazyResult | None = None) -> lpmod.LazyResult:
     """solve_lazy under the row cap, from `start` when given (see
     lp.solve_lazy); with `recheck`, re-verify the vertex."""
     inst = lpmod.instance(objective, lower, upper, rows)
     cap = 10 * (len(objective) + 2 ** min(20, graph.n))
-    result = lpmod.solve_lazy(inst, oracle, max_added=cap, start=start,
-                              keep_tableau=keep_tableau)
+    result = lpmod.solve_lazy(inst, oracle, max_added=cap, start=start)
     if recheck:
         certmod.recheck_vertex(
             lpmod.LpInstance(inst.objective, inst.lower, inst.upper,
@@ -229,15 +227,14 @@ def _solve_residual(graph: Multigraph, req: Requirement, working: list[int],
 
 def _solve_unbounded_cut_lp(graph: Multigraph, k: int, bounds: Bounds | None = None,
                             recheck: bool = False,
-                            start: lpmod.LazyResult | None = None,
-                            keep_tableau: bool = False) -> lpmod.LazyResult:
+                            start: lpmod.LazyResult | None = None) -> lpmod.LazyResult:
     """First multigraph LP: x >= 0, all cut constraints via plain min-cut,
     and degree rows on every vertex when `bounds` are given.
 
     With `start`, a result of this LP at another k and other upper degree
-    bounds (the same lower ones) solved with `keep_tableau`, the LP is
-    that result's rows with the degree rows at these bounds and every cut
-    row, the lazily added ones too, at k, solved from its tableau."""
+    bounds (the same lower ones), the LP is that result's rows with the
+    degree rows at these bounds and every cut row, the lazily added ones
+    too, at k, solved from its tableau."""
     var_of = {e: e for e in range(graph.m)}
     working = list(range(graph.m))
     rows = [] if bounds is None else _degree_rows(graph, working, var_of, *bounds,
@@ -254,7 +251,7 @@ def _solve_unbounded_cut_lp(graph: Multigraph, k: int, bounds: Bounds | None = N
         return [_cut_row(graph, side, working, var_of, k)]
 
     return _lazy_solve(graph, [e.cost for e in graph.edges], [0] * graph.m,
-                       [None] * graph.m, rows, oracle, recheck, start, keep_tableau)
+                       [None] * graph.m, rows, oracle, recheck, start)
 
 
 def _certify_iteration(graph: Multigraph, req: Requirement, point: ScaledPoint,
@@ -586,8 +583,7 @@ def md_kecsm(graph: Multigraph, k: int, lower: Sequence[int],
         # the scaled caps (rho_k * k = k', and rho_k >= 1 keeps the lower
         # bounds), so an infeasible first LP means an infeasible reference
         first = _solve_unbounded_cut_lp(graph, run_k, scaled,
-                                        recheck=_certifying(graph, certify),
-                                        keep_tableau=True)
+                                        recheck=_certifying(graph, certify))
         reference = _solve_unbounded_cut_lp(graph, k, (lower, upper),
                                             start=first).optimum.value
     except lpmod.LpInfeasible as exc:

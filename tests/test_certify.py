@@ -60,6 +60,22 @@ def test_verify_reports_malformed_multiplicities():
     assert verify(g, {**ones, -1: 1}, 2, None).cost == 15
 
 
+def test_verify_reports_multiplicities_that_are_not_ints():
+    # a multiplicity or an edge id that is not an int is reported like a
+    # negative one and left out of the sums, never raised
+    g = make_graph(4, [(1, 2, 1), (2, 3, 2), (3, 4, 3), (4, 1, 4), (1, 3, 5)])
+    ones = {e: 1 for e in range(g.m)}
+    for m in (Fraction(3, 2), 1.0, True):
+        report = verify(g, {**ones, 0: m}, 1, None)
+        assert not report.ok
+        assert report.failures == [f"bad multiplicity {m} on edge 0"]
+        assert report.cost == g.cost_of({f: 1 for f in range(1, g.m)})
+        assert report.connectivity == 1
+    report = verify(g, {**ones, 0.5: 1}, 2, None)
+    assert report.failures == ["bad multiplicity 1 on edge 0.5"]
+    assert report.cost == g.cost_of(ones) and report.connectivity == 2
+
+
 def test_verify_degree_window():
     g = complete_graph(5)
     ones = {e: 1 for e in range(g.m)}
@@ -197,6 +213,22 @@ def test_extract_laminar_prism():
         assert a & b in (0, a, b)
 
 
+def test_extract_laminar_rows_are_fractional_boundary_bitsets():
+    # a row is the member's boundary bitset over the support positions,
+    # cut down to the fractional edges, in the order of members()
+    inst = gen("prism-k3")
+    req = Requirement(inst.graph, 3, {}, 3)
+    p = ScaledPoint.of(inst.graph, fixture_point(inst))
+    basis = extract_laminar(p, req, tight_sets(p, req))
+    frac_bits = sum(1 << i for i, (e, _, _) in enumerate(p.edges)
+                    if e in basis.frac_edges)
+    assert frac_bits.bit_count() == 9
+    assert basis.rows == tuple(p.boundary_bits(m) & frac_bits for m in basis.members())
+    for row, member in zip(basis.rows, basis.members()):
+        frac_cut = crossing(inst.graph, member, basis.frac_edges)
+        assert [p.edges[i][0] for i in range(len(p.edges)) if row >> i & 1] == frac_cut
+
+
 def test_extract_laminar_integral_point():
     g = complete_graph(5)
     req = Requirement(g, 4, {}, 3)
@@ -238,7 +270,8 @@ def test_small_boundary_set_without_a_small_member_carries_a_dump():
     point = ScaledPoint(g, [1] * g.m, 2)  # x = 1/2 everywhere
     frac = tuple(range(g.m))
     sets = (mask({1}), mask({2}))
-    rows = tuple(tuple(int(e in crossing(g, s)) for e in frac) for s in sets)
+    # every edge is fractional, so a row is the whole boundary bitset
+    rows = tuple(point.boundary_bits(s) for s in sets)
     basis = certmod.LaminarBasis(sets, (), frac, rows)
     with pytest.raises(certmod.CertificationError,
                        match="no member with at most 3") as err:

@@ -765,7 +765,7 @@ def _random_kept_result(rng, multiplied=False):
         hidden = [times(r) for r in hidden]
     oracle = _hidden_rows_oracle(hidden)
     try:
-        return lp.solve_lazy(inst, oracle, keep_tableau=True), oracle, inst
+        return lp.solve_lazy(inst, oracle), oracle, inst
     except (lp.LpInfeasible, lp.LpUnbounded):
         return None
 
@@ -830,7 +830,7 @@ def test_warm_start_refuses_anything_but_an_integer_rhs_change():
     def oracle(nums, denom):
         return []
 
-    first = lp.solve_lazy(inst, oracle, keep_tableau=True)
+    first = lp.solve_lazy(inst, oracle)
     refused = {
         "coefficient": _with_rows(inst, [lp.row({0: 1, 1: 2}, lp.GE, 2), rows[1]]),
         "sense": _with_rows(inst, [lp.row({0: 1, 1: 1}, lp.LE, 2), rows[1]]),
@@ -844,12 +844,10 @@ def test_warm_start_refuses_anything_but_an_integer_rhs_change():
             lp.solve_lazy(changed, oracle, start=first)
     # a refused start leaves the tableau as it was
     assert lp.solve_lazy(inst, oracle, start=first).optimum.pivots == 0
-    # the warm start took the tableau over, and a result solved without
-    # keep_tableau holds none
-    for start in (first, lp.solve_lazy(inst, oracle)):
-        with pytest.raises(ValueError, match="no tableau"):
-            lp.solve_lazy(inst, oracle, start=start)
-    first = lp.solve_lazy(inst, oracle, keep_tableau=True)
+    # the warm start took the tableau over
+    with pytest.raises(ValueError, match="no tableau"):
+        lp.solve_lazy(inst, oracle, start=first)
+    first = lp.solve_lazy(inst, oracle)
     # a rhs change that is not a multiple of the row's common factor 2
     raised = _with_rows(inst, [rows[0], lp.row({0: 1, 1: -2}, lp.LE, 5)])
     assert lp.solve_lazy(raised, oracle, start=first).optimum.value == \
@@ -859,7 +857,7 @@ def test_warm_start_refuses_anything_but_an_integer_rhs_change():
 def test_lazy_result_rows_are_a_copy():
     # rows added to a kept tableau later do not reach a returned result
     inst = lp.instance([1, 1], [0, 0], [None, None], [lp.row({0: 1}, lp.GE, 1)])
-    result = lp.solve_lazy(inst, lambda nums, denom: [], keep_tableau=True)
+    result = lp.solve_lazy(inst, lambda nums, denom: [])
     result.tableau.add_rows([lp.row({1: 1}, lp.GE, 1)])
     assert result.rows == list(inst.rows)
 

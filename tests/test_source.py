@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import kecss
-from kecss import lp
+from kecss import certify, lp
 from test_golden import GOLDEN
 
 TESTS = Path(__file__).resolve().parent
@@ -140,4 +140,40 @@ def test_lp_rows_have_one_form():
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name in ("_scaled", "EQ")]
+    assert found == []
+
+
+def _own_nodes(func: ast.AST):
+    """The nodes of a function's body, not descending into nested
+    functions, lambdas or classes."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+                                 ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_uncross_witness_builds_its_witness_in_one_place():
+    # every case picks a row of one table and runs one check sequence, so
+    # the witness is returned from a single statement
+    tree = ast.parse(Path(certify.__file__).read_text())
+    func = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "uncross_witness")
+    returns = [node.lineno for node in _own_nodes(func) if isinstance(node, ast.Return)]
+    assert len(returns) == 1
+
+
+def test_no_keep_tableau_parameter():
+    # every lazy result keeps its final tableau until a warm start takes it
+    # over; there is no option to drop it
+    found = []
+    for path in sorted(Path(kecss.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                if "keep_tableau" in names:
+                    found.append(f"{path.name}:{node.lineno}")
     assert found == []
