@@ -15,13 +15,14 @@ value and comparison is integer arithmetic; a caller with rational
 capacities scales them once to a common denominator (`lp.common`) and
 scales its bounds with them.  They return cut sides as canonical masks,
 without vertex 1.  Both run on parallel edges merged into one weight
-per vertex pair (`_merged`).  `min_cut` is Stoer-Wagner with a
-heap-ordered maximum-adjacency order; `cuts_below` enumerates every cut
-under a limit by s-t max-flow branch and bound, exactly and with
-polynomial delay at any n, reusing a parent's flow wherever a child
-cannot add to it; given a second int vector per edge and a bound, it
-lists only the sides crossing at most that bound under it
-(`Requirement.active_constraint`: active sides).
+per vertex pair (`_merged`, by the pair index `Multigraph.pairs` keeps
+per edge).  `min_cut` is Stoer-Wagner with a heap-ordered
+maximum-adjacency order over int heap entries, stopping at a zero phase
+cut; `cuts_below` enumerates every cut under a limit by s-t max-flow
+branch and bound, exactly and with polynomial delay at any n, reusing a
+parent's flow wherever a child cannot add to it; given a second int
+vector per edge and a bound, it lists only the sides crossing at most
+that bound under it (`Requirement.active_constraint`: active sides).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 from .lp import common
@@ -84,6 +86,15 @@ class Multigraph:
         nums, den = common([e.cost for e in self.edges])
         return tuple(nums), den
 
+    @cached_property
+    def pairs(self) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+        """The adjacent vertex pairs (u, v), u < v, by first edge, and per
+        edge id the index of its pair, shared by parallel edges."""
+        index: dict[tuple[int, int], int] = {}
+        of = tuple(index.setdefault((e.u, e.v) if e.u < e.v else (e.v, e.u), len(index))
+                   for e in self.edges)
+        return tuple(index), of
+
 
 def make_graph(n: int, edges: Iterable[tuple[int, int, int | Fraction]]) -> Multigraph:
     """Build a Multigraph from (u, v, cost) triples; ids assigned in order."""
@@ -121,6 +132,10 @@ def crossing(graph: Multigraph, mask: int,
 
 
 def _check_weights(graph: Multigraph, weights: Sequence[int]) -> None:
+    # C-level pass for the common case; the loop below finds what failed
+    if (len(weights) == graph.m and all(map(isinstance, weights, repeat(int)))
+            and min(weights, default=0) >= 0):
+        return
     if len(weights) != graph.m:
         raise ValueError(f"weight vector has {len(weights)} entries for {graph.m} edges")
     for e in range(graph.m):
@@ -229,13 +244,13 @@ class ScaledPoint:
 
 
 def _merged(graph: Multigraph, weights: Sequence[int]) -> dict[tuple[int, int], int]:
-    """Summed positive weight per adjacent vertex pair (u, v), u < v."""
-    pairs: dict[tuple[int, int], int] = {}
-    for e in graph.edges:
-        if weights[e.id]:
-            key = (e.u, e.v) if e.u < e.v else (e.v, e.u)
-            pairs[key] = pairs.get(key, 0) + weights[e.id]
-    return pairs
+    """Summed positive weight per adjacent vertex pair (u, v), u < v, in
+    the order of `Multigraph.pairs`."""
+    keys, index = graph.pairs
+    sums = [0] * len(keys)
+    for j, w in zip(index, weights):
+        sums[j] += w
+    return {key: w for key, w in zip(keys, sums) if w}
 
 
 def min_cut(graph: Multigraph, weights: Sequence[int]) -> tuple[int, int]:
@@ -243,33 +258,36 @@ def min_cut(graph: Multigraph, weights: Sequence[int]) -> tuple[int, int]:
     weights; the canonical side is the vertex mask without vertex 1.
 
     Stoer-Wagner.  Each phase orders the live supernodes by maximum
-    adjacency from the smallest id, popping `(-key, v)` off a heap (the
-    largest key, then the smallest id); keys only grow, so stale entries
-    pop after live ones and are dropped.  With the heap empty, every
-    unvisited vertex has key 0 and the smallest id is next.  The first
-    strictly smallest phase cut `key[t]` wins; t merges into its predecessor.
+    adjacency from vertex 1, popping ints `v - key * (n + 1)` off a heap:
+    as 0 < v < n + 1 they pop in `(-key, v)` order (the largest key, then
+    the smallest id), and `% (n + 1)` gives v back.  Keys only grow, so
+    stale entries pop after live ones and are dropped.  With the heap
+    empty, every unvisited vertex has key 0 and the smallest id is next.
+    The first strictly smallest phase cut `key[t]` wins, so a zero one
+    ends the search; t, never vertex 1, merges into its predecessor.
     """
     if graph.n < 2:
         raise ValueError("min cut needs at least 2 vertices")
     _check_weights(graph, weights)
     n = graph.n
+    size = n + 1
     # sparse weight map per supernode; each supernode's members as a mask
-    adj: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    adj: list[dict[int, int]] = [{} for _ in range(size)]
     for (u, v), w in _merged(graph, weights).items():
         adj[u][v] = adj[v][u] = w
     members = [0] + [1 << v for v in range(n)]
-    alive = list(range(1, n + 1))
+    alive = list(range(1, size))
     best_value, best_side = -1, 0
     while len(alive) > 1:
-        key = [0] * (n + 1)
-        done = [False] * (n + 1)
-        heap: list[tuple[int, int]] = []
+        key = [0] * size
+        done = [False] * size
+        heap: list[int] = []
         zero = s = t = 0  # alive[:zero] are all done
         for _ in alive:
-            while heap and done[heap[0][1]]:
-                heappop(heap)
-            if heap:
-                v = heappop(heap)[1]
+            while heap:
+                v = heappop(heap) % size
+                if not done[v]:
+                    break
             else:
                 while done[alive[zero]]:
                     zero += 1
@@ -279,9 +297,11 @@ def min_cut(graph: Multigraph, weights: Sequence[int]) -> tuple[int, int]:
             for u, wt in adj[v].items():
                 if not done[u]:
                     key[u] += wt
-                    heappush(heap, (-key[u], u))
+                    heappush(heap, u - key[u] * size)
         if best_value < 0 or key[t] < best_value:
             best_value, best_side = key[t], members[t]
+            if not best_value:
+                break
         members[s] |= members[t]
         for u, wt in adj[t].items():
             del adj[u][t]
@@ -289,8 +309,6 @@ def min_cut(graph: Multigraph, weights: Sequence[int]) -> tuple[int, int]:
                 adj[s][u] = adj[s].get(u, 0) + wt
                 adj[u][s] = adj[u].get(s, 0) + wt
         alive.remove(t)
-    if best_side & 1:
-        best_side ^= (1 << n) - 1
     return best_value, best_side
 
 

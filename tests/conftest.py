@@ -106,10 +106,11 @@ def tight_sets_scan(x, req) -> list[int]:
     return sorted(out, key=size_order)
 
 
-def min_cut_reference(graph, weights) -> tuple[int, int]:
-    """Reference for `graphs.min_cut`: maximum-adjacency contraction that
-    picks each next vertex with `min` over a dict by (-key, v), with no
-    heap.  `min_cut` must return the same value and the same side."""
+def min_cut_phases(graph, weights) -> list[tuple[int, int]]:
+    """Reference maximum-adjacency contraction that picks each next vertex
+    with `min` over a dict by (-key, v), with no heap and no early exit:
+    every phase's cut value and the mask of its last vertex's members,
+    in phase order."""
     nodes = list(range(1, graph.n + 1))
     members = {v: {v} for v in nodes}
     w = {v: {} for v in nodes}
@@ -117,7 +118,7 @@ def min_cut_reference(graph, weights) -> tuple[int, int]:
         if weights[e.id]:
             w[e.u][e.v] = w[e.u].get(e.v, 0) + weights[e.id]
             w[e.v][e.u] = w[e.v].get(e.u, 0) + weights[e.id]
-    best_value = best_side = None
+    phases = []
     while len(nodes) > 1:
         start = nodes[0]
         in_a = {start}
@@ -132,9 +133,7 @@ def min_cut_reference(graph, weights) -> tuple[int, int]:
                 if v not in in_a:
                     key[v] += wt
         s, t = order[-2], order[-1]
-        phase = sum(w[t].values())
-        if best_value is None or phase < best_value:
-            best_value, best_side = phase, set(members[t])
+        phases.append((sum(w[t].values()), mask(members[t])))
         members[s] |= members[t]
         for v, wt in list(w[t].items()):
             if v != s:
@@ -144,8 +143,15 @@ def min_cut_reference(graph, weights) -> tuple[int, int]:
             del w[v][t]
         del w[t]
         nodes.remove(t)
-    side = mask(best_side)
-    return best_value, (side ^ ((1 << graph.n) - 1) if side & 1 else side)
+    return phases
+
+
+def min_cut_reference(graph, weights) -> tuple[int, int]:
+    """Reference for `graphs.min_cut`: the first strictly smallest phase
+    cut of `min_cut_phases`, with the side's complement taken when it
+    holds vertex 1.  `min_cut` must return the same value and side."""
+    value, side = min(min_cut_phases(graph, weights), key=lambda phase: phase[0])
+    return value, (side ^ ((1 << graph.n) - 1) if side & 1 else side)
 
 
 def degree_bounds_for(inst: Instance, seed: int) -> tuple[list[int], list[int]]:

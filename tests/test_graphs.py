@@ -1,14 +1,19 @@
+import importlib
 import math
+import pkgutil
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import mask, min_cut_reference, random_cost_hub, size_order
+import kecss
+from conftest import (degree_bounds_for, mask, min_cut_phases, min_cut_reference,
+                      random_cost_hub, size_order)
 from kecss import certify, rounding, separation
 from kecss.certify import verify
-from kecss.graphs import (Multigraph, complete_graph, crossing, cuts_below, cycle_graph,
-                          edge_connectivity, make_graph, min_cut, vertices)
+from kecss.graphs import (Multigraph, _merged, complete_graph, crossing, cuts_below,
+                          cycle_graph, edge_connectivity, make_graph, min_cut, vertices)
 from kecss.instances import gen
 from kecss.lp import common
 from kecss.requirements import Requirement
@@ -224,9 +229,11 @@ def test_scaled_point_weights_are_read_only():
 def test_min_cut_matches_reference_value_and_side():
     # exact (value, side) equality: the side reaches traces and digests.
     # Zero weights and disconnected supports leave vertices at key 0,
-    # which the contraction takes in vertex-id order.
+    # which the contraction takes in vertex-id order.  `min_cut` stops at
+    # its first zero phase cut; the reference runs every phase, and in
+    # some trials a zero cut comes before the last phase.
     rng = random.Random(29)
-    zero_cuts = 0
+    zero_cuts = zero_early = 0
     for trial in range(400):
         g = random_multigraph(rng, 2 + trial % 23)
         top = rng.choice((1, 9, 10**12))
@@ -234,7 +241,10 @@ def test_min_cut_matches_reference_value_and_side():
         got = min_cut(g, weights)
         assert got == min_cut_reference(g, weights)
         zero_cuts += got[0] == 0
+        values = [value for value, _ in min_cut_phases(g, weights)]
+        zero_early += 0 in values[:-1]
     assert 20 < zero_cuts < 380
+    assert zero_early >= 10
 
 
 def test_min_cut_matches_reference_on_hub_lp_points(monkeypatch):
@@ -255,6 +265,48 @@ def test_min_cut_matches_reference_on_hub_lp_points(monkeypatch):
             rounding.kecss(inst.graph, inst.k)
             rounding.bicriteria(inst.graph, inst.k)
     assert len(calls) > 80
+
+
+def test_min_cut_matches_reference_at_every_call_site(monkeypatch):
+    # every kecss module that looks up `min_cut` has each call checked:
+    # graphs (`edge_connectivity`, so `_check` and `active_empty`),
+    # separation's probe, rounding's unbounded multigraph LP oracle,
+    # certify's `verify` and the connectivity repair of `instances.gen`.
+    # kecsm's first lazy rounds see a disconnected support: zero cuts.
+    modules = [importlib.import_module(f"kecss.{info.name}")
+               for info in pkgutil.iter_modules(kecss.__path__)]
+    sites = sorted(module.__name__ for module in modules
+                   if getattr(module, "min_cut", None) is min_cut)
+    assert sites == ["kecss.certify", "kecss.graphs", "kecss.instances",
+                     "kecss.rounding", "kecss.separation"]
+    calls, zeros = Counter(), Counter()
+
+    def checked(site):
+        def wrapper(graph, weights):
+            got = min_cut(graph, weights)
+            assert got == min_cut_reference(graph, weights)
+            calls[site] += 1
+            zeros[site] += got[0] == 0
+            return got
+        return wrapper
+
+    for site in sites:
+        monkeypatch.setattr(f"{site}.min_cut", checked(site))
+    for k in (6, 7):
+        for seed in range(4):
+            inst = random_cost_hub(5, seed, per_edge=seed % 2 == 1)
+            rounding.kecss(inst.graph, k)
+            rounding.bicriteria(inst.graph, k)
+            rounding.md_kecss(inst.graph, k, *degree_bounds_for(inst, seed))
+    for seed in range(12):
+        k = 2 + seed % 4
+        inst = gen("random", seed=seed, n=5 + seed % 4, p=0.5, k=k,
+                   ensure_connectivity=k)
+        rounding.kecsm(inst.graph, k)
+    least = {"kecss.certify": 24, "kecss.graphs": 40, "kecss.instances": 30,
+             "kecss.rounding": 30, "kecss.separation": 40}
+    assert all(calls[site] >= least[site] for site in sites), calls
+    assert zeros["kecss.rounding"] >= 10, zeros
 
 
 def test_cuts_below_reuses_reachable_set_and_matches_mask_scan():
@@ -425,15 +477,62 @@ def test_cuts_below_rejects_a_malformed_constraint():
 
 
 def test_cut_kernels_reject_weights_that_are_not_nonnegative_ints():
+    # the full message, naming the first bad edge whatever follows it, from
+    # both kernels, cuts_below's constraint vector and ScaledPoint
     c4 = cycle_graph(4)
-    for weights in ([1, 1, 1, Fraction(1, 2)], [1, 1, 1, Fraction(2)], [1, 1, 1, 1.0],
-                    [1, 1, -1, 1], [1, 1, 1], [1] * 5):
-        with pytest.raises(ValueError):
-            min_cut(c4, weights)
-        with pytest.raises(ValueError):
-            cuts_below(c4, weights, 3)
+    bad = "weight of edge {} must be a nonnegative int, got {}"
+    cases = [([1, 1, 1, Fraction(1, 2)], bad.format(3, "Fraction(1, 2)")),
+             ([1, 1, 1, Fraction(2)], bad.format(3, "Fraction(2, 1)")),
+             ([1, 1, 1, 1.0], bad.format(3, "1.0")),
+             ([1, 1, -1, 1], bad.format(2, "-1")),
+             ([1, None, 1, 1], bad.format(1, "None")),
+             ([0, -2, None, 0.5], bad.format(1, "-2")),
+             ([2, 1.5, -1, 1], bad.format(1, "1.5")),
+             ([1, 1, 1], "weight vector has 3 entries for 4 edges"),
+             ([1] * 5, "weight vector has 5 entries for 4 edges"),
+             ([-1] * 5, "weight vector has 5 entries for 4 edges")]
+    for weights, text in cases:
+        for call in (lambda: min_cut(c4, weights), lambda: cuts_below(c4, weights, 3),
+                     lambda: cuts_below(c4, [1] * 4, 3, constraint=(weights, 2)),
+                     lambda: ScaledPoint(c4, weights, 1)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == text
     with pytest.raises(ValueError):
         cuts_below(c4, [1] * 4, Fraction(3))
+
+
+def test_pair_index_and_merged_weights_match_a_per_edge_sum():
+    # parallel edges in either endpoint order share one pair index, and
+    # `_merged` sums weights per pair, as a dict keyed per edge would,
+    # keeping the pairs of positive sum in pair order
+    rng = random.Random(26)
+    both_ways = dropped = 0
+    for trial in range(200):
+        n = 2 + trial % 9
+        edges = []
+        for u in range(1, n + 1):
+            for v in range(u + 1, n + 1):
+                if rng.random() < 0.4:
+                    edges += [(u, v, 1) if rng.random() < 0.5 else (v, u, 1)
+                              for _ in range(rng.randint(1, 3))]
+        rng.shuffle(edges)
+        g = make_graph(n, edges)
+        keys, index = g.pairs
+        ordered = [(min(e.u, e.v), max(e.u, e.v)) for e in g.edges]
+        assert len(index) == g.m
+        assert [keys[j] for j in index] == ordered
+        assert list(keys) == list(dict.fromkeys(ordered))
+        both_ways += len({(e.u, e.v) for e in g.edges}) - len(keys)
+        weights = [rng.choice((0, 0, 1, 2, 7)) for _ in range(g.m)]
+        expected = {}
+        for key, w in zip(ordered, weights):
+            if w:
+                expected[key] = expected.get(key, 0) + w
+        got = _merged(g, weights)
+        assert got == expected and list(got) == [key for key in keys if key in got]
+        dropped += len(keys) - len(got)
+    assert both_ways > 100 and dropped > 100
 
 
 def test_cut_submodularity_spot_check():

@@ -177,3 +177,33 @@ def test_no_keep_tableau_parameter():
                 if "keep_tableau" in names:
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _orders_endpoints(node: ast.AST) -> bool:
+    # `(e.u, e.v) if e.u < e.v else (e.v, e.u)`, or min/max/sorted over
+    # an edge's two endpoints: a parallel-edge key built by hand
+    def ends(elts):
+        return (len(elts) == 2 and all(isinstance(x, ast.Attribute) for x in elts)
+                and {x.attr for x in elts} == {"u", "v"})
+
+    def pair(arg):
+        return isinstance(arg, ast.Tuple) and ends(arg.elts)
+    if isinstance(node, ast.IfExp):
+        return pair(node.body) and pair(node.orelse)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("min", "max", "sorted")
+            and (ends(node.args) or any(map(pair, node.args))))
+
+
+def test_parallel_edges_are_keyed_in_one_place():
+    # one parallel-edge merge: only `Multigraph.pairs` orders an edge's
+    # endpoints into a vertex-pair key, and `_merged` sums by its index
+    found = []
+    for path in sorted(Path(kecss.__file__).parent.rglob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            inner = isinstance(top, ast.ClassDef)
+            for scope in top.body if inner else [top]:
+                name = (f"{top.name}." if inner else "") + getattr(scope, "name", "<module>")
+                found += [f"{path.name} {name}" for node in ast.walk(scope)
+                          if _orders_endpoints(node)]
+    assert found == ["graphs.py Multigraph.pairs"]
