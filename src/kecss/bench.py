@@ -35,7 +35,7 @@ def _first_line(exc: Exception) -> str:
     return str(exc).partition("\n")[0]
 
 
-def bench_row(path: Path, mode: str, seed: int) -> list[str]:
+def bench_row(path: Path, mode: str) -> list[str]:
     """The CSV fields of one (instance, mode) run; a failed run fills the
     instance columns it knows and the status."""
     name = path.name
@@ -51,7 +51,7 @@ def bench_row(path: Path, mode: str, seed: int) -> list[str]:
         return head + [""] * 8 + [refusal]
     start = time.perf_counter()
     try:
-        sol, trace = entry.run(inst, seed=seed)
+        sol, trace = entry.run(inst)
     except (InfeasibleInstance, LpInfeasible):
         return head + [""] * 8 + ["infeasible"]
     except CertificationError as exc:
@@ -70,7 +70,7 @@ def bench_row(path: Path, mode: str, seed: int) -> list[str]:
     ]
 
 
-def bench_directory(directory: Path, modes: list[str], seed: int = 0) -> str:
+def bench_directory(directory: Path, modes: list[str]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
@@ -78,5 +78,5 @@ def bench_directory(directory: Path, modes: list[str], seed: int = 0) -> str:
         if not path.is_file():
             continue
         for mode in modes:
-            writer.writerow(bench_row(path, mode, seed))
+            writer.writerow(bench_row(path, mode))
     return out.getvalue()

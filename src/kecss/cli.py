@@ -13,7 +13,8 @@ min-cut budget, an output path that cannot be
 written, a `bench --dir` that is not a directory, or a solution file
 that `run --mode certify` cannot read), 3 certification/verification
 failure, 5 internal fault or abort (simplex pivot limit, lazy-loop row
-cap, rounding iteration cap such as `--max-iters`).  Code 4 is no
+cap, rounding iteration cap such as `--max-iters`, whose message is
+followed by a reproducer dump).  Code 4 is no
 longer used.  `bench` exits 0 once its CSV is written: a run that is
 infeasible, fails certification or aborts is a row whose status says so.
 """
@@ -112,7 +113,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return EXIT_PARSE
     try:
         sol, trace = mode.run(inst, certify=True if args.certify else None,
-                              seed=args.seed, max_iterations=args.max_iters)
+                              max_iterations=args.max_iters)
     except (rounding.InfeasibleInstance, LpInfeasible) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -215,7 +216,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if not Path(args.dir).is_dir():
         print(f"not a directory: {args.dir}", file=sys.stderr)
         return EXIT_PARSE
-    csv_text = benchmod.bench_directory(Path(args.dir), modes, seed=args.seed)
+    csv_text = benchmod.bench_directory(Path(args.dir), modes)
     return EXIT_OK if _write(args.out, csv_text) else EXIT_PARSE
 
 
@@ -232,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--trace", default=None, help="trace JSON-lines path")
     p_run.add_argument("--certify", action="store_true",
                        help="force inline structural certification")
-    p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--max-iters", dest="max_iters", type=int, default=None)
     p_run.set_defaults(func=_cmd_run)
 
@@ -256,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--dir", required=True)
     p_bench.add_argument("--out", required=True)
     p_bench.add_argument("--modes", default="ecss")
-    p_bench.add_argument("--seed", type=int, default=0)
     p_bench.set_defaults(func=_cmd_bench)
     return parser
 

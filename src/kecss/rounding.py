@@ -27,9 +27,7 @@ guarantees of every extreme point it produces.
 
 from __future__ import annotations
 
-import itertools
 import math
-import random
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -48,8 +46,6 @@ if TYPE_CHECKING:  # annotation only: importing kecss does not load the file for
 
 CERTIFY_VERTEX_LIMIT = 12
 WITNESS_CAP = 64
-PAIR_FAMILY_CAP = 200
-PAIR_SAMPLE = 200
 
 Bounds = tuple[Sequence[int], Sequence[int]]  # degree (lower, upper) per vertex 1..n
 
@@ -255,11 +251,11 @@ def _solve_unbounded_cut_lp(graph: Multigraph, k: int, bounds: Bounds | None = N
 
 
 def _certify_iteration(graph: Multigraph, req: Requirement, point: ScaledPoint,
-                       picked_now: set[int], rng: random.Random,
-                       record: IterationRecord) -> list[int]:
+                       picked_now: set[int], record: IterationRecord) -> list[int]:
     """Per-extreme-point structural checks: laminar basis, token bound,
-    uncrossing witnesses on sampled weakly-crossing tight pairs.
-    Returns the basis members for the caller's witness pool."""
+    and an uncrossing witness for every weakly crossing pair of tight
+    sets and their complements.  Returns the basis members for the
+    caller's witness pool."""
     tight = certmod.tight_sets(point, req)
     basis = certmod.extract_laminar(point, req, tight)
     record.basis_size = basis.size()
@@ -277,20 +273,11 @@ def _certify_iteration(graph: Multigraph, req: Requirement, point: ScaledPoint,
                     certmod.reproducer_dump(graph, req, point))
     full = (1 << graph.n) - 1
     members = [side for s in tight for side in (s, full ^ s)]
-    if len(members) <= PAIR_FAMILY_CAP:
-        pairs = list(itertools.combinations(range(len(members)), 2))
-    else:
-        pairs = []
-        for _ in range(PAIR_SAMPLE):
-            i = rng.randrange(len(members))
-            j = rng.randrange(len(members))
-            if i != j:
-                pairs.append((i, j))
-    for i, j in pairs:
-        a, b = members[i], members[j]
-        if a & b and a & ~b and b & ~a:  # weakly crossing
-            certmod.uncross_witness(a, b, point, req)
-            record.witness_pairs_checked += 1
+    for i, a in enumerate(members):
+        for b in members[i + 1:]:
+            if a & b and a & ~b and b & ~a:  # weakly crossing
+                certmod.uncross_witness(a, b, point, req)
+                record.witness_pairs_checked += 1
     return basis.members()
 
 
@@ -316,7 +303,7 @@ def _certifying(graph: Multigraph, certify: bool | None) -> bool:
 
 
 def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
-           certify: bool | None, seed: int, max_iterations: int | None,
+           certify: bool | None, max_iterations: int | None,
            first_lp: lpmod.LazyResult | None = None
            ) -> tuple[dict[int, int], RoundingTrace]:
     """Shared engine: solve residual LP, pick, drop, iterate.  A
@@ -325,7 +312,6 @@ def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
     picked before the loop.  Returns the picked multiplicities and the
     trace."""
     certify_flag = _certifying(graph, certify)
-    rng = random.Random(seed)
     mult: dict[int, int] = {}
     working = list(range(graph.m))
     degree_active = (1 << graph.n) - 1 if spec.degrees else None
@@ -348,9 +334,9 @@ def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
             lazy_rounds=first_lp.separation_calls, lp_rows=len(first_lp.rows)))
 
     carry: set[int] = set()
-    # sampled sets whose activity we track across iterations, as vertex
-    # masks: singleton cuts, every cut returned by the oracle, and
-    # laminar-basis members
+    # the sets whose activity we track across iterations, as vertex
+    # masks: every singleton, every cut returned by the oracle, and
+    # every laminar-basis member
     pool: set[int] = {1 << v for v in range(graph.n)}
     monitor: dict[int, int] = {}
     dropped: set[int] = set()
@@ -373,9 +359,13 @@ def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
     while degree_active or not req.active_empty():
         iteration += 1
         if iteration > cap:
+            # the dump holds the last recorded LP point, zero before any
+            last = (trace.iterations[-1].lp_point if trace.iterations
+                    else ScaledPoint(graph, [0] * graph.m, 1))
             raise RuntimeError(
                 f"rounding exceeded {cap} iterations; state: |H|="
-                f"{sum(mult.values())}, working={len(working)}")
+                f"{sum(mult.values())}, working={len(working)}\n"
+                + certmod.reproducer_dump(graph, req, last))
         try:
             lazy = _solve_residual(graph, req, working, carry, certify_flag)
         except lpmod.LpInfeasible as exc:
@@ -406,7 +396,7 @@ def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
         if certify_flag:
             pool.update(_certify_iteration(
                 graph, req, point, {e for e in picked_now if weights[e] == denom},
-                rng, record))
+                record))
         # progress: an edge is picked, or (degree mode) a vertex drops out
         for e in picked_now:
             mult[e] = mult.get(e, 0) + 1
@@ -466,7 +456,6 @@ def _finish(graph: Multigraph, mode: Mode, k: int, mult: dict[int, int],
 # -- subgraph procedures -----------------------------------------------------
 
 def kecss_even(graph: Multigraph, k: int, *, certify: bool | None = None,
-               seed: int = 0,
                max_iterations: int | None = None) -> tuple[Solution, RoundingTrace]:
     """(k-2)-edge-connected subgraph of cost at most the cut-LP optimum.
 
@@ -479,7 +468,7 @@ def kecss_even(graph: Multigraph, k: int, *, certify: bool | None = None,
         # 0-connectivity guarantee
         warnings.warn("k=2: returning the empty subgraph", stacklevel=2)
         return _finish(graph, MODES["ecss"], k, {}, Fraction(0)), RoundingTrace(Fraction(0))
-    mult, trace = _round(graph, k, _EXACT, None, certify, seed, max_iterations)
+    mult, trace = _round(graph, k, _EXACT, None, certify, max_iterations)
     return _finish(graph, MODES["ecss"], k, mult, trace.lp0), trace
 
 
@@ -492,11 +481,10 @@ def kecss(graph: Multigraph, k: int, **kwargs) -> tuple[Solution, RoundingTrace]
 
 
 def bicriteria(graph: Multigraph, k: int, *, certify: bool | None = None,
-               seed: int = 0,
                max_iterations: int | None = None) -> tuple[Solution, RoundingTrace]:
     """(k-1)-edge-connected subgraph of cost at most 1.5 times the LP."""
     _check(graph, k, MODES["ecss15"].min_k, connectivity=k)
-    mult, trace = _round(graph, k, _BICRITERIA, None, certify, seed, max_iterations)
+    mult, trace = _round(graph, k, _BICRITERIA, None, certify, max_iterations)
     return _finish(graph, MODES["ecss15"], k, mult, trace.lp0), trace
 
 
@@ -513,14 +501,12 @@ def _multigraph_run_k(k: int) -> int:
 
 
 def kecsm_core(graph: Multigraph, k: int, *, certify: bool | None = None,
-               seed: int = 0,
                max_iterations: int | None = None) -> tuple[Solution, RoundingTrace]:
     """(k-2)-edge-connected multigraph of cost at most the multigraph LP."""
     _check(graph, k, _CORE.min_k, even=True, connectivity=1)
     # feasible: x >= 0 and the graph is connected
     first = _solve_unbounded_cut_lp(graph, k, recheck=_certifying(graph, certify))
-    mult, trace = _round(graph, k, _MULTIGRAPH, None, certify, seed, max_iterations,
-                         first)
+    mult, trace = _round(graph, k, _MULTIGRAPH, None, certify, max_iterations, first)
     return _finish(graph, _CORE, k, mult, trace.lp0), trace
 
 
@@ -548,20 +534,17 @@ def kecsm(graph: Multigraph, k: int, **kwargs) -> tuple[Solution, RoundingTrace]
 
 def md_kecss(graph: Multigraph, k: int, lower: Sequence[int],
              upper: Sequence[int], *, certify: bool | None = None,
-             seed: int = 0,
              max_iterations: int | None = None) -> tuple[Solution, RoundingTrace]:
     """Degree-bounded subgraph: (k-2)-connected for even k ((k-3) for odd),
     cost at most the LP, and every degree within +-2 of its window."""
     bounds = (list(lower), list(upper))
     _check(graph, k, MODES["md-ecss"].min_k, bounds=bounds)
-    mult, trace = _round(graph, k - k % 2, _DEGREE, bounds, certify, seed,
-                         max_iterations)
+    mult, trace = _round(graph, k - k % 2, _DEGREE, bounds, certify, max_iterations)
     return _finish(graph, MODES["md-ecss"], k, mult, trace.lp0, bounds), trace
 
 
 def md_kecsm(graph: Multigraph, k: int, lower: Sequence[int],
              upper: Sequence[int], *, certify: bool | None = None,
-             seed: int = 0,
              max_iterations: int | None = None) -> tuple[Solution, RoundingTrace]:
     """Degree-bounded multigraph: k-connected, cost at most rho_k times the
     LP, degrees in [l-2, ceil(rho_k*b) + 2].
@@ -588,8 +571,7 @@ def md_kecsm(graph: Multigraph, k: int, lower: Sequence[int],
                                             start=first).optimum.value
     except lpmod.LpInfeasible as exc:
         raise InfeasibleInstance(f"degree-bounded LP infeasible: {exc}") from exc
-    mult, trace = _round(graph, run_k, _DEGREE, scaled, certify, seed, max_iterations,
-                         first)
+    mult, trace = _round(graph, run_k, _DEGREE, scaled, certify, max_iterations, first)
     return _finish(graph, MODES["md-ecsm"], k, mult, reference, scaled), trace
 
 

@@ -42,7 +42,7 @@ INSTANCES = {
 
 
 def _solve(mode: str, inst: Instance, certify: bool):
-    kwargs = dict(certify=certify, seed=0)
+    kwargs = dict(certify=certify)
     graph, k = inst.graph, inst.k
     if mode.startswith("md-"):
         lower, upper = inst.degree_arrays()

@@ -342,8 +342,7 @@ def test_cli_determinism(tmp_path: Path):
         sol = tmp_path / f"{tag}.json"
         trace = tmp_path / f"{tag}.jsonl"
         assert main(["run", "--mode", "ecss", "--input", str(inst_path),
-                     "--solution", str(sol), "--trace", str(trace),
-                     "--seed", "11"]) == 0
+                     "--solution", str(sol), "--trace", str(trace)]) == 0
         outs.append((sol.read_bytes(), trace.read_bytes()))
     assert outs[0] == outs[1]
 
@@ -374,15 +373,30 @@ def test_cli_run_has_no_exhaustive_separation_option(capsys):
     assert exc.value.code == 0
     usage = capsys.readouterr().out
     assert "--exact-sep" not in usage and "oracle" not in usage
+    # the solvers take no seed: only the generator draws random numbers
+    for command, has_seed in (("run", False), ("bench", False), ("gen", True)):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert ("--seed" in capsys.readouterr().out) == has_seed
 
 
-def test_cli_max_iters_abort(tmp_path: Path):
+def test_cli_max_iters_abort(tmp_path: Path, capsys):
     inst_path = tmp_path / "k5.txt"
     main(["gen", "--kind", "complete", "--n", "5", "--k", "4",
           "--out", str(inst_path)])
+    capsys.readouterr()
     # an iteration-cap abort is an internal stop, not an infeasible input
     assert main(["run", "--mode", "ecss", "--input", str(inst_path),
                  "--max-iters", "0"]) == 5
+    first, *dump = capsys.readouterr().err.splitlines()
+    assert first == "aborted: rounding exceeded 0 iterations; state: |H|=0, working=10"
+    # the reproducer: the instance, then the (zero, as no LP ran) point
+    graph = parse_instance(inst_path.read_text()).graph
+    again = parse_instance("\n".join(dump[:-1]))
+    assert again.k == 4 and again.graph.n == graph.n
+    assert ([(e.u, e.v, e.cost) for e in again.graph.edges]
+            == [(e.u, e.v, e.cost) for e in graph.edges])
+    assert json.loads(dump[-1]) == {"picked": {}, "point": {}, "threshold": 3}
 
 
 def test_cli_negative_max_iters_exits_2(tmp_path: Path):

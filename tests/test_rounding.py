@@ -201,6 +201,32 @@ def test_kecsm_verifies_its_output_once(monkeypatch):
         assert sol.cost <= approximation_factor(k) * sol.lp_value
 
 
+def test_certification_checks_every_weakly_crossing_pair(monkeypatch):
+    # G=35 is the smallest hub whose first family has more than 200
+    # members (105 tight sets and their complements); every weakly
+    # crossing pair of each iteration's family gets its witness
+    families = []
+    tight_sets = certify.tight_sets
+
+    def captured(point, req):
+        tight = tight_sets(point, req)
+        families.append(tight)
+        return tight
+
+    monkeypatch.setattr(certify, "tight_sets", captured)
+    graph = gen("prism-hub-k6", gadgets=35).graph
+    _, trace = kecss(graph, 6, certify=True)
+    full = (1 << graph.n) - 1
+    expected = []
+    for tight in families:
+        members = [side for s in tight for side in (s, full ^ s)]
+        expected.append(sum(1 for i in range(len(members)) for j in range(i)
+                            if members[i] & members[j] and members[i] & ~members[j]
+                            and members[j] & ~members[i]))
+    assert expected == [5460, 595]
+    assert [rec.witness_pairs_checked for rec in trace.iterations] == expected
+
+
 def test_kecsm_raises_on_a_core_report_below_its_guarantee(monkeypatch):
     g = complete_graph(5)
     core = kecsm_core
@@ -386,12 +412,26 @@ def test_no_progress_dump_holds_the_iterations_point():
     graph = make_graph(10, edges)
     stuck = rounding._LoopSpec(3, Fraction(2), False)
     with pytest.raises(CertificationError, match="no progress") as err:
-        rounding._round(graph, 6, stuck, None, False, 0, None)
+        rounding._round(graph, 6, stuck, None, False, None)
     point = json.loads(err.value.dump.splitlines()[-1])["point"]
     # the hub's unique LP optimum: 1 on cost 0, 1/2 on cost 1, 3/4 on cost 2
     expected = {str(e.id): ("1/1", "1/2", "3/4")[int(e.cost)]
                 for e in graph.edges if e.cost < 100}
     assert point == expected
+
+
+def test_iteration_cap_dump_holds_the_last_point():
+    # the hub iterates twice; capped at one iteration, the abort's first
+    # line is the state line and its dump holds the first iteration's point
+    graph = gen("prism-hub-k6").graph
+    _, trace = kecss_even(graph, 6)
+    with pytest.raises(RuntimeError) as err:
+        kecss_even(graph, 6, max_iterations=1)
+    first, *dump = str(err.value).splitlines()
+    assert first.startswith("rounding exceeded 1 iterations; state: ")
+    expected = {str(e): f"{x.numerator}/{x.denominator}"
+                for e, x in trace.iterations[0].point.items()}
+    assert json.loads(dump[-1])["point"] == expected
 
 
 def test_monotone_lp_values_fixture():

@@ -167,8 +167,11 @@ def test_uncross_witness_builds_its_witness_in_one_place():
 
 def test_no_keep_tableau_parameter():
     # every lazy result keeps its final tableau until a warm start takes it
-    # over; there is no option to drop it
+    # over; there is no option to drop it.  Nor does anything but the
+    # instance generator take a seed: certification checks every pair
+    # instead of a sample, so only instances.py draws random numbers
     found = []
+    importers = []
     for path in sorted(Path(kecss.__file__).parent.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
@@ -176,7 +179,19 @@ def test_no_keep_tableau_parameter():
                 names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
                 if "keep_tableau" in names:
                     found.append(f"{path.name}:{node.lineno}")
+                if "seed" in names and (path.name, getattr(node, "name", None)) != (
+                        "instances.py", "gen"):
+                    found.append(f"{path.name}:{node.lineno} seed")
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            if "random" in modules:
+                importers.append(path.name)
     assert found == []
+    assert importers == ["instances.py"]
 
 
 def _orders_endpoints(node: ast.AST) -> bool:
