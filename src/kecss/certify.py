@@ -1,6 +1,9 @@
 """Certification layer: solution verification and structural checks.
 
-Everything here is an independent check on the rounding pipeline.  The
+Everything here is an independent check on the rounding pipeline; the
+one result `verify` takes from it, the min cut the last stop test ran on
+the picked multiset, it reads only on identical weights, checked entry
+by entry and never trusted.  The
 laminar-basis extraction, the uncrossing witnesses, and the
 small-boundary member are existence statements that hold for every
 extreme point the solvers produce; a failure is treated as an
@@ -89,8 +92,14 @@ class VerifyReport:
 def verify(graph: Multigraph, multiplicity: Mapping[int, int],
            connectivity_target: int, cost_bound: Fraction | None,
            degree_window: Mapping[int, tuple[int, int]] | None = None,
-           ecss_mode: bool = False) -> VerifyReport:
-    """Check connectivity, exact cost bound, and optional degree windows."""
+           ecss_mode: bool = False, picked: ScaledPoint | None = None) -> VerifyReport:
+    """Check connectivity, exact cost bound, and optional degree windows.
+
+    `picked` is a run's picked multiset (the point its last stop test
+    cut); its cached `min_cut` stands for connectivity only when it is
+    over this graph and denominator 1 and its weights equal, entry by
+    entry, the ones built here from `multiplicity`.  Any other point is
+    ignored and the cut is run afresh."""
     failures: list[str] = []
     witness = None
     # a bad entry (not an int, a bool, negative, an id off the edges) is reported and skipped
@@ -105,7 +114,11 @@ def verify(graph: Multigraph, multiplicity: Mapping[int, int],
     point = ScaledPoint(graph, [mult.get(e, 0) for e in range(graph.m)], 1)
     conn, side = 0, 0  # a single vertex has no cut to count
     if graph.n > 1:
-        conn, side = min_cut(graph, point.weights)
+        if (picked is not None and picked.graph is graph and picked.denom == 1
+                and picked.weights == point.weights):
+            conn, side = picked.min_cut
+        else:
+            conn, side = min_cut(graph, point.weights)
     if conn < connectivity_target:
         witness = side
         failures.append(f"connectivity {conn} below target {connectivity_target} "
@@ -156,16 +169,6 @@ def tight_sets(point: ScaledPoint, req: Requirement) -> list[int]:
     return sorted(out, key=size_order)
 
 
-def _bit_row(bits: int) -> dict[int, int]:
-    """A support bitset as an incidence row, keyed by position."""
-    row = {}
-    while bits:
-        low = bits & -bits
-        row[low.bit_length() - 1] = 1
-        bits ^= low
-    return row
-
-
 @dataclass(frozen=True)
 class LaminarBasis:
     """Laminar tight family plus degree-tight vertices spanning the
@@ -210,7 +213,7 @@ def extract_laminar(point: ScaledPoint, req: Requirement,
     family: list[int] = []
     for mask in sorted(candidates, key=size_order):
         if all(mask & t in (0, mask, t) for t in family):  # nested or disjoint
-            if tracker.add(_bit_row(point.boundary_bits(mask))):
+            if tracker.add(lpmod.indicator(point.boundary_bits(mask))):
                 family.append(mask)
 
     degree_vertices: list[int] = []
@@ -218,7 +221,7 @@ def extract_laminar(point: ScaledPoint, req: Requirement,
         for v in vertices(degree_state.active):
             if not _degree_tight(point, degree_state, v):
                 continue
-            if tracker.add(_bit_row(point.boundary_bits(1 << (v - 1)))):
+            if tracker.add(lpmod.indicator(point.boundary_bits(1 << (v - 1)))):
                 degree_vertices.append(v)
 
     # select |F| members with independent rows over the fractional columns,
@@ -233,7 +236,7 @@ def extract_laminar(point: ScaledPoint, req: Requirement,
         if ftracker.rank == len(frac):
             break
         bits = point.boundary_bits(mask) & frac_bits
-        if bits and ftracker.add(_bit_row(bits)):
+        if bits and ftracker.add(lpmod.indicator(bits)):
             if v is None:
                 chosen_sets.append(mask)
             else:
@@ -269,7 +272,7 @@ def _validate_basis(basis: LaminarBasis, req: Requirement, point: ScaledPoint) -
                                  reproducer_dump(graph, req, point))
     tracker = lpmod.RankTracker()
     for r in basis.rows:
-        if not tracker.add(_bit_row(r)):
+        if not tracker.add(lpmod.indicator(r)):
             raise CertificationError("basis rows not linearly independent",
                                      reproducer_dump(graph, req, point))
     for s in basis.sets:

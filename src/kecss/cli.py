@@ -13,9 +13,9 @@ min-cut budget, an output path that cannot be
 written, a `bench --dir` that is not a directory, or a solution file
 that `run --mode certify` cannot read), 3 certification/verification
 failure, 5 internal fault or abort (simplex pivot limit, lazy-loop row
-cap, rounding iteration cap such as `--max-iters`, whose message is
+cap, rounding iteration cap such as `--max-iters`; each message is
 followed by a reproducer dump).  Code 4 is no
-longer used.  `bench` exits 0 once its CSV is written: a run that is
+longer used.  A warning prints as one `warning: ...` line on stderr.  `bench` exits 0 once its CSV is written: a run that is
 infeasible, fails certification or aborts is a row whose status says so.
 """
 
@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -262,7 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    with warnings.catch_warnings(record=True) as caught:
+        code = args.func(args)
+    for warning in caught:  # one line each, without Python's source location
+        print(f"warning: {warning.message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -156,7 +156,10 @@ class ScaledPoint:
     bitset.  Each vertex's bitset of the edges meeting it and each
     distinct weight's bitset are built once, on first use, so a vertex
     mask's boundary is an XOR of bitsets and an x-mass a popcount per
-    weight, and `boundary_bits` and `cross` keep a memo per mask.
+    weight, and `boundary_bits` and `cross` keep a memo per mask.  The
+    global min cut of the weights is likewise run once, on first use
+    (`min_cut`).  A point lives as long as the solver call that built
+    it, so nothing cached on it is reused across calls.
     """
 
     def __init__(self, graph: Multigraph, weights: Sequence[int], denom: int):
@@ -241,6 +244,12 @@ class ScaledPoint:
         """denom times the x-mass of the edges joining two disjoint masks:
         the edges crossing both."""
         return self.mass(self.boundary_bits(left) & self.boundary_bits(right))
+
+    @cached_property
+    def min_cut(self) -> tuple[int, int]:
+        """`min_cut` of the weights, (value, canonical side), run on first
+        use: a run's stop test leaves it here for `certify.verify`."""
+        return min_cut(self.graph, self.weights)
 
 
 def _merged(graph: Multigraph, weights: Sequence[int]) -> dict[tuple[int, int], int]:

@@ -134,6 +134,17 @@ def row(coeffs: dict[int, int], sense: str, rhs: int) -> LpRow:
     return LpRow({j: c for j, c in sorted(coeffs.items()) if c != 0}, sense, rhs)
 
 
+def indicator(bits: int) -> dict[int, int]:
+    """A column bitset as coefficients: 1 at each set bit's position, in
+    column order."""
+    coeffs = {}
+    while bits:
+        low = bits & -bits
+        coeffs[low.bit_length() - 1] = 1
+        bits ^= low
+    return coeffs
+
+
 @dataclass(frozen=True)
 class LpInstance:
     objective: tuple[int | Fraction, ...]
@@ -323,12 +334,17 @@ class _Simplex:
         self.red[first:first] = pad
         self.total += added
         old = list(zip(self.basis, self.matrix, self.den))
+        # the basic rows stay as they are here, so each one's nonzeros
+        # are listed once, by the first new row that touches it
+        nzs: list[list[tuple[int, int]] | None] = [None] * len(old)
         for slack, r in enumerate(rows, first):
             vec, den = _tableau_row(r, slack, self.total, at), 1
             # no basic row touches a new slack, so it ends up holding +den
-            for col, prow, p in old:
+            for i, (col, prow, p) in enumerate(old):
                 if vec[col]:
-                    nz = [(c, a) for c, a in enumerate(prow) if a]
+                    nz = nzs[i]
+                    if nz is None:
+                        nz = nzs[i] = [(c, a) for c, a in enumerate(prow) if a]
                     vec, den = _eliminate(vec, den, vec[col], nz, p)
             self.matrix.append(vec)
             self.den.append(den)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .graphs import Multigraph, ScaledPoint, edge_connectivity
+from .graphs import Multigraph, ScaledPoint
 
 
 @dataclass(frozen=True)
@@ -70,9 +70,17 @@ class Requirement:
         # the empty and the full side have residual 0, below either threshold
         return self.residual(mask) >= self.threshold
 
-    def active_empty(self) -> bool:
-        """True iff no cut side reaches the threshold (the stopping rule)."""
+    def active_empty(self, known: int | None = None) -> bool:
+        """True iff no cut side reaches the threshold (the stopping rule).
+
+        `known` is a side the caller holds as active (the rounding
+        engine's witness pool); it is checked, and when it is active the
+        answer is False without a min cut.  Otherwise a side is active
+        exactly when the picked multiset's min cut is at most k -
+        threshold, read from `picked_point.min_cut`, which stays cached
+        on the point for `certify.verify`."""
+        if known is not None and self.residual(known) >= self.threshold:
+            return False
         if not self.picked:
             return self.k < self.threshold
-        conn = edge_connectivity(self.graph, self.picked)
-        return self.k - conn < self.threshold
+        return self.k - self.picked_point.min_cut[0] < self.threshold

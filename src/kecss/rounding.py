@@ -28,11 +28,12 @@ guarantees of every extreme point it produces.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import certify as certmod
 from . import lp as lpmod
@@ -133,22 +134,23 @@ def _check(graph: Multigraph, k: int, min_k: int, *, even: bool = False,
 
 # -- LP rows and the two lazy LPs ---------------------------------------------
 
-def _cut_row(graph: Multigraph, side: int, working: Sequence[int],
-             var_of: Mapping[int, int], rhs: int) -> lpmod.LpRow:
-    coeffs = {var_of[e]: 1 for e in crossing(graph, side, working)}
-    return lpmod.row(coeffs, lpmod.GE, rhs)
+# An LP's variables are its working edges in ascending id order, so the
+# support positions of `ones`, the 0/1 point on the working edges, are the
+# variable indices, and a boundary bitset of it is a row's coefficients.
+
+def _cut_row(ones: ScaledPoint, side: int, rhs: int) -> lpmod.LpRow:
+    return lpmod.LpRow(lpmod.indicator(ones.boundary_bits(side)), lpmod.GE, rhs)
 
 
-def _degree_rows(graph: Multigraph, working: Sequence[int], var_of: Mapping[int, int],
-                 lower: Sequence[int], upper: Sequence[int],
+def _degree_rows(ones: ScaledPoint, lower: Sequence[int], upper: Sequence[int],
                  active: int) -> list[lpmod.LpRow]:
     """The degree rows of the vertices in the mask `active`, by vertex."""
     rows = []
     for v in vertices(active):
-        coeffs = {var_of[e]: 1 for e in crossing(graph, 1 << (v - 1), working)}
+        coeffs = lpmod.indicator(ones.boundary_bits(1 << (v - 1)))
         if lower[v - 1] >= 1:
-            rows.append(lpmod.row(coeffs, lpmod.GE, lower[v - 1]))
-        rows.append(lpmod.row(coeffs, lpmod.LE, upper[v - 1]))
+            rows.append(lpmod.LpRow(coeffs, lpmod.GE, lower[v - 1]))
+        rows.append(lpmod.LpRow(coeffs, lpmod.LE, upper[v - 1]))
     return rows
 
 
@@ -194,18 +196,21 @@ def _edge_point(graph: Multigraph, working: Sequence[int], nums: Sequence[int],
 
 def _solve_residual(graph: Multigraph, req: Requirement, working: list[int],
                     carry: set[int], recheck: bool) -> lpmod.LazyResult:
-    """Solve the residual LP over the working edges by lazy separation."""
-    var_of = {e: i for i, e in enumerate(working)}
+    """Solve the residual LP over the working edges (ascending ids, one
+    variable each) by lazy separation."""
+    if any(a >= b for a, b in zip(working, working[1:])):
+        raise RuntimeError("working edge ids do not ascend")
+    ones = _edge_point(graph, working, [1] * len(working), 1)
     state = req.degree
-    rows = [] if state is None else _degree_rows(graph, working, var_of, state.lower,
-                                                 state.upper, state.active)
+    rows = [] if state is None else _degree_rows(ones, state.lower, state.upper,
+                                                 state.active)
     # the active singletons, then the active cuts carried from earlier LPs
     singletons = [1 << v for v in range(graph.n)]
     carried = sorted(carry.difference(singletons), key=vertices)
     for side in singletons + carried:
         fres = req.residual(side)
         if fres >= req.threshold:
-            rows.append(_cut_row(graph, side, working, var_of, fres))
+            rows.append(_cut_row(ones, side, fres))
 
     def oracle(nums: list[int], denom: int) -> list[lpmod.LpRow]:
         verdict = separate_fast(_edge_point(graph, working, nums, denom), req)
@@ -214,8 +219,7 @@ def _solve_residual(graph: Multigraph, req: Requirement, working: list[int],
         if not isinstance(verdict, Violated):
             raise RuntimeError(f"separation returned {verdict!r}")
         carry.update(cut.side for cut in verdict.cuts)
-        return [_cut_row(graph, cut.side, working, var_of, cut.requirement)
-                for cut in verdict.cuts]
+        return [_cut_row(ones, cut.side, cut.requirement) for cut in verdict.cuts]
 
     return _lazy_solve(graph, [graph.edges[e].cost for e in working],
                        [0] * len(working), [1] * len(working), rows, oracle, recheck)
@@ -231,12 +235,10 @@ def _solve_unbounded_cut_lp(graph: Multigraph, k: int, bounds: Bounds | None = N
     bounds (the same lower ones), the LP is that result's rows with the
     degree rows at these bounds and every cut row, the lazily added ones
     too, at k, solved from its tableau."""
-    var_of = {e: e for e in range(graph.m)}
-    working = list(range(graph.m))
-    rows = [] if bounds is None else _degree_rows(graph, working, var_of, *bounds,
-                                                  (1 << graph.n) - 1)
+    ones = ScaledPoint(graph, [1] * graph.m, 1)
+    rows = [] if bounds is None else _degree_rows(ones, *bounds, (1 << graph.n) - 1)
     if start is None:
-        rows += [_cut_row(graph, 1 << v, working, var_of, k) for v in range(graph.n)]
+        rows += [_cut_row(ones, 1 << v, k) for v in range(graph.n)]
     else:
         rows += [lpmod.LpRow(r.coeffs, r.sense, k) for r in start.rows[len(rows):]]
 
@@ -244,10 +246,13 @@ def _solve_unbounded_cut_lp(graph: Multigraph, k: int, bounds: Bounds | None = N
         value, side = min_cut(graph, weights)
         if value >= k * denom:
             return []
-        return [_cut_row(graph, side, working, var_of, k)]
+        return [_cut_row(ones, side, k)]
 
-    return _lazy_solve(graph, [e.cost for e in graph.edges], [0] * graph.m,
-                       [None] * graph.m, rows, oracle, recheck, start)
+    try:
+        return _lazy_solve(graph, [e.cost for e in graph.edges], [0] * graph.m,
+                           [None] * graph.m, rows, oracle, recheck, start)
+    except RuntimeError as exc:  # a pivot limit or the lazy-row cap, before any point
+        raise _aborted(str(exc), Requirement(graph, k)) from exc
 
 
 def _certify_iteration(graph: Multigraph, req: Requirement, point: ScaledPoint,
@@ -297,6 +302,16 @@ _MULTIGRAPH = _LoopSpec(3, Fraction(1), False)
 _DEGREE = _LoopSpec(3, Fraction(1), False, degrees=True)
 
 
+def _aborted(message: str, req: Requirement,
+             trace: RoundingTrace | None = None) -> RuntimeError:
+    """An internal fault (exit 5): `message`, then the reproducer dump of
+    the trace's last recorded LP point, or of a zero point before any."""
+    graph = req.graph
+    last = (trace.iterations[-1].lp_point if trace is not None and trace.iterations
+            else ScaledPoint(graph, [0] * graph.m, 1))
+    return RuntimeError(f"{message}\n{certmod.reproducer_dump(graph, req, last)}")
+
+
 def _certifying(graph: Multigraph, certify: bool | None) -> bool:
     """Whether a run certifies: by default only at desk scale."""
     return graph.n <= CERTIFY_VERTEX_LIMIT if certify is None else certify
@@ -305,12 +320,16 @@ def _certifying(graph: Multigraph, certify: bool | None) -> bool:
 def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
            certify: bool | None, max_iterations: int | None,
            first_lp: lpmod.LazyResult | None = None
-           ) -> tuple[dict[int, int], RoundingTrace]:
+           ) -> tuple[ScaledPoint, RoundingTrace]:
     """Shared engine: solve residual LP, pick, drop, iterate.  A
     floor-first run (the multigraph procedures) hands in its first LP,
     solved with `recheck` as the run certifies; its integer part is
-    picked before the loop.  Returns the picked multiplicities and the
-    trace."""
+    picked before the loop.  The loop stops once no side is active: a
+    side the witness-pool upkeep found active says it is not yet, and
+    only otherwise is the picked multiset cut (`Requirement.active_empty`).
+    Returns the picked multiset's point, with the last stop test's cut
+    cached on it, and the trace.  An LP fault or the iteration cap
+    raises RuntimeError, a reproducer dump after its first line."""
     certify_flag = _certifying(graph, certify)
     mult: dict[int, int] = {}
     working = list(range(graph.m))
@@ -356,21 +375,19 @@ def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
         return Requirement(graph, k, dict(mult), spec.threshold, state)
 
     req = requirement()
-    while degree_active or not req.active_empty():
+    known = None  # a side the last witness-pool upkeep found active
+    while degree_active or not req.active_empty(known):
         iteration += 1
         if iteration > cap:
-            # the dump holds the last recorded LP point, zero before any
-            last = (trace.iterations[-1].lp_point if trace.iterations
-                    else ScaledPoint(graph, [0] * graph.m, 1))
-            raise RuntimeError(
-                f"rounding exceeded {cap} iterations; state: |H|="
-                f"{sum(mult.values())}, working={len(working)}\n"
-                + certmod.reproducer_dump(graph, req, last))
+            raise _aborted(f"rounding exceeded {cap} iterations; state: |H|="
+                           f"{sum(mult.values())}, working={len(working)}", req, trace)
         try:
             lazy = _solve_residual(graph, req, working, carry, certify_flag)
         except lpmod.LpInfeasible as exc:
             raise InfeasibleInstance(
                 f"residual LP infeasible at iteration {iteration}: {exc}") from exc
+        except RuntimeError as exc:  # a pivot limit or the lazy-row cap
+            raise _aborted(str(exc), req, trace) from exc
         opt = lazy.optimum
         point = _edge_point(graph, working, opt.nums, opt.denom)
         weights, denom = point.weights, point.denom
@@ -416,6 +433,7 @@ def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
         # witness-pool upkeep: residuals never increase, drops never revert
         new_req = requirement()
         pool.update(carry)
+        known = None
         for side in sorted(pool, key=certmod.size_order):
             fres_new = new_req.residual(side)
             if side in monitor and fres_new > monitor[side]:
@@ -425,6 +443,8 @@ def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
             monitor[side] = fres_new
             was_active = req.residual(side) >= spec.threshold
             is_active = fres_new >= spec.threshold
+            if is_active:
+                known = side
             if side in dropped and is_active:
                 raise certmod.CertificationError(
                     f"dropped set {vertices(side)} re-entered the active family")
@@ -434,19 +454,20 @@ def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
                     record.dropped_witnesses.append(side)
         trace.iterations.append(record)
         req = new_req
-    return mult, trace
+    return req.picked_point, trace
 
 
-def _finish(graph: Multigraph, mode: Mode, k: int, mult: dict[int, int],
+def _finish(graph: Multigraph, mode: Mode, k: int, picked: ScaledPoint,
             lp_value: Fraction, bounds: Bounds | None = None) -> Solution:
-    """Verify the output against the mode's guarantee at k, degrees within
-    [lower - 2, upper + 2] when `bounds` are given."""
+    """Verify the picked multiset (a point over denominator 1) against
+    the mode's guarantee at k, degrees within [lower - 2, upper + 2] when
+    `bounds` are given."""
     target, factor = mode.guarantee(graph, k)
     window = None if bounds is None else {
         v: (lo - 2, hi + 2) for v, lo, hi in zip(range(1, graph.n + 1), *bounds)}
-    mult = {e: m for e, m in sorted(mult.items()) if m}
+    mult = {e: w for e, _, w in picked.edges}
     report = certmod.verify(graph, mult, target, factor * lp_value, window,
-                            ecss_mode=(mode.family == "ecss"))
+                            ecss_mode=(mode.family == "ecss"), picked=picked)
     if not report.ok:
         raise certmod.CertificationError(
             "output fails verification: " + "; ".join(report.failures))
@@ -454,6 +475,15 @@ def _finish(graph: Multigraph, mode: Mode, k: int, mult: dict[int, int],
 
 
 # -- subgraph procedures -----------------------------------------------------
+
+def _warn(message: str) -> None:
+    """Warn at the first caller outside this package, whichever public
+    entry point the call came through."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__name__", "").startswith("kecss."):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
+
 
 def kecss_even(graph: Multigraph, k: int, *, certify: bool | None = None,
                max_iterations: int | None = None) -> tuple[Solution, RoundingTrace]:
@@ -466,10 +496,11 @@ def kecss_even(graph: Multigraph, k: int, *, certify: bool | None = None,
         # no cut can reach the activity threshold, so the loop never runs
         # and never solves an LP; the empty subgraph meets the vacuous
         # 0-connectivity guarantee
-        warnings.warn("k=2: returning the empty subgraph", stacklevel=2)
-        return _finish(graph, MODES["ecss"], k, {}, Fraction(0)), RoundingTrace(Fraction(0))
-    mult, trace = _round(graph, k, _EXACT, None, certify, max_iterations)
-    return _finish(graph, MODES["ecss"], k, mult, trace.lp0), trace
+        _warn("k=2: returning the empty subgraph")
+        nothing = ScaledPoint(graph, [0] * graph.m, 1)
+        return _finish(graph, MODES["ecss"], k, nothing, Fraction(0)), RoundingTrace(Fraction(0))
+    picked, trace = _round(graph, k, _EXACT, None, certify, max_iterations)
+    return _finish(graph, MODES["ecss"], k, picked, trace.lp0), trace
 
 
 def kecss(graph: Multigraph, k: int, **kwargs) -> tuple[Solution, RoundingTrace]:
@@ -484,8 +515,8 @@ def bicriteria(graph: Multigraph, k: int, *, certify: bool | None = None,
                max_iterations: int | None = None) -> tuple[Solution, RoundingTrace]:
     """(k-1)-edge-connected subgraph of cost at most 1.5 times the LP."""
     _check(graph, k, MODES["ecss15"].min_k, connectivity=k)
-    mult, trace = _round(graph, k, _BICRITERIA, None, certify, max_iterations)
-    return _finish(graph, MODES["ecss15"], k, mult, trace.lp0), trace
+    picked, trace = _round(graph, k, _BICRITERIA, None, certify, max_iterations)
+    return _finish(graph, MODES["ecss15"], k, picked, trace.lp0), trace
 
 
 # -- multigraph procedures ---------------------------------------------------
@@ -506,8 +537,8 @@ def kecsm_core(graph: Multigraph, k: int, *, certify: bool | None = None,
     _check(graph, k, _CORE.min_k, even=True, connectivity=1)
     # feasible: x >= 0 and the graph is connected
     first = _solve_unbounded_cut_lp(graph, k, recheck=_certifying(graph, certify))
-    mult, trace = _round(graph, k, _MULTIGRAPH, None, certify, max_iterations, first)
-    return _finish(graph, _CORE, k, mult, trace.lp0), trace
+    picked, trace = _round(graph, k, _MULTIGRAPH, None, certify, max_iterations, first)
+    return _finish(graph, _CORE, k, picked, trace.lp0), trace
 
 
 def kecsm(graph: Multigraph, k: int, **kwargs) -> tuple[Solution, RoundingTrace]:
@@ -539,8 +570,8 @@ def md_kecss(graph: Multigraph, k: int, lower: Sequence[int],
     cost at most the LP, and every degree within +-2 of its window."""
     bounds = (list(lower), list(upper))
     _check(graph, k, MODES["md-ecss"].min_k, bounds=bounds)
-    mult, trace = _round(graph, k - k % 2, _DEGREE, bounds, certify, max_iterations)
-    return _finish(graph, MODES["md-ecss"], k, mult, trace.lp0, bounds), trace
+    picked, trace = _round(graph, k - k % 2, _DEGREE, bounds, certify, max_iterations)
+    return _finish(graph, MODES["md-ecss"], k, picked, trace.lp0, bounds), trace
 
 
 def md_kecsm(graph: Multigraph, k: int, lower: Sequence[int],
@@ -571,8 +602,8 @@ def md_kecsm(graph: Multigraph, k: int, lower: Sequence[int],
                                             start=first).optimum.value
     except lpmod.LpInfeasible as exc:
         raise InfeasibleInstance(f"degree-bounded LP infeasible: {exc}") from exc
-    mult, trace = _round(graph, run_k, _DEGREE, scaled, certify, max_iterations, first)
-    return _finish(graph, MODES["md-ecsm"], k, mult, reference, scaled), trace
+    picked, trace = _round(graph, run_k, _DEGREE, scaled, certify, max_iterations, first)
+    return _finish(graph, MODES["md-ecsm"], k, picked, reference, scaled), trace
 
 
 # -- the mode table ------------------------------------------------------------

@@ -42,6 +42,34 @@ def test_verify_pass_and_fail():
     assert report.failures == ["connectivity 1 below target 2 (cut side [5])"]
 
 
+def test_verify_reads_a_cached_cut_only_on_identical_weights(monkeypatch):
+    # each handed point carries a planted wrong cut, so a report that
+    # matches a fresh `verify` shows the cut was run, not read
+    g = complete_graph(5)
+    ones = {e: 1 for e in range(g.m)}
+    fresh = verify(g, ones, 4, Fraction(10))
+    runs = []
+    real = certmod.min_cut
+    monkeypatch.setattr(certmod, "min_cut", lambda *a: runs.append(a) or real(*a))
+
+    def planted(graph, weights, denom):
+        point = ScaledPoint(graph, weights, denom)
+        point.__dict__["min_cut"] = (1, mask([2]))  # the cached_property's slot
+        return point
+
+    twin = complete_graph(5)  # equal to g, but another graph
+    others = [planted(g, [1] * (g.m - 1) + [0], 1),  # one entry differs
+              planted(g, [1] * g.m, 2),              # the same weights over 2
+              planted(twin, [1] * g.m, 1)]
+    for point in others:
+        assert verify(g, ones, 4, Fraction(10), picked=point) == fresh
+    assert len(runs) == len(others)
+    # identical weights over the same graph and denominator 1: read, not run
+    report = verify(g, ones, 4, Fraction(10), picked=planted(g, [1] * g.m, 1))
+    assert len(runs) == len(others)
+    assert report.connectivity == 1 and not report.ok
+
+
 def test_verify_reports_malformed_multiplicities():
     # a negative multiplicity, an edge id past the last edge and edge id
     # -1 are each a failure, and none of them counts towards the

@@ -269,9 +269,11 @@ def test_min_cut_matches_reference_on_hub_lp_points(monkeypatch):
 
 def test_min_cut_matches_reference_at_every_call_site(monkeypatch):
     # every kecss module that looks up `min_cut` has each call checked:
-    # graphs (`edge_connectivity`, so `_check` and `active_empty`),
+    # graphs (`edge_connectivity`, so `_check`, and `ScaledPoint.min_cut`,
+    # so `active_empty` and the cut the solvers' `verify` reuses),
     # separation's probe, rounding's unbounded multigraph LP oracle,
-    # certify's `verify` and the connectivity repair of `instances.gen`.
+    # certify's `verify`, called here on each solution without the run's
+    # point, and the connectivity repair of `instances.gen`.
     # kecsm's first lazy rounds see a disconnected support: zero cuts.
     modules = [importlib.import_module(f"kecss.{info.name}")
                for info in pkgutil.iter_modules(kecss.__path__)]
@@ -290,19 +292,28 @@ def test_min_cut_matches_reference_at_every_call_site(monkeypatch):
             return got
         return wrapper
 
+    def verified(graph, run):
+        # the connectivity a solver reported, from the cut its stop test
+        # left for `verify`, against certify's own cut and the reference
+        sol, _ = run
+        weights = [sol.multiplicity.get(e, 0) for e in range(graph.m)]
+        assert (sol.connectivity == verify(graph, sol.multiplicity, 0, None).connectivity
+                == min_cut_reference(graph, weights)[0])
+
     for site in sites:
         monkeypatch.setattr(f"{site}.min_cut", checked(site))
     for k in (6, 7):
         for seed in range(4):
             inst = random_cost_hub(5, seed, per_edge=seed % 2 == 1)
-            rounding.kecss(inst.graph, k)
-            rounding.bicriteria(inst.graph, k)
-            rounding.md_kecss(inst.graph, k, *degree_bounds_for(inst, seed))
+            verified(inst.graph, rounding.kecss(inst.graph, k))
+            verified(inst.graph, rounding.bicriteria(inst.graph, k))
+            verified(inst.graph, rounding.md_kecss(inst.graph, k,
+                                                   *degree_bounds_for(inst, seed)))
     for seed in range(12):
         k = 2 + seed % 4
         inst = gen("random", seed=seed, n=5 + seed % 4, p=0.5, k=k,
                    ensure_connectivity=k)
-        rounding.kecsm(inst.graph, k)
+        verified(inst.graph, rounding.kecsm(inst.graph, k))
     least = {"kecss.certify": 24, "kecss.graphs": 40, "kecss.instances": 30,
              "kecss.rounding": 30, "kecss.separation": 40}
     assert all(calls[site] >= least[site] for site in sites), calls

@@ -399,6 +399,37 @@ def test_cli_max_iters_abort(tmp_path: Path, capsys):
     assert json.loads(dump[-1]) == {"picked": {}, "point": {}, "threshold": 3}
 
 
+@pytest.mark.parametrize("mode, first", [("ecss", "simplex pivot limit exceeded"),
+                                         ("ecsm", "dual simplex pivot limit exceeded")])
+def test_cli_pivot_limit_abort_carries_a_dump(tmp_path: Path, capsys, monkeypatch,
+                                              mode, first):
+    # ecss stops in its first residual LP, ecsm in its first multigraph
+    # LP: neither has recorded a point, so the dump's point is zero
+    inst_path = tmp_path / "hub.txt"
+    inst_path.write_text(emit_instance(gen("prism-hub-k6")))
+    monkeypatch.setattr(lp, "_MAX_PIVOTS", 2)
+    assert main(["run", "--mode", mode, "--input", str(inst_path)]) == 5
+    head, *dump = capsys.readouterr().err.splitlines()
+    assert head == f"aborted: {first}"
+    graph = parse_instance(inst_path.read_text()).graph
+    again = parse_instance("\n".join(dump[:-1]))
+    assert ([(e.u, e.v, e.cost) for e in again.graph.edges]
+            == [(e.u, e.v, e.cost) for e in graph.edges])
+    assert json.loads(dump[-1]) == {"picked": {}, "point": {}, "threshold": 3}
+
+
+def test_cli_k2_warning_is_one_line(tmp_path: Path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    inst_path = corpus / "random.txt"
+    inst_path.write_text(emit_instance(gen("random", seed=0, n=6, k=3)))
+    code, out, err = run_cli("run", "--mode", "ecss", "--input", str(inst_path))
+    assert code == 0 and json.loads(out)["edges"] == []
+    assert err == "warning: k=2: returning the empty subgraph\n"
+    code, _, err = run_cli("bench", "--dir", str(corpus), "--out", str(tmp_path / "b.csv"))
+    assert code == 0 and err == "warning: k=2: returning the empty subgraph\n"
+
+
 def test_cli_negative_max_iters_exits_2(tmp_path: Path):
     inst_path = tmp_path / "hub.txt"
     main(["gen", "--kind", "prism-hub-k6", "--out", str(inst_path)])

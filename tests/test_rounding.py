@@ -10,12 +10,13 @@ from kecss import lp as lpmod
 from kecss.certify import CertificationError
 from kecss.cli import EXIT_INFEASIBLE, main
 from kecss.graphs import (complete_graph, crossing, cuts_below, cycle_graph,
-                          edge_connectivity, make_graph)
+                          edge_connectivity, make_graph, vertices)
 from kecss.instances import Instance, gen
 from kecss.rounding import (MODES, InfeasibleInstance, _finish,
                             _solve_unbounded_cut_lp, approximation_factor,
                             bicriteria, kecsm, kecsm_core, kecss, kecss_even,
                             md_kecsm, md_kecss)
+from kecss.requirements import Requirement
 from kecss.separation import ScaledPoint, Violated, separate_fast
 
 from conftest import (degree_bounds_for, hub_cost_variant, mask, prism_hub_edges,
@@ -553,12 +554,12 @@ def test_finish_holds_unit_cost_ecss15_to_four_thirds_k():
     # all ten K5 edges: cost 10, 4-connected; against an LP value of 7 the
     # ratio 10/7 lies above 1 + 4/(3*4) = 4/3 and below 3/2
     unit = complete_graph(5)
-    everything = {e: 1 for e in range(unit.m)}
     with pytest.raises(CertificationError, match="cost"):
-        _finish(unit, MODES["ecss15"], 4, everything, Fraction(7))
+        _finish(unit, MODES["ecss15"], 4, ScaledPoint(unit, [1] * unit.m, 1), Fraction(7))
     # one edge at cost 2 lifts the bound to 3/2: 11 <= 3/2 * 15/2
     mixed = make_graph(5, [(e.u, e.v, 2 if e.id == 0 else 1) for e in unit.edges])
-    sol = _finish(mixed, MODES["ecss15"], 4, everything, Fraction(15, 2))
+    sol = _finish(mixed, MODES["ecss15"], 4, ScaledPoint(mixed, [1] * mixed.m, 1),
+                  Fraction(15, 2))
     assert (sol.cost, sol.connectivity) == (11, 4)
     assert Fraction(4, 3) * sol.lp_value < sol.cost <= Fraction(3, 2) * sol.lp_value
 
@@ -694,3 +695,122 @@ def test_degree_active_matches_a_fraction_reference_at_the_boundary():
             at_two["degree"] += sum(meeting) == 2 * denom
             at_two["complement"] += len(meeting) * denom - sum(meeting) == 2 * denom
     assert min(at_two.values()) >= 20, at_two
+
+
+def _counted_min_cut(monkeypatch) -> list[str]:
+    """Count every Stoer-Wagner run, at each module that looks it up."""
+    runs, real = [], graphs.min_cut
+    for module in (graphs, separation, rounding, certify):
+        def counted(graph, weights, site=module.__name__):
+            runs.append(site)
+            return real(graph, weights)
+        monkeypatch.setattr(module, "min_cut", counted)
+    return runs
+
+
+def test_stoer_wagner_runs_per_solve_on_the_g5_hub(monkeypatch):
+    # `_check`'s connectivity, one probe per oracle call, and one stop
+    # test: the first iteration's stop test is answered by a pool side,
+    # and `verify` reads the last stop test's cut (7 and 5 runs before)
+    inst = gen("prism-hub-k6", gadgets=5)
+    runs = _counted_min_cut(monkeypatch)
+    for mode, iterations, expected in (("ecss", 2, 5), ("ecss15", 1, 4)):
+        runs.clear()
+        sol, trace = MODES[mode].run(inst)
+        assert len(trace.iterations) == iterations
+        assert len(runs) == expected, (mode, runs)
+        assert runs.count("kecss.graphs") == 2 and "kecss.certify" not in runs
+        assert sol.connectivity == edge_connectivity(inst.graph, sol.multiplicity)
+
+
+def test_stop_test_pool_verdict_matches_a_fresh_min_cut(monkeypatch, corpus50):
+    # at every iteration boundary the stop test, told a side the
+    # witness pool found active, answers as a fresh Requirement's min cut
+    real = Requirement.active_empty
+    told = []
+
+    def checked(self, known=None):
+        got = real(self, known)
+        fresh = Requirement(self.graph, self.k, self.picked, self.threshold, self.degree)
+        assert got == real(fresh)
+        if known is not None:
+            told.append(got)
+        return got
+
+    monkeypatch.setattr(Requirement, "active_empty", checked)
+    iterated = 0
+    for g in (3, 5, 9):
+        for seed, per_edge in ((0, False), (1, False), (0, True)):
+            inst = random_cost_hub(g, seed, per_edge)
+            for _, trace in (kecss(inst.graph, 6), kecss(inst.graph, 7),
+                             bicriteria(inst.graph, 5), bicriteria(inst.graph, 6),
+                             md_kecss(inst.graph, 6, *degree_bounds_for(inst, seed))):
+                iterated += len(trace.iterations) > 1
+    for inst in corpus50[:20]:
+        kecss(inst.graph, inst.k)
+        bicriteria(inst.graph, inst.k)
+        kecsm(inst.graph, inst.k)
+    # every iterating run's first boundary is answered by the pool
+    assert iterated == len(told) >= 20 and not any(told)
+
+
+def test_active_empty_checks_the_side_it_is_told():
+    # a side told as active is checked: an inactive one falls back to the
+    # min cut, which is then cached on the picked point
+    g = complete_graph(5)
+    picked = {e.id: 1 for e in g.edges if 1 not in (e.u, e.v)}  # K4 on 2..5
+    req = Requirement(g, 5, picked, 3)
+    assert req.residual(1) == 5 and req.residual(mask([2])) == 2
+    assert not req.active_empty(1)
+    assert "min_cut" not in vars(req.picked_point)
+    assert not req.active_empty(mask([2]))
+    assert req.picked_point.min_cut == (0, mask([2, 3, 4, 5]))
+    done = Requirement(g, 5, {e: 1 for e in range(g.m)}, 3)
+    assert done.active_empty(mask([2])) and done.active_empty()
+
+
+def test_k2_warning_names_the_callers_line():
+    g = complete_graph(4)
+    for solve, k in ((kecss, 3), (kecss_even, 2), (MODES["ecss"].run, None)):
+        with pytest.warns(UserWarning, match="empty subgraph") as caught:
+            if k is None:
+                solve(Instance(g, 3))
+            else:
+                solve(g, k)
+        assert [w.filename for w in caught] == [__file__]
+
+
+def test_cut_and_degree_rows_match_a_crossing_scan():
+    # rows from boundary bitsets of the 0/1 point on the working edges
+    # equal rows built by scanning each edge, keys in variable order
+    rng = random.Random(28)
+    for trial in range(40):
+        inst = random_feasible(2800 + trial, 6 + trial % 5, 4, p=0.7)
+        graph = inst.graph
+        working = sorted(rng.sample(range(graph.m), rng.randint(0, graph.m)))
+        var_of = {e: i for i, e in enumerate(working)}
+        ones = rounding._edge_point(graph, working, [1] * len(working), 1)
+
+        def scanned(side):
+            return {var_of[e]: 1 for e in crossing(graph, side, working)}
+
+        for side in rng.sample(range(1, 1 << graph.n), 12):
+            got = rounding._cut_row(ones, side, 3)
+            assert got == lpmod.row(scanned(side), lpmod.GE, 3)
+            assert list(got.coeffs) == sorted(scanned(side))
+        lower = [rng.randint(0, 2) for _ in range(graph.n)]
+        upper = [lo + rng.randint(0, 3) for lo in lower]
+        active = rng.randrange(1 << graph.n)
+        expected = []
+        for v in vertices(active):
+            coeffs = scanned(1 << (v - 1))
+            if lower[v - 1] >= 1:
+                expected.append(lpmod.row(coeffs, lpmod.GE, lower[v - 1]))
+            expected.append(lpmod.row(coeffs, lpmod.LE, upper[v - 1]))
+        got = rounding._degree_rows(ones, lower, upper, active)
+        assert got == expected
+        assert [list(r.coeffs) for r in got] == [list(r.coeffs) for r in expected]
+    # the rows hold only while the working ids, the variables, ascend
+    graph = complete_graph(4)
+    with pytest.raises(RuntimeError, match="do not ascend"):
+        rounding._solve_residual(graph, Requirement(graph, 4), [1, 0, 2], set(), False)
