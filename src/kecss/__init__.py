@@ -18,6 +18,6 @@ from .certify import (CertificationError, LaminarBasis, UncrossWitness, VerifyRe
                       uncross_witness, verify)
 from .rounding import (InfeasibleInstance, IterationRecord, RoundingTrace,
                        Solution, approximation_factor, bicriteria, kecsm,
-                       kecsm_core, kecss, kecss_even, md_kecsm, md_kecss)
+                       kecss, kecss_even, md_kecsm, md_kecss)
 
 __version__ = "0.1.0"

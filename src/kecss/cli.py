@@ -9,13 +9,14 @@ that is not valid UTF-8, a k below the mode's minimum, fewer than 2
 vertices, `--k` outside 1..MAX_K, a negative `--max-iters`, `gen`
 parameters past the parser's limits, a `gen --p` outside [0, 1], a
 negative `--ensure-connectivity` or a connectivity repair past its
-min-cut budget, an output path that cannot be
-written, a `bench --dir` that is not a directory, or a solution file
-that `run --mode certify` cannot read), 3 certification/verification
-failure, 5 internal fault or abort (simplex pivot limit, lazy-loop row
-cap, rounding iteration cap such as `--max-iters`; each message is
-followed by a reproducer dump).  Code 4 is no
-longer used.  A warning prints as one `warning: ...` line on stderr.  `bench` exits 0 once its CSV is written: a run that is
+min-cut budget, an output path that cannot be written, a `bench --dir`
+that is not a directory, or a solution file that `run --mode certify`
+cannot read, names no run mode or has a k other than `--k`),
+3 certification/verification failure, 5 internal fault or abort
+(simplex pivot limit, lazy-loop row cap, rounding iteration cap such as
+`--max-iters`; each message is followed by a reproducer dump).  Code 4
+is no longer used.  A warning prints as one `warning: ...` line on
+stderr.  `bench` exits 0 once its CSV is written: a run that is
 infeasible, fails certification or aborts is a row whose status says so.
 """
 
@@ -105,25 +106,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     if args.mode == "certify":
         return _cmd_certify(inst, args)
-
-    mode = MODES[args.mode]
-    refusal = mode.refusal(inst)
-    if refusal is not None:
-        print(f"{refusal} (mode {args.mode}, n={inst.graph.n}, k={inst.k})",
-              file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        sol, trace = mode.run(inst, certify=True if args.certify else None,
-                              max_iterations=args.max_iters)
-    except (rounding.InfeasibleInstance, LpInfeasible) as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except certmod.CertificationError as exc:
-        print(f"certification failure: {exc}", file=sys.stderr)
-        return EXIT_CERTIFY
-    except RuntimeError as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    solved = _solve(args.mode, inst, args, EXIT_INFEASIBLE, "infeasible")
+    if isinstance(solved, int):
+        return solved
+    sol, trace = solved
     if args.solution:
         if not _write(args.solution, solution_json(sol)):
             return EXIT_PARSE
@@ -134,6 +120,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _solve(name: str, inst: Instance, args: argparse.Namespace, infeasible_exit: int,
+           infeasible_says: str) -> tuple[rounding.Solution, rounding.RoundingTrace] | int:
+    """Run mode `name` on `inst`; a refusal, an infeasible instance, a
+    certification failure or an abort is reported and its exit code returned."""
+    mode = MODES[name]
+    refusal = mode.refusal(inst)
+    if refusal is not None:
+        print(f"{refusal} (mode {name}, n={inst.graph.n}, k={inst.k})", file=sys.stderr)
+        return EXIT_PARSE
+    try:
+        return mode.run(inst, certify=True if args.certify else None,
+                        max_iterations=args.max_iters)
+    except (rounding.InfeasibleInstance, LpInfeasible) as exc:
+        print(f"{infeasible_says}: {exc}", file=sys.stderr)
+        return infeasible_exit
+    except certmod.CertificationError as exc:
+        print(f"certification failure: {exc}", file=sys.stderr)
+        return EXIT_CERTIFY
+    except RuntimeError as exc:
+        print(f"aborted: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+
+
 def _json_int(value: object) -> int:
     """A JSON integer; a float, a bool or a string raises ValueError."""
     if type(value) is not int:
@@ -142,47 +151,42 @@ def _json_int(value: object) -> int:
 
 
 def _cmd_certify(inst: Instance, args: argparse.Namespace) -> int:
-    """Re-verify a solution file against its own claims and mode bound."""
+    """Hold a solution file to its run mode's `Mode.check` at its k over
+    the LP value of a run of that mode there; the claimed `lp`, `cost` and
+    `connectivity` must equal the recomputed ones.  A failure exits 3."""
     if not args.solution:
         print("certify mode needs --solution", file=sys.stderr)
         return EXIT_PARSE
     try:
         payload = json.loads(Path(args.solution).read_text())
-        mode = payload["mode"]
+        name = payload["mode"]
+        if name not in MODES:  # an unhashable name raises TypeError
+            raise ValueError(f"unknown mode {name!r}")
         k = _json_int(payload["k"])
-        cost = Fraction(payload["cost"])
-        lp_value = Fraction(payload["lp"])
-        claimed_conn = _json_int(payload["connectivity"])
+        if args.k is not None and args.k != k:
+            raise ValueError(f"k={k} differs from --k {args.k}")
+        claimed = {"lp": Fraction(payload["lp"]), "cost": Fraction(payload["cost"]),
+                   "connectivity": _json_int(payload["connectivity"])}
         edges = [(_json_int(rec["id"]), _json_int(rec["mult"])) for rec in payload["edges"]]
         mult = dict(edges)
         if len(mult) < len(edges):
             raise ValueError("an edge id is listed twice")
+        if any(not 0 <= e < inst.graph.m or m < 0 for e, m in mult.items()):
+            raise ValueError("edge id or multiplicity out of range")
     except (OSError, KeyError, TypeError, ValueError, ArithmeticError) as exc:
         # ArithmeticError: a zero denominator, or an infinite number
         print(f"parse error in solution file: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    if any(not 0 <= e < inst.graph.m or m < 0 for e, m in mult.items()):
-        print("parse error in solution file: edge id or multiplicity out of range",
-              file=sys.stderr)
-        return EXIT_PARSE
-    # the solution file does not record which solver produced it, so hold
-    # it to the weakest guarantee of its mode family
-    goals = [m.guarantee(inst.graph, k) for m in MODES.values()
-             if m.family == mode and k >= m.min_k]
-    if not goals:
-        print(f"parse error in solution file: no {mode!r} mode takes k={k}",
-              file=sys.stderr)
-        return EXIT_PARSE
-    target = min(t for t, _ in goals)
-    factor = max(f for _, f in goals)
-    report = certmod.verify(inst.graph, mult, target, factor * lp_value,
-                            ecss_mode=mode == "ecss")
-    failures = []
-    if report.cost != cost:
-        failures.append(f"recomputed cost {report.cost} != claimed {cost}")
-    if report.connectivity != claimed_conn:
-        failures.append(f"recomputed connectivity {report.connectivity} "
-                        f"!= claimed {claimed_conn}")
+    inst = Instance(inst.graph, k, inst.bounds)
+    solved = _solve(name, inst, args, EXIT_CERTIFY, f"certify: no {name} solution at k={k}")
+    if isinstance(solved, int):
+        return solved
+    sol, _ = solved
+    report = MODES[name].check(inst.graph, k, mult, sol.lp_value, inst.degree_arrays())
+    recomputed = {"lp": sol.lp_value, "cost": report.cost,
+                  "connectivity": report.connectivity}
+    failures = [f"recomputed {key} {recomputed[key]} != claimed {value}"
+                for key, value in claimed.items() if recomputed[key] != value]
     failures += report.failures
     if failures:
         for f in failures:

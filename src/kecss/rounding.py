@@ -10,16 +10,17 @@ threshold, and repeat.  A `_LoopSpec` fixes what differs:
                output at cost at most 1.5 times the LP.
   multigraph   the caller solves the first LP, the unbounded cut LP,
                and hands it in; it is floor-extracted, and its
-               fractional remainder is rounded like `exact` (kecsm_core).
+               fractional remainder is rounded like `exact` (kecsm).
   degrees      degree rows ride along (md_kecss, md_kecsm); vertices leave
                the constrained set once their fractional degree (or its
                complement) is at most 2.
 
-`MODES` is the one table of run modes: each mode's solver, the solution
-family it reports, its least k, and its guarantee (graph, k) ->
-(connectivity target, cost factor over the recorded LP value) from the
-PAPER.md table.
-Every solver verifies its output against its own entry.  Every run emits
+`MODES` is the one table of run modes: each mode's solver, its solution
+family, its least k, and its guarantee (graph, k) -> (connectivity
+target, cost factor over the recorded LP value) from the PAPER.md table.
+`Mode.check` alone takes a mode's guarantee, degree window and subgraph
+rule to `certify.verify`, for every solver and `kecss run --mode
+certify`.  Every run emits
 a per-iteration trace, asserts the progress and cost-ledger invariants at
 runtime, and (by default at desk scale) certifies the structural
 guarantees of every extreme point it produces.
@@ -57,7 +58,7 @@ class InfeasibleInstance(Exception):
 
 @dataclass
 class Solution:
-    mode: str  # "ecss" or "ecsm"
+    mode: str  # the run mode that produced it, a key of MODES ("ecss15", "md-ecsm", ...)
     k: int
     multiplicity: dict[int, int]
     cost: Fraction
@@ -65,7 +66,7 @@ class Solution:
     lp_value: Fraction
 
     def __post_init__(self):
-        if self.mode == "ecss" and any(m not in (0, 1)
+        if MODES[self.mode].family == "ecss" and any(m not in (0, 1)
                                        for m in self.multiplicity.values()):
             raise ValueError("subgraph mode admits multiplicities 0/1 only")
 
@@ -457,21 +458,16 @@ def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
     return req.picked_point, trace
 
 
-def _finish(graph: Multigraph, mode: Mode, k: int, picked: ScaledPoint,
+def _finish(graph: Multigraph, name: str, k: int, picked: ScaledPoint,
             lp_value: Fraction, bounds: Bounds | None = None) -> Solution:
-    """Verify the picked multiset (a point over denominator 1) against
-    the mode's guarantee at k, degrees within [lower - 2, upper + 2] when
-    `bounds` are given."""
-    target, factor = mode.guarantee(graph, k)
-    window = None if bounds is None else {
-        v: (lo - 2, hi + 2) for v, lo, hi in zip(range(1, graph.n + 1), *bounds)}
+    """Hold the picked multiset (a point over denominator 1) to the check
+    of run mode `name` at k, the instance's degree `bounds` when given."""
     mult = {e: w for e, _, w in picked.edges}
-    report = certmod.verify(graph, mult, target, factor * lp_value, window,
-                            ecss_mode=(mode.family == "ecss"), picked=picked)
+    report = MODES[name].check(graph, k, mult, lp_value, bounds, picked)
     if not report.ok:
         raise certmod.CertificationError(
             "output fails verification: " + "; ".join(report.failures))
-    return Solution(mode.family, k, mult, report.cost, report.connectivity, lp_value)
+    return Solution(name, k, mult, report.cost, report.connectivity, lp_value)
 
 
 # -- subgraph procedures -----------------------------------------------------
@@ -498,9 +494,9 @@ def kecss_even(graph: Multigraph, k: int, *, certify: bool | None = None,
         # 0-connectivity guarantee
         _warn("k=2: returning the empty subgraph")
         nothing = ScaledPoint(graph, [0] * graph.m, 1)
-        return _finish(graph, MODES["ecss"], k, nothing, Fraction(0)), RoundingTrace(Fraction(0))
+        return _finish(graph, "ecss", k, nothing, Fraction(0)), RoundingTrace(Fraction(0))
     picked, trace = _round(graph, k, _EXACT, None, certify, max_iterations)
-    return _finish(graph, MODES["ecss"], k, picked, trace.lp0), trace
+    return _finish(graph, "ecss", k, picked, trace.lp0), trace
 
 
 def kecss(graph: Multigraph, k: int, **kwargs) -> tuple[Solution, RoundingTrace]:
@@ -516,7 +512,7 @@ def bicriteria(graph: Multigraph, k: int, *, certify: bool | None = None,
     """(k-1)-edge-connected subgraph of cost at most 1.5 times the LP."""
     _check(graph, k, MODES["ecss15"].min_k, connectivity=k)
     picked, trace = _round(graph, k, _BICRITERIA, None, certify, max_iterations)
-    return _finish(graph, MODES["ecss15"], k, picked, trace.lp0), trace
+    return _finish(graph, "ecss15", k, picked, trace.lp0), trace
 
 
 # -- multigraph procedures ---------------------------------------------------
@@ -531,34 +527,19 @@ def _multigraph_run_k(k: int) -> int:
     return k + 2 if k % 2 == 0 else k + 3
 
 
-def kecsm_core(graph: Multigraph, k: int, *, certify: bool | None = None,
-               max_iterations: int | None = None) -> tuple[Solution, RoundingTrace]:
-    """(k-2)-edge-connected multigraph of cost at most the multigraph LP."""
-    _check(graph, k, _CORE.min_k, even=True, connectivity=1)
-    # feasible: x >= 0 and the graph is connected
-    first = _solve_unbounded_cut_lp(graph, k, recheck=_certifying(graph, certify))
-    picked, trace = _round(graph, k, _MULTIGRAPH, None, certify, max_iterations, first)
-    return _finish(graph, _CORE, k, picked, trace.lp0), trace
-
-
-def kecsm(graph: Multigraph, k: int, **kwargs) -> tuple[Solution, RoundingTrace]:
+def kecsm(graph: Multigraph, k: int, *, certify: bool | None = None,
+          max_iterations: int | None = None) -> tuple[Solution, RoundingTrace]:
     """k-edge-connected multigraph of cost at most (1+2/k) or (1+3/k)
-    times the multigraph LP optimum at k."""
-    _check(graph, k, MODES["ecsm"].min_k)
+    times the multigraph LP optimum at k: the unbounded cut LP at k' = k+2
+    (even k) or k+3 (odd k), floor-extracted and rounded like `exact`,
+    gives a (k'-2)-connected output of cost at most LP(k') = rho_k * LP(k)
+    (that LP is homogeneous in k)."""
+    _check(graph, k, MODES["ecsm"].min_k, connectivity=1)
     run_k = _multigraph_run_k(k)
-    sol, trace = kecsm_core(graph, run_k, **kwargs)
-    # the cut LP x >= 0, x(delta(S)) >= k is homogeneous in k
-    reference = Fraction(k, run_k) * trace.lp0
-    # the core verified its output at run_k - 2 - run_k % 2 >= k and at
-    # cost trace.lp0, which is exactly the ecsm bound factor * reference;
-    # hold its report to the ecsm guarantee without recomputing it
-    target, factor = MODES["ecsm"].guarantee(graph, k)
-    if sol.connectivity < target or sol.cost > factor * reference:
-        raise certmod.CertificationError(
-            f"output fails verification: connectivity {sol.connectivity} "
-            f"(target {target}), cost {sol.cost} (bound {factor * reference})")
-    return Solution("ecsm", k, sol.multiplicity, sol.cost, sol.connectivity,
-                    reference), trace
+    # feasible: x >= 0 and the graph is connected
+    first = _solve_unbounded_cut_lp(graph, run_k, recheck=_certifying(graph, certify))
+    picked, trace = _round(graph, run_k, _MULTIGRAPH, None, certify, max_iterations, first)
+    return _finish(graph, "ecsm", k, picked, Fraction(k, run_k) * trace.lp0), trace
 
 
 # -- degree-bounded procedures -----------------------------------------------
@@ -571,7 +552,7 @@ def md_kecss(graph: Multigraph, k: int, lower: Sequence[int],
     bounds = (list(lower), list(upper))
     _check(graph, k, MODES["md-ecss"].min_k, bounds=bounds)
     picked, trace = _round(graph, k - k % 2, _DEGREE, bounds, certify, max_iterations)
-    return _finish(graph, MODES["md-ecss"], k, picked, trace.lp0, bounds), trace
+    return _finish(graph, "md-ecss", k, picked, trace.lp0, bounds), trace
 
 
 def md_kecsm(graph: Multigraph, k: int, lower: Sequence[int],
@@ -603,16 +584,16 @@ def md_kecsm(graph: Multigraph, k: int, lower: Sequence[int],
     except lpmod.LpInfeasible as exc:
         raise InfeasibleInstance(f"degree-bounded LP infeasible: {exc}") from exc
     picked, trace = _round(graph, run_k, _DEGREE, scaled, certify, max_iterations, first)
-    return _finish(graph, MODES["md-ecsm"], k, picked, reference, scaled), trace
+    return _finish(graph, "md-ecsm", k, picked, reference, (lower, upper)), trace
 
 
 # -- the mode table ------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Mode:
-    """A run mode: its solver, the solution family it reports ("ecss" or
-    "ecsm"), its least k, and its guarantee (graph, k) -> (connectivity
-    target, cost factor over the recorded LP value)."""
+    """A run mode: its solver, its solution family ("ecss", multiplicities
+    0/1, or "ecsm"), its least k, and its guarantee (graph, k) ->
+    (connectivity target, cost factor over the recorded LP value)."""
     solver: Callable[..., tuple[Solution, RoundingTrace]]
     family: str
     min_k: int
@@ -633,6 +614,21 @@ class Mode:
         if self.degree_bounded:
             return self.solver(inst.graph, inst.k, *inst.degree_arrays(), **options)
         return self.solver(inst.graph, inst.k, **options)
+
+    def check(self, graph: Multigraph, k: int, multiplicity: dict[int, int],
+              lp_value: Fraction, bounds: Bounds | None = None,
+              picked: ScaledPoint | None = None) -> certmod.VerifyReport:
+        """Verify `multiplicity` against this mode's guarantee at k over
+        `lp_value`, its family's subgraph rule and, for a degree-bounded
+        mode given the instance's `bounds` (l, u), degrees in [l-2, u+2]
+        (md-ecss) or [l-2, ceil(rho_k*u)+2] (md-ecsm): ceil(factor*u).
+        `picked`, a run's picked multiset, lends `verify` its cached cut."""
+        target, factor = self.guarantee(graph, k)
+        window = None if bounds is None or not self.degree_bounded else {
+            v: (lo - 2, math.ceil(factor * hi) + 2)
+            for v, lo, hi in zip(range(1, graph.n + 1), *bounds)}
+        return certmod.verify(graph, multiplicity, target, factor * lp_value, window,
+                              ecss_mode=self.family == "ecss", picked=picked)
 
 
 def _exact_cost(graph: Multigraph, k: int) -> tuple[int, Fraction]:
@@ -660,5 +656,3 @@ MODES: dict[str, Mode] = {
     "md-ecss": Mode(md_kecss, "ecss", 2, _exact_cost, degree_bounded=True),
     "md-ecsm": Mode(md_kecsm, "ecsm", 1, _multigraph, degree_bounded=True),
 }
-# the rounding stage of `ecsm` at k' = k+2 or k+3; not a run mode
-_CORE = Mode(kecsm_core, "ecsm", 4, _exact_cost)

@@ -6,7 +6,8 @@ Each entry is the sha256 of `solution_json(sol) + trace_jsonl(trace)`
 instance, mode and certification setting.  A refactor of the rounding
 engine, the mode table or the crossing primitive must leave all of them
 unchanged; a change that alters them on purpose re-records the table
-and says why the new outputs are correct.
+and says why the new outputs are correct.  The solution JSON's `mode` is
+the run mode (`ecss15`, `md-ecsm`, ...), not its family.
 """
 
 import hashlib
@@ -71,101 +72,101 @@ GOLDEN = {
     ("prism-k3", "ecss", False):
         "aad937c3d867cabc91efbff21dd03e3919730121bb496b4ac8db29ea92d2f54f",
     ("prism-k3", "ecss15", True):
-        "19833453e779e42068ba77161feed28e1c26186bb5baaa7cd66d3f1f6664161f",
+        "2549818bd820a0bf7bfd2ad223ab4e32477322f6df55b5fcd19e83d35d2b06e9",
     ("prism-k3", "ecss15", False):
-        "d83def1f6aa8901de64844b4a57fc128858c96631aad3f197c8ea50c7db79523",
+        "333df06321414a433c751db812c33f74034d9f6ae23a88a3f483e36e2dc5d030",
     ("prism-k3", "ecsm", True):
         "d28fc30ad2eb10af9de38421386d6ce27a918ba6b4fc7afb767c8f8ddc44eccc",
     ("prism-k3", "ecsm", False):
         "d28fc30ad2eb10af9de38421386d6ce27a918ba6b4fc7afb767c8f8ddc44eccc",
     ("prism-k3", "md-ecss", True):
-        "cc6cdd2501f4932a08ae764c6e45e4092087b57d01bc83c70c84123664b01a61",
+        "2ebf15c55e674f84ebf9e49bd375bf2342d582e8091d0a59f4b1e5c0257a6eb4",
     ("prism-k3", "md-ecss", False):
-        "504cf7b3915d72ebf8f02e20262b7874549769c8af5436a460a73679673c2f8e",
+        "b23db130a5c8619570a43d0086adecfacf61ec63f11a800f3245d6c1e39bf149",
     ("prism-k3", "md-ecsm", True):
-        "5c66537a60ab336d566f29f210fcf25c1891d2491f3889377f0e1ec42a608121",
+        "7d43f29e94700e3c9b3f087131018d1bfbae5e27bdf96726e21d326523afee76",
     ("prism-k3", "md-ecsm", False):
-        "5c66537a60ab336d566f29f210fcf25c1891d2491f3889377f0e1ec42a608121",
+        "7d43f29e94700e3c9b3f087131018d1bfbae5e27bdf96726e21d326523afee76",
     ("prism-hub-k6", "ecss", True):
         "2677bc01f5a08545a72b3e091e44a2cf7c70b9c7e0e243446fa9827aed0e693b",
     ("prism-hub-k6", "ecss", False):
         "2d825fd08338b3610dde0ee8101d18784d5e51d9beed2ada36e5aad932d02be0",
     ("prism-hub-k6", "ecss15", True):
-        "2c0c9f4b10674bc7cb5669961c567e8f588699c939609a99d47a4c0a31887d4d",
+        "679cc7c0e180f741085f4279773bf08c6fe7853825b603085ea647fdff0941d2",
     ("prism-hub-k6", "ecss15", False):
-        "bac827d4768280b34ee1d5e70bd135434c614e1c4a73169bb6daaf3d4da978fe",
+        "4bfd603f7e57817b0419d5ff32df494b4cbf8f9b384d83c42d95ba89770ad4b9",
     ("prism-hub-k6", "ecsm", True):
         "5c34a584db0e45ea6e686c756d3b1ff3b16a8c608bb46e52587ef134b82bc4ea",
     ("prism-hub-k6", "ecsm", False):
         "5c34a584db0e45ea6e686c756d3b1ff3b16a8c608bb46e52587ef134b82bc4ea",
     ("prism-hub-k6", "md-ecss", True):
-        "4cda12c784e9d6df56508d399eaf5cf9e1a29efbf008d55916e82cfcd4ea49a6",
+        "087488ad90f4450389126eb43cba5ed056af5799813acd662db6f6ae9c130208",
     ("prism-hub-k6", "md-ecss", False):
-        "1172b45f17a5435ac23dc7c76cde44348e86ee3922642908621faced63e6e4e3",
+        "32cc639e02947a1eea1ca16b74f0fc7c30e85cbe11f8ee727b1c9f1bde1dc62b",
     ("prism-hub-k6", "md-ecsm", True):
-        "7454e1f1243b0b523d38d495cdd3e6e92fb318082f3822f608931f463907d59b",
+        "b89d919731af0640e5ed6cf549cd71e7b19a02c224c499c6cdf2500aa830c63d",
     ("prism-hub-k6", "md-ecsm", False):
-        "7454e1f1243b0b523d38d495cdd3e6e92fb318082f3822f608931f463907d59b",
+        "b89d919731af0640e5ed6cf549cd71e7b19a02c224c499c6cdf2500aa830c63d",
     ("k5-k4", "ecss", True):
         "b8a4cc0cee1ea36fca3d901ef07e3a0eea72daa09924bbb1cc3bcec0e2cf1033",
     ("k5-k4", "ecss", False):
         "999b454bcbd2189b6400576919e03972ee3b46a838db418040b82a01913d1a2b",
     ("k5-k4", "ecss15", True):
-        "b8a4cc0cee1ea36fca3d901ef07e3a0eea72daa09924bbb1cc3bcec0e2cf1033",
+        "a4dc9c70f8dc29a95cf027b94add71f0320690dbc3b5a0c70f100afb975599f5",
     ("k5-k4", "ecss15", False):
-        "999b454bcbd2189b6400576919e03972ee3b46a838db418040b82a01913d1a2b",
+        "ccc6c51ad69f033789afbe0c91a75646a03f6c9f4fd66d8b01b04275d67a5510",
     ("k5-k4", "ecsm", True):
         "5eb25d78e7d8c294bf765256a4f6f664d366606c201e3f611ed116c3083d3413",
     ("k5-k4", "ecsm", False):
         "5eb25d78e7d8c294bf765256a4f6f664d366606c201e3f611ed116c3083d3413",
     ("k5-k4", "md-ecss", True):
-        "696d8bec7b66b53b700c2283d8632f6177adced89c38894cbe7b56e9e1f448e3",
+        "ddfe1ca2fc7d37e3c51ce4862834c8f9bdc4614801d5165ff259ebeb74f781ec",
     ("k5-k4", "md-ecss", False):
-        "dbbd913b1c84b180d675ce507a11d84ead2c070bad3d4a407816471031635a8e",
+        "e42aa9b8c2f10bac00d386f3cc78d194833416b0b8f30f75dea9ee38784af19e",
     ("k5-k4", "md-ecsm", True):
-        "08deb13cc1a6253e77a8207d5fb4554199aa87cedb84e4011dfee1643f1577e3",
+        "6bc758b89298b5a1b451130ea3876fa85759cb3043176a082412e3cca7ac5afd",
     ("k5-k4", "md-ecsm", False):
-        "08deb13cc1a6253e77a8207d5fb4554199aa87cedb84e4011dfee1643f1577e3",
+        "6bc758b89298b5a1b451130ea3876fa85759cb3043176a082412e3cca7ac5afd",
     ("random-s3-n7-k4", "ecss", True):
         "0653c84882f27f6b7cac7bb81ac20b21198b9ccad74e6bb2fc04eff466a510ad",
     ("random-s3-n7-k4", "ecss", False):
         "36bae257163b18b132b92156fc52a60bd196a75b09d50bb75eefc55b6e3c2b32",
     ("random-s3-n7-k4", "ecss15", True):
-        "0653c84882f27f6b7cac7bb81ac20b21198b9ccad74e6bb2fc04eff466a510ad",
+        "fc17e9a6926f97670c108c7102e7e3cdf89a36052e60d942bee9f3165abd5631",
     ("random-s3-n7-k4", "ecss15", False):
-        "36bae257163b18b132b92156fc52a60bd196a75b09d50bb75eefc55b6e3c2b32",
+        "47a549ef6e36e0b4079a987ef938c33321da49ac54fc18026190bc0173dbd3ee",
     ("random-s3-n7-k4", "ecsm", True):
         "d254e4636dd529b325c1fa5f46d70b6607df2224f57c1dd1a0f2fe30a4db3837",
     ("random-s3-n7-k4", "ecsm", False):
         "d254e4636dd529b325c1fa5f46d70b6607df2224f57c1dd1a0f2fe30a4db3837",
     ("random-s3-n7-k4", "md-ecss", True):
-        "3dfd56bdfd99bb370c0520a606b89e2814050e0478da8bcb2e297f01813c85b5",
+        "325746a93dd4ab0188fcb0cd9ec04601a2a1a91e9b0dde530354c37970259ae1",
     ("random-s3-n7-k4", "md-ecss", False):
-        "df393a52e1b6c920416a31cfd92b69b862cd296f6bbec61005ef48d260f7f571",
+        "614d5bd3d18d4d6ca6686d3061e1281817fdd877b0058aa50844ecdf291e7ff4",
     ("random-s3-n7-k4", "md-ecsm", True):
-        "4c85ee9fc46327bb2119786cbf6f4edaf01446023dc703dfe29c48bb416f09d3",
+        "d59e65656e03eeef48cea3450cd2aebf98b491aad4c149420a604ad91fdae209",
     ("random-s3-n7-k4", "md-ecsm", False):
-        "4c85ee9fc46327bb2119786cbf6f4edaf01446023dc703dfe29c48bb416f09d3",
+        "d59e65656e03eeef48cea3450cd2aebf98b491aad4c149420a604ad91fdae209",
     ("random-s11-n8-k5", "ecss", True):
         "91fa5bfba90baa34aa38a6fbe44c5cbb5fe28e66a77c3c16f3192baee174faec",
     ("random-s11-n8-k5", "ecss", False):
         "afad8089368a7c16646896f3dc07db4d01aeb77c412b2e2943079b50d30c3019",
     ("random-s11-n8-k5", "ecss15", True):
-        "9c0105d0412a27d97da7a5d94e29533e64ca80c0b57e39996483eca099ac1902",
+        "2673d04582aee550a7acdc530820903679ee636b56158713b107686d5166cb3b",
     ("random-s11-n8-k5", "ecss15", False):
-        "da2c8f23aa5e814dd458758052610f018d0eaf11a246a0879ade5cab21eebec7",
+        "90c27d6da6a043d688afd5c6e9e1581a0756163b39ebbe34452243a18dcbbfa7",
     ("random-s11-n8-k5", "ecsm", True):
         "61a27e978baa248795a44c2a9657cd8c0b194f88e567f097e6941e7f4e444e45",
     ("random-s11-n8-k5", "ecsm", False):
         "61a27e978baa248795a44c2a9657cd8c0b194f88e567f097e6941e7f4e444e45",
     ("random-s11-n8-k5", "md-ecss", True):
-        "3c58daf27dda9da48b8f00b63668ef14503659e49b884eff15d385be6e0bb700",
+        "a5e1f7a7337be387d3c61fb37d76a77c7c507e5caad6f24ba12c3aac96eff517",
     ("random-s11-n8-k5", "md-ecss", False):
-        "06ef85945b79a07b66ad5410f032e8affc753f5648b14858b9cfcfac28d6e165",
+        "2dc0efa5d9eaf317f23704fd0e3f2c1c7430895a71f8fc36a8768adab549736e",
     ("random-s11-n8-k5", "md-ecsm", True):
-        "ac6760fabb793fde41f86a20d61215a0a50ca035d671c40ff724e512e22d0dec",
+        "d7bdca232c5fa21330ebaed0825e65c8cc9c5ff8e1198ea9dc3560bc4775fc89",
     ("random-s11-n8-k5", "md-ecsm", False):
-        "ac6760fabb793fde41f86a20d61215a0a50ca035d671c40ff724e512e22d0dec",
+        "d7bdca232c5fa21330ebaed0825e65c8cc9c5ff8e1198ea9dc3560bc4775fc89",
 }
 
 

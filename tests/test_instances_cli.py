@@ -15,6 +15,7 @@ from kecss.instances import (MAX_EDGES, MAX_K, MAX_VALUE, MAX_VERTICES,
                              Instance, ParseError, emit_instance, gen,
                              parse_instance)
 from kecss.rounding import MODES
+from test_golden import INSTANCES, MODE_NAMES
 
 
 def run_cli(*args):
@@ -604,7 +605,7 @@ def test_cli_certify_rejects_malformed_solution(tmp_path: Path):
     assert main(["run", "--mode", "ecsm", "--input", str(inst_path),
                  "--solution", str(sol_path)]) == 0
     payload = json.loads(sol_path.read_text())
-    # no mode of the family takes that k, or no such family
+    # the mode takes no such k, or there is no such mode
     for mode, k in (("ecsm", 0), ("ecss", 1), ("steiner", 4)):
         sol_path.write_text(json.dumps(dict(payload, mode=mode, k=k)))
         code, out, err = run_cli("run", "--mode", "certify", "--input", str(inst_path),
@@ -691,3 +692,146 @@ def test_cli_certify_rejects_non_integer_fields(tmp_path: Path, capsys, field, e
     assert main(certify) == 2
     err = capsys.readouterr().err
     assert _one_line_error(err) and err.startswith("parse error in solution file")
+
+
+def _certify_file(capsys, inst_path: Path, payload: dict, *extra: str):
+    """Write `payload` next to the instance and run `kecss run --mode
+    certify` on it: (exit code, stdout, stderr lines)."""
+    sol_path = inst_path.with_suffix(".certify.json")
+    sol_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = main(["run", "--mode", "certify", "--input", str(inst_path),
+                 "--solution", str(sol_path), *extra])
+    out, err = capsys.readouterr()
+    return code, out, err.splitlines()
+
+
+def _solution(tmp_path: Path, inst_path: Path, mode: str) -> dict:
+    sol_path = tmp_path / f"{mode}.json"
+    assert main(["run", "--mode", mode, "--input", str(inst_path),
+                 "--solution", str(sol_path)]) == 0
+    return json.loads(sol_path.read_text())
+
+
+@pytest.fixture
+def hub_g3(tmp_path: Path) -> Path:
+    inst_path = tmp_path / "hub.txt"  # LP 21/2
+    inst_path.write_text(emit_instance(gen("prism-hub-k6", gadgets=3)))
+    return inst_path
+
+
+def test_cli_certify_refuses_hand_made_files(tmp_path: Path, capsys, hub_g3):
+    # each file used to print `certified ok` (or, relabelled md-ecss,
+    # exit 2 as no family of that name); each failure is one line
+    ecss = _solution(tmp_path, hub_g3, "ecss")
+    graph = parse_instance(hub_g3.read_text()).graph
+    every_edge = dict(ecss, cost="15/1", lp="1000000", connectivity=7,
+                      edges=[{"id": e, "mult": 1} for e in range(graph.m)])
+    assert graph.cost_of(dict.fromkeys(range(graph.m), 1)) == 15
+    assert _certify_file(capsys, hub_g3, every_edge) == (3, "", [
+        "certify: recomputed lp 21/2 != claimed 1000000",
+        "certify: cost 15 exceeds bound 21/2"])
+    # the ecss15 solution, ratio 8/7, under the ecss label: no ecss run
+    # pays more than its LP
+    ecss15 = _solution(tmp_path, hub_g3, "ecss15")
+    assert (ecss15["mode"], ecss15["cost"], ecss15["lp"]) == ("ecss15", "12/1", "21/2")
+    assert _certify_file(capsys, hub_g3, dict(ecss15, mode="ecss")) == (3, "", [
+        "certify: cost 12 exceeds bound 21/2"])
+    # K6 at k=4 with every degree window [0, 2]: md-ecss has no solution
+    # there, so an ecss file relabelled md-ecss claims one that is not
+    k6 = tmp_path / "k6.txt"
+    k6.write_text(emit_instance(gen("complete", n=6, k=4))
+                  + "".join(f"d {v} 0 2\n" for v in range(1, 7)))
+    relabelled = dict(_solution(tmp_path, k6, "ecss"), mode="md-ecss")
+    code, out, err = _certify_file(capsys, k6, relabelled)
+    assert (code, out, len(err)) == (3, "", 1)
+    assert err[0].startswith("certify: no md-ecss solution at k=4: ")
+
+
+def test_cli_certify_accepts_ecss15_under_its_own_mode(tmp_path: Path, capsys, hub_g3):
+    ecss15 = _solution(tmp_path, hub_g3, "ecss15")
+    assert (ecss15["mode"], ecss15["cost"], ecss15["lp"]) == ("ecss15", "12/1", "21/2")
+    assert _certify_file(capsys, hub_g3, ecss15) == (0, "certified ok\n", [])
+
+
+def test_cli_certify_accepts_every_golden_solution(tmp_path: Path, capsys):
+    # every solution of the golden instances certifies under the run mode
+    # it records; ecss on prism-k3 (k=3) runs at k=2 and warns so again
+    results = {}
+    for name, build in sorted(INSTANCES.items()):
+        inst_path = tmp_path / f"{name}.txt"
+        inst_path.write_text(emit_instance(build()))
+        for mode in MODE_NAMES:
+            payload = _solution(tmp_path, inst_path, mode)
+            assert payload["mode"] == mode
+            results[name, mode] = _certify_file(capsys, inst_path, payload)
+    warned = ["warning: k=2: returning the empty subgraph"]
+    assert results == {key: (0, "certified ok\n", warned if key == ("prism-k3", "ecss") else [])
+                       for key in results}
+    assert len(results) == len(INSTANCES) * len(MODE_NAMES)
+
+
+def test_cli_certify_rejects_an_unknown_mode(tmp_path: Path, capsys):
+    inst_path = tmp_path / "k5.txt"
+    inst_path.write_text(emit_instance(gen("complete", n=5, k=4)))
+    payload = _solution(tmp_path, inst_path, "ecsm")
+    for mode in ("ecsm-core", "steiner", None, ["ecsm"]):
+        code, out, err = _certify_file(capsys, inst_path, dict(payload, mode=mode))
+        assert (code, out, len(err)) == (2, "", 1)
+        assert err[0].startswith("parse error in solution file: ")
+    assert _certify_file(capsys, inst_path, dict(payload, mode="steiner"))[2] == [
+        "parse error in solution file: unknown mode 'steiner'"]
+
+
+def test_cli_certify_k_must_match_the_file(tmp_path: Path, capsys):
+    # the file's k is what gets checked; a --k other than it is an error
+    # rather than ignored
+    inst_path = tmp_path / "k5.txt"
+    inst_path.write_text(emit_instance(gen("complete", n=5, k=4)))
+    payload = _solution(tmp_path, inst_path, "ecss")
+    assert _certify_file(capsys, inst_path, payload, "--k", "5") == (2, "", [
+        "parse error in solution file: k=4 differs from --k 5"])
+    assert _certify_file(capsys, inst_path, payload, "--k", "4") == (0, "certified ok\n", [])
+
+
+def test_cli_certify_holds_md_ecsm_to_its_degree_window(tmp_path: Path, capsys):
+    # K5 at k=4 with every window [0, 4]: md-ecsm allows degrees up to
+    # ceil(3/2 * 4) + 2 = 8.  Fifteen edges, vertex 1 at degree 9, are
+    # 4-connected at cost 15 = 3/2 * LP, so only the window fails
+    inst_path = tmp_path / "k5.txt"
+    inst_path.write_text(emit_instance(gen("complete", n=5, k=4))
+                         + "".join(f"d {v} 0 4\n" for v in range(1, 6)))
+    graph = parse_instance(inst_path.read_text()).graph
+    payload = _solution(tmp_path, inst_path, "md-ecsm")
+    assert (payload["mode"], payload["lp"]) == ("md-ecsm", "10/1")
+    star = {2: 3, 3: 2, 4: 2, 5: 2}
+    mult = {e.id: star.get(e.v, 1) if e.u == 1 else 1 for e in graph.edges}
+    assert edge_connectivity(graph, mult) == 5
+    heavy = dict(payload, cost="15/1", connectivity=5,
+                 edges=[{"id": e, "mult": m} for e, m in sorted(mult.items())])
+    assert _certify_file(capsys, inst_path, heavy) == (3, "", [
+        "certify: degree 9 of vertex 1 outside [-2, 8]"])
+    # one unit less on edge 1-2 is inside the window
+    mult[0] -= 1
+    lighter = dict(heavy, cost="14/1", connectivity=edge_connectivity(graph, mult),
+                   edges=[{"id": e, "mult": m} for e, m in sorted(mult.items())])
+    assert _certify_file(capsys, inst_path, lighter) == (0, "certified ok\n", [])
+
+
+def test_cli_certify_holds_subgraph_modes_to_multiplicities_0_1(tmp_path: Path, capsys):
+    # K5 at k=4 under ecss15: every edge once costs 10, within 4/3 * LP;
+    # edge 0 twice costs 11, still within, but a subgraph has no
+    # multiplicity 2
+    inst_path = tmp_path / "k5.txt"
+    inst_path.write_text(emit_instance(gen("complete", n=5, k=4)))
+    graph = parse_instance(inst_path.read_text()).graph
+    payload = _solution(tmp_path, inst_path, "ecss15")
+    assert (payload["cost"], payload["lp"]) == ("10/1", "10/1")
+    mult = {e: 1 for e in range(graph.m)}
+    mult[0] = 2
+    doubled = dict(payload, cost="11/1", connectivity=edge_connectivity(graph, mult),
+                   edges=[{"id": e, "mult": m} for e, m in sorted(mult.items())])
+    assert _certify_file(capsys, inst_path, doubled) == (3, "", [
+        "certify: edge 0 has multiplicity 2 in subgraph mode"])
+    assert _certify_file(capsys, inst_path, dict(doubled, mode="ecsm")) == (
+        0, "certified ok\n", [])

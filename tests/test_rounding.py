@@ -14,7 +14,7 @@ from kecss.graphs import (complete_graph, crossing, cuts_below, cycle_graph,
 from kecss.instances import Instance, gen
 from kecss.rounding import (MODES, InfeasibleInstance, _finish,
                             _solve_unbounded_cut_lp, approximation_factor,
-                            bicriteria, kecsm, kecsm_core, kecss, kecss_even,
+                            bicriteria, kecsm, kecss, kecss_even,
                             md_kecsm, md_kecss)
 from kecss.requirements import Requirement
 from kecss.separation import ScaledPoint, Violated, separate_fast
@@ -127,17 +127,21 @@ def test_bicriteria_fractional_fixture():
     assert sol.connectivity >= 2
 
 
-def test_kecsm_core_examples():
+def test_kecsm_floor_first_examples():
+    # kecsm rounds at k' = k+2 (even k) or k+3 (odd k); its trace is the
+    # run at k', whose first LP is trace.lp0
     two = make_graph(2, [(1, 2, 1)])
-    sol, trace = kecsm_core(two, 6)
-    assert sol.multiplicity == {0: 6} and sol.cost == 6 == trace.lp0
+    for k in (4, 3):  # k' = 6
+        sol, trace = kecsm(two, k)
+        assert sol.multiplicity == {0: 6} and sol.cost == 6 == trace.lp0
 
     tri = make_graph(3, [(1, 2, 1), (2, 3, 1), (1, 3, 1)])
-    sol, _ = kecsm_core(tri, 4)
-    assert sol.multiplicity == {0: 2, 1: 2, 2: 2}
-    assert sol.cost == 6 and sol.connectivity == 4
+    for k in (2, 1):  # k' = 4
+        sol, _ = kecsm(tri, k)
+        assert sol.multiplicity == {0: 2, 1: 2, 2: 2}
+        assert sol.cost == 6 and sol.connectivity == 4
 
-    sol, trace = kecsm_core(complete_graph(5), 4)
+    sol, trace = kecsm(complete_graph(5), 2)  # k' = 4
     assert sol.cost <= 10 and trace.lp0 == 10
 
 
@@ -184,8 +188,9 @@ def test_kecsm_disconnected(monkeypatch):
 
 
 def test_kecsm_verifies_its_output_once(monkeypatch):
-    # the core's verify (target k'-2-(k' mod 2) >= k, cost bound exactly
-    # the ecsm bound) is the only one; kecsm checks its report
+    # one verify, through Mode.check: the ecsm target k and the ecsm cost
+    # bound rho_k * LP(k), which is LP(k') exactly.  The rounding at k'
+    # stops only once its output is (k'-2)-connected, k + 1 for odd k
     targets = []
     verify = certify.verify
 
@@ -197,8 +202,8 @@ def test_kecsm_verifies_its_output_once(monkeypatch):
     for k in (2, 3, 4, 5):
         targets.clear()
         sol, _ = kecsm(complete_graph(5), k)
-        assert targets == [k if k % 2 == 0 else k + 1]
-        assert sol.connectivity >= k
+        assert targets == [k]
+        assert sol.connectivity >= k + k % 2
         assert sol.cost <= approximation_factor(k) * sol.lp_value
 
 
@@ -228,17 +233,21 @@ def test_certification_checks_every_weakly_crossing_pair(monkeypatch):
     assert [rec.witness_pairs_checked for rec in trace.iterations] == expected
 
 
-def test_kecsm_raises_on_a_core_report_below_its_guarantee(monkeypatch):
+def test_kecsm_raises_on_a_rounding_below_its_guarantee(monkeypatch):
+    # the rounding's picked multiset, cut to nothing (connectivity 0) or
+    # doubled (cost 30 over the bound 3/2 * LP(4) = LP(6) = 15), fails the
+    # ecsm check
     g = complete_graph(5)
-    core = kecsm_core
-    for field, value in (("connectivity", 3), ("cost", Fraction(100))):
-        def short(graph, k, **kwargs):
-            sol, trace = core(graph, k, **kwargs)
-            setattr(sol, field, value)
-            return sol, trace
+    engine = rounding._round
+    for failure, scale in (("connectivity 0 below target 4", 0),
+                           ("cost 30 exceeds bound 15", 2)):
+        def short(*args):
+            picked, trace = engine(*args)
+            return ScaledPoint(g, [scale * w for w in picked.weights], 1), trace
 
-        monkeypatch.setattr(rounding, "kecsm_core", short)
-        with pytest.raises(CertificationError, match="output fails verification"):
+        monkeypatch.setattr(rounding, "_round", short)
+        with pytest.raises(CertificationError,
+                           match=f"^output fails verification: {failure}"):
             kecsm(g, 4)
 
 
@@ -555,10 +564,10 @@ def test_finish_holds_unit_cost_ecss15_to_four_thirds_k():
     # ratio 10/7 lies above 1 + 4/(3*4) = 4/3 and below 3/2
     unit = complete_graph(5)
     with pytest.raises(CertificationError, match="cost"):
-        _finish(unit, MODES["ecss15"], 4, ScaledPoint(unit, [1] * unit.m, 1), Fraction(7))
+        _finish(unit, "ecss15", 4, ScaledPoint(unit, [1] * unit.m, 1), Fraction(7))
     # one edge at cost 2 lifts the bound to 3/2: 11 <= 3/2 * 15/2
     mixed = make_graph(5, [(e.u, e.v, 2 if e.id == 0 else 1) for e in unit.edges])
-    sol = _finish(mixed, MODES["ecss15"], 4, ScaledPoint(mixed, [1] * mixed.m, 1),
+    sol = _finish(mixed, "ecss15", 4, ScaledPoint(mixed, [1] * mixed.m, 1),
                   Fraction(15, 2))
     assert (sol.cost, sol.connectivity) == (11, 4)
     assert Fraction(4, 3) * sol.lp_value < sol.cost <= Fraction(3, 2) * sol.lp_value
@@ -580,7 +589,7 @@ def test_fractional_costs_through_api():
     # instance files carry integers, but the in-memory API is fully rational
     g = make_graph(3, [(1, 2, Fraction(1, 3)), (2, 3, Fraction(1, 2)),
                        (1, 3, Fraction(5, 7))])
-    sol, trace = kecsm_core(g, 4)
+    sol, trace = kecsm(g, 2)  # rounded at k' = 4
     assert sol.cost == 2 * (Fraction(1, 3) + Fraction(1, 2) + Fraction(5, 7))
     assert sol.connectivity == 4
     # a third of every cost scales every cost and LP value by 1/3 and

@@ -210,15 +210,35 @@ def _orders_endpoints(node: ast.AST) -> bool:
             and (ends(node.args) or any(map(pair, node.args))))
 
 
-def test_parallel_edges_are_keyed_in_one_place():
-    # one parallel-edge merge: only `Multigraph.pairs` orders an edge's
-    # endpoints into a vertex-pair key, and `_merged` sums by its index
-    found = []
+def _by_scope():
+    """("<file> <function>", node) for every node of the package, the
+    function being a top-level one, a `Class.method` or `<module>`."""
     for path in sorted(Path(kecss.__file__).parent.rglob("*.py")):
         for top in ast.parse(path.read_text(), str(path)).body:
             inner = isinstance(top, ast.ClassDef)
             for scope in top.body if inner else [top]:
                 name = (f"{top.name}." if inner else "") + getattr(scope, "name", "<module>")
-                found += [f"{path.name} {name}" for node in ast.walk(scope)
-                          if _orders_endpoints(node)]
+                for node in ast.walk(scope):
+                    yield f"{path.name} {name}", node
+
+
+def test_parallel_edges_are_keyed_in_one_place():
+    # one parallel-edge merge: only `Multigraph.pairs` orders an edge's
+    # endpoints into a vertex-pair key, and `_merged` sums by its index
+    found = [where for where, node in _by_scope() if _orders_endpoints(node)]
     assert found == ["graphs.py Multigraph.pairs"]
+
+
+def _calls(name: str) -> list[str]:
+    """Where the package calls `name`, as `x.name(...)` or `name(...)`."""
+    return [where for where, node in _by_scope() if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "attr", None), getattr(node.func, "id", None))]
+
+
+def test_one_checker_per_mode():
+    # a mode's guarantee, degree window and subgraph rule meet
+    # certify.verify in Mode.check alone, for the solvers and for
+    # `kecss run --mode certify`; only the bench's bound column reads a
+    # guarantee besides
+    assert _calls("verify") == ["rounding.py Mode.check"]
+    assert _calls("guarantee") == ["bench.py bench_row", "rounding.py Mode.check"]
