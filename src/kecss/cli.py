@@ -11,7 +11,8 @@ parameters past the parser's limits, a `gen --p` outside [0, 1], a
 negative `--ensure-connectivity` or a connectivity repair past its
 min-cut budget, an output path that cannot be written, a `bench --dir`
 that is not a directory, or a solution file that `run --mode certify`
-cannot read, names no run mode or has a k other than `--k`),
+cannot read, names no run mode or has a k other than `--k`; `--trace`
+in certify mode writes the trace of its re-run of the file's mode),
 3 certification/verification failure, 5 internal fault or abort
 (simplex pivot limit, lazy-loop row cap, rounding iteration cap such as
 `--max-iters`; each message is followed by a reproducer dump).  Code 4
@@ -153,7 +154,8 @@ def _json_int(value: object) -> int:
 def _cmd_certify(inst: Instance, args: argparse.Namespace) -> int:
     """Hold a solution file to its run mode's `Mode.check` at its k over
     the LP value of a run of that mode there; the claimed `lp`, `cost` and
-    `connectivity` must equal the recomputed ones.  A failure exits 3."""
+    `connectivity` must equal the recomputed ones.  A failure exits 3.
+    `--trace` gets that run's trace, as `run` writes it."""
     if not args.solution:
         print("certify mode needs --solution", file=sys.stderr)
         return EXIT_PARSE
@@ -181,7 +183,9 @@ def _cmd_certify(inst: Instance, args: argparse.Namespace) -> int:
     solved = _solve(name, inst, args, EXIT_CERTIFY, f"certify: no {name} solution at k={k}")
     if isinstance(solved, int):
         return solved
-    sol, _ = solved
+    sol, trace = solved
+    if args.trace and not _write(args.trace, trace_jsonl(trace)):
+        return EXIT_PARSE
     report = MODES[name].check(inst.graph, k, mult, sol.lp_value, inst.degree_arrays())
     recomputed = {"lp": sol.lp_value, "cost": report.cost,
                   "connectivity": report.connectivity}

@@ -24,6 +24,17 @@ as in every multigraph cut LP), the start is priced once: the
 reduced-cost row that the dual simplex keeps is the one repricing would
 give.
 
+A fixed variable (lower == upper) takes no tableau column (Andersen and
+Andersen, Math. Programming 71, 1995, on removing fixed columns).  No
+pivot can move it: it never enters, since either direction breaks one
+of its bounds, so its column would only widen every row.  Its value is
+folded into each row's constant as the row enters and into the
+objective constant.  The movable variables keep their order, the
+slacks follow them, and the pivots, bound flips and optimum are those
+of the full tableau.  The point, the tight bounds, the certificate,
+`LpInfeasible` and the rows handed back all speak of LP variables, a
+fixed one at its bound.
+
 The tableau is fraction-free (Edmonds 1967, Bareiss 1968): row i is a
 list of Python ints with its own positive denominator den[i], so entry c
 stands for matrix[i][c] / den[i], and the basic column of row i holds
@@ -199,27 +210,48 @@ class BasicOptimum:
 class _Simplex:
     """Bounded-variable tableau simplex over integer rows, started from
     the all-slack basis; the dual simplex reaches feasibility from there
-    and re-optimises after rows are added."""
+    and re-optimises after rows are added.
+
+    Only a variable that can move (lower != upper, or no upper bound)
+    has a tableau column: no pivot can move a fixed one, as either
+    direction breaks a bound, so it never enters.  It is a constant in
+    each row's last entry and in the objective.  The movable variables
+    keep their order and the slacks follow them, so every
+    smallest-column tie-break compares the same columns in the same
+    order.  Everything that leaves the simplex is in LP-variable terms."""
 
     def __init__(self, lp: LpInstance):
         self.lp = lp
-        self.ns = self.total = lp.num_vars
-        # columns: structurals 0..ns-1, slack of row i at ns+i.  add_rows
-        # fills in the rows and tableau row i: ints over den[i], basic in
-        # basis[i]
+        # columns: the movable variables vars[0..ns-1], the slack of row
+        # i at ns+i.  add_rows fills in the rows and tableau row i: ints
+        # over den[i], basic in basis[i]
+        self.vars = [j for j, (lo, up) in enumerate(zip(lp.lower, lp.upper))
+                     if up is None or lo != up]
+        self.ns = self.total = len(self.vars)
+        # each variable's value when fixed, else 0; and each variable's
+        # column, -1 when fixed, or None when every variable can move
+        self.fixed = [lo if lo == up else 0 for lo, up in zip(lp.lower, lp.upper)]
+        self.column: list[int] | None = None
+        if self.ns < lp.num_vars:
+            self.column = [-1] * lp.num_vars
+            for c, j in enumerate(self.vars):
+                self.column[j] = c
         self.m = 0
         self.rows: list[LpRow] = []
         self.matrix: list[list[int]] = []
         self.den, self.basis = [], []
-        self.lower: list[int] = list(lp.lower)
-        self.upper: list[int | None] = list(lp.upper)
-        self.status = ["L" if up is None else "U" for up in lp.upper]
-        self.movable = [j for j, (lo, up) in enumerate(zip(lp.lower, lp.upper))
-                        if up is None or lo != up]
+        self.lower: list[int] = [lp.lower[j] for j in self.vars]
+        self.upper: list[int | None] = [lp.upper[j] for j in self.vars]
+        self.status = ["L" if up is None else "U" for up in self.upper]
+        # every column can move; the hot loops run over this list, which
+        # iterates faster than a range
+        self.movable = list(range(self.ns))
         self.pivots = self.bound_flips = 0
-        # the objective as integers over one denominator: prices and values
+        # the objective as integers over one denominator, by LP variable:
+        # prices and values; the fixed variables' part is a constant
         self.cost_nums, self.cost_den = common(lp.objective)
-        self._start(self.cost_nums)
+        self.fixed_cost = sum(map(mul, self.cost_nums, self.fixed))
+        self._start([self.cost_nums[j] for j in self.vars])
         self.add_rows(lp.rows)
 
     def _folded(self) -> list[int]:
@@ -227,6 +259,19 @@ class _Simplex:
         bound value when nonbasic, else 0."""
         return [0 if st == "B" else self._bound_value(j)
                 for j, st in enumerate(self.status[:self.ns])]
+
+    def _narrow(self, r: LpRow) -> tuple[dict[int, int], int]:
+        """r's coefficients by tableau column, and its rhs less the fixed
+        variables' part."""
+        coeffs, rhs = {}, r.rhs
+        column, fixed = self.column, self.fixed
+        for j, a in r.coeffs.items():
+            c = column[j]
+            if c < 0:
+                rhs -= a * fixed[j]
+            else:
+                coeffs[c] = a
+        return coeffs, rhs
 
     def _bound_value(self, j: int) -> int:
         if self.status[j] == "U":
@@ -241,7 +286,7 @@ class _Simplex:
         if self._leaving() >= 0:
             # keep c_j where its sign suits column j's bound (c_j > 0 at
             # L, c_j < 0 at U), else 0: the start is then dual feasible
-            cost = self.cost_nums
+            cost = self.cost[:self.ns]
             clipped = [c if (c > 0) == (st == "L") else 0
                        for c, st in zip(cost, self.status)]
             if clipped == cost:
@@ -286,19 +331,24 @@ class _Simplex:
         self.pivots = self.bound_flips = 0
 
     def scaled_point(self) -> tuple[list[int], int]:
-        """Values of the structural columns at the current basis, as
-        (integer numerators, denominator) in lowest terms: a basic value
-        is its row's last entry over den[i], a nonbasic one its bound."""
+        """Values of the LP variables at the current basis, as (integer
+        numerators, denominator) in lowest terms: a basic value is its
+        row's last entry over den[i], a nonbasic or fixed one its bound."""
         basic = []
         for i, col in enumerate(self.basis):
             if col < self.ns:
                 v, d = self.matrix[i][-1], self.den[i]
                 g = gcd(v, d)
-                basic.append((col, v // g, d // g))
+                basic.append((self.vars[col], v // g, d // g))
         denom = lcm(*(d for _, _, d in basic))
-        nums = [a * denom for a in self._folded()]
-        for col, v, d in basic:
-            nums[col] = v * (denom // d)
+        if self.column is None:
+            nums = [a * denom for a in self._folded()]
+        else:
+            nums = [a * denom for a in self.fixed]
+            for j, a in zip(self.vars, self._folded()):
+                nums[j] = a * denom
+        for j, v, d in basic:
+            nums[j] = v * (denom // d)
         return nums, denom
 
     # -- setup -----------------------------------------------------------
@@ -307,11 +357,13 @@ class _Simplex:
         """Price the current basis with the integer cost (the structural
         columns' prices in units of 1/cost_den, padded with zeros): red /
         red_den are the reduced costs in the same units (0 on basic
-        columns), then minus the objective."""
+        columns), then minus the objective, the fixed variables' part
+        included."""
         self.cost = cost = cost + [0] * (self.total - len(cost))
         # only structural columns have a cost; eliminating each priced
         # basic row, a unit vector in its basic column, zeroes that column
-        red, den = cost + [-sum(map(mul, cost, self._folded()))], 1
+        red = cost + [-sum(map(mul, cost, self._folded())) - self.fixed_cost]
+        den = 1
         for col, vec, p in zip(self.basis, self.matrix, self.den):
             if cost[col]:
                 nz = [(c, a) for c, a in enumerate(vec) if a]
@@ -338,7 +390,8 @@ class _Simplex:
         # are listed once, by the first new row that touches it
         nzs: list[list[tuple[int, int]] | None] = [None] * len(old)
         for slack, r in enumerate(rows, first):
-            vec, den = _tableau_row(r, slack, self.total, at), 1
+            coeffs, rhs = (r.coeffs, r.rhs) if self.column is None else self._narrow(r)
+            vec, den = _tableau_row(coeffs, r.sense, rhs, slack, self.total, at), 1
             # no basic row touches a new slack, so it ends up holding +den
             for i, (col, prow, p) in enumerate(old):
                 if vec[col]:
@@ -398,8 +451,7 @@ class _Simplex:
 
     def _entering(self, red: list[int], bland: bool) -> int:
         # red shares one positive denominator, so its integers order the
-        # columns exactly as the reduced costs do; basic columns have red
-        # 0 and fixed columns are never movable
+        # columns exactly as the reduced costs do; basic columns have red 0
         status = self.status
         entering = -1
         best_score = 0
@@ -494,8 +546,8 @@ class _Simplex:
         """Bounded dual simplex with Bland's rule from a dual feasible
         basis, to a basis whose values lie within their bounds: the cold
         start's dual phase and every lazy round.  LpInfeasible when a
-        basic value cannot be repaired, naming its column: a structural
-        variable, or the slack of an LP row."""
+        basic value cannot be repaired, naming it: an LP variable, or the
+        slack of an LP row."""
         status = self.status
         for _ in range(_MAX_PIVOTS):
             r = self._leaving()
@@ -524,21 +576,22 @@ class _Simplex:
                     best_red = rk
                     best_a = ak
             if j < 0:
-                name = (f"variable {col}" if col < self.ns
+                name = (f"variable {self.vars[col]}" if col < self.ns
                         else f"the slack of row {col - self.ns}")
                 raise LpInfeasible(f"no column can move {name} into its bounds")
             self._pivot(r, j, "L" if below else "U")
         raise RuntimeError("dual simplex pivot limit exceeded")
 
 
-def _tableau_row(r: LpRow, slack: int, width: int, at: Sequence[int]) -> list[int]:
-    """The tableau row of r over denominator 1 with its slack at column
-    slack, negated for a >= row so that the slack holds +1; width columns,
-    then the rhs minus the row at the structural values `at`."""
-    sign = -1 if r.sense == GE else 1
-    rhs = r.rhs
+def _tableau_row(coeffs: dict[int, int], sense: str, rhs: int, slack: int,
+                 width: int, at: Sequence[int]) -> list[int]:
+    """The tableau row of coeffs . x (sense) rhs, coefficients by tableau
+    column, over denominator 1 with its slack at column slack, negated for
+    a >= row so that the slack holds +1; width columns, then the rhs minus
+    the row at the structural values `at`."""
+    sign = -1 if sense == GE else 1
     vec = [0] * (width + 1)
-    for j, a in r.coeffs.items():
+    for j, a in coeffs.items():
         vec[j] = sign * a
         rhs -= a * at[j]
     vec[slack] = 1

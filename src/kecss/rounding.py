@@ -15,6 +15,12 @@ threshold, and repeat.  A `_LoopSpec` fixes what differs:
                the constrained set once their fractional degree (or its
                complement) is at most 2.
 
+The guarantees need only an optimal vertex of each residual LP.  When
+every row is a >= cut row (the exact, bicriteria and multigraph
+residual LPs), raising a zero-cost edge to 1 breaks no row and costs
+nothing, so those LPs fix their zero-cost edges at 1 and the simplex
+leaves them out of its tableau; a degree-bounded LP keeps them free.
+
 `MODES` is the one table of run modes: each mode's solver, its solution
 family, its least k, and its guarantee (graph, k) -> (connectivity
 target, cost factor over the recorded LP value) from the PAPER.md table.
@@ -198,7 +204,15 @@ def _edge_point(graph: Multigraph, working: Sequence[int], nums: Sequence[int],
 def _solve_residual(graph: Multigraph, req: Requirement, working: list[int],
                     carry: set[int], recheck: bool) -> lpmod.LazyResult:
     """Solve the residual LP over the working edges (ascending ids, one
-    variable each) by lazy separation."""
+    variable each) by lazy separation.
+
+    Without degree rows every row is a >= cut row with nonnegative
+    coefficients, so raising a zero-cost edge to 1 keeps every row
+    satisfied at no cost: the face x_e = 1 of each zero-cost edge holds
+    an optimal vertex, a vertex of the whole LP too.  Such an LP (ecss,
+    ecss15 and the kecsm residual LPs) fixes its zero-cost edges at 1,
+    and the simplex keeps them out of its tableau.  A degree-bounded LP
+    keeps them free: its <= rows may hold one below 1."""
     if any(a >= b for a, b in zip(working, working[1:])):
         raise RuntimeError("working edge ids do not ascend")
     ones = _edge_point(graph, working, [1] * len(working), 1)
@@ -222,8 +236,9 @@ def _solve_residual(graph: Multigraph, req: Requirement, working: list[int],
         carry.update(cut.side for cut in verdict.cuts)
         return [_cut_row(ones, cut.side, cut.requirement) for cut in verdict.cuts]
 
-    return _lazy_solve(graph, [graph.edges[e].cost for e in working],
-                       [0] * len(working), [1] * len(working), rows, oracle, recheck)
+    costs = [graph.edges[e].cost for e in working]
+    lower = [1 if state is None and c == 0 else 0 for c in costs]
+    return _lazy_solve(graph, costs, lower, [1] * len(working), rows, oracle, recheck)
 
 
 def _solve_unbounded_cut_lp(graph: Multigraph, k: int, bounds: Bounds | None = None,

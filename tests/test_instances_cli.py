@@ -754,6 +754,23 @@ def test_cli_certify_accepts_ecss15_under_its_own_mode(tmp_path: Path, capsys, h
     assert _certify_file(capsys, hub_g3, ecss15) == (0, "certified ok\n", [])
 
 
+def test_cli_certify_writes_the_trace_of_its_run(tmp_path: Path, capsys, hub_g3):
+    # --trace in certify mode gets the trace of the re-run of the file's
+    # mode, the file `run --trace` writes; an unwritable path exits 2
+    ecss15 = _solution(tmp_path, hub_g3, "ecss15")
+    run_trace, certify_trace = tmp_path / "run.jsonl", tmp_path / "certify.jsonl"
+    assert main(["run", "--mode", "ecss15", "--input", str(hub_g3),
+                 "--solution", str(tmp_path / "again.json"),
+                 "--trace", str(run_trace)]) == 0
+    assert _certify_file(capsys, hub_g3, ecss15, "--trace", str(certify_trace)) == (
+        0, "certified ok\n", [])
+    assert certify_trace.read_text() == run_trace.read_text() != ""
+    code, out, err = _certify_file(capsys, hub_g3, ecss15,
+                                   "--trace", str(tmp_path / "missing" / "t.jsonl"))
+    assert (code, out, len(err)) == (2, "", 1)
+    assert err[0].startswith("cannot write output: ")
+
+
 def test_cli_certify_accepts_every_golden_solution(tmp_path: Path, capsys):
     # every solution of the golden instances certifies under the run mode
     # it records; ecss on prism-k3 (k=3) runs at k=2 and warns so again

@@ -203,6 +203,93 @@ def test_infeasibility_names_the_basic_column_not_its_tableau_row():
         assert str(err.value) == message
 
 
+def _substituted(inst):
+    """inst with each fixed variable (lower == upper) substituted out of
+    its rows, as (the LP over the other variables in order, those
+    variables, the fixed variables' objective part)."""
+    free = [j for j, (lo, up) in enumerate(zip(inst.lower, inst.upper)) if lo != up]
+    fixed = {j: inst.lower[j] for j in range(inst.num_vars) if j not in free}
+    rows = []
+    for r in inst.rows:
+        rhs = r.rhs - sum(a * fixed[j] for j, a in r.coeffs.items() if j in fixed)
+        rows.append(lp.row({free.index(j): a for j, a in r.coeffs.items() if j not in fixed},
+                           r.sense, rhs))
+    sub = lp.instance([inst.objective[j] for j in free], [inst.lower[j] for j in free],
+                      [inst.upper[j] for j in free], rows)
+    return sub, free, sum(inst.objective[j] * v for j, v in fixed.items())
+
+
+def test_fixed_columns_solve_like_substituted_rows():
+    # a fixed variable takes no tableau column: the LP solves as the same
+    # LP with it substituted out of the rows, pivot for pivot, and the
+    # result speaks of it at its bound.  Fixed variables come before,
+    # between and after the free ones, some with nonzero cost
+    rng = random.Random(53)
+    seen = {"solved": 0, "infeasible": 0, "named": 0, "fixed_cost": 0}
+    for _ in range(150):
+        nf = rng.randint(1, 5)
+        kinds = ["fixed"] + ["free"] * nf + ["fixed"]
+        kinds.insert(rng.randint(1, nf + 1), rng.choice(["fixed", "free"]))
+        lower, upper, cost = [], [], []
+        for kind in kinds:
+            lo = rng.randint(-1, 0)
+            up = rng.choice([1, 3, None])
+            if kind == "fixed":
+                lo = up = rng.randint(-1, 3)
+            lower.append(lo)
+            upper.append(up)
+            cost.append(rng.randint(-3, 3))
+        nv = len(kinds)
+        # most rows hold at x0, so most instances are feasible
+        x0 = [rng.randint(lo, 3 if up is None else up) for lo, up in zip(lower, upper)]
+        rows = []
+        for _ in range(rng.randint(1, 2 * nv)):
+            coeffs = {j: rng.randint(-3, 3) for j in range(nv)}
+            sense = rng.choice([lp.GE, lp.LE, None])
+            rhs = sum(c * x0[j] for j, c in coeffs.items())
+            if rng.random() < 0.2:
+                rhs = rng.randint(-4, 6)
+            rows += _rows(coeffs, sense, rhs)
+        inst = lp.instance(cost, lower, upper, rows)
+        sub, free, constant = _substituted(inst)
+        simplex = lp._Simplex(inst)
+        assert (simplex.ns, simplex.total) == (len(free), len(free) + len(rows))
+        try:
+            want = lp.solve(sub)
+        except (lp.LpInfeasible, lp.LpUnbounded) as exc:
+            with pytest.raises(type(exc)) as err:
+                lp.solve(inst)
+            # the structural variable named is the LP's, not the column
+            message = str(exc)
+            if message.startswith("no column can move variable "):
+                c = int(message.split()[5])
+                message = message.replace(f"variable {c} ", f"variable {free[c]} ")
+                seen["named"] += 1
+            assert str(err.value) == message
+            seen["infeasible"] += isinstance(exc, lp.LpInfeasible)
+            continue
+        got = lp.solve(inst)
+        assert got.value == want.value + constant
+        assert [got.point[j] for j in free] == want.point
+        assert all(got.point[j] == lower[j] for j in range(nv) if j not in free)
+        assert (got.pivots, got.bound_flips, got.tight_rows) == (
+            want.pivots, want.bound_flips, want.tight_rows)
+        bounded = {j for kind, j, *_ in got.certificate if kind == "bound"}
+        assert bounded >= set(range(nv)) - set(free)
+        for j in set(range(nv)) - set(free):
+            assert (j, "lower") in got.tight_bounds and (j, "upper") in got.tight_bounds
+        assert len(got.certificate) == nv
+        recheck_vertex(inst, got)
+        seen["solved"] += 1
+        seen["fixed_cost"] += constant != 0
+    assert all(count > 20 for count in seen.values()), seen
+    # the stuck structural variable is LP variable 1, tableau column 0
+    inst = lp.instance([5, 3], [1, 0], [1, 2],
+                       [lp.row({1: -2}, lp.LE, 0), lp.row({0: 1, 1: 1}, lp.LE, -1)])
+    with pytest.raises(lp.LpInfeasible, match="^no column can move variable 1 into"):
+        lp.solve(inst)
+
+
 def test_lazy_equals_materialized_on_random_instances():
     rng = random.Random(17)
     for trial in range(10):
@@ -353,17 +440,20 @@ def _state_from_rows(simplex):
     """The value of every column at the current basis: the nonbasic ones
     at their bounds, and the basic ones solved from the original rows'
     equations (row i with its slack at column ns + i, as the tableau
-    builds it) by Gauss-Jordan elimination over Fractions."""
+    builds it, and each fixed variable at its bound) by Gauss-Jordan
+    elimination over Fractions."""
     s = simplex
     x = {j: Fraction(s.upper[j] if st == "U" else s.lower[j])
          for j, st in enumerate(s.status) if st != "B"}
+    column = {j: c for c, j in enumerate(s.vars)}
     system = []
     for i, r in enumerate(s.rows):
         sign = -1 if r.sense == lp.GE else 1
-        coeffs = {j: Fraction(sign * c) for j, c in r.coeffs.items()}
+        coeffs = {column[j]: Fraction(sign * c) for j, c in r.coeffs.items() if j in column}
         coeffs[s.ns + i] = Fraction(1)
-        rhs = sign * r.rhs - sum((c * x[j] for j, c in coeffs.items() if j in x),
-                                 Fraction(0))
+        rhs = sign * (r.rhs - sum(c * s.lp.lower[j] for j, c in r.coeffs.items()
+                                  if j not in column))
+        rhs -= sum((c * x[j] for j, c in coeffs.items() if j in x), Fraction(0))
         system.append([coeffs.get(col, Fraction(0)) for col in s.basis] + [rhs])
     for c in range(s.m):
         p = next(i for i in range(c, s.m) if system[i][c])
@@ -455,7 +545,10 @@ def test_incremental_state_matches_tableau(monkeypatch):
             assert [vec[c] for c in self.basis] == [
                 den if r == i else 0 for r in range(self.m)]
             assert Fraction(vec[-1], den) == x[self.basis[i]]
+        # the fixed variables' part of the objective is a constant
         obj = sum((self.cost[j] * x[j] for j in range(self.total)), Fraction(0))
+        obj += sum(self.cost_nums[j] * lo for j, lo in enumerate(self.lp.lower)
+                   if j not in self.vars)
         assert Fraction(self.red[-1], self.red_den) == -obj
         # the nonbasic reduced costs, from the tableau
         for j in range(self.total):
@@ -510,6 +603,14 @@ def test_incremental_state_matches_tableau(monkeypatch):
             [rng.randint(-3, 3) for _ in range(nv)],
             [rng.randint(-1, 0) for _ in range(nv)],
             [rng.choice([1, 3, None]) for _ in range(nv)], rows))
+    # the same with a fixed variable first and last (see
+    # test_fixed_columns_solve_like_substituted_rows)
+    for inst in instances[-20:]:
+        nv = inst.num_vars + 2
+        instances.append(lp.instance(
+            [2, *inst.objective, -1], [1, *inst.lower, 0], [1, *inst.upper, 0],
+            [lp.row({0: 1, nv - 1: 2, **{j + 1: a for j, a in r.coeffs.items()}},
+                    r.sense, r.rhs + 1) for r in inst.rows]))
     for inst in instances:
         try:
             opt = lp.solve(inst)
@@ -521,8 +622,10 @@ def test_incremental_state_matches_tableau(monkeypatch):
     # warm lazy rounds: the k=6 hub under separation, and random LPs whose
     # cut rows come from a hidden list
     hub = gen("prism-hub-k6").graph
-    lp.solve_lazy(lp.instance([e.cost for e in hub.edges], [0] * hub.m,
-                              [1] * hub.m, []), _cut_oracle(hub, 6))
+    for zero_lower in (0, 1):  # zero-cost edges free, then fixed at 1
+        lp.solve_lazy(lp.instance([e.cost for e in hub.edges],
+                                  [0 if e.cost else zero_lower for e in hub.edges],
+                                  [1] * hub.m, []), _cut_oracle(hub, 6))
     rng = random.Random(37)
     for _ in range(80):
         inst, hidden = _random_lazy_instance(rng, rng.randint(2, 6))

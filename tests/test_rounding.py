@@ -559,6 +559,79 @@ def test_lp0_matches_materialized_lp():
         assert trace.lp0 == full_cut_lp(inst.graph, 4, "ecss").value
 
 
+def _is_free_vertex(objective, rows, opt) -> bool:
+    """Whether opt's point is a vertex of 0 <= x <= 1 and rows: its rows
+    hold, and its tight rows and 0/1 bounds have full rank."""
+    n, nums, denom = len(objective), opt.nums, opt.denom
+    excess = [sum(a * nums[j] for j, a in r.coeffs.items()) - r.rhs * denom for r in rows]
+    if any(e < 0 if r.sense == lpmod.GE else e > 0 for r, e in zip(rows, excess)):
+        return False
+    bounds = [(j, "lower") for j in range(n) if nums[j] == 0]
+    bounds += [(j, "upper") for j in range(n) if nums[j] == denom]
+    tight = [i for i, e in enumerate(excess) if e == 0]
+    return len(lpmod._rank_certificate(n, rows, tight, bounds)) == n
+
+
+def test_fixed_zero_cost_edges_solve_like_free_ones(monkeypatch):
+    # every ecss and ecss15 residual LP fixes its zero-cost edges at 1.
+    # Solved again with them free (lower bound 0), with the same rows and
+    # oracle, it has the same value, rounds and rows; on hubs with one
+    # (dashed, solid) cost pair also the same point, pivots and bound
+    # flips.  With costs per edge the free loop can end at another
+    # optimal vertex, one zero-cost edge at 0, so there the fixed point
+    # is checked to be a vertex of the free LP.  The first LP is the
+    # materialized cut LP's
+    lazy_solve = rounding._lazy_solve
+    solves = {"same": 0, "other": 0}
+
+    def compared(graph, objective, lower, upper, rows, oracle, recheck, start=None):
+        result = lazy_solve(graph, objective, lower, upper, rows, oracle, recheck, start)
+        zero = [j for j, c in enumerate(objective) if c == 0]
+        assert lower == [1 if c == 0 else 0 for c in objective] and upper == [1] * len(lower)
+        free = lpmod.solve_lazy(
+            lpmod.instance(objective, [0] * len(lower), upper, rows), oracle)
+        a, b = result.optimum, free.optimum
+        assert a.value == b.value and all(a.nums[j] == a.denom for j in zero)
+        assert (result.separation_calls, result.rows) == (free.separation_calls, free.rows)
+        if (a.nums, a.denom, a.pivots, a.bound_flips) == (
+                b.nums, b.denom, b.pivots, b.bound_flips):
+            solves["same"] += 1
+        else:
+            assert per_edge and _is_free_vertex(objective, result.rows, a)
+            solves["other"] += 1
+        return result
+
+    monkeypatch.setattr(rounding, "_lazy_solve", compared)
+    instances = [(random_cost_hub(3, seed, per_edge), per_edge)
+                 for seed in range(4) for per_edge in (False, True)]
+    instances += [(hub_cost_variant(1, 2), False), (hub_cost_variant(2, 7), False)]
+    for inst, per_edge in instances:
+        lp0 = full_cut_lp(inst.graph, 6, "ecss").value
+        for solver in (kecss, bicriteria):
+            _, trace = solver(inst.graph, 6)
+            assert trace.lp0 == lp0
+    assert solves["same"] >= 2 * 6 and solves["other"] > 0
+
+
+def test_degree_bounded_residual_lps_keep_zero_cost_edges_free(monkeypatch):
+    # the <= degree rows may hold a zero-cost edge below 1, so md-ecss
+    # leaves its bounds at [0, 1]
+    lazy_solve = rounding._lazy_solve
+    bounds = []
+
+    def recorded(graph, objective, lower, upper, rows, oracle, recheck, start=None):
+        bounds.append((objective.count(0), lower, upper))
+        return lazy_solve(graph, objective, lower, upper, rows, oracle, recheck, start)
+
+    monkeypatch.setattr(rounding, "_lazy_solve", recorded)
+    for seed in range(3):
+        inst = random_cost_hub(3, seed)
+        md_kecss(inst.graph, 6, *degree_bounds_for(inst, seed))
+    assert all(lower == [0] * len(lower) and upper == [1] * len(upper)
+               for _, lower, upper in bounds)
+    assert sum(zeros > 0 for zeros, _, _ in bounds) == 3
+
+
 def test_finish_holds_unit_cost_ecss15_to_four_thirds_k():
     # all ten K5 edges: cost 10, 4-connected; against an LP value of 7 the
     # ratio 10/7 lies above 1 + 4/(3*4) = 4/3 and below 3/2
