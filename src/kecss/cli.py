@@ -15,7 +15,8 @@ cannot read, names no run mode or has a k other than `--k`; `--trace`
 in certify mode writes the trace of its re-run of the file's mode),
 3 certification/verification failure, 5 internal fault or abort
 (simplex pivot limit, lazy-loop row cap, rounding iteration cap such as
-`--max-iters`; each message is followed by a reproducer dump).  Code 4
+`--max-iters`, an "infeasible" verdict on an LP the theory makes
+feasible; each message is followed by a reproducer dump).  Code 4
 is no longer used.  A warning prints as one `warning: ...` line on
 stderr.  `bench` exits 0 once its CSV is written: a run that is
 infeasible, fails certification or aborts is a row whose status says so.

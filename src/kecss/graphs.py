@@ -449,17 +449,3 @@ def edge_connectivity(graph: Multigraph,
     """Global edge connectivity under integer edge multiplicities."""
     mult = dict.fromkeys(range(graph.m), 1) if multiplicity is None else multiplicity
     return min_cut(graph, [mult.get(e, 0) for e in range(graph.m)])[0]
-
-
-def is_connected(graph: Multigraph) -> bool:
-    """Whether every vertex is reachable from vertex 1."""
-    full = (1 << graph.n) - 1
-    reach = 1
-    grew = True
-    while grew and reach != full:
-        grew = False
-        for ends in graph.ends:
-            if 0 != reach & ends != ends:
-                reach |= ends
-                grew = True
-    return reach == full

@@ -11,9 +11,17 @@ threshold, and repeat.  A `_LoopSpec` fixes what differs:
   multigraph   the caller solves the first LP, the unbounded cut LP,
                and hands it in; it is floor-extracted, and its
                fractional remainder is rounded like `exact` (kecsm).
-  degrees      degree rows ride along (md_kecss, md_kecsm); vertices leave
-               the constrained set once their fractional degree (or its
-               complement) is at most 2.
+
+Given degree bounds (md_kecss, md_kecsm, both on the multigraph spec),
+degree rows ride along; vertices leave the constrained set once their
+fractional degree (or its complement) is at most 2.
+
+The first LP is the feasibility test.  Without degree rows it is
+feasible exactly when the edge connectivity reaches the k of its cut
+rows, so one min cut, after an "infeasible" verdict only, tells an
+infeasible instance from an internal fault (`_below`).  A later LP is
+feasible, as the last point less its picks satisfies it: there,
+"infeasible" is an internal fault.
 
 The guarantees need only an optimal vertex of each residual LP.  When
 every row is a >= cut row (the exact, bicriteria and multigraph
@@ -26,10 +34,9 @@ family, its least k, and its guarantee (graph, k) -> (connectivity
 target, cost factor over the recorded LP value) from the PAPER.md table.
 `Mode.check` alone takes a mode's guarantee, degree window and subgraph
 rule to `certify.verify`, for every solver and `kecss run --mode
-certify`.  Every run emits
-a per-iteration trace, asserts the progress and cost-ledger invariants at
-runtime, and (by default at desk scale) certifies the structural
-guarantees of every extreme point it produces.
+certify`.  Every run emits a per-iteration trace, asserts the progress
+and cost-ledger invariants at runtime, and (by default at desk scale)
+certifies the structural guarantees of every extreme point it produces.
 """
 
 from __future__ import annotations
@@ -44,8 +51,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import certify as certmod
 from . import lp as lpmod
-from .graphs import (Multigraph, ScaledPoint, crossing, edge_connectivity, is_connected,
-                     min_cut, vertices)
+from .graphs import Multigraph, ScaledPoint, crossing, edge_connectivity, min_cut, vertices
 from .requirements import DegreeState, Requirement
 from .separation import Feasible, Violated, separate_fast
 
@@ -110,10 +116,8 @@ def frac_str(x: Fraction) -> str:
 
 
 def _check(graph: Multigraph, k: int, min_k: int, *, even: bool = False,
-           connectivity: int = 0, bounds: Bounds | None = None) -> None:
-    """The solvers' preconditions: degree bounds, least k and parity, n >= 2,
-    and (when `connectivity` is set) the edge connectivity the first LP
-    needs; connectivity 1 is a reachability test."""
+           bounds: Bounds | None = None) -> None:
+    """The solvers' preconditions: degree bounds, least k and parity, n >= 2."""
     if bounds is not None:
         lower, upper = bounds
         if len(lower) != graph.n or len(upper) != graph.n:
@@ -129,14 +133,17 @@ def _check(graph: Multigraph, k: int, min_k: int, *, even: bool = False,
         raise ValueError(f"k must be {'even and ' if even else ''}at least {min_k}")
     if graph.n < 2:
         raise ValueError("need at least 2 vertices")
-    if connectivity:
-        if connectivity == 1:
-            conn = int(is_connected(graph))
-        else:
-            conn = edge_connectivity(graph)
-        if conn < connectivity:
-            raise InfeasibleInstance(f"edge connectivity {conn} is below "
-                                     f"{connectivity}; the LP is infeasible")
+
+
+def _below(graph: Multigraph, need: int) -> InfeasibleInstance | None:
+    """Read an infeasible first cut LP whose cut rows ask for `need`: it is
+    feasible exactly when the edge connectivity reaches `need`, so one min
+    cut tells an infeasible instance (returned) from a fault (None)."""
+    conn = edge_connectivity(graph)
+    if conn < need:
+        return InfeasibleInstance(f"edge connectivity {conn} is below {need}; "
+                                  "the LP is infeasible")
+    return None
 
 
 # -- LP rows and the two lazy LPs ---------------------------------------------
@@ -309,13 +316,11 @@ class _LoopSpec:
     threshold: int
     pick_cutoff: Fraction          # pick x >= cutoff: weight >= ceil(cutoff*denom)
     keep_zero_edges: bool          # retain x=0 edges in the working set
-    degrees: bool = False          # degree rows and the degree-activity rule
 
 
 _EXACT = _LoopSpec(3, Fraction(1), True)
 _BICRITERIA = _LoopSpec(2, Fraction(2, 3), False)
-_MULTIGRAPH = _LoopSpec(3, Fraction(1), False)
-_DEGREE = _LoopSpec(3, Fraction(1), False, degrees=True)
+_MULTIGRAPH = _LoopSpec(3, Fraction(1), False)  # also the degree-bounded loops
 
 
 def _aborted(message: str, req: Requirement,
@@ -344,12 +349,13 @@ def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
     side the witness-pool upkeep found active says it is not yet, and
     only otherwise is the picked multiset cut (`Requirement.active_empty`).
     Returns the picked multiset's point, with the last stop test's cut
-    cached on it, and the trace.  An LP fault or the iteration cap
-    raises RuntimeError, a reproducer dump after its first line."""
+    cached on it, and the trace.  An LP fault, an "infeasible" verdict
+    the theory rules out among them, or the iteration cap raises
+    RuntimeError, a reproducer dump after its first line."""
     certify_flag = _certifying(graph, certify)
     mult: dict[int, int] = {}
     working = list(range(graph.m))
-    degree_active = (1 << graph.n) - 1 if spec.degrees else None
+    degree_active = None if bounds is None else (1 << graph.n) - 1
     trace = RoundingTrace(Fraction(0), certified=certify_flag)
     lp0: Fraction | None = None
     if first_lp is not None:
@@ -375,7 +381,7 @@ def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
     pool: set[int] = {1 << v for v in range(graph.n)}
     monitor: dict[int, int] = {}
     dropped: set[int] = set()
-    cap = len(graph.edges) + (graph.n if spec.degrees else 0) + 1
+    cap = len(graph.edges) + (0 if bounds is None else graph.n) + 1
     if max_iterations is not None:
         cap = min(cap, max_iterations)
     iteration = 0
@@ -400,8 +406,12 @@ def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
         try:
             lazy = _solve_residual(graph, req, working, carry, certify_flag)
         except lpmod.LpInfeasible as exc:
-            raise InfeasibleInstance(
-                f"residual LP infeasible at iteration {iteration}: {exc}") from exc
+            message = f"residual LP infeasible at iteration {iteration}: {exc}"
+            if trace.iterations:  # the last point, less its picks, is feasible
+                raise _aborted(message, req, trace) from exc
+            if bounds is None:
+                raise _below(graph, k) or _aborted(message, req, trace) from exc
+            raise InfeasibleInstance(message) from exc
         except RuntimeError as exc:  # a pivot limit or the lazy-row cap
             raise _aborted(str(exc), req, trace) from exc
         opt = lazy.optimum
@@ -500,16 +510,12 @@ def kecss_even(graph: Multigraph, k: int, *, certify: bool | None = None,
                max_iterations: int | None = None) -> tuple[Solution, RoundingTrace]:
     """(k-2)-edge-connected subgraph of cost at most the cut-LP optimum.
 
-    k must be even.  k=2 returns the empty subgraph (vacuous guarantee).
+    k must be even.  k=2 returns the empty subgraph (vacuous guarantee):
+    no cut reaches the activity threshold, so the loop solves no LP.
     """
-    _check(graph, k, MODES["ecss"].min_k, even=True, connectivity=k if k > 2 else 0)
+    _check(graph, k, MODES["ecss"].min_k, even=True)
     if k == 2:
-        # no cut can reach the activity threshold, so the loop never runs
-        # and never solves an LP; the empty subgraph meets the vacuous
-        # 0-connectivity guarantee
         _warn("k=2: returning the empty subgraph")
-        nothing = ScaledPoint(graph, [0] * graph.m, 1)
-        return _finish(graph, "ecss", k, nothing, Fraction(0)), RoundingTrace(Fraction(0))
     picked, trace = _round(graph, k, _EXACT, None, certify, max_iterations)
     return _finish(graph, "ecss", k, picked, trace.lp0), trace
 
@@ -525,7 +531,7 @@ def kecss(graph: Multigraph, k: int, **kwargs) -> tuple[Solution, RoundingTrace]
 def bicriteria(graph: Multigraph, k: int, *, certify: bool | None = None,
                max_iterations: int | None = None) -> tuple[Solution, RoundingTrace]:
     """(k-1)-edge-connected subgraph of cost at most 1.5 times the LP."""
-    _check(graph, k, MODES["ecss15"].min_k, connectivity=k)
+    _check(graph, k, MODES["ecss15"].min_k)
     picked, trace = _round(graph, k, _BICRITERIA, None, certify, max_iterations)
     return _finish(graph, "ecss15", k, picked, trace.lp0), trace
 
@@ -548,11 +554,15 @@ def kecsm(graph: Multigraph, k: int, *, certify: bool | None = None,
     times the multigraph LP optimum at k: the unbounded cut LP at k' = k+2
     (even k) or k+3 (odd k), floor-extracted and rounded like `exact`,
     gives a (k'-2)-connected output of cost at most LP(k') = rho_k * LP(k)
-    (that LP is homogeneous in k)."""
-    _check(graph, k, MODES["ecsm"].min_k, connectivity=1)
+    (that LP is homogeneous in k).  Its first LP is feasible exactly when
+    the graph is connected."""
+    _check(graph, k, MODES["ecsm"].min_k)
     run_k = _multigraph_run_k(k)
-    # feasible: x >= 0 and the graph is connected
-    first = _solve_unbounded_cut_lp(graph, run_k, recheck=_certifying(graph, certify))
+    try:
+        first = _solve_unbounded_cut_lp(graph, run_k, recheck=_certifying(graph, certify))
+    except lpmod.LpInfeasible as exc:
+        raise _below(graph, 1) or _aborted(f"unbounded cut LP infeasible: {exc}",
+                                           Requirement(graph, run_k)) from exc
     picked, trace = _round(graph, run_k, _MULTIGRAPH, None, certify, max_iterations, first)
     return _finish(graph, "ecsm", k, picked, Fraction(k, run_k) * trace.lp0), trace
 
@@ -566,7 +576,7 @@ def md_kecss(graph: Multigraph, k: int, lower: Sequence[int],
     cost at most the LP, and every degree within +-2 of its window."""
     bounds = (list(lower), list(upper))
     _check(graph, k, MODES["md-ecss"].min_k, bounds=bounds)
-    picked, trace = _round(graph, k - k % 2, _DEGREE, bounds, certify, max_iterations)
+    picked, trace = _round(graph, k - k % 2, _MULTIGRAPH, bounds, certify, max_iterations)
     return _finish(graph, "md-ecss", k, picked, trace.lp0, bounds), trace
 
 
@@ -583,9 +593,10 @@ def md_kecsm(graph: Multigraph, k: int, lower: Sequence[int],
     reference LP(k) is then read off its tableau: the same rows with the
     caps b and every cut row at k, re-optimised by the dual simplex and
     the min-cut oracle at k.  The first LP floor-extracts, then the
-    degree-bounded loop finishes at k'.
+    degree-bounded loop finishes at k'.  An infeasible first or reference
+    LP blames the degree windows only on a connected graph.
     """
-    _check(graph, k, MODES["md-ecsm"].min_k, connectivity=1, bounds=(lower, upper))
+    _check(graph, k, MODES["md-ecsm"].min_k, bounds=(lower, upper))
     run_k = _multigraph_run_k(k)
     scaled = (list(lower), [math.ceil(approximation_factor(k) * b) for b in upper])
     try:
@@ -597,8 +608,9 @@ def md_kecsm(graph: Multigraph, k: int, lower: Sequence[int],
         reference = _solve_unbounded_cut_lp(graph, k, (lower, upper),
                                             start=first).optimum.value
     except lpmod.LpInfeasible as exc:
-        raise InfeasibleInstance(f"degree-bounded LP infeasible: {exc}") from exc
-    picked, trace = _round(graph, run_k, _DEGREE, scaled, certify, max_iterations, first)
+        raise _below(graph, 1) or InfeasibleInstance(
+            f"degree-bounded LP infeasible: {exc}") from exc
+    picked, trace = _round(graph, run_k, _MULTIGRAPH, scaled, certify, max_iterations, first)
     return _finish(graph, "md-ecsm", k, picked, reference, (lower, upper)), trace
 
 

@@ -16,10 +16,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import degree_bounds_for
+from conftest import degree_bounds_for, random_cost_hub
 from kecss import rounding
 from kecss.cli import solution_json, trace_jsonl
-from kecss.graphs import complete_graph
+from kecss.graphs import complete_graph, cycle_graph, make_graph
 from kecss.instances import Instance, gen
 
 MODE_NAMES = ("ecss", "ecss15", "ecsm", "md-ecss", "md-ecsm")
@@ -39,7 +39,23 @@ INSTANCES = {
         gen("random", seed=3, n=7, p=0.5, k=4, ensure_connectivity=4), 3),
     "random-s11-n8-k5": lambda: _with_bounds(
         gen("random", seed=11, n=8, p=0.6, k=5, ensure_connectivity=5), 11),
+    # infeasible at the solved k in some or all modes: their digests hash
+    # the exception text
+    "c5-k4": lambda: Instance(cycle_graph(5), 4),
+    "path-k4": lambda: Instance(make_graph(4, [(1, 2, 1), (2, 3, 2), (3, 4, 1)]), 4),
+    "split-k2": lambda: Instance(make_graph(4, [(1, 2, 1), (3, 4, 1)]), 2),
+    "k5-k6": lambda: Instance(complete_graph(5), 6),
 }
+# per-edge-cost hubs: dual-degenerate LPs, where a change of optimal
+# vertex changes the picks; pinned in the subgraph modes
+PER_EDGE_SEEDS = (0, 4, 9)
+for _seed in PER_EDGE_SEEDS:
+    INSTANCES[f"hub-per-edge-s{_seed}"] = lambda seed=_seed: _with_bounds(
+        random_cost_hub(3, seed, per_edge=True), seed)
+MODES_OF = {f"hub-per-edge-s{seed}": ("ecss", "ecss15", "md-ecss") for seed in PER_EDGE_SEEDS}
+# the instances every pinned mode solves
+FEASIBLE = ("prism-k3", "prism-hub-k6", "k5-k4", "random-s3-n7-k4", "random-s11-n8-k5",
+            *(f"hub-per-edge-s{seed}" for seed in PER_EDGE_SEEDS))
 
 
 def _solve(mode: str, inst: Instance, certify: bool):
@@ -167,6 +183,122 @@ GOLDEN = {
         "d7bdca232c5fa21330ebaed0825e65c8cc9c5ff8e1198ea9dc3560bc4775fc89",
     ("random-s11-n8-k5", "md-ecsm", False):
         "d7bdca232c5fa21330ebaed0825e65c8cc9c5ff8e1198ea9dc3560bc4775fc89",
+    ("c5-k4", "ecss", True):
+        "255a1ab03282cf7f9c9b13dc3b143feef751a9e46d266f889630c132230df566",
+    ("c5-k4", "ecss", False):
+        "255a1ab03282cf7f9c9b13dc3b143feef751a9e46d266f889630c132230df566",
+    ("c5-k4", "ecss15", True):
+        "255a1ab03282cf7f9c9b13dc3b143feef751a9e46d266f889630c132230df566",
+    ("c5-k4", "ecss15", False):
+        "255a1ab03282cf7f9c9b13dc3b143feef751a9e46d266f889630c132230df566",
+    ("c5-k4", "ecsm", True):
+        "1ceccda657fe122b5de60551bb4520578ad9c714ba7bfa3a4c9d92425180b3cd",
+    ("c5-k4", "ecsm", False):
+        "1ceccda657fe122b5de60551bb4520578ad9c714ba7bfa3a4c9d92425180b3cd",
+    ("c5-k4", "md-ecss", True):
+        "0ec25ef356bae870329d91ecbc89b91a1f7befc1139bf96a33a33c819f40c704",
+    ("c5-k4", "md-ecss", False):
+        "0ec25ef356bae870329d91ecbc89b91a1f7befc1139bf96a33a33c819f40c704",
+    ("c5-k4", "md-ecsm", True):
+        "6292cd6e29a03f271089fce5f2a02be947a739b9cba0c52531a72d0d6ec6a73e",
+    ("c5-k4", "md-ecsm", False):
+        "6292cd6e29a03f271089fce5f2a02be947a739b9cba0c52531a72d0d6ec6a73e",
+    ("path-k4", "ecss", True):
+        "aee3efca058b5b2ee6ada78b0dec30c328d75a2ed5ca5f071ede10dcf91059f8",
+    ("path-k4", "ecss", False):
+        "aee3efca058b5b2ee6ada78b0dec30c328d75a2ed5ca5f071ede10dcf91059f8",
+    ("path-k4", "ecss15", True):
+        "aee3efca058b5b2ee6ada78b0dec30c328d75a2ed5ca5f071ede10dcf91059f8",
+    ("path-k4", "ecss15", False):
+        "aee3efca058b5b2ee6ada78b0dec30c328d75a2ed5ca5f071ede10dcf91059f8",
+    ("path-k4", "ecsm", True):
+        "ebf0ea3fa1518f742c5f09f0466f06f803f5d6a93a11686c87e04b7694c850bf",
+    ("path-k4", "ecsm", False):
+        "ebf0ea3fa1518f742c5f09f0466f06f803f5d6a93a11686c87e04b7694c850bf",
+    ("path-k4", "md-ecss", True):
+        "46b0bb54bc8caca1fb8aac493a1f26e09d4278098cc90cbe130d74014db02111",
+    ("path-k4", "md-ecss", False):
+        "46b0bb54bc8caca1fb8aac493a1f26e09d4278098cc90cbe130d74014db02111",
+    ("path-k4", "md-ecsm", True):
+        "71997835ef2323877bbc2a208a0fde92e375ffad68fc5ffa66647266cfd81f16",
+    ("path-k4", "md-ecsm", False):
+        "71997835ef2323877bbc2a208a0fde92e375ffad68fc5ffa66647266cfd81f16",
+    ("split-k2", "ecss", True):
+        "6f1adf674ef2c610c7e4f2a3f72734ebb75c8c1ff7bff761f9719e84be0ed7ac",
+    ("split-k2", "ecss", False):
+        "6f1adf674ef2c610c7e4f2a3f72734ebb75c8c1ff7bff761f9719e84be0ed7ac",
+    ("split-k2", "ecss15", True):
+        "3e0a649b3c9725ccc7e027144d5ac8afe203e2337e426378afe839615bcbf0cd",
+    ("split-k2", "ecss15", False):
+        "3e0a649b3c9725ccc7e027144d5ac8afe203e2337e426378afe839615bcbf0cd",
+    ("split-k2", "ecsm", True):
+        "2a7ac1bc6c59cecb63b6f46dd10199850c84b79400cbc27de60d539b135ecbb0",
+    ("split-k2", "ecsm", False):
+        "2a7ac1bc6c59cecb63b6f46dd10199850c84b79400cbc27de60d539b135ecbb0",
+    ("split-k2", "md-ecss", True):
+        "9bb7c030dcc1c8b585b89c3fb231f5c96380f0612052e649aff4a2be5730a024",
+    ("split-k2", "md-ecss", False):
+        "639f3514beeaeb549abcfcced90efdfc2273c63d36fc80c96fa8eb8719d846a0",
+    ("split-k2", "md-ecsm", True):
+        "2a7ac1bc6c59cecb63b6f46dd10199850c84b79400cbc27de60d539b135ecbb0",
+    ("split-k2", "md-ecsm", False):
+        "2a7ac1bc6c59cecb63b6f46dd10199850c84b79400cbc27de60d539b135ecbb0",
+    ("k5-k6", "ecss", True):
+        "ebfe8d8e2e385e42156e5418bdbe59be7bfd87eb927795e70a7bc1a25885130f",
+    ("k5-k6", "ecss", False):
+        "ebfe8d8e2e385e42156e5418bdbe59be7bfd87eb927795e70a7bc1a25885130f",
+    ("k5-k6", "ecss15", True):
+        "ebfe8d8e2e385e42156e5418bdbe59be7bfd87eb927795e70a7bc1a25885130f",
+    ("k5-k6", "ecss15", False):
+        "ebfe8d8e2e385e42156e5418bdbe59be7bfd87eb927795e70a7bc1a25885130f",
+    ("k5-k6", "ecsm", True):
+        "57e4efc368f6e414401ac9cb834a4c6185badf054b4cacdfd6adddc7f096fd38",
+    ("k5-k6", "ecsm", False):
+        "57e4efc368f6e414401ac9cb834a4c6185badf054b4cacdfd6adddc7f096fd38",
+    ("k5-k6", "md-ecss", True):
+        "0ec25ef356bae870329d91ecbc89b91a1f7befc1139bf96a33a33c819f40c704",
+    ("k5-k6", "md-ecss", False):
+        "0ec25ef356bae870329d91ecbc89b91a1f7befc1139bf96a33a33c819f40c704",
+    ("k5-k6", "md-ecsm", True):
+        "5b7210eecbdab59076debac7691c2b618ad60af6688ace892c626477dd5a8d04",
+    ("k5-k6", "md-ecsm", False):
+        "5b7210eecbdab59076debac7691c2b618ad60af6688ace892c626477dd5a8d04",
+    ("hub-per-edge-s0", "ecss", True):
+        "aebecc20d10318d435c6c1a3afcf6dcc4958895eda70ce4a746bc73178f38e7f",
+    ("hub-per-edge-s0", "ecss", False):
+        "5964fb7d1548fb7a7c42417e2cdb344103d1cdcc80e6a97fd0bfcfef2eb6f887",
+    ("hub-per-edge-s0", "ecss15", True):
+        "2b09fc4331ddca67423c085bdb3f9750a8d25cb65b66bd4f35be89609d7676ac",
+    ("hub-per-edge-s0", "ecss15", False):
+        "7c80a659cb21f91936738a3a65a6f3da76711f75223fca34a2c97eb957729264",
+    ("hub-per-edge-s0", "md-ecss", True):
+        "71489d2425ad3e0093da304a9293a8c7f589ce2019d41ac7545837bda6ee84ac",
+    ("hub-per-edge-s0", "md-ecss", False):
+        "33c2d0f40cfe136ab0e5d80b9cb5980760b64b7a7c7c3192665197450ac30872",
+    ("hub-per-edge-s4", "ecss", True):
+        "d663f886c138a63c9211e85de581cbcb1957de7a14ae9bceb1489e883385a366",
+    ("hub-per-edge-s4", "ecss", False):
+        "110c857185aa7fb459df8115ae72cc872698986e03d113a295b3f909c7ef64c4",
+    ("hub-per-edge-s4", "ecss15", True):
+        "15b28b35e2e0ff23a607c308112e71b8d49bc659713b25509bf5bbc2f84136be",
+    ("hub-per-edge-s4", "ecss15", False):
+        "a857840b9ab6cb889098964796203dc0e5f0a975810659eec58bd04256d76c3e",
+    ("hub-per-edge-s4", "md-ecss", True):
+        "d9573e3707c2d98a9f36877b07f5109729bde90c166bdcca056ea2d31a82334b",
+    ("hub-per-edge-s4", "md-ecss", False):
+        "233a25cbb71a58463678f6a09ce99bcf0aad309c972d8b659e01c3c62e8edcc1",
+    ("hub-per-edge-s9", "ecss", True):
+        "5705bc4d2fb62070499fc6a9178c478ae0f4ce2a7528ac3ab1ffbe0e9096788f",
+    ("hub-per-edge-s9", "ecss", False):
+        "f43905dbaef74d2961355e784300a14964a20869eb98fb1f55cb52f84fbb54bd",
+    ("hub-per-edge-s9", "ecss15", True):
+        "db68ac61f8f353744bc5319dd1c2a3103b3270787c225de49199556dda895946",
+    ("hub-per-edge-s9", "ecss15", False):
+        "d2c9a49d824fd04a72680b3498098603b84b082a7ffdb617e2fd1c197063e0da",
+    ("hub-per-edge-s9", "md-ecss", True):
+        "9ebbf9a0c2ee79a9dde6c8429b12db518459d3b96fbe73b0c6ec6bf8da6b503d",
+    ("hub-per-edge-s9", "md-ecss", False):
+        "0ffc515104e0ee166286589d45757194c8c4ec48f902a3336d8703bfd14f9f3c",
 }
 
 
@@ -174,9 +306,23 @@ GOLDEN = {
 def test_golden_outputs(name):
     inst = INSTANCES[name]()
     got = {(name, mode, cert): _digest(mode, inst, cert)
-           for mode in MODE_NAMES for cert in (True, False)}
+           for mode in MODES_OF.get(name, MODE_NAMES) for cert in (True, False)}
     want = {key: value for key, value in GOLDEN.items() if key[0] == name}
     assert got == want
+
+
+def test_feasible_runs_compute_no_edge_connectivity(monkeypatch):
+    # the LP is the feasibility test: only an infeasible first LP has the
+    # graph's edge connectivity computed, so no feasible run computes it
+    def refused(*args):
+        raise AssertionError("a feasible run computed the edge connectivity")
+
+    monkeypatch.setattr(rounding, "edge_connectivity", refused)
+    for name in FEASIBLE:
+        inst = INSTANCES[name]()
+        for mode in MODES_OF.get(name, MODE_NAMES):
+            for cert in (True, False):
+                assert _digest(mode, inst, cert) == GOLDEN[name, mode, cert]
 
 
 # the PAPER.md guarantee table, k = 2..9: (connectivity target, cost factor)

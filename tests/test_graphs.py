@@ -269,8 +269,9 @@ def test_min_cut_matches_reference_on_hub_lp_points(monkeypatch):
 
 def test_min_cut_matches_reference_at_every_call_site(monkeypatch):
     # every kecss module that looks up `min_cut` has each call checked:
-    # graphs (`edge_connectivity`, so `_check`, and `ScaledPoint.min_cut`,
-    # so `active_empty` and the cut the solvers' `verify` reuses),
+    # graphs (`edge_connectivity`, so the reading of an infeasible first
+    # LP, and `ScaledPoint.min_cut`, so `active_empty` and the cut the
+    # solvers' `verify` reuses),
     # separation's probe, rounding's unbounded multigraph LP oracle,
     # certify's `verify`, called here on each solution without the run's
     # point, and the connectivity repair of `instances.gen`.
@@ -314,6 +315,15 @@ def test_min_cut_matches_reference_at_every_call_site(monkeypatch):
         inst = gen("random", seed=seed, n=5 + seed % 4, p=0.5, k=k,
                    ensure_connectivity=k)
         verified(inst.graph, rounding.kecsm(inst.graph, k))
+    # infeasible inputs: an infeasible first LP has one min cut say why
+    split = make_graph(4, [(1, 2, 1), (3, 4, 1)])
+    for solve, graph, k in (
+            (rounding.kecss, cycle_graph(5), 4), (rounding.bicriteria, cycle_graph(5), 4),
+            (rounding.kecss, complete_graph(5), 6), (rounding.bicriteria, complete_graph(5), 6),
+            (rounding.bicriteria, split, 2), (rounding.kecsm, split, 2),
+            (lambda g, k: rounding.md_kecsm(g, k, [0] * 4, [4] * 4), split, 2)):
+        with pytest.raises(rounding.InfeasibleInstance, match="^edge connectivity "):
+            solve(graph, k)
     least = {"kecss.certify": 24, "kecss.graphs": 40, "kecss.instances": 30,
              "kecss.rounding": 30, "kecss.separation": 40}
     assert all(calls[site] >= least[site] for site in sites), calls

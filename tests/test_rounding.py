@@ -8,10 +8,10 @@ import pytest
 from kecss import certify, graphs, rounding, separation
 from kecss import lp as lpmod
 from kecss.certify import CertificationError
-from kecss.cli import EXIT_INFEASIBLE, main
+from kecss.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, main
 from kecss.graphs import (complete_graph, crossing, cuts_below, cycle_graph,
                           edge_connectivity, make_graph, vertices)
-from kecss.instances import Instance, gen
+from kecss.instances import Instance, emit_instance, gen
 from kecss.rounding import (MODES, InfeasibleInstance, _finish,
                             _solve_unbounded_cut_lp, approximation_factor,
                             bicriteria, kecsm, kecss, kecss_even,
@@ -170,21 +170,15 @@ def test_kecsm_reference_scales_from_run_k():
             assert sol.lp_value == _solve_unbounded_cut_lp(g, k).optimum.value
 
 
-def test_kecsm_disconnected(monkeypatch):
-    # both multigraph modes need connectivity 1, which is a reachability
-    # test: the precondition runs no min cut
-    def no_min_cut(*args):
-        raise AssertionError("the connectivity-1 precondition ran a min cut")
-
-    monkeypatch.setattr(graphs, "min_cut", no_min_cut)
+def test_kecsm_disconnected():
+    # both multigraph modes' first LPs need connectivity 1: infeasible on a
+    # disconnected graph, which the one min cut after that verdict shows
     g = make_graph(4, [(1, 2, 1), (3, 4, 1)])
     message = r"^edge connectivity 0 is below 1; the LP is infeasible$"
     with pytest.raises(InfeasibleInstance, match=message):
         kecsm(g, 2)
     with pytest.raises(InfeasibleInstance, match=message):
         md_kecsm(g, 2, [0] * 4, [4] * 4)
-    path = make_graph(4, [(1, 2, 1), (3, 4, 1), (2, 3, 2)])
-    rounding._check(path, 4, 4, even=True, connectivity=1)
 
 
 def test_kecsm_verifies_its_output_once(monkeypatch):
@@ -442,6 +436,46 @@ def test_iteration_cap_dump_holds_the_last_point():
     expected = {str(e): f"{x.numerator}/{x.denominator}"
                 for e, x in trace.iterations[0].point.items()}
     assert json.loads(dump[-1])["point"] == expected
+
+
+def _lp_infeasible_at(monkeypatch, call: int) -> None:
+    """Make the run's `call`-th lazy LP solve report its LP infeasible."""
+    real, calls = rounding._lazy_solve, []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == call:
+            raise lpmod.LpInfeasible("no column can move the slack of row 1 into its bounds")
+        return real(*args)
+
+    monkeypatch.setattr(rounding, "_lazy_solve", failing)
+
+
+@pytest.mark.parametrize("mode, call, first", [
+    # the hub iterates twice: its second residual LP follows a feasible one,
+    # in md-ecss with degree rows too
+    ("ecss", 2, "residual LP infeasible at iteration 2: "),
+    ("md-ecss", 2, "residual LP infeasible at iteration 2: "),
+    # the hub's edge connectivity 6 reaches k = 6, so its first LP is feasible
+    ("ecss", 1, "residual LP infeasible at iteration 1: "),
+    ("ecss15", 1, "residual LP infeasible at iteration 1: "),
+    # the hub is connected, so kecsm's unbounded first LP is feasible
+    ("ecsm", 1, "unbounded cut LP infeasible: ")])
+def test_an_lp_the_theory_makes_feasible_is_a_fault_when_infeasible(
+        monkeypatch, tmp_path, mode, call, first):
+    # an infeasible verdict on an LP the theory makes feasible is an
+    # internal fault with a reproducer dump (exit 5), never "infeasible"
+    inst = gen("prism-hub-k6")
+    _lp_infeasible_at(monkeypatch, call)
+    with pytest.raises(RuntimeError) as err:
+        MODES[mode].run(inst)
+    line, *dump = str(err.value).splitlines()
+    assert line == first + "no column can move the slack of row 1 into its bounds"
+    assert "point" in json.loads(dump[-1])
+    text = tmp_path / "hub.txt"
+    text.write_text(emit_instance(inst))
+    _lp_infeasible_at(monkeypatch, call)
+    assert main(["run", "--mode", mode, "--input", str(text)]) == EXIT_INTERNAL
 
 
 def test_monotone_lp_values_fixture():
@@ -791,17 +825,17 @@ def _counted_min_cut(monkeypatch) -> list[str]:
 
 
 def test_stoer_wagner_runs_per_solve_on_the_g5_hub(monkeypatch):
-    # `_check`'s connectivity, one probe per oracle call, and one stop
-    # test: the first iteration's stop test is answered by a pool side,
-    # and `verify` reads the last stop test's cut (7 and 5 runs before)
+    # one probe per oracle call and one stop test: the first LP decides
+    # feasibility, the first iteration's stop test is answered by a pool
+    # side, and `verify` reads the last stop test's cut
     inst = gen("prism-hub-k6", gadgets=5)
     runs = _counted_min_cut(monkeypatch)
-    for mode, iterations, expected in (("ecss", 2, 5), ("ecss15", 1, 4)):
+    for mode, iterations, expected in (("ecss", 2, 4), ("ecss15", 1, 3)):
         runs.clear()
         sol, trace = MODES[mode].run(inst)
         assert len(trace.iterations) == iterations
         assert len(runs) == expected, (mode, runs)
-        assert runs.count("kecss.graphs") == 2 and "kecss.certify" not in runs
+        assert runs.count("kecss.graphs") == 1 and "kecss.certify" not in runs
         assert sol.connectivity == edge_connectivity(inst.graph, sol.multiplicity)
 
 

@@ -99,8 +99,8 @@ def _writes_out_crossing(node: ast.AST) -> bool:
 
 def test_crossing_test_lives_in_graphs():
     # which edges cross a vertex set is decided in graphs.py (`crossing`,
-    # `ScaledPoint`'s boundary bitsets, `is_connected`), and only
-    # graphs.py reads the endpoint masks
+    # `ScaledPoint`'s boundary bitsets), and only graphs.py reads the
+    # endpoint masks
     chained, ends = [], []
     for path in sorted(Path(kecss.__file__).parent.rglob("*.py")):
         if path.name == "graphs.py":
