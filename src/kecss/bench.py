@@ -5,8 +5,9 @@ the mode's guarantee exactly (rationals) before decimal rendering;
 per-instance failures (unreadable or undecodable files, parse errors, a
 k below the mode's minimum, fewer than 2 vertices, infeasible instances,
 certification failures, and the internal faults that `kecss run` exits 5
-on: simplex pivot limit, lazy-loop row cap, rounding iteration cap) are
-recorded as the row's status and the harness keeps going.
+on: simplex pivot limit, lazy-loop row cap, rounding iteration cap, an
+LP verdict no solver read) are recorded as the row's status and the
+harness keeps going.
 """
 
 from __future__ import annotations
@@ -52,11 +53,11 @@ def bench_row(path: Path, mode: str) -> list[str]:
     start = time.perf_counter()
     try:
         sol, trace = entry.run(inst)
-    except (InfeasibleInstance, LpInfeasible):
+    except InfeasibleInstance:
         return head + [""] * 8 + ["infeasible"]
     except CertificationError as exc:
         return head + [""] * 8 + [f"certification-failure: {_first_line(exc)}"]
-    except RuntimeError as exc:
+    except (RuntimeError, LpInfeasible) as exc:  # an LP verdict no solver read: a fault
         return head + [""] * 8 + [f"aborted: {_first_line(exc)}"]
     seconds = time.perf_counter() - start
     _, factor = entry.guarantee(inst.graph, k)

@@ -16,10 +16,11 @@ in certify mode writes the trace of its re-run of the file's mode),
 3 certification/verification failure, 5 internal fault or abort
 (simplex pivot limit, lazy-loop row cap, rounding iteration cap such as
 `--max-iters`, an "infeasible" verdict on an LP the theory makes
-feasible; each message is followed by a reproducer dump).  Code 4
-is no longer used.  A warning prints as one `warning: ...` line on
-stderr.  `bench` exits 0 once its CSV is written: a run that is
-infeasible, fails certification or aborts is a row whose status says so.
+feasible or one no solver read; each message a solver raised is
+followed by a reproducer dump).  Code 4 is no longer used.  A warning
+prints as one `warning: ...` line on stderr.  `bench` exits 0 once its
+CSV is written: a run that is infeasible, fails certification or aborts
+is a row whose status says so.
 """
 
 from __future__ import annotations
@@ -134,13 +135,13 @@ def _solve(name: str, inst: Instance, args: argparse.Namespace, infeasible_exit:
     try:
         return mode.run(inst, certify=True if args.certify else None,
                         max_iterations=args.max_iters)
-    except (rounding.InfeasibleInstance, LpInfeasible) as exc:
+    except rounding.InfeasibleInstance as exc:
         print(f"{infeasible_says}: {exc}", file=sys.stderr)
         return infeasible_exit
     except certmod.CertificationError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFY
-    except RuntimeError as exc:
+    except (RuntimeError, LpInfeasible) as exc:  # an LP verdict no solver read: a fault
         print(f"aborted: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -1,20 +1,25 @@
 """Iterative LP relaxation for edge-connectivity network design.
 
 One engine runs every procedure: solve the residual cut LP, pick the
-edges at or above a cutoff, drop the sets whose residual falls below a
-threshold, and repeat.  A `_LoopSpec` fixes what differs:
+edges at or above a cutoff, drop the edges at x = 0 and the sets whose
+residual falls below a threshold, and repeat.  The activity threshold
+sets the pick cutoff (`_CUTOFF`), and the next working set is the
+point's fractional support, 0 < x < cutoff:
 
-  exact        threshold 3, pick x=1 edges: (k-2)-edge-connected output
-               at cost at most the first LP value (kecss_even).
-  bicriteria   threshold 2, pick x >= 2/3 edges: (k-1)-edge-connected
-               output at cost at most 1.5 times the LP.
-  multigraph   the caller solves the first LP, the unbounded cut LP,
-               and hands it in; it is floor-extracted, and its
-               fractional remainder is rounded like `exact` (kecsm).
+  threshold 3  pick x = 1: (k-2)-edge-connected output at cost at most
+               the first LP value (kecss, md_kecss; kecsm and md_kecsm
+               at k+2 or k+3).
+  threshold 2  pick x >= 2/3: (k-1)-edge-connected output at cost at
+               most 1.5 times the LP (bicriteria).
 
-Given degree bounds (md_kecss, md_kecsm, both on the multigraph spec),
-degree rows ride along; vertices leave the constrained set once their
-fractional degree (or its complement) is at most 2.
+The multigraph procedures solve the first LP, the unbounded cut LP,
+themselves and hand it in; its integer part is picked and its
+fractional remainder is rounded.  Given degree bounds (md_kecss,
+md_kecsm), degree rows ride along; vertices leave the constrained set
+once their fractional degree (or its complement) is at most 2.
+Dropping the x = 0 edges keeps every guarantee: the last point, less
+its picks, still satisfies the next residual LP, so its value cannot
+rise and the cost ledger holds.
 
 The first LP is the feasibility test.  Without degree rows it is
 feasible exactly when the edge connectivity reaches the k of its cut
@@ -51,7 +56,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import certify as certmod
 from . import lp as lpmod
-from .graphs import Multigraph, ScaledPoint, crossing, edge_connectivity, min_cut, vertices
+from .graphs import Multigraph, ScaledPoint, edge_connectivity, min_cut, vertices
 from .requirements import DegreeState, Requirement
 from .separation import Feasible, Violated, separate_fast
 
@@ -115,9 +120,8 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _check(graph: Multigraph, k: int, min_k: int, *, even: bool = False,
-           bounds: Bounds | None = None) -> None:
-    """The solvers' preconditions: degree bounds, least k and parity, n >= 2."""
+def _check(graph: Multigraph, k: int, min_k: int, *, bounds: Bounds | None = None) -> None:
+    """The solvers' preconditions: degree bounds, least k, n >= 2."""
     if bounds is not None:
         lower, upper = bounds
         if len(lower) != graph.n or len(upper) != graph.n:
@@ -129,8 +133,8 @@ def _check(graph: Multigraph, k: int, min_k: int, *, even: bool = False,
                 raise ValueError(f"vertex {v + 1} has lower bound above upper bound")
             if lower[v] < 0 or upper[v] < 0:
                 raise ValueError(f"vertex {v + 1} has a negative degree bound")
-    if k < min_k or (even and k % 2):
-        raise ValueError(f"k must be {'even and ' if even else ''}at least {min_k}")
+    if k < min_k:
+        raise ValueError(f"k must be at least {min_k}")
     if graph.n < 2:
         raise ValueError("need at least 2 vertices")
 
@@ -172,13 +176,13 @@ def _degree_active(point: ScaledPoint, active: int) -> int:
     """The mask of the vertices of `active` whose degree rows stay
     enforced: fractional degree over the point's fractional support
     edges, or its complement, above 2."""
-    denom, weights = point.denom, point.weights
-    frac = [e for e, _, w in point.edges if w < denom]
+    denom = point.denom
+    frac = ScaledPoint(point.graph, [w % denom for w in point.weights], denom)
     still = 0
     for v in vertices(active):
-        meeting = crossing(point.graph, 1 << (v - 1), frac)
-        fdeg = sum(weights[e] for e in meeting)
-        if fdeg > 2 * denom or (len(meeting) - 2) * denom > fdeg:
+        meeting = frac.boundary_bits(1 << (v - 1))
+        fdeg = frac.mass(meeting)
+        if fdeg > 2 * denom or (meeting.bit_count() - 2) * denom > fdeg:
             still |= 1 << (v - 1)
     return still
 
@@ -279,7 +283,7 @@ def _solve_unbounded_cut_lp(graph: Multigraph, k: int, bounds: Bounds | None = N
 
 
 def _certify_iteration(graph: Multigraph, req: Requirement, point: ScaledPoint,
-                       picked_now: set[int], record: IterationRecord) -> list[int]:
+                       record: IterationRecord) -> list[int]:
     """Per-extreme-point structural checks: laminar basis, token bound,
     and an uncrossing witness for every weakly crossing pair of tight
     sets and their complements.  Returns the basis members for the
@@ -291,9 +295,10 @@ def _certify_iteration(graph: Multigraph, req: Requirement, point: ScaledPoint,
         member = certmod.small_boundary_set(basis, point, req)
         record.small_member = member
         if req.threshold == 3 and member in basis.sets:
-            # its fractional mass is at most 2, so integral picks must
+            # its fractional mass is at most 2, so the x = 1 picks must
             # nearly satisfy this still-active member
-            picked_across = len(crossing(graph, member, picked_now))
+            whole = ScaledPoint(graph, [w // point.denom for w in point.weights], 1)
+            picked_across = whole.cross(member)
             if req.residual(member) - picked_across > 2:
                 raise certmod.CertificationError(
                     f"active member {vertices(member)} not nearly satisfied "
@@ -311,16 +316,8 @@ def _certify_iteration(graph: Multigraph, req: Requirement, point: ScaledPoint,
 
 # -- the engine ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _LoopSpec:
-    threshold: int
-    pick_cutoff: Fraction          # pick x >= cutoff: weight >= ceil(cutoff*denom)
-    keep_zero_edges: bool          # retain x=0 edges in the working set
-
-
-_EXACT = _LoopSpec(3, Fraction(1), True)
-_BICRITERIA = _LoopSpec(2, Fraction(2, 3), False)
-_MULTIGRAPH = _LoopSpec(3, Fraction(1), False)  # also the degree-bounded loops
+# the pick cutoff of each activity threshold: pick x >= cutoff
+_CUTOFF = {3: Fraction(1), 2: Fraction(2, 3)}
 
 
 def _aborted(message: str, req: Requirement,
@@ -338,16 +335,18 @@ def _certifying(graph: Multigraph, certify: bool | None) -> bool:
     return graph.n <= CERTIFY_VERTEX_LIMIT if certify is None else certify
 
 
-def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
+def _round(graph: Multigraph, k: int, threshold: int, bounds: Bounds | None,
            certify: bool | None, max_iterations: int | None,
            first_lp: lpmod.LazyResult | None = None
            ) -> tuple[ScaledPoint, RoundingTrace]:
-    """Shared engine: solve residual LP, pick, drop, iterate.  A
-    floor-first run (the multigraph procedures) hands in its first LP,
-    solved with `recheck` as the run certifies; its integer part is
-    picked before the loop.  The loop stops once no side is active: a
-    side the witness-pool upkeep found active says it is not yet, and
-    only otherwise is the picked multiset cut (`Requirement.active_empty`).
+    """Shared engine: solve residual LP, pick x >= `_CUTOFF[threshold]`,
+    keep the fractional support 0 < x < cutoff as the next working set,
+    drop the sets below `threshold`, iterate.  A floor-first run (the
+    multigraph procedures) hands in its first LP, solved with `recheck`
+    as the run certifies; its integer part is picked before the loop.
+    The loop stops once no side is active: a side the witness-pool upkeep
+    found active says it is not yet, and only otherwise is the picked
+    multiset cut (`Requirement.active_empty`).
     Returns the picked multiset's point, with the last stop test's cut
     cached on it, and the trace.  An LP fault, an "infeasible" verdict
     the theory rules out among them, or the iteration cap raises
@@ -362,15 +361,13 @@ def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
         first = first_lp.optimum
         split = [divmod(num, first.denom) for num in first.nums]
         mult = {e: whole for e, (whole, _) in enumerate(split) if whole}
-        rests = [rest for _, rest in split]
-        working = [e for e, rest in enumerate(rests) if rest]
+        working = [e for e, (_, rest) in enumerate(split) if rest]
+        first_point = ScaledPoint(graph, first.nums, first.denom)
         if degree_active is not None:
-            degree_active = _degree_active(ScaledPoint(graph, rests, first.denom),
-                                           degree_active)
+            degree_active = _degree_active(first_point, degree_active)
         lp0 = trace.lp0 = first.value
         trace.iterations.append(IterationRecord(
-            index=0, lp_value=first.value,
-            lp_point=ScaledPoint(graph, first.nums, first.denom),
+            index=0, lp_value=first.value, lp_point=first_point,
             picked=sorted(mult), frac_support=len(working), dropped_witnesses=[],
             lazy_rounds=first_lp.separation_calls, lp_rows=len(first_lp.rows)))
 
@@ -379,7 +376,6 @@ def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
     # masks: every singleton, every cut returned by the oracle, and
     # every laminar-basis member
     pool: set[int] = {1 << v for v in range(graph.n)}
-    monitor: dict[int, int] = {}
     dropped: set[int] = set()
     cap = len(graph.edges) + (0 if bounds is None else graph.n) + 1
     if max_iterations is not None:
@@ -394,8 +390,9 @@ def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
             state = DegreeState(tuple(lo - d for lo, d in zip(bounds[0], deg)),
                                 tuple(hi - d for hi, d in zip(bounds[1], deg)),
                                 degree_active)
-        return Requirement(graph, k, dict(mult), spec.threshold, state)
+        return Requirement(graph, k, dict(mult), threshold, state)
 
+    cutoff = _CUTOFF[threshold]
     req = requirement()
     known = None  # a side the last witness-pool upkeep found active
     while degree_active or not req.active_empty(known):
@@ -417,14 +414,14 @@ def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
         opt = lazy.optimum
         point = _edge_point(graph, working, opt.nums, opt.denom)
         weights, denom = point.weights, point.denom
-        cut = math.ceil(spec.pick_cutoff * denom)  # x_e >= cutoff iff weight >= cut
+        cut = math.ceil(cutoff * denom)  # x_e >= cutoff iff weight >= cut
         if lp0 is None:
             lp0 = trace.lp0 = opt.value
         # cost ledger at the start of the iteration: each picked edge
         # costs c_e <= c_e * x_e / cutoff, so c(H) + lp / cutoff stays
         # at most lp0 / cutoff
         cost_now = graph.cost_of(mult)
-        factor = 1 / spec.pick_cutoff
+        factor = 1 / cutoff
         if cost_now + factor * opt.value > factor * lp0:
             raise certmod.CertificationError(
                 f"cost ledger violated: c(H)={cost_now} + "
@@ -437,16 +434,11 @@ def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
             dropped_witnesses=[], lazy_rounds=lazy.separation_calls,
             lp_rows=len(lazy.rows))
         if certify_flag:
-            pool.update(_certify_iteration(
-                graph, req, point, {e for e in picked_now if weights[e] == denom},
-                record))
+            pool.update(_certify_iteration(graph, req, point, record))
         # progress: an edge is picked, or (degree mode) a vertex drops out
         for e in picked_now:
             mult[e] = mult.get(e, 0) + 1
-        if spec.keep_zero_edges:
-            working = [e for e in working if e not in picked_now]
-        else:
-            working = [e for e in working if 0 < weights[e] < cut]
+        working = [e for e in working if 0 < weights[e] < cut]
         new_active = (None if degree_active is None
                       else _degree_active(point, degree_active))
         if not picked_now and (degree_active is None or new_active == degree_active):
@@ -461,14 +453,12 @@ def _round(graph: Multigraph, k: int, spec: _LoopSpec, bounds: Bounds | None,
         pool.update(carry)
         known = None
         for side in sorted(pool, key=certmod.size_order):
-            fres_new = new_req.residual(side)
-            if side in monitor and fres_new > monitor[side]:
+            fres, fres_new = req.residual(side), new_req.residual(side)
+            if fres_new > fres:
                 raise certmod.CertificationError(
-                    f"residual of {vertices(side)} increased "
-                    f"{monitor[side]} -> {fres_new}")
-            monitor[side] = fres_new
-            was_active = req.residual(side) >= spec.threshold
-            is_active = fres_new >= spec.threshold
+                    f"residual of {vertices(side)} increased {fres} -> {fres_new}")
+            was_active = fres >= threshold
+            is_active = fres_new >= threshold
             if is_active:
                 known = side
             if side in dropped and is_active:
@@ -506,33 +496,26 @@ def _warn(message: str) -> None:
     warnings.warn(message, stacklevel=level)
 
 
-def kecss_even(graph: Multigraph, k: int, *, certify: bool | None = None,
-               max_iterations: int | None = None) -> tuple[Solution, RoundingTrace]:
-    """(k-2)-edge-connected subgraph of cost at most the cut-LP optimum.
+def kecss(graph: Multigraph, k: int, *, certify: bool | None = None,
+          max_iterations: int | None = None) -> tuple[Solution, RoundingTrace]:
+    """(k-2)-edge-connected subgraph of cost at most the cut-LP optimum
+    for even k; odd k runs at k-1 ((k-3)-connected output).
 
-    k must be even.  k=2 returns the empty subgraph (vacuous guarantee):
+    k < 4 returns the empty subgraph (vacuous guarantee): at k-1 or k = 2
     no cut reaches the activity threshold, so the loop solves no LP.
     """
-    _check(graph, k, MODES["ecss"].min_k, even=True)
-    if k == 2:
-        _warn("k=2: returning the empty subgraph")
-    picked, trace = _round(graph, k, _EXACT, None, certify, max_iterations)
-    return _finish(graph, "ecss", k, picked, trace.lp0), trace
-
-
-def kecss(graph: Multigraph, k: int, **kwargs) -> tuple[Solution, RoundingTrace]:
-    """Even k runs directly; odd k runs with k-1 ((k-3)-connected output)."""
     _check(graph, k, MODES["ecss"].min_k)
-    sol, trace = kecss_even(graph, k - k % 2, **kwargs)
-    sol.k = k
-    return sol, trace
+    if k < 4:
+        _warn("k=2: returning the empty subgraph")
+    picked, trace = _round(graph, k - k % 2, 3, None, certify, max_iterations)
+    return _finish(graph, "ecss", k, picked, trace.lp0), trace
 
 
 def bicriteria(graph: Multigraph, k: int, *, certify: bool | None = None,
                max_iterations: int | None = None) -> tuple[Solution, RoundingTrace]:
     """(k-1)-edge-connected subgraph of cost at most 1.5 times the LP."""
     _check(graph, k, MODES["ecss15"].min_k)
-    picked, trace = _round(graph, k, _BICRITERIA, None, certify, max_iterations)
+    picked, trace = _round(graph, k, 2, None, certify, max_iterations)
     return _finish(graph, "ecss15", k, picked, trace.lp0), trace
 
 
@@ -563,7 +546,7 @@ def kecsm(graph: Multigraph, k: int, *, certify: bool | None = None,
     except lpmod.LpInfeasible as exc:
         raise _below(graph, 1) or _aborted(f"unbounded cut LP infeasible: {exc}",
                                            Requirement(graph, run_k)) from exc
-    picked, trace = _round(graph, run_k, _MULTIGRAPH, None, certify, max_iterations, first)
+    picked, trace = _round(graph, run_k, 3, None, certify, max_iterations, first)
     return _finish(graph, "ecsm", k, picked, Fraction(k, run_k) * trace.lp0), trace
 
 
@@ -576,7 +559,7 @@ def md_kecss(graph: Multigraph, k: int, lower: Sequence[int],
     cost at most the LP, and every degree within +-2 of its window."""
     bounds = (list(lower), list(upper))
     _check(graph, k, MODES["md-ecss"].min_k, bounds=bounds)
-    picked, trace = _round(graph, k - k % 2, _MULTIGRAPH, bounds, certify, max_iterations)
+    picked, trace = _round(graph, k - k % 2, 3, bounds, certify, max_iterations)
     return _finish(graph, "md-ecss", k, picked, trace.lp0, bounds), trace
 
 
@@ -610,7 +593,7 @@ def md_kecsm(graph: Multigraph, k: int, lower: Sequence[int],
     except lpmod.LpInfeasible as exc:
         raise _below(graph, 1) or InfeasibleInstance(
             f"degree-bounded LP infeasible: {exc}") from exc
-    picked, trace = _round(graph, run_k, _MULTIGRAPH, scaled, certify, max_iterations, first)
+    picked, trace = _round(graph, run_k, 3, scaled, certify, max_iterations, first)
     return _finish(graph, "md-ecsm", k, picked, reference, (lower, upper)), trace
 
 

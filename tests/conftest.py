@@ -10,6 +10,15 @@ from kecss.instances import Instance, gen
 
 TIGHT_SCAN_VERTEX_LIMIT = 16
 
+# a 22-edge graph on 10 vertices (u, v, cost) whose floored first
+# multigraph LP leaves an active cut, so kecsm's residual LPs call the
+# separation oracle; perfbench's multigraph-lp probe runs it too
+SPLIT_EDGE_GRAPH = (
+    (4, 7, 4), (7, 9, 10), (9, 10, 6), (2, 10, 7), (1, 2, 6), (1, 6, 6), (5, 6, 4),
+    (3, 5, 1), (3, 8, 10), (4, 8, 4), (1, 7, 5), (4, 9, 7), (1, 4, 9), (8, 10, 5),
+    (6, 7, 3), (2, 5, 6), (6, 10, 2), (2, 8, 6), (6, 9, 10), (4, 6, 4), (2, 3, 6),
+    (2, 6, 3))
+
 
 def mask(vs) -> int:
     """The vertex mask of a literal vertex set: bit v-1 for vertex v."""

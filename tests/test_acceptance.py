@@ -12,7 +12,7 @@ from kecss.instances import gen
 from kecss.lp import common
 from kecss.requirements import Requirement
 from kecss.rounding import (approximation_factor, bicriteria, kecsm,
-                            kecss_even, md_kecsm, md_kecss)
+                            kecss, md_kecsm, md_kecss)
 from kecss.separation import ScaledPoint, Violated, separate_fast
 
 from conftest import ACCEPTANCE_TRACES, degree_bounds_for, mask
@@ -57,7 +57,7 @@ def test_criterion_02_prism_hub_k6_first_extreme_point():
     start = time.time()
     inst = gen("prism-hub-k6")
     g = inst.graph
-    sol, trace = kecss_even(g, 6)
+    sol, trace = kecss(g, 6)
     first = trace.iterations[0]
     thick = sorted(e.id for e in g.edges if e.cost == 0)
     assert first.picked == thick
@@ -82,7 +82,7 @@ def test_criterion_03_exact_cost_suite(corpus50, structured_corpus):
     runs = ACCEPTANCE_TRACES.setdefault("kecss", [])
     for inst in corpus50 + structured_corpus:
         g = inst.graph
-        sol, trace = kecss_even(g, inst.k)
+        sol, trace = kecss(g, inst.k)
         assert sol.connectivity >= inst.k - 2
         assert sol.cost <= trace.lp0  # exact rational comparison
         assert len(trace.iterations) <= g.m
@@ -284,7 +284,7 @@ def test_criterion_10_sandwich(tiny_corpus):
         integer_opt, witness = brute_force_opt(g, 4, "ecss")
         assert edge_connectivity(g, witness) >= 4
         lp_value = full_cut_lp(g, 4, "ecss").value
-        sol, _ = kecss_even(g, 4)
+        sol, _ = kecss(g, 4)
         assert integer_opt >= lp_value >= sol.cost
     _passed("10 (sandwich)", time.time() - start, 300,
             f"{len(tiny_corpus)} instances")

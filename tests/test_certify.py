@@ -14,7 +14,7 @@ from kecss.instances import gen, parse_instance
 from kecss.lp import LpInfeasible
 from kecss.requirements import Requirement
 from kecss.separation import ScaledPoint
-from kecss.rounding import bicriteria, kecss, kecss_even, md_kecss
+from kecss.rounding import bicriteria, kecss, md_kecss
 
 from conftest import degree_bounds_for, mask, random_cost_hub, tight_sets_scan
 from reference import brute_force_opt, full_cut_lp
@@ -490,7 +490,7 @@ def test_sandwich_small():
             continue
         bf, _ = brute_force_opt(inst.graph, 4, "ecss")
         lp_value = full_cut_lp(inst.graph, 4, "ecss").value
-        sol, _ = kecss_even(inst.graph, 4)
+        sol, _ = kecss(inst.graph, 4)
         assert bf >= lp_value >= sol.cost
 
 

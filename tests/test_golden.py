@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import degree_bounds_for, random_cost_hub
+from conftest import degree_bounds_for, prism_hub_edges, random_cost_hub
 from kecss import rounding
 from kecss.cli import solution_json, trace_jsonl
 from kecss.graphs import complete_graph, cycle_graph, make_graph
@@ -31,6 +31,7 @@ def _with_bounds(inst: Instance, seed: int) -> Instance:
                     {v: (lower[v - 1], upper[v - 1]) for v in range(1, inst.graph.n + 1)})
 
 
+COSTLY_RUNG = [(2, 3, 100)] + prism_hub_edges(3, 1, 2)
 INSTANCES = {
     "prism-k3": lambda: gen("prism-k3"),
     "prism-hub-k6": lambda: gen("prism-hub-k6"),
@@ -45,6 +46,9 @@ INSTANCES = {
     "path-k4": lambda: Instance(make_graph(4, [(1, 2, 1), (2, 3, 2), (3, 4, 1)]), 4),
     "split-k2": lambda: Instance(make_graph(4, [(1, 2, 1), (3, 4, 1)]), 2),
     "k5-k6": lambda: Instance(complete_graph(5), 6),
+    # an expensive parallel rung: ecss iterates, and its first point puts
+    # that edge at x = 0
+    "hub-costly-rung": lambda: _with_bounds(Instance(make_graph(10, COSTLY_RUNG), 6), 0),
 }
 # per-edge-cost hubs: dual-degenerate LPs, where a change of optimal
 # vertex changes the picks; pinned in the subgraph modes
@@ -55,7 +59,7 @@ for _seed in PER_EDGE_SEEDS:
 MODES_OF = {f"hub-per-edge-s{seed}": ("ecss", "ecss15", "md-ecss") for seed in PER_EDGE_SEEDS}
 # the instances every pinned mode solves
 FEASIBLE = ("prism-k3", "prism-hub-k6", "k5-k4", "random-s3-n7-k4", "random-s11-n8-k5",
-            *(f"hub-per-edge-s{seed}" for seed in PER_EDGE_SEEDS))
+            "hub-costly-rung", *(f"hub-per-edge-s{seed}" for seed in PER_EDGE_SEEDS))
 
 
 def _solve(mode: str, inst: Instance, certify: bool):
@@ -263,6 +267,26 @@ GOLDEN = {
         "5b7210eecbdab59076debac7691c2b618ad60af6688ace892c626477dd5a8d04",
     ("k5-k6", "md-ecsm", False):
         "5b7210eecbdab59076debac7691c2b618ad60af6688ace892c626477dd5a8d04",
+    ("hub-costly-rung", "ecss", True):
+        "fbd600a3fd6fdf92921de1fa1346d39808a65f22187728872113c821a9c44563",
+    ("hub-costly-rung", "ecss", False):
+        "37af3560fa1f29ab0a69e76292f883bcd7e7fe1b0b7671279d0377f900a14764",
+    ("hub-costly-rung", "ecss15", True):
+        "6a349635d72dc86c6f48138db6350a3ab6d044d61d397293b0fb5e18025de9df",
+    ("hub-costly-rung", "ecss15", False):
+        "9a8bf34a484ced84a860aaa7eed1745afa007ca2d7ef11ef3e9814bd9eb2d549",
+    ("hub-costly-rung", "ecsm", True):
+        "7b86d14fea7b6d163c51c1e71eb9c630ced4fa11cca0379bebfca889f95dfcbd",
+    ("hub-costly-rung", "ecsm", False):
+        "7b86d14fea7b6d163c51c1e71eb9c630ced4fa11cca0379bebfca889f95dfcbd",
+    ("hub-costly-rung", "md-ecss", True):
+        "c4118900e13511db9db30f0df1d524724520f0b798b0e5c2556e5c0ff8ad802f",
+    ("hub-costly-rung", "md-ecss", False):
+        "22c0d4a21f954f8f931bb2f8aa50aeb5bcf156762d34e8fea2ce9109a67acd45",
+    ("hub-costly-rung", "md-ecsm", True):
+        "71297dfc673e4f41e8008f9f2cfcc56808ec5e98cf3694a45710d4a29d4b4c61",
+    ("hub-costly-rung", "md-ecsm", False):
+        "71297dfc673e4f41e8008f9f2cfcc56808ec5e98cf3694a45710d4a29d4b4c61",
     ("hub-per-edge-s0", "ecss", True):
         "aebecc20d10318d435c6c1a3afcf6dcc4958895eda70ce4a746bc73178f38e7f",
     ("hub-per-edge-s0", "ecss", False):
@@ -323,6 +347,29 @@ def test_feasible_runs_compute_no_edge_connectivity(monkeypatch):
         for mode in MODES_OF.get(name, MODE_NAMES):
             for cert in (True, False):
                 assert _digest(mode, inst, cert) == GOLDEN[name, mode, cert]
+
+
+def test_each_working_set_is_the_last_points_fractional_support(monkeypatch):
+    # ecss on the costly-rung hub iterates, and its first point puts the
+    # rung at x = 0: the second LP runs over the 9 fractional edges only,
+    # and the run keeps its bytes
+    solve_residual = rounding._solve_residual
+    working_sets = []
+
+    def spied(graph, req, working, carry, recheck):
+        working_sets.append(list(working))
+        return solve_residual(graph, req, working, carry, recheck)
+
+    monkeypatch.setattr(rounding, "_solve_residual", spied)
+    inst = INSTANCES["hub-costly-rung"]()
+    assert _digest("ecss", inst, False) == GOLDEN["hub-costly-rung", "ecss", False]
+    working_sets.clear()
+    _, trace = rounding.kecss(inst.graph, inst.k, certify=False)
+    first, second = working_sets
+    assert first == list(range(inst.graph.m))
+    assert inst.graph.edges[0].cost == 100 and trace.iterations[0].point.get(0, 0) == 0
+    support = sorted(e for e, x in trace.iterations[0].point.items() if 0 < x < 1)
+    assert second == support and len(second) == 9
 
 
 # the PAPER.md guarantee table, k = 2..9: (connectivity target, cost factor)

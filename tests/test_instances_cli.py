@@ -14,7 +14,7 @@ from kecss.graphs import edge_connectivity, make_graph
 from kecss.instances import (MAX_EDGES, MAX_K, MAX_VALUE, MAX_VERTICES,
                              Instance, ParseError, emit_instance, gen,
                              parse_instance)
-from kecss.rounding import MODES
+from kecss.rounding import MODES, Mode
 from test_golden import FEASIBLE, INSTANCES, MODE_NAMES, MODES_OF
 
 
@@ -852,3 +852,25 @@ def test_cli_certify_holds_subgraph_modes_to_multiplicities_0_1(tmp_path: Path, 
         "certify: edge 0 has multiplicity 2 in subgraph mode"])
     assert _certify_file(capsys, inst_path, dict(doubled, mode="ecsm")) == (
         0, "certified ok\n", [])
+
+
+def test_a_bare_lp_infeasible_is_an_internal_fault(tmp_path: Path, monkeypatch, capsys):
+    # every solver reads its LP's "infeasible" verdict itself, so one that
+    # reaches `run` or `bench` unread is a fault: exit 5 and an aborted row
+    verdict = "no column can move the slack of row 1 into its bounds"
+
+    def leaked(self, inst, **options):
+        raise lp.LpInfeasible(verdict)
+
+    monkeypatch.setattr(Mode, "run", leaked)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "k5.txt").write_text(emit_instance(gen("complete", n=5, k=4)))
+    assert main(["run", "--mode", "ecss", "--input", str(corpus / "k5.txt")]) == 5
+    assert capsys.readouterr().err == f"aborted: {verdict}\n"
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--dir", str(corpus), "--out", str(out),
+                 "--modes", "ecss,md-ecsm"]) == 0
+    with out.open(newline="") as f:
+        rows = list(csv.reader(f))
+    assert [row[-1] for row in rows[1:]] == [f"aborted: {verdict}"] * 2

@@ -14,13 +14,12 @@ from kecss.graphs import (complete_graph, crossing, cuts_below, cycle_graph,
 from kecss.instances import Instance, emit_instance, gen
 from kecss.rounding import (MODES, InfeasibleInstance, _finish,
                             _solve_unbounded_cut_lp, approximation_factor,
-                            bicriteria, kecsm, kecss, kecss_even,
-                            md_kecsm, md_kecss)
+                            bicriteria, kecsm, kecss, md_kecsm, md_kecss)
 from kecss.requirements import Requirement
 from kecss.separation import ScaledPoint, Violated, separate_fast
 
-from conftest import (degree_bounds_for, hub_cost_variant, mask, prism_hub_edges,
-                      random_cost_hub, random_feasible)
+from conftest import (SPLIT_EDGE_GRAPH, degree_bounds_for, hub_cost_variant, mask,
+                      prism_hub_edges, random_cost_hub, random_feasible)
 from reference import full_cut_lp, separate_exact, violated_cuts_exact
 
 
@@ -34,7 +33,7 @@ def degrees(graph, mult):
 
 def test_kecss_k5():
     g = complete_graph(5)
-    sol, trace = kecss_even(g, 4)
+    sol, trace = kecss(g, 4)
     assert sol.cost == 10 == trace.lp0
     assert sol.connectivity == 4
     assert set(sol.multiplicity) == set(range(10))
@@ -43,19 +42,19 @@ def test_kecss_k5():
 
 def test_kecss_infeasible_cycle():
     with pytest.raises(InfeasibleInstance):
-        kecss_even(cycle_graph(5), 4)
+        kecss(cycle_graph(5), 4)
 
 
 def test_kecss_k2_returns_empty_with_warning():
     g = complete_graph(4)
     with pytest.warns(UserWarning):
-        sol, trace = kecss_even(g, 2)
+        sol, trace = kecss(g, 2)
     assert sol.multiplicity == {} and sol.cost == 0
     # the loop never solves an LP at k=2, so even a tree gets the
     # vacuously 0-connected empty answer rather than an infeasibility error
     tree = make_graph(3, [(1, 2, 1), (2, 3, 1)])
     with pytest.warns(UserWarning):
-        sol, _ = kecss_even(tree, 2)
+        sol, _ = kecss(tree, 2)
     assert sol.multiplicity == {}
 
 
@@ -66,7 +65,7 @@ def test_kecss_odd_k_dispatch():
     assert sol.connectivity >= 2  # (k-3)-connected guarantee
     assert sol.cost <= trace.lp0
     even_sol, _ = kecss(g, 4)
-    assert even_sol.cost == kecss_even(g, 4)[0].cost
+    assert even_sol.cost == kecss(g, 4)[0].cost
 
 
 def test_kecss_k7_runs_at_6():
@@ -79,15 +78,13 @@ def test_kecss_k7_runs_at_6():
 def test_kecss_rejects_bad_k():
     g = complete_graph(5)
     with pytest.raises(ValueError):
-        kecss_even(g, 5)
-    with pytest.raises(ValueError):
         kecss(g, 1)
 
 
 def test_hub_fixture_first_iteration():
     inst = gen("prism-hub-k6")
     g = inst.graph
-    sol, trace = kecss_even(g, 6)
+    sol, trace = kecss(g, 6)
     thick = sorted(e.id for e in g.edges if e.cost == 0)
     assert trace.iterations[0].picked == thick
     assert trace.iterations[0].frac_support == 9
@@ -382,7 +379,7 @@ def test_progress_and_ledger_on_random_instances():
     rng = random.Random(77)
     for i in range(6):
         inst = random_feasible(800 + i, 6 + i % 3, 4)
-        sol, trace = kecss_even(inst.graph, 4)
+        sol, trace = kecss(inst.graph, 4)
         assert len(trace.iterations) <= inst.graph.m
         for rec in trace.iterations:
             assert rec.picked  # an edge multiplicity increases every time
@@ -408,15 +405,15 @@ def test_bicriteria_ledger_on_random_instances():
         assert cost == sol.cost
 
 
-def test_no_progress_dump_holds_the_iterations_point():
+def test_no_progress_dump_holds_the_iterations_point(monkeypatch):
     # a loop that picks nothing stops after its first LP; the dump must hold
     # that LP's point, although the working set has already dropped the
     # x = 0 edge that comes first by id (an expensive parallel rung)
     edges = [(2, 3, 100)] + prism_hub_edges(3, 1, 2)
     graph = make_graph(10, edges)
-    stuck = rounding._LoopSpec(3, Fraction(2), False)
+    monkeypatch.setitem(rounding._CUTOFF, 3, Fraction(2))
     with pytest.raises(CertificationError, match="no progress") as err:
-        rounding._round(graph, 6, stuck, None, False, None)
+        rounding._round(graph, 6, 3, None, False, None)
     point = json.loads(err.value.dump.splitlines()[-1])["point"]
     # the hub's unique LP optimum: 1 on cost 0, 1/2 on cost 1, 3/4 on cost 2
     expected = {str(e.id): ("1/1", "1/2", "3/4")[int(e.cost)]
@@ -428,9 +425,9 @@ def test_iteration_cap_dump_holds_the_last_point():
     # the hub iterates twice; capped at one iteration, the abort's first
     # line is the state line and its dump holds the first iteration's point
     graph = gen("prism-hub-k6").graph
-    _, trace = kecss_even(graph, 6)
+    _, trace = kecss(graph, 6)
     with pytest.raises(RuntimeError) as err:
-        kecss_even(graph, 6, max_iterations=1)
+        kecss(graph, 6, max_iterations=1)
     first, *dump = str(err.value).splitlines()
     assert first.startswith("rounding exceeded 1 iterations; state: ")
     expected = {str(e): f"{x.numerator}/{x.denominator}"
@@ -479,7 +476,7 @@ def test_an_lp_the_theory_makes_feasible_is_a_fault_when_infeasible(
 
 
 def test_monotone_lp_values_fixture():
-    sol, trace = kecss_even(hub_cost_variant(3, 5).graph, 6)
+    sol, trace = kecss(hub_cost_variant(3, 5).graph, 6)
     values = [rec.lp_value for rec in trace.iterations]
     assert values == sorted(values, reverse=True)
     assert len(trace.iterations) >= 2  # the fixture needs several rounds
@@ -538,7 +535,14 @@ def test_separate_fast_matches_reference_at_every_oracle_call(monkeypatch):
         kecss(inst.graph, 4)
         bicriteria(inst.graph, 4)
         kecsm(inst.graph, 4)
-    # kecsm makes no calls here: no cut is active after it floors its first LP
+    # kecsm makes no calls above: no cut is active after it floors its
+    # first LP; on the split-edge graph one is, and its residual LPs call
+    # the oracle 3 times at k = 1 and 3 more at k = 2 (both round at 4)
+    split = make_graph(10, SPLIT_EDGE_GRAPH)
+    before = len(calls)
+    kecsm(split, 1)
+    kecsm(split, 2)
+    assert len(calls) - before >= 6
     for x, req, verdict, _ in calls:
         expected = separate_exact(x, req)
         assert type(verdict) is type(expected)
@@ -551,7 +555,7 @@ def test_separate_fast_matches_reference_at_every_oracle_call(monkeypatch):
                 assert cut.capacity == sum(x.get(e, 0) + req.picked.get(e, 0)
                                            for e in across)
     violated = sum(isinstance(v, Violated) for _, _, v, _ in calls)
-    assert len(calls) >= 111 and violated >= 69
+    assert len(calls) >= 187 and violated >= 76
 
 
 def test_separate_fast_returns_every_violated_cut_at_every_oracle_call(monkeypatch):
@@ -589,7 +593,7 @@ def test_separate_fast_returns_every_violated_cut_at_every_oracle_call(monkeypat
 def test_lp0_matches_materialized_lp():
     for i in range(3):
         inst = random_feasible(950 + i, 6, 4, p=0.75)
-        _, trace = kecss_even(inst.graph, 4)
+        _, trace = kecss(inst.graph, 4)
         assert trace.lp0 == full_cut_lp(inst.graph, 4, "ecss").value
 
 
@@ -682,7 +686,7 @@ def test_finish_holds_unit_cost_ecss15_to_four_thirds_k():
 
 def test_two_vertex_parallel_edges_all_modes():
     g = make_graph(2, [(1, 2, c) for c in (1, 2, 3, 4, 5)])
-    sol, trace = kecss_even(g, 4)
+    sol, trace = kecss(g, 4)
     assert sol.cost == 1 + 2 + 3 + 4 == trace.lp0  # cheapest four of five
     sol, _ = bicriteria(g, 4)
     assert sol.connectivity >= 3
@@ -887,7 +891,7 @@ def test_active_empty_checks_the_side_it_is_told():
 
 def test_k2_warning_names_the_callers_line():
     g = complete_graph(4)
-    for solve, k in ((kecss, 3), (kecss_even, 2), (MODES["ecss"].run, None)):
+    for solve, k in ((kecss, 3), (kecss, 2), (MODES["ecss"].run, None)):
         with pytest.warns(UserWarning, match="empty subgraph") as caught:
             if k is None:
                 solve(Instance(g, 3))

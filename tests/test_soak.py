@@ -4,7 +4,7 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-from kecss import approximation_factor, bicriteria, kecsm, kecss_even, md_kecss
+from kecss import approximation_factor, bicriteria, kecsm, kecss, md_kecss
 from kecss.graphs import make_graph, min_cut, vertices
 
 from reference import full_cut_lp
@@ -38,7 +38,7 @@ def test_all_modes_on_random_multigraphs():
         n = rng.randint(5, 8)
         k = rng.choice([4, 6])
         g = random_multigraph(rng, n, k)
-        sol, trace = kecss_even(g, k)
+        sol, trace = kecss(g, k)
         assert sol.cost <= trace.lp0 and sol.connectivity >= k - 2
         sol, trace = bicriteria(g, k)
         assert sol.cost <= Fraction(3, 2) * trace.lp0
@@ -73,7 +73,7 @@ def test_concurrent_solves_are_independent():
     # solvers share no mutable state: concurrent runs on distinct inputs
     # give the same answers as sequential ones
     graphs = [random_multigraph(random.Random(s), 6, 4) for s in range(4)]
-    sequential = [kecss_even(g, 4)[0].cost for g in graphs]
+    sequential = [kecss(g, 4)[0].cost for g in graphs]
     with ThreadPoolExecutor(max_workers=4) as pool:
-        concurrent = list(pool.map(lambda g: kecss_even(g, 4)[0].cost, graphs))
+        concurrent = list(pool.map(lambda g: kecss(g, 4)[0].cost, graphs))
     assert sequential == concurrent
