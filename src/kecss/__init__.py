@@ -11,7 +11,7 @@ from .graphs import (Edge, Multigraph, complete_graph, crossing, cuts_below, cyc
 from .lp import (BasicOptimum, LpInfeasible, LpInstance, LpRow, LpUnbounded,
                  instance, row, solve, solve_lazy)
 from .requirements import DegreeState, Requirement
-from .separation import (Cut, Feasible, ScaledPoint, SeparationVerdict, Violated,
+from .separation import (Feasible, ScaledPoint, SeparationVerdict, Violated,
                          mixed_capacities, separate_fast)
 from .certify import (CertificationError, LaminarBasis, UncrossWitness, VerifyReport,
                       extract_laminar, small_boundary_set, tight_sets,

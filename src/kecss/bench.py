@@ -47,7 +47,7 @@ def bench_row(path: Path, mode: str) -> list[str]:
     n, m, k = inst.graph.n, inst.graph.m, inst.k
     head = [name, mode, str(n), str(m), str(k)]
     entry = MODES[mode]
-    refusal = entry.refusal(inst)
+    refusal = entry.refusal(inst.graph, inst.k)
     if refusal is not None:
         return head + [""] * 8 + [refusal]
     start = time.perf_counter()

@@ -128,7 +128,7 @@ def _solve(name: str, inst: Instance, args: argparse.Namespace, infeasible_exit:
     """Run mode `name` on `inst`; a refusal, an infeasible instance, a
     certification failure or an abort is reported and its exit code returned."""
     mode = MODES[name]
-    refusal = mode.refusal(inst)
+    refusal = mode.refusal(inst.graph, inst.k)
     if refusal is not None:
         print(f"{refusal} (mode {name}, n={inst.graph.n}, k={inst.k})", file=sys.stderr)
         return EXIT_PARSE

@@ -48,10 +48,6 @@ class Requirement:
             weights[e] = mult
         object.__setattr__(self, "picked_point", ScaledPoint(self.graph, weights, 1))
 
-    def picked_crossing(self, mask: int) -> int:
-        """The picked multiplicity crossing the vertex mask."""
-        return self.picked_point.cross(mask)
-
     def residual(self, mask: int) -> int:
         """k minus the picked multiplicity crossing the cut (may be
         negative); 0 for the empty and the full set."""

@@ -120,8 +120,9 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _check(graph: Multigraph, k: int, min_k: int, *, bounds: Bounds | None = None) -> None:
-    """The solvers' preconditions: degree bounds, least k, n >= 2."""
+def _check(graph: Multigraph, k: int, name: str, *, bounds: Bounds | None = None) -> None:
+    """The solvers' preconditions: degree bounds, then mode `name`'s
+    refusal (least k, n >= 2)."""
     if bounds is not None:
         lower, upper = bounds
         if len(lower) != graph.n or len(upper) != graph.n:
@@ -133,10 +134,9 @@ def _check(graph: Multigraph, k: int, min_k: int, *, bounds: Bounds | None = Non
                 raise ValueError(f"vertex {v + 1} has lower bound above upper bound")
             if lower[v] < 0 or upper[v] < 0:
                 raise ValueError(f"vertex {v + 1} has a negative degree bound")
-    if k < min_k:
-        raise ValueError(f"k must be at least {min_k}")
-    if graph.n < 2:
-        raise ValueError("need at least 2 vertices")
+    refusal = MODES[name].refusal(graph, k)
+    if refusal is not None:
+        raise ValueError(refusal)
 
 
 def _below(graph: Multigraph, need: int) -> InfeasibleInstance | None:
@@ -244,8 +244,9 @@ def _solve_residual(graph: Multigraph, req: Requirement, working: list[int],
             return []
         if not isinstance(verdict, Violated):
             raise RuntimeError(f"separation returned {verdict!r}")
-        carry.update(cut.side for cut in verdict.cuts)
-        return [_cut_row(ones, cut.side, cut.requirement) for cut in verdict.cuts]
+        carry.update(verdict.sides)
+        # solve_lazy checks in integers that the point violates each row
+        return [_cut_row(ones, side, req.residual(side)) for side in verdict.sides]
 
     costs = [graph.edges[e].cost for e in working]
     lower = [1 if state is None and c == 0 else 0 for c in costs]
@@ -504,7 +505,7 @@ def kecss(graph: Multigraph, k: int, *, certify: bool | None = None,
     k < 4 returns the empty subgraph (vacuous guarantee): at k-1 or k = 2
     no cut reaches the activity threshold, so the loop solves no LP.
     """
-    _check(graph, k, MODES["ecss"].min_k)
+    _check(graph, k, "ecss")
     if k < 4:
         _warn("k=2: returning the empty subgraph")
     picked, trace = _round(graph, k - k % 2, 3, None, certify, max_iterations)
@@ -514,7 +515,7 @@ def kecss(graph: Multigraph, k: int, *, certify: bool | None = None,
 def bicriteria(graph: Multigraph, k: int, *, certify: bool | None = None,
                max_iterations: int | None = None) -> tuple[Solution, RoundingTrace]:
     """(k-1)-edge-connected subgraph of cost at most 1.5 times the LP."""
-    _check(graph, k, MODES["ecss15"].min_k)
+    _check(graph, k, "ecss15")
     picked, trace = _round(graph, k, 2, None, certify, max_iterations)
     return _finish(graph, "ecss15", k, picked, trace.lp0), trace
 
@@ -539,7 +540,7 @@ def kecsm(graph: Multigraph, k: int, *, certify: bool | None = None,
     gives a (k'-2)-connected output of cost at most LP(k') = rho_k * LP(k)
     (that LP is homogeneous in k).  Its first LP is feasible exactly when
     the graph is connected."""
-    _check(graph, k, MODES["ecsm"].min_k)
+    _check(graph, k, "ecsm")
     run_k = _multigraph_run_k(k)
     try:
         first = _solve_unbounded_cut_lp(graph, run_k, recheck=_certifying(graph, certify))
@@ -558,7 +559,7 @@ def md_kecss(graph: Multigraph, k: int, lower: Sequence[int],
     """Degree-bounded subgraph: (k-2)-connected for even k ((k-3) for odd),
     cost at most the LP, and every degree within +-2 of its window."""
     bounds = (list(lower), list(upper))
-    _check(graph, k, MODES["md-ecss"].min_k, bounds=bounds)
+    _check(graph, k, "md-ecss", bounds=bounds)
     picked, trace = _round(graph, k - k % 2, 3, bounds, certify, max_iterations)
     return _finish(graph, "md-ecss", k, picked, trace.lp0, bounds), trace
 
@@ -579,7 +580,7 @@ def md_kecsm(graph: Multigraph, k: int, lower: Sequence[int],
     degree-bounded loop finishes at k'.  An infeasible first or reference
     LP blames the degree windows only on a connected graph.
     """
-    _check(graph, k, MODES["md-ecsm"].min_k, bounds=(lower, upper))
+    _check(graph, k, "md-ecsm", bounds=(lower, upper))
     run_k = _multigraph_run_k(k)
     scaled = (list(lower), [math.ceil(approximation_factor(k) * b) for b in upper])
     try:
@@ -610,12 +611,13 @@ class Mode:
     guarantee: Callable[[Multigraph, int], tuple[int, Fraction]]
     degree_bounded: bool = False
 
-    def refusal(self, inst: Instance) -> str | None:
-        """Why this mode does not take `inst` (a k below its least k, or
-        fewer than 2 vertices), as a bench status; None when it does."""
-        if inst.k < self.min_k:
+    def refusal(self, graph: Multigraph, k: int) -> str | None:
+        """Why this mode does not take `graph` at `k` (a k below its least
+        k, or fewer than 2 vertices), as a bench status and the solvers'
+        ValueError; None when it does."""
+        if k < self.min_k:
             return f"invalid-k: needs k >= {self.min_k}"
-        if inst.graph.n < 2:
+        if graph.n < 2:
             return "invalid-n: needs at least 2 vertices"
         return None
 

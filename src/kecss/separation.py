@@ -13,8 +13,10 @@ lists them with polynomial delay at any n.  A side is active exactly
 when its picked crossing is at most k - threshold, so `cuts_below` is
 given that side constraint and lists only the active ones; the
 activity filter stays as a check.  Every side it lists is violated, and
-the verdict reports all of them, so one lazy round can add a row for
-each.
+the verdict names all of them, so one lazy round can add a row for
+each.  A verdict carries sides only: the caller builds each side's row
+at its residual, and `lp.solve_lazy` checks in integers that the point
+violates every row it is handed, the one violation check.
 
 The point is a `graphs.ScaledPoint`, also named here: x over edge ids
 as nonnegative integers over one positive denominator, the one form in
@@ -44,30 +46,14 @@ class Feasible:
 
 
 @dataclass(frozen=True)
-class Cut:
-    side: int           # canonical side: a vertex mask without vertex 1
-    capacity: Fraction  # mixed capacity of the cut
-    requirement: int    # residual requirement of the side
-    lhs: Fraction       # x-mass of working edges across the cut
-
-    def __post_init__(self):
-        # mixed capacity below k exactly when the x-mass is below the residual
-        if self.lhs >= self.requirement:
-            raise ValueError(f"cut {vertices(self.side)} is not violated: x-mass "
-                             f"{self.lhs} >= residual {self.requirement}")
-
-
-@dataclass(frozen=True)
 class Violated:
-    cuts: tuple[Cut, ...]  # distinct violated cuts, cheapest first
+    sides: tuple[int, ...]  # distinct violated active sides, cheapest first
 
     def __post_init__(self):
-        if not self.cuts:
-            raise ValueError("a violated verdict needs at least one cut")
-        keys = [(c.capacity, vertices(c.side)) for c in self.cuts]
-        if any(a >= b for a, b in zip(keys, keys[1:])):
-            raise ValueError("cuts must be distinct and ordered by "
-                             "(capacity, side)")
+        if not self.sides:
+            raise ValueError("a violated verdict needs at least one side")
+        if len(set(self.sides)) != len(self.sides):
+            raise ValueError("violated sides must be distinct")
 
 
 SeparationVerdict = Feasible | Violated
@@ -99,14 +85,10 @@ def _check_fast_preconditions(req: Requirement) -> None:
             raise ValueError("threshold 2 needs k >= 2")
 
 
-def _cut(req: Requirement, side: int, capacity: Fraction) -> Cut:
-    return Cut(side, capacity, req.residual(side), capacity - req.picked_crossing(side))
-
-
 def separate_fast(point: ScaledPoint, req: Requirement) -> SeparationVerdict:
     """Min-cut probe plus near-minimum-cut enumeration at the point.
 
-    Returns Feasible, or Violated with the violated active cuts found,
+    Returns Feasible, or Violated with the violated active sides found,
     ordered by mixed capacity and then lexicographically by the canonical
     side's sorted vertices.  A min cut below the window is reported
     alone; otherwise the verdict holds every active side of capacity
@@ -123,7 +105,7 @@ def separate_fast(point: ScaledPoint, req: Requirement) -> SeparationVerdict:
         if not req.in_active_family(side):
             raise RuntimeError(f"min cut {vertices(side)} of capacity "
                                f"{Fraction(value, denom)} below {window} is not active")
-        return Violated((_cut(req, side, Fraction(value, denom)),))
+        return Violated((side,))
     if value >= req.k * denom:
         return Feasible()
     mixed = ScaledPoint(req.graph, weights, denom)
@@ -135,5 +117,5 @@ def separate_fast(point: ScaledPoint, req: Requirement) -> SeparationVerdict:
         return Feasible()
     # candidates come sorted by side, so the stable sort breaks ties by side
     found.sort(key=lambda pair: pair[0])
-    return Violated(tuple(_cut(req, s, Fraction(w, denom)) for w, s in found))
+    return Violated(tuple(s for _, s in found))
 

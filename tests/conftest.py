@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from kecss import lp
-from kecss.graphs import make_graph, vertices
+from kecss.graphs import ScaledPoint, make_graph, vertices
 from kecss.instances import Instance, gen
 
 TIGHT_SCAN_VERTEX_LIMIT = 16
@@ -23,6 +23,15 @@ SPLIT_EDGE_GRAPH = (
 def mask(vs) -> int:
     """The vertex mask of a literal vertex set: bit v-1 for vertex v."""
     return sum(1 << (v - 1) for v in set(vs))
+
+
+def cut_at(x, req, side: int) -> tuple[Fraction, Fraction]:
+    """(mixed capacity, x-mass) of the cut `side` at x (Fractions by edge
+    id), read with `ScaledPoint.cross`: the x-mass crossing it plus the
+    picked multiplicity crossing it, and the x-mass alone."""
+    point = ScaledPoint.of(req.graph, x)
+    mass = Fraction(point.cross(side), point.denom)
+    return mass + req.picked_point.cross(side), mass
 
 
 def size_order(side: int) -> tuple[int, list[int]]:

@@ -6,8 +6,9 @@ them is on a solver's path: the solvers separate with
 `kecss.separation.separate_fast` and certify with `kecss.certify`.
 
 - `violated_cuts_exact`: every violated active cut by a scan of all
-  2^(n-1) cut sides, cheapest first, and `separate_exact`, the residual
-  separation oracle that reports the first of them (n <= 20).
+  2^(n-1) cut sides, as (mixed capacity, side) pairs, cheapest first,
+  and `separate_exact`, the residual separation oracle that reports the
+  side of the first of them (n <= 20).
 - `brute_force_opt`: the integer optimum of k-ECSS or k-ECSM by
   enumeration (|E| <= 18 or 10).
 - `full_cut_lp`: the cut LP with one row per partition, solved directly
@@ -29,8 +30,8 @@ from kecss import lp as lpmod
 from kecss.graphs import Multigraph, vertices
 from kecss.lp import LpInfeasible
 from kecss.requirements import Requirement
-from kecss.separation import (Cut, Feasible, ScaledPoint, SeparationVerdict, Violated,
-                              _cut, mixed_capacities)
+from kecss.separation import (Feasible, ScaledPoint, SeparationVerdict, Violated,
+                              mixed_capacities)
 
 EXACT_VERTEX_LIMIT = 20
 FULL_LP_VERTEX_LIMIT = 12
@@ -45,9 +46,10 @@ class CapacityError(ValueError):
 
 # -- separation ----------------------------------------------------------------
 
-def violated_cuts_exact(x: Mapping[int, Fraction], req: Requirement) -> list[Cut]:
-    """Every violated active cut, by a scan of all 2^(n-1) canonical sides,
-    ordered by (mixed capacity, sorted side)."""
+def violated_cuts_exact(x: Mapping[int, Fraction],
+                        req: Requirement) -> list[tuple[Fraction, int]]:
+    """Every violated active cut as (mixed capacity, side), by a scan of
+    all 2^(n-1) canonical sides, ordered by (mixed capacity, sorted side)."""
     n = req.graph.n
     if n > EXACT_VERTEX_LIMIT:
         raise CapacityError(f"n={n} too large for the exhaustive oracle")
@@ -65,14 +67,14 @@ def violated_cuts_exact(x: Mapping[int, Fraction], req: Requirement) -> list[Cut
         if w < k_scaled:
             found.append((w, vertices(mask), mask))
     found.sort()
-    return [_cut(req, side, Fraction(w, denom)) for w, _, side in found]
+    return [(Fraction(w, denom), side) for w, _, side in found]
 
 
 def separate_exact(x: Mapping[int, Fraction], req: Requirement) -> SeparationVerdict:
-    """Exhaustive reference oracle: the most violated cut alone (least
-    capacity, ties broken by sorted side), or Feasible."""
+    """Exhaustive reference oracle: the side of the most violated cut
+    alone (least capacity, ties broken by sorted side), or Feasible."""
     cuts = violated_cuts_exact(x, req)
-    return Violated((cuts[0],)) if cuts else Feasible()
+    return Violated((cuts[0][1],)) if cuts else Feasible()
 
 
 # -- integer optimum and materialized cut LP ----------------------------------

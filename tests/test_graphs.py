@@ -195,7 +195,7 @@ def test_one_crossing_sum_matches_endpoint_reference():
                 for point, d in points:
                     assert Fraction(point.cross(bits), point.denom) == \
                         Fraction(across(weights, side), d)
-                assert req.picked_crossing(bits) == across(picked, side)
+                assert req.picked_point.cross(bits) == across(picked, side)
                 assert empty.cross(bits) == 0
             sides += 1
             # a random disjoint pair: each vertex left, right or neither

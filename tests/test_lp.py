@@ -156,8 +156,8 @@ def test_lazy_kecss_lp_on_k5():
         verdict = separate_fast(ScaledPoint(g, nums, denom), req)
         if isinstance(verdict, Feasible):
             return []
-        return [lp.row({e: 1 for e in crossing(g, c.side)}, lp.GE, c.requirement)
-                for c in verdict.cuts]
+        return [lp.row({e: 1 for e in crossing(g, side)}, lp.GE, req.residual(side))
+                for side in verdict.sides]
 
     inst = lp.instance([1] * g.m, [0] * g.m, [1] * g.m, [])
     result = lp.solve_lazy(inst, oracle)
@@ -175,8 +175,8 @@ def test_lazy_infeasible_propagates():
         verdict = separate_fast(ScaledPoint(g, nums, denom), req)
         if isinstance(verdict, Feasible):
             return []
-        return [lp.row({e: 1 for e in crossing(g, c.side)}, lp.GE, c.requirement)
-                for c in verdict.cuts]
+        return [lp.row({e: 1 for e in crossing(g, side)}, lp.GE, req.residual(side))
+                for side in verdict.sides]
 
     inst = lp.instance([1] * 5, [0] * 5, [1] * 5, [])
     with pytest.raises(lp.LpInfeasible):
@@ -309,8 +309,8 @@ def test_lazy_equals_materialized_on_random_instances():
             verdict = separate_fast(ScaledPoint(g, nums, denom), req)
             if isinstance(verdict, Feasible):
                 return []
-            return [lp.row({e: 1 for e in crossing(g, c.side)}, lp.GE,
-                           c.requirement) for c in verdict.cuts]
+            return [lp.row({e: 1 for e in crossing(g, side)}, lp.GE,
+                           req.residual(side)) for side in verdict.sides]
 
         inst = lp.instance([e.cost for e in g.edges], [0] * g.m, [1] * g.m, [])
         lazy = lp.solve_lazy(inst, oracle)
@@ -518,9 +518,9 @@ def _cut_oracle(graph, k):
         verdict = separate_fast(ScaledPoint(graph, nums, denom), req)
         if isinstance(verdict, Feasible):
             return []
-        cut = verdict.cuts[0]
-        return [lp.row({e: 1 for e in crossing(graph, cut.side)}, lp.GE,
-                       cut.requirement)]
+        side = verdict.sides[0]
+        return [lp.row({e: 1 for e in crossing(graph, side)}, lp.GE,
+                       req.residual(side))]
     return oracle
 
 

@@ -18,8 +18,8 @@ from kecss.rounding import (MODES, InfeasibleInstance, _finish,
 from kecss.requirements import Requirement
 from kecss.separation import ScaledPoint, Violated, separate_fast
 
-from conftest import (SPLIT_EDGE_GRAPH, degree_bounds_for, hub_cost_variant, mask,
-                      prism_hub_edges, random_cost_hub, random_feasible)
+from conftest import (SPLIT_EDGE_GRAPH, cut_at, degree_bounds_for, hub_cost_variant,
+                      mask, prism_hub_edges, random_cost_hub, random_feasible)
 from reference import full_cut_lp, separate_exact, violated_cuts_exact
 
 
@@ -64,8 +64,13 @@ def test_kecss_odd_k_dispatch():
     assert sol.k == 5
     assert sol.connectivity >= 2  # (k-3)-connected guarantee
     assert sol.cost <= trace.lp0
-    even_sol, _ = kecss(g, 4)
-    assert even_sol.cost == kecss(g, 4)[0].cost
+    # odd k runs at k-1: the k=4 run gives the same answer and LP value,
+    # and meets its own guarantee
+    even_sol, even_trace = kecss(g, 4)
+    assert even_sol.multiplicity == sol.multiplicity
+    assert even_sol.lp_value == sol.lp_value
+    assert even_sol.connectivity >= 2
+    assert even_sol.cost <= even_trace.lp0
 
 
 def test_kecss_k7_runs_at_6():
@@ -547,20 +552,22 @@ def test_separate_fast_matches_reference_at_every_oracle_call(monkeypatch):
         expected = separate_exact(x, req)
         assert type(verdict) is type(expected)
         if isinstance(verdict, Violated):
-            assert verdict.cuts[0].capacity == expected.cuts[0].capacity
-            for cut in verdict.cuts:
-                assert req.in_active_family(cut.side)
-                assert cut.lhs < cut.requirement
-                across = crossing(req.graph, cut.side)
-                assert cut.capacity == sum(x.get(e, 0) + req.picked.get(e, 0)
-                                           for e in across)
+            assert cut_at(x, req, verdict.sides[0])[0] == \
+                cut_at(x, req, expected.sides[0])[0]
+            for side in verdict.sides:
+                assert req.in_active_family(side)
+                capacity, lhs = cut_at(x, req, side)
+                assert lhs < req.residual(side)
+                across = crossing(req.graph, side)
+                assert capacity == sum(x.get(e, 0) + req.picked.get(e, 0)
+                                       for e in across)
     violated = sum(isinstance(v, Violated) for _, _, v, _ in calls)
     assert len(calls) >= 187 and violated >= 76
 
 
 def test_separate_fast_returns_every_violated_cut_at_every_oracle_call(monkeypatch):
     # where the enumeration ran, the verdict lists exactly the violated
-    # active cuts of the exhaustive scan, in (capacity, side) order; where
+    # active sides of the exhaustive scan, in (capacity, side) order; where
     # the probe decided, it reports its one min cut
     calls = _oracle_calls(monkeypatch)
     for seed in range(4):
@@ -580,14 +587,31 @@ def test_separate_fast_returns_every_violated_cut_at_every_oracle_call(monkeypat
     listed = probed = several = 0
     for x, req, verdict, enumerated in calls:
         if enumerated:
-            got = verdict.cuts if isinstance(verdict, Violated) else ()
-            assert list(got) == violated_cuts_exact(x, req)
+            got = verdict.sides if isinstance(verdict, Violated) else ()
+            assert [(cut_at(x, req, side)[0], side) for side in got] == \
+                violated_cuts_exact(x, req)
             listed += bool(got)
             several += len(got) > 1
         elif isinstance(verdict, Violated):
-            assert len(verdict.cuts) == 1
+            assert len(verdict.sides) == 1
             probed += 1
     assert listed >= 25 and several >= 20 and probed >= 10
+
+
+def test_satisfied_side_is_an_oracle_fault(monkeypatch):
+    # a verdict carries sides only; lp.solve_lazy's integer row check is
+    # the one violation check, so a side the point already satisfies (the
+    # singleton {2}, whose row every LP starts with) aborts the run
+    calls = []
+
+    def satisfied(point, req):
+        calls.append(point)
+        return Violated((mask({2}),))
+
+    monkeypatch.setattr(rounding, "separate_fast", satisfied)
+    with pytest.raises(RuntimeError, match="oracle returned a non-violated row"):
+        kecss(complete_graph(6), 4)
+    assert len(calls) == 1
 
 
 def test_lp0_matches_materialized_lp():

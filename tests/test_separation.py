@@ -7,10 +7,10 @@ from kecss import separation
 from kecss.graphs import complete_graph, crossing, cuts_below, make_graph
 from kecss.instances import gen
 from kecss.requirements import Requirement
-from kecss.separation import (Cut, Feasible, ScaledPoint, Violated, mixed_capacities,
+from kecss.separation import (Feasible, ScaledPoint, Violated, mixed_capacities,
                               separate_fast)
 
-from conftest import mask
+from conftest import cut_at, mask
 from reference import separate_exact, violated_cuts_exact
 
 
@@ -96,32 +96,31 @@ def test_scaled_point_rejects_weights_that_are_not_nonnegative_ints():
         ScaledPoint(g, [1, 1], 2)  # one entry short
 
 
-def test_violated_rejects_satisfied_cut():
-    with pytest.raises(ValueError):
-        Cut(mask({2}), Fraction(4), 3, Fraction(3))
-    with pytest.raises(ValueError, match=r"cut \[2, 4\] is not violated"):
-        Cut(mask({2, 4}), Fraction(5), 3, Fraction(7, 2))
-    assert Cut(mask({2}), Fraction(2), 3, Fraction(5, 2)).lhs == Fraction(5, 2)
-
-
-def test_violated_needs_distinct_cuts_cheapest_first():
-    a = Cut(mask({2}), Fraction(2), 3, Fraction(5, 2))
-    b = Cut(mask({3}), Fraction(2), 3, Fraction(2))
-    c = Cut(mask({2, 3}), Fraction(3), 4, Fraction(3))
-    assert Violated((a, b, c)).cuts == (a, b, c)
-    # ties go by sorted vertices, not by mask value: [2, 4] before [3]
-    d = Cut(mask({2, 4}), Fraction(2), 3, Fraction(2))
-    assert Violated((a, d, b)).cuts == (a, d, b)
-    with pytest.raises(ValueError):
-        Violated((a, b, d))
-    with pytest.raises(ValueError):
+def test_violated_needs_distinct_sides():
+    a, b, c = mask({2}), mask({3}), mask({2, 3})
+    assert Violated((a, b, c)).sides == (a, b, c)
+    assert Violated((c, a)).sides == (c, a)  # the oracle orders them, not the verdict
+    with pytest.raises(ValueError, match="at least one side"):
         Violated(())
-    with pytest.raises(ValueError):
-        Violated((c, a))  # capacity out of order
-    with pytest.raises(ValueError):
-        Violated((b, a))  # equal capacity, sides out of order
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="distinct"):
         Violated((a, a))
+    with pytest.raises(ValueError, match="distinct"):
+        Violated((a, b, a))
+
+
+def test_tied_sides_come_in_sorted_vertex_order():
+    # on K4 the sides [2], [2, 4] and [3] all have capacity 3/2 < k = 2,
+    # above the window 1, so the enumeration lists them; ties go by sorted
+    # vertices, not by mask value: [2, 4] (mask 10) before [3] (mask 4)
+    g = complete_graph(4)  # edges 12, 13, 14, 23, 24, 34
+    req = Requirement(g, 2, {}, 2)
+    x = {0: Fraction(1, 2), 1: Fraction(1), 2: Fraction(1, 2), 3: Fraction(0),
+         4: Fraction(1), 5: Fraction(1, 2)}
+    verdict = separate_fast(ScaledPoint.of(g, x), req)
+    sides = (mask({2}), mask({2, 4}), mask({3}))
+    assert verdict == Violated(sides)
+    assert [cut_at(x, req, side)[0] for side in sides] == [Fraction(3, 2)] * 3
+    assert violated_cuts_exact(x, req) == [(Fraction(3, 2), side) for side in sides]
 
 
 def test_feasible_on_saturated_k5():
@@ -140,8 +139,8 @@ def test_zero_point_violated_with_singleton():
         x = {e: Fraction(0) for e in range(g.m)}
         verdict = separate_fast(ScaledPoint.of(g, x), req)
         assert isinstance(verdict, Violated)
-        assert verdict.cuts[0].side.bit_count() == 1
-        assert verdict.cuts[0].capacity == 0
+        assert verdict.sides[0].bit_count() == 1
+        assert cut_at(x, req, verdict.sides[0])[0] == 0
 
 
 def test_fixture_point_feasible_for_k6():
@@ -165,9 +164,9 @@ def test_dropped_sets_never_reported():
     x = {e: Fraction(0) for e in range(g.m) if e not in picked}
     for verdict in (separate_exact(x, req), separate_fast(ScaledPoint.of(g, x), req)):
         if isinstance(verdict, Violated):
-            for cut in verdict.cuts:
-                assert cut.side != side
-                assert req.residual(cut.side) >= 3
+            for found in verdict.sides:
+                assert found != side
+                assert req.residual(found) >= 3
 
 
 def test_threshold3_k2_immediately_feasible():
@@ -204,22 +203,24 @@ def test_fast_matches_exact_randomized(monkeypatch):
         ve = separate_exact(x, req)
         assert type(vf) is type(ve)
         if listed:
-            got = vf.cuts if isinstance(vf, Violated) else ()
-            assert list(got) == violated_cuts_exact(x, req)
+            got = vf.sides if isinstance(vf, Violated) else ()
+            assert [(cut_at(x, req, side)[0], side) for side in got] == \
+                violated_cuts_exact(x, req)
             several += len(got) > 1
         elif isinstance(vf, Violated):
-            assert len(vf.cuts) == 1
+            assert len(vf.sides) == 1
             probed += 1
         if isinstance(vf, Violated):
             violated += 1
             assert isinstance(ve, Violated)
-            assert vf.cuts[0].capacity == ve.cuts[0].capacity
-            for v in vf.cuts + ve.cuts:
-                assert req.residual(v.side) >= req.threshold
-                assert v.lhs < v.requirement
-                mass = sum((Fraction(x[e]) for e in crossing(g, v.side)
+            assert cut_at(x, req, vf.sides[0])[0] == cut_at(x, req, ve.sides[0])[0]
+            for side in vf.sides + ve.sides:
+                assert req.residual(side) >= req.threshold
+                lhs = cut_at(x, req, side)[1]
+                assert lhs < req.residual(side)
+                mass = sum((Fraction(x[e]) for e in crossing(g, side)
                             if e in x), Fraction(0))
-                assert mass == v.lhs
+                assert mass == lhs
     assert violated > 20 and probed > 10 and several > 5  # not vacuous
 
 
@@ -230,7 +231,7 @@ def test_soundness_of_violated_rows():
         verdict = separate_fast(ScaledPoint.of(g, x), req)
         if isinstance(verdict, Violated):
             # each row x(delta_E'(S)) >= f_res(S) really is violated at x
-            for cut in verdict.cuts:
-                mass = sum((Fraction(x[e]) for e in crossing(g, cut.side)
+            for side in verdict.sides:
+                mass = sum((Fraction(x[e]) for e in crossing(g, side)
                             if e in x), Fraction(0))
-                assert mass < req.residual(cut.side)
+                assert mass < req.residual(side)

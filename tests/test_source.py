@@ -143,6 +143,33 @@ def test_lp_rows_have_one_form():
     assert found == []
 
 
+def test_separation_verdicts_carry_sides():
+    # a violated verdict names sides, and lp.solve_lazy checks each row in
+    # integers: no module defines a cut record (`Cut`, `_cut`) or the
+    # picked crossing it read (`picked_crossing`), and separation.py names
+    # Fraction only in the text of an error it raises
+    found = []
+    for path in sorted(Path(kecss.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name in ("Cut", "_cut", "picked_crossing")]
+    assert found == []
+    tree = ast.parse(Path(kecss.separation.__file__).read_text())
+    in_raise = {id(inner) for node in ast.walk(tree) if isinstance(node, ast.Raise)
+                for inner in ast.walk(node)}
+    outside = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, ast.Name) and node.id == "Fraction"
+               and id(node) not in in_raise]
+    assert outside == []
+
+
 def _own_nodes(func: ast.AST):
     """The nodes of a function's body, not descending into nested
     functions, lambdas or classes."""
