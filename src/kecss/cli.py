@@ -153,6 +153,13 @@ def _json_int(value: object) -> int:
     return value
 
 
+def _json_fraction(value: object) -> Fraction:
+    """A "p/q" JSON string; a number or a bool raises ValueError."""
+    if type(value) is not str:
+        raise ValueError(f"{value!r} is not a fraction string")
+    return Fraction(value)
+
+
 def _cmd_certify(inst: Instance, args: argparse.Namespace) -> int:
     """Hold a solution file to its run mode's `Mode.check` at its k over
     the LP value of a run of that mode there; the claimed `lp`, `cost` and
@@ -169,8 +176,8 @@ def _cmd_certify(inst: Instance, args: argparse.Namespace) -> int:
         k = _json_int(payload["k"])
         if args.k is not None and args.k != k:
             raise ValueError(f"k={k} differs from --k {args.k}")
-        claimed = {"lp": Fraction(payload["lp"]), "cost": Fraction(payload["cost"]),
-                   "connectivity": _json_int(payload["connectivity"])}
+        claimed = {key: _json_fraction(payload[key]) for key in ("lp", "cost")}
+        claimed["connectivity"] = _json_int(payload["connectivity"])
         edges = [(_json_int(rec["id"]), _json_int(rec["mult"])) for rec in payload["edges"]]
         mult = dict(edges)
         if len(mult) < len(edges):

@@ -12,11 +12,11 @@ point's fractional support, 0 < x < cutoff:
   threshold 2  pick x >= 2/3: (k-1)-edge-connected output at cost at
                most 1.5 times the LP (bicriteria).
 
-The multigraph procedures solve the first LP, the unbounded cut LP,
-themselves and hand it in; its integer part is picked and its
-fractional remainder is rounded.  Given degree bounds (md_kecss,
-md_kecsm), degree rows ride along; vertices leave the constrained set
-once their fractional degree (or its complement) is at most 2.
+The multigraph procedures' first LP, the unbounded cut LP, is solved
+before the loop; its integer part is picked and its fractional
+remainder is rounded.  Given degree bounds (md_kecss, md_kecsm),
+degree rows ride along; vertices leave the constrained set once their
+fractional degree (or its complement) is at most 2.
 Dropping the x = 0 edges keeps every guarantee: the last point, less
 its picks, still satisfies the next residual LP, so its value cannot
 rise and the cost ledger holds.
@@ -34,9 +34,10 @@ residual LPs), raising a zero-cost edge to 1 breaks no row and costs
 nothing, so those LPs fix their zero-cost edges at 1 and the simplex
 leaves them out of its tableau; a degree-bounded LP keeps them free.
 
-`MODES` is the one table of run modes: each mode's solver, its solution
-family, its least k, and its guarantee (graph, k) -> (connectivity
-target, cost factor over the recorded LP value) from the PAPER.md table.
+`MODES` is the one table of run modes: each mode's name, solution
+family, least k, activity threshold and guarantee (graph, k) ->
+(connectivity target, cost factor over the recorded LP value) from the
+PAPER.md table.  One driver, `_solve`, runs every mode from its row.
 `Mode.check` alone takes a mode's guarantee, degree window and subgraph
 rule to `certify.verify`, for every solver and `kecss run --mode
 certify`.  Every run emits a per-iteration trace, asserts the progress
@@ -120,9 +121,9 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _check(graph: Multigraph, k: int, name: str, *, bounds: Bounds | None = None) -> None:
-    """The solvers' preconditions: degree bounds, then mode `name`'s
-    refusal (least k, n >= 2)."""
+def _check(graph: Multigraph, k: int, mode: Mode, *, bounds: Bounds | None = None) -> None:
+    """The solvers' preconditions: degree bounds, then the mode's refusal
+    (least k, n >= 2)."""
     if bounds is not None:
         lower, upper = bounds
         if len(lower) != graph.n or len(upper) != graph.n:
@@ -134,7 +135,7 @@ def _check(graph: Multigraph, k: int, name: str, *, bounds: Bounds | None = None
                 raise ValueError(f"vertex {v + 1} has lower bound above upper bound")
             if lower[v] < 0 or upper[v] < 0:
                 raise ValueError(f"vertex {v + 1} has a negative degree bound")
-    refusal = MODES[name].refusal(graph, k)
+    refusal = mode.refusal(graph, k)
     if refusal is not None:
         raise ValueError(refusal)
 
@@ -331,13 +332,8 @@ def _aborted(message: str, req: Requirement,
     return RuntimeError(f"{message}\n{certmod.reproducer_dump(graph, req, last)}")
 
 
-def _certifying(graph: Multigraph, certify: bool | None) -> bool:
-    """Whether a run certifies: by default only at desk scale."""
-    return graph.n <= CERTIFY_VERTEX_LIMIT if certify is None else certify
-
-
 def _round(graph: Multigraph, k: int, threshold: int, bounds: Bounds | None,
-           certify: bool | None, max_iterations: int | None,
+           certify: bool, max_iterations: int | None,
            first_lp: lpmod.LazyResult | None = None
            ) -> tuple[ScaledPoint, RoundingTrace]:
     """Shared engine: solve residual LP, pick x >= `_CUTOFF[threshold]`,
@@ -352,11 +348,10 @@ def _round(graph: Multigraph, k: int, threshold: int, bounds: Bounds | None,
     cached on it, and the trace.  An LP fault, an "infeasible" verdict
     the theory rules out among them, or the iteration cap raises
     RuntimeError, a reproducer dump after its first line."""
-    certify_flag = _certifying(graph, certify)
     mult: dict[int, int] = {}
     working = list(range(graph.m))
     degree_active = None if bounds is None else (1 << graph.n) - 1
-    trace = RoundingTrace(Fraction(0), certified=certify_flag)
+    trace = RoundingTrace(Fraction(0), certified=certify)
     lp0: Fraction | None = None
     if first_lp is not None:
         first = first_lp.optimum
@@ -402,7 +397,7 @@ def _round(graph: Multigraph, k: int, threshold: int, bounds: Bounds | None,
             raise _aborted(f"rounding exceeded {cap} iterations; state: |H|="
                            f"{sum(mult.values())}, working={len(working)}", req, trace)
         try:
-            lazy = _solve_residual(graph, req, working, carry, certify_flag)
+            lazy = _solve_residual(graph, req, working, carry, certify)
         except lpmod.LpInfeasible as exc:
             message = f"residual LP infeasible at iteration {iteration}: {exc}"
             if trace.iterations:  # the last point, less its picks, is feasible
@@ -434,7 +429,7 @@ def _round(graph: Multigraph, k: int, threshold: int, bounds: Bounds | None,
             frac_support=sum(1 for _, _, w in point.edges if w < denom),
             dropped_witnesses=[], lazy_rounds=lazy.separation_calls,
             lp_rows=len(lazy.rows))
-        if certify_flag:
+        if certify:
             pool.update(_certify_iteration(graph, req, point, record))
         # progress: an edge is picked, or (degree mode) a vertex drops out
         for e in picked_now:
@@ -486,7 +481,7 @@ def _finish(graph: Multigraph, name: str, k: int, picked: ScaledPoint,
     return Solution(name, k, mult, report.cost, report.connectivity, lp_value)
 
 
-# -- subgraph procedures -----------------------------------------------------
+# -- the driver --------------------------------------------------------------
 
 def _warn(message: str) -> None:
     """Warn at the first caller outside this package, whichever public
@@ -497,6 +492,47 @@ def _warn(message: str) -> None:
     warnings.warn(message, stacklevel=level)
 
 
+def approximation_factor(k: int) -> Fraction:
+    """1 + 2/k for even k, 1 + 3/k for odd k."""
+    return 1 + Fraction(2 if k % 2 == 0 else 3, k)
+
+
+def _solve(mode: Mode, graph: Multigraph, k: int, bounds: Bounds | None,
+           certify: bool | None, max_iterations: int | None
+           ) -> tuple[Solution, RoundingTrace]:
+    """Run `mode` at k, within the degree `bounds` (l, u) when given.  The
+    multigraph family runs floor-first at k' = k+2 (even k) or k+3 (odd
+    k) and records LP(k) as `kecsm` and `md_kecsm` say."""
+    bounds = None if bounds is None else (list(bounds[0]), list(bounds[1]))
+    _check(graph, k, mode, bounds=bounds)
+    certify = graph.n <= CERTIFY_VERTEX_LIMIT if certify is None else certify
+    run_bounds, first, reference = bounds, None, None
+    if mode.family == "ecss":
+        run_k = k - k % 2 if mode.threshold == 3 else k
+        if mode.name == "ecss" and k < 4:
+            _warn("k=2: returning the empty subgraph")
+    else:
+        run_k = k + 2 + k % 2
+        if bounds is not None:
+            run_bounds = (bounds[0], [math.ceil(approximation_factor(k) * b)
+                                      for b in bounds[1]])
+        try:
+            # rho_k * x is feasible at k' and the caps for every x feasible at
+            # k and u, so an infeasible first LP means an infeasible reference
+            first = _solve_unbounded_cut_lp(graph, run_k, run_bounds, recheck=certify)
+            reference = (Fraction(k, run_k) * first.optimum.value if bounds is None else
+                         _solve_unbounded_cut_lp(graph, k, bounds, start=first).optimum.value)
+        except lpmod.LpInfeasible as exc:  # one min cut reads the verdict
+            raise _below(graph, 1) or (
+                _aborted(f"unbounded cut LP infeasible: {exc}", Requirement(graph, run_k))
+                if bounds is None else
+                InfeasibleInstance(f"degree-bounded LP infeasible: {exc}")) from exc
+    picked, trace = _round(graph, run_k, mode.threshold, run_bounds, certify,
+                           max_iterations, first)
+    lp_value = trace.lp0 if reference is None else reference
+    return _finish(graph, mode.name, k, picked, lp_value, bounds), trace
+
+
 def kecss(graph: Multigraph, k: int, *, certify: bool | None = None,
           max_iterations: int | None = None) -> tuple[Solution, RoundingTrace]:
     """(k-2)-edge-connected subgraph of cost at most the cut-LP optimum
@@ -505,31 +541,13 @@ def kecss(graph: Multigraph, k: int, *, certify: bool | None = None,
     k < 4 returns the empty subgraph (vacuous guarantee): at k-1 or k = 2
     no cut reaches the activity threshold, so the loop solves no LP.
     """
-    _check(graph, k, "ecss")
-    if k < 4:
-        _warn("k=2: returning the empty subgraph")
-    picked, trace = _round(graph, k - k % 2, 3, None, certify, max_iterations)
-    return _finish(graph, "ecss", k, picked, trace.lp0), trace
+    return _solve(MODES["ecss"], graph, k, None, certify, max_iterations)
 
 
 def bicriteria(graph: Multigraph, k: int, *, certify: bool | None = None,
                max_iterations: int | None = None) -> tuple[Solution, RoundingTrace]:
     """(k-1)-edge-connected subgraph of cost at most 1.5 times the LP."""
-    _check(graph, k, "ecss15")
-    picked, trace = _round(graph, k, 2, None, certify, max_iterations)
-    return _finish(graph, "ecss15", k, picked, trace.lp0), trace
-
-
-# -- multigraph procedures ---------------------------------------------------
-
-def approximation_factor(k: int) -> Fraction:
-    """1 + 2/k for even k, 1 + 3/k for odd k."""
-    return 1 + Fraction(2 if k % 2 == 0 else 3, k)
-
-
-def _multigraph_run_k(k: int) -> int:
-    """The multigraph procedures round at k+2 (even k) or k+3 (odd k)."""
-    return k + 2 if k % 2 == 0 else k + 3
+    return _solve(MODES["ecss15"], graph, k, None, certify, max_iterations)
 
 
 def kecsm(graph: Multigraph, k: int, *, certify: bool | None = None,
@@ -540,28 +558,15 @@ def kecsm(graph: Multigraph, k: int, *, certify: bool | None = None,
     gives a (k'-2)-connected output of cost at most LP(k') = rho_k * LP(k)
     (that LP is homogeneous in k).  Its first LP is feasible exactly when
     the graph is connected."""
-    _check(graph, k, "ecsm")
-    run_k = _multigraph_run_k(k)
-    try:
-        first = _solve_unbounded_cut_lp(graph, run_k, recheck=_certifying(graph, certify))
-    except lpmod.LpInfeasible as exc:
-        raise _below(graph, 1) or _aborted(f"unbounded cut LP infeasible: {exc}",
-                                           Requirement(graph, run_k)) from exc
-    picked, trace = _round(graph, run_k, 3, None, certify, max_iterations, first)
-    return _finish(graph, "ecsm", k, picked, Fraction(k, run_k) * trace.lp0), trace
+    return _solve(MODES["ecsm"], graph, k, None, certify, max_iterations)
 
-
-# -- degree-bounded procedures -----------------------------------------------
 
 def md_kecss(graph: Multigraph, k: int, lower: Sequence[int],
              upper: Sequence[int], *, certify: bool | None = None,
              max_iterations: int | None = None) -> tuple[Solution, RoundingTrace]:
     """Degree-bounded subgraph: (k-2)-connected for even k ((k-3) for odd),
     cost at most the LP, and every degree within +-2 of its window."""
-    bounds = (list(lower), list(upper))
-    _check(graph, k, "md-ecss", bounds=bounds)
-    picked, trace = _round(graph, k - k % 2, 3, bounds, certify, max_iterations)
-    return _finish(graph, "md-ecss", k, picked, trace.lp0, bounds), trace
+    return _solve(MODES["md-ecss"], graph, k, (lower, upper), certify, max_iterations)
 
 
 def md_kecsm(graph: Multigraph, k: int, lower: Sequence[int],
@@ -580,34 +585,21 @@ def md_kecsm(graph: Multigraph, k: int, lower: Sequence[int],
     degree-bounded loop finishes at k'.  An infeasible first or reference
     LP blames the degree windows only on a connected graph.
     """
-    _check(graph, k, "md-ecsm", bounds=(lower, upper))
-    run_k = _multigraph_run_k(k)
-    scaled = (list(lower), [math.ceil(approximation_factor(k) * b) for b in upper])
-    try:
-        # for every x feasible at k and b, rho_k * x is feasible at k' and
-        # the scaled caps (rho_k * k = k', and rho_k >= 1 keeps the lower
-        # bounds), so an infeasible first LP means an infeasible reference
-        first = _solve_unbounded_cut_lp(graph, run_k, scaled,
-                                        recheck=_certifying(graph, certify))
-        reference = _solve_unbounded_cut_lp(graph, k, (lower, upper),
-                                            start=first).optimum.value
-    except lpmod.LpInfeasible as exc:
-        raise _below(graph, 1) or InfeasibleInstance(
-            f"degree-bounded LP infeasible: {exc}") from exc
-    picked, trace = _round(graph, run_k, 3, scaled, certify, max_iterations, first)
-    return _finish(graph, "md-ecsm", k, picked, reference, (lower, upper)), trace
+    return _solve(MODES["md-ecsm"], graph, k, (lower, upper), certify, max_iterations)
 
 
 # -- the mode table ------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Mode:
-    """A run mode: its solver, its solution family ("ecss", multiplicities
-    0/1, or "ecsm"), its least k, and its guarantee (graph, k) ->
-    (connectivity target, cost factor over the recorded LP value)."""
-    solver: Callable[..., tuple[Solution, RoundingTrace]]
+    """A run mode: its name (its key in MODES), its solution family
+    ("ecss", multiplicities 0/1, or "ecsm"), its least k, its activity
+    threshold, and its guarantee (graph, k) -> (connectivity target, cost
+    factor over the recorded LP value)."""
+    name: str
     family: str
     min_k: int
+    threshold: int
     guarantee: Callable[[Multigraph, int], tuple[int, Fraction]]
     degree_bounded: bool = False
 
@@ -621,11 +613,11 @@ class Mode:
             return "invalid-n: needs at least 2 vertices"
         return None
 
-    def run(self, inst: Instance, **options) -> tuple[Solution, RoundingTrace]:
+    def run(self, inst: Instance, *, certify: bool | None = None,
+            max_iterations: int | None = None) -> tuple[Solution, RoundingTrace]:
         """Solve `inst`; degree-bounded modes read its degree windows."""
-        if self.degree_bounded:
-            return self.solver(inst.graph, inst.k, *inst.degree_arrays(), **options)
-        return self.solver(inst.graph, inst.k, **options)
+        bounds = inst.degree_arrays() if self.degree_bounded else None
+        return _solve(self, inst.graph, inst.k, bounds, certify, max_iterations)
 
     def check(self, graph: Multigraph, k: int, multiplicity: dict[int, int],
               lp_value: Fraction, bounds: Bounds | None = None,
@@ -661,10 +653,10 @@ def _multigraph(graph: Multigraph, k: int) -> tuple[int, Fraction]:
     return k, approximation_factor(k)
 
 
-MODES: dict[str, Mode] = {
-    "ecss": Mode(kecss, "ecss", 2, _exact_cost),
-    "ecss15": Mode(bicriteria, "ecss", 2, _bicriteria_cost),
-    "ecsm": Mode(kecsm, "ecsm", 1, _multigraph),
-    "md-ecss": Mode(md_kecss, "ecss", 2, _exact_cost, degree_bounded=True),
-    "md-ecsm": Mode(md_kecsm, "ecsm", 1, _multigraph, degree_bounded=True),
-}
+MODES: dict[str, Mode] = {mode.name: mode for mode in (
+    Mode("ecss", "ecss", 2, 3, _exact_cost),
+    Mode("ecss15", "ecss", 2, 2, _bicriteria_cost),
+    Mode("ecsm", "ecsm", 1, 3, _multigraph),
+    Mode("md-ecss", "ecss", 2, 3, _exact_cost, degree_bounded=True),
+    Mode("md-ecsm", "ecsm", 1, 3, _multigraph, degree_bounded=True),
+)}

@@ -400,6 +400,9 @@ def test_mode_table_matches_paper_guarantees():
         for name, expected in table.items():
             got = [rounding.MODES[name].guarantee(graph, k) for k in range(2, 10)]
             assert got == expected
-    assert {name: (m.family, m.min_k) for name, m in rounding.MODES.items()} == {
-        "ecss": ("ecss", 2), "ecss15": ("ecss", 2), "ecsm": ("ecsm", 1),
-        "md-ecss": ("ecss", 2), "md-ecsm": ("ecsm", 1)}
+    assert {name: (m.family, m.min_k, m.threshold, m.degree_bounded)
+            for name, m in rounding.MODES.items()} == {
+        "ecss": ("ecss", 2, 3, False), "ecss15": ("ecss", 2, 2, False),
+        "ecsm": ("ecsm", 1, 3, False), "md-ecss": ("ecss", 2, 3, True),
+        "md-ecsm": ("ecsm", 1, 3, True)}
+    assert all(m.name == name for name, m in rounding.MODES.items())

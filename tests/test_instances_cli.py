@@ -669,11 +669,15 @@ def test_cli_certify_rejects_unreadable_solution_values(tmp_path: Path, capsys,
     ("mult", lambda p: p["edges"][0]["mult"] + 0.5),
     ("mult", lambda p: str(p["edges"][0]["mult"])),
     ("k", lambda p: True),
+    ("lp", lambda p: 10.0),
+    ("cost", lambda p: True),
 ], ids=["k-float", "connectivity-float", "id-float", "mult-float", "mult-string",
-        "k-bool"])
+        "k-bool", "lp-float", "cost-bool"])
 def test_cli_certify_rejects_non_integer_fields(tmp_path: Path, capsys, field, edit):
     # int() would read each edited value as an integer (4.9 as 4, "3" as
-    # 3, true as 1) and certify the file; only JSON integers are accepted
+    # 3, true as 1) and certify the file; only JSON integers are accepted.
+    # Fraction() would read the LP value 10.0 as 10 and certify the file,
+    # or true as 1; `lp` and `cost` are accepted only as "p/q" strings
     inst_path = tmp_path / "k5.txt"
     sol_path = tmp_path / "sol.json"
     inst_path.write_text(emit_instance(gen("complete", n=5, k=4)))
@@ -684,7 +688,7 @@ def test_cli_certify_rejects_non_integer_fields(tmp_path: Path, capsys, field, e
     payload = json.loads(sol_path.read_text())
     assert main(certify) == 0
     capsys.readouterr()
-    if field in ("k", "connectivity"):
+    if field in payload:
         payload[field] = edit(payload)
     else:
         payload["edges"][0][field] = edit(payload)

@@ -164,12 +164,17 @@ def test_kecsm_wrapper_factors():
 
 
 def test_kecsm_reference_scales_from_run_k():
-    # kecsm derives LP(k) as k/k' * LP(k') from its run at k' = k+2 or k+3
+    # kecsm derives LP(k) as k/k' * LP(k') from its run at k' = k+2 or k+3,
+    # md_kecsm re-solves LP(k) from its first LP's tableau.  Capping every
+    # x_e at k keeps every cut row, so some optimum of LP(k) meets the
+    # default windows [0, k * deg(v)]: the two reference rules must agree
     for seed in range(4):
         g = random_feasible(seed, 7, 1).graph
         for k in range(1, 6):
             sol, _ = kecsm(g, k)
             assert sol.lp_value == _solve_unbounded_cut_lp(g, k).optimum.value
+            md_sol, _ = md_kecsm(g, k, *Instance(g, k).degree_arrays())
+            assert md_sol.lp_value == sol.lp_value
 
 
 def test_kecsm_disconnected():

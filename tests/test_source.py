@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import os
 import subprocess
@@ -269,3 +270,26 @@ def test_one_checker_per_mode():
     # guarantee besides
     assert _calls("verify") == ["rounding.py Mode.check"]
     assert _calls("guarantee") == ["bench.py bench_row", "rounding.py Mode.check"]
+
+
+def test_one_driver_reads_the_mode_table():
+    # `_solve` alone runs a mode from its table row: it alone calls the
+    # engine and the output check, each public solver hands its arguments
+    # to it in one return statement, and no mode row holds a solver
+    assert _calls("_round") == ["rounding.py _solve"]
+    assert _calls("_finish") == ["rounding.py _solve"]
+    solvers = ("kecss", "bicriteria", "kecsm", "md_kecss", "md_kecsm")
+    tree = ast.parse(Path(kecss.rounding.__file__).read_text())
+    bodies = {node.name: node.body for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name in solvers}
+    assert sorted(bodies) == sorted(solvers)
+    for name, body in bodies.items():
+        if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+            body = body[1:]  # the docstring
+        assert len(body) == 1 and isinstance(body[0], ast.Return), name
+        call = body[0].value
+        assert isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_solve", name
+    entry_points = {getattr(kecss.rounding, name) for name in solvers}
+    for mode in kecss.rounding.MODES.values():
+        values = [getattr(mode, f.name) for f in dataclasses.fields(mode)]
+        assert entry_points.isdisjoint(values), mode.name
